@@ -7,8 +7,8 @@ simulate   integrate the amplitude dynamics under a schedule or override
 sweep      fill a fidelity surface over (kappa_i, r); write long-format CSV
 verify     run the master-equation and semiclassical cross-checks
 
-Exit codes: 0 success, 1 input error, 2 infeasible schedule, 3 integrator
-step failure, 4 verification bound violated.
+Exit codes: 0 success, 1 input error, 2 infeasible schedule or singular
+coupling, 3 integrator step failure, 4 verification bound violated.
 
 All emitted numbers carry 17 significant digits so files round-trip doubles
 losslessly, and every file is written atomically (temp file + rename).
@@ -22,7 +22,6 @@ import argparse
 import math
 import os
 import sys
-import tempfile
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -40,6 +39,7 @@ from .errors import (
     SingularCoupling,
     StepFailure,
 )
+from .sweep import _atomic_write, _csv_text, _fmt
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -58,16 +58,6 @@ _VERIFY_KAPPA_I = 1e-4
 # ---------------------------------------------------------------------------
 # serialization helpers
 # ---------------------------------------------------------------------------
-
-def _fmt(v) -> str:
-    """17-significant-digit decimal text; infinities spelled `inf`."""
-    v = float(v)
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    if math.isnan(v):
-        return "nan"
-    return format(v, ".17g")
-
 
 def _json_text(value, indent: int = 0) -> str:
     """Tiny JSON writer so floats carry exactly 17 significant digits.
@@ -97,23 +87,6 @@ def _json_text(value, indent: int = 0) -> str:
     if math.isinf(v) or math.isnan(v):
         return '"' + _fmt(v) + '"'
     return _fmt(v)
-
-
-def _atomic_write(path: str, text: str) -> None:
-    """Write text to `path` via a sibling temp file and an atomic rename."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-",
-                               suffix=os.path.basename(path))
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +244,9 @@ def cmd_schedule(args) -> int:
     schedule = protocol.build_schedule(profile, params)
     report = protocol.peak_time_and_fidelity(profile, params, schedule)
 
-    lines = ["tau,kappa,r_in,beta1_sq,beta_sq,r_out"]
-    for row in _schedule_rows(schedule, args.samples):
-        lines.append(",".join(_fmt(v) for v in row))
-    _atomic_write(args.out + ".csv", "\n".join(lines) + "\n")
+    _atomic_write(args.out + ".csv",
+                  _csv_text("tau,kappa,r_in,beta1_sq,beta_sq,r_out",
+                            _schedule_rows(schedule, args.samples)))
 
     payload = {
         "profile": args.profile,
@@ -318,13 +290,10 @@ def cmd_simulate(args) -> int:
     traj = dynamics.simulate_amplitudes(profile, params, coupling, tau_end,
                                         tol=args.tol, samples=args.samples)
 
-    lines = ["tau,beta1,beta,kappa,r_in,r_out,cum_reflection,cum_intrinsic"]
-    for i in range(len(traj)):
-        lines.append(",".join(_fmt(v) for v in (
-            traj.taus[i], traj.beta1[i], traj.beta[i], traj.kappa[i],
-            traj.r_in[i], traj.r_out[i],
-            traj.cum_reflection[i], traj.cum_intrinsic[i])))
-    _atomic_write(args.out, "\n".join(lines) + "\n")
+    rows = zip(traj.taus, traj.beta1, traj.beta, traj.kappa, traj.r_in,
+               traj.r_out, traj.cum_reflection, traj.cum_intrinsic)
+    _atomic_write(args.out, _csv_text(
+        "tau,beta1,beta,kappa,r_in,r_out,cum_reflection,cum_intrinsic", rows))
 
     residual = dynamics.energy_balance_residual(traj)
     print(f"energy balance residual = {_fmt(residual)}")
@@ -351,18 +320,7 @@ def cmd_sweep(args) -> int:
 
     failures = sum(1 for row in surface.results
                    for cell in row if not isinstance(cell, protocol.TransferReport))
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(args.out)),
-                               prefix=".tmp-", suffix=os.path.basename(args.out))
-    os.close(fd)
-    try:
-        sweepmod.write_surface_csv(surface, tmp)
-        os.replace(tmp, args.out)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    sweepmod.write_surface_csv(surface, args.out)
     cells = len(surface.kappa_is) * len(surface.rs)
     print(f"wrote {args.out}: {cells} cells, {failures} failed")
     return EXIT_OK
@@ -397,13 +355,10 @@ def _master_equation_checks(family: str, scale: float) -> list[dict]:
     traj = dynamics.simulate_amplitudes(profile, params, coupling, tau_end,
                                         tol=1e-10, samples=ts)
 
-    reduction = 0.0
+    reduction = dynamics._reduction_deviation(states, traj)
     trace_dev = 0.0
     ground_dev = 0.0
     for i, dm in enumerate(states):
-        psi = np.array([traj.beta1[i], traj.beta[i]])
-        reduction = max(reduction,
-                        float(np.max(np.abs(dm.rho[1:, 1:] - np.outer(psi, psi)))))
         trace_dev = max(trace_dev, abs(dm.trace - 1.0))
         ground_dev = max(ground_dev,
                          abs(dm.rho[0, 0].real
@@ -544,7 +499,7 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (NoThreshold, InfeasibleSchedule) as exc:
+    except (NoThreshold, InfeasibleSchedule, SingularCoupling) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except StepFailure as exc:

@@ -150,6 +150,47 @@ def _default_samples(profile: prof.InputProfile, schedule_or_kappa,
     return ts[keep]
 
 
+def _checked_grid(tol: float, tau_end: float,
+                  samples: int | Sequence[float] | None) -> np.ndarray | None:
+    """Check the arguments both simulators share; return the requested output
+    grid, or None when the caller should use its own default."""
+    if not (1e-13 <= tol <= 1e-6):
+        raise DomainError("tol must lie in [1e-13, 1e-6]")
+    if tau_end <= 0.0:
+        raise DomainError("tau_end must be positive")
+    if samples is None:
+        return None
+    if isinstance(samples, int):
+        return np.linspace(0.0, tau_end, samples)
+    ts = np.asarray(samples, dtype=float)
+    if ts.ndim != 1 or len(ts) < 2 or ts[0] < 0.0 or ts[-1] > tau_end \
+            or np.any(np.diff(ts) <= 0.0):
+        raise DomainError("samples must be increasing within [0, tau_end]")
+    return ts
+
+
+def _integrate_segments(rhs, y0: np.ndarray, breaks: list[float],
+                        tau_end: float, ts: np.ndarray, tol: float,
+                        max_step: float, what: str) -> np.ndarray:
+    """Integrate y' = rhs(t, y) over [0, tau_end], restarting at every
+    interior breakpoint (the coupling is not smooth there), and sample each
+    segment's dense output at the ts it covers; shape (len(y0), len(ts))."""
+    edges = [0.0] + [b for b in sorted(breaks) if 0.0 < b < tau_end] + [tau_end]
+    y = y0
+    out = np.empty((len(y0), len(ts)), dtype=y0.dtype)
+    for a, b in zip(edges[:-1], edges[1:]):
+        sol = solve_ivp(rhs, (a, b), y, method="DOP853", rtol=tol,
+                        atol=tol * 1e-3, dense_output=True, max_step=max_step)
+        if sol.status < 0:
+            raise StepFailure(f"{what} failed: {sol.message}",
+                              tau=float(sol.t[-1]))
+        mask = (ts >= a) & (ts <= b) if b < tau_end else (ts >= a)
+        if np.any(mask):
+            out[:, mask] = sol.sol(ts[mask])
+        y = sol.y[:, -1]
+    return out
+
+
 def simulate_amplitudes(profile: prof.InputProfile, params: prof.MemoryParams,
                         schedule_or_kappa, tau_end: float,
                         tol: float = _DEFAULT_TOL, *,
@@ -170,10 +211,7 @@ def simulate_amplitudes(profile: prof.InputProfile, params: prof.MemoryParams,
     `max_step` caps the integrator step, bounding how far any dense-output
     interpolant span can stretch.
     """
-    if not (1e-13 <= tol <= 1e-6):
-        raise DomainError("tol must lie in [1e-13, 1e-6]")
-    if tau_end <= 0.0:
-        raise DomainError("tau_end must be positive")
+    ts = _checked_grid(tol, tau_end, samples)
     if beta0 > 0.0:
         raise DomainError("the memory amplitude convention is beta <= 0")
 
@@ -186,15 +224,8 @@ def simulate_amplitudes(profile: prof.InputProfile, params: prof.MemoryParams,
         # interpolant's error the dominant term in the energy residual.
         step_cap = profile.sigma / 3.0
 
-    if samples is None:
+    if ts is None:
         ts = _default_samples(profile, schedule_or_kappa, tau_end)
-    elif isinstance(samples, int):
-        ts = np.linspace(0.0, tau_end, samples)
-    else:
-        ts = np.asarray(samples, dtype=float)
-        if ts.ndim != 1 or len(ts) < 2 or ts[0] < 0.0 or ts[-1] > tau_end \
-                or np.any(np.diff(ts) <= 0.0):
-            raise DomainError("samples must be increasing within [0, tau_end]")
 
     def rhs(t, y):
         beta = y[0]
@@ -205,20 +236,8 @@ def simulate_amplitudes(profile: prof.InputProfile, params: prof.MemoryParams,
                 w * w,
                 k_i * beta * beta)
 
-    edges = [0.0] + [b for b in sorted(breaks) if 0.0 < b < tau_end] + [tau_end]
-    y = np.array([beta0, 0.0, 0.0])
-    out = np.empty((3, len(ts)))
-    for a, b in zip(edges[:-1], edges[1:]):
-        sol = solve_ivp(rhs, (a, b), y, method="DOP853", rtol=tol,
-                        atol=tol * 1e-3, dense_output=True, max_step=step_cap)
-        if sol.status < 0:
-            raise StepFailure(f"integrator failed: {sol.message}",
-                              tau=float(sol.t[-1]))
-        mask = (ts >= a) & (ts <= b) if b < tau_end else (ts >= a)
-        if np.any(mask):
-            out[:, mask] = sol.sol(ts[mask])
-        y = sol.y[:, -1]
-
+    out = _integrate_segments(rhs, np.array([beta0, 0.0, 0.0]), breaks,
+                              tau_end, ts, tol, step_cap, "integrator")
     beta = out[0].copy()
     r_in = np.asarray(prof.rate_at(profile, ts), dtype=float)
     kappa = np.array([kappa_fn(t) for t in ts])
@@ -296,17 +315,9 @@ def simulate_master_equation(profile: prof.InputProfile,
     the intrinsic decay L_i = sqrt(kappa_i)|00><01| of the memory. The trace
     is preserved to ~1e-10 and the state stays Hermitian and positive.
     """
-    if not (1e-13 <= tol <= 1e-6):
-        raise DomainError("tol must lie in [1e-13, 1e-6]")
+    ts = _checked_grid(tol, tau_end, 801 if samples is None else samples)
     kappa_fn, breaks = _as_kappa_fn(schedule_or_kappa)
     k_i = params.kappa_i
-
-    if samples is None:
-        samples = 801
-    if isinstance(samples, int):
-        ts = np.linspace(0.0, tau_end, samples)
-    else:
-        ts = np.asarray(samples, dtype=float)
 
     e_01 = np.zeros((3, 3), dtype=complex); e_01[0, 1] = 1.0   # |00><10|
     e_02 = np.zeros((3, 3), dtype=complex); e_02[0, 2] = 1.0   # |00><01|
@@ -329,20 +340,8 @@ def simulate_master_equation(profile: prof.InputProfile,
 
     rho0 = np.zeros((3, 3), dtype=complex)
     rho0[1, 1] = 1.0
-    edges = [0.0] + [b for b in sorted(breaks) if 0.0 < b < tau_end] + [tau_end]
-    y = rho0.reshape(9)
-    out = np.empty((9, len(ts)), dtype=complex)
-    for a, b in zip(edges[:-1], edges[1:]):
-        sol = solve_ivp(rhs, (a, b), y, method="DOP853", rtol=tol,
-                        atol=tol * 1e-3, dense_output=True)
-        if sol.status < 0:
-            raise StepFailure(f"master equation failed: {sol.message}",
-                              tau=float(sol.t[-1]))
-        mask = (ts >= a) & (ts <= b) if b < tau_end else (ts >= a)
-        if np.any(mask):
-            out[:, mask] = sol.sol(ts[mask])
-        y = sol.y[:, -1]
-
+    out = _integrate_segments(rhs, rho0.reshape(9), breaks, tau_end, ts, tol,
+                              math.inf, "master equation")
     return [DensityMatrix3(tau=float(t), rho=out[:, i].reshape(3, 3).copy())
             for i, t in enumerate(ts)]
 
@@ -363,10 +362,16 @@ def verify_nonhermitian_reduction(profile: prof.InputProfile,
                                       tau_end, tol=1e-10, samples=ts)
     traj = simulate_amplitudes(profile, params, schedule_or_kappa, tau_end,
                                tol=1e-10, samples=ts)
+    return _reduction_deviation(states, traj)
+
+
+def _reduction_deviation(states: Sequence[DensityMatrix3],
+                         traj: Trajectory) -> float:
+    """Max over shared samples of |rho block over {|10>, |01>} - psi psi^dag|,
+    with psi = (beta1, beta) from the amplitude run."""
     worst = 0.0
     for i, dm in enumerate(states):
         psi = np.array([traj.beta1[i], traj.beta[i]])
-        block = dm.rho[1:, 1:]
-        dev = np.max(np.abs(block - np.outer(psi, psi)))
+        dev = np.max(np.abs(dm.rho[1:, 1:] - np.outer(psi, psi)))
         worst = max(worst, float(dev))
     return worst

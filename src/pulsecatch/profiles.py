@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
@@ -133,20 +134,15 @@ def tabulated(taus, rates) -> InputProfile:
 class MemoryParams:
     """Resonator memory parameters: intrinsic loss rate in units of kappa_max.
 
-    kappa_max is the unit of every rate in this package and is therefore
-    pinned to 1; the field exists so the convention is explicit at call sites.
+    kappa_max = 1 is the rate unit: every rate in this package is measured
+    in it, so it is not a field.
     """
 
     kappa_i: float
-    kappa_max: float = 1.0
 
     def __post_init__(self):
         if not (0.0 <= self.kappa_i < 1.0):
             raise DomainError(f"kappa_i must lie in [0, 1), got {self.kappa_i}")
-        if self.kappa_max != 1.0:
-            raise DomainError(
-                "kappa_max is the rate unit and must be 1 (all inputs dimensionless)"
-            )
 
 
 def rate_at(profile: InputProfile, tau):
@@ -230,31 +226,38 @@ def horizon(profile: InputProfile) -> float:
     return float(profile.taus[-1])
 
 
-def _quad_rate(profile: InputProfile, a: float, b: float) -> float:
-    """Adaptive quadrature of rate_at over [a, b] to ~1e-12 absolute error."""
+def _interior_breaks(profile: InputProfile, a: float, b: float) -> list[float]:
+    """Points in (a, b) where r_in is not smooth: the Gaussian centre, table knots."""
+    if profile.kind == GAUSSIAN and a < profile.tau0 < b:
+        return [profile.tau0]
+    if profile.kind == TABULATED:
+        return [float(t) for t in profile.taus if a < t < b]
+    return []
+
+
+def _quad_chunked(f: Callable[[float], float], a: float, b: float,
+                  breaks: list[float], epsabs: float = 1e-12) -> float:
+    """Adaptive quadrature of f over [a, b], split at the interior `breaks` in
+    chunks of 40 (quad caps its break points; tables are only C1 at knots)."""
     if b <= a:
         return 0.0
-    if profile.kind == TABULATED:
-        # Integrate between sample knots in chunks; quad caps the number of
-        # break points it accepts, and the interpolant is only C1 at knots.
-        knots = profile.taus[(profile.taus > a) & (profile.taus < b)]
-        edges = np.concatenate(([a], knots, [b]))
-        total = 0.0
-        step = 40
-        for i in range(0, len(edges) - 1, step):
-            lo = edges[i]
-            hi = edges[min(i + step, len(edges) - 1)]
-            pts = edges[i + 1:min(i + step, len(edges) - 1)]
-            val, _ = quad(lambda s: rate_at(profile, s), lo, hi,
-                          points=list(pts), limit=200, epsabs=1e-13, epsrel=1e-12)
-            total += val
-        return total
-    pts = None
-    if profile.kind == GAUSSIAN and a < profile.tau0 < b:
-        pts = [profile.tau0]
-    val, _ = quad(lambda s: rate_at(profile, s), a, b, points=pts,
-                  limit=200, epsabs=1e-13, epsrel=1e-12)
-    return val
+    edges = [a] + breaks + [b]
+    total = 0.0
+    i = 0
+    while i < len(edges) - 1:
+        j = min(i + 40, len(edges) - 1)
+        pts = edges[i + 1:j] or None
+        val, _ = quad(f, edges[i], edges[j], points=pts, limit=200,
+                      epsabs=epsabs, epsrel=1e-12)
+        total += val
+        i = j
+    return total
+
+
+def _quad_rate(profile: InputProfile, a: float, b: float) -> float:
+    """Adaptive quadrature of rate_at over [a, b] to ~1e-12 absolute error."""
+    return _quad_chunked(lambda s: rate_at(profile, s), a, b,
+                         _interior_breaks(profile, a, b), epsabs=1e-13)
 
 
 def total_excitation(profile: InputProfile, tau_end: float) -> float:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
@@ -38,36 +37,6 @@ _MAX_SEGMENTS = 32
 _DAMP_CUT = 80.0          # exp(-80) below double-precision noise floor
 
 
-# ---------------------------------------------------------------------------
-# quadrature helpers
-# ---------------------------------------------------------------------------
-
-def _interior_breaks(profile: prof.InputProfile, a: float, b: float) -> list[float]:
-    if profile.kind == prof.GAUSSIAN and a < profile.tau0 < b:
-        return [profile.tau0]
-    if profile.kind == prof.TABULATED:
-        return [float(t) for t in profile.taus if a < t < b]
-    return []
-
-
-def _quad_chunked(f: Callable[[float], float], a: float, b: float,
-                  breaks: list[float], epsabs: float = 1e-12) -> float:
-    """Adaptive quadrature of f over [a, b] honoring interior break points."""
-    if b <= a:
-        return 0.0
-    edges = [a] + breaks + [b]
-    total = 0.0
-    i = 0
-    while i < len(edges) - 1:
-        j = min(i + 40, len(edges) - 1)
-        pts = edges[i + 1:j] or None
-        val, _ = quad(f, edges[i], edges[j], points=pts, limit=200,
-                      epsabs=epsabs, epsrel=1e-12)
-        total += val
-        i = j
-    return total
-
-
 def _stage1_beta_quad(profile: prof.InputProfile, kappa_i: float,
                       t0: float, beta0: float, tau: float,
                       epsabs: float = 1e-12) -> float:
@@ -81,7 +50,8 @@ def _stage1_beta_quad(profile: prof.InputProfile, kappa_i: float,
     a = 0.5 * (1.0 + kappa_i)
     lo = max(t0, tau - _DAMP_CUT / a)
     f = lambda s: math.exp(-a * (tau - s)) * math.sqrt(prof.rate_at(profile, s))
-    integral = _quad_chunked(f, lo, tau, _interior_breaks(profile, lo, tau), epsabs)
+    integral = prof._quad_chunked(f, lo, tau,
+                                  prof._interior_breaks(profile, lo, tau), epsabs)
     boundary = beta0 * math.exp(-a * (tau - t0)) if beta0 != 0.0 else 0.0
     return boundary - integral
 
@@ -110,7 +80,8 @@ def stage2_population(profile: prof.InputProfile, params: prof.MemoryParams,
     k = params.kappa_i
     seed = prof.rate_at(profile, tau_c) * math.exp(-k * (tau - tau_c))
     f = lambda s: math.exp(-k * (tau - s)) * prof.rate_at(profile, s)
-    integral = _quad_chunked(f, tau_c, tau, _interior_breaks(profile, tau_c, tau))
+    integral = prof._quad_chunked(f, tau_c, tau,
+                                  prof._interior_breaks(profile, tau_c, tau))
     return seed + integral
 
 
@@ -127,6 +98,15 @@ def _activation_time(profile: prof.InputProfile) -> float | None:
         return None
     i = int(positive[0])
     return float(profile.taus[max(i - 1, 0)])
+
+
+def _integrate_stage1(profile, kappa_i, t0, beta0, t1):
+    """Dense solve of beta' = -sqrt(r_in) - (1+kappa_i)/2 beta (stage 1,
+    kappa = 1) over [t0, t1]; the caller checks the returned status."""
+    a = 0.5 * (1.0 + kappa_i)
+    rhs = lambda t, y: [-math.sqrt(prof.rate_at(profile, t)) - a * y[0]]
+    return solve_ivp(rhs, (t0, t1), [beta0], method="DOP853",
+                     rtol=_ODE_RTOL, atol=_ODE_ATOL, dense_output=True)
 
 
 def _first_threshold(profile: prof.InputProfile, kappa_i: float,
@@ -154,11 +134,7 @@ def _first_threshold(profile: prof.InputProfile, kappa_i: float,
     if t0 >= end:
         raise NoThreshold("input activates only beyond the search horizon")
 
-    def rhs(t, y):
-        return [-math.sqrt(prof.rate_at(profile, t)) - a * y[0]]
-
-    sol = solve_ivp(rhs, (t0, end), [beta0], method="DOP853",
-                    rtol=_ODE_RTOL, atol=_ODE_ATOL, dense_output=True)
+    sol = _integrate_stage1(profile, kappa_i, t0, beta0, end)
     if sol.status < 0:
         raise NoThreshold(
             f"stage-1 integration failed near tau = {sol.t[-1]}"
@@ -220,7 +196,6 @@ class CouplingSchedule:
     segments: tuple[_Segment, ...]
     horizon: float
     flags: tuple[str, ...] = ()
-    grid: tuple | None = None          # optional sampled (tau, kappa) pairs
 
     @property
     def last_tau_c(self) -> float:
@@ -288,16 +263,6 @@ class CouplingSchedule:
         return [seg.t0 for seg in self.segments[1:]]
 
 
-def _integrate_stage1(profile, kappa_i, t0, beta0, t1):
-    a = 0.5 * (1.0 + kappa_i)
-    rhs = lambda t, y: [-math.sqrt(prof.rate_at(profile, t)) - a * y[0]]
-    sol = solve_ivp(rhs, (t0, t1), [beta0], method="DOP853",
-                    rtol=_ODE_RTOL, atol=_ODE_ATOL, dense_output=True)
-    if sol.status != 0:
-        raise InfeasibleSchedule(f"stage-1 integration failed near tau = {sol.t[-1]}")
-    return sol.sol
-
-
 def _integrate_stage2(profile, kappa_i, tau_c, end):
     """Integrate beta^2' = r_in - kappa_i beta^2 with a terminal event where
     the zero-reflection law would need kappa above 1.
@@ -337,9 +302,12 @@ def build_schedule(profile: prof.InputProfile,
         tau_c = _first_threshold(profile, params.kappa_i, t_start, beta_start, end)
         if first_tau_c is None:
             first_tau_c = tau_c
-        segments.append(_Segment(1, t_start, tau_c,
-                                 _integrate_stage1(profile, params.kappa_i,
-                                                   t_start, beta_start, tau_c)))
+        sol1 = _integrate_stage1(profile, params.kappa_i, t_start, beta_start,
+                                 tau_c)
+        if sol1.status < 0:
+            raise InfeasibleSchedule(
+                f"stage-1 integration failed near tau = {sol1.t[-1]}")
+        segments.append(_Segment(1, t_start, tau_c, sol1.sol))
         sol2, t_violation = _integrate_stage2(profile, params.kappa_i, tau_c, end)
         if t_violation is None:
             segments.append(_Segment(2, tau_c, end, sol2))
@@ -402,8 +370,8 @@ def _reflection_loss(schedule: CouplingSchedule, tau_max: float) -> float:
             w = float(_sol(s)[0]) + math.sqrt(prof.rate_at(profile, s))
             return w * w
 
-        total += _quad_chunked(r_out, seg.t0, hi,
-                               _interior_breaks(profile, seg.t0, hi))
+        total += prof._quad_chunked(r_out, seg.t0, hi,
+                                    prof._interior_breaks(profile, seg.t0, hi))
     return total
 
 
@@ -416,13 +384,15 @@ def _intrinsic_loss(schedule: CouplingSchedule, tau_max: float) -> float:
         hi = min(seg.t1, tau_max)
         if hi <= seg.t0:
             break
-        total += _quad_chunked(lambda s: schedule.beta_sq(s), seg.t0, hi,
-                               _interior_breaks(schedule.profile, seg.t0, hi))
+        total += prof._quad_chunked(
+            lambda s: schedule.beta_sq(s), seg.t0, hi,
+            prof._interior_breaks(schedule.profile, seg.t0, hi))
         if hi < seg.t1:
             break
     if tau_max > schedule.horizon:
-        total += _quad_chunked(lambda s: schedule.beta_sq(s),
-                               schedule.horizon, tau_max, [], epsabs=1e-10)
+        # The input is extinct past the horizon: one interval, no breaks.
+        total += quad(lambda s: schedule.beta_sq(s), schedule.horizon, tau_max,
+                      limit=200, epsabs=1e-10, epsrel=1e-12)[0]
     return k * total
 
 
@@ -443,6 +413,13 @@ def _slope(schedule: CouplingSchedule, t: float) -> float:
     return rate - k * max(float(seg.sol(t)[0]), 0.0)
 
 
+def _stage2_slope(schedule: CouplingSchedule, tau_c: float, t: float) -> float:
+    """Stage-2 slope r_in - kappa_i beta^2 (r_out = 0) with beta^2 taken by
+    quadrature from the threshold tau_c, independent of the dense ODE output."""
+    return prof.rate_at(schedule.profile, t) - schedule.params.kappa_i \
+        * stage2_population(schedule.profile, schedule.params, tau_c, t)
+
+
 def _local_maxima(schedule: CouplingSchedule) -> list[float]:
     """All taus in [tau_c, horizon] where the slope crosses zero downward.
 
@@ -452,8 +429,6 @@ def _local_maxima(schedule: CouplingSchedule) -> list[float]:
     A multi-hump input can produce several local maxima (population dips in
     resumed stage-1 windows), so all crossings are collected.
     """
-    profile, params = schedule.profile, schedule.params
-    k = params.kappa_i
     lo, hi = schedule.tau_c, schedule.horizon
     delta0 = 1e-6 * max(lo, 1.0)
     ts = lo + np.geomspace(delta0, hi - lo, 4097)
@@ -469,8 +444,7 @@ def _local_maxima(schedule: CouplingSchedule) -> list[float]:
         if seg.stage == 2:
             # Polish on the quadrature form so the result does not depend on
             # the dense ODE output.
-            h = lambda t: prof.rate_at(profile, t) - k * stage2_population(
-                profile, params, seg.t0, t)
+            h = lambda t: _stage2_slope(schedule, seg.t0, t)
             if h(a) > 0.0 >= h(b):
                 root = brentq(h, a, b, xtol=1e-10, rtol=8.9e-16, maxiter=200)
         if root is None:
@@ -484,13 +458,7 @@ def _local_maxima(schedule: CouplingSchedule) -> list[float]:
 
 def _tail_peak(schedule: CouplingSchedule) -> float:
     """Peak search past the horizon, where the input is effectively extinct."""
-    profile, params = schedule.profile, schedule.params
-    k = params.kappa_i
-
-    def tail_slope(t):
-        return prof.rate_at(profile, t) - k * stage2_population(
-            profile, params, schedule.last_tau_c, t)
-
+    tail_slope = lambda t: _stage2_slope(schedule, schedule.last_tau_c, t)
     left = schedule.horizon
     width = max(schedule.horizon - schedule.tau_c, 1.0)
     for _ in range(64):

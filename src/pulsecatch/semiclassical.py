@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import profiles as prof
 from . import protocol
@@ -52,20 +51,6 @@ class ClassicalField:
         if self.a0 < 0.0:
             raise DomainError("the seed amplitude a0 must be >= 0")
 
-    def _quad_piece(self, a: float, b: float) -> float:
-        f = lambda s: self.a_in(s) ** 2
-        pts = [p for p in self.breakpoints if a < p < b]
-        total = 0.0
-        edges = [a] + pts + [b]
-        i = 0
-        while i < len(edges) - 1:
-            j = min(i + 40, len(edges) - 1)
-            val, _ = quad(f, edges[i], edges[j], points=edges[i + 1:j] or None,
-                          limit=200, epsabs=1e-12, epsrel=1e-12)
-            total += val
-            i = j
-        return total
-
     def power_integral(self, tau: float) -> float:
         """int_{tau_i}^{tau} A_in^2(s) ds by adaptive quadrature (abs err <= 1e-10)."""
         if tau < self.tau_i:
@@ -76,7 +61,9 @@ class ClassicalField:
         acc = 0.0
         if self._memo and self._memo["tau"] <= tau:
             done_to, acc = self._memo["tau"], self._memo["value"]
-        value = acc + self._quad_piece(done_to, tau)
+        breaks = [p for p in self.breakpoints if done_to < p < tau]
+        value = acc + prof._quad_chunked(lambda s: self.a_in(s) ** 2,
+                                         done_to, tau, breaks)
         if not self._memo or tau > self._memo["tau"]:
             self._memo["tau"] = tau
             self._memo["value"] = value
@@ -87,11 +74,7 @@ def field_from_profile(profile: prof.InputProfile, tau_i: float,
                        a0: float) -> ClassicalField:
     """Classical field with A_in = sqrt(r_in) of a (real) input profile."""
     a_in = lambda s: math.sqrt(prof.rate_at(profile, s))
-    breaks = ()
-    if profile.kind == prof.TABULATED:
-        breaks = tuple(float(t) for t in profile.taus)
-    elif profile.kind == prof.GAUSSIAN:
-        breaks = (profile.tau0,)
+    breaks = tuple(prof._interior_breaks(profile, -math.inf, math.inf))
     return ClassicalField(a_in=a_in, a0=a0, tau_i=tau_i, breakpoints=breaks)
 
 

@@ -9,9 +9,11 @@ that property.
 from __future__ import annotations
 
 import math
+import os
+import tempfile
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.integrate import quad
@@ -246,21 +248,42 @@ def optimal_rate(family, kappa_i: float) -> tuple[float, float]:
 
 
 def write_surface_csv(grid: SweepGrid, path) -> None:
-    """Long-format surface CSV, row-major over (kappa_i, r); failed cells NaN."""
-    lines = ["kappa_i,r,fidelity,tau_c,tau_max"]
+    """Long-format surface CSV, row-major over (kappa_i, r); failed cells NaN.
+    Written atomically: a failed write leaves any previous file intact."""
+    rows = []
     for i, ki in enumerate(grid.kappa_is):
         for j, r in enumerate(grid.rs):
             cell = grid.results[i][j]
             if isinstance(cell, protocol.TransferReport):
-                vals = (ki, r, cell.fidelity, cell.tau_c, cell.tau_max)
+                rows.append((ki, r, cell.fidelity, cell.tau_c, cell.tau_max))
             else:
-                vals = (ki, r, math.nan, math.nan, math.nan)
-            lines.append(",".join(_fmt(v) for v in vals))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+                rows.append((ki, r, math.nan, math.nan, math.nan))
+    _atomic_write(path, _csv_text("kappa_i,r,fidelity,tau_c,tau_max", rows))
 
 
-def _fmt(v: float) -> str:
-    if math.isinf(v):
-        return "inf"
-    return format(v, ".17g")
+def _fmt(v) -> str:
+    """17-significant-digit text, so files round-trip doubles (`inf`, `-inf`, `nan`)."""
+    return format(float(v), ".17g")
+
+
+def _csv_text(header: str, rows) -> str:
+    """The header line, then one line of `_fmt` values per row."""
+    lines = [header] + [",".join(_fmt(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _atomic_write(path, text: str) -> None:
+    """Write text to `path` via a sibling temp file and an atomic rename."""
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-",
+                               suffix=os.path.basename(path))
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise

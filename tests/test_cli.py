@@ -83,6 +83,15 @@ def test_step_failure_maps_to_step_exit(tmp_path, monkeypatch, capsys):
     assert "integration failure" in capsys.readouterr().err
 
 
+def test_singular_coupling_maps_to_infeasible_exit(tmp_path, capsys):
+    # kappa_i = 0.9 drains the stage-2 population to zero while the input
+    # still arrives, so the zero-reflection coupling is undefined.
+    rc = cli.main(["simulate", "--profile", "exp:r=0.05", "--kappa-i", "0.9",
+                   "--samples", "201", "--out", str(tmp_path / "t.csv")])
+    assert rc == 2
+    assert "infeasible:" in capsys.readouterr().err
+
+
 def test_unwritable_output_is_input_error(tmp_path):
     rc = cli.main(["schedule", *EXP_OP,
                    "--out", str(tmp_path / "no" / "such" / "dir" / "s")])

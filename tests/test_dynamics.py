@@ -185,6 +185,20 @@ def test_simulate_rejects_bad_arguments():
             dyn.simulate_amplitudes(p, params, sch, 10.0, samples=bad)
 
 
+@pytest.mark.parametrize("simulate", [dyn.simulate_amplitudes,
+                                      dyn.simulate_master_equation])
+def test_simulators_share_argument_checks(simulate):
+    p, params, sch = _exp_setup()
+    with pytest.raises(DomainError):
+        simulate(p, params, sch, 40.0, samples=[30.0, 5.0, 60.0])
+    with pytest.raises(DomainError):
+        simulate(p, params, sch, 40.0, samples=[5.0, 30.0, 60.0])
+    with pytest.raises(DomainError):
+        simulate(p, params, sch, -1.0)
+    with pytest.raises(DomainError):
+        simulate(p, params, sch, 10.0, tol=1e-5)
+
+
 def test_residual_needs_three_samples():
     p, params, sch = _exp_setup()
     tr = dyn.simulate_amplitudes(p, params, sch, 10.0, samples=[0.0, 10.0])

@@ -86,16 +86,12 @@ class TestConstructors:
 class TestMemoryParams:
     def test_defaults(self):
         params = prof.MemoryParams(kappa_i=1e-4)
-        assert params.kappa_max == 1.0
+        assert params.kappa_i == 1e-4
 
     @pytest.mark.parametrize("ki", [-1e-9, 1.0, 2.0])
     def test_kappa_i_range(self, ki):
         with pytest.raises(DomainError):
             prof.MemoryParams(kappa_i=ki)
-
-    def test_kappa_max_is_pinned_to_unity(self):
-        with pytest.raises(DomainError):
-            prof.MemoryParams(kappa_i=0.0, kappa_max=2.0)
 
 
 class TestEvaluation:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import os
 import warnings
 
 import numpy as np
@@ -250,3 +251,18 @@ def test_surface_csv_failed_cells_are_nan(tmp_path):
     sweep.write_surface_csv(grid, path)
     row = path.read_text().strip().split("\n")[1].split(",")
     assert row[2] == "nan" and row[3] == "nan" and row[4] == "nan"
+
+
+def test_surface_csv_failed_write_keeps_previous_file(tmp_path, monkeypatch):
+    grid = sweep.fidelity_surface("exp", grid=((1e-4,), (0.1,)))
+    path = tmp_path / "surface.csv"
+    path.write_text("previous\n")
+
+    def failing_replace(src, dst):
+        raise OSError("synthetic rename failure")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError):
+        sweep.write_surface_csv(grid, path)
+    assert path.read_text() == "previous\n"
+    assert not list(tmp_path.glob(".tmp-*"))
