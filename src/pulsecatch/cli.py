@@ -205,7 +205,7 @@ def _require_valid(profile: prof.InputProfile) -> None:
 # ---------------------------------------------------------------------------
 
 def _schedule_rows(schedule: protocol.CouplingSchedule, n: int):
-    """Sample (tau, kappa, r_in, beta1_sq, beta_sq, r_out) over [0, horizon].
+    """Yield (tau, kappa, r_in, beta1_sq, beta_sq, r_out) rows over [0, horizon].
 
     The grid is the union of `n` uniform samples with the curvature-adaptive
     grid the simulator itself uses, so an interpolant through the file
@@ -221,7 +221,6 @@ def _schedule_rows(schedule: protocol.CouplingSchedule, n: int):
     ts = np.unique(np.concatenate([np.linspace(0.0, schedule.horizon, n),
                                    adaptive, np.asarray(knots)]))
     profile = schedule.profile
-    rows = []
     for t in ts:
         t = float(t)
         rate = float(prof.rate_at(profile, t))
@@ -230,11 +229,10 @@ def _schedule_rows(schedule: protocol.CouplingSchedule, n: int):
         try:
             kap = schedule.kappa(t)
         except SingularCoupling:
-            rows.append((t, math.nan, rate, b1sq, bsq, math.nan))
+            yield (t, math.nan, rate, b1sq, bsq, math.nan)
             continue
         w = -math.sqrt(bsq * kap) + math.sqrt(rate)
-        rows.append((t, kap, rate, b1sq, bsq, w * w))
-    return rows
+        yield (t, kap, rate, b1sq, bsq, w * w)
 
 
 def cmd_schedule(args) -> int:
