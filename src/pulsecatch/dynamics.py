@@ -240,7 +240,10 @@ def simulate_amplitudes(profile: prof.InputProfile, params: prof.MemoryParams,
                               tau_end, ts, tol, step_cap, "integrator")
     beta = out[0].copy()
     r_in = np.asarray(prof.rate_at(profile, ts), dtype=float)
-    kappa = np.array([kappa_fn(t) for t in ts])
+    if isinstance(schedule_or_kappa, CouplingSchedule):
+        kappa = schedule_or_kappa.kappa(ts)
+    else:
+        kappa = np.array([kappa_fn(t) for t in ts])
     beta1 = np.sqrt(np.maximum(0.0, 1.0 - prof.cumulative(profile, ts)))
     r_out = reflection_rate(beta, kappa, r_in)
     return Trajectory(taus=ts, beta1=beta1, beta=beta, kappa=kappa,

@@ -213,6 +213,19 @@ def cumulative(profile: InputProfile, tau):
     return out
 
 
+def _pointwise(fn, profile: InputProfile, taus: np.ndarray) -> np.ndarray:
+    """fn(profile, tau) at each tau of an array, bitwise equal to calling fn
+    on each float (fn is `rate_at` or `cumulative`).
+
+    np.exp and scipy's erf differ from math.exp and math.erf in the last bit
+    on a few percent of inputs, so the analytic families take the scalar path
+    point by point; a table runs the same PCHIP arithmetic either way.
+    """
+    if profile.kind == TABULATED:
+        return np.asarray(fn(profile, taus), dtype=float)
+    return np.array([fn(profile, t) for t in taus.tolist()], dtype=float)
+
+
 def horizon(profile: InputProfile) -> float:
     """Time by which the profile has delivered essentially all of its excitation.
 
@@ -346,24 +359,32 @@ def parse_profile(text: str) -> InputProfile:
     raise DomainError(f"unknown profile family {head!r}")
 
 
-def _load_table(path_text: str) -> InputProfile:
+def _read_pairs(path_text: str, what: str) -> list[tuple[float, float]]:
+    """The (x, y) rows of a two-column CSV file, in file order.
+
+    Blank rows are skipped, and so are rows that do not parse before the
+    first one that does (a header); after it, such a row is an error. Cells
+    may be quoted. Non-finite values are kept for the caller to judge.
+    """
     path = Path(path_text)
     if not path.is_file():
-        raise DomainError(f"profile table not found: {path}")
-    taus: list[float] = []
-    rates: list[float] = []
-    with open(path, newline="") as fh:
+        raise DomainError(f"{what} not found: {path}")
+    pairs: list[tuple[float, float]] = []
+    with open(path, newline="", encoding="utf-8") as fh:
         for row in csv.reader(fh):
             if not row or not row[0].strip():
                 continue
             try:
-                t, v = float(row[0]), float(row[1])
+                pairs.append((float(row[0]), float(row[1])))
             except (ValueError, IndexError):
-                if not taus:  # header row
-                    continue
-                raise DomainError(f"bad row in profile table {path}: {row!r}")
-            taus.append(t)
-            rates.append(v)
-    if len(taus) < 2:
-        raise DomainError(f"profile table {path} needs at least two samples")
+                if pairs:
+                    raise DomainError(f"bad row in {what} {path}: {row!r}")
+    return pairs
+
+
+def _load_table(path_text: str) -> InputProfile:
+    pairs = _read_pairs(path_text, "profile table")
+    if len(pairs) < 2:
+        raise DomainError(f"profile table {path_text} needs at least two samples")
+    taus, rates = zip(*pairs)
     return tabulated(taus, rates)

@@ -20,7 +20,9 @@ such schedules are flagged.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
@@ -188,6 +190,10 @@ class CouplingSchedule:
     to direct quadrature of the stage-2 population. Schedules with more than
     one stage-1 segment arise from the feasibility guard and carry the
     "feasibility_resumed" flag.
+
+    The evaluation methods take a float or an array. An array costs one
+    dense-output call per segment it touches, and each of its values equals
+    the float call bitwise.
     """
 
     profile: prof.InputProfile
@@ -201,14 +207,74 @@ class CouplingSchedule:
     def last_tau_c(self) -> float:
         return self.segments[-1].t0
 
-    def _segment_at(self, tau: float) -> _Segment:
-        for seg in self.segments:
-            if tau < seg.t1:
-                return seg
-        return self.segments[-1]
+    @cached_property
+    def _inner_ends(self) -> list[float]:
+        """Ends of every segment but the last: the segment lookup's edges."""
+        return [seg.t1 for seg in self.segments[:-1]]
 
-    def beta_sq(self, tau: float) -> float:
-        """Stored population beta^2 at any tau >= 0."""
+    @cached_property
+    def _stages(self) -> np.ndarray:
+        return np.array([seg.stage for seg in self.segments])
+
+    def _segment_index(self, tau):
+        """Index of the segment holding tau, the first one ending after it or
+        else the last; tau is a float or an array."""
+        if isinstance(tau, float):
+            return bisect_right(self._inner_ends, tau)
+        return np.searchsorted(self._inner_ends, tau, side="right")
+
+    def _segment_at(self, tau: float) -> _Segment:
+        return self.segments[self._segment_index(tau)]
+
+    def _dense(self, taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Stage and dense-output value (beta in stage 1, beta^2 in stage 2)
+        at each sample, with one OdeSolution call per segment."""
+        idx = self._segment_index(taus)
+        vals = np.empty(taus.shape)
+        for i, seg in enumerate(self.segments):
+            mask = idx == i
+            if mask.any():
+                vals[mask] = seg.sol(taus[mask])[0]
+        return self._stages[idx], vals
+
+    def _sampled(self, taus: np.ndarray):
+        """(stage, dense value, beta^2) at each sample; past the horizon the
+        stage is 2, the dense value nan and beta^2 comes from quadrature."""
+        inside = taus <= self.horizon
+        stages = np.full(taus.shape, 2)
+        vals = np.full(taus.shape, math.nan)
+        stages[inside], vals[inside] = self._dense(taus[inside])
+        pop = np.where(stages == 1, vals * vals, np.where(vals < 0.0, 0.0, vals))
+        for i in np.flatnonzero(~inside).tolist():
+            pop[i] = stage2_population(self.profile, self.params,
+                                       self.last_tau_c, float(taus[i]))
+        return stages, vals, pop
+
+    def _zero_reflection(self, taus: np.ndarray, pop: np.ndarray,
+                         nan_if_singular: bool) -> np.ndarray:
+        """r_in/beta^2 at each sample, 0 where r_in = 0; where beta^2 <= 0
+        while r_in is not, raise SingularCoupling or give nan."""
+        rate = prof._pointwise(prof.rate_at, self.profile, taus)
+        singular = (rate != 0.0) & (pop <= 0.0)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            out = np.where(rate == 0.0, 0.0, rate / pop)
+        if singular.any():
+            if not nan_if_singular:
+                raise SingularCoupling(
+                    f"population numerically null at tau = "
+                    f"{float(taus[singular][0])}; coupling undefined")
+            out[singular] = math.nan
+        return out
+
+    def beta_sq(self, tau):
+        """Stored population beta^2 at any tau >= 0 (a float or an array)."""
+        if not isinstance(tau, float):
+            if np.ndim(tau) == 0:
+                return self.beta_sq(float(tau))
+            taus = np.asarray(tau, dtype=float)
+            if np.any(taus < 0.0):
+                raise DomainError("beta_sq requires tau >= 0")
+            return self._sampled(taus)[2]
         if tau < 0.0:
             raise DomainError("beta_sq requires tau >= 0")
         if tau > self.horizon:
@@ -220,16 +286,29 @@ class CouplingSchedule:
             return val * val
         return max(val, 0.0)
 
-    def beta(self, tau: float) -> float:
-        """Memory amplitude (<= 0) at any tau >= 0."""
+    def beta(self, tau):
+        """Memory amplitude (<= 0) at any tau >= 0 (a float or an array)."""
+        if not isinstance(tau, float):
+            if np.ndim(tau) == 0:
+                return self.beta(float(tau))
+            stages, vals, pop = self._sampled(np.asarray(tau, dtype=float))
+            return np.where(stages == 1, vals, -np.sqrt(pop))
         if tau <= self.horizon:
             seg = self._segment_at(tau)
             if seg.stage == 1:
                 return float(seg.sol(tau)[0])
         return -math.sqrt(self.beta_sq(tau))
 
-    def stage2_kappa(self, tau: float) -> float:
-        """Zero-reflection coupling r_in/beta^2 for tau >= tau_c."""
+    def stage2_kappa(self, tau):
+        """Zero-reflection coupling r_in/beta^2 for tau >= tau_c (a float or
+        an array)."""
+        if not isinstance(tau, float):
+            if np.ndim(tau) == 0:
+                return self.stage2_kappa(float(tau))
+            taus = np.asarray(tau, dtype=float)
+            if np.any(taus < self.tau_c):
+                raise DomainError("stage2_kappa requires tau >= tau_c")
+            return self._zero_reflection(taus, self._sampled(taus)[2], False)
         if tau < self.tau_c:
             raise DomainError("stage2_kappa requires tau >= tau_c")
         rate = prof.rate_at(self.profile, tau)
@@ -242,18 +321,48 @@ class CouplingSchedule:
             )
         return rate / pop
 
-    def kappa(self, tau: float) -> float:
-        """Full piecewise coupling: 1 in stage-1 segments, r_in/beta^2 after."""
+    def kappa(self, tau, *, nan_if_singular: bool = False):
+        """Full piecewise coupling: 1 in stage-1 segments, r_in/beta^2 after.
+
+        tau is a float or an array. Where the zero-reflection law is singular
+        (see `stage2_kappa`) the value is nan with `nan_if_singular`;
+        otherwise SingularCoupling is raised.
+        """
+        if not isinstance(tau, float):
+            if np.ndim(tau) == 0:
+                return self.kappa(float(tau), nan_if_singular=nan_if_singular)
+            taus = np.asarray(tau, dtype=float)
+            if np.any(taus < 0.0):
+                raise DomainError("kappa requires tau >= 0")
+            out = np.ones(taus.shape)
+            two = (taus > self.horizon) \
+                | (self._stages[self._segment_index(taus)] == 2)
+            out[two] = self._zero_reflection(
+                taus[two], self._sampled(taus[two])[2], nan_if_singular)
+            return out
         if tau < 0.0:
             raise DomainError("kappa requires tau >= 0")
         if tau <= self.horizon:
             seg = self._segment_at(tau)
             if seg.stage == 1:
                 return 1.0
-        return self.stage2_kappa(tau)
+        try:
+            return self.stage2_kappa(tau)
+        except SingularCoupling:
+            if nan_if_singular:
+                return math.nan
+            raise
 
-    def reflection(self, tau: float) -> float:
-        """Instantaneous reflection rate r_out = (beta sqrt(kappa) + sqrt(r_in))^2."""
+    def reflection(self, tau):
+        """Instantaneous reflection rate r_out = (beta sqrt(kappa) + sqrt(r_in))^2
+        (tau a float or an array)."""
+        if not isinstance(tau, float):
+            if np.ndim(tau) == 0:
+                return self.reflection(float(tau))
+            taus = np.asarray(tau, dtype=float)
+            w = self.beta(taus) * np.sqrt(self.kappa(taus)) \
+                + np.sqrt(prof._pointwise(prof.rate_at, self.profile, taus))
+            return w * w
         w = self.beta(tau) * math.sqrt(self.kappa(tau)) \
             + math.sqrt(prof.rate_at(self.profile, tau))
         return w * w
@@ -396,21 +505,20 @@ def _intrinsic_loss(schedule: CouplingSchedule, tau_max: float) -> float:
     return k * total
 
 
-def _slope(schedule: CouplingSchedule, t: float) -> float:
-    """Population slope d(beta^2)/dtau = r_in - r_out - kappa_i beta^2.
+def _slope(schedule: CouplingSchedule, ts: np.ndarray) -> np.ndarray:
+    """Population slope d(beta^2)/dtau = r_in - r_out - kappa_i beta^2 at
+    each sample.
 
     In stage-2 regions r_out = 0 by construction; in stage-1 regions it is
     (beta + sqrt(r_in))^2. Evaluated without dividing by the population,
     which decays below the integrator noise floor in the far tail.
     """
     k = schedule.params.kappa_i
-    seg = schedule._segment_at(t)
-    rate = prof.rate_at(schedule.profile, t)
-    if seg.stage == 1:
-        b = float(seg.sol(t)[0])
-        w = b + math.sqrt(rate)
-        return rate - k * b * b - w * w
-    return rate - k * max(float(seg.sol(t)[0]), 0.0)
+    stages, b = schedule._dense(ts)
+    rate = prof._pointwise(prof.rate_at, schedule.profile, ts)
+    w = b + np.sqrt(rate)
+    return np.where(stages == 1, rate - k * b * b - w * w,
+                    rate - k * np.where(b < 0.0, 0.0, b))
 
 
 def _stage2_slope(schedule: CouplingSchedule, tau_c: float, t: float) -> float:
@@ -432,13 +540,12 @@ def _local_maxima(schedule: CouplingSchedule) -> list[float]:
     lo, hi = schedule.tau_c, schedule.horizon
     delta0 = 1e-6 * max(lo, 1.0)
     ts = lo + np.geomspace(delta0, hi - lo, 4097)
-    vals = [_slope(schedule, t) for t in ts]
+    vals = _slope(schedule, ts)
+    down = np.flatnonzero((vals[:-1] > 0.0) & (vals[1:] <= 0.0))
 
     peaks = []
-    for i in range(1, len(ts)):
-        if not (vals[i - 1] > 0.0 >= vals[i]):
-            continue
-        a, b = float(ts[i - 1]), float(ts[i])
+    for i in down.tolist():
+        a, b = float(ts[i]), float(ts[i + 1])
         seg = schedule._segment_at(0.5 * (a + b))
         root = None
         if seg.stage == 2:
@@ -448,8 +555,8 @@ def _local_maxima(schedule: CouplingSchedule) -> list[float]:
             if h(a) > 0.0 >= h(b):
                 root = brentq(h, a, b, xtol=1e-10, rtol=8.9e-16, maxiter=200)
         if root is None:
-            root = brentq(lambda t: _slope(schedule, t), a, b,
-                          xtol=1e-10, rtol=8.9e-16, maxiter=200)
+            root = brentq(lambda t: float(_slope(schedule, np.array([t]))[0]),
+                          a, b, xtol=1e-10, rtol=8.9e-16, maxiter=200)
         peaks.append(float(root))
         if len(peaks) >= 64:
             break

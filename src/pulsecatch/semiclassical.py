@@ -106,7 +106,8 @@ def output_amplitude(field: ClassicalField, tau: float) -> float:
 
 
 def compare_with_full_quantum(profile: prof.InputProfile, *,
-                              n_samples: int = 201) -> float:
+                              n_samples: int = 201,
+                              kappa_scale: float = 1.0) -> float:
     """Max relative deviation between quantum and semiclassical couplings.
 
     Builds the lossless (kappa_i = 0) quantum schedule, seeds the classical
@@ -115,6 +116,8 @@ def compare_with_full_quantum(profile: prof.InputProfile, *,
     are algebraically identical for real inputs without intrinsic loss, so
     the return value measures only the numerical routes (~1e-12 for the
     analytic families, interpolation-limited for tabulated data).
+    `kappa_scale` multiplies the quantum coupling; any value but 1 is a
+    deliberate fault the comparison must detect.
     """
     params = prof.MemoryParams(kappa_i=0.0)
     schedule = protocol.build_schedule(profile, params)
@@ -122,12 +125,12 @@ def compare_with_full_quantum(profile: prof.InputProfile, *,
     seed_sq = prof.rate_at(profile, tau_c)
     field = field_from_profile(profile, tau_c, math.sqrt(seed_sq))
 
+    taus = np.linspace(tau_c, prof.horizon(profile), n_samples)
+    k_quantum = kappa_scale * schedule.stage2_kappa(taus)
     worst = 0.0
-    end = prof.horizon(profile)
-    for tau in np.linspace(tau_c, end, n_samples):
-        k_q = schedule.stage2_kappa(float(tau))
+    for tau, k_q in zip(taus.tolist(), k_quantum.tolist()):
         if k_q == 0.0:
             continue
-        k_sc = semiclassical_coupling(field, float(tau))
+        k_sc = semiclassical_coupling(field, tau)
         worst = max(worst, abs(k_q - k_sc) / k_q)
     return worst

@@ -273,13 +273,20 @@ def _csv_text(header: str, rows) -> str:
 
 
 def _atomic_write(path, text: str) -> None:
-    """Write text to `path` via a sibling temp file and an atomic rename."""
+    """Write text to `path` via a sibling temp file and an atomic rename.
+
+    The file gets the mode a plain `open` would give it, 0o666 less the
+    umask, rather than the owner-only mode of the temp file.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-",
                                suffix=os.path.basename(path))
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         try:

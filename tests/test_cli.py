@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 
 from pulsecatch import cli
-from pulsecatch.errors import NoThreshold, StepFailure
+from pulsecatch import profiles as prof
+from pulsecatch import protocol
+from pulsecatch.errors import DomainError, NoThreshold, SingularCoupling, StepFailure
 
 EXP_OP = ["--profile", "exp:r=0.036", "--kappa-i", "1e-4"]
 
@@ -145,6 +147,27 @@ def test_schedule_lossless_infinite_peak_is_json_safe(tmp_path):
     assert 0.92 < payload["fidelity"] < 0.93
 
 
+def test_schedule_singular_rows_are_nan(tmp_path):
+    # kappa_i = 0.9 drains the population while input still arrives: the
+    # file carries nan in kappa and r_out exactly where kappa is undefined.
+    out = tmp_path / "singular"
+    assert cli.main(["schedule", "--profile", "exp:r=0.05", "--kappa-i", "0.9",
+                     "--samples", "2001", "--out", str(out)]) == 0
+    data = _read_csv(out.with_suffix(".csv"))
+    schedule = protocol.build_schedule(prof.exponential(0.05),
+                                       prof.MemoryParams(kappa_i=0.9))
+    raises = np.zeros(len(data), dtype=bool)
+    for i, tau in enumerate(data[:, 0].tolist()):
+        try:
+            schedule.kappa(tau)
+        except SingularCoupling:
+            raises[i] = True
+    assert raises.any()
+    assert np.array_equal(np.isnan(data[:, 1]), raises)
+    assert np.array_equal(np.isnan(data[:, 5]), raises)
+    assert not np.isnan(data[:, [0, 2, 3, 4]]).any()
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -215,6 +238,34 @@ def test_simulate_bad_kappa_literals(tmp_path):
                      "--out", str(tmp_path / "x.csv")]) == 1
     assert cli.main(["simulate", *EXP_OP, "--kappa", "file:/no/such.csv",
                      "--out", str(tmp_path / "x.csv")]) == 1
+
+
+def _table_rows(path):
+    p = prof.parse_profile(f"table:{path}")
+    return p.taus.tolist(), p.rates.tolist()
+
+
+def _coupling_rows(path):
+    kappa_fn, t_end = cli._load_kappa_csv(str(path))
+    taus = [0.0, 1.0, t_end]
+    return taus, [kappa_fn(t) for t in taus]
+
+
+@pytest.mark.parametrize("load", [_table_rows, _coupling_rows],
+                         ids=["profile-table", "coupling-file"])
+def test_two_column_loaders_read_the_same_file(tmp_path, load):
+    path = tmp_path / "two.csv"
+    path.write_text('tau,"value"\n0.0,"0.5"\n\n1.0,0.25\n"2.0",0.125\n')
+    assert load(path) == ([0.0, 1.0, 2.0], [0.5, 0.25, 0.125])
+
+
+def test_two_column_loaders_keep_their_non_finite_policy(tmp_path):
+    path = tmp_path / "gap.csv"
+    path.write_text("tau,value\n0.0,0.5\n1.0,nan\n2.0,0.125\n")
+    kappa_fn, _ = cli._load_kappa_csv(str(path))   # drops the nan row
+    assert kappa_fn(2.0) == 0.125
+    with pytest.raises(DomainError):               # tables reject it
+        prof.parse_profile(f"table:{path}")
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ on the same schedule.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 from pulsecatch import closedform as cf
 from pulsecatch import profiles as prof
 from pulsecatch import protocol as proto
-from pulsecatch.errors import DomainError, NoThreshold
+from pulsecatch.errors import DomainError, NoThreshold, SingularCoupling
 
 
 def _params(ki: float = 1e-4) -> prof.MemoryParams:
@@ -196,6 +197,96 @@ def test_double_hump_report():
              + rep.loss_intrinsic + rep.loss_unabsorbed)
     assert total == pytest.approx(1.0, abs=1e-8)
     assert "feasibility_resumed" in rep.flags
+
+
+# ---------------------------------------------------------------------------
+# array evaluation
+# ---------------------------------------------------------------------------
+
+_SCHEDULE_METHODS = ("beta_sq", "beta", "kappa", "stage2_kappa", "reflection")
+
+
+@functools.lru_cache(maxsize=None)
+def _schedule(case: str) -> proto.CouplingSchedule:
+    if case == "exp":
+        return proto.build_schedule(prof.exponential(0.5), _params(1e-3))
+    if case == "gauss":
+        return proto.build_schedule(prof.gaussian(r=0.1533, n=4), _params())
+    if case == "resumed":
+        return proto.build_schedule(_double_hump(), _params())
+    return proto.build_schedule(prof.exponential(0.05), _params(0.9))
+
+
+def _probe_taus(sch: proto.CouplingSchedule) -> np.ndarray:
+    """A grid over [0, horizon] plus every segment end, tau_c and its
+    neighbours, and samples beyond the horizon."""
+    edges = [seg.t1 for seg in sch.segments] + [sch.tau_c, sch.horizon]
+    near = [np.nextafter(e, d) for e in edges for d in (-np.inf, np.inf)]
+    return np.concatenate([np.linspace(0.0, sch.horizon, 61), edges, near,
+                           [sch.horizon + 0.5]])
+
+
+def _float_values(sch, method, taus):
+    return np.array([getattr(sch, method)(t) for t in taus.tolist()])
+
+
+@pytest.mark.parametrize("method", _SCHEDULE_METHODS)
+@pytest.mark.parametrize("case", ["exp", "gauss", "resumed"])
+def test_array_evaluation_equals_float_calls(case, method):
+    sch = _schedule(case)
+    taus = _probe_taus(sch)
+    if method == "stage2_kappa":
+        taus = taus[taus >= sch.tau_c]
+    if case == "resumed":
+        assert [seg.stage for seg in sch.segments] == [1, 2, 1, 2]
+    got = getattr(sch, method)(taus)
+    assert isinstance(got, np.ndarray) and got.shape == taus.shape
+    assert np.array_equal(got, _float_values(sch, method, taus))
+    # shuffled samples land on the same values
+    order = np.random.default_rng(7).permutation(len(taus))
+    assert np.array_equal(getattr(sch, method)(taus[order]), got[order])
+
+
+def test_array_evaluation_of_zero_dim_input_is_a_float():
+    sch = _schedule("exp")
+    for method in _SCHEDULE_METHODS:
+        got = getattr(sch, method)(np.float64(3.0).reshape(()))
+        assert isinstance(got, float)
+        assert got == getattr(sch, method)(3.0)
+    assert sch.kappa(3) == sch.kappa(3.0)
+
+
+@pytest.mark.parametrize("method", ["kappa", "stage2_kappa"])
+def test_array_coupling_raises_where_float_call_does(method):
+    sch = _schedule("singular")
+    taus = np.linspace(sch.tau_c, sch.horizon, 401)
+    singular = np.zeros(taus.shape, dtype=bool)
+    for i, t in enumerate(taus.tolist()):
+        try:
+            getattr(sch, method)(t)
+        except SingularCoupling:
+            singular[i] = True
+    assert singular.any() and not singular.all()
+    for i in np.flatnonzero(singular)[::40].tolist():
+        with pytest.raises(SingularCoupling):
+            getattr(sch, method)(taus[i - 1:i + 2])
+    regular = taus[~singular]
+    assert np.array_equal(getattr(sch, method)(regular),
+                          _float_values(sch, method, regular))
+    if method == "kappa":
+        masked = sch.kappa(taus, nan_if_singular=True)
+        assert np.array_equal(np.isnan(masked), singular)
+        assert math.isnan(sch.kappa(float(taus[singular][0]),
+                                    nan_if_singular=True))
+
+
+def test_array_evaluation_rejects_out_of_domain_taus():
+    sch = _schedule("exp")
+    for method in ("beta_sq", "kappa"):
+        with pytest.raises(DomainError):
+            getattr(sch, method)(np.array([1.0, -1e-3]))
+    with pytest.raises(DomainError):
+        sch.stage2_kappa(np.array([sch.tau_c, 0.5 * sch.tau_c]))
 
 
 # ---------------------------------------------------------------------------

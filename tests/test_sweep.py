@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import os
+import stat
 import warnings
 
 import numpy as np
@@ -266,3 +267,17 @@ def test_surface_csv_failed_write_keeps_previous_file(tmp_path, monkeypatch):
         sweep.write_surface_csv(grid, path)
     assert path.read_text() == "previous\n"
     assert not list(tmp_path.glob(".tmp-*"))
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600),
+                                         (0o002, 0o664)],
+                         ids=["022", "077", "002"])
+def test_surface_csv_mode_follows_umask(tmp_path, umask, mode):
+    grid = sweep.fidelity_surface("exp", grid=((1e-4,), (0.1,)))
+    path = tmp_path / "surface.csv"
+    previous = os.umask(umask)
+    try:
+        sweep.write_surface_csv(grid, path)
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE(os.stat(path).st_mode) == mode
