@@ -15,6 +15,7 @@ from .errors import (
     InfeasibleSchedule,
     NoPeak,
     NoThreshold,
+    PulsecatchError,
     SingularCoupling,
     StepFailure,
 )
@@ -85,7 +86,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundaryMaximumWarning", "DomainError", "InfeasibleSchedule", "NoPeak",
-    "NoThreshold", "SingularCoupling", "StepFailure",
+    "NoThreshold", "PulsecatchError", "SingularCoupling", "StepFailure",
     "InputProfile", "MemoryParams", "ValidationReport", "cumulative",
     "exponential", "gaussian", "horizon", "parse_profile", "rate_at",
     "tabulated", "total_excitation", "validate",

@@ -34,6 +34,7 @@ from . import sweep as sweepmod
 from .errors import (
     DomainError,
     InfeasibleSchedule,
+    NoPeak,
     NoThreshold,
     SingularCoupling,
     StepFailure,
@@ -468,7 +469,7 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (NoThreshold, InfeasibleSchedule, SingularCoupling) as exc:
+    except (NoThreshold, InfeasibleSchedule, SingularCoupling, NoPeak) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except StepFailure as exc:

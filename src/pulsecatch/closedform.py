@@ -259,8 +259,15 @@ def _gauss_stage2(cst: GaussConstants, sigma: float, n: float, tau: float) -> fl
     seed = gauss_rate(sigma, n, cst.tau_c)
     rt2b = math.sqrt(2.0 * cst.b)  # = 1/(sigma*sqrt(2))
     b2 = lambda s: rt2b * (s - cst.tau0) - 0.5 * k / rt2b
-    integral = 0.5 * math.exp(-k * (tau - cst.tau0) + 0.125 * k * k / cst.b) \
-        * (erf(b2(tau)) - erf(b2(cst.tau_c)))
+    try:
+        weight = math.exp(-k * (tau - cst.tau0) + 0.125 * k * k / cst.b)
+    except OverflowError:
+        # e^{k^2 sigma^2/4} overflows long before the erf difference it
+        # multiplies underflows: kappa_i*sigma is beyond this form's range.
+        raise DomainError(
+            f"Gaussian closed form overflows at kappa_i = {k}, sigma = {sigma}, "
+            f"tau = {tau}") from None
+    integral = 0.5 * weight * (erf(b2(tau)) - erf(b2(cst.tau_c)))
     return math.exp(-k * (tau - cst.tau_c)) * seed + integral
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -63,14 +64,53 @@ class InputProfile:
         return self.n * self.sigma
 
     @cached_property
-    def _interp(self) -> PchipInterpolator:
+    def _interp(self) -> _Piecewise:
         # Shape-preserving cubic keeps the interpolant inside the local data
-        # range, so nonnegative samples can never interpolate negative.
-        return PchipInterpolator(self.taus, self.rates, extrapolate=False)
+        # range, up to rounding: `rate_at` reads the few-ulp negatives it can
+        # leave next to a zero sample as 0. Where a secant slope is tiny (say
+        # 5e-309 between rates 1e-308 and 2e-308), scipy's weighted harmonic
+        # mean of the neighbouring slopes overflows to inf and the knot slope
+        # becomes 1/inf = 0, the limit the formula tends to; the overflow
+        # warning is noise.
+        with np.errstate(divide="ignore", over="ignore"):
+            pp = PchipInterpolator(self.taus, self.rates, extrapolate=False)
+        return _Piecewise(pp)
 
     @cached_property
-    def _interp_cum(self) -> PchipInterpolator:
-        return self._interp.antiderivative()
+    def _interp_cum(self) -> _Piecewise:
+        return _Piecewise(self._interp.pp.antiderivative())
+
+
+class _Piecewise:
+    """A scipy piecewise polynomial with plain-list copies of its knots and
+    coefficients, so that `at` evaluates a float without array overhead.
+
+    `at(t)` is bitwise equal to `float(pp(t))` for t in [x[0], x[-1]]: it
+    takes the piece scipy's interval search takes (x[i] <= t < x[i+1], the
+    last piece closed) and sums the power basis in the order of scipy's
+    `evaluate_poly1`, from the constant term up. Arrays go to `pp`.
+    """
+
+    __slots__ = ("pp", "x", "c", "last")
+
+    def __init__(self, pp):
+        self.pp = pp
+        self.x = pp.x.tolist()
+        self.c = pp.c[::-1].T.tolist()      # per piece, constant term first
+        self.last = len(self.c) - 1
+
+    def at(self, t: float) -> float:
+        i = bisect_right(self.x, t) - 1
+        if i > self.last:
+            i = self.last
+        s = t - self.x[i]
+        # The leading 0.0 is scipy's too: 0.0 + (-0.0) gives +0.0.
+        res = 0.0
+        z = 1.0
+        for coef in self.c[i]:
+            res = res + coef * z
+            z *= s
+        return res
 
 
 def exponential(r: float) -> InputProfile:
@@ -157,9 +197,11 @@ def rate_at(profile: InputProfile, tau):
         if profile.kind == GAUSSIAN:
             z = (tau - profile.tau0) / profile.sigma
             return profile.r * math.exp(-0.5 * z * z)
-        if tau < profile.taus[0] or tau > profile.taus[-1]:
+        table = profile._interp
+        if tau < table.x[0] or tau > table.x[-1]:
             return 0.0
-        return float(profile._interp(tau))
+        val = table.at(tau)
+        return 0.0 if val < 0.0 else val
     arr = np.asarray(tau, dtype=float)
     if np.any(arr < 0.0):
         raise DomainError("rate_at requires tau >= 0")
@@ -169,8 +211,9 @@ def rate_at(profile: InputProfile, tau):
         z = (arr - profile.tau0) / profile.sigma
         out = profile.r * np.exp(-0.5 * z * z)
     else:
-        out = profile._interp(np.clip(arr, profile.taus[0], profile.taus[-1]))
-        out = np.where((arr < profile.taus[0]) | (arr > profile.taus[-1]), 0.0, out)
+        out = profile._interp.pp(np.clip(arr, profile.taus[0], profile.taus[-1]))
+        out = np.where((arr < profile.taus[0]) | (arr > profile.taus[-1])
+                       | (out < 0.0), 0.0, out)
     if np.ndim(tau) == 0:
         return float(out)
     return out
@@ -192,9 +235,9 @@ def cumulative(profile: InputProfile, tau):
             root2 = math.sqrt(2.0)
             lo = math.erf(profile.tau0 / (profile.sigma * root2))
             return 0.5 * (math.erf((tau - profile.tau0) / (profile.sigma * root2)) + lo)
-        t0, t1 = profile.taus[0], profile.taus[-1]
-        return float(profile._interp_cum(min(max(tau, t0), t1))
-                     - profile._interp_cum(t0))
+        table = profile._interp_cum
+        t0, t1 = table.x[0], table.x[-1]
+        return table.at(min(max(tau, t0), t1)) - table.at(t0)
     arr = np.asarray(tau, dtype=float)
     if np.any(arr < 0.0):
         raise DomainError("cumulative requires tau >= 0")
@@ -206,8 +249,8 @@ def cumulative(profile: InputProfile, tau):
         out = 0.5 * (erf((arr - profile.tau0) / (profile.sigma * root2)) + lo)
     else:
         t0, t1 = profile.taus[0], profile.taus[-1]
-        base = profile._interp_cum(t0)
-        out = profile._interp_cum(np.clip(arr, t0, t1)) - base
+        base = profile._interp_cum.pp(t0)
+        out = profile._interp_cum.pp(np.clip(arr, t0, t1)) - base
     if np.ndim(tau) == 0:
         return float(out)
     return out

@@ -20,12 +20,14 @@ such schedules are flagged.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
+from scipy.integrate._ivp.rk import Dop853DenseOutput
 from scipy.optimize import brentq
 
 from . import profiles as prof
@@ -102,6 +104,38 @@ def _activation_time(profile: prof.InputProfile) -> float | None:
     return float(profile.taus[max(i - 1, 0)])
 
 
+def _float_dense(sol) -> Callable[[float], float]:
+    """t -> float(sol(t)[0]) for a float t, where sol is a DOP853
+    OdeSolution: scipy's arithmetic operation for operation, so every value is
+    bitwise the same, without its per-call array overhead. Any other
+    interpolant keeps the OdeSolution call.
+    """
+    steps = sol.interpolants
+    if not (sol.ascending and getattr(sol, "side", "left") == "left") or any(
+            type(d) is not Dop853DenseOutput for d in steps):
+        return lambda t: float(sol(t)[0])
+    ts = sol.ts.tolist()
+    last = len(steps) - 1
+    coefs = [(float(d.t_old), float(d.h), *d.F[::-1, 0].tolist(),
+              float(d.y_old[0])) for d in steps]
+
+    def at(t: float) -> float:
+        # OdeSolution._call_single: the step holding t (the earlier one at a
+        # step boundary), clamped to the first and last steps.
+        i = bisect_left(ts, t) - 1
+        # DOP853 dense output has 7 rows of F.
+        t_old, h, f6, f5, f4, f3, f2, f1, f0, y_old = \
+            coefs[0 if i < 0 else last if i > last else i]
+        # Dop853DenseOutput._call_impl: from y = 0, add the rows of F from
+        # the last one, multiplying by x and 1 - x in turn; then add y_old.
+        x = (t - t_old) / h
+        xm = 1 - x
+        return (((((((0.0 + f6) * x + f5) * xm + f4) * x + f3) * xm + f2) * x
+                 + f1) * xm + f0) * x + y_old
+
+    return at
+
+
 def _integrate_stage1(profile, kappa_i, t0, beta0, t1):
     """Dense solve of beta' = -sqrt(r_in) - (1+kappa_i)/2 beta (stage 1,
     kappa = 1) over [t0, t1]; the caller checks the returned status."""
@@ -159,9 +193,9 @@ def _first_threshold(profile: prof.InputProfile, kappa_i: float,
         return brentq(g_quad, lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200)
     # Quadrature disagrees about the bracket (possible only within its own
     # ~1e-12 error of a tangency); fall back to the integrated dynamics.
-    return brentq(lambda t: math.sqrt(prof.rate_at(profile, t))
-                  + float(sol.sol(t)[0]), lo, hi,
-                  xtol=1e-13, rtol=8.9e-16, maxiter=200)
+    beta = _float_dense(sol.sol)
+    return brentq(lambda t: math.sqrt(prof.rate_at(profile, t)) + beta(t),
+                  lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200)
 
 
 def threshold_time(profile: prof.InputProfile, params: prof.MemoryParams) -> float:
@@ -180,6 +214,11 @@ class _Segment:
     t0: float
     t1: float
     sol: object             # OdeSolution for beta (stage 1) or beta^2 (stage 2)
+
+    @cached_property
+    def at(self) -> Callable[[float], float]:
+        """Float evaluation of `sol`, bitwise equal to float(sol(t)[0])."""
+        return _float_dense(self.sol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,7 +320,7 @@ class CouplingSchedule:
             return stage2_population(self.profile, self.params,
                                      self.last_tau_c, tau)
         seg = self._segment_at(tau)
-        val = float(seg.sol(tau)[0])
+        val = seg.at(tau)
         if seg.stage == 1:
             return val * val
         return max(val, 0.0)
@@ -296,7 +335,7 @@ class CouplingSchedule:
         if tau <= self.horizon:
             seg = self._segment_at(tau)
             if seg.stage == 1:
-                return float(seg.sol(tau)[0])
+                return seg.at(tau)
         return -math.sqrt(self.beta_sq(tau))
 
     def stage2_kappa(self, tau):
@@ -426,7 +465,7 @@ def build_schedule(profile: prof.InputProfile,
         # At the violation kappa = r_in/beta^2 = 1, so beta^2 = r_in there and
         # stage 1 continues with the same amplitude.
         t_start = t_violation
-        beta_start = -math.sqrt(float(sol2(t_violation)[0]))
+        beta_start = -math.sqrt(segments[-1].at(t_violation))
     else:
         raise InfeasibleSchedule(
             f"no feasible schedule within {_MAX_SEGMENTS} segments"
@@ -475,8 +514,8 @@ def _reflection_loss(schedule: CouplingSchedule, tau_max: float) -> float:
         if seg.stage != 1:
             continue
 
-        def r_out(s, _sol=seg.sol):
-            w = float(_sol(s)[0]) + math.sqrt(prof.rate_at(profile, s))
+        def r_out(s, _beta=seg.at):
+            w = _beta(s) + math.sqrt(prof.rate_at(profile, s))
             return w * w
 
         total += prof._quad_chunked(r_out, seg.t0, hi,

@@ -21,7 +21,7 @@ from scipy.integrate import quad
 from . import closedform as cf
 from . import profiles as prof
 from . import protocol
-from .errors import BoundaryMaximumWarning, DomainError
+from .errors import BoundaryMaximumWarning, DomainError, PulsecatchError
 
 R_RANGE = (0.05, 1.0)
 KAPPA_I_RANGE = (0.0, 1e-2)          # open below: cells require kappa_i > 0
@@ -196,7 +196,7 @@ def fidelity_surface(family, grid: tuple[Sequence[float], Sequence[float]]
         for r in rs:
             try:
                 row.append(_evaluate_cell(fam, r, ki))
-            except Exception as exc:  # record, never abort the sweep
+            except PulsecatchError as exc:  # record; anything else is a bug
                 row.append(CellFailure(kappa_i=ki, r=r,
                                        error=f"{type(exc).__name__}: {exc}"))
         rows.append(tuple(row))

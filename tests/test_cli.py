@@ -16,7 +16,8 @@ import pytest
 from pulsecatch import cli
 from pulsecatch import profiles as prof
 from pulsecatch import protocol
-from pulsecatch.errors import DomainError, NoThreshold, SingularCoupling, StepFailure
+from pulsecatch.errors import (DomainError, NoPeak, NoThreshold,
+                               SingularCoupling, StepFailure)
 
 EXP_OP = ["--profile", "exp:r=0.036", "--kappa-i", "1e-4"]
 
@@ -92,6 +93,17 @@ def test_singular_coupling_maps_to_infeasible_exit(tmp_path, capsys):
                    "--samples", "201", "--out", str(tmp_path / "t.csv")])
     assert rc == 2
     assert "infeasible:" in capsys.readouterr().err
+
+
+def test_no_peak_maps_to_infeasible_exit(tmp_path, capsys, monkeypatch):
+    def no_peak(*args, **kwargs):
+        raise NoPeak("population slope never crosses zero")
+
+    monkeypatch.setattr(protocol, "peak_time_and_fidelity", no_peak)
+    rc = cli.main(["schedule", *EXP_OP, "--out", str(tmp_path / "s")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "infeasible:" in err and "never crosses zero" in err
 
 
 def test_unwritable_output_is_input_error(tmp_path):

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from pulsecatch import profiles as prof
 from pulsecatch.errors import DomainError
@@ -246,6 +246,8 @@ def test_gaussian_scalar_array_consistency(sigma, n):
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=2.0), min_size=3, max_size=12))
+# A secant slope of 5e-309 overflows scipy's harmonic mean of the knot slopes.
+@example(raw_rates=[0.0, 1e-308, 2e-308, 1.0])
 def test_tabulated_cumulative_monotone(raw_rates):
     taus = np.linspace(0.0, 6.0, len(raw_rates))
     p = prof.tabulated(taus, raw_rates)
@@ -253,3 +255,57 @@ def test_tabulated_cumulative_monotone(raw_rates):
     cums = prof.cumulative(p, ts)
     assert np.all(np.diff(cums) >= -1e-12)
     assert cums[0] == 0.0
+    rates = prof.rate_at(p, np.concatenate([ts, taus]))
+    assert np.all(np.isfinite(rates)) and np.all(rates >= 0.0)
+
+
+@st.composite
+def _tables(draw):
+    """Tables with runs of equal rates (zero runs among them, of either
+    sign), tiny and subnormal rates, and uneven knot spacing."""
+    runs = draw(st.lists(
+        st.tuples(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, 2.0)),
+                  st.integers(1, 4)),
+        min_size=1, max_size=12))
+    rates = [v for v, k in runs for _ in range(k)]
+    if len(rates) < 2:
+        rates.append(draw(st.floats(0.0, 2.0)))
+    gaps = draw(st.lists(st.floats(1e-3, 3.0), min_size=len(rates) - 1,
+                         max_size=len(rates) - 1))
+    start = draw(st.floats(0.0, 5.0))
+    return prof.tabulated(start + np.concatenate([[0.0], np.cumsum(gaps)]),
+                          rates)
+
+
+def _same_float(a: float, b: float) -> bool:
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+@given(_tables())
+@example(prof.tabulated([0.0, 2.0, 4.0, 6.0], [0.0, 1e-308, 2e-308, 1.0]))
+@example(prof.tabulated([0.0, 3.0, 6.0], [1.71875, 0.5, 0.0]))
+def test_table_float_path_is_bitwise_scipy(p):
+    """The float path of rate_at and cumulative on a table reproduces the
+    scipy PPoly evaluation bit for bit: at every knot (the last one is in
+    the closed last piece), one ulp either side of it and between knots.
+    rate_at reads rounding negatives as 0, on both paths."""
+    pp, cum = p._interp.pp, p._interp_cum.pp
+    knots = p.taus.tolist()
+    t0, t1 = knots[0], knots[-1]
+    mids = (0.5 * (p.taus[1:] + p.taus[:-1])).tolist()
+    probes = knots + mids + [math.nextafter(t, d) for t in knots
+                             for d in (-math.inf, math.inf)]
+    probes = [t for t in probes if t >= 0.0]
+    arr = prof.rate_at(p, np.array(probes))
+    for t, from_array in zip(probes, arr.tolist()):
+        got = prof.rate_at(p, t)
+        assert _same_float(got, from_array), t
+        c = min(max(t, t0), t1)
+        assert _same_float(prof.cumulative(p, t), float(cum(c) - cum(t0))), t
+        if t < t0 or t > t1:
+            assert got == 0.0
+            continue
+        want = float(pp(t))
+        assert _same_float(p._interp.at(t), want), t
+        assert _same_float(got, 0.0 if want < 0.0 else want), t
+        assert _same_float(p._interp_cum.at(t), float(cum(t))), t

@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import DenseOutput, OdeSolution
 
 from pulsecatch import closedform as cf
 from pulsecatch import profiles as prof
@@ -210,6 +211,8 @@ _SCHEDULE_METHODS = ("beta_sq", "beta", "kappa", "stage2_kappa", "reflection")
 def _schedule(case: str) -> proto.CouplingSchedule:
     if case == "exp":
         return proto.build_schedule(prof.exponential(0.5), _params(1e-3))
+    if case == "exp_point":
+        return proto.build_schedule(prof.exponential(0.036), _params())
     if case == "gauss":
         return proto.build_schedule(prof.gaussian(r=0.1533, n=4), _params())
     if case == "resumed":
@@ -245,6 +248,65 @@ def test_array_evaluation_equals_float_calls(case, method):
     # shuffled samples land on the same values
     order = np.random.default_rng(7).permutation(len(taus))
     assert np.array_equal(getattr(sch, method)(taus[order]), got[order])
+
+
+def _same_float(a: float, b: float) -> bool:
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+@pytest.mark.parametrize("case", ["exp_point", "gauss", "resumed"])
+def test_float_dense_output_is_bitwise_scipy(case):
+    """A segment's float evaluator equals its OdeSolution call bit for bit at
+    every step boundary, the segment ends, one ulp either side of each and
+    between steps."""
+    sch = _schedule(case)
+    for seg in sch.segments:
+        ts = seg.sol.ts
+        knots = np.concatenate([ts, [seg.t0, seg.t1]])
+        probes = np.concatenate([knots, np.nextafter(knots, -np.inf),
+                                 np.nextafter(knots, np.inf),
+                                 0.5 * (ts[1:] + ts[:-1])])
+        for t in probes.tolist():
+            assert _same_float(seg.at(t), float(seg.sol(t)[0])), (seg.stage, t)
+
+
+def test_float_dense_output_falls_back_for_other_interpolants():
+    seg = _schedule("gauss").segments[1]
+    calls = []
+
+    class Wrapped(DenseOutput):
+        """Not a DOP853 interpolant: delegates, counting calls."""
+
+        def __init__(self, inner):
+            super().__init__(inner.t_old, inner.t)
+            self.inner = inner
+
+        def _call_impl(self, t):
+            calls.append(t)
+            return self.inner._call_impl(t)
+
+    steps = list(seg.sol.interpolants)
+    steps[3] = Wrapped(steps[3])
+    other = proto._Segment(seg.stage, seg.t0, seg.t1,
+                           OdeSolution(seg.sol.ts, steps))
+    inside = 0.5 * float(seg.sol.ts[3] + seg.sol.ts[4])
+    for t in (inside, float(seg.sol.ts[1]), seg.t1):
+        assert other.at(t) == float(seg.sol(t)[0])
+    assert calls == [inside]
+
+
+def test_table_ending_at_zero():
+    # PCHIP rounds to -1.4e-17 at the last knot; math.sqrt of it in the
+    # stage-1 right-hand side used to raise "math domain error".
+    taus = [0.0, 3.225580565561099, 6.451161131122198]
+    p = prof.tabulated(taus, [0.19930189806940551, 0.18743571933252437, 0.0])
+    assert float(p._interp.pp(taus[-1])) < 0.0
+    assert prof.rate_at(p, taus[-1]) == 0.0
+    sch = proto.build_schedule(p, _params())
+    rep = proto.peak_time_and_fidelity(p, _params(), sch)
+    total = (rep.fidelity + rep.loss_stage1_reflection
+             + rep.loss_intrinsic + rep.loss_unabsorbed)
+    assert total == pytest.approx(1.0, abs=1e-8)
 
 
 def test_array_evaluation_of_zero_dim_input_is_a_float():

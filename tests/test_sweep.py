@@ -13,7 +13,7 @@ from scipy.integrate import quad
 from pulsecatch import profiles as prof
 from pulsecatch import protocol
 from pulsecatch import sweep
-from pulsecatch.errors import BoundaryMaximumWarning, DomainError
+from pulsecatch.errors import BoundaryMaximumWarning, DomainError, NoThreshold
 
 
 def _budget_defect(rep: protocol.TransferReport) -> float:
@@ -110,7 +110,7 @@ def test_surface_shape_and_indexing():
 def test_surface_records_failures_as_nan():
     def spiky(r):
         if r > 0.5:
-            raise ValueError("no profile past 0.5")
+            raise DomainError("no profile past 0.5")
         return prof.exponential(r)
 
     grid = sweep.fidelity_surface(spiky, grid=([1e-4], [0.1, 0.4, 0.7]))
@@ -121,6 +121,32 @@ def test_surface_records_failures_as_nan():
     failure = grid.results[0][2]
     assert isinstance(failure, sweep.CellFailure)
     assert "no profile past 0.5" in failure.error
+
+
+def test_surface_records_typed_errors_only():
+    def no_threshold(r):
+        raise NoThreshold("never reaches the threshold")
+
+    grid = sweep.fidelity_surface(no_threshold, grid=([1e-4], [0.1]))
+    failure = grid.results[0][0]
+    assert isinstance(failure, sweep.CellFailure)
+    assert failure.error == "NoThreshold: never reaches the threshold"
+
+    def buggy(r):
+        raise TypeError("a bug, not a cell failure")
+
+    with pytest.raises(TypeError, match="a bug"):
+        sweep.fidelity_surface(buggy, grid=([1e-4], [0.1]))
+
+
+def test_gauss_closed_form_overflow_is_a_typed_cell_failure():
+    # sigma = 399 and kappa_i = 0.26: e^{kappa_i^2 sigma^2/4} overflows.
+    with pytest.warns(UserWarning, match="beyond the standard ranges"):
+        grid = sweep.fidelity_surface("gauss", grid=([0.26], [0.001, 0.1]))
+    failure, cell = grid.results[0]
+    assert isinstance(failure, sweep.CellFailure)
+    assert failure.error.startswith("DomainError: Gaussian closed form overflows")
+    assert not isinstance(cell, sweep.CellFailure)
 
 
 def test_surface_monotone_in_kappa_i():
@@ -245,7 +271,7 @@ def test_surface_csv_deterministic(tmp_path):
 
 def test_surface_csv_failed_cells_are_nan(tmp_path):
     def broken(r):
-        raise RuntimeError("always fails")
+        raise NoThreshold("always fails")
 
     grid = sweep.fidelity_surface(broken, grid=((1e-4,), (0.1,)))
     path = tmp_path / "failed.csv"
