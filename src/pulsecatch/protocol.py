@@ -26,7 +26,7 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import DOP853, OdeSolution, quad, solve_ivp
 from scipy.integrate._ivp.rk import Dop853DenseOutput
 from scipy.optimize import brentq
 
@@ -136,26 +136,78 @@ def _float_dense(sol) -> Callable[[float], float]:
     return at
 
 
-def _integrate_stage1(profile, kappa_i, t0, beta0, t1):
-    """Dense solve of beta' = -sqrt(r_in) - (1+kappa_i)/2 beta (stage 1,
-    kappa = 1) over [t0, t1]; the caller checks the returned status."""
+def _stage1_rhs(profile, kappa_i):
+    """Right-hand side of beta' = -sqrt(r_in) - (1+kappa_i)/2 beta, the
+    stage-1 memory amplitude under kappa = 1."""
     a = 0.5 * (1.0 + kappa_i)
-    rhs = lambda t, y: [-math.sqrt(prof.rate_at(profile, t)) - a * y[0]]
-    return solve_ivp(rhs, (t0, t1), [beta0], method="DOP853",
-                     rtol=_ODE_RTOL, atol=_ODE_ATOL, dense_output=True)
+    return lambda t, y: [-math.sqrt(prof.rate_at(profile, t)) - a * y[0]]
+
+
+def _integrate_stage1(profile, kappa_i, t0, beta0, t1):
+    """Dense solve of stage 1 over [t0, t1]; the caller checks the returned
+    status."""
+    return solve_ivp(_stage1_rhs(profile, kappa_i), (t0, t1), [beta0],
+                     method="DOP853", rtol=_ODE_RTOL, atol=_ODE_ATOL,
+                     dense_output=True)
+
+
+def _threshold_bracket(profile: prof.InputProfile, kappa_i: float,
+                       t0: float, beta0: float,
+                       end: float) -> tuple[float, float, OdeSolution]:
+    """Grid bracket (lo, hi) of the first downward crossing of
+    g(tau) = sqrt(r_in(tau)) + beta(tau) on [t0, end], and the stage-1
+    solution up to the step holding hi.
+
+    Steps DOP853 from t0 towards end exactly as `solve_ivp` would (same
+    right-hand side, tolerances and t_bound, zero-length steps dropped), and
+    after each step evaluates g with that step's dense output on the points
+    of the fixed 8193-point grid it covers: those in (t_old, t], plus t0 in
+    the first step, as OdeSolution assigns them. The scan is deliberate:
+    slowly varying inputs make g dip below zero and come back, and the
+    integrator's own steps can stride across the whole dip. Stepping stops
+    at the first crossing instead of running to the horizon.
+    """
+    grid = np.linspace(t0, end, 8193)
+    solver = DOP853(_stage1_rhs(profile, kappa_i), t0, [beta0], end,
+                    rtol=_ODE_RTOL, atol=_ODE_ATOL)
+    ts, steps = [t0], []
+    done = 0            # grid points scanned so far
+    g_last = 0.0        # g at the last of them
+    while solver.status == "running":
+        solver.step()
+        if solver.status == "failed":
+            raise NoThreshold(f"stage-1 integration failed near tau = {solver.t}")
+        if solver.t == ts[-1]:
+            continue
+        dense = solver.dense_output()
+        ts.append(solver.t)
+        steps.append(dense)
+        stop = int(np.searchsorted(grid, solver.t, side="right"))
+        if stop == done:
+            continue
+        g = np.sqrt(prof.rate_at(profile, grid[done:stop])) \
+            + dense(grid[done:stop])[0]
+        if done:
+            g = np.concatenate(([g_last], g))
+        down = np.flatnonzero((g[:-1] > 0.0) & (g[1:] <= 0.0))
+        if len(down):
+            i = max(done - 1, 0) + int(down[0])
+            return float(grid[i]), float(grid[i + 1]), OdeSolution(ts, steps)
+        done, g_last = stop, float(g[-1])
+    raise NoThreshold(
+        f"stage-1 population never reaches the threshold in [{t0}, {end}]"
+    )
 
 
 def _first_threshold(profile: prof.InputProfile, kappa_i: float,
                      t_start: float, beta_start: float, end: float) -> float:
     """First tau > t_start where the stored population reaches beta^2 = r_in.
 
-    Integrates the stage-1 amplitude over the whole window with dense output
-    and scans g(tau) = sqrt(r_in(tau)) + beta(tau) on a fine grid for its
-    first downward crossing (beta <= 0, so g hits zero exactly at the
-    threshold). The scan is deliberate: slowly varying inputs make g dip
-    below zero and come back, and the integrator's own steps can stride
-    across the whole dip. The bracketed root is then polished on the
-    quadrature form of g, making the result independent of the ODE route.
+    `_threshold_bracket` steps the stage-1 amplitude only until the grid
+    scan of g(tau) = sqrt(r_in(tau)) + beta(tau) finds its first downward
+    crossing (beta <= 0, so g hits zero exactly at the threshold). The
+    bracketed root is then polished on the quadrature form of g, making the
+    result independent of the ODE route.
     """
     a = 0.5 * (1.0 + kappa_i)
 
@@ -170,19 +222,7 @@ def _first_threshold(profile: prof.InputProfile, kappa_i: float,
     if t0 >= end:
         raise NoThreshold("input activates only beyond the search horizon")
 
-    sol = _integrate_stage1(profile, kappa_i, t0, beta0, end)
-    if sol.status < 0:
-        raise NoThreshold(
-            f"stage-1 integration failed near tau = {sol.t[-1]}"
-        )
-    ts = np.linspace(t0, float(sol.t[-1]), 8193)
-    g_vals = np.sqrt(prof.rate_at(profile, ts)) + sol.sol(ts)[0]
-    down = np.flatnonzero((g_vals[:-1] > 0.0) & (g_vals[1:] <= 0.0))
-    if len(down) == 0:
-        raise NoThreshold(
-            f"stage-1 population never reaches the threshold in [{t0}, {end}]"
-        )
-    lo, hi = float(ts[down[0]]), float(ts[down[0] + 1])
+    lo, hi, sol = _threshold_bracket(profile, kappa_i, t0, beta0, end)
 
     def g_quad(t):
         beta = _stage1_beta_quad(profile, kappa_i, t_start, beta_start, t,
@@ -193,7 +233,7 @@ def _first_threshold(profile: prof.InputProfile, kappa_i: float,
         return brentq(g_quad, lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200)
     # Quadrature disagrees about the bracket (possible only within its own
     # ~1e-12 error of a tangency); fall back to the integrated dynamics.
-    beta = _float_dense(sol.sol)
+    beta = _float_dense(sol)
     return brentq(lambda t: math.sqrt(prof.rate_at(profile, t)) + beta(t),
                   lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200)
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import profiles as prof
 from . import protocol
-from .errors import DomainError
+from .errors import DomainError, SingularCoupling
 
 
 @dataclass(frozen=True)
@@ -84,11 +84,12 @@ def semiclassical_population(field: ClassicalField, tau: float) -> float:
 
 
 def semiclassical_coupling(field: ClassicalField, tau: float) -> float:
-    """Output-nulling coupling kappa(tau) = A_in^2(tau) / A^2(tau)."""
+    """Output-nulling coupling kappa(tau) = A_in^2(tau) / A^2(tau); raises
+    SingularCoupling where the stored power is zero."""
     num = field.a_in(tau) ** 2
     den = semiclassical_population(field, tau)
     if den == 0.0:
-        raise ZeroDivisionError(
+        raise SingularCoupling(
             "stored power is zero: no seed and no input up to this tau"
         )
     return num / den

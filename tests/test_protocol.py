@@ -12,7 +12,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import DenseOutput, OdeSolution
+from scipy.integrate import DenseOutput, OdeSolution, solve_ivp
+from scipy.optimize import brentq
 
 from pulsecatch import closedform as cf
 from pulsecatch import profiles as prof
@@ -85,11 +86,16 @@ def test_no_threshold_when_activation_beyond_horizon():
         proto.threshold_time(p, _params())
 
 
-def test_threshold_waits_for_delayed_activation():
+def _delayed_table() -> prof.InputProfile:
+    """A pulse that switches on at tau = 5, normalized on [0, 30]."""
     taus = np.linspace(0.0, 30.0, 1501)
     rates = np.where(taus < 5.0, 0.0, np.exp(-0.5 * ((taus - 10.0) / 1.5) ** 2))
     rates /= np.trapezoid(rates, taus)
-    p = prof.tabulated(taus, rates)
+    return prof.tabulated(taus, rates)
+
+
+def test_threshold_waits_for_delayed_activation():
+    p = _delayed_table()
     tc = proto.threshold_time(p, _params())
     assert tc > 5.0
     assert tc == pytest.approx(8.652812544578246, abs=1e-6)
@@ -103,6 +109,104 @@ def test_tabulated_resampling_reproduces_exponential_threshold():
     table = prof.tabulated(taus, r * np.exp(-r * taus))
     tc = proto.threshold_time(table, _params(1e-3))
     assert tc == pytest.approx(cf.exp_tau_c(r, 1e-3), abs=2e-8)
+
+
+def _whole_window_threshold(profile, kappa_i, t_start, beta_start, end):
+    """The threshold search done the long way: one dense stage-1 solve over
+    the whole window [t0, end], a scan of g = sqrt(r_in) + beta on 8193
+    points, and the same polish. Returns (t0, beta0, lo, hi, tau_c, sol)."""
+    a = 0.5 * (1.0 + kappa_i)
+    t0 = max(t_start, proto._activation_time(profile))
+    beta0 = beta_start * math.exp(-a * (t0 - t_start)) if t0 > t_start else beta_start
+    rhs = lambda t, y: [-math.sqrt(prof.rate_at(profile, t)) - a * y[0]]
+    whole = solve_ivp(rhs, (t0, end), [beta0], method="DOP853", rtol=1e-12,
+                      atol=1e-14, dense_output=True)
+    assert whole.status == 0
+    ts = np.linspace(t0, float(whole.t[-1]), 8193)
+    g = np.sqrt(prof.rate_at(profile, ts)) + whole.sol(ts)[0]
+    i = int(np.flatnonzero((g[:-1] > 0.0) & (g[1:] <= 0.0))[0])
+    lo, hi = float(ts[i]), float(ts[i + 1])
+
+    def g_quad(t):
+        return math.sqrt(prof.rate_at(profile, t)) + proto._stage1_beta_quad(
+            profile, kappa_i, t_start, beta_start, t, epsabs=1e-13)
+
+    if g_quad(lo) > 0.0 > g_quad(hi):
+        tau_c = brentq(g_quad, lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200)
+    else:
+        beta = proto._float_dense(whole.sol)
+        tau_c = brentq(lambda t: math.sqrt(prof.rate_at(profile, t)) + beta(t),
+                       lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200)
+    return t0, beta0, lo, hi, tau_c, whole.sol
+
+
+@pytest.mark.parametrize("case", ["exp_point", "gauss", "delayed", "resumed"])
+def test_threshold_scan_equals_whole_window_scan(case):
+    """Stepping only to the first crossing finds the same bracket, threshold
+    and fallback dynamics, bit for bit, as scanning the whole window."""
+    params = _params()
+    t_start, beta_start = 0.0, 0.0
+    if case == "delayed":
+        profile = _delayed_table()
+    elif case == "resumed":
+        # the second threshold search, from the feasibility violation
+        sch = _schedule("resumed")
+        profile = sch.profile
+        t_start = sch.segments[2].t0
+        beta_start = -math.sqrt(sch.segments[1].at(t_start))
+    else:
+        profile = _schedule(case).profile
+    end = prof.horizon(profile)
+    t0, beta0, lo, hi, tau_c, whole = _whole_window_threshold(
+        profile, params.kappa_i, t_start, beta_start, end)
+    if case in ("delayed", "resumed"):
+        assert t0 > 0.0
+
+    got_lo, got_hi, sol = proto._threshold_bracket(profile, params.kappa_i,
+                                                   t0, beta0, end)
+    assert (got_lo, got_hi) == (lo, hi)
+    assert proto._first_threshold(profile, params.kappa_i, t_start,
+                                  beta_start, end) == tau_c
+    if case == "resumed":
+        assert sch.segments[2].t1 == tau_c
+    else:
+        assert proto.threshold_time(profile, params) == tau_c
+    # the steps taken are the whole-window solve's first ones, and stop at hi
+    assert np.array_equal(sol.ts, whole.ts[:len(sol.ts)])
+    assert sol.ts[-2] < hi <= sol.ts[-1] < end
+    steps = whole.ts[(whole.ts > lo) & (whole.ts < hi)]
+    probes = np.concatenate([np.linspace(lo, hi, 65), steps,
+                             np.nextafter(steps, -np.inf),
+                             np.nextafter(steps, np.inf)])
+    new, old = proto._float_dense(sol), proto._float_dense(whole)
+    for t in probes.tolist():
+        assert new(t) == old(t), t
+
+
+def test_threshold_scan_reaching_end_raises():
+    # sqrt(r_in) grows as e^tau, faster than the stage-1 amplitude can follow
+    taus = np.linspace(0.0, 10.0, 101)
+    rates = np.exp(2.0 * taus)
+    p = prof.tabulated(taus, rates / np.trapezoid(rates, taus))
+    with pytest.raises(NoThreshold, match=r"never reaches the threshold in "
+                                          r"\[0\.0, 10\.0\]"):
+        proto.threshold_time(p, _params())
+
+
+def test_stage1_solver_failure_is_no_threshold(monkeypatch):
+    rhs = proto._stage1_rhs
+
+    def broken(profile, kappa_i):
+        f = rhs(profile, kappa_i)
+        return lambda t, y: [math.nan] if t > 0.5 else f(t, y)
+
+    monkeypatch.setattr(proto, "_stage1_rhs", broken)
+    p = prof.exponential(0.036)      # tau_c = 1.36 with a working right-hand side
+    with pytest.raises(NoThreshold, match="stage-1 integration failed") as exc:
+        proto.threshold_time(p, _params())
+    assert float(str(exc.value).rsplit("= ", 1)[1]) <= 0.5
+    with pytest.raises(NoThreshold, match="stage-1 integration failed"):
+        proto.build_schedule(p, _params())
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from pulsecatch import profiles as prof
 from pulsecatch import semiclassical as sc
-from pulsecatch.errors import DomainError
+from pulsecatch.errors import DomainError, SingularCoupling
 
 
 def _const_field(c: float = 0.5, a0: float = 0.8, tau_i: float = 1.0) -> sc.ClassicalField:
@@ -39,7 +39,7 @@ def test_output_is_nulled():
 
 def test_zero_stored_power_is_an_error():
     f = sc.ClassicalField(a_in=lambda s: 0.0, a0=0.0)
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(SingularCoupling, match="stored power is zero"):
         sc.semiclassical_coupling(f, 2.0)
 
 
