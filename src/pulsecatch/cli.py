@@ -181,6 +181,16 @@ def _parse_kappa_override(text: str):
     raise DomainError(f"--kappa takes const:<value> or file:<path>, got {text!r}")
 
 
+def _memory_params(kappa_i: float) -> prof.MemoryParams:
+    """MemoryParams for --kappa-i, with a warning on stderr above the range
+    the closed-form oracles are validated on (0 is the lossless limit)."""
+    params = prof.MemoryParams(kappa_i=kappa_i)
+    if kappa_i > sweepmod.KAPPA_I_RANGE[1]:
+        print(f"warning: --kappa-i {kappa_i!r} lies above the validated "
+              f"range kappa_i <= {sweepmod.KAPPA_I_RANGE[1]!r}", file=sys.stderr)
+    return params
+
+
 def _require_valid(profile: prof.InputProfile) -> None:
     report = prof.validate(profile)
     if not report.ok:
@@ -223,7 +233,7 @@ def _schedule_rows(schedule: protocol.CouplingSchedule, n: int):
 def cmd_schedule(args) -> int:
     profile = prof.parse_profile(args.profile)
     _require_valid(profile)
-    params = prof.MemoryParams(kappa_i=args.kappa_i)
+    params = _memory_params(args.kappa_i)
     schedule = protocol.build_schedule(profile, params)
     report = protocol.peak_time_and_fidelity(profile, params, schedule)
 
@@ -258,7 +268,7 @@ def cmd_schedule(args) -> int:
 def cmd_simulate(args) -> int:
     profile = prof.parse_profile(args.profile)
     _require_valid(profile)
-    params = prof.MemoryParams(kappa_i=args.kappa_i)
+    params = _memory_params(args.kappa_i)
 
     tau_c = None
     if args.kappa is not None:

@@ -26,7 +26,9 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import DOP853, OdeSolution, quad, solve_ivp
+from scipy.integrate import DOP853, OdeSolution, quad
+# Not called here: the benchmark's tracer (perfbench/tracer.py) wraps it by name.
+from scipy.integrate import solve_ivp  # noqa: F401
 from scipy.integrate._ivp.rk import Dop853DenseOutput
 from scipy.optimize import brentq
 
@@ -39,6 +41,7 @@ _ODE_ATOL = 1e-14
 _KAPPA_SLACK = 1e-9       # feasibility slack on kappa <= 1
 _MAX_SEGMENTS = 32
 _DAMP_CUT = 80.0          # exp(-80) below double-precision noise floor
+_EPS = np.finfo(float).eps
 
 
 def _stage1_beta_quad(profile: prof.InputProfile, kappa_i: float,
@@ -136,6 +139,42 @@ def _float_dense(sol) -> Callable[[float], float]:
     return at
 
 
+def _ode_breaks(profile: prof.InputProfile, a: float, b: float) -> list[float]:
+    """Where an ODE solve over [a, b] must end a step: the table knots inside,
+    at which the PCHIP rate is only C1. Analytic profiles have none."""
+    if profile.kind != prof.TABULATED:
+        return []
+    return prof._interior_breaks(profile, a, b)
+
+
+def _dop853_steps(fun, t0: float, y0: float, end: float, breaks: list[float],
+                  fail: Callable[[float], Exception]):
+    """Accepted DOP853 steps (t, y, dense) of y' = fun(t, y) from t0 to
+    end, ending a step exactly at every break in (t0, end).
+
+    One solver runs with `solve_ivp`'s settings, its t_bound at the first
+    break; on landing there, t_bound moves to the next break and the solver
+    runs on with the step size it has (Hairer, Norsett and Wanner, Solving
+    ODEs I, II.6: restart at known discontinuities, here with no new set-up).
+    With no breaks the steps and dense outputs are those of `solve_ivp` bit
+    for bit. Zero-length steps are dropped, as `solve_ivp` drops them. A
+    failed step raises fail(t) at the last accepted t.
+    """
+    bounds = [b for b in breaks if t0 < b < end] + [float(end)]
+    solver = DOP853(fun, float(t0), [y0], bounds[0],
+                    rtol=_ODE_RTOL, atol=_ODE_ATOL)
+    t_last = solver.t
+    for bound in bounds:
+        solver.t_bound, solver.status = bound, "running"
+        while solver.status == "running":
+            solver.step()
+            if solver.status == "failed":
+                raise fail(solver.t)
+            if solver.t != t_last:
+                t_last = solver.t
+                yield t_last, float(solver.y[0]), solver.dense_output()
+
+
 def _stage1_rhs(profile, kappa_i):
     """Right-hand side of beta' = -sqrt(r_in) - (1+kappa_i)/2 beta, the
     stage-1 memory amplitude under kappa = 1."""
@@ -143,12 +182,17 @@ def _stage1_rhs(profile, kappa_i):
     return lambda t, y: [-math.sqrt(prof.rate_at(profile, t)) - a * y[0]]
 
 
-def _integrate_stage1(profile, kappa_i, t0, beta0, t1):
-    """Dense solve of stage 1 over [t0, t1]; the caller checks the returned
-    status."""
-    return solve_ivp(_stage1_rhs(profile, kappa_i), (t0, t1), [beta0],
-                     method="DOP853", rtol=_ODE_RTOL, atol=_ODE_ATOL,
-                     dense_output=True)
+def _integrate_stage1(profile, kappa_i, t0, beta0, t1) -> OdeSolution:
+    """Dense solve of stage 1 over [t0, t1]."""
+    ts, steps = [t0], []
+    for t, _, dense in _dop853_steps(
+            _stage1_rhs(profile, kappa_i), t0, beta0, t1,
+            _ode_breaks(profile, t0, t1),
+            lambda t: InfeasibleSchedule(
+                f"stage-1 integration failed near tau = {t}")):
+        ts.append(t)
+        steps.append(dense)
+    return OdeSolution(ts, steps)
 
 
 def _threshold_bracket(profile: prof.InputProfile, kappa_i: float,
@@ -158,31 +202,26 @@ def _threshold_bracket(profile: prof.InputProfile, kappa_i: float,
     g(tau) = sqrt(r_in(tau)) + beta(tau) on [t0, end], and the stage-1
     solution up to the step holding hi.
 
-    Steps DOP853 from t0 towards end exactly as `solve_ivp` would (same
-    right-hand side, tolerances and t_bound, zero-length steps dropped), and
-    after each step evaluates g with that step's dense output on the points
-    of the fixed 8193-point grid it covers: those in (t_old, t], plus t0 in
-    the first step, as OdeSolution assigns them. The scan is deliberate:
-    slowly varying inputs make g dip below zero and come back, and the
-    integrator's own steps can stride across the whole dip. Stepping stops
-    at the first crossing instead of running to the horizon.
+    Steps DOP853 from t0 towards end with `_dop853_steps` (for an analytic
+    profile exactly as `solve_ivp` would; a table's steps end at its
+    knots), and after each step evaluates g with that step's dense output on
+    the points of the fixed 8193-point grid it covers: those in (t_old, t],
+    plus t0 in the first step, as OdeSolution assigns them. The scan is
+    deliberate: slowly varying inputs make g dip below zero and come back,
+    and the integrator's own steps can stride across the whole dip. Stepping
+    stops at the first crossing instead of running to the horizon.
     """
     grid = np.linspace(t0, end, 8193)
-    solver = DOP853(_stage1_rhs(profile, kappa_i), t0, [beta0], end,
-                    rtol=_ODE_RTOL, atol=_ODE_ATOL)
     ts, steps = [t0], []
     done = 0            # grid points scanned so far
     g_last = 0.0        # g at the last of them
-    while solver.status == "running":
-        solver.step()
-        if solver.status == "failed":
-            raise NoThreshold(f"stage-1 integration failed near tau = {solver.t}")
-        if solver.t == ts[-1]:
-            continue
-        dense = solver.dense_output()
-        ts.append(solver.t)
+    for t, _, dense in _dop853_steps(
+            _stage1_rhs(profile, kappa_i), t0, beta0, end,
+            _ode_breaks(profile, t0, end),
+            lambda t: NoThreshold(f"stage-1 integration failed near tau = {t}")):
+        ts.append(t)
         steps.append(dense)
-        stop = int(np.searchsorted(grid, solver.t, side="right"))
+        stop = int(np.searchsorted(grid, t, side="right"))
         if stop == done:
             continue
         g = np.sqrt(prof.rate_at(profile, grid[done:stop])) \
@@ -458,23 +497,36 @@ def _integrate_stage2(profile, kappa_i, tau_c, end):
     The event triggers at half the feasibility slack and carries an additive
     floor of 1e-13: once both the population and the input rate have decayed
     below the integrator's absolute tolerance, the ratio r_in/beta^2 is pure
-    noise and must not be mistaken for a violation.
+    noise and must not be mistaken for a violation. It is located by
+    `solve_ivp`'s rule: in the first step with g >= 0 >= g_new, by `brentq`
+    on that step's dense output; the solution then ends at the root.
     """
     rhs = lambda t, y: [prof.rate_at(profile, t) - kappa_i * y[0]]
 
     def violation(t, y):
-        return (1.0 + 0.5 * _KAPPA_SLACK) * y[0] - prof.rate_at(profile, t) + 1e-13
+        return (1.0 + 0.5 * _KAPPA_SLACK) * y - prof.rate_at(profile, t) + 1e-13
 
-    violation.terminal = True
-    violation.direction = -1.0
-
-    sol = solve_ivp(rhs, (tau_c, end), [prof.rate_at(profile, tau_c)],
-                    method="DOP853", rtol=_ODE_RTOL, atol=_ODE_ATOL,
-                    dense_output=True, events=violation)
-    if sol.status < 0:
-        raise InfeasibleSchedule(f"stage-2 integration failed near tau = {sol.t[-1]}")
-    t_violation = float(sol.t_events[0][0]) if len(sol.t_events[0]) else None
-    return sol.sol, t_violation
+    y0 = prof.rate_at(profile, tau_c)
+    ts, steps = [tau_c], []
+    g = violation(tau_c, y0)
+    for t, y, dense in _dop853_steps(
+            rhs, tau_c, y0, end, _ode_breaks(profile, tau_c, end),
+            lambda t: InfeasibleSchedule(
+                f"stage-2 integration failed near tau = {t}")):
+        steps.append(dense)
+        g_new = violation(t, y)
+        if g >= 0.0 >= g_new:
+            root = brentq(lambda s: violation(s, dense(s)[0]), dense.t_old, t,
+                          xtol=4 * _EPS, rtol=4 * _EPS)
+            if root == ts[-1] and len(ts) > 1:
+                # solve_ivp's rule for a root at the step's start
+                steps.pop()
+            else:
+                ts.append(root)
+            return OdeSolution(ts, steps), root
+        ts.append(t)
+        g = g_new
+    return OdeSolution(ts, steps), None
 
 
 def build_schedule(profile: prof.InputProfile,
@@ -492,10 +544,7 @@ def build_schedule(profile: prof.InputProfile,
             first_tau_c = tau_c
         sol1 = _integrate_stage1(profile, params.kappa_i, t_start, beta_start,
                                  tau_c)
-        if sol1.status < 0:
-            raise InfeasibleSchedule(
-                f"stage-1 integration failed near tau = {sol1.t[-1]}")
-        segments.append(_Segment(1, t_start, tau_c, sol1.sol))
+        segments.append(_Segment(1, t_start, tau_c, sol1))
         sol2, t_violation = _integrate_stage2(profile, params.kappa_i, tau_c, end)
         if t_violation is None:
             segments.append(_Segment(2, tau_c, end, sol2))

@@ -95,6 +95,18 @@ def test_singular_coupling_maps_to_infeasible_exit(tmp_path, capsys):
     assert "infeasible:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["schedule", "simulate"])
+def test_kappa_i_above_validated_range_warns(command, tmp_path, capsys):
+    # the warning flags the input; the run and its exit code are unchanged
+    assert cli.main([command, "--profile", "exp:r=0.3", "--kappa-i", "0.05",
+                     "--samples", "201", "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ("warning: --kappa-i 0.05 lies above "
+                                       "the validated range kappa_i <= 0.01\n")
+    for kappa_i in (0.0, 1e-4, 1e-2):    # 0 is the default, the lossless limit
+        assert cli._memory_params(kappa_i).kappa_i == kappa_i
+        assert capsys.readouterr().err == ""
+
+
 def test_no_peak_maps_to_infeasible_exit(tmp_path, capsys, monkeypatch):
     def no_peak(*args, **kwargs):
         raise NoPeak("population slope never crosses zero")

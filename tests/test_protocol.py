@@ -9,16 +9,19 @@ from __future__ import annotations
 
 import functools
 import math
+import random
 
 import numpy as np
 import pytest
 from scipy.integrate import DenseOutput, OdeSolution, solve_ivp
+from scipy.integrate._ivp import rk
 from scipy.optimize import brentq
 
 from pulsecatch import closedform as cf
 from pulsecatch import profiles as prof
 from pulsecatch import protocol as proto
-from pulsecatch.errors import DomainError, NoThreshold, SingularCoupling
+from pulsecatch.errors import (DomainError, InfeasibleSchedule, NoThreshold,
+                               SingularCoupling)
 
 
 def _params(ki: float = 1e-4) -> prof.MemoryParams:
@@ -114,16 +117,23 @@ def test_tabulated_resampling_reproduces_exponential_threshold():
 def _whole_window_threshold(profile, kappa_i, t_start, beta_start, end):
     """The threshold search done the long way: one dense stage-1 solve over
     the whole window [t0, end], a scan of g = sqrt(r_in) + beta on 8193
-    points, and the same polish. Returns (t0, beta0, lo, hi, tau_c, sol)."""
+    points, and the same polish. Returns (t0, beta0, lo, hi, tau_c, sol).
+
+    An analytic profile is solved by `solve_ivp`; a table by the knot-aligned
+    stage-1 solve, run to the end of the window."""
     a = 0.5 * (1.0 + kappa_i)
     t0 = max(t_start, proto._activation_time(profile))
     beta0 = beta_start * math.exp(-a * (t0 - t_start)) if t0 > t_start else beta_start
-    rhs = lambda t, y: [-math.sqrt(prof.rate_at(profile, t)) - a * y[0]]
-    whole = solve_ivp(rhs, (t0, end), [beta0], method="DOP853", rtol=1e-12,
-                      atol=1e-14, dense_output=True)
-    assert whole.status == 0
-    ts = np.linspace(t0, float(whole.t[-1]), 8193)
-    g = np.sqrt(prof.rate_at(profile, ts)) + whole.sol(ts)[0]
+    if profile.kind == prof.TABULATED:
+        whole = proto._integrate_stage1(profile, kappa_i, t0, beta0, end)
+    else:
+        rhs = lambda t, y: [-math.sqrt(prof.rate_at(profile, t)) - a * y[0]]
+        ivp = solve_ivp(rhs, (t0, end), [beta0], method="DOP853", rtol=1e-12,
+                        atol=1e-14, dense_output=True)
+        assert ivp.status == 0
+        whole = ivp.sol
+    ts = np.linspace(t0, float(whole.ts[-1]), 8193)
+    g = np.sqrt(prof.rate_at(profile, ts)) + whole(ts)[0]
     i = int(np.flatnonzero((g[:-1] > 0.0) & (g[1:] <= 0.0))[0])
     lo, hi = float(ts[i]), float(ts[i + 1])
 
@@ -134,10 +144,10 @@ def _whole_window_threshold(profile, kappa_i, t_start, beta_start, end):
     if g_quad(lo) > 0.0 > g_quad(hi):
         tau_c = brentq(g_quad, lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200)
     else:
-        beta = proto._float_dense(whole.sol)
+        beta = proto._float_dense(whole)
         tau_c = brentq(lambda t: math.sqrt(prof.rate_at(profile, t)) + beta(t),
                        lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200)
-    return t0, beta0, lo, hi, tau_c, whole.sol
+    return t0, beta0, lo, hi, tau_c, whole
 
 
 @pytest.mark.parametrize("case", ["exp_point", "gauss", "delayed", "resumed"])
@@ -207,6 +217,199 @@ def test_stage1_solver_failure_is_no_threshold(monkeypatch):
     assert float(str(exc.value).rsplit("= ", 1)[1]) <= 0.5
     with pytest.raises(NoThreshold, match="stage-1 integration failed"):
         proto.build_schedule(p, _params())
+
+
+# ---------------------------------------------------------------------------
+# knot-aligned stepping
+# ---------------------------------------------------------------------------
+
+def _catch_table(seed: int, faint: bool) -> prof.InputProfile:
+    """The benchmark's tabulated two-hump pulse (`multi_hump` in
+    perfbench/workloads.py) for random.Random(seed): knots every 0.02 on
+    [0, 30]; a faint early hump resumes stage 1."""
+    rng = random.Random(seed)
+    taus = np.linspace(0.0, 30.0, 1501)
+    c1, c2 = rng.uniform(3.0, 5.0), rng.uniform(17.0, 22.0)
+    w1, w2 = rng.uniform(0.9, 1.2), rng.uniform(0.9, 1.2)
+    a1 = rng.uniform(0.01, 0.06) if faint else rng.uniform(0.3, 0.6)
+    rates = a1 * np.exp(-0.5 * ((taus - c1) / w1) ** 2) \
+        + (1.0 - a1) * np.exp(-0.5 * ((taus - c2) / w2) ** 2)
+    rates /= np.trapezoid(rates, taus)
+    return prof.tabulated(taus, rates)
+
+
+def _coarse_table(seed: int) -> tuple[prof.InputProfile, prof.MemoryParams]:
+    """Two Gaussian humps sampled every 0.1 (401 knots on [0, 40]), widths
+    0.8-1.5, with a log-uniform kappa_i in [1e-5, 1e-2]."""
+    rng = np.random.default_rng(seed)
+    taus = np.linspace(0.0, 40.0, 401)
+    c1, c2 = rng.uniform(3.0, 8.0), rng.uniform(15.0, 30.0)
+    w1, w2 = rng.uniform(0.8, 1.5, size=2)
+    a1 = rng.uniform(0.02, 0.6)
+    rates = a1 * np.exp(-0.5 * ((taus - c1) / w1) ** 2) \
+        + (1.0 - a1) * np.exp(-0.5 * ((taus - c2) / w2) ** 2)
+    ki = 10.0 ** rng.uniform(-5.0, -2.0)
+    return (prof.tabulated(taus, rates / np.trapezoid(rates, taus)),
+            prof.MemoryParams(kappa_i=ki))
+
+
+def _solve_ivp_segment(profile, kappa_i, seg, beta0, end):
+    """A schedule segment solved by `solve_ivp`: stage 1 over [t0, t1] from
+    beta0, stage 2 from t0 towards end with the kappa > 1 violation event."""
+    opts = dict(method="DOP853", rtol=1e-12, atol=1e-14, dense_output=True)
+    if seg.stage == 1:
+        a = 0.5 * (1.0 + kappa_i)
+        return solve_ivp(
+            lambda t, y: [-math.sqrt(prof.rate_at(profile, t)) - a * y[0]],
+            (seg.t0, seg.t1), [beta0], **opts)
+
+    def violation(t, y):
+        return (1.0 + 0.5 * 1e-9) * y[0] - prof.rate_at(profile, t) + 1e-13
+
+    violation.terminal = True
+    violation.direction = -1.0
+    return solve_ivp(lambda t, y: [prof.rate_at(profile, t) - kappa_i * y[0]],
+                     (seg.t0, end), [prof.rate_at(profile, seg.t0)],
+                     events=violation, **opts)
+
+
+@pytest.mark.parametrize("case", ["exp_point", "gauss", "resumed"])
+def test_stepping_without_breaks_equals_solve_ivp(case, monkeypatch):
+    """With no break points every stage solve is `solve_ivp` bit for bit:
+    the same steps, dense output, violation time and status. The double hump
+    (a table) is built here without its knots; its first stage-2 solve ends
+    at the violation event."""
+    monkeypatch.setattr(proto, "_ode_breaks", lambda profile, a, b: [])
+    profile, params = _schedule(case).profile, _params()
+    sch = proto.build_schedule(profile, params)
+    if case == "resumed":
+        assert [seg.stage for seg in sch.segments] == [1, 2, 1, 2]
+    beta0 = 0.0
+    for i, seg in enumerate(sch.segments):
+        ref = _solve_ivp_segment(profile, params.kappa_i, seg, beta0,
+                                 sch.horizon)
+        assert np.array_equal(seg.sol.ts, ref.t), i
+        ends = ref.t
+        old = proto._float_dense(ref.sol)
+        for t in np.concatenate([ends, np.nextafter(ends, -np.inf),
+                                 np.nextafter(ends, np.inf)]).tolist():
+            assert seg.at(t) == old(t), (i, t)
+        if seg.stage == 2 and i < len(sch.segments) - 1:
+            assert ref.status == 1
+            assert seg.t1 == ref.t_events[0][0]
+            beta0 = -math.sqrt(seg.at(seg.t1))
+        else:
+            assert ref.status == 0 and seg.t1 == ref.t[-1]
+
+
+def test_table_steps_end_at_knots():
+    """No step of the threshold scan or of any segment straddles a knot, and
+    every knot inside a segment is one of its step ends."""
+    sch = _schedule("resumed")
+    knots = sch.profile.taus
+    scan = proto._threshold_bracket(sch.profile, sch.params.kappa_i, 0.0, 0.0,
+                                    sch.horizon)[2]
+    for sol in [scan] + [seg.sol for seg in sch.segments]:
+        for step in sol.interpolants:
+            assert not np.any((knots > step.t_old) & (knots < step.t))
+    for seg in sch.segments:
+        inside = knots[(knots > seg.t0) & (knots < seg.t1)]
+        assert np.isin(inside, seg.sol.ts).all()
+
+
+def test_table_steps_are_rarely_rejected(monkeypatch):
+    """On the benchmark's faint two-hump table, the trial steps make at most
+    1.1 x 12 right-hand-side calls per accepted step (DOP853 makes 12 per
+    trial; stepping across the knots made about 2.3 x 12)."""
+    rk_step, stepping = rk.rk_step, proto._dop853_steps
+    rhs_calls, accepted = [0], [0]
+
+    def counting_rk_step(fun, *args):
+        def counted(t, y):
+            rhs_calls[0] += 1
+            return fun(t, y)
+        return rk_step(counted, *args)
+
+    def counting_stepping(*args):
+        for step in stepping(*args):
+            accepted[0] += 1
+            yield step
+
+    monkeypatch.setattr(rk, "rk_step", counting_rk_step)
+    monkeypatch.setattr(proto, "_dop853_steps", counting_stepping)
+    sch = proto.build_schedule(_catch_table(3, faint=True), _params())
+    assert "feasibility_resumed" in sch.flags
+    assert accepted[0] > 1000
+    assert rhs_calls[0] <= 1.1 * 12 * accepted[0]
+
+
+def _segment_end_gaps(sch: proto.CouplingSchedule):
+    """(stage, dense value, quadrature value) at the end of each segment:
+    beta by `_stage1_beta_quad` from the segment's start, beta^2 by
+    `stage2_population`."""
+    for seg in sch.segments:
+        if seg.stage == 1:
+            quad_value = proto._stage1_beta_quad(
+                sch.profile, sch.params.kappa_i, seg.t0, seg.at(seg.t0), seg.t1)
+        else:
+            quad_value = proto.stage2_population(sch.profile, sch.params,
+                                                 seg.t0, seg.t1)
+        yield seg.stage, seg.at(seg.t1), quad_value
+
+
+def _budget_total(sch: proto.CouplingSchedule) -> float:
+    rep = proto.peak_time_and_fidelity(sch.profile, sch.params, sch)
+    return (rep.fidelity + rep.loss_stage1_reflection + rep.loss_intrinsic
+            + rep.loss_unabsorbed)
+
+
+@pytest.mark.parametrize("case", ["resumed", "faint", "twin"])
+def test_table_segment_ends_match_quadrature(case):
+    """Tables with knots every 0.02: the dense solution ends every segment
+    within 1e-13 of its quadrature form."""
+    if case == "resumed":
+        sch = _schedule("resumed")
+    else:
+        sch = proto.build_schedule(_catch_table(3, faint=case == "faint"),
+                                   _params())
+    for stage, dense, quad_value in _segment_end_gaps(sch):
+        assert abs(dense - quad_value) <= 1e-13, stage
+    assert _budget_total(sch) == pytest.approx(1.0, abs=1e-13)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_coarse_table_closes_loss_budget(seed):
+    """Two-hump tables sampled every 0.1 close the loss budget within the
+    1e-8 contract. Each stage-2 segment ends within 1e-13 of
+    `stage2_population`; each stage-1 segment within the integrator's
+    relative tolerance of `_stage1_beta_quad` (its steps are shorter than a
+    knot interval here, so the global error builds up to about 1e-13)."""
+    sch = proto.build_schedule(*_coarse_table(seed))
+    assert _budget_total(sch) == pytest.approx(1.0, abs=1e-8)
+    for stage, dense, quad_value in _segment_end_gaps(sch):
+        bound = 1e-13 if stage == 2 else proto._ODE_RTOL * abs(quad_value)
+        assert abs(dense - quad_value) <= bound, stage
+
+
+def test_stage_solver_failures_are_infeasible(monkeypatch):
+    p = prof.exponential(0.036)
+    rhs, rate = proto._stage1_rhs, prof.rate_at
+
+    def broken(profile, kappa_i):
+        f = rhs(profile, kappa_i)
+        return lambda t, y: [math.nan] if t > 0.5 else f(t, y)
+
+    monkeypatch.setattr(proto, "_stage1_rhs", broken)
+    with pytest.raises(InfeasibleSchedule,
+                       match="stage-1 integration failed") as exc:
+        proto._integrate_stage1(p, 1e-4, 0.0, 0.0, 1.0)
+    assert float(str(exc.value).rsplit("= ", 1)[1]) <= 0.5
+    monkeypatch.setattr(prof, "rate_at", lambda profile, t: math.nan
+                        if t > 2.0 else rate(profile, t))
+    with pytest.raises(InfeasibleSchedule,
+                       match="stage-2 integration failed") as exc:
+        proto._integrate_stage2(p, 1e-4, 1.0, 50.0)
+    assert 1.0 < float(str(exc.value).rsplit("= ", 1)[1]) <= 2.0
 
 
 # ---------------------------------------------------------------------------
