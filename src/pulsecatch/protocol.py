@@ -84,12 +84,41 @@ def stage2_population(profile: prof.InputProfile, params: prof.MemoryParams,
     """
     if tau < tau_c:
         raise DomainError("stage2_population requires tau >= tau_c")
-    k = params.kappa_i
-    seed = prof.rate_at(profile, tau_c) * math.exp(-k * (tau - tau_c))
+    return _stage2_pop(profile, params.kappa_i, tau_c,
+                       prof.rate_at(profile, tau_c), tau)
+
+
+def _stage2_pop(profile: prof.InputProfile, k: float, t0: float, pop0: float,
+                tau: float) -> float:
+    """Stage-2 population beta^2(tau) from beta^2(t0) = pop0."""
+    seed = pop0 * math.exp(-k * (tau - t0))
     f = lambda s: math.exp(-k * (tau - s)) * prof.rate_at(profile, s)
-    integral = prof._quad_chunked(f, tau_c, tau,
-                                  prof._interior_breaks(profile, tau_c, tau))
+    integral = prof._quad_chunked(f, t0, tau,
+                                  prof._interior_breaks(profile, t0, tau))
     return seed + integral
+
+
+# Both stage equations are linear, so a quadrature form can restart at any
+# t_a from its value there. A root polish on [lo, hi] anchors at the last ODE
+# break (table knot) in (t0, lo), else t0, with one quadrature from t0; each
+# evaluation then integrates only from t_a. Analytic profiles have no breaks:
+# t_a = t0 with the exact seed, so every value is the full-window one.
+
+def _stage1_anchored(profile: prof.InputProfile, kappa_i: float, t0: float,
+                     beta0: float, lo: float) -> Callable[[float], float]:
+    """tau -> stage-1 beta(tau) for tau >= lo from beta(t0) = beta0."""
+    t_a = (_ode_breaks(profile, t0, lo) or [t0])[-1]
+    beta_a = _stage1_beta_quad(profile, kappa_i, t0, beta0, t_a, epsabs=1e-13)
+    return lambda t: _stage1_beta_quad(profile, kappa_i, t_a, beta_a, t,
+                                       epsabs=1e-13)
+
+
+def _stage2_anchored(profile: prof.InputProfile, params: prof.MemoryParams,
+                     t0: float, lo: float) -> Callable[[float], float]:
+    """tau -> beta^2(tau) for tau >= lo in the stage-2 stretch from t0."""
+    t_a = (_ode_breaks(profile, t0, lo) or [t0])[-1]
+    pop_a = stage2_population(profile, params, t0, t_a)
+    return lambda t: _stage2_pop(profile, params.kappa_i, t_a, pop_a, t)
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +274,12 @@ def _first_threshold(profile: prof.InputProfile, kappa_i: float,
     `_threshold_bracket` steps the stage-1 amplitude only until the grid
     scan of g(tau) = sqrt(r_in(tau)) + beta(tau) finds its first downward
     crossing (beta <= 0, so g hits zero exactly at the threshold). The
-    bracketed root is then polished on the quadrature form of g, making the
-    result independent of the ODE route.
+    bracketed root is then polished on the quadrature form of g, not on the
+    dense ODE output, which the quadrature oracle checks. The polish anchors
+    at the last table knot before the bracket (`_stage1_anchored`), so each
+    step integrates from there, not from t_start; an analytic profile
+    anchors at t_start with beta_start as the exact seed, so its root is the
+    full-window one bitwise.
     """
     a = 0.5 * (1.0 + kappa_i)
 
@@ -262,11 +295,8 @@ def _first_threshold(profile: prof.InputProfile, kappa_i: float,
         raise NoThreshold("input activates only beyond the search horizon")
 
     lo, hi, sol = _threshold_bracket(profile, kappa_i, t0, beta0, end)
-
-    def g_quad(t):
-        beta = _stage1_beta_quad(profile, kappa_i, t_start, beta_start, t,
-                                 epsabs=1e-13)
-        return math.sqrt(prof.rate_at(profile, t)) + beta
+    beta_quad = _stage1_anchored(profile, kappa_i, t_start, beta_start, lo)
+    g_quad = lambda t: math.sqrt(prof.rate_at(profile, t)) + beta_quad(t)
 
     if g_quad(lo) > 0.0 > g_quad(hi):
         return brentq(g_quad, lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200)
@@ -298,6 +328,11 @@ class _Segment:
     def at(self) -> Callable[[float], float]:
         """Float evaluation of `sol`, bitwise equal to float(sol(t)[0])."""
         return _float_dense(self.sol)
+
+    def beta_sq(self, t: float) -> float:
+        """Stored population at a float t inside the segment."""
+        val = self.at(t)
+        return val * val if self.stage == 1 else max(val, 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -398,11 +433,7 @@ class CouplingSchedule:
         if tau > self.horizon:
             return stage2_population(self.profile, self.params,
                                      self.last_tau_c, tau)
-        seg = self._segment_at(tau)
-        val = seg.at(tau)
-        if seg.stage == 1:
-            return val * val
-        return max(val, 0.0)
+        return self._segment_at(tau).beta_sq(tau)
 
     def beta(self, tau):
         """Memory amplitude (<= 0) at any tau >= 0 (a float or an array)."""
@@ -592,45 +623,31 @@ class TransferReport:
     flags: tuple[str, ...] = ()
 
 
-def _reflection_loss(schedule: CouplingSchedule, tau_max: float) -> float:
-    """Integral of r_out over the stage-1 parts of [0, tau_max]."""
-    total = 0.0
-    profile = schedule.profile
+def _losses(schedule: CouplingSchedule, tau_max: float) -> tuple[float, float]:
+    """Stage-1 reflection, the integral of r_out over the stage-1 parts of
+    [0, tau_max], and intrinsic loss, kappa_i times the integral of beta^2."""
+    profile, k = schedule.profile, schedule.params.kappa_i
+    reflection = intrinsic = 0.0
     for seg in schedule.segments:
         hi = min(seg.t1, tau_max)
         if hi <= seg.t0:
             break
-        if seg.stage != 1:
-            continue
+        breaks = prof._interior_breaks(profile, seg.t0, hi)
+        if seg.stage == 1:
 
-        def r_out(s, _beta=seg.at):
-            w = _beta(s) + math.sqrt(prof.rate_at(profile, s))
-            return w * w
+            def r_out(s, _beta=seg.at):
+                w = _beta(s) + math.sqrt(prof.rate_at(profile, s))
+                return w * w
 
-        total += prof._quad_chunked(r_out, seg.t0, hi,
-                                    prof._interior_breaks(profile, seg.t0, hi))
-    return total
-
-
-def _intrinsic_loss(schedule: CouplingSchedule, tau_max: float) -> float:
-    k = schedule.params.kappa_i
-    if k == 0.0:
-        return 0.0
-    total = 0.0
-    for seg in schedule.segments:
-        hi = min(seg.t1, tau_max)
-        if hi <= seg.t0:
-            break
-        total += prof._quad_chunked(
-            lambda s: schedule.beta_sq(s), seg.t0, hi,
-            prof._interior_breaks(schedule.profile, seg.t0, hi))
-        if hi < seg.t1:
-            break
-    if tau_max > schedule.horizon:
+            reflection += prof._quad_chunked(r_out, seg.t0, hi, breaks)
+        if k != 0.0:
+            # Quadrature nodes lie inside (t0, hi), so this is schedule.beta_sq.
+            intrinsic += prof._quad_chunked(seg.beta_sq, seg.t0, hi, breaks)
+    if k != 0.0 and tau_max > schedule.horizon:
         # The input is extinct past the horizon: one interval, no breaks.
-        total += quad(lambda s: schedule.beta_sq(s), schedule.horizon, tau_max,
-                      limit=200, epsabs=1e-10, epsrel=1e-12)[0]
-    return k * total
+        intrinsic += quad(schedule.beta_sq, schedule.horizon, tau_max,
+                          limit=200, epsabs=1e-10, epsrel=1e-12)[0]
+    return reflection, k * intrinsic
 
 
 def _slope(schedule: CouplingSchedule, ts: np.ndarray) -> np.ndarray:
@@ -649,22 +666,23 @@ def _slope(schedule: CouplingSchedule, ts: np.ndarray) -> np.ndarray:
                     rate - k * np.where(b < 0.0, 0.0, b))
 
 
-def _stage2_slope(schedule: CouplingSchedule, tau_c: float, t: float) -> float:
-    """Stage-2 slope r_in - kappa_i beta^2 (r_out = 0) with beta^2 taken by
-    quadrature from the threshold tau_c, independent of the dense ODE output."""
-    return prof.rate_at(schedule.profile, t) - schedule.params.kappa_i \
-        * stage2_population(schedule.profile, schedule.params, tau_c, t)
-
-
-def _local_maxima(schedule: CouplingSchedule) -> list[float]:
-    """All taus in [tau_c, horizon] where the slope crosses zero downward.
+def _local_maxima(schedule: CouplingSchedule) -> list[tuple[float, float]]:
+    """(tau, beta^2(tau)) at every tau in [tau_c, horizon] where the slope
+    crosses zero downward.
 
     Log-spaced offsets from tau_c: the peak can sit anywhere between just
     past the threshold (strong damping) and far in the tail (weak damping),
     and a uniform grid over a long horizon would step right over early ones.
     A multi-hump input can produce several local maxima (population dips in
     resumed stage-1 windows), so all crossings are collected.
+
+    In a stage-2 stretch the root of r_in - kappa_i beta^2 is polished with
+    beta^2 by quadrature, not by the dense ODE output, which the quadrature
+    oracle checks. It anchors once per bracket at the last table knot before
+    it (`_stage2_anchored`), and the peak's beta^2 comes from that anchor; an
+    analytic profile anchors at the threshold, bitwise the full window.
     """
+    profile, params = schedule.profile, schedule.params
     lo, hi = schedule.tau_c, schedule.horizon
     delta0 = 1e-6 * max(lo, 1.0)
     ts = lo + np.geomspace(delta0, hi - lo, 4097)
@@ -677,23 +695,29 @@ def _local_maxima(schedule: CouplingSchedule) -> list[float]:
         seg = schedule._segment_at(0.5 * (a + b))
         root = None
         if seg.stage == 2:
-            # Polish on the quadrature form so the result does not depend on
-            # the dense ODE output.
-            h = lambda t: _stage2_slope(schedule, seg.t0, t)
+            pop = _stage2_anchored(profile, params, seg.t0, a)
+            h = lambda t: prof.rate_at(profile, t) - params.kappa_i * pop(t)
             if h(a) > 0.0 >= h(b):
                 root = brentq(h, a, b, xtol=1e-10, rtol=8.9e-16, maxiter=200)
         if root is None:
             root = brentq(lambda t: float(_slope(schedule, np.array([t]))[0]),
                           a, b, xtol=1e-10, rtol=8.9e-16, maxiter=200)
-        peaks.append(float(root))
+        root = float(root)
+        in_seg = seg.stage == 2 and schedule._segment_at(root) is seg
+        peaks.append((root, pop(root) if in_seg
+                      else _population_at(schedule, root)))
         if len(peaks) >= 64:
             break
     return peaks
 
 
-def _tail_peak(schedule: CouplingSchedule) -> float:
-    """Peak search past the horizon, where the input is effectively extinct."""
-    tail_slope = lambda t: _stage2_slope(schedule, schedule.last_tau_c, t)
+def _tail_peak(schedule: CouplingSchedule) -> tuple[float, float]:
+    """(tau, beta^2(tau)) at the peak past the horizon, where the input is
+    effectively extinct; beta^2 is anchored once, before the horizon."""
+    pop = _stage2_anchored(schedule.profile, schedule.params,
+                           schedule.last_tau_c, schedule.horizon)
+    tail_slope = lambda t: prof.rate_at(schedule.profile, t) \
+        - schedule.params.kappa_i * pop(t)
     left = schedule.horizon
     width = max(schedule.horizon - schedule.tau_c, 1.0)
     for _ in range(64):
@@ -702,19 +726,18 @@ def _tail_peak(schedule: CouplingSchedule) -> float:
         vals = [tail_slope(t) for t in ts]
         for i in range(1, len(ts)):
             if vals[i - 1] > 0.0 >= vals[i]:
-                return brentq(tail_slope, float(ts[i - 1]), float(ts[i]),
-                              xtol=1e-10, rtol=8.9e-16, maxiter=200)
+                t = brentq(tail_slope, float(ts[i - 1]), float(ts[i]),
+                           xtol=1e-10, rtol=8.9e-16, maxiter=200)
+                return t, pop(t)
         left = right
         width *= 2.0
     raise NoPeak("population slope never crosses zero")
 
 
 def _population_at(schedule: CouplingSchedule, tau: float) -> float:
-    """beta^2(tau), via quadrature when tau lies in a stage-2 region so the
-    reported fidelity does not depend on the dense ODE output."""
-    if tau > schedule.horizon:
-        return stage2_population(schedule.profile, schedule.params,
-                                 schedule.last_tau_c, tau)
+    """beta^2(tau) for tau <= horizon, via quadrature when tau lies in a
+    stage-2 region so the reported fidelity does not depend on the dense ODE
+    output."""
     seg = schedule._segment_at(tau)
     if seg.stage == 2:
         return stage2_population(schedule.profile, schedule.params,
@@ -735,8 +758,7 @@ def peak_time_and_fidelity(profile: prof.InputProfile, params: prof.MemoryParams
     k = params.kappa_i
     flags = schedule.flags
 
-    candidates = [(t, _population_at(schedule, t))
-                  for t in _local_maxima(schedule)]
+    candidates = _local_maxima(schedule)
     if k == 0.0:
         tau_c_last = schedule.last_tau_c
         total = prof.total_excitation(profile, math.inf)
@@ -744,25 +766,18 @@ def peak_time_and_fidelity(profile: prof.InputProfile, params: prof.MemoryParams
             + (total - prof.total_excitation(profile, tau_c_last))
         candidates.append((math.inf, limit))
     elif not candidates:
-        t = _tail_peak(schedule)
-        candidates.append((t, _population_at(schedule, t)))
+        candidates.append(_tail_peak(schedule))
 
     # On exact ties, prefer the earliest attainment.
     tau_max, fidelity = max(candidates, key=lambda tf: (tf[1], -tf[0]))
 
-    if math.isinf(tau_max):
-        unabsorbed = 1.0 - prof.total_excitation(profile, math.inf)
-        intrinsic = 0.0
-    else:
-        unabsorbed = 1.0 - prof.total_excitation(profile, tau_max)
-        intrinsic = _intrinsic_loss(schedule, tau_max)
-
+    reflection, intrinsic = _losses(schedule, tau_max)
     return TransferReport(
         tau_c=schedule.tau_c,
         tau_max=tau_max,
         fidelity=fidelity,
-        loss_stage1_reflection=_reflection_loss(schedule, tau_max),
+        loss_stage1_reflection=reflection,
         loss_intrinsic=intrinsic,
-        loss_unabsorbed=unabsorbed,
+        loss_unabsorbed=1.0 - prof.total_excitation(profile, tau_max),
         flags=flags,
     )

@@ -119,8 +119,10 @@ def _whole_window_threshold(profile, kappa_i, t_start, beta_start, end):
     the whole window [t0, end], a scan of g = sqrt(r_in) + beta on 8193
     points, and the same polish. Returns (t0, beta0, lo, hi, tau_c, sol).
 
-    An analytic profile is solved by `solve_ivp`; a table by the knot-aligned
-    stage-1 solve, run to the end of the window."""
+    An analytic profile is solved by `solve_ivp` and polished on the
+    quadrature from t_start. A table is solved by the knot-aligned stage-1
+    solve, run to the end of the window, and polished on the quadrature
+    picked up at its last knot before lo."""
     a = 0.5 * (1.0 + kappa_i)
     t0 = max(t_start, proto._activation_time(profile))
     beta0 = beta_start * math.exp(-a * (t0 - t_start)) if t0 > t_start else beta_start
@@ -136,10 +138,15 @@ def _whole_window_threshold(profile, kappa_i, t_start, beta_start, end):
     g = np.sqrt(prof.rate_at(profile, ts)) + whole(ts)[0]
     i = int(np.flatnonzero((g[:-1] > 0.0) & (g[1:] <= 0.0))[0])
     lo, hi = float(ts[i]), float(ts[i + 1])
+    t_a, beta_a = t_start, beta_start
+    if profile.kind == prof.TABULATED:
+        t_a = max([t_start] + [t for t in profile.taus.tolist() if t < lo])
+        beta_a = proto._stage1_beta_quad(profile, kappa_i, t_start, beta_start,
+                                         t_a, epsabs=1e-13)
 
     def g_quad(t):
         return math.sqrt(prof.rate_at(profile, t)) + proto._stage1_beta_quad(
-            profile, kappa_i, t_start, beta_start, t, epsabs=1e-13)
+            profile, kappa_i, t_a, beta_a, t, epsabs=1e-13)
 
     if g_quad(lo) > 0.0 > g_quad(hi):
         tau_c = brentq(g_quad, lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200)
@@ -410,6 +417,181 @@ def test_stage_solver_failures_are_infeasible(monkeypatch):
                        match="stage-2 integration failed") as exc:
         proto._integrate_stage2(p, 1e-4, 1.0, 50.0)
     assert 1.0 < float(str(exc.value).rsplit("= ", 1)[1]) <= 2.0
+
+
+# ---------------------------------------------------------------------------
+# anchored quadrature polish
+# ---------------------------------------------------------------------------
+
+def _resumed_analytic() -> proto.CouplingSchedule:
+    """The Gauss operating point with a resumed stage 1: stage 2 from the
+    first threshold to the pulse centre, stage 1 again from beta = -0.2
+    there, and stage 2 from the second threshold. Analytic pulses never
+    violate kappa <= 1 themselves; this gives their polishes a stretch that
+    starts at a resumed threshold."""
+    sch = _schedule("gauss")
+    profile, k, end = sch.profile, sch.params.kappa_i, sch.horizon
+    t_v, beta_v = profile.tau0, -0.2
+    tau_c2 = proto._first_threshold(profile, k, t_v, beta_v, end)
+    sol2, violation = proto._integrate_stage2(profile, k, tau_c2, end)
+    assert violation is None
+    first, second = sch.segments
+    segments = (first, proto._Segment(2, second.t0, t_v, second.sol),
+                proto._Segment(1, t_v, tau_c2, proto._integrate_stage1(
+                    profile, k, t_v, beta_v, tau_c2)),
+                proto._Segment(2, tau_c2, end, sol2))
+    return proto.CouplingSchedule(profile, sch.params, sch.tau_c, segments,
+                                  end, ("feasibility_resumed",))
+
+
+def _maxima_brackets(sch: proto.CouplingSchedule):
+    """`_local_maxima`'s brackets: the downward slope crossings on its
+    log-spaced grid, each with the segment holding its midpoint."""
+    lo, hi = sch.tau_c, sch.horizon
+    ts = lo + np.geomspace(1e-6 * max(lo, 1.0), hi - lo, 4097)
+    vals = proto._slope(sch, ts)
+    for i in np.flatnonzero((vals[:-1] > 0.0) & (vals[1:] <= 0.0)).tolist():
+        a, b = float(ts[i]), float(ts[i + 1])
+        yield a, b, sch._segment_at(0.5 * (a + b))
+
+
+def _full_window_peaks(sch: proto.CouplingSchedule):
+    """The stage-2 peak polish before anchoring: every slope r_in - kappa_i
+    beta^2 and the peak's population take beta^2 by `stage2_population`
+    from the stretch's threshold. Past the horizon, the same on
+    `_tail_peak`'s scan."""
+    profile, params = sch.profile, sch.params
+
+    def polish(t0, a, b):
+        pop = lambda t: proto.stage2_population(profile, params, t0, t)
+        h = lambda t: prof.rate_at(profile, t) - params.kappa_i * pop(t)
+        if not h(a) > 0.0 >= h(b):
+            return None
+        root = brentq(h, a, b, xtol=1e-10, rtol=8.9e-16, maxiter=200)
+        return root, pop(root)
+
+    peaks = []
+    for a, b, seg in _maxima_brackets(sch):
+        assert seg.stage == 2
+        peaks.append(polish(seg.t0, a, b))
+        assert sch._segment_at(peaks[-1][0]) is seg
+    if peaks:
+        return peaks
+    left, width = sch.horizon, max(sch.horizon - sch.tau_c, 1.0)
+    while width < 1e6:
+        ts = np.linspace(left, left + width, 65).tolist()
+        for a, b in zip(ts, ts[1:]):
+            peak = polish(sch.last_tau_c, a, b)
+            if peak is not None:
+                return [peak]
+        left, width = left + width, 2.0 * width
+    raise AssertionError("no tail peak")
+
+
+@pytest.mark.parametrize("case", ["exp_point", "gauss", "gauss_resumed",
+                                  "exp_tail", "gauss_tail"])
+def test_anchored_polish_equals_full_window_on_analytic_profiles(case):
+    """Analytic profiles have no knots, so each polish anchors at its
+    stretch's start with the exact seed: tau_c, every peak root (past the
+    horizon too, with kappa_i = 1e-26) and the peak population equal the
+    full-window quadrature route's bit for bit."""
+    starts = [(0.0, 0.0)]
+    if case == "gauss_resumed":
+        sch = _resumed_analytic()
+        starts.append((sch.profile.tau0, -0.2))
+    elif case.endswith("_tail"):
+        profile = (prof.exponential(0.2) if case == "exp_tail"
+                   else prof.gaussian(r=0.1533, n=4))
+        sch = proto.build_schedule(profile, _params(1e-26))
+    else:
+        sch = _schedule(case)
+    profile, params = sch.profile, sch.params
+    stage1_ends = [seg.t1 for seg in sch.segments if seg.stage == 1]
+    for (t_start, beta_start), tau_c in zip(starts, stage1_ends, strict=True):
+        old = _whole_window_threshold(profile, params.kappa_i, t_start,
+                                      beta_start, sch.horizon)[4]
+        assert proto._first_threshold(profile, params.kappa_i, t_start,
+                                      beta_start, sch.horizon) == old == tau_c
+    old = _full_window_peaks(sch)
+    new = proto._local_maxima(sch) or [proto._tail_peak(sch)]
+    assert new == old
+    assert case.endswith("_tail") == (old[0][0] > sch.horizon)
+    rep = proto.peak_time_and_fidelity(profile, params, sch)
+    assert (rep.tau_max, rep.fidelity) == max(old, key=lambda p: (p[1], -p[0]))
+
+
+def _table_case(case: str) -> tuple[prof.InputProfile, prof.MemoryParams]:
+    if case == "coarse":
+        return _coarse_table(0)
+    if case == "resumed":
+        return _double_hump(), _params()
+    return _catch_table(3, faint=case == "faint"), _params()
+
+
+@pytest.mark.parametrize("case", ["faint", "twin", "coarse"])
+def test_anchored_polish_matches_full_window_on_tables(case):
+    """On tables the anchored quadratures of beta (in g, each threshold
+    polish) and beta^2 (in h, each stage-2 peak polish) lie within 1e-13 of
+    the full-window ones at the bracket's ends and 5 points inside."""
+    profile, params = _table_case(case)
+    sch = proto.build_schedule(profile, params)
+    k, checked = params.kappa_i, []
+    for seg in sch.segments:
+        if seg.stage != 1:
+            continue
+        beta0 = seg.at(seg.t0)
+        lo, hi, _ = proto._threshold_bracket(profile, k, seg.t0, beta0,
+                                             sch.horizon)
+        assert lo <= seg.t1 <= hi
+        checked.append((lo, hi, seg.t0,
+                        proto._stage1_anchored(profile, k, seg.t0, beta0, lo),
+                        functools.partial(proto._stage1_beta_quad, profile, k,
+                                          seg.t0, beta0, epsabs=1e-13)))
+    for a, b, seg in _maxima_brackets(sch):
+        assert seg.stage == 2
+        checked.append((a, b, seg.t0,
+                        proto._stage2_anchored(profile, params, seg.t0, a),
+                        functools.partial(proto.stage2_population, profile,
+                                          params, seg.t0)))
+    assert len(checked) >= 2
+    for lo, hi, t0, anchored, full_window in checked:
+        assert proto._ode_breaks(profile, t0, lo)      # the anchor is a knot
+        for t in np.linspace(lo, hi, 7).tolist():
+            assert abs(anchored(t) - full_window(t)) <= 1e-13, (lo, t)
+
+
+@pytest.mark.parametrize("case", ["faint", "twin", "resumed"])
+def test_table_polish_integrates_from_the_anchor(case, monkeypatch):
+    """Work-count guard: in each table polish every quadrature after the
+    first (the one that takes the value at the anchor) spans at most 8 knot
+    intervals, where the full-window polish integrated from the stretch's
+    start at every root-finder step."""
+    profile, params = _table_case(case)
+    sch = proto.build_schedule(profile, params)
+    groups = []
+    quad_chunked, stage2_anchored = prof._quad_chunked, proto._stage2_anchored
+
+    def recording(f, a, b, *rest):
+        groups[-1].append(b - a)
+        return quad_chunked(f, a, b, *rest)
+
+    def marking(*args):
+        groups.append([])
+        return stage2_anchored(*args)
+
+    monkeypatch.setattr(prof, "_quad_chunked", recording)
+    monkeypatch.setattr(proto, "_stage2_anchored", marking)
+    for seg in sch.segments:
+        if seg.stage == 1:
+            groups.append([])
+            proto._first_threshold(profile, params.kappa_i, seg.t0,
+                                   seg.at(seg.t0), sch.horizon)
+    proto._local_maxima(sch)
+    knot_interval = float(np.diff(profile.taus).max())
+    assert len(groups) >= 2
+    for spans in groups:
+        assert spans[0] > 8 * knot_interval and len(spans) >= 3
+        assert max(spans[1:]) <= 8 * knot_interval, spans
 
 
 # ---------------------------------------------------------------------------
