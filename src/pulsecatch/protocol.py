@@ -26,9 +26,10 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import DOP853, OdeSolution, quad
+from scipy.integrate import OdeSolution, quad
 # Not called here: the benchmark's tracer (perfbench/tracer.py) wraps it by name.
 from scipy.integrate import solve_ivp  # noqa: F401
+from scipy.integrate._ivp import dop853_coefficients as _DOP
 from scipy.integrate._ivp.rk import Dop853DenseOutput
 from scipy.optimize import brentq
 
@@ -176,39 +177,91 @@ def _ode_breaks(profile: prof.InputProfile, a: float, b: float) -> list[float]:
     return prof._interior_breaks(profile, a, b)
 
 
+def _rms(x: float) -> float:
+    """np.linalg.norm of a 1-element array: sqrt(x.dot(x))."""
+    return math.sqrt(x * x)
+
+
 def _dop853_steps(fun, t0: float, y0: float, end: float, breaks: list[float],
                   fail: Callable[[float], Exception]):
-    """Accepted DOP853 steps (t, y, dense) of y' = fun(t, y) from t0 to
-    end, ending a step exactly at every break in (t0, end).
+    """Accepted DOP853 steps (t, y, dense) of the scalar ODE y' = fun(t, y)
+    from t0 to end >= t0, ending a step exactly at every break in (t0, end).
 
-    One solver runs with `solve_ivp`'s settings, its t_bound at the first
-    break; on landing there, t_bound moves to the next break and the solver
-    runs on with the step size it has (Hairer, Norsett and Wanner, Solving
-    ODEs I, II.6: restart at known discontinuities, here with no new set-up).
-    With no breaks the steps and dense outputs are those of `solve_ivp` bit
-    for bit. Zero-length steps are dropped, as `solve_ivp` drops them. A
-    failed step raises fail(t) at the last accepted t.
+    This is scipy 1.17.1's DOP853 with `solve_ivp`'s settings (Hairer,
+    Norsett and Wanner, Solving ODEs I, II.4-II.6), operation for operation
+    on a 1-element state: each weighted stage sum is scipy's own `np.dot`
+    call with its operand shapes, on views of one (16, 1) stage array, and
+    everything else (step control, error norm, initial step, dense-output
+    rows 0-2) is the same float arithmetic on Python floats. The step bound
+    starts at the first break; on landing there it moves to the next one
+    and stepping runs on with the step size it has (II.6: restart at known
+    discontinuities, here with no new set-up). With no breaks the steps and
+    dense outputs are those of `solve_ivp` bit for bit. A failed step raises
+    fail(t) at the last accepted t.
     """
+    n, dot, C = _DOP.N_STAGES, np.dot, _DOP.C.tolist()
+    K = np.empty((_DOP.N_STAGES_EXTENDED, 1))
+    k = K[:, 0]
+    # (stage, K[:s].T, A[s, :s], C[s]): rk_step's stages, then dense output's
+    stages = [(s, K[:s].T, _DOP.A[s, :s], C[s]) for s in range(len(K))]
+    trial, extra, KB, KE = stages[1:n], stages[n + 1:], K[:n].T, K[:n + 1].T
     bounds = [b for b in breaks if t0 < b < end] + [float(end)]
-    solver = DOP853(fun, float(t0), [y0], bounds[0],
-                    rtol=_ODE_RTOL, atol=_ODE_ATOL)
-    t_last = solver.t
+    t, y = float(t0), float(y0)
+    f = fun(t, y)
+    # common.select_initial_step towards the first bound (RMS norms of n = 1)
+    span = bounds[0] - t
+    if span == 0.0:
+        return
+    scale = _ODE_ATOL + abs(y) * _ODE_RTOL
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
+    d2 = _rms((fun(t + h0, y + h0 * f) - f) / scale) / h0
+    h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 \
+        else (0.01 / max(d1, d2)) ** (1 / 8)
+    h_abs = min(100 * h0, h1, span)
     for bound in bounds:
-        solver.t_bound, solver.status = bound, "running"
-        while solver.status == "running":
-            solver.step()
-            if solver.status == "failed":
-                raise fail(solver.t)
-            if solver.t != t_last:
-                t_last = solver.t
-                yield t_last, float(solver.y[0]), solver.dense_output()
+        while t < bound:
+            # RungeKutta._step_impl and rk_step
+            min_step = 10 * (math.nextafter(t, math.inf) - t)
+            h_abs = max(h_abs, min_step)
+            rejected = False
+            while True:
+                if h_abs < min_step:
+                    raise fail(t)
+                t_new = min(t + h_abs, bound)
+                h = h_abs = t_new - t
+                k[0] = f
+                for s, KT, a, c in trial:
+                    k[s] = fun(t + c * h, y + dot(KT, a).item() * h)
+                y_new = y + h * dot(KB, _DOP.B).item()
+                k[n] = f_new = fun(t + h, y_new)
+                scale = _ODE_ATOL + max(abs(y), abs(y_new)) * _ODE_RTOL
+                e5 = _rms(dot(KE, _DOP.E5).item() / scale) ** 2
+                e3 = _rms(dot(KE, _DOP.E3).item() / scale) ** 2
+                err = 0.0 if e5 == 0 and e3 == 0 else \
+                    h * e5 / math.sqrt(e5 + 0.01 * e3)
+                if err < 1:
+                    factor = 10 if err == 0 else min(10, 0.9 * err ** -0.125)
+                    h_abs *= min(1, factor) if rejected else factor
+                    break
+                h_abs *= max(0.2, 0.9 * err ** -0.125)
+                rejected = True
+            # DOP853._dense_output_impl
+            for s, KT, a, c in extra:
+                k[s] = fun(t + c * h, y + dot(KT, a).item() * h)
+            F = np.empty((_DOP.INTERPOLATOR_POWER, 1))
+            F[3:] = h * dot(_DOP.D, K)
+            dy = y_new - y
+            F[:3, 0] = dy, h * f - dy, 2 * dy - h * (f_new + f)
+            yield t_new, y_new, Dop853DenseOutput(t, t_new, np.array([y]), F)
+            t, y, f = t_new, y_new, f_new
 
 
 def _stage1_rhs(profile, kappa_i):
     """Right-hand side of beta' = -sqrt(r_in) - (1+kappa_i)/2 beta, the
     stage-1 memory amplitude under kappa = 1."""
     a = 0.5 * (1.0 + kappa_i)
-    return lambda t, y: [-math.sqrt(prof.rate_at(profile, t)) - a * y[0]]
+    return lambda t, y: -math.sqrt(prof.rate_at(profile, t)) - a * y
 
 
 def _integrate_stage1(profile, kappa_i, t0, beta0, t1) -> OdeSolution:
@@ -532,7 +585,7 @@ def _integrate_stage2(profile, kappa_i, tau_c, end):
     `solve_ivp`'s rule: in the first step with g >= 0 >= g_new, by `brentq`
     on that step's dense output; the solution then ends at the root.
     """
-    rhs = lambda t, y: [prof.rate_at(profile, t) - kappa_i * y[0]]
+    rhs = lambda t, y: prof.rate_at(profile, t) - kappa_i * y
 
     def violation(t, y):
         return (1.0 + 0.5 * _KAPPA_SLACK) * y - prof.rate_at(profile, t) + 1e-13

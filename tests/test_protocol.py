@@ -13,8 +13,8 @@ import random
 
 import numpy as np
 import pytest
-from scipy.integrate import DenseOutput, OdeSolution, solve_ivp
-from scipy.integrate._ivp import rk
+from scipy.integrate import DOP853, DenseOutput, OdeSolution, solve_ivp
+from scipy.integrate._ivp.rk import Dop853DenseOutput
 from scipy.optimize import brentq
 
 from pulsecatch import closedform as cf
@@ -215,7 +215,7 @@ def test_stage1_solver_failure_is_no_threshold(monkeypatch):
 
     def broken(profile, kappa_i):
         f = rhs(profile, kappa_i)
-        return lambda t, y: [math.nan] if t > 0.5 else f(t, y)
+        return lambda t, y: math.nan if t > 0.5 else f(t, y)
 
     monkeypatch.setattr(proto, "_stage1_rhs", broken)
     p = prof.exponential(0.036)      # tau_c = 1.36 with a working right-hand side
@@ -325,29 +325,130 @@ def test_table_steps_end_at_knots():
 
 
 def test_table_steps_are_rarely_rejected(monkeypatch):
-    """On the benchmark's faint two-hump table, the trial steps make at most
-    1.1 x 12 right-hand-side calls per accepted step (DOP853 makes 12 per
-    trial; stepping across the knots made about 2.3 x 12)."""
-    rk_step, stepping = rk.rk_step, proto._dop853_steps
-    rhs_calls, accepted = [0], [0]
+    """On the benchmark's faint two-hump table, at most 1.1 trial steps are
+    taken per accepted step (stepping across the knots took about 2.3).
+    Counted at the right-hand side: each trial makes 12 calls, each accepted
+    step 3 more for its dense output, and each solve 2 for its initial
+    step."""
+    stepping = proto._dop853_steps
+    rhs_calls, accepted, solves = [0], [0], [0]
 
-    def counting_rk_step(fun, *args):
+    def counting_stepping(fun, *args):
         def counted(t, y):
             rhs_calls[0] += 1
             return fun(t, y)
-        return rk_step(counted, *args)
 
-    def counting_stepping(*args):
-        for step in stepping(*args):
+        solves[0] += 1
+        for step in stepping(counted, *args):
             accepted[0] += 1
             yield step
 
-    monkeypatch.setattr(rk, "rk_step", counting_rk_step)
     monkeypatch.setattr(proto, "_dop853_steps", counting_stepping)
     sch = proto.build_schedule(_catch_table(3, faint=True), _params())
     assert "feasibility_resumed" in sch.flags
     assert accepted[0] > 1000
-    assert rhs_calls[0] <= 1.1 * 12 * accepted[0]
+    trials = (rhs_calls[0] - 2 * solves[0] - 3 * accepted[0]) / 12
+    assert accepted[0] <= trials <= 1.1 * accepted[0]
+
+
+def _scipy_dop853_steps(fun, t0, y0, end, breaks, fail):
+    """The stepping helper written with scipy's `DOP853` solver, whose
+    t_bound moves from break to break: the reference that
+    `proto._dop853_steps` reproduces bit for bit."""
+    bounds = [b for b in breaks if t0 < b < end] + [float(end)]
+    solver = DOP853(lambda t, y: [fun(t, y[0])], float(t0), [y0], bounds[0],
+                    rtol=proto._ODE_RTOL, atol=proto._ODE_ATOL)
+    t_last = solver.t
+    for bound in bounds:
+        solver.t_bound, solver.status = bound, "running"
+        while solver.status == "running":
+            solver.step()
+            if solver.status == "failed":
+                raise fail(solver.t)
+            if solver.t != t_last:
+                t_last = solver.t
+                yield t_last, float(solver.y[0]), solver.dense_output()
+
+
+class _Failed(Exception):
+    """fail(t) of a solve under test."""
+
+
+def _solve_record(stepping, fun, t0, y0, end, breaks):
+    """Every right-hand-side call (t, y), every accepted step (t, y, t_old,
+    h, F rows, y_old) and the failure time (None) of one solve, run to its
+    end."""
+    calls, steps, failed = [], [], None
+
+    def counted(t, y):
+        calls.append((t, y))
+        return fun(t, y)
+
+    try:
+        for t, y, dense in stepping(counted, t0, y0, end, breaks, _Failed):
+            assert type(dense) is Dop853DenseOutput
+            steps.append((t, y, dense.t_old, dense.h, *dense.F[:, 0].tolist(),
+                          float(dense.y_old[0])))
+    except _Failed as exc:
+        failed = exc.args[0]
+    return np.array(calls).reshape(-1, 2), np.array(steps), failed
+
+
+def _recorded_solves(profile, params, monkeypatch):
+    """(fun, t0, y0, end, breaks) of every stage solve of build_schedule."""
+    stepping, solves = proto._dop853_steps, []
+
+    def recording(fun, t0, y0, end, breaks, fail):
+        solves.append((fun, t0, y0, end, breaks))
+        return stepping(fun, t0, y0, end, breaks, fail)
+
+    with monkeypatch.context() as m:
+        m.setattr(proto, "_dop853_steps", recording)
+        proto.build_schedule(profile, params)
+    return solves
+
+
+@pytest.mark.parametrize("case", ["exp_point", "exp", "gauss", "faint", "twin",
+                                  "coarse", "zero_length", "nan_rhs"])
+def test_stepper_equals_scipy_dop853(case, monkeypatch):
+    """The in-module DOP853 stepper is scipy's `DOP853` bit for bit: the
+    same right-hand-side calls, accepted steps, dense outputs and failure
+    time. Every stage solve of a schedule is run to its end: the threshold
+    scans and stage 1 from beta = 0 or a resumed beta < 0, stage 2 from
+    beta^2 = r_in, so both branches of the initial step run."""
+    exp = prof.exponential(0.036)
+    stage1 = proto._stage1_rhs(exp, 1e-4)
+    if case == "zero_length":
+        solves = [(stage1, 2.0, -0.1, 2.0, []), (stage1, 2.0, -0.1, 2.0, [2.0])]
+    elif case == "nan_rhs":
+        broken = lambda t, y: math.nan if t > 0.5 else stage1(t, y)
+        solves = [(broken, 0.0, 0.0, 10.0, []),
+                  (broken, 0.0, 0.0, 10.0, [0.25, 0.5, 0.75])]
+    else:
+        if case in ("faint", "twin"):
+            profile, params = _catch_table(3, case == "faint"), _params()
+        elif case == "coarse":
+            profile, params = _coarse_table(0)
+        else:
+            profile, params = _schedule(case).profile, _schedule(case).params
+        solves = _recorded_solves(profile, params, monkeypatch)
+        assert {y0 == 0.0 for _, _, y0, _, _ in solves} == {True, False}
+    rejected = 0
+    for solve in solves:
+        calls, steps, failed = _solve_record(proto._dop853_steps, *solve)
+        ref_calls, ref_steps, ref_failed = _solve_record(_scipy_dop853_steps,
+                                                         *solve)
+        assert np.array_equal(calls, ref_calls, equal_nan=True)
+        assert np.array_equal(steps, ref_steps)
+        assert failed == ref_failed
+        assert (failed is not None) == (case == "nan_rhs")
+        if case == "zero_length":
+            assert len(calls) == 1 and len(steps) == 0
+        else:
+            # 12 calls a trial step, 3 for each dense output, 2 to start
+            rejected += (len(calls) - 2 - 15 * len(steps)) // 12
+    if case == "coarse":
+        assert rejected > 0
 
 
 def _segment_end_gaps(sch: proto.CouplingSchedule):
@@ -404,7 +505,7 @@ def test_stage_solver_failures_are_infeasible(monkeypatch):
 
     def broken(profile, kappa_i):
         f = rhs(profile, kappa_i)
-        return lambda t, y: [math.nan] if t > 0.5 else f(t, y)
+        return lambda t, y: math.nan if t > 0.5 else f(t, y)
 
     monkeypatch.setattr(proto, "_stage1_rhs", broken)
     with pytest.raises(InfeasibleSchedule,
