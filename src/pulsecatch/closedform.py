@@ -20,7 +20,8 @@ from functools import lru_cache
 from scipy.optimize import brentq
 from scipy.special import erf, erfcx
 
-from .errors import DomainError, NoPeak, NoThreshold, SingularCoupling
+from .errors import (DomainError, NoPeak, NoThreshold, SingularCoupling,
+                     brackets_root)
 
 SQRT_PI = math.sqrt(math.pi)
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -218,7 +219,8 @@ def gauss_constants(sigma: float, n: float, kappa_i: float) -> GaussConstants:
     end = tau0 + 10.0 * sigma
 
     g = lambda t: _gauss_threshold_residual(a, b, tau0, t)
-    # g(0) = e^{-A^2} > 0 analytically; scan for the first sign change.
+    # g(0) = e^{-A^2} > 0 analytically; scan for the first sign change. The
+    # bracket is checked before the polish, in case rounding disagrees.
     grid = [end * k / 512.0 for k in range(513)]
     lo = 0.0
     hi = None
@@ -229,6 +231,9 @@ def gauss_constants(sigma: float, n: float, kappa_i: float) -> GaussConstants:
         lo = t
     if hi is None:
         raise NoThreshold(f"no threshold crossing in [0, {end}]")
+    if not brackets_root(g(lo), g(hi)):
+        raise NoThreshold(f"threshold residual does not change sign on the "
+                          f"bracket [{lo!r}, {hi!r}]")
     tau_c = brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
     return GaussConstants(sigma=sigma, n=n, kappa_i=kappa_i,
                           a=a, b=b, tau0=tau0, tau_c=tau_c)
@@ -318,5 +323,8 @@ def gauss_report(sigma: float, n: float, kappa_i: float) -> tuple[float, float]:
             hi = t
             break
         prev = t
+    if not brackets_root(h(prev), h(hi)):
+        raise NoPeak(f"peak residual does not change sign on the bracket "
+                     f"[{prev!r}, {hi!r}]")
     tau_max = brentq(h, prev, hi, xtol=1e-12, rtol=8.9e-16, maxiter=200)
     return tau_max, _gauss_stage2(cst, sigma, n, tau_max)

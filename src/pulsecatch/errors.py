@@ -1,4 +1,5 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the bracket
+test that keeps scipy's root finder from raising an untyped error."""
 
 
 class PulsecatchError(Exception):
@@ -35,3 +36,13 @@ class NoPeak(PulsecatchError, RuntimeError):
 
 class BoundaryMaximumWarning(UserWarning):
     """A maximizer landed on an edge of the scanned range instead of the interior."""
+
+
+def brackets_root(f_lo: float, f_hi: float) -> bool:
+    """Whether scipy's brentq takes a bracket whose ends have these values:
+    neither is nan, and one is 0 or they differ in sign. Where it does not,
+    brentq raises a bare ValueError; callers raise their typed error instead.
+    """
+    if f_lo != f_lo or f_hi != f_hi:
+        return False
+    return f_lo == 0.0 or f_hi == 0.0 or (f_lo < 0.0) != (f_hi < 0.0)

@@ -9,9 +9,12 @@ from __future__ import annotations
 
 import csv
 import math
-from bisect import bisect_right
+import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import repeat
+from operator import add
 from pathlib import Path
 from typing import Callable
 
@@ -287,33 +290,145 @@ def _interior_breaks(profile: InputProfile, a: float, b: float) -> list[float]:
     if profile.kind == GAUSSIAN and a < profile.tau0 < b:
         return [profile.tau0]
     if profile.kind == TABULATED:
-        return [float(t) for t in profile.taus if a < t < b]
+        x = profile._interp.x
+        return x[bisect_right(x, a):bisect_left(x, b)]
     return []
 
 
+# QUADPACK's dqk21 (Piessens et al., QUADPACK, 1983): the non-negative
+# abscissae of the 21-point Kronrod rule on [-1, 1], the centre last, their
+# weights, and the weights of the embedded 10-point Gauss rule, whose
+# abscissae are _XGK[1], _XGK[3], ...
+_XGK = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0])
+_WGK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208980316775, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821])
+_WG = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338])
+# dqk21 adds the node pairs into its sums in this order: first the Gauss
+# abscissae, then the others; _NODE_ORDER restores the order of _XGK.
+_SUM_ORDER = [1, 3, 5, 7, 9, 0, 2, 4, 6, 8]
+_XGK_SUM, _WGK_SUM = _XGK[_SUM_ORDER, None], _WGK[_SUM_ORDER, None]
+_NODE_ORDER = np.argsort(_SUM_ORDER)
+_EPMACH = sys.float_info.epsilon
+_UFLOW = sys.float_info.min
+_CHUNK = 40          # intervals per quad call, which caps its break points
+_EPSREL = 1e-12
+
+
+def _sum_down(first: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """first + rows[0] + rows[1] + ..., added in that order elementwise."""
+    return np.add.accumulate(np.concatenate((first[None], rows)))[-1]
+
+
+def _qk21(fv: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
+          hi: np.ndarray) -> tuple[list[float], list[float], list[float]]:
+    """dqk21 on every interval [lo[i], hi[i]] at once: the lists of its
+    result, abserr and resasc, each elementwise operation in dqk21's order.
+
+    fv takes all 21 nodes of every interval in one array and must give,
+    bitwise, the values the scalar integrand gives there. Row k of fv1 and
+    fv2 holds the node pair dqk21 adds k-th into its running sums.
+    """
+    m = len(lo)
+    centr = 0.5 * (lo + hi)
+    hlgth = 0.5 * (hi - lo)
+    absc = hlgth * _XGK_SUM
+    fx = fv(np.concatenate((centr, (centr - absc).ravel(),
+                            (centr + absc).ravel()))).reshape(21, m)
+    fc, fv1, fv2 = fx[0], fx[1:11], fx[11:]
+    fsum = fv1 + fv2
+    resk0 = _WGK[10] * fc
+    resg = _sum_down(np.zeros(m), _WG[:, None] * fsum[:5])
+    resk = _sum_down(resk0, _WGK_SUM * fsum)
+    resabs = _sum_down(np.abs(resk0), _WGK_SUM * (np.abs(fv1) + np.abs(fv2)))
+    reskh = resk * 0.5
+    resasc = _sum_down(_WGK[10] * np.abs(fc - reskh), (_WGK_SUM * (
+        np.abs(fv1 - reskh) + np.abs(fv2 - reskh)))[_NODE_ORDER])
+    dhlgth = np.abs(hlgth)
+    resabs = resabs * dhlgth
+    resasc = resasc * dhlgth
+    abserr = np.abs((resk - resg) * hlgth)
+    scaled = np.flatnonzero((resasc != 0.0) & (abserr != 0.0))
+    if len(scaled):
+        # C pow, as QUADPACK calls it: numpy's power may use other code.
+        q = (200.0 * abserr[scaled] / resasc[scaled]).tolist()
+        abserr[scaled] = resasc[scaled] * np.minimum(1.0, np.fromiter(
+            map(math.pow, q, repeat(1.5)), float, len(q)))
+    big = resabs > _UFLOW / (50.0 * _EPMACH)
+    abserr[big] = np.maximum((_EPMACH * 50.0) * resabs[big], abserr[big])
+    return (resk * hlgth).tolist(), abserr.tolist(), resasc.tolist()
+
+
+def _first_pass(fv: Callable[[np.ndarray], np.ndarray], edges: list[float],
+                epsabs: float) -> list[float | None]:
+    """Per chunk of `_quad_chunked`: the value `quad` returns when its
+    first pass already meets the tolerance, else None.
+
+    With break points `quad` runs QUADPACK's dqagpe: dqk21 on each interval
+    of the chunk, then a return iff the summed abserr is at most
+    max(epsabs, epsrel |summed result|), the sums taken in interval order
+    from 0. A one-interval chunk runs dqagse instead, which also asks that
+    abserr differ from resasc unless it is 0.
+    """
+    n = len(edges) - 1
+    e = np.array(edges)
+    result, abserr, resasc = _qk21(fv, e[:-1], e[1:])
+    out: list[float | None] = []
+    for i in range(0, n, _CHUNK):
+        j = min(i + _CHUNK, n)
+        val = reduce(add, result[i:j], 0.0)
+        ok = reduce(add, abserr[i:j], 0.0) <= max(epsabs, _EPSREL * abs(val))
+        if j == i + 1:
+            ok = (ok and abserr[i] != resasc[i]) or abserr[i] == 0.0
+        out.append(val if ok else None)
+    return out
+
+
 def _quad_chunked(f: Callable[[float], float], a: float, b: float,
-                  breaks: list[float], epsabs: float = 1e-12) -> float:
+                  breaks: list[float], epsabs: float = 1e-12,
+                  fv: Callable[[np.ndarray], np.ndarray] | None = None) -> float:
     """Adaptive quadrature of f over [a, b], split at the interior `breaks` in
-    chunks of 40 (quad caps its break points; tables are only C1 at knots)."""
+    chunks of 40 (quad caps its break points; tables are only C1 at knots).
+
+    fv, if given, is f on arrays, bitwise equal to f at each point. One
+    vectorized dqk21 pass over every interval then settles each chunk that
+    QUADPACK's first pass would accept, with quad's value to the bit; only
+    the others call quad, so they keep its value and its warnings.
+    """
     if b <= a:
         return 0.0
     edges = [a] + breaks + [b]
+    n = len(edges) - 1
+    starts = range(0, n, _CHUNK)
+    first = [None] * len(starts) if fv is None else _first_pass(fv, edges, epsabs)
     total = 0.0
-    i = 0
-    while i < len(edges) - 1:
-        j = min(i + 40, len(edges) - 1)
-        pts = edges[i + 1:j] or None
-        val, _ = quad(f, edges[i], edges[j], points=pts, limit=200,
-                      epsabs=epsabs, epsrel=1e-12)
+    for i, val in zip(starts, first):
+        if val is None:
+            j = min(i + _CHUNK, n)
+            val, _ = quad(f, edges[i], edges[j], points=edges[i + 1:j] or None,
+                          limit=200, epsabs=epsabs, epsrel=_EPSREL)
         total += val
-        i = j
     return total
 
 
 def _quad_rate(profile: InputProfile, a: float, b: float) -> float:
     """Adaptive quadrature of rate_at over [a, b] to ~1e-12 absolute error."""
-    return _quad_chunked(lambda s: rate_at(profile, s), a, b,
-                         _interior_breaks(profile, a, b), epsabs=1e-13)
+    f = lambda s: rate_at(profile, s)       # a table's is bitwise on arrays
+    return _quad_chunked(f, a, b, _interior_breaks(profile, a, b), 1e-13,
+                         f if profile.kind == TABULATED else None)
 
 
 def total_excitation(profile: InputProfile, tau_end: float) -> float:

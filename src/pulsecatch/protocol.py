@@ -35,7 +35,7 @@ from scipy.optimize import brentq
 
 from . import profiles as prof
 from .errors import (DomainError, InfeasibleSchedule, NoPeak, NoThreshold,
-                     SingularCoupling)
+                     SingularCoupling, brackets_root)
 
 _ODE_RTOL = 1e-12
 _ODE_ATOL = 1e-14
@@ -58,8 +58,11 @@ def _stage1_beta_quad(profile: prof.InputProfile, kappa_i: float,
     a = 0.5 * (1.0 + kappa_i)
     lo = max(t0, tau - _DAMP_CUT / a)
     f = lambda s: math.exp(-a * (tau - s)) * math.sqrt(prof.rate_at(profile, s))
-    integral = prof._quad_chunked(f, lo, tau,
-                                  prof._interior_breaks(profile, lo, tau), epsabs)
+    fv = None
+    if profile.kind == prof.TABULATED:
+        fv = lambda s: _decay(-a, tau, s) * np.sqrt(prof.rate_at(profile, s))
+    integral = prof._quad_chunked(
+        f, lo, tau, prof._interior_breaks(profile, lo, tau), epsabs, fv)
     boundary = beta0 * math.exp(-a * (tau - t0)) if beta0 != 0.0 else 0.0
     return boundary - integral
 
@@ -94,9 +97,18 @@ def _stage2_pop(profile: prof.InputProfile, k: float, t0: float, pop0: float,
     """Stage-2 population beta^2(tau) from beta^2(t0) = pop0."""
     seed = pop0 * math.exp(-k * (tau - t0))
     f = lambda s: math.exp(-k * (tau - s)) * prof.rate_at(profile, s)
-    integral = prof._quad_chunked(f, t0, tau,
-                                  prof._interior_breaks(profile, t0, tau))
+    fv = None
+    if profile.kind == prof.TABULATED:
+        fv = lambda s: _decay(-k, tau, s) * prof.rate_at(profile, s)
+    integral = prof._quad_chunked(
+        f, t0, tau, prof._interior_breaks(profile, t0, tau), 1e-12, fv)
     return seed + integral
+
+
+def _decay(c: float, tau: float, s: np.ndarray) -> np.ndarray:
+    """math.exp(c * (tau - s)) at each s of an array, the quadrature kernels'
+    weight: np.exp differs from math.exp in the last bit on some inputs."""
+    return np.fromiter(map(math.exp, (c * (tau - s)).tolist()), float, len(s))
 
 
 # Both stage equations are linear, so a quadrature form can restart at any
@@ -137,36 +149,53 @@ def _activation_time(profile: prof.InputProfile) -> float | None:
     return float(profile.taus[max(i - 1, 0)])
 
 
-def _float_dense(sol) -> Callable[[float], float]:
-    """t -> float(sol(t)[0]) for a float t, where sol is a DOP853
-    OdeSolution: scipy's arithmetic operation for operation, so every value is
-    bitwise the same, without its per-call array overhead. Any other
-    interpolant keeps the OdeSolution call.
+def _dense_output(sol) -> tuple[Callable[[float], float],
+                                Callable[[np.ndarray], np.ndarray]]:
+    """(t -> float(sol(t)[0]), ts -> sol(ts)[0]) for a float t and a 1-d
+    array ts, where sol is a DOP853 OdeSolution.
+
+    Both run on one table of the steps' t_old, h, rows of F and y_old, with
+    scipy's arithmetic operation for operation, so every value is bitwise
+    the same, without OdeSolution's per-call and per-step array overhead.
+    Any other interpolant keeps the OdeSolution call.
     """
     steps = sol.interpolants
-    if not (sol.ascending and getattr(sol, "side", "left") == "left") or any(
+    if not steps or not (sol.ascending
+                         and getattr(sol, "side", "left") == "left") or any(
             type(d) is not Dop853DenseOutput for d in steps):
-        return lambda t: float(sol(t)[0])
-    ts = sol.ts.tolist()
+        return lambda t: float(sol(t)[0]), lambda ts: sol(ts)[0]
+    ts = sol.ts
+    knots = ts.tolist()
     last = len(steps) - 1
-    coefs = [(float(d.t_old), float(d.h), *d.F[::-1, 0].tolist(),
-              float(d.y_old[0])) for d in steps]
+    rows = [(float(d.t_old), float(d.h), *d.F[::-1, 0].tolist(),
+             float(d.y_old[0])) for d in steps]
+    columns = np.array(rows).T
 
-    def at(t: float) -> float:
-        # OdeSolution._call_single: the step holding t (the earlier one at a
-        # step boundary), clamped to the first and last steps.
-        i = bisect_left(ts, t) - 1
-        # DOP853 dense output has 7 rows of F.
-        t_old, h, f6, f5, f4, f3, f2, f1, f0, y_old = \
-            coefs[0 if i < 0 else last if i > last else i]
-        # Dop853DenseOutput._call_impl: from y = 0, add the rows of F from
-        # the last one, multiplying by x and 1 - x in turn; then add y_old.
+    # Dop853DenseOutput._call_impl: from y = 0, add the rows of F from the
+    # last one, multiplying by x and 1 - x in turn; then add y_old. DOP853
+    # dense output has 7 rows of F.
+    def horner(t, t_old, h, f6, f5, f4, f3, f2, f1, f0, y_old):
         x = (t - t_old) / h
         xm = 1 - x
         return (((((((0.0 + f6) * x + f5) * xm + f4) * x + f3) * xm + f2) * x
                  + f1) * xm + f0) * x + y_old
 
-    return at
+    # OdeSolution: the step holding t (the earlier one at a step boundary),
+    # clamped to the first and last steps.
+    def at(t: float) -> float:
+        i = bisect_left(knots, t) - 1
+        return horner(t, *rows[0 if i < 0 else last if i > last else i])
+
+    def on_array(t: np.ndarray) -> np.ndarray:
+        i = np.searchsorted(ts, t, side="left") - 1
+        return horner(t, *columns[:, np.clip(i, 0, last)])
+
+    return at, on_array
+
+
+def _float_dense(sol) -> Callable[[float], float]:
+    """t -> float(sol(t)[0]) for a float t (see `_dense_output`)."""
+    return _dense_output(sol)[0]
 
 
 def _ode_breaks(profile: prof.InputProfile, a: float, b: float) -> list[float]:
@@ -354,10 +383,14 @@ def _first_threshold(profile: prof.InputProfile, kappa_i: float,
     if g_quad(lo) > 0.0 > g_quad(hi):
         return brentq(g_quad, lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200)
     # Quadrature disagrees about the bracket (possible only within its own
-    # ~1e-12 error of a tangency); fall back to the integrated dynamics.
+    # ~1e-12 error of a tangency); fall back to the integrated dynamics. The
+    # scan took its signs from array evaluations, so check them on floats.
     beta = _float_dense(sol)
-    return brentq(lambda t: math.sqrt(prof.rate_at(profile, t)) + beta(t),
-                  lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200)
+    g_dense = lambda t: math.sqrt(prof.rate_at(profile, t)) + beta(t)
+    if not brackets_root(g_dense(lo), g_dense(hi)):
+        raise NoThreshold(f"threshold residual does not change sign on the "
+                          f"bracket [{lo!r}, {hi!r}]")
+    return brentq(g_dense, lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200)
 
 
 def threshold_time(profile: prof.InputProfile, params: prof.MemoryParams) -> float:
@@ -378,14 +411,28 @@ class _Segment:
     sol: object             # OdeSolution for beta (stage 1) or beta^2 (stage 2)
 
     @cached_property
+    def _evaluators(self):
+        return _dense_output(self.sol)
+
+    @cached_property
     def at(self) -> Callable[[float], float]:
         """Float evaluation of `sol`, bitwise equal to float(sol(t)[0])."""
-        return _float_dense(self.sol)
+        return self._evaluators[0]
+
+    @cached_property
+    def dense(self) -> Callable[[np.ndarray], np.ndarray]:
+        """Array evaluation of `sol`, bitwise equal to sol(ts)[0]."""
+        return self._evaluators[1]
 
     def beta_sq(self, t: float) -> float:
         """Stored population at a float t inside the segment."""
         val = self.at(t)
         return val * val if self.stage == 1 else max(val, 0.0)
+
+    def beta_sq_array(self, ts: np.ndarray) -> np.ndarray:
+        """`beta_sq` at each t of an array, bitwise."""
+        val = self.dense(ts)
+        return val * val if self.stage == 1 else np.where(val < 0.0, 0.0, val)
 
 
 @dataclass(frozen=True, eq=False)
@@ -434,13 +481,13 @@ class CouplingSchedule:
 
     def _dense(self, taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Stage and dense-output value (beta in stage 1, beta^2 in stage 2)
-        at each sample, with one OdeSolution call per segment."""
+        at each sample, with one dense-output call per segment."""
         idx = self._segment_index(taus)
         vals = np.empty(taus.shape)
         for i, seg in enumerate(self.segments):
             mask = idx == i
             if mask.any():
-                vals[mask] = seg.sol(taus[mask])[0]
+                vals[mask] = seg.dense(taus[mask])
         return self._stages[idx], vals
 
     def _sampled(self, taus: np.ndarray):
@@ -680,6 +727,7 @@ def _losses(schedule: CouplingSchedule, tau_max: float) -> tuple[float, float]:
     """Stage-1 reflection, the integral of r_out over the stage-1 parts of
     [0, tau_max], and intrinsic loss, kappa_i times the integral of beta^2."""
     profile, k = schedule.profile, schedule.params.kappa_i
+    table = profile.kind == prof.TABULATED
     reflection = intrinsic = 0.0
     for seg in schedule.segments:
         hi = min(seg.t1, tau_max)
@@ -692,10 +740,17 @@ def _losses(schedule: CouplingSchedule, tau_max: float) -> tuple[float, float]:
                 w = _beta(s) + math.sqrt(prof.rate_at(profile, s))
                 return w * w
 
-            reflection += prof._quad_chunked(r_out, seg.t0, hi, breaks)
+            def r_out_array(s, _beta=seg.dense):
+                w = _beta(s) + np.sqrt(prof.rate_at(profile, s))
+                return w * w
+
+            reflection += prof._quad_chunked(
+                r_out, seg.t0, hi, breaks, 1e-12, r_out_array if table else None)
         if k != 0.0:
             # Quadrature nodes lie inside (t0, hi), so this is schedule.beta_sq.
-            intrinsic += prof._quad_chunked(seg.beta_sq, seg.t0, hi, breaks)
+            intrinsic += prof._quad_chunked(
+                seg.beta_sq, seg.t0, hi, breaks, 1e-12,
+                seg.beta_sq_array if table else None)
     if k != 0.0 and tau_max > schedule.horizon:
         # The input is extinct past the horizon: one interval, no breaks.
         intrinsic += quad(schedule.beta_sq, schedule.horizon, tau_max,

@@ -13,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from pulsecatch import cli
+from pulsecatch import cli, closedform
 from pulsecatch import profiles as prof
 from pulsecatch import protocol
 from pulsecatch.errors import (DomainError, NoPeak, NoThreshold,
@@ -116,6 +116,38 @@ def test_no_peak_maps_to_infeasible_exit(tmp_path, capsys, monkeypatch):
     assert rc == 2
     err = capsys.readouterr().err
     assert "infeasible:" in err and "never crosses zero" in err
+
+
+def test_same_sign_threshold_bracket_exits_infeasible(tmp_path, monkeypatch,
+                                                      capsys):
+    # both polishes of tau_c refuse the scan's bracket (see test_protocol)
+    monkeypatch.setattr(protocol, "_stage1_anchored",
+                        lambda *args: (lambda t: 1.0))
+    monkeypatch.setattr(protocol, "_float_dense", lambda sol: (lambda t: 1.0))
+    rc = cli.main(["schedule", *EXP_OP, "--out", str(tmp_path / "s")])
+    assert rc == 2
+    assert "does not change sign on the bracket" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scan", ["threshold", "peak"])
+def test_same_sign_closed_form_bracket_exits_infeasible(scan, tmp_path,
+                                                        monkeypatch, capsys):
+    # the Gaussian closed-form scans of test_closedform, reached through
+    # `verify`; its exp half runs at a short pulse to keep the test quick
+    if scan == "threshold":
+        monkeypatch.setattr(closedform, "_gauss_threshold_residual",
+                            lambda *args: -1.0)
+    else:
+        monkeypatch.setattr(closedform, "_gauss_stage2", lambda *args: 1e300)
+    monkeypatch.setitem(cli.OPERATING_POINTS, "exp", "exp:r=1.0")
+    closedform.gauss_constants.cache_clear()
+    try:
+        rc = cli.main(["verify", "master-equation",
+                       "--out", str(tmp_path / "v.json")])
+    finally:
+        closedform.gauss_constants.cache_clear()
+    assert rc == 2
+    assert "does not change sign on the bracket" in capsys.readouterr().err
 
 
 def test_unwritable_output_is_input_error(tmp_path):

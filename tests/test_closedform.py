@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from pulsecatch import closedform as cf
-from pulsecatch.errors import DomainError, SingularCoupling
+from pulsecatch.errors import DomainError, NoPeak, NoThreshold, SingularCoupling
 
 # gaussian operating shape used throughout: peak rate 0.1533, center 4*sigma
 SIGMA_OP = 1.0 / (0.1533 * math.sqrt(2.0 * math.pi))
@@ -270,6 +270,32 @@ def test_singular_coupling_raised_when_population_exhausted():
     # stage-2 population underflows to zero and the coupling law must say so
     with pytest.raises(SingularCoupling):
         cf.gauss_coupling(2.0, 4.0, 0.9, 2000.0)
+
+
+@pytest.fixture
+def fresh_gauss_constants():
+    cf.gauss_constants.cache_clear()
+    yield
+    cf.gauss_constants.cache_clear()
+
+
+def test_same_sign_threshold_bracket_is_no_threshold(monkeypatch,
+                                                     fresh_gauss_constants):
+    # The scan takes g(0) > 0 on trust; were g negative there, the bracket
+    # [0, first grid point] would have one sign, which brentq rejects with
+    # a bare ValueError.
+    monkeypatch.setattr(cf, "_gauss_threshold_residual", lambda *args: -1.0)
+    with pytest.raises(NoThreshold, match=r"does not change sign on the "
+                       r"bracket \[0\.0, [0-9.]+\]"):
+        cf.gauss_constants(2.6, 4.0, 1e-4)
+
+
+def test_same_sign_peak_bracket_is_no_peak(monkeypatch, fresh_gauss_constants):
+    # The peak scan takes h(tau_c) > 0 on trust in the same way.
+    monkeypatch.setattr(cf, "_gauss_stage2", lambda *args: 1e300)
+    with pytest.raises(NoPeak, match=r"does not change sign on the "
+                       r"bracket \[[0-9.]+, [0-9.]+\]"):
+        cf.gauss_report(2.6, 4.0, 1e-4)
 
 
 # ---------------------------------------------------------------------------

@@ -226,6 +226,18 @@ def test_stage1_solver_failure_is_no_threshold(monkeypatch):
         proto.build_schedule(p, _params())
 
 
+def test_same_sign_dense_bracket_is_no_threshold(monkeypatch):
+    """Where the quadrature form refuses the scan's bracket and the dense
+    output does too, scipy's brentq would raise a bare ValueError; the
+    solver raises NoThreshold naming the bracket."""
+    monkeypatch.setattr(proto, "_stage1_anchored",
+                        lambda *args: (lambda t: 1.0))
+    monkeypatch.setattr(proto, "_float_dense", lambda sol: (lambda t: 1.0))
+    with pytest.raises(NoThreshold, match=r"does not change sign on the "
+                       r"bracket \[[0-9.e-]+, [0-9.e-]+\]"):
+        proto.threshold_time(prof.exponential(0.036), _params())
+
+
 # ---------------------------------------------------------------------------
 # knot-aligned stepping
 # ---------------------------------------------------------------------------
