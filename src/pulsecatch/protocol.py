@@ -186,9 +186,16 @@ def _dense_output(sol) -> tuple[Callable[[float], float],
         i = bisect_left(knots, t) - 1
         return horner(t, *rows[0 if i < 0 else last if i > last else i])
 
+    # The same sequence on arrays, gathering each row of the table only when
+    # the sum reaches it, so no (10, n) block is built.
     def on_array(t: np.ndarray) -> np.ndarray:
-        i = np.searchsorted(ts, t, side="left") - 1
-        return horner(t, *columns[:, np.clip(i, 0, last)])
+        i = np.clip(np.searchsorted(ts, t, side="left") - 1, 0, last)
+        x = (t - columns[0][i]) / columns[1][i]
+        xm = 1 - x
+        y = 0.0 + columns[2][i]
+        for row, w in zip(columns[3:9], (x, xm, x, xm, x, xm)):
+            y = y * w + row[i]
+        return y * x + columns[9][i]
 
     return at, on_array
 
@@ -408,20 +415,26 @@ class _Segment:
     stage: int              # 1: kappa = 1 builds the seed; 2: zero reflection
     t0: float
     t1: float
-    sol: object             # OdeSolution for beta (stage 1) or beta^2 (stage 2)
+    # beta (stage 1) or beta^2 (stage 2): a DOP853 OdeSolution, except for
+    # a table's stage 2, which is propagated exactly (`_ExactStage2`)
+    sol: object
 
     @cached_property
     def _evaluators(self):
+        if isinstance(self.sol, _ExactStage2):
+            return self.sol.at, self.sol.dense
         return _dense_output(self.sol)
 
     @cached_property
     def at(self) -> Callable[[float], float]:
-        """Float evaluation of `sol`, bitwise equal to float(sol(t)[0])."""
+        """Float evaluation of `sol`, bitwise equal to `dense` (and for an
+        OdeSolution to float(sol(t)[0]))."""
         return self._evaluators[0]
 
     @cached_property
     def dense(self) -> Callable[[np.ndarray], np.ndarray]:
-        """Array evaluation of `sol`, bitwise equal to sol(ts)[0]."""
+        """Array evaluation of `sol`, bitwise equal to `at` at each point
+        (and for an OdeSolution to sol(ts)[0])."""
         return self._evaluators[1]
 
     def beta_sq(self, t: float) -> float:
@@ -621,27 +634,172 @@ class CouplingSchedule:
         return [seg.t0 for seg in self.segments[1:]]
 
 
-def _integrate_stage2(profile, kappa_i, tau_c, end):
-    """Integrate beta^2' = r_in - kappa_i beta^2 with a terminal event where
-    the zero-reflection law would need kappa above 1.
+_TAIL = 2.0 ** -60       # series terms below this share of the cubic's are cut
 
-    The event triggers at half the feasibility slack and carries an additive
-    floor of 1e-13: once both the population and the input rate have decayed
-    below the integrator's absolute tolerance, the ratio r_in/beta^2 is pure
-    noise and must not be mistaken for a violation. It is located by
-    `solve_ivp`'s rule: in the first step with g >= 0 >= g_new, by `brentq`
-    on that step's dense output; the solution then ends at the root.
+
+def _horner(coefs, v):
+    """sum_m coefs[m] v^(m+1) by Horner's rule, from the top coefficient.
+    Each coefficient is a float or an array; the arithmetic is the same on
+    floats and elementwise on arrays."""
+    acc = coefs[-1]
+    for c in coefs[-2::-1]:
+        acc = acc * v + c
+    return acc * v
+
+
+class _ExactStage2:
+    """The stage-2 population beta^2 of a tabulated profile, propagated
+    exactly over its PCHIP pieces.
+
+    On a piece from o the rate is a cubic, r_in(o + v) = sum_j c_j v^j, so
+    beta^2' = r_in - k beta^2 has the closed solution (the exponential
+    integrator's phi functions, Hochbruck and Ostermann, Acta Numerica 19,
+    2010)
+
+        beta^2(o + v) = y + (expm1(-k v) y + S(v)),
+        S(v) = sum_j j! c_j v^(j+1) phi_{j+1}(-k v),  phi_m(z) = sum_n z^n/(n+m)!
+
+    with y = beta^2(o). Both terms are power series in v: expm1(-k v) has
+    the coefficients g_m = (-k)^m/m!, and S(v) the coefficients b_m/m! with
+    b_1 = c_0 and b_m = (m-1)! c_{m-1} - k b_{m-1} (c_j = 0 past the cubic).
+    A piece longer than 1/(2k) is cut into equal parts, so k v <= 1/2, and
+    the series stop at the first term M with 24 (k h)^(M-3)/(M+1)! below
+    2^-60 for the longest piece h: the tail relative to the cubic's term.
+
+    `ts` holds the piece ends: the start, the knots inside, the end, and
+    any cuts. A point takes the piece that holds it, the earlier one at a
+    piece end, clamped to the first and last pieces. `at` (floats) and
+    `dense` (arrays) run the same arithmetic, so they agree bit for bit,
+    and at a piece end both give the knot value of the recurrence
+    y_{i+1} = y_i + (expm1(-k h_i) y_i + S_i(h_i)), which carries each
+    value's rounding error on to the next increment (TwoSum).
     """
-    rhs = lambda t, y: prof.rate_at(profile, t) - kappa_i * y
 
+    def __init__(self, ts: np.ndarray, y: list[float], lo: list[float],
+                 d: list[np.ndarray], g: list[float]):
+        self.ts = ts
+        self._knots = ts.tolist()
+        self._last = len(y) - 1
+        self._y, self._y_array = y, np.array(y)
+        self._lo, self._lo_array = lo, np.array(lo)
+        self._d = d                 # rows d_1..d_M, each over the pieces
+        self._g = g
+
+    @cached_property
+    def _d_pieces(self) -> list[list[float]]:
+        """[d_1, .., d_M] of each piece, for `at`."""
+        return np.array(self._d).T.tolist()
+
+    @classmethod
+    def propagate(cls, profile: prof.InputProfile, k: float, t0: float,
+                  y0: float, end: float) -> tuple[_ExactStage2, list[float]]:
+        """The propagation from beta^2(t0) = y0 to end, and beta^2 at each
+        entry of its `ts`."""
+        table = profile._interp
+        x = table.pp.x
+        starts = np.array([t0] + prof._interior_breaks(profile, t0, end))
+        # the piece scipy's search gives the start: x[i] <= t < x[i+1]
+        piece = np.clip(np.searchsorted(x, starts, side="right") - 1, 0,
+                        table.last)
+        h = np.append(starts[1:], end) - starts
+        parts = np.maximum(np.ceil(2.0 * k * h), 1.0).astype(int)
+        if parts.max() > 1:
+            at = np.repeat(np.arange(len(starts)), parts)
+            share = (np.arange(len(at)) - np.repeat(np.cumsum(parts) - parts,
+                                                    parts)) / parts[at]
+            starts, piece = starts[at] + h[at] * share, piece[at]
+        ts = np.append(starts, end)
+        h = ts[1:] - starts
+        # re-centre each cubic at its piece's start
+        c0, c1, c2, c3 = table.pp.c[::-1][:, piece]
+        s = starts - x[piece]
+        c0 = ((c3 * s + c2) * s + c1) * s + c0
+        c1 = (3.0 * c3 * s + 2.0 * c2) * s + c1
+        c2 = 3.0 * c3 * s + c2
+        rho = k * float(h.max())
+        m = 4
+        while 24.0 * rho ** (m - 3) > _TAIL * math.factorial(m + 1):
+            m += 1
+        b = [c0]
+        for c in (c1, 2.0 * c2, 6.0 * c3) + (0.0,) * (m - 4):
+            b.append(c - k * b[-1])
+        d = [bj / math.factorial(j) for j, bj in enumerate(b, 1)]
+        g = [(-k) ** j / math.factorial(j) for j in range(1, m + 1)]
+        # y_i + lo_i carries beta^2 at each piece start, lo_i the rounding
+        # error of y_i (TwoSum), so that the knot values do not accumulate
+        # one rounding per knot
+        ys, los = [y0], [0.0]
+        for e, s_h in zip(_horner(g, h).tolist(), _horner(d, h).tolist()):
+            y, lo = ys[-1], los[-1]
+            inc = lo + (e * y + s_h)
+            y_new = y + inc
+            back = y_new - y
+            ys.append(y_new)
+            los.append((y - (y_new - back)) + (inc - back))
+        return cls(ts, ys[:-1], los[:-1], d, g), ys
+
+    def cut(self, n: int, end: float) -> _ExactStage2:
+        """The first n pieces, the last of them ending at end."""
+        return _ExactStage2(np.append(self.ts[:n], end), self._y[:n],
+                            self._lo[:n], [row[:n] for row in self._d],
+                            self._g)
+
+    def at(self, t: float) -> float:
+        i = bisect_left(self._knots, t) - 1
+        i = 0 if i < 0 else self._last if i > self._last else i
+        v, y = t - self._knots[i], self._y[i]
+        return y + (self._lo[i] + (_horner(self._g, v) * y
+                                   + _horner(self._d_pieces[i], v)))
+
+    def dense(self, t: np.ndarray) -> np.ndarray:
+        i = np.clip(np.searchsorted(self.ts, t, side="left") - 1, 0, self._last)
+        v, y = t - self.ts[i], self._y_array[i]
+        # _horner on the rows of the pieces at i, each gathered as it is
+        # reached, so no (M, n) block is built
+        s = self._d[-1][i]
+        for row in self._d[-2::-1]:
+            s = s * v + row[i]
+        return y + (self._lo_array[i] + (_horner(self._g, v) * y + s * v))
+
+
+def _integrate_stage2(profile, kappa_i, tau_c, end):
+    """Solve beta^2' = r_in - kappa_i beta^2 from beta^2 = r_in at tau_c,
+    up to end or to the first point where the zero-reflection law would
+    need kappa above 1: (solution, that point or None).
+
+    The violation function triggers at half the feasibility slack and
+    carries an additive floor of 1e-13: once both the population and the
+    input rate have decayed below the integrator's absolute tolerance, the
+    ratio r_in/beta^2 is pure noise and must not be mistaken for a
+    violation. A table is propagated exactly over its PCHIP pieces
+    (`_ExactStage2`); the violation lies in the first piece whose end values
+    have g >= 0 >= g_new, where `brentq` finds it on the exact form. An
+    analytic profile is solved by DOP853 (`_dop853_steps`), and the
+    violation located by `solve_ivp`'s rule: in the first step with
+    g >= 0 >= g_new, by `brentq` on that step's dense output. Either
+    solution then ends at the root.
+    """
     def violation(t, y):
         return (1.0 + 0.5 * _KAPPA_SLACK) * y - prof.rate_at(profile, t) + 1e-13
 
     y0 = prof.rate_at(profile, tau_c)
+    if profile.kind == prof.TABULATED:
+        sol, ys = _ExactStage2.propagate(profile, kappa_i, tau_c, y0, end)
+        g = violation(sol.ts, np.array(ys))
+        down = np.flatnonzero((g[:-1] >= 0.0) & (g[1:] <= 0.0))
+        if not len(down):
+            return sol, None
+        i = int(down[0])
+        lo = sol._knots[i]
+        root = brentq(lambda s: violation(s, sol.at(s)), lo, sol._knots[i + 1],
+                      xtol=4 * _EPS, rtol=4 * _EPS)
+        # as solve_ivp: a root at the piece's start ends the piece before
+        return sol.cut(i if root == lo and i > 0 else i + 1, root), root
+    rhs = lambda t, y: prof.rate_at(profile, t) - kappa_i * y
     ts, steps = [tau_c], []
     g = violation(tau_c, y0)
     for t, y, dense in _dop853_steps(
-            rhs, tau_c, y0, end, _ode_breaks(profile, tau_c, end),
+            rhs, tau_c, y0, end, [],
             lambda t: InfeasibleSchedule(
                 f"stage-2 integration failed near tau = {t}")):
         steps.append(dense)
@@ -753,7 +911,11 @@ def _losses(schedule: CouplingSchedule, tau_max: float) -> tuple[float, float]:
                 seg.beta_sq_array if table else None)
     if k != 0.0 and tau_max > schedule.horizon:
         # The input is extinct past the horizon: one interval, no breaks.
-        intrinsic += quad(schedule.beta_sq, schedule.horizon, tau_max,
+        # beta^2 there is anchored once, before the horizon (on an analytic
+        # profile at last_tau_c, so it is schedule.beta_sq bitwise).
+        pop = _stage2_anchored(profile, schedule.params, schedule.last_tau_c,
+                               schedule.horizon)
+        intrinsic += quad(pop, schedule.horizon, tau_max,
                           limit=200, epsabs=1e-10, epsrel=1e-12)[0]
     return reflection, k * intrinsic
 

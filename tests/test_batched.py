@@ -299,6 +299,8 @@ def _probes(ts: np.ndarray) -> np.ndarray:
 def test_stacked_dense_output_is_odesolution():
     for sch in _schedules():
         for seg in sch.segments:
+            if not isinstance(seg.sol, OdeSolution):
+                continue     # a table's exact stage 2 (tests/test_exact_stage2.py)
             probes = _probes(seg.sol.ts)
             assert _same_bits(seg.dense(probes), seg.sol(probes)[0])
             assert _same_bits(seg.dense(probes[::-1]), seg.sol(probes[::-1])[0])

@@ -1,0 +1,253 @@
+"""A table's stage 2 is propagated exactly over its PCHIP pieces.
+
+`protocol._ExactStage2` solves beta^2' = r_in - kappa_i beta^2 in closed
+form on each piece, where r_in is a cubic. Its knot values are checked
+against the quadrature oracle `stage2_population` and, without loss,
+against the antiderivative `cumulative`; its float and array evaluations
+against each other; its violation times against the knot-aligned DOP853
+solve it replaced. Analytic profiles keep their DOP853 solves.
+"""
+from __future__ import annotations
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
+
+from pulsecatch import profiles as prof
+from pulsecatch import protocol as proto
+from test_batched import narrow_tables
+from test_protocol import _catch_table, _coarse_table, _double_hump
+
+
+def _params(kappa_i: float = 1e-4) -> prof.MemoryParams:
+    return prof.MemoryParams(kappa_i=kappa_i)
+
+
+def _tables():
+    yield "faint", _catch_table(3, faint=True)
+    yield "twin", _catch_table(3, faint=False)
+    yield "coarse", _coarse_table(0)[0]
+
+
+def _propagate(profile: prof.InputProfile, k: float, share: float = 0.37):
+    """The exact stage 2 from a point `share` of the way along the table to
+    its end, and its values at its piece ends."""
+    t0 = float(profile.taus[0]) + share * float(profile.taus[-1]
+                                                - profile.taus[0])
+    return t0, *proto._ExactStage2.propagate(
+        profile, k, t0, prof.rate_at(profile, t0), float(profile.taus[-1]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(table=narrow_tables(), share=st.floats(0.0, 0.9))
+@pytest.mark.parametrize("kappa_i", [0.0, 1e-3, 0.5])
+def test_knot_values_match_quadrature(kappa_i, table, share):
+    """Every piece-end value lies within 1e-13 max(1, beta^2) of
+    `stage2_population`, on tables of 1 to 81 uneven knot intervals, where
+    at kappa_i = 0.5 a long interval is cut into pieces."""
+    t0, sol, ys = _propagate(table, kappa_i, share)
+    knots = table.taus[(table.taus > t0) & (table.taus < table.taus[-1])]
+    assert np.isin(knots, sol.ts).all()
+    for t, y in zip(sol.ts.tolist(), ys):
+        want = proto.stage2_population(table, _params(kappa_i), t0, t)
+        assert abs(y - want) <= 1e-13 * max(1.0, want), (t, y, want)
+
+
+def test_long_pieces_are_cut():
+    """A piece longer than 1/(2 kappa_i) is cut into equal parts, so that
+    the series in kappa_i v stay short and exact."""
+    taus = np.linspace(0.0, 20.0, 3)
+    table = prof.tabulated(taus, [0.0, 0.1, 0.0])
+    t0, sol, ys = _propagate(table, 0.5, share=0.0)
+    assert len(sol.ts) == 21 and np.all(np.diff(sol.ts) <= 1.0)
+    assert np.isin(taus, sol.ts).all()
+    for t, y in zip(sol.ts.tolist(), ys):
+        want = proto.stage2_population(table, _params(0.5), t0, t)
+        assert abs(y - want) <= 1e-15
+
+
+@pytest.mark.parametrize("name, table", list(_tables()))
+def test_lossless_propagation_is_the_antiderivative(name, table):
+    """At kappa_i = 0, beta^2 - beta^2(t0) at each knot equals the
+    difference of `cumulative` to rounding."""
+    t0, sol, ys = _propagate(table, 0.0)
+    grown = np.array(ys) - ys[0]
+    cum = prof.cumulative(table, sol.ts) - prof.cumulative(table, t0)
+    assert np.abs(grown - cum).max() <= 1e-14
+
+
+def _probes(sol) -> np.ndarray:
+    ts = sol.ts
+    return np.concatenate([ts, 0.5 * (ts[1:] + ts[:-1]),
+                           np.nextafter(ts, -np.inf), np.nextafter(ts, np.inf),
+                           [ts[0] - 1.0, ts[-1] + 1.0]])
+
+
+@pytest.mark.parametrize("kappa_i", [0.0, 1e-4, 0.5])
+@pytest.mark.parametrize("name, table", list(_tables()))
+def test_float_and_array_evaluations_agree(name, table, kappa_i):
+    """`at` on each float equals `dense` on the array with `==`, at the
+    piece ends, the midpoints, one ulp either side of the ends and outside
+    the stretch; at a piece end both give the recurrence's value."""
+    _, sol, ys = _propagate(table, kappa_i)
+    probes = _probes(sol)
+    assert [sol.at(t) for t in probes.tolist()] == sol.dense(probes).tolist()
+    assert sol.dense(sol.ts).tolist() == ys
+    assert sol.dense(probes[::-1]).tolist() == sol.dense(probes).tolist()[::-1]
+
+
+@pytest.mark.parametrize("case", ["faint", "twin", "resumed", "coarse"])
+def test_schedule_segments_agree(case):
+    """In a table schedule, each stage-2 segment is exact, its float and
+    array evaluations agree at its piece ends, midpoints and segment ends,
+    and every tenth knot value and its end lie within 5e-16 of
+    `stage2_population`: the recurrence carries its rounding errors, so
+    they do not build up over the 1,500 knots."""
+    if case == "resumed":
+        profile, params = _double_hump(), _params()
+    elif case == "coarse":
+        profile, params = _coarse_table(0)
+    else:
+        profile, params = _catch_table(3, faint=case == "faint"), _params()
+    sch = proto.build_schedule(profile, params)
+    stage2 = [seg for seg in sch.segments if seg.stage == 2]
+    assert stage2
+    for seg in stage2:
+        assert isinstance(seg.sol, proto._ExactStage2)
+        assert (seg.sol.ts[0], seg.sol.ts[-1]) == (seg.t0, seg.t1)
+        probes = np.concatenate([_probes(seg.sol), [seg.t0, seg.t1]])
+        assert [seg.at(t) for t in probes.tolist()] \
+            == seg.dense(probes).tolist()
+        for t in seg.sol.ts[::10].tolist() + [seg.t1]:
+            want = proto.stage2_population(profile, params, seg.t0, t)
+            assert abs(seg.at(t) - want) <= 5e-16, t
+
+
+def _knot_aligned_violation(profile, kappa_i, tau_c, end):
+    """The violation time of the knot-aligned DOP853 stage-2 solve that the
+    exact propagation replaced: solve_ivp's event rule on its steps."""
+    def violation(t, y):
+        return (1.0 + 0.5 * proto._KAPPA_SLACK) * y \
+            - prof.rate_at(profile, t) + 1e-13
+
+    y0 = prof.rate_at(profile, tau_c)
+    g = violation(tau_c, y0)
+    for t, y, dense in proto._dop853_steps(
+            lambda t, y: prof.rate_at(profile, t) - kappa_i * y, tau_c, y0,
+            end, prof._interior_breaks(profile, tau_c, end), RuntimeError):
+        g_new = violation(t, y)
+        if g >= 0.0 >= g_new:
+            return brentq(lambda s: violation(s, dense(s)[0]), dense.t_old, t,
+                          xtol=4 * proto._EPS, rtol=4 * proto._EPS)
+        g = g_new
+    return None
+
+
+@pytest.mark.parametrize("case", ["faint", "resumed", "seed_5", "seed_8"])
+def test_violation_matches_knot_aligned_dop853(case):
+    """Each feasibility violation lies within 1e-12 of the one the
+    knot-aligned DOP853 solve finds from the same threshold."""
+    if case == "resumed":
+        profile = _double_hump()
+    else:
+        seed = 3 if case == "faint" else int(case.split("_")[1])
+        profile = _catch_table(seed, faint=True)
+    params = _params()
+    sch = proto.build_schedule(profile, params)
+    assert "feasibility_resumed" in sch.flags
+    for seg, nxt in zip(sch.segments, sch.segments[1:]):
+        if seg.stage == 2:
+            old = _knot_aligned_violation(profile, params.kappa_i, seg.t0,
+                                          sch.horizon)
+            assert old is not None and abs(seg.t1 - old) <= 1e-12
+            assert nxt.t0 == seg.t1
+
+
+def _recorded_solves(profile, params, monkeypatch):
+    """(t0, y0, end, breaks) of every DOP853 solve of build_schedule."""
+    stepping, solves = proto._dop853_steps, []
+
+    def recording(fun, t0, y0, end, breaks, fail):
+        solves.append((t0, y0, end, breaks))
+        return stepping(fun, t0, y0, end, breaks, fail)
+
+    monkeypatch.setattr(proto, "_dop853_steps", recording)
+    return proto.build_schedule(profile, params), solves
+
+
+@pytest.mark.parametrize("profile", [prof.exponential(0.036),
+                                     prof.exponential(0.5),
+                                     prof.gaussian(r=0.1533, n=4)],
+                         ids=["exp_point", "exp", "gauss"])
+def test_analytic_schedules_keep_their_dop853_solves(profile, monkeypatch):
+    """An analytic schedule makes the same three DOP853 solves as before:
+    the threshold scan and stage 1 from 0, and stage 2 from r_in(tau_c) to
+    the horizon, none with breaks."""
+    sch, solves = _recorded_solves(profile, _params(), monkeypatch)
+    assert [seg.stage for seg in sch.segments] == [1, 2]
+    assert isinstance(sch.segments[1].sol, proto.OdeSolution)
+    tau_c, end = sch.tau_c, sch.horizon
+    assert solves == [(0.0, 0.0, end, []), (0.0, 0.0, tau_c, []),
+                      (tau_c, prof.rate_at(profile, tau_c), end, [])]
+
+
+@pytest.mark.parametrize("faint", [True, False], ids=["faint", "twin"])
+def test_table_stage2_makes_no_rhs_call(faint, monkeypatch):
+    """A table's stage 2 calls no ODE right-hand side: every DOP853 solve
+    of its schedule is stage 1 (beta <= 0), and the stage-2 solve evaluates
+    r_in once on the array of its piece ends, once at tau_c, and otherwise
+    only in the violation's root polish."""
+    profile, params = _catch_table(3, faint=faint), _params()
+    sch, solves = _recorded_solves(profile, params, monkeypatch)
+    stage1 = [seg for seg in sch.segments if seg.stage == 1]
+    assert len(solves) == 2 * len(stage1)
+    assert all(y0 <= 0.0 for _, y0, _, _ in solves)
+
+    rate, calls = prof.rate_at, []
+
+    def counted(p, tau):
+        calls.append(np.ndim(tau))
+        return rate(p, tau)
+
+    monkeypatch.setattr(prof, "rate_at", counted)
+    brentq_calls = []
+    monkeypatch.setattr(proto, "brentq", lambda f, *args, **kw: (
+        brentq_calls.append(1), brentq(f, *args, **kw))[1])
+    sol, violation = proto._integrate_stage2(profile, params.kappa_i,
+                                             sch.segments[1].t0, sch.horizon)
+    assert (violation is not None) == faint == bool(brentq_calls)
+    assert calls.count(1) == 1
+    if not faint:
+        assert calls == [0, 1]
+
+
+def _tail_table() -> prof.InputProfile:
+    """A table cut off at a nonzero rate (3.2e-3 at its last knot), so that
+    tau_max lies just past its horizon."""
+    rng = np.random.default_rng(147)
+    gaps = rng.uniform(0.25, 1.0, 41)
+    taus = 5.0 + np.concatenate(([0.0], np.cumsum(gaps))) * 23.0 / gaps.sum()
+    rates = np.exp(-0.5 * ((taus - rng.uniform(12.0, 26.0))
+                           / rng.uniform(1.5, 5.0)) ** 2)
+    return prof.tabulated(taus, rates / np.trapezoid(rates, taus))
+
+
+def test_past_horizon_loss_tail_is_quiet():
+    """The intrinsic loss past the horizon integrates beta^2 anchored once
+    before the horizon, not a full-window quadrature at each node, which
+    made quad warn here (pytest turns IntegrationWarning into an error)."""
+    profile, params = _tail_table(), _params(1e-3)
+    assert profile.rates[-1] > 1e-3
+    sch = proto.build_schedule(profile, params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = proto.peak_time_and_fidelity(profile, params, sch)
+    assert rep.tau_max > sch.horizon
+    total = (rep.fidelity + rep.loss_stage1_reflection + rep.loss_intrinsic
+             + rep.loss_unabsorbed)
+    assert abs(total - 1.0) <= 1e-14
+    assert math.isfinite(rep.loss_intrinsic) and rep.loss_intrinsic > 0.0

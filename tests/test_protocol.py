@@ -296,8 +296,8 @@ def _solve_ivp_segment(profile, kappa_i, seg, beta0, end):
 def test_stepping_without_breaks_equals_solve_ivp(case, monkeypatch):
     """With no break points every stage solve is `solve_ivp` bit for bit:
     the same steps, dense output, violation time and status. The double hump
-    (a table) is built here without its knots; its first stage-2 solve ends
-    at the violation event."""
+    (a table) is built here without its knots for stage 1; its stage 2 is
+    propagated exactly, and solve_ivp's stage 2 meets the same violation."""
     monkeypatch.setattr(proto, "_ode_breaks", lambda profile, a, b: [])
     profile, params = _schedule(case).profile, _params()
     sch = proto.build_schedule(profile, params)
@@ -307,6 +307,14 @@ def test_stepping_without_breaks_equals_solve_ivp(case, monkeypatch):
     for i, seg in enumerate(sch.segments):
         ref = _solve_ivp_segment(profile, params.kappa_i, seg, beta0,
                                  sch.horizon)
+        if isinstance(seg.sol, proto._ExactStage2):
+            # A table's stage 2 is not stepped. solve_ivp finds the same
+            # violation, placed only to its error across the knots (2.5e-8).
+            assert case == "resumed" and seg.stage == 2
+            if i < len(sch.segments) - 1:
+                assert ref.status == 1
+                beta0 = -math.sqrt(seg.at(seg.t1))
+            continue
         assert np.array_equal(seg.sol.ts, ref.t), i
         ends = ref.t
         old = proto._float_dense(ref.sol)
@@ -328,17 +336,24 @@ def test_table_steps_end_at_knots():
     knots = sch.profile.taus
     scan = proto._threshold_bracket(sch.profile, sch.params.kappa_i, 0.0, 0.0,
                                     sch.horizon)[2]
-    for sol in [scan] + [seg.sol for seg in sch.segments]:
+    stepped = [seg.sol for seg in sch.segments if seg.stage == 1]
+    for sol in [scan] + stepped:
         for step in sol.interpolants:
             assert not np.any((knots > step.t_old) & (knots < step.t))
     for seg in sch.segments:
         inside = knots[(knots > seg.t0) & (knots < seg.t1)]
         assert np.isin(inside, seg.sol.ts).all()
+        if seg.stage == 2:
+            # the exact stage 2's pieces are the knot intervals
+            assert isinstance(seg.sol, proto._ExactStage2)
+            assert np.array_equal(seg.sol.ts, np.concatenate(
+                ([seg.t0], inside, [seg.t1])))
 
 
 def test_table_steps_are_rarely_rejected(monkeypatch):
     """On the benchmark's faint two-hump table, at most 1.1 trial steps are
-    taken per accepted step (stepping across the knots took about 2.3).
+    taken per accepted step (stepping across the knots took about 2.3), over
+    the schedule's solves and the knot-aligned ODE solve of its stage 2.
     Counted at the right-hand side: each trial makes 12 calls, each accepted
     step 3 more for its dense output, and each solve 2 for its initial
     step."""
@@ -358,9 +373,25 @@ def test_table_steps_are_rarely_rejected(monkeypatch):
     monkeypatch.setattr(proto, "_dop853_steps", counting_stepping)
     sch = proto.build_schedule(_catch_table(3, faint=True), _params())
     assert "feasibility_resumed" in sch.flags
+    for solve in _table_stage2_solves(sch):
+        for _ in proto._dop853_steps(*solve, _Failed):
+            pass
     assert accepted[0] > 1000
     trials = (rhs_calls[0] - 2 * solves[0] - 3 * accepted[0]) / 12
     assert accepted[0] <= trials <= 1.1 * accepted[0]
+
+
+def _table_stage2_solves(sch: proto.CouplingSchedule):
+    """(fun, t0, y0, end, breaks) of the knot-aligned DOP853 solve of each
+    stage-2 segment of a table schedule: stage 2 of a table is propagated
+    exactly, and this is the ODE solve it replaced, which keeps the stepper
+    checked from beta^2 = r_in > 0 with knot breaks."""
+    profile, k = sch.profile, sch.params.kappa_i
+    rhs = lambda t, y: prof.rate_at(profile, t) - k * y
+    for seg in sch.segments:
+        if seg.stage == 2:
+            yield (rhs, seg.t0, prof.rate_at(profile, seg.t0), seg.t1,
+                   prof._interior_breaks(profile, seg.t0, seg.t1))
 
 
 def _scipy_dop853_steps(fun, t0, y0, end, breaks, fail):
@@ -416,7 +447,9 @@ def _recorded_solves(profile, params, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(proto, "_dop853_steps", recording)
-        proto.build_schedule(profile, params)
+        sch = proto.build_schedule(profile, params)
+    if profile.kind == prof.TABULATED:
+        solves += _table_stage2_solves(sch)
     return solves
 
 
@@ -427,7 +460,9 @@ def test_stepper_equals_scipy_dop853(case, monkeypatch):
     same right-hand-side calls, accepted steps, dense outputs and failure
     time. Every stage solve of a schedule is run to its end: the threshold
     scans and stage 1 from beta = 0 or a resumed beta < 0, stage 2 from
-    beta^2 = r_in, so both branches of the initial step run."""
+    beta^2 = r_in, so both branches of the initial step run. A table's
+    stage 2, propagated exactly, is solved here as it was before, with its
+    knots as breaks."""
     exp = prof.exponential(0.036)
     stage1 = proto._stage1_rhs(exp, 1e-4)
     if case == "zero_length":
@@ -863,6 +898,8 @@ def test_float_dense_output_is_bitwise_scipy(case):
     between steps."""
     sch = _schedule(case)
     for seg in sch.segments:
+        if case == "resumed" and seg.stage == 2:
+            continue         # a table's stage 2 is no OdeSolution
         ts = seg.sol.ts
         knots = np.concatenate([ts, [seg.t0, seg.t1]])
         probes = np.concatenate([knots, np.nextafter(knots, -np.inf),
