@@ -259,17 +259,36 @@ def cumulative(profile: InputProfile, tau):
     return out
 
 
+def _map(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
+    """fn at each float of a 1-d array."""
+    return np.fromiter(map(fn, x.tolist()), float, len(x))
+
+
 def _pointwise(fn, profile: InputProfile, taus: np.ndarray) -> np.ndarray:
-    """fn(profile, tau) at each tau of an array, bitwise equal to calling fn
-    on each float (fn is `rate_at` or `cumulative`).
+    """fn(profile, tau) at each tau of a 1-d array, bitwise equal to calling
+    fn on each float (fn is `rate_at` or `cumulative`).
 
     np.exp and scipy's erf differ from math.exp and math.erf in the last bit
-    on a few percent of inputs, so the analytic families take the scalar path
-    point by point; a table runs the same PCHIP arithmetic either way.
+    on a few percent of inputs, so the analytic families run the float
+    path's arithmetic elementwise and map math.exp, math.expm1 or math.erf
+    over the array; a table runs the same PCHIP arithmetic either way.
     """
     if profile.kind == TABULATED:
         return np.asarray(fn(profile, taus), dtype=float)
-    return np.array([fn(profile, t) for t in taus.tolist()], dtype=float)
+    name = "cumulative" if fn is cumulative else "rate_at"
+    if np.any(taus < 0.0):
+        raise DomainError(f"{name} requires tau >= 0")
+    if profile.kind == EXPONENTIAL:
+        if fn is cumulative:
+            return -_map(math.expm1, -profile.r * taus)
+        return profile.r * _map(math.exp, -profile.r * taus)
+    if fn is cumulative:
+        root2 = math.sqrt(2.0)
+        lo = math.erf(profile.tau0 / (profile.sigma * root2))
+        return 0.5 * (_map(math.erf, (taus - profile.tau0)
+                           / (profile.sigma * root2)) + lo)
+    z = (taus - profile.tau0) / profile.sigma
+    return profile.r * _map(math.exp, -0.5 * z * z)
 
 
 def horizon(profile: InputProfile) -> float:
@@ -410,6 +429,11 @@ def _quad_chunked(f: Callable[[float], float], a: float, b: float,
     """
     if b <= a:
         return 0.0
+    if b - a <= 1e3 * _EPMACH * max(abs(a), abs(b)):
+        # Too short for QUADPACK to bisect: it would stop at once with its
+        # "extremely bad integrand" warning. One dqk21 is exact to rounding.
+        fv = fv or (lambda s: np.array([f(t) for t in s.tolist()]))
+        return _qk21(fv, np.array([a]), np.array([b]))[0][0]
     edges = [a] + breaks + [b]
     n = len(edges) - 1
     starts = range(0, n, _CHUNK)

@@ -108,19 +108,19 @@ def _stage2_pop(profile: prof.InputProfile, k: float, t0: float, pop0: float,
 def _decay(c: float, tau: float, s: np.ndarray) -> np.ndarray:
     """math.exp(c * (tau - s)) at each s of an array, the quadrature kernels'
     weight: np.exp differs from math.exp in the last bit on some inputs."""
-    return np.fromiter(map(math.exp, (c * (tau - s)).tolist()), float, len(s))
+    return prof._map(math.exp, c * (tau - s))
 
 
 # Both stage equations are linear, so a quadrature form can restart at any
-# t_a from its value there. A root polish on [lo, hi] anchors at the last ODE
-# break (table knot) in (t0, lo), else t0, with one quadrature from t0; each
+# t_a from its value there. A root polish on [lo, hi] anchors at the last
+# table knot in (t0, lo), else t0, with one quadrature from t0; each
 # evaluation then integrates only from t_a. Analytic profiles have no breaks:
 # t_a = t0 with the exact seed, so every value is the full-window one.
 
 def _stage1_anchored(profile: prof.InputProfile, kappa_i: float, t0: float,
                      beta0: float, lo: float) -> Callable[[float], float]:
     """tau -> stage-1 beta(tau) for tau >= lo from beta(t0) = beta0."""
-    t_a = (_ode_breaks(profile, t0, lo) or [t0])[-1]
+    t_a = (_knots(profile, t0, lo) or [t0])[-1]
     beta_a = _stage1_beta_quad(profile, kappa_i, t0, beta0, t_a, epsabs=1e-13)
     return lambda t: _stage1_beta_quad(profile, kappa_i, t_a, beta_a, t,
                                        epsabs=1e-13)
@@ -129,7 +129,7 @@ def _stage1_anchored(profile: prof.InputProfile, kappa_i: float, t0: float,
 def _stage2_anchored(profile: prof.InputProfile, params: prof.MemoryParams,
                      t0: float, lo: float) -> Callable[[float], float]:
     """tau -> beta^2(tau) for tau >= lo in the stage-2 stretch from t0."""
-    t_a = (_ode_breaks(profile, t0, lo) or [t0])[-1]
+    t_a = (_knots(profile, t0, lo) or [t0])[-1]
     pop_a = stage2_population(profile, params, t0, t_a)
     return lambda t: _stage2_pop(profile, params.kappa_i, t_a, pop_a, t)
 
@@ -149,15 +149,32 @@ def _activation_time(profile: prof.InputProfile) -> float | None:
     return float(profile.taus[max(i - 1, 0)])
 
 
+def _dop853_row(d: Dop853DenseOutput) -> tuple[float, ...]:
+    """(t_old, h, the rows of F from the last, y_old) of one DOP853 step."""
+    return (float(d.t_old), float(d.h), *d.F[::-1, 0].tolist(),
+            float(d.y_old[0]))
+
+
+def _dop853_at(t, t_old, h, f6, f5, f4, f3, f2, f1, f0, y_old):
+    """One DOP853 step's dense output at t (a float or an array) from its
+    `_dop853_row`: Dop853DenseOutput._call_impl's sequence, from y = 0
+    adding the rows of F from the last one, multiplying by x and 1 - x in
+    turn, then adding y_old (DOP853 dense output has 7 rows of F)."""
+    x = (t - t_old) / h
+    xm = 1 - x
+    return (((((((0.0 + f6) * x + f5) * xm + f4) * x + f3) * xm + f2) * x
+             + f1) * xm + f0) * x + y_old
+
+
 def _dense_output(sol) -> tuple[Callable[[float], float],
                                 Callable[[np.ndarray], np.ndarray]]:
     """(t -> float(sol(t)[0]), ts -> sol(ts)[0]) for a float t and a 1-d
     array ts, where sol is a DOP853 OdeSolution.
 
-    Both run on one table of the steps' t_old, h, rows of F and y_old, with
-    scipy's arithmetic operation for operation, so every value is bitwise
-    the same, without OdeSolution's per-call and per-step array overhead.
-    Any other interpolant keeps the OdeSolution call.
+    Both run on one table of the steps' `_dop853_row`s with scipy's
+    arithmetic operation for operation, so every value is bitwise the same,
+    without OdeSolution's per-call and per-step array overhead. Any other
+    interpolant keeps the OdeSolution call.
     """
     steps = sol.interpolants
     if not steps or not (sol.ascending
@@ -167,27 +184,17 @@ def _dense_output(sol) -> tuple[Callable[[float], float],
     ts = sol.ts
     knots = ts.tolist()
     last = len(steps) - 1
-    rows = [(float(d.t_old), float(d.h), *d.F[::-1, 0].tolist(),
-             float(d.y_old[0])) for d in steps]
+    rows = [_dop853_row(d) for d in steps]
     columns = np.array(rows).T
-
-    # Dop853DenseOutput._call_impl: from y = 0, add the rows of F from the
-    # last one, multiplying by x and 1 - x in turn; then add y_old. DOP853
-    # dense output has 7 rows of F.
-    def horner(t, t_old, h, f6, f5, f4, f3, f2, f1, f0, y_old):
-        x = (t - t_old) / h
-        xm = 1 - x
-        return (((((((0.0 + f6) * x + f5) * xm + f4) * x + f3) * xm + f2) * x
-                 + f1) * xm + f0) * x + y_old
 
     # OdeSolution: the step holding t (the earlier one at a step boundary),
     # clamped to the first and last steps.
     def at(t: float) -> float:
         i = bisect_left(knots, t) - 1
-        return horner(t, *rows[0 if i < 0 else last if i > last else i])
+        return _dop853_at(t, *rows[0 if i < 0 else last if i > last else i])
 
-    # The same sequence on arrays, gathering each row of the table only when
-    # the sum reaches it, so no (10, n) block is built.
+    # `_dop853_at` on arrays, gathering each row of the table only when the
+    # sum reaches it, so no (10, n) block is built.
     def on_array(t: np.ndarray) -> np.ndarray:
         i = np.clip(np.searchsorted(ts, t, side="left") - 1, 0, last)
         x = (t - columns[0][i]) / columns[1][i]
@@ -205,9 +212,9 @@ def _float_dense(sol) -> Callable[[float], float]:
     return _dense_output(sol)[0]
 
 
-def _ode_breaks(profile: prof.InputProfile, a: float, b: float) -> list[float]:
-    """Where an ODE solve over [a, b] must end a step: the table knots inside,
-    at which the PCHIP rate is only C1. Analytic profiles have none."""
+def _knots(profile: prof.InputProfile, a: float, b: float) -> list[float]:
+    """The table knots in (a, b), where the PCHIP rate is only C1 and the
+    polishes anchor. Analytic profiles have none."""
     if profile.kind != prof.TABULATED:
         return []
     return prof._interior_breaks(profile, a, b)
@@ -218,22 +225,19 @@ def _rms(x: float) -> float:
     return math.sqrt(x * x)
 
 
-def _dop853_steps(fun, t0: float, y0: float, end: float, breaks: list[float],
+def _dop853_steps(fun, t0: float, y0: float, end: float,
                   fail: Callable[[float], Exception]):
     """Accepted DOP853 steps (t, y, dense) of the scalar ODE y' = fun(t, y)
-    from t0 to end >= t0, ending a step exactly at every break in (t0, end).
+    from t0 to end >= t0.
 
     This is scipy 1.17.1's DOP853 with `solve_ivp`'s settings (Hairer,
-    Norsett and Wanner, Solving ODEs I, II.4-II.6), operation for operation
+    Norsett and Wanner, Solving ODEs I, II.4-II.5), operation for operation
     on a 1-element state: each weighted stage sum is scipy's own `np.dot`
     call with its operand shapes, on views of one (16, 1) stage array, and
     everything else (step control, error norm, initial step, dense-output
-    rows 0-2) is the same float arithmetic on Python floats. The step bound
-    starts at the first break; on landing there it moves to the next one
-    and stepping runs on with the step size it has (II.6: restart at known
-    discontinuities, here with no new set-up). With no breaks the steps and
-    dense outputs are those of `solve_ivp` bit for bit. A failed step raises
-    fail(t) at the last accepted t.
+    rows 0-2) is the same float arithmetic on Python floats, so the steps
+    and dense outputs are those of `solve_ivp` bit for bit. A failed step
+    raises fail(t) at the last accepted t.
     """
     n, dot, C = _DOP.N_STAGES, np.dot, _DOP.C.tolist()
     K = np.empty((_DOP.N_STAGES_EXTENDED, 1))
@@ -241,11 +245,10 @@ def _dop853_steps(fun, t0: float, y0: float, end: float, breaks: list[float],
     # (stage, K[:s].T, A[s, :s], C[s]): rk_step's stages, then dense output's
     stages = [(s, K[:s].T, _DOP.A[s, :s], C[s]) for s in range(len(K))]
     trial, extra, KB, KE = stages[1:n], stages[n + 1:], K[:n].T, K[:n + 1].T
-    bounds = [b for b in breaks if t0 < b < end] + [float(end)]
-    t, y = float(t0), float(y0)
+    t, y, end = float(t0), float(y0), float(end)
     f = fun(t, y)
-    # common.select_initial_step towards the first bound (RMS norms of n = 1)
-    span = bounds[0] - t
+    # common.select_initial_step (RMS norms of n = 1)
+    span = end - t
     if span == 0.0:
         return
     scale = _ODE_ATOL + abs(y) * _ODE_RTOL
@@ -255,42 +258,41 @@ def _dop853_steps(fun, t0: float, y0: float, end: float, breaks: list[float],
     h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 \
         else (0.01 / max(d1, d2)) ** (1 / 8)
     h_abs = min(100 * h0, h1, span)
-    for bound in bounds:
-        while t < bound:
-            # RungeKutta._step_impl and rk_step
-            min_step = 10 * (math.nextafter(t, math.inf) - t)
-            h_abs = max(h_abs, min_step)
-            rejected = False
-            while True:
-                if h_abs < min_step:
-                    raise fail(t)
-                t_new = min(t + h_abs, bound)
-                h = h_abs = t_new - t
-                k[0] = f
-                for s, KT, a, c in trial:
-                    k[s] = fun(t + c * h, y + dot(KT, a).item() * h)
-                y_new = y + h * dot(KB, _DOP.B).item()
-                k[n] = f_new = fun(t + h, y_new)
-                scale = _ODE_ATOL + max(abs(y), abs(y_new)) * _ODE_RTOL
-                e5 = _rms(dot(KE, _DOP.E5).item() / scale) ** 2
-                e3 = _rms(dot(KE, _DOP.E3).item() / scale) ** 2
-                err = 0.0 if e5 == 0 and e3 == 0 else \
-                    h * e5 / math.sqrt(e5 + 0.01 * e3)
-                if err < 1:
-                    factor = 10 if err == 0 else min(10, 0.9 * err ** -0.125)
-                    h_abs *= min(1, factor) if rejected else factor
-                    break
-                h_abs *= max(0.2, 0.9 * err ** -0.125)
-                rejected = True
-            # DOP853._dense_output_impl
-            for s, KT, a, c in extra:
+    while t < end:
+        # RungeKutta._step_impl and rk_step
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise fail(t)
+            t_new = min(t + h_abs, end)
+            h = h_abs = t_new - t
+            k[0] = f
+            for s, KT, a, c in trial:
                 k[s] = fun(t + c * h, y + dot(KT, a).item() * h)
-            F = np.empty((_DOP.INTERPOLATOR_POWER, 1))
-            F[3:] = h * dot(_DOP.D, K)
-            dy = y_new - y
-            F[:3, 0] = dy, h * f - dy, 2 * dy - h * (f_new + f)
-            yield t_new, y_new, Dop853DenseOutput(t, t_new, np.array([y]), F)
-            t, y, f = t_new, y_new, f_new
+            y_new = y + h * dot(KB, _DOP.B).item()
+            k[n] = f_new = fun(t + h, y_new)
+            scale = _ODE_ATOL + max(abs(y), abs(y_new)) * _ODE_RTOL
+            e5 = _rms(dot(KE, _DOP.E5).item() / scale) ** 2
+            e3 = _rms(dot(KE, _DOP.E3).item() / scale) ** 2
+            err = 0.0 if e5 == 0 and e3 == 0 else \
+                h * e5 / math.sqrt(e5 + 0.01 * e3)
+            if err < 1:
+                factor = 10 if err == 0 else min(10, 0.9 * err ** -0.125)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * err ** -0.125)
+            rejected = True
+        # DOP853._dense_output_impl
+        for s, KT, a, c in extra:
+            k[s] = fun(t + c * h, y + dot(KT, a).item() * h)
+        F = np.empty((_DOP.INTERPOLATOR_POWER, 1))
+        F[3:] = h * dot(_DOP.D, K)
+        dy = y_new - y
+        F[:3, 0] = dy, h * f - dy, 2 * dy - h * (f_new + f)
+        yield t_new, y_new, Dop853DenseOutput(t, t_new, np.array([y]), F)
+        t, y, f = t_new, y_new, f_new
 
 
 def _stage1_rhs(profile, kappa_i):
@@ -301,11 +303,10 @@ def _stage1_rhs(profile, kappa_i):
 
 
 def _integrate_stage1(profile, kappa_i, t0, beta0, t1) -> OdeSolution:
-    """Dense solve of stage 1 over [t0, t1]."""
+    """Dense DOP853 solve of stage 1 over [t0, t1] (analytic profiles)."""
     ts, steps = [t0], []
     for t, _, dense in _dop853_steps(
             _stage1_rhs(profile, kappa_i), t0, beta0, t1,
-            _ode_breaks(profile, t0, t1),
             lambda t: InfeasibleSchedule(
                 f"stage-1 integration failed near tau = {t}")):
         ts.append(t)
@@ -314,42 +315,62 @@ def _integrate_stage1(profile, kappa_i, t0, beta0, t1) -> OdeSolution:
 
 
 def _threshold_bracket(profile: prof.InputProfile, kappa_i: float,
-                       t0: float, beta0: float,
-                       end: float) -> tuple[float, float, OdeSolution]:
+                       t_start: float, beta_start: float, end: float):
     """Grid bracket (lo, hi) of the first downward crossing of
-    g(tau) = sqrt(r_in(tau)) + beta(tau) on [t0, end], and the stage-1
-    solution up to the step holding hi.
+    g(tau) = sqrt(r_in(tau)) + beta(tau) past t_start, and the stage-1
+    solution from t_start up to the part holding hi.
 
-    Steps DOP853 from t0 towards end with `_dop853_steps` (for an analytic
-    profile exactly as `solve_ivp` would; a table's steps end at its
-    knots), and after each step evaluates g with that step's dense output on
-    the points of the fixed 8193-point grid it covers: those in (t_old, t],
-    plus t0 in the first step, as OdeSolution assigns them. The scan is
-    deliberate: slowly varying inputs make g dip below zero and come back,
-    and the integrator's own steps can stride across the whole dip. Stepping
-    stops at the first crossing instead of running to the horizon.
+    The fixed 8193-point grid runs from t0 to end: t0 is t_start or, past a
+    leading stretch where r_in vanishes identically (g would sit at 0 for a
+    fresh memory), the input's activation. The scan is deliberate: slowly
+    varying inputs make g dip below zero and come back, and a solver's
+    steps can stride across the whole dip. It stops at the first crossing.
+    A table is propagated exactly in chunks of pieces (`_ExactLinear`); an
+    analytic profile is stepped by DOP853 as `solve_ivp` would, each step's
+    grid points (those in (t_old, t], plus t0 in the first step, as
+    OdeSolution assigns them) evaluated by its dense output (`_dop853_at`).
     """
+    activation = _activation_time(profile)
+    if activation is None:
+        raise NoThreshold("input profile carries no excitation")
+    t0 = max(t_start, activation)
+    if t0 >= end:
+        raise NoThreshold("input activates only beyond the search horizon")
+    parts = []      # a table's chunks, or a solve's steps
+
+    def stretches():
+        """(t, beta on the grid points in (the last t, t]) in order of t."""
+        if profile.kind == prof.TABULATED:
+            for chunk in _ExactLinear.stage1(profile, kappa_i, t_start,
+                                             beta_start, t0, end):
+                parts.append(chunk)
+                yield chunk.ts[-1], chunk.dense
+            return
+        for t, _, dense in _dop853_steps(
+                _stage1_rhs(profile, kappa_i), t0, beta_start, end,
+                lambda t: NoThreshold(
+                    f"stage-1 integration failed near tau = {t}")):
+            parts.append(dense)
+            row = _dop853_row(dense)
+            yield t, lambda s, row=row: _dop853_at(s, *row)
+
     grid = np.linspace(t0, end, 8193)
-    ts, steps = [t0], []
     done = 0            # grid points scanned so far
     g_last = 0.0        # g at the last of them
-    for t, _, dense in _dop853_steps(
-            _stage1_rhs(profile, kappa_i), t0, beta0, end,
-            _ode_breaks(profile, t0, end),
-            lambda t: NoThreshold(f"stage-1 integration failed near tau = {t}")):
-        ts.append(t)
-        steps.append(dense)
+    for t, beta in stretches():
         stop = int(np.searchsorted(grid, t, side="right"))
         if stop == done:
             continue
         g = np.sqrt(prof.rate_at(profile, grid[done:stop])) \
-            + dense(grid[done:stop])[0]
+            + beta(grid[done:stop])
         if done:
             g = np.concatenate(([g_last], g))
         down = np.flatnonzero((g[:-1] > 0.0) & (g[1:] <= 0.0))
         if len(down):
             i = max(done - 1, 0) + int(down[0])
-            return float(grid[i]), float(grid[i + 1]), OdeSolution(ts, steps)
+            sol = _ExactLinear.join(parts) if profile.kind == prof.TABULATED \
+                else OdeSolution([t0] + [d.t for d in parts], parts)
+            return float(grid[i]), float(grid[i + 1]), sol
         done, g_last = stop, float(g[-1])
     raise NoThreshold(
         f"stage-1 population never reaches the threshold in [{t0}, {end}]"
@@ -357,53 +378,46 @@ def _threshold_bracket(profile: prof.InputProfile, kappa_i: float,
 
 
 def _first_threshold(profile: prof.InputProfile, kappa_i: float,
-                     t_start: float, beta_start: float, end: float) -> float:
-    """First tau > t_start where the stored population reaches beta^2 = r_in.
+                     t_start: float, beta_start: float, end: float):
+    """(tau_c, sol): the first tau_c > t_start where the stored population
+    reaches beta^2 = r_in, and for a table the exact stage 1 from t_start
+    to tau_c (None for an analytic profile).
 
-    `_threshold_bracket` steps the stage-1 amplitude only until the grid
-    scan of g(tau) = sqrt(r_in(tau)) + beta(tau) finds its first downward
-    crossing (beta <= 0, so g hits zero exactly at the threshold). The
-    bracketed root is then polished on the quadrature form of g, not on the
-    dense ODE output, which the quadrature oracle checks. The polish anchors
-    at the last table knot before the bracket (`_stage1_anchored`), so each
-    step integrates from there, not from t_start; an analytic profile
-    anchors at t_start with beta_start as the exact seed, so its root is the
-    full-window one bitwise.
+    `_threshold_bracket`'s crossing of g = sqrt(r_in) + beta (beta <= 0, so
+    g hits zero exactly at the threshold) is polished on the quadrature
+    form of g, which the quadrature oracle checks. The polish anchors at
+    the last table knot before the bracket (`_stage1_anchored`), so each
+    step integrates from there; an analytic profile anchors at t_start
+    with beta_start as the exact seed, so its root is the full-window one
+    bitwise.
     """
-    a = 0.5 * (1.0 + kappa_i)
-
-    # Skip any leading stretch where r_in vanishes identically: beta only
-    # decays there (exactly, by e^{-a dt}) and the threshold event function
-    # would sit at 0 for a fresh memory, which root-finders misread.
-    activation = _activation_time(profile)
-    if activation is None:
-        raise NoThreshold("input profile carries no excitation")
-    t0 = max(t_start, activation)
-    beta0 = beta_start * math.exp(-a * (t0 - t_start)) if t0 > t_start else beta_start
-    if t0 >= end:
-        raise NoThreshold("input activates only beyond the search horizon")
-
-    lo, hi, sol = _threshold_bracket(profile, kappa_i, t0, beta0, end)
+    lo, hi, sol = _threshold_bracket(profile, kappa_i, t_start, beta_start,
+                                     end)
     beta_quad = _stage1_anchored(profile, kappa_i, t_start, beta_start, lo)
     g_quad = lambda t: math.sqrt(prof.rate_at(profile, t)) + beta_quad(t)
 
     if g_quad(lo) > 0.0 > g_quad(hi):
-        return brentq(g_quad, lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200)
-    # Quadrature disagrees about the bracket (possible only within its own
-    # ~1e-12 error of a tangency); fall back to the integrated dynamics. The
-    # scan took its signs from array evaluations, so check them on floats.
-    beta = _float_dense(sol)
-    g_dense = lambda t: math.sqrt(prof.rate_at(profile, t)) + beta(t)
-    if not brackets_root(g_dense(lo), g_dense(hi)):
-        raise NoThreshold(f"threshold residual does not change sign on the "
-                          f"bracket [{lo!r}, {hi!r}]")
-    return brentq(g_dense, lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200)
+        tau_c = brentq(g_quad, lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200)
+    else:
+        # Quadrature disagrees about the bracket (possible only within its
+        # own ~1e-12 error of a tangency); fall back to the propagated
+        # dynamics. The scan took its signs from array evaluations, so
+        # check them on floats.
+        beta = sol.at if isinstance(sol, _ExactLinear) else _float_dense(sol)
+        g_dense = lambda t: math.sqrt(prof.rate_at(profile, t)) + beta(t)
+        if not brackets_root(g_dense(lo), g_dense(hi)):
+            raise NoThreshold(f"threshold residual does not change sign on "
+                              f"the bracket [{lo!r}, {hi!r}]")
+        tau_c = brentq(g_dense, lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200)
+    if isinstance(sol, _ExactLinear):
+        return tau_c, sol.cut(max(bisect_left(sol._knots, tau_c), 1), tau_c)
+    return tau_c, None
 
 
 def threshold_time(profile: prof.InputProfile, params: prof.MemoryParams) -> float:
     """Smallest tau_c > 0 with beta^2(tau_c) = r_in(tau_c) under stage 1."""
     return _first_threshold(profile, params.kappa_i, 0.0, 0.0,
-                            prof.horizon(profile))
+                            prof.horizon(profile))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -415,13 +429,13 @@ class _Segment:
     stage: int              # 1: kappa = 1 builds the seed; 2: zero reflection
     t0: float
     t1: float
-    # beta (stage 1) or beta^2 (stage 2): a DOP853 OdeSolution, except for
-    # a table's stage 2, which is propagated exactly (`_ExactStage2`)
+    # beta (stage 1) or beta^2 (stage 2): a DOP853 OdeSolution for an
+    # analytic profile, a table's exact propagation (`_ExactLinear`)
     sol: object
 
     @cached_property
     def _evaluators(self):
-        if isinstance(self.sol, _ExactStage2):
+        if isinstance(self.sol, _ExactLinear):
             return self.sol.at, self.sol.dense
         return _dense_output(self.sol)
 
@@ -634,7 +648,10 @@ class CouplingSchedule:
         return [seg.t0 for seg in self.segments[1:]]
 
 
-_TAIL = 2.0 ** -60       # series terms below this share of the cubic's are cut
+_TAIL = 2.0 ** -60       # series terms below this share of the leading one are cut
+_SPREAD = 0.5            # largest sum_j |c_j| h^j / c_0 of a square-root piece
+_MAX_TERMS = 60          # longest square-root series
+_CHUNK = 256             # pieces of the first stage-1 chunk; each next doubles
 
 
 def _horner(coefs, v):
@@ -647,36 +664,106 @@ def _horner(coefs, v):
     return acc * v
 
 
-class _ExactStage2:
-    """The stage-2 population beta^2 of a tabulated profile, propagated
-    exactly over its PCHIP pieces.
+def _recentred(table: prof._Piecewise, piece: np.ndarray,
+               starts: np.ndarray) -> list[np.ndarray]:
+    """[c_0, .., c_3]: the cubic of knot interval piece[i] re-centred at
+    starts[i], r_in(starts[i] + v) = sum_j c_j[i] v^j."""
+    c0, c1, c2, c3 = table.pp.c[::-1][:, piece]
+    s = starts - table.pp.x[piece]
+    return [((c3 * s + c2) * s + c1) * s + c0,
+            (3.0 * c3 * s + 2.0 * c2) * s + c1, 3.0 * c3 * s + c2, c3]
 
-    On a piece from o the rate is a cubic, r_in(o + v) = sum_j c_j v^j, so
-    beta^2' = r_in - k beta^2 has the closed solution (the exponential
-    integrator's phi functions, Hochbruck and Ostermann, Acta Numerica 19,
-    2010)
 
-        beta^2(o + v) = y + (expm1(-k v) y + S(v)),
-        S(v) = sum_j j! c_j v^(j+1) phi_{j+1}(-k v),  phi_m(z) = sum_n z^n/(n+m)!
+def _pieces(profile, starts: list[float], end: float, parts):
+    """(ts, knot interval of each piece) for the pieces from `starts` to
+    end, each cut into parts(starts, h, piece) equal parts."""
+    table = profile._interp
+    starts = np.array(starts)
+    # the piece scipy's search gives the start: x[i] <= t < x[i+1]
+    piece = np.clip(np.searchsorted(table.pp.x, starts, side="right") - 1,
+                    0, table.last)
+    h = np.append(starts[1:], end) - starts
+    n = parts(starts, h, piece).astype(int)
+    if n.max() > 1:
+        at = np.repeat(np.arange(len(starts)), n)
+        share = (np.arange(len(at)) - np.repeat(np.cumsum(n) - n, n)) / n[at]
+        starts, piece = starts[at] + h[at] * share, piece[at]
+    return np.append(starts, end), piece
 
-    with y = beta^2(o). Both terms are power series in v: expm1(-k v) has
-    the coefficients g_m = (-k)^m/m!, and S(v) the coefficients b_m/m! with
-    b_1 = c_0 and b_m = (m-1)! c_{m-1} - k b_{m-1} (c_j = 0 past the cubic).
-    A piece longer than 1/(2k) is cut into equal parts, so k v <= 1/2, and
-    the series stop at the first term M with 24 (k h)^(M-3)/(M+1)! below
-    2^-60 for the longest piece h: the tail relative to the cubic's term.
 
-    `ts` holds the piece ends: the start, the knots inside, the end, and
-    any cuts. A point takes the piece that holds it, the earlier one at a
-    piece end, clamped to the first and last pieces. `at` (floats) and
-    `dense` (arrays) run the same arithmetic, so they agree bit for bit,
-    and at a piece end both give the knot value of the recurrence
-    y_{i+1} = y_i + (expm1(-k h_i) y_i + S_i(h_i)), which carries each
-    value's rounding error on to the next increment (TwoSum).
+def _spread(c: list[np.ndarray], h: np.ndarray) -> np.ndarray:
+    """sum_j |c_j| h^j / c_0 on each piece: inf where c_0 <= 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = ((np.abs(c[3]) * h + np.abs(c[2])) * h + np.abs(c[1])) * h / c[0]
+    return np.where(c[0] > 0.0, out, np.inf)
+
+
+def _root_series(c: list[np.ndarray], h: np.ndarray, ok: np.ndarray):
+    """(rows s_0, s_1, .., terms, passed): the Taylor series of
+    sqrt(sum_j c_j v^j) on each piece, s_0 = sqrt(c_0) and
+    s_n = (c_n - sum_{j=1}^{n-1} s_j s_{n-j}) / (2 s_0).
+
+    A piece marked ok (0 throughout, or c_0 > 0 and sum_j |c_j| h^j <=
+    c_0/2) keeps its terms up to the first n where s_{n-2}, s_{n-1} and
+    s_n are each at most 2^-64 s_0 at v = h, and passes; its later rows
+    hold 0. The rest of its series is then below 2^-60 s_0 on the piece:
+    s solves 2 q s' = q' s for the cubic q, so for n >= 2
+    |s_{n+1}| h^(n+1) <= sum_j |c_j| h^j / c_0 |s_{n+1-j}| h^(n+1-j)."""
+    c = [np.where(ok, cj, 0.0) for cj in c]
+    rows = [np.sqrt(c[0])]
+    twice = np.where(rows[0] > 0.0, 2.0 * rows[0], 1.0)
+    small, hn = _TAIL / 16.0 * rows[0], np.ones_like(h)
+    run, terms = np.zeros(len(h), dtype=int), np.where(ok, 0, 1)
+    with np.errstate(all="ignore"):
+        for n in range(1, _MAX_TERMS):
+            # the products s_j s_{n-j} in order of j: each pair twice
+            conv = rows[n // 2] * rows[n // 2] if n % 2 == 0 else 0.0
+            for j in range(1, (n + 1) // 2):
+                conv = conv + 2.0 * (rows[j] * rows[n - j])
+            rows.append(((c[n] if n < 4 else 0.0) - conv) / twice)
+            hn = hn * h
+            run = np.where(np.abs(rows[-1]) * hn <= small, run + 1, 0)
+            terms = np.where((terms == 0) & (run >= 3), n + 1, terms)
+            if terms.all():
+                break
+    rows = [np.where(n < terms, row, 0.0) for n, row in enumerate(rows)]
+    return rows, terms, ok & (terms > 0) & np.isfinite(rows).all(axis=0)
+
+
+def _phi_series(p: list, k: float, m: int) -> list:
+    """Rows d_1..d_m of S(v) = sum_m d_m v^m, the solution of
+    S' = sum_j p_j v^j - k S from S(0) = 0: d_m = b_m/m! with b_1 = p_0,
+    b_m = (m-1)! p_{m-1} - k b_{m-1} (p_j = 0 past the last row)."""
+    b = [p[0]]
+    for j in range(1, m):
+        b.append((float(math.factorial(j)) * p[j] if j < len(p) else 0.0)
+                 - k * b[-1])
+    return [bj / float(math.factorial(j)) for j, bj in enumerate(b, 1)]
+
+
+class _ExactLinear:
+    """y' = p(v) - k y propagated exactly over pieces, where from each
+    piece's start o, p(o + v) = sum_j p_j v^j: a table's stage-2 population
+    (p = r_in, k = kappa_i) and stage-1 amplitude (p = -sqrt(r_in),
+    k = (1 + kappa_i)/2). With y = y(o), the exponential integrator's phi
+    functions (Hochbruck and Ostermann, Acta Numerica 19, 2010) give
+
+        y(o + v) = y + (expm1(-k v) y + S(v)),
+        S(v) = sum_j j! p_j v^(j+1) phi_{j+1}(-k v),  phi_m(z) = sum_n z^n/(n+m)!
+
+    two power series in v, with coefficients g_m = (-k)^m/m! and d_m
+    (`_phi_series`). A point takes the piece of `ts` that holds it, the
+    earlier one at a piece end, clamped to the first and last pieces. `at`
+    (floats) and `dense` (arrays) run the same arithmetic, bit for bit, and
+    at a piece end give the recurrence y_{i+1} = y_i + (expm1(-k h_i) y_i +
+    S_i(h_i)), which carries each rounding error on (TwoSum). A `fallback`
+    piece (stage 1 where r_in reaches 0 inside it or at its start, a branch
+    point of the square root) takes the quadrature form `quad(o, y, t)`.
     """
 
     def __init__(self, ts: np.ndarray, y: list[float], lo: list[float],
-                 d: list[np.ndarray], g: list[float]):
+                 d: list[np.ndarray], g: list[float],
+                 fallback: tuple[int, ...] = (), quad=None):
         self.ts = ts
         self._knots = ts.tolist()
         self._last = len(y) - 1
@@ -684,6 +771,8 @@ class _ExactStage2:
         self._lo, self._lo_array = lo, np.array(lo)
         self._d = d                 # rows d_1..d_M, each over the pieces
         self._g = g
+        self.fallback = fallback    # indices of the quadrature pieces
+        self._quad = quad
 
     @cached_property
     def _d_pieces(self) -> list[list[float]]:
@@ -691,63 +780,127 @@ class _ExactStage2:
         return np.array(self._d).T.tolist()
 
     @classmethod
-    def propagate(cls, profile: prof.InputProfile, k: float, t0: float,
-                  y0: float, end: float) -> tuple[_ExactStage2, list[float]]:
-        """The propagation from beta^2(t0) = y0 to end, and beta^2 at each
-        entry of its `ts`."""
-        table = profile._interp
-        x = table.pp.x
-        starts = np.array([t0] + prof._interior_breaks(profile, t0, end))
-        # the piece scipy's search gives the start: x[i] <= t < x[i+1]
-        piece = np.clip(np.searchsorted(x, starts, side="right") - 1, 0,
-                        table.last)
-        h = np.append(starts[1:], end) - starts
-        parts = np.maximum(np.ceil(2.0 * k * h), 1.0).astype(int)
-        if parts.max() > 1:
-            at = np.repeat(np.arange(len(starts)), parts)
-            share = (np.arange(len(at)) - np.repeat(np.cumsum(parts) - parts,
-                                                    parts)) / parts[at]
-            starts, piece = starts[at] + h[at] * share, piece[at]
-        ts = np.append(starts, end)
-        h = ts[1:] - starts
-        # re-centre each cubic at its piece's start
-        c0, c1, c2, c3 = table.pp.c[::-1][:, piece]
-        s = starts - x[piece]
-        c0 = ((c3 * s + c2) * s + c1) * s + c0
-        c1 = (3.0 * c3 * s + 2.0 * c2) * s + c1
-        c2 = 3.0 * c3 * s + c2
-        rho = k * float(h.max())
-        m = 4
-        while 24.0 * rho ** (m - 3) > _TAIL * math.factorial(m + 1):
-            m += 1
-        b = [c0]
-        for c in (c1, 2.0 * c2, 6.0 * c3) + (0.0,) * (m - 4):
-            b.append(c - k * b[-1])
-        d = [bj / math.factorial(j) for j, bj in enumerate(b, 1)]
-        g = [(-k) ** j / math.factorial(j) for j in range(1, m + 1)]
-        # y_i + lo_i carries beta^2 at each piece start, lo_i the rounding
-        # error of y_i (TwoSum), so that the knot values do not accumulate
-        # one rounding per knot
-        ys, los = [y0], [0.0]
-        for e, s_h in zip(_horner(g, h).tolist(), _horner(d, h).tolist()):
+    def _propagated(cls, ts, y0, lo0, d, g, fallback=(), quad=None):
+        """(the pieces between `ts` from y(ts[0]) = y0 + lo0, the recurrence's
+        values at `ts`, the rounding error of the last)."""
+        h = ts[1:] - ts[:-1]
+        ys, los = [y0], [lo0]
+        for i, (e, s_h) in enumerate(zip(_horner(g, h).tolist(),
+                                         _horner(d, h).tolist())):
             y, lo = ys[-1], los[-1]
+            if i in fallback:
+                ys.append(quad(float(ts[i]), y, float(ts[i + 1])))
+                los.append(0.0)
+                continue
             inc = lo + (e * y + s_h)
             y_new = y + inc
             back = y_new - y
             ys.append(y_new)
             los.append((y - (y_new - back)) + (inc - back))
-        return cls(ts, ys[:-1], los[:-1], d, g), ys
+        return cls(ts, ys[:-1], los[:-1], d, g, fallback, quad), ys, los[-1]
 
-    def cut(self, n: int, end: float) -> _ExactStage2:
+    @classmethod
+    def stage2(cls, profile: prof.InputProfile, k: float, t0: float,
+               y0: float, end: float) -> tuple[_ExactLinear, list[float]]:
+        """The stage-2 population from beta^2(t0) = y0 to end, and beta^2 at
+        each entry of its `ts`. The pieces are the knot intervals from t0,
+        cut in equal parts so that k h <= 1/2; the series stop at the first
+        term M with 24 (k h)^(M-3)/(M+1)! below 2^-60 for the longest piece
+        h: the tail relative to the cubic's term."""
+        ts, piece = _pieces(profile, [t0] + prof._interior_breaks(
+            profile, t0, end), end, lambda _, h, __: np.maximum(np.ceil(
+                2.0 * k * h), 1.0))
+        rho = k * float(np.diff(ts).max())
+        m = 4
+        while 24.0 * rho ** (m - 3) > _TAIL * math.factorial(m + 1):
+            m += 1
+        d = _phi_series(_recentred(profile._interp, piece, ts[:-1]), k, m)
+        g = [(-k) ** j / math.factorial(j) for j in range(1, m + 1)]
+        return cls._propagated(ts, y0, 0.0, d, g)[:2]
+
+    @classmethod
+    def stage1(cls, profile: prof.InputProfile, kappa_i: float,
+               t_start: float, beta_start: float, t0: float, end: float):
+        """The stage-1 amplitude from beta(t_start) = beta_start towards
+        end, in chunks of 256, 512, .. pieces, each an `_ExactLinear` going
+        on from the last. r_in is 0 before t0: [t_start, t0] is one piece
+        with p = 0. From t0 the pieces are the knot intervals, cut in equal
+        parts so that k h <= 1/2 and, up to 32 parts, sum_j |c_j| h^j <=
+        c_0/4 (`_spread`). A piece falls back to `_stage1_beta_quad` where
+        its series fails `_root_series`. expm1's series has the first
+        length M with (k h)^M/(M+1)! below 2^-60 for the longest h, S's the
+        longer of M and one more than the square root's, so no piece
+        depends on its chunk."""
+        k = 0.5 * (1.0 + kappa_i)
+        table = profile._interp
+
+        def parts(starts, h, piece):
+            spread = np.where(starts < t0, 0.0,
+                              _spread(_recentred(table, piece, starts), h))
+            need = np.where(np.isfinite(spread), np.minimum(np.ceil(
+                spread / (0.5 * _SPREAD)), 32.0), 1.0)
+            return np.maximum(np.maximum(np.ceil(2.0 * k * h), need), 1.0)
+
+        ts, piece = _pieces(profile, [t_start] * (t_start < t0) + [t0]
+                            + prof._interior_breaks(profile, t0, end), end,
+                            parts)
+        h = np.diff(ts)
+        c = [np.where(ts[:-1] < t0, 0.0, cj)
+             for cj in _recentred(table, piece, ts[:-1])]
+        ok = (_spread(c, h) <= _SPREAD) | ~np.any(c, axis=0)
+        rho = k * float(h.max())
+        m = 1
+        while rho ** m > _TAIL * math.factorial(m + 1):
+            m += 1
+        g = [(-k) ** j / math.factorial(j) for j in range(1, m + 1)]
+        quad = lambda o, y, t: _stage1_beta_quad(profile, kappa_i, o, y, t)
+        y, lo, i, size = beta_start, 0.0, 0, _CHUNK
+        while i < len(h):
+            j = min(i + size, len(h))
+            rows, terms, passed = _root_series([cj[i:j] for cj in c], h[i:j],
+                                               ok[i:j])
+            with np.errstate(over="ignore", invalid="ignore"):
+                d = _phi_series([-row for row in rows], k,
+                                max(len(rows) + 1, m))
+            # b_m = (m-1)! p_{m-1} - k b_{m-1} can overflow on a very short
+            # piece with a long series: that piece falls back too
+            passed &= np.isfinite(d).all(axis=0)
+            d = [np.where(passed & (n < np.maximum(terms + 1, m)), row, 0.0)
+                 for n, row in enumerate(d)]
+            sol, ys, lo = cls._propagated(
+                ts[i:j + 1], y, lo, d, g,
+                tuple(np.flatnonzero(~passed).tolist()), quad)
+            yield sol
+            y, i, size = ys[-1], j, 2 * size
+
+    @classmethod
+    def join(cls, parts: list[_ExactLinear]) -> _ExactLinear:
+        """Consecutive propagations as one, each piece bitwise as it was."""
+        rows, sizes = max(len(p._d) for p in parts), [len(p._y) for p in parts]
+        d = [np.concatenate([p._d[n] if n < len(p._d) else np.zeros(size)
+                             for p, size in zip(parts, sizes)])
+             for n in range(rows)]
+        starts = np.cumsum([0] + sizes)
+        return cls(np.concatenate([p.ts[:-1] for p in parts]
+                                  + [parts[-1].ts[-1:]]),
+                   [v for p in parts for v in p._y],
+                   [v for p in parts for v in p._lo], d, parts[0]._g,
+                   tuple(int(o) + i for p, o in zip(parts, starts)
+                         for i in p.fallback), parts[0]._quad)
+
+    def cut(self, n: int, end: float) -> _ExactLinear:
         """The first n pieces, the last of them ending at end."""
-        return _ExactStage2(np.append(self.ts[:n], end), self._y[:n],
+        return _ExactLinear(np.append(self.ts[:n], end), self._y[:n],
                             self._lo[:n], [row[:n] for row in self._d],
-                            self._g)
+                            self._g, tuple(i for i in self.fallback if i < n),
+                            self._quad)
 
     def at(self, t: float) -> float:
         i = bisect_left(self._knots, t) - 1
         i = 0 if i < 0 else self._last if i > self._last else i
         v, y = t - self._knots[i], self._y[i]
+        if i in self.fallback:
+            return self._quad(self._knots[i], y, t)
         return y + (self._lo[i] + (_horner(self._g, v) * y
                                    + _horner(self._d_pieces[i], v)))
 
@@ -759,7 +912,11 @@ class _ExactStage2:
         s = self._d[-1][i]
         for row in self._d[-2::-1]:
             s = s * v + row[i]
-        return y + (self._lo_array[i] + (_horner(self._g, v) * y + s * v))
+        out = y + (self._lo_array[i] + (_horner(self._g, v) * y + s * v))
+        if self.fallback:
+            for j in np.flatnonzero(np.isin(i, self.fallback)).tolist():
+                out[j] = self.at(float(t[j]))
+        return out
 
 
 def _integrate_stage2(profile, kappa_i, tau_c, end):
@@ -772,8 +929,9 @@ def _integrate_stage2(profile, kappa_i, tau_c, end):
     input rate have decayed below the integrator's absolute tolerance, the
     ratio r_in/beta^2 is pure noise and must not be mistaken for a
     violation. A table is propagated exactly over its PCHIP pieces
-    (`_ExactStage2`); the violation lies in the first piece whose end values
-    have g >= 0 >= g_new, where `brentq` finds it on the exact form. An
+    (`_ExactLinear.stage2`); the violation lies in the first piece whose
+    end values have g >= 0 >= g_new, where `brentq` finds it on the exact
+    form. An
     analytic profile is solved by DOP853 (`_dop853_steps`), and the
     violation located by `solve_ivp`'s rule: in the first step with
     g >= 0 >= g_new, by `brentq` on that step's dense output. Either
@@ -784,7 +942,7 @@ def _integrate_stage2(profile, kappa_i, tau_c, end):
 
     y0 = prof.rate_at(profile, tau_c)
     if profile.kind == prof.TABULATED:
-        sol, ys = _ExactStage2.propagate(profile, kappa_i, tau_c, y0, end)
+        sol, ys = _ExactLinear.stage2(profile, kappa_i, tau_c, y0, end)
         g = violation(sol.ts, np.array(ys))
         down = np.flatnonzero((g[:-1] >= 0.0) & (g[1:] <= 0.0))
         if not len(down):
@@ -799,7 +957,7 @@ def _integrate_stage2(profile, kappa_i, tau_c, end):
     ts, steps = [tau_c], []
     g = violation(tau_c, y0)
     for t, y, dense in _dop853_steps(
-            rhs, tau_c, y0, end, [],
+            rhs, tau_c, y0, end,
             lambda t: InfeasibleSchedule(
                 f"stage-2 integration failed near tau = {t}")):
         steps.append(dense)
@@ -828,11 +986,13 @@ def build_schedule(profile: prof.InputProfile,
     first_tau_c = None
 
     while len(segments) < _MAX_SEGMENTS:
-        tau_c = _first_threshold(profile, params.kappa_i, t_start, beta_start, end)
+        tau_c, sol1 = _first_threshold(profile, params.kappa_i, t_start,
+                                       beta_start, end)
         if first_tau_c is None:
             first_tau_c = tau_c
-        sol1 = _integrate_stage1(profile, params.kappa_i, t_start, beta_start,
-                                 tau_c)
+        if sol1 is None:
+            sol1 = _integrate_stage1(profile, params.kappa_i, t_start,
+                                     beta_start, tau_c)
         segments.append(_Segment(1, t_start, tau_c, sol1))
         sol2, t_violation = _integrate_stage2(profile, params.kappa_i, tau_c, end)
         if t_violation is None:

@@ -60,7 +60,9 @@ def _quad_calls():
 def narrow_tables(draw):
     """Multi-hump tables with 1, 40, 41 or 81 knot intervals (around the
     40-interval chunk of `_quad_chunked`), uneven knot spacing and humps
-    down to 1.5 mean knot spacings wide."""
+    down to 1.5 mean knot spacings wide. Some open with a faint hump, after
+    which a schedule may resume stage 1; some have leading zero samples, or
+    a run of zero samples inside, where r_in touches 0."""
     n = draw(st.sampled_from([1, 40, 41, 81]))
     gaps = np.array(draw(st.lists(st.floats(0.25, 1.0), min_size=n,
                                   max_size=n)))
@@ -73,6 +75,19 @@ def narrow_tables(draw):
         width = draw(st.floats(1.5, 8.0)) * span / n
         rates += draw(st.floats(0.05, 1.0)) \
             * np.exp(-0.5 * ((taus - centre) / width) ** 2)
+    if draw(st.booleans()):
+        width = draw(st.floats(1.5, 4.0)) * span / n
+        rates += 0.02 * rates.max() * np.exp(
+            -0.5 * ((taus - start - draw(st.floats(0.0, 0.3)) * span)
+                    / width) ** 2)
+    lead = draw(st.integers(0, 3)) if draw(st.booleans()) else 0
+    hole = draw(st.tuples(st.integers(1, n), st.integers(1, 4))) \
+        if draw(st.booleans()) else (0, 0)
+    kept = rates.copy()
+    kept[:lead] = 0.0
+    kept[hole[0]:hole[0] + hole[1]] = 0.0
+    if kept.max() > 0.0:
+        rates = kept
     return prof.tabulated(taus, rates / np.trapezoid(rates, taus))
 
 

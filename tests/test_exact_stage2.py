@@ -1,11 +1,12 @@
 """A table's stage 2 is propagated exactly over its PCHIP pieces.
 
-`protocol._ExactStage2` solves beta^2' = r_in - kappa_i beta^2 in closed
-form on each piece, where r_in is a cubic. Its knot values are checked
-against the quadrature oracle `stage2_population` and, without loss,
-against the antiderivative `cumulative`; its float and array evaluations
-against each other; its violation times against the knot-aligned DOP853
-solve it replaced. Analytic profiles keep their DOP853 solves.
+`protocol._ExactLinear.stage2` solves beta^2' = r_in - kappa_i beta^2 in
+closed form on each piece, where r_in is a cubic. Its knot values are
+checked against the quadrature oracle `stage2_population` and, without
+loss, against the antiderivative `cumulative`; its float and array
+evaluations against each other; its violation times against the
+knot-aligned DOP853 solve it replaced (scipy's `DOP853`, its bound moved
+from knot to knot). Analytic profiles keep their DOP853 solves.
 """
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import DOP853
 from scipy.optimize import brentq
 
 from pulsecatch import profiles as prof
@@ -38,7 +40,7 @@ def _propagate(profile: prof.InputProfile, k: float, share: float = 0.37):
     its end, and its values at its piece ends."""
     t0 = float(profile.taus[0]) + share * float(profile.taus[-1]
                                                 - profile.taus[0])
-    return t0, *proto._ExactStage2.propagate(
+    return t0, *proto._ExactLinear.stage2(
         profile, k, t0, prof.rate_at(profile, t0), float(profile.taus[-1]))
 
 
@@ -117,7 +119,7 @@ def test_schedule_segments_agree(case):
     stage2 = [seg for seg in sch.segments if seg.stage == 2]
     assert stage2
     for seg in stage2:
-        assert isinstance(seg.sol, proto._ExactStage2)
+        assert isinstance(seg.sol, proto._ExactLinear)
         assert (seg.sol.ts[0], seg.sol.ts[-1]) == (seg.t0, seg.t1)
         probes = np.concatenate([_probes(seg.sol), [seg.t0, seg.t1]])
         assert [seg.at(t) for t in probes.tolist()] \
@@ -125,6 +127,23 @@ def test_schedule_segments_agree(case):
         for t in seg.sol.ts[::10].tolist() + [seg.t1]:
             want = proto.stage2_population(profile, params, seg.t0, t)
             assert abs(seg.at(t) - want) <= 5e-16, t
+
+
+def _knot_aligned_steps(fun, t0, y0, end, breaks):
+    """(t, y, dense) of scipy's `DOP853` with `solve_ivp`'s tolerances,
+    its bound moved from break to break: each step ends at every break, and
+    stepping runs on across it with the step size it has."""
+    bounds = [b for b in breaks if t0 < b < end] + [float(end)]
+    solver = DOP853(lambda t, y: [fun(t, y[0])], float(t0), [y0], bounds[0],
+                    rtol=proto._ODE_RTOL, atol=proto._ODE_ATOL)
+    for bound in bounds:
+        solver.t_bound, solver.status = bound, "running"
+        while solver.status == "running":
+            t_last = solver.t
+            solver.step()
+            assert solver.status != "failed"
+            if solver.t != t_last:
+                yield solver.t, float(solver.y[0]), solver.dense_output()
 
 
 def _knot_aligned_violation(profile, kappa_i, tau_c, end):
@@ -136,9 +155,9 @@ def _knot_aligned_violation(profile, kappa_i, tau_c, end):
 
     y0 = prof.rate_at(profile, tau_c)
     g = violation(tau_c, y0)
-    for t, y, dense in proto._dop853_steps(
+    for t, y, dense in _knot_aligned_steps(
             lambda t, y: prof.rate_at(profile, t) - kappa_i * y, tau_c, y0,
-            end, prof._interior_breaks(profile, tau_c, end), RuntimeError):
+            end, prof._interior_breaks(profile, tau_c, end)):
         g_new = violation(t, y)
         if g >= 0.0 >= g_new:
             return brentq(lambda s: violation(s, dense(s)[0]), dense.t_old, t,
@@ -168,12 +187,12 @@ def test_violation_matches_knot_aligned_dop853(case):
 
 
 def _recorded_solves(profile, params, monkeypatch):
-    """(t0, y0, end, breaks) of every DOP853 solve of build_schedule."""
+    """(t0, y0, end) of every DOP853 solve of build_schedule."""
     stepping, solves = proto._dop853_steps, []
 
-    def recording(fun, t0, y0, end, breaks, fail):
-        solves.append((t0, y0, end, breaks))
-        return stepping(fun, t0, y0, end, breaks, fail)
+    def recording(fun, t0, y0, end, fail):
+        solves.append((t0, y0, end))
+        return stepping(fun, t0, y0, end, fail)
 
     monkeypatch.setattr(proto, "_dop853_steps", recording)
     return proto.build_schedule(profile, params), solves
@@ -186,26 +205,24 @@ def _recorded_solves(profile, params, monkeypatch):
 def test_analytic_schedules_keep_their_dop853_solves(profile, monkeypatch):
     """An analytic schedule makes the same three DOP853 solves as before:
     the threshold scan and stage 1 from 0, and stage 2 from r_in(tau_c) to
-    the horizon, none with breaks."""
+    the horizon."""
     sch, solves = _recorded_solves(profile, _params(), monkeypatch)
     assert [seg.stage for seg in sch.segments] == [1, 2]
     assert isinstance(sch.segments[1].sol, proto.OdeSolution)
     tau_c, end = sch.tau_c, sch.horizon
-    assert solves == [(0.0, 0.0, end, []), (0.0, 0.0, tau_c, []),
-                      (tau_c, prof.rate_at(profile, tau_c), end, [])]
+    assert solves == [(0.0, 0.0, end), (0.0, 0.0, tau_c),
+                      (tau_c, prof.rate_at(profile, tau_c), end)]
 
 
 @pytest.mark.parametrize("faint", [True, False], ids=["faint", "twin"])
 def test_table_stage2_makes_no_rhs_call(faint, monkeypatch):
-    """A table's stage 2 calls no ODE right-hand side: every DOP853 solve
-    of its schedule is stage 1 (beta <= 0), and the stage-2 solve evaluates
-    r_in once on the array of its piece ends, once at tau_c, and otherwise
-    only in the violation's root polish."""
+    """A table's stage 2 calls no ODE right-hand side: its schedule makes
+    no DOP853 solve at all, and the stage-2 solve evaluates r_in once on
+    the array of its piece ends, once at tau_c, and otherwise only in the
+    violation's root polish."""
     profile, params = _catch_table(3, faint=faint), _params()
     sch, solves = _recorded_solves(profile, params, monkeypatch)
-    stage1 = [seg for seg in sch.segments if seg.stage == 1]
-    assert len(solves) == 2 * len(stage1)
-    assert all(y0 <= 0.0 for _, y0, _, _ in solves)
+    assert solves == []
 
     rate, calls = prof.rate_at, []
 
