@@ -853,7 +853,10 @@ class _ExactLinear:
         while rho ** m > _TAIL * math.factorial(m + 1):
             m += 1
         g = [(-k) ** j / math.factorial(j) for j in range(1, m + 1)]
-        quad = lambda o, y, t: _stage1_beta_quad(profile, kappa_i, o, y, t)
+        # epsabs as in the polishes: at 1e-12, quad missed the integral of a
+        # piece rising from a zero sample by 2.5e-13
+        quad = lambda o, y, t: _stage1_beta_quad(profile, kappa_i, o, y, t,
+                                                 epsabs=1e-13)
         y, lo, i, size = beta_start, 0.0, 0, _CHUNK
         while i < len(h):
             j = min(i + size, len(h))

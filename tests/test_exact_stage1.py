@@ -82,6 +82,8 @@ def _gap_bound(beta: float) -> float:
        beta_start=st.floats(-1.0, 0.0))
 @example(table=_zero_run_table(), share=0.0, beta_start=0.0)
 @example(table=_long_piece_table(), share=0.1, beta_start=-0.3)
+@example(table=prof.tabulated([0.3988650287793968, 2.398865028779397],
+                              [0.0, 1.0]), share=0.0, beta_start=0.0)
 @pytest.mark.parametrize("kappa_i", [0.0, 1e-3, 0.5])
 def test_knot_values_match_quadrature(kappa_i, table, share, beta_start):
     """Every piece-end value lies within 1e-13 max(1, |beta|) of
@@ -199,8 +201,8 @@ def test_pieces_are_cut_or_fall_back(name, table):
 def test_quadrature_pieces_are_the_quadrature_form(monkeypatch):
     """On the delayed table the piece from the activation knot, where r_in
     rises from 0, is the one quadrature piece of the schedule: its values
-    are `_stage1_beta_quad` from the piece start, bit for bit, and the
-    propagation counts it in `fallback`."""
+    are `_stage1_beta_quad` from the piece start (at the polishes' epsabs,
+    1e-13), bit for bit, and the propagation counts it in `fallback`."""
     profile, params = _delayed_table(), _params()
     sch = proto.build_schedule(profile, params)
     seg = sch.segments[0]
@@ -211,7 +213,8 @@ def test_quadrature_pieces_are_the_quadrature_form(monkeypatch):
     knot = int(np.searchsorted(profile.taus, t_act))
     assert y == 0.0 and seg.sol.ts[i + 1] == profile.taus[knot + 1]
     for t in np.linspace(o, seg.sol.ts[i + 1], 9)[1:].tolist():
-        want = proto._stage1_beta_quad(profile, params.kappa_i, o, y, t)
+        want = proto._stage1_beta_quad(profile, params.kappa_i, o, y, t,
+                                       epsabs=1e-13)
         assert seg.at(t) == want == seg.dense(np.array([t]))[0]
     # before activation beta stays exactly 0
     assert not np.any(seg.dense(np.linspace(0.0, t_act, 50)))
