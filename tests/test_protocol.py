@@ -349,6 +349,9 @@ def test_stepping_without_breaks_equals_solve_ivp(case):
             assert ref.status == 0 and seg.t1 == ref.t[-1]
 
 
+_EPS = 2.0 ** -52       # machine epsilon, the knot-value checks' scale
+
+
 def _pieces(sol: proto._ExactLinear) -> np.ndarray:
     return np.stack([sol.ts[:-1], sol.ts[1:]], axis=1)
 
@@ -395,8 +398,6 @@ def test_table_steps_are_rarely_rejected(monkeypatch):
                                            seg.at(a), b)
             assert abs(seg.at(b) - want) <= _EPS * max(1.0, abs(want)), b
 
-
-_EPS = 2.0 ** -52
 
 
 def _scipy_dop853_steps(fun, t0, y0, end, fail):
