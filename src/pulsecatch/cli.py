@@ -220,8 +220,8 @@ def _schedule_rows(schedule: protocol.CouplingSchedule, n: int):
     profile = schedule.profile
     for start in range(0, len(ts), _ROW_CHUNK):
         t = ts[start:start + _ROW_CHUNK]
-        rate = prof._pointwise(prof.rate_at, profile, t)
-        remaining = 1.0 - prof._pointwise(prof.cumulative, profile, t)
+        rate = prof.rate_at(profile, t)
+        remaining = 1.0 - prof.cumulative(profile, t)
         bsq = schedule.beta_sq(t)
         kap = schedule.kappa(t, nan_if_singular=True)
         w = -np.sqrt(bsq * kap) + np.sqrt(rate)

@@ -21,7 +21,6 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
-from scipy.special import erf
 
 from .errors import DomainError
 
@@ -189,7 +188,10 @@ class MemoryParams:
 
 
 def rate_at(profile: InputProfile, tau):
-    """Evaluate r_in(tau); tau may be a scalar or an array, all entries >= 0."""
+    """Evaluate r_in(tau); tau may be a scalar or an array, all entries >= 0.
+
+    Arrays map math.exp (np.exp differs in the last bit on a few percent of
+    inputs), so each value is the float call's bit for bit."""
     if isinstance(tau, float) or isinstance(tau, int):
         # Scalar fast path: integrators and quadratures call this millions of
         # times, so the analytic families skip the array machinery entirely.
@@ -209,10 +211,10 @@ def rate_at(profile: InputProfile, tau):
     if np.any(arr < 0.0):
         raise DomainError("rate_at requires tau >= 0")
     if profile.kind == EXPONENTIAL:
-        out = profile.r * np.exp(-profile.r * arr)
+        out = profile.r * _map(math.exp, -profile.r * arr)
     elif profile.kind == GAUSSIAN:
         z = (arr - profile.tau0) / profile.sigma
-        out = profile.r * np.exp(-0.5 * z * z)
+        out = profile.r * _map(math.exp, -0.5 * z * z)
     else:
         out = profile._interp.pp(np.clip(arr, profile.taus[0], profile.taus[-1]))
         out = np.where((arr < profile.taus[0]) | (arr > profile.taus[-1])
@@ -227,7 +229,8 @@ def cumulative(profile: InputProfile, tau):
 
     This is the closed-form companion to `total_excitation`, which integrates
     numerically; the two are cross-checked in the test suite rather than
-    defined in terms of each other.
+    defined in terms of each other. Arrays map math.expm1 and math.erf, as
+    `rate_at` maps math.exp.
     """
     if isinstance(tau, float) or isinstance(tau, int):
         if tau < 0.0:
@@ -245,11 +248,12 @@ def cumulative(profile: InputProfile, tau):
     if np.any(arr < 0.0):
         raise DomainError("cumulative requires tau >= 0")
     if profile.kind == EXPONENTIAL:
-        out = -np.expm1(-profile.r * arr)
+        out = -_map(math.expm1, -profile.r * arr)
     elif profile.kind == GAUSSIAN:
         root2 = math.sqrt(2.0)
-        lo = erf(profile.tau0 / (profile.sigma * root2))
-        out = 0.5 * (erf((arr - profile.tau0) / (profile.sigma * root2)) + lo)
+        lo = math.erf(profile.tau0 / (profile.sigma * root2))
+        out = 0.5 * (_map(math.erf, (arr - profile.tau0)
+                          / (profile.sigma * root2)) + lo)
     else:
         t0, t1 = profile.taus[0], profile.taus[-1]
         base = profile._interp_cum.pp(t0)
@@ -260,35 +264,9 @@ def cumulative(profile: InputProfile, tau):
 
 
 def _map(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
-    """fn at each float of a 1-d array."""
-    return np.fromiter(map(fn, x.tolist()), float, len(x))
-
-
-def _pointwise(fn, profile: InputProfile, taus: np.ndarray) -> np.ndarray:
-    """fn(profile, tau) at each tau of a 1-d array, bitwise equal to calling
-    fn on each float (fn is `rate_at` or `cumulative`).
-
-    np.exp and scipy's erf differ from math.exp and math.erf in the last bit
-    on a few percent of inputs, so the analytic families run the float
-    path's arithmetic elementwise and map math.exp, math.expm1 or math.erf
-    over the array; a table runs the same PCHIP arithmetic either way.
-    """
-    if profile.kind == TABULATED:
-        return np.asarray(fn(profile, taus), dtype=float)
-    name = "cumulative" if fn is cumulative else "rate_at"
-    if np.any(taus < 0.0):
-        raise DomainError(f"{name} requires tau >= 0")
-    if profile.kind == EXPONENTIAL:
-        if fn is cumulative:
-            return -_map(math.expm1, -profile.r * taus)
-        return profile.r * _map(math.exp, -profile.r * taus)
-    if fn is cumulative:
-        root2 = math.sqrt(2.0)
-        lo = math.erf(profile.tau0 / (profile.sigma * root2))
-        return 0.5 * (_map(math.erf, (taus - profile.tau0)
-                           / (profile.sigma * root2)) + lo)
-    z = (taus - profile.tau0) / profile.sigma
-    return profile.r * _map(math.exp, -0.5 * z * z)
+    """fn at each float of an array, in its shape."""
+    return np.fromiter(map(fn, x.ravel().tolist()), float,
+                       x.size).reshape(x.shape)
 
 
 def horizon(profile: InputProfile) -> float:
@@ -450,7 +428,8 @@ def _quad_chunked(f: Callable[[float], float], a: float, b: float,
 
 def _quad_rate(profile: InputProfile, a: float, b: float) -> float:
     """Adaptive quadrature of rate_at over [a, b] to ~1e-12 absolute error."""
-    f = lambda s: rate_at(profile, s)       # a table's is bitwise on arrays
+    f = lambda s: rate_at(profile, s)       # bitwise on arrays too
+    # analytic profiles keep quad alone: the batched pass is slower for them
     return _quad_chunked(f, a, b, _interior_breaks(profile, a, b), 1e-13,
                          f if profile.kind == TABULATED else None)
 

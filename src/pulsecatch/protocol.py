@@ -26,7 +26,7 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import OdeSolution, quad
+from scipy.integrate import quad
 # Not called here: the benchmark's tracer (perfbench/tracer.py) wraps it by name.
 from scipy.integrate import solve_ivp  # noqa: F401
 from scipy.integrate._ivp import dop853_coefficients as _DOP
@@ -46,23 +46,24 @@ _EPS = np.finfo(float).eps
 
 
 def _stage1_beta_quad(profile: prof.InputProfile, kappa_i: float,
-                      t0: float, beta0: float, tau: float,
-                      epsabs: float = 1e-12) -> float:
+                      t0: float, beta0: float, tau: float) -> float:
     """Stage-1 memory amplitude by damped-kernel quadrature.
 
     beta(tau) = beta0 e^{-a(tau-t0)} - int_{t0}^{tau} e^{-a(tau-s)} sqrt(r_in(s)) ds
     with a = (1+kappa_i)/2. The kernel window is truncated where the weight
     has decayed below double precision, which keeps the integrand bounded for
-    arbitrarily large tau.
+    arbitrarily large tau. epsabs is 1e-13: at 1e-12, quad missed the
+    integral of a table piece rising from a zero sample by 2.5e-13.
     """
     a = 0.5 * (1.0 + kappa_i)
     lo = max(t0, tau - _DAMP_CUT / a)
     f = lambda s: math.exp(-a * (tau - s)) * math.sqrt(prof.rate_at(profile, s))
     fv = None
     if profile.kind == prof.TABULATED:
-        fv = lambda s: _decay(-a, tau, s) * np.sqrt(prof.rate_at(profile, s))
+        fv = lambda s: prof._map(math.exp, -a * (tau - s)) \
+            * np.sqrt(prof.rate_at(profile, s))
     integral = prof._quad_chunked(
-        f, lo, tau, prof._interior_breaks(profile, lo, tau), epsabs, fv)
+        f, lo, tau, prof._interior_breaks(profile, lo, tau), 1e-13, fv)
     boundary = beta0 * math.exp(-a * (tau - t0)) if beta0 != 0.0 else 0.0
     return boundary - integral
 
@@ -99,16 +100,11 @@ def _stage2_pop(profile: prof.InputProfile, k: float, t0: float, pop0: float,
     f = lambda s: math.exp(-k * (tau - s)) * prof.rate_at(profile, s)
     fv = None
     if profile.kind == prof.TABULATED:
-        fv = lambda s: _decay(-k, tau, s) * prof.rate_at(profile, s)
+        fv = lambda s: prof._map(math.exp, -k * (tau - s)) \
+            * prof.rate_at(profile, s)
     integral = prof._quad_chunked(
         f, t0, tau, prof._interior_breaks(profile, t0, tau), 1e-12, fv)
     return seed + integral
-
-
-def _decay(c: float, tau: float, s: np.ndarray) -> np.ndarray:
-    """math.exp(c * (tau - s)) at each s of an array, the quadrature kernels'
-    weight: np.exp differs from math.exp in the last bit on some inputs."""
-    return prof._map(math.exp, c * (tau - s))
 
 
 # Both stage equations are linear, so a quadrature form can restart at any
@@ -121,9 +117,8 @@ def _stage1_anchored(profile: prof.InputProfile, kappa_i: float, t0: float,
                      beta0: float, lo: float) -> Callable[[float], float]:
     """tau -> stage-1 beta(tau) for tau >= lo from beta(t0) = beta0."""
     t_a = (_knots(profile, t0, lo) or [t0])[-1]
-    beta_a = _stage1_beta_quad(profile, kappa_i, t0, beta0, t_a, epsabs=1e-13)
-    return lambda t: _stage1_beta_quad(profile, kappa_i, t_a, beta_a, t,
-                                       epsabs=1e-13)
+    beta_a = _stage1_beta_quad(profile, kappa_i, t0, beta0, t_a)
+    return lambda t: _stage1_beta_quad(profile, kappa_i, t_a, beta_a, t)
 
 
 def _stage2_anchored(profile: prof.InputProfile, params: prof.MemoryParams,
@@ -166,50 +161,43 @@ def _dop853_at(t, t_old, h, f6, f5, f4, f3, f2, f1, f0, y_old):
              + f1) * xm + f0) * x + y_old
 
 
-def _dense_output(sol) -> tuple[Callable[[float], float],
-                                Callable[[np.ndarray], np.ndarray]]:
-    """(t -> float(sol(t)[0]), ts -> sol(ts)[0]) for a float t and a 1-d
-    array ts, where sol is a DOP853 OdeSolution.
+class _Steps:
+    """DOP853 steps as one table of their `_dop853_row`s, with
+    `_ExactLinear`'s interface: `ts` runs from the start through the step
+    ends (a cut ends it inside the last step), and a point takes the step
+    of `ts` holding it as OdeSolution does. `at` (floats) and `dense`
+    (arrays) run `_dop853_at`'s arithmetic: OdeSolution's, bit for bit."""
 
-    Both run on one table of the steps' `_dop853_row`s with scipy's
-    arithmetic operation for operation, so every value is bitwise the same,
-    without OdeSolution's per-call and per-step array overhead. Any other
-    interpolant keeps the OdeSolution call.
-    """
-    steps = sol.interpolants
-    if not steps or not (sol.ascending
-                         and getattr(sol, "side", "left") == "left") or any(
-            type(d) is not Dop853DenseOutput for d in steps):
-        return lambda t: float(sol(t)[0]), lambda ts: sol(ts)[0]
-    ts = sol.ts
-    knots = ts.tolist()
-    last = len(steps) - 1
-    rows = [_dop853_row(d) for d in steps]
-    columns = np.array(rows).T
+    def __init__(self, ts: list[float], rows: list[tuple[float, ...]]):
+        self.ts = np.array(ts)
+        self._knots = ts
+        self._rows = rows
+        self._last = len(rows) - 1
 
-    # OdeSolution: the step holding t (the earlier one at a step boundary),
-    # clamped to the first and last steps.
-    def at(t: float) -> float:
-        i = bisect_left(knots, t) - 1
-        return _dop853_at(t, *rows[0 if i < 0 else last if i > last else i])
+    @cached_property
+    def _columns(self) -> np.ndarray:
+        return np.array(self._rows).T
 
-    # `_dop853_at` on arrays, gathering each row of the table only when the
-    # sum reaches it, so no (10, n) block is built.
-    def on_array(t: np.ndarray) -> np.ndarray:
-        i = np.clip(np.searchsorted(ts, t, side="left") - 1, 0, last)
+    def cut(self, n: int, end: float) -> _Steps:
+        """The first n steps, the last of them ending at end."""
+        return _Steps(self._knots[:n] + [end], self._rows[:n])
+
+    def at(self, t: float) -> float:
+        i = bisect_left(self._knots, t) - 1
+        return _dop853_at(t, *self._rows[0 if i < 0 else self._last
+                                         if i > self._last else i])
+
+    def dense(self, t: np.ndarray) -> np.ndarray:
+        # `_dop853_at` with each row of the table gathered only when the
+        # sum reaches it, so no (10, n) block is built
+        columns = self._columns
+        i = np.clip(np.searchsorted(self.ts, t, side="left") - 1, 0, self._last)
         x = (t - columns[0][i]) / columns[1][i]
         xm = 1 - x
         y = 0.0 + columns[2][i]
         for row, w in zip(columns[3:9], (x, xm, x, xm, x, xm)):
             y = y * w + row[i]
         return y * x + columns[9][i]
-
-    return at, on_array
-
-
-def _float_dense(sol) -> Callable[[float], float]:
-    """t -> float(sol(t)[0]) for a float t (see `_dense_output`)."""
-    return _dense_output(sol)[0]
 
 
 def _knots(profile: prof.InputProfile, a: float, b: float) -> list[float]:
@@ -302,16 +290,9 @@ def _stage1_rhs(profile, kappa_i):
     return lambda t, y: -math.sqrt(prof.rate_at(profile, t)) - a * y
 
 
-def _integrate_stage1(profile, kappa_i, t0, beta0, t1) -> OdeSolution:
-    """Dense DOP853 solve of stage 1 over [t0, t1] (analytic profiles)."""
-    ts, steps = [t0], []
-    for t, _, dense in _dop853_steps(
-            _stage1_rhs(profile, kappa_i), t0, beta0, t1,
-            lambda t: InfeasibleSchedule(
-                f"stage-1 integration failed near tau = {t}")):
-        ts.append(t)
-        steps.append(dense)
-    return OdeSolution(ts, steps)
+def _down(g: np.ndarray) -> np.ndarray:
+    """Indices i of the downward zero crossings g[i] > 0 >= g[i + 1]."""
+    return np.flatnonzero((g[:-1] > 0.0) & (g[1:] <= 0.0))
 
 
 def _threshold_bracket(profile: prof.InputProfile, kappa_i: float,
@@ -336,7 +317,7 @@ def _threshold_bracket(profile: prof.InputProfile, kappa_i: float,
     t0 = max(t_start, activation)
     if t0 >= end:
         raise NoThreshold("input activates only beyond the search horizon")
-    parts = []      # a table's chunks, or a solve's steps
+    parts, ends = [], [t0]      # a table's chunks, or a solve's step rows
 
     def stretches():
         """(t, beta on the grid points in (the last t, t]) in order of t."""
@@ -350,8 +331,9 @@ def _threshold_bracket(profile: prof.InputProfile, kappa_i: float,
                 _stage1_rhs(profile, kappa_i), t0, beta_start, end,
                 lambda t: NoThreshold(
                     f"stage-1 integration failed near tau = {t}")):
-            parts.append(dense)
             row = _dop853_row(dense)
+            parts.append(row)
+            ends.append(t)
             yield t, lambda s, row=row: _dop853_at(s, *row)
 
     grid = np.linspace(t0, end, 8193)
@@ -365,11 +347,11 @@ def _threshold_bracket(profile: prof.InputProfile, kappa_i: float,
             + beta(grid[done:stop])
         if done:
             g = np.concatenate(([g_last], g))
-        down = np.flatnonzero((g[:-1] > 0.0) & (g[1:] <= 0.0))
+        down = _down(g)
         if len(down):
             i = max(done - 1, 0) + int(down[0])
             sol = _ExactLinear.join(parts) if profile.kind == prof.TABULATED \
-                else OdeSolution([t0] + [d.t for d in parts], parts)
+                else _Steps(ends, parts)
             return float(grid[i]), float(grid[i + 1]), sol
         done, g_last = stop, float(g[-1])
     raise NoThreshold(
@@ -380,8 +362,8 @@ def _threshold_bracket(profile: prof.InputProfile, kappa_i: float,
 def _first_threshold(profile: prof.InputProfile, kappa_i: float,
                      t_start: float, beta_start: float, end: float):
     """(tau_c, sol): the first tau_c > t_start where the stored population
-    reaches beta^2 = r_in, and for a table the exact stage 1 from t_start
-    to tau_c (None for an analytic profile).
+    reaches beta^2 = r_in, and the stage 1 from t_start to tau_c: the scan's
+    propagation (`_threshold_bracket`) cut at tau_c.
 
     `_threshold_bracket`'s crossing of g = sqrt(r_in) + beta (beta <= 0, so
     g hits zero exactly at the threshold) is polished on the quadrature
@@ -403,15 +385,12 @@ def _first_threshold(profile: prof.InputProfile, kappa_i: float,
         # own ~1e-12 error of a tangency); fall back to the propagated
         # dynamics. The scan took its signs from array evaluations, so
         # check them on floats.
-        beta = sol.at if isinstance(sol, _ExactLinear) else _float_dense(sol)
-        g_dense = lambda t: math.sqrt(prof.rate_at(profile, t)) + beta(t)
+        g_dense = lambda t: math.sqrt(prof.rate_at(profile, t)) + sol.at(t)
         if not brackets_root(g_dense(lo), g_dense(hi)):
             raise NoThreshold(f"threshold residual does not change sign on "
                               f"the bracket [{lo!r}, {hi!r}]")
         tau_c = brentq(g_dense, lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200)
-    if isinstance(sol, _ExactLinear):
-        return tau_c, sol.cut(max(bisect_left(sol._knots, tau_c), 1), tau_c)
-    return tau_c, None
+    return tau_c, sol.cut(max(bisect_left(sol._knots, tau_c), 1), tau_c)
 
 
 def threshold_time(profile: prof.InputProfile, params: prof.MemoryParams) -> float:
@@ -429,27 +408,18 @@ class _Segment:
     stage: int              # 1: kappa = 1 builds the seed; 2: zero reflection
     t0: float
     t1: float
-    # beta (stage 1) or beta^2 (stage 2): a DOP853 OdeSolution for an
-    # analytic profile, a table's exact propagation (`_ExactLinear`)
-    sol: object
-
-    @cached_property
-    def _evaluators(self):
-        if isinstance(self.sol, _ExactLinear):
-            return self.sol.at, self.sol.dense
-        return _dense_output(self.sol)
+    # beta (stage 1) or beta^2 (stage 2): an analytic profile's DOP853 steps
+    # (`_Steps`) or a table's exact propagation (`_ExactLinear`), whose `at`
+    # (floats) and `dense` (arrays) agree bit for bit
+    sol: _Steps | _ExactLinear
 
     @cached_property
     def at(self) -> Callable[[float], float]:
-        """Float evaluation of `sol`, bitwise equal to `dense` (and for an
-        OdeSolution to float(sol(t)[0]))."""
-        return self._evaluators[0]
+        return self.sol.at
 
     @cached_property
     def dense(self) -> Callable[[np.ndarray], np.ndarray]:
-        """Array evaluation of `sol`, bitwise equal to `at` at each point
-        (and for an OdeSolution to sol(ts)[0])."""
-        return self._evaluators[1]
+        return self.sol.dense
 
     def beta_sq(self, t: float) -> float:
         """Stored population at a float t inside the segment."""
@@ -471,9 +441,9 @@ class CouplingSchedule:
     one stage-1 segment arise from the feasibility guard and carry the
     "feasibility_resumed" flag.
 
-    The evaluation methods take a float or an array. An array costs one
-    dense-output call per segment it touches, and each of its values equals
-    the float call bitwise.
+    The evaluation methods take a float or an array (`_dispatch`). An array
+    costs one dense-output call per segment it touches, and each of its
+    values equals the float call bitwise.
     """
 
     profile: prof.InputProfile
@@ -496,20 +466,15 @@ class CouplingSchedule:
     def _stages(self) -> np.ndarray:
         return np.array([seg.stage for seg in self.segments])
 
-    def _segment_index(self, tau):
-        """Index of the segment holding tau, the first one ending after it or
-        else the last; tau is a float or an array."""
-        if isinstance(tau, float):
-            return bisect_right(self._inner_ends, tau)
-        return np.searchsorted(self._inner_ends, tau, side="right")
-
     def _segment_at(self, tau: float) -> _Segment:
-        return self.segments[self._segment_index(tau)]
+        """The segment holding tau: the first one ending after it, else the
+        last."""
+        return self.segments[bisect_right(self._inner_ends, tau)]
 
     def _dense(self, taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Stage and dense-output value (beta in stage 1, beta^2 in stage 2)
         at each sample, with one dense-output call per segment."""
-        idx = self._segment_index(taus)
+        idx = np.searchsorted(self._inner_ends, taus, side="right")
         vals = np.empty(taus.shape)
         for i, seg in enumerate(self.segments):
             mask = idx == i
@@ -530,33 +495,28 @@ class CouplingSchedule:
                                        self.last_tau_c, float(taus[i]))
         return stages, vals, pop
 
-    def _zero_reflection(self, taus: np.ndarray, pop: np.ndarray,
-                         nan_if_singular: bool) -> np.ndarray:
-        """r_in/beta^2 at each sample, 0 where r_in = 0; where beta^2 <= 0
-        while r_in is not, raise SingularCoupling or give nan."""
-        rate = prof._pointwise(prof.rate_at, self.profile, taus)
-        singular = (rate != 0.0) & (pop <= 0.0)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            out = np.where(rate == 0.0, 0.0, rate / pop)
-        if singular.any():
-            if not nan_if_singular:
-                raise SingularCoupling(
-                    f"population numerically null at tau = "
-                    f"{float(taus[singular][0])}; coupling undefined")
-            out[singular] = math.nan
-        return out
+    def _dispatch(self, name: str, tau, on_float, on_array, **kw):
+        """An evaluator's call at anything but a float in its domain: a 0-d
+        tau goes to on_float as a float, an array to on_array as a float
+        array (each with **kw), once tau >= 0 (`stage2_kappa`: tau >= tau_c)
+        is checked."""
+        scalar = isinstance(tau, float) or np.ndim(tau) == 0
+        tau = float(tau) if scalar else np.asarray(tau, dtype=float)
+        floor = self.tau_c if name == "stage2_kappa" else 0.0
+        if (tau < floor) if scalar else np.any(tau < floor):
+            raise DomainError(f"{name} requires tau >= "
+                              f"{'tau_c' if floor else 0}")
+        return (on_float if scalar else on_array)(tau, **kw)
+
+    # Each evaluator's body is its float path; every other call goes through
+    # `_dispatch`, so a float in the domain costs one type check. The bodies
+    # make no closure: that would put self in a cell on every call.
 
     def beta_sq(self, tau):
         """Stored population beta^2 at any tau >= 0 (a float or an array)."""
-        if not isinstance(tau, float):
-            if np.ndim(tau) == 0:
-                return self.beta_sq(float(tau))
-            taus = np.asarray(tau, dtype=float)
-            if np.any(taus < 0.0):
-                raise DomainError("beta_sq requires tau >= 0")
-            return self._sampled(taus)[2]
-        if tau < 0.0:
-            raise DomainError("beta_sq requires tau >= 0")
+        if not isinstance(tau, float) or tau < 0.0:
+            return self._dispatch("beta_sq", tau, self.beta_sq,
+                                  self._beta_sq_array)
         if tau > self.horizon:
             return stage2_population(self.profile, self.params,
                                      self.last_tau_c, tau)
@@ -564,11 +524,8 @@ class CouplingSchedule:
 
     def beta(self, tau):
         """Memory amplitude (<= 0) at any tau >= 0 (a float or an array)."""
-        if not isinstance(tau, float):
-            if np.ndim(tau) == 0:
-                return self.beta(float(tau))
-            stages, vals, pop = self._sampled(np.asarray(tau, dtype=float))
-            return np.where(stages == 1, vals, -np.sqrt(pop))
+        if not isinstance(tau, float) or tau < 0.0:
+            return self._dispatch("beta", tau, self.beta, self._beta_array)
         if tau <= self.horizon:
             seg = self._segment_at(tau)
             if seg.stage == 1:
@@ -578,15 +535,9 @@ class CouplingSchedule:
     def stage2_kappa(self, tau):
         """Zero-reflection coupling r_in/beta^2 for tau >= tau_c (a float or
         an array)."""
-        if not isinstance(tau, float):
-            if np.ndim(tau) == 0:
-                return self.stage2_kappa(float(tau))
-            taus = np.asarray(tau, dtype=float)
-            if np.any(taus < self.tau_c):
-                raise DomainError("stage2_kappa requires tau >= tau_c")
-            return self._zero_reflection(taus, self._sampled(taus)[2], False)
-        if tau < self.tau_c:
-            raise DomainError("stage2_kappa requires tau >= tau_c")
+        if not isinstance(tau, float) or tau < self.tau_c:
+            return self._dispatch("stage2_kappa", tau, self.stage2_kappa,
+                                  self._stage2_kappa_array)
         rate = prof.rate_at(self.profile, tau)
         if rate == 0.0:
             return 0.0
@@ -604,24 +555,11 @@ class CouplingSchedule:
         (see `stage2_kappa`) the value is nan with `nan_if_singular`;
         otherwise SingularCoupling is raised.
         """
-        if not isinstance(tau, float):
-            if np.ndim(tau) == 0:
-                return self.kappa(float(tau), nan_if_singular=nan_if_singular)
-            taus = np.asarray(tau, dtype=float)
-            if np.any(taus < 0.0):
-                raise DomainError("kappa requires tau >= 0")
-            out = np.ones(taus.shape)
-            two = (taus > self.horizon) \
-                | (self._stages[self._segment_index(taus)] == 2)
-            out[two] = self._zero_reflection(
-                taus[two], self._sampled(taus[two])[2], nan_if_singular)
-            return out
-        if tau < 0.0:
-            raise DomainError("kappa requires tau >= 0")
-        if tau <= self.horizon:
-            seg = self._segment_at(tau)
-            if seg.stage == 1:
-                return 1.0
+        if not isinstance(tau, float) or tau < 0.0:
+            return self._dispatch("kappa", tau, self.kappa, self._kappa_array,
+                                  nan_if_singular=nan_if_singular)
+        if tau <= self.horizon and self._segment_at(tau).stage == 1:
+            return 1.0
         try:
             return self.stage2_kappa(tau)
         except SingularCoupling:
@@ -632,15 +570,50 @@ class CouplingSchedule:
     def reflection(self, tau):
         """Instantaneous reflection rate r_out = (beta sqrt(kappa) + sqrt(r_in))^2
         (tau a float or an array)."""
-        if not isinstance(tau, float):
-            if np.ndim(tau) == 0:
-                return self.reflection(float(tau))
-            taus = np.asarray(tau, dtype=float)
-            w = self.beta(taus) * np.sqrt(self.kappa(taus)) \
-                + np.sqrt(prof._pointwise(prof.rate_at, self.profile, taus))
-            return w * w
+        if not isinstance(tau, float) or tau < 0.0:
+            return self._dispatch("reflection", tau, self.reflection,
+                                  self._reflection_array)
         w = self.beta(tau) * math.sqrt(self.kappa(tau)) \
             + math.sqrt(prof.rate_at(self.profile, tau))
+        return w * w
+
+    def _beta_sq_array(self, taus: np.ndarray) -> np.ndarray:
+        return self._sampled(taus)[2]
+
+    def _beta_array(self, taus: np.ndarray) -> np.ndarray:
+        stages, vals, pop = self._sampled(taus)
+        return np.where(stages == 1, vals, -np.sqrt(pop))
+
+    def _zero_reflection(self, taus: np.ndarray, pop: np.ndarray,
+                         nan_if_singular: bool = False) -> np.ndarray:
+        """r_in/beta^2 at each sample, 0 where r_in = 0; where beta^2 <= 0
+        while r_in is not, raise SingularCoupling or give nan."""
+        rate = prof.rate_at(self.profile, taus)
+        singular = (rate != 0.0) & (pop <= 0.0)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            out = np.where(rate == 0.0, 0.0, rate / pop)
+        if singular.any():
+            if not nan_if_singular:
+                raise SingularCoupling(
+                    f"population numerically null at tau = "
+                    f"{float(taus[singular][0])}; coupling undefined")
+            out[singular] = math.nan
+        return out
+
+    def _stage2_kappa_array(self, taus: np.ndarray) -> np.ndarray:
+        return self._zero_reflection(taus, self._sampled(taus)[2])
+
+    def _kappa_array(self, taus: np.ndarray, *,
+                     nan_if_singular: bool = False) -> np.ndarray:
+        stages, _, pop = self._sampled(taus)
+        two = stages == 2
+        out = np.ones(taus.shape)
+        out[two] = self._zero_reflection(taus[two], pop[two], nan_if_singular)
+        return out
+
+    def _reflection_array(self, taus: np.ndarray) -> np.ndarray:
+        w = self._beta_array(taus) * np.sqrt(self._kappa_array(taus)) \
+            + np.sqrt(prof.rate_at(self.profile, taus))
         return w * w
 
     def breakpoints(self) -> list[float]:
@@ -853,10 +826,7 @@ class _ExactLinear:
         while rho ** m > _TAIL * math.factorial(m + 1):
             m += 1
         g = [(-k) ** j / math.factorial(j) for j in range(1, m + 1)]
-        # epsabs as in the polishes: at 1e-12, quad missed the integral of a
-        # piece rising from a zero sample by 2.5e-13
-        quad = lambda o, y, t: _stage1_beta_quad(profile, kappa_i, o, y, t,
-                                                 epsabs=1e-13)
+        quad = lambda o, y, t: _stage1_beta_quad(profile, kappa_i, o, y, t)
         y, lo, i, size = beta_start, 0.0, 0, _CHUNK
         while i < len(h):
             j = min(i + size, len(h))
@@ -931,14 +901,11 @@ def _integrate_stage2(profile, kappa_i, tau_c, end):
     carries an additive floor of 1e-13: once both the population and the
     input rate have decayed below the integrator's absolute tolerance, the
     ratio r_in/beta^2 is pure noise and must not be mistaken for a
-    violation. A table is propagated exactly over its PCHIP pieces
-    (`_ExactLinear.stage2`); the violation lies in the first piece whose
-    end values have g >= 0 >= g_new, where `brentq` finds it on the exact
-    form. An
-    analytic profile is solved by DOP853 (`_dop853_steps`), and the
-    violation located by `solve_ivp`'s rule: in the first step with
-    g >= 0 >= g_new, by `brentq` on that step's dense output. Either
-    solution then ends at the root.
+    violation. A table is propagated exactly over its PCHIP pieces, an
+    analytic profile stepped by DOP853 up to the first step that ends past
+    a violation. As in `solve_ivp`, the violation lies in the first piece or
+    step whose end values have g >= 0 >= g_new; `brentq` finds it there on
+    the exact form or the step's dense output, and the solution ends there.
     """
     def violation(t, y):
         return (1.0 + 0.5 * _KAPPA_SLACK) * y - prof.rate_at(profile, t) + 1e-13
@@ -946,37 +913,30 @@ def _integrate_stage2(profile, kappa_i, tau_c, end):
     y0 = prof.rate_at(profile, tau_c)
     if profile.kind == prof.TABULATED:
         sol, ys = _ExactLinear.stage2(profile, kappa_i, tau_c, y0, end)
-        g = violation(sol.ts, np.array(ys))
-        down = np.flatnonzero((g[:-1] >= 0.0) & (g[1:] <= 0.0))
-        if not len(down):
-            return sol, None
-        i = int(down[0])
-        lo = sol._knots[i]
-        root = brentq(lambda s: violation(s, sol.at(s)), lo, sol._knots[i + 1],
-                      xtol=4 * _EPS, rtol=4 * _EPS)
-        # as solve_ivp: a root at the piece's start ends the piece before
-        return sol.cut(i if root == lo and i > 0 else i + 1, root), root
-    rhs = lambda t, y: prof.rate_at(profile, t) - kappa_i * y
-    ts, steps = [tau_c], []
-    g = violation(tau_c, y0)
-    for t, y, dense in _dop853_steps(
-            rhs, tau_c, y0, end,
-            lambda t: InfeasibleSchedule(
-                f"stage-2 integration failed near tau = {t}")):
-        steps.append(dense)
-        g_new = violation(t, y)
-        if g >= 0.0 >= g_new:
-            root = brentq(lambda s: violation(s, dense(s)[0]), dense.t_old, t,
-                          xtol=4 * _EPS, rtol=4 * _EPS)
-            if root == ts[-1] and len(ts) > 1:
-                # solve_ivp's rule for a root at the step's start
-                steps.pop()
-            else:
-                ts.append(root)
-            return OdeSolution(ts, steps), root
-        ts.append(t)
-        g = g_new
-    return OdeSolution(ts, steps), None
+        at = sol.at
+    else:
+        ts, ys, rows = [tau_c], [y0], []
+        for t, y, dense in _dop853_steps(
+                lambda t, y: prof.rate_at(profile, t) - kappa_i * y,
+                tau_c, y0, end, lambda t: InfeasibleSchedule(
+                    f"stage-2 integration failed near tau = {t}")):
+            ts.append(t)
+            ys.append(y)
+            rows.append(_dop853_row(dense))
+            if violation(ts[-2], ys[-2]) >= 0.0 >= violation(t, y):
+                break
+        sol = _Steps(ts, rows)
+        at = lambda s: _dop853_at(s, *rows[-1])
+    g = violation(sol.ts, np.array(ys))
+    down = np.flatnonzero((g[:-1] >= 0.0) & (g[1:] <= 0.0))
+    if not len(down):
+        return sol, None
+    i = int(down[0])
+    lo = sol._knots[i]
+    root = brentq(lambda s: violation(s, at(s)), lo, sol._knots[i + 1],
+                  xtol=4 * _EPS, rtol=4 * _EPS)
+    # as solve_ivp: a root at the piece's start ends the piece before
+    return sol.cut(i if root == lo and i > 0 else i + 1, root), root
 
 
 def build_schedule(profile: prof.InputProfile,
@@ -986,16 +946,10 @@ def build_schedule(profile: prof.InputProfile,
     segments: list[_Segment] = []
     flags: list[str] = []
     t_start, beta_start = 0.0, 0.0
-    first_tau_c = None
 
     while len(segments) < _MAX_SEGMENTS:
         tau_c, sol1 = _first_threshold(profile, params.kappa_i, t_start,
                                        beta_start, end)
-        if first_tau_c is None:
-            first_tau_c = tau_c
-        if sol1 is None:
-            sol1 = _integrate_stage1(profile, params.kappa_i, t_start,
-                                     beta_start, tau_c)
         segments.append(_Segment(1, t_start, tau_c, sol1))
         sol2, t_violation = _integrate_stage2(profile, params.kappa_i, tau_c, end)
         if t_violation is None:
@@ -1016,7 +970,8 @@ def build_schedule(profile: prof.InputProfile,
             and params.kappa_i >= profile.r:
         flags.append("kappa_i_ge_r")
 
-    return CouplingSchedule(profile=profile, params=params, tau_c=first_tau_c,
+    return CouplingSchedule(profile=profile, params=params,
+                            tau_c=segments[0].t1,
                             segments=tuple(segments), horizon=end,
                             flags=tuple(dict.fromkeys(flags)))
 
@@ -1093,7 +1048,7 @@ def _slope(schedule: CouplingSchedule, ts: np.ndarray) -> np.ndarray:
     """
     k = schedule.params.kappa_i
     stages, b = schedule._dense(ts)
-    rate = prof._pointwise(prof.rate_at, schedule.profile, ts)
+    rate = prof.rate_at(schedule.profile, ts)
     w = b + np.sqrt(rate)
     return np.where(stages == 1, rate - k * b * b - w * w,
                     rate - k * np.where(b < 0.0, 0.0, b))
@@ -1119,11 +1074,8 @@ def _local_maxima(schedule: CouplingSchedule) -> list[tuple[float, float]]:
     lo, hi = schedule.tau_c, schedule.horizon
     delta0 = 1e-6 * max(lo, 1.0)
     ts = lo + np.geomspace(delta0, hi - lo, 4097)
-    vals = _slope(schedule, ts)
-    down = np.flatnonzero((vals[:-1] > 0.0) & (vals[1:] <= 0.0))
-
     peaks = []
-    for i in down.tolist():
+    for i in _down(_slope(schedule, ts)).tolist():
         a, b = float(ts[i]), float(ts[i + 1])
         seg = schedule._segment_at(0.5 * (a + b))
         root = None
@@ -1154,15 +1106,14 @@ def _tail_peak(schedule: CouplingSchedule) -> tuple[float, float]:
     left = schedule.horizon
     width = max(schedule.horizon - schedule.tau_c, 1.0)
     for _ in range(64):
-        right = left + width
-        ts = np.linspace(left, right, 65)
-        vals = [tail_slope(t) for t in ts]
-        for i in range(1, len(ts)):
-            if vals[i - 1] > 0.0 >= vals[i]:
-                t = brentq(tail_slope, float(ts[i - 1]), float(ts[i]),
-                           xtol=1e-10, rtol=8.9e-16, maxiter=200)
-                return t, pop(t)
-        left = right
+        ts = np.linspace(left, left + width, 65)
+        down = _down(prof._map(tail_slope, ts))
+        if len(down):
+            i = int(down[0])
+            t = brentq(tail_slope, float(ts[i]), float(ts[i + 1]),
+                       xtol=1e-10, rtol=8.9e-16, maxiter=200)
+            return t, pop(t)
+        left += width
         width *= 2.0
     raise NoPeak("population slope never crosses zero")
 

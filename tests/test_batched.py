@@ -3,9 +3,10 @@ routes bit for bit.
 
 `profiles._quad_chunked` settles every chunk that QUADPACK's first pass
 would accept with one vectorized dqk21 pass, when its caller also gives the
-integrand on arrays (tabulated profiles only); `protocol._dense_output`
-evaluates a DOP853 OdeSolution on arrays from one stacked table of its
-steps. Each is compared with `==` against the scalar route it replaces.
+integrand on arrays (tabulated profiles only); `protocol._Steps` evaluates
+DOP853 steps on floats and arrays from one stacked table of their rows.
+Each is compared with `==` against the scipy route it replaces (`quad`,
+`OdeSolution`).
 """
 from __future__ import annotations
 
@@ -109,7 +110,7 @@ def _quadratures(table: prof.InputProfile, a: float, b: float):
         values = [prof._quad_rate(table, a, b),
                   prof.total_excitation(table, b),
                   proto._stage1_beta_quad(table, KAPPA_I, a, -0.3, b),
-                  proto._stage1_beta_quad(table, 0.5, a, 0.0, b, epsabs=1e-13),
+                  proto._stage1_beta_quad(table, 0.5, a, 0.0, b),
                   proto._stage2_pop(table, KAPPA_I, a, 0.2, b),
                   proto._stage2_pop(table, 0.0, a, 0.0, b)]
     return values, [str(w.message) for w in caught]
@@ -311,26 +312,46 @@ def _probes(ts: np.ndarray) -> np.ndarray:
                             ts[-1] + 1e3]])
 
 
+def odesolution(sch: proto.CouplingSchedule, seg) -> OdeSolution:
+    """scipy's OdeSolution over the DOP853 steps of an analytic schedule's
+    segment: its stage solved again from the segment's start towards the
+    horizon, as the build solves it, on the segment's `ts`."""
+    profile, k = sch.profile, sch.params.kappa_i
+    if seg.stage == 1:
+        fun, y0 = proto._stage1_rhs(profile, k), seg.at(seg.t0)
+    else:
+        fun = lambda t, y: prof.rate_at(profile, t) - k * y
+        y0 = prof.rate_at(profile, seg.t0)
+    steps = proto._dop853_steps(fun, seg.t0, y0, sch.horizon, RuntimeError)
+    return OdeSolution(seg.sol.ts, [dense for (_, _, dense), _
+                                    in zip(steps, seg.sol.ts[1:])])
+
+
+def _assert_is_odesolution(table: proto._Steps, sol: OdeSolution):
+    """`at` and `dense` equal the OdeSolution call bit for bit on `_probes`
+    of its steps, sorted and reversed."""
+    probes = _probes(sol.ts)
+    assert _same_bits(table.dense(probes), sol(probes)[0])
+    assert _same_bits(table.dense(probes[::-1]), sol(probes[::-1])[0])
+    assert all(_same_bits(np.array([table.at(t)]), sol(t))
+               for t in probes.tolist())
+
+
 def test_stacked_dense_output_is_odesolution():
     for sch in _schedules():
         for seg in sch.segments:
-            if not isinstance(seg.sol, OdeSolution):
-                continue     # a table's exact stage 2 (tests/test_exact_stage2.py)
-            probes = _probes(seg.sol.ts)
-            assert _same_bits(seg.dense(probes), seg.sol(probes)[0])
-            assert _same_bits(seg.dense(probes[::-1]), seg.sol(probes[::-1])[0])
-            assert [seg.at(t) for t in probes.tolist()] \
-                == seg.dense(probes).tolist()
+            if isinstance(seg.sol, proto._ExactLinear):
+                continue     # a table's (tests/test_exact_stage*.py)
+            assert isinstance(seg.sol, proto._Steps)
+            _assert_is_odesolution(seg.sol, odesolution(sch, seg))
 
 
 def test_stacked_dense_output_on_one_step():
     profile = prof.exponential(0.5)
-    sol = proto._integrate_stage1(profile, KAPPA_I, 1.0, -0.2, 1.0 + 1e-7)
-    assert len(sol.interpolants) == 1
-    at, on_array = proto._dense_output(sol)
-    probes = _probes(sol.ts)
-    assert _same_bits(on_array(probes), sol(probes)[0])
-    assert [at(t) for t in probes.tolist()] == on_array(probes).tolist()
+    (t, _, dense), = proto._dop853_steps(proto._stage1_rhs(profile, KAPPA_I),
+                                         1.0, -0.2, 1.0 + 1e-7, RuntimeError)
+    _assert_is_odesolution(proto._Steps([1.0, t], [proto._dop853_row(dense)]),
+                           OdeSolution([1.0, t], [dense]))
 
 
 def test_stacked_dense_output_takes_odesolutions_step_at_a_boundary():
@@ -340,22 +361,24 @@ def test_stacked_dense_output_takes_odesolutions_step_at_a_boundary():
     steps = [Dop853DenseOutput(t0, t0 + 1.0, np.array([y0]),
                                rng.normal(size=(7, 1)))
              for t0, y0 in ((0.0, 0.5), (1.0, -2.0))]
-    sol = OdeSolution([0.0, 1.0, 2.0], steps)
-    at, on_array = proto._dense_output(sol)
-    probes = _probes(sol.ts)
     assert steps[0](1.0)[0] != steps[1](1.0)[0]
-    assert _same_bits(on_array(probes), sol(probes)[0])
-    assert [at(t) for t in probes.tolist()] == on_array(probes).tolist()
+    _assert_is_odesolution(
+        proto._Steps([0.0, 1.0, 2.0], [proto._dop853_row(d) for d in steps]),
+        OdeSolution([0.0, 1.0, 2.0], steps))
 
 
 def test_schedule_dense_makes_no_odesolution_call(monkeypatch):
+    """Neither a build nor its dense output calls OdeSolution or
+    Dop853DenseOutput."""
     sch = next(_schedules())
     taus = np.linspace(0.0, sch.horizon, 4097)
     want = sch._dense(taus)
 
     def refuse(self, t):
-        raise AssertionError("OdeSolution call")
+        raise AssertionError("scipy dense-output call")
 
-    monkeypatch.setattr(type(sch.segments[0].sol), "__call__", refuse)
+    monkeypatch.setattr(OdeSolution, "__call__", refuse)
+    monkeypatch.setattr(Dop853DenseOutput, "__call__", refuse)
+    sch = proto.build_schedule(sch.profile, sch.params)
     got = sch._dense(taus)
     assert np.array_equal(got[0], want[0]) and _same_bits(got[1], want[1])

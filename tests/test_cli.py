@@ -123,7 +123,7 @@ def test_same_sign_threshold_bracket_exits_infeasible(tmp_path, monkeypatch,
     # both polishes of tau_c refuse the scan's bracket (see test_protocol)
     monkeypatch.setattr(protocol, "_stage1_anchored",
                         lambda *args: (lambda t: 1.0))
-    monkeypatch.setattr(protocol, "_float_dense", lambda sol: (lambda t: 1.0))
+    monkeypatch.setattr(protocol._Steps, "at", lambda self, t: 1.0)
     rc = cli.main(["schedule", *EXP_OP, "--out", str(tmp_path / "s")])
     assert rc == 2
     assert "does not change sign on the bracket" in capsys.readouterr().err

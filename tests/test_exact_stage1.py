@@ -48,6 +48,55 @@ def _long_piece_table() -> prof.InputProfile:
     return prof.tabulated(taus, rates / np.trapezoid(rates, taus))
 
 
+def _sqrt_edge_table() -> prof.InputProfile:
+    """Two humps on 42 uneven knots (a hypothesis find): rates down to
+    5e-16 between them and a zero sample at 13.6, where sqrt(r_in) has
+    square-root edges. From t = 2^-24 * 17.67, `_stage1_beta_quad` over the
+    whole window is 3.6e-13 from a 40-digit reference at kappa_i = 0 (at
+    t = 14.19): its relative tolerance, 1e-12
+    of |beta| > 0.1, outweighs its epsabs of 1e-13. The exact propagation
+    is within 1.1e-16 of the reference, and so is the chained quadrature
+    (`_chained_quad`)."""
+    taus = [0.0, 0.55465801, 1.1889755, 1.7357646, 1.91890547, 2.31307051,
+            2.99446995, 3.7039363, 4.12113085, 4.69312942, 4.8762703,
+            5.51664091, 5.97731095, 6.49214183, 7.00262177, 7.73200387,
+            8.33102544, 8.51416632, 8.69730719, 9.4298707, 10.00791769,
+            10.44433019, 10.62747107, 10.81061195, 11.26251242, 11.66823329,
+            11.85137417, 12.31194082, 12.8154774, 12.99861827, 13.42325519,
+            13.60639606, 14.01977809, 14.46042245, 14.9581331, 15.14127398,
+            15.63000594, 15.81314682, 16.46047934, 16.64362021, 17.10861918,
+            17.67442775]
+    rates = [0.0, 1.72745253e-01, 2.09822885e-01, 1.14617530e-01,
+             7.97756975e-02, 2.78593841e-02, 1.88151089e-03, 3.49432651e-05,
+             1.91106254e-06, 1.80728594e-08, 3.44418341e-09, 5.57016038e-12,
+             2.98202003e-14, 4.84092089e-16, 2.11897603e-13, 4.94453324e-10,
+             1.11407130e-07, 4.91864917e-07, 2.00419981e-06, 2.47710710e-04,
+             4.47965599e-03, 2.34723062e-02, 4.10665750e-02, 6.63106850e-02,
+             1.53469333e-01, 2.15036704e-01, 2.20105842e-01, 1.63745504e-01,
+             6.67806119e-02, 4.23081417e-02, 1.81892429e-02, 0.0,
+             5.70364521e-02, 1.34912798e-01, 2.06598997e-01, 2.08223006e-01,
+             1.43574430e-01, 1.07813758e-01, 2.05952206e-02, 1.07494940e-02,
+             1.43847631e-03, 6.19658258e-05]
+    return prof.tabulated(taus, rates)
+
+
+def _chained_quad(table, kappa_i: float, ts: list[float],
+                  beta0: float) -> list[float]:
+    """`_stage1_beta_quad` at each of ts, each from the value at the one
+    before, from beta(ts[0]) = beta0. Each quadrature spans one piece, so
+    its relative tolerance (1e-12 of that piece's integral) stays far below
+    the tests' 1e-13 bound. One quadrature over the whole window can miss
+    it: by 3.6e-13 on `_sqrt_edge_table`, and by 2.9e-11 at t = 18.34 on a
+    linear ramp from 0 over one knot interval of 19 (kappa_i = 0.5), where
+    a 40-digit reference puts the exact propagation and this chain within
+    1.2e-16. On a quadrature piece the chain repeats the propagation's own
+    quadrature, so there it checks the recurrence only."""
+    out = [beta0]
+    for a, b in zip(ts, ts[1:]):
+        out.append(proto._stage1_beta_quad(table, kappa_i, a, out[-1], b))
+    return out
+
+
 def _stage1(profile, kappa_i, t_start=None, beta_start=0.0, end=None):
     """The exact stage 1 from t_start to end (the table's), in one object."""
     t_start = float(profile.taus[0]) if t_start is None else t_start
@@ -84,10 +133,14 @@ def _gap_bound(beta: float) -> float:
 @example(table=_long_piece_table(), share=0.1, beta_start=-0.3)
 @example(table=prof.tabulated([0.3988650287793968, 2.398865028779397],
                               [0.0, 1.0]), share=0.0, beta_start=0.0)
+@example(table=_sqrt_edge_table(), share=2.0 ** -24, beta_start=0.0)
+@example(table=prof.tabulated([0.0, 19.0], [0.0, 2.0 / 19.0]), share=0.0,
+         beta_start=0.0)
 @pytest.mark.parametrize("kappa_i", [0.0, 1e-3, 0.5])
 def test_knot_values_match_quadrature(kappa_i, table, share, beta_start):
     """Every piece-end value lies within 1e-13 max(1, |beta|) of
-    `_stage1_beta_quad`, from any start value, on tables with leading and
+    `_stage1_beta_quad` chained from piece end to piece end
+    (`_chained_quad`), from any start value, on tables with leading and
     inner zeros, where pieces fall back to the quadrature form."""
     lo, hi = float(table.taus[0]), float(table.taus[-1])
     t_start = max(0.0, lo - 1.0) + share * (hi - max(0.0, lo - 1.0))
@@ -95,9 +148,9 @@ def test_knot_values_match_quadrature(kappa_i, table, share, beta_start):
         return
     sol = _stage1(table, kappa_i, t_start, beta_start)
     assert (sol.ts[0], sol.ts[-1]) == (t_start, hi)
-    for t, y in zip(sol.ts.tolist(), sol.dense(sol.ts).tolist()):
-        want = proto._stage1_beta_quad(table, kappa_i, t_start, beta_start,
-                                       t, epsabs=1e-13)
+    ts = sol.ts.tolist()
+    for t, y, want in zip(ts, sol.dense(sol.ts).tolist(),
+                          _chained_quad(table, kappa_i, ts, beta_start)):
         assert abs(y - want) <= _gap_bound(want), (t, y, want)
 
 
@@ -105,8 +158,9 @@ def test_knot_values_match_quadrature(kappa_i, table, share, beta_start):
 @given(table=narrow_tables())
 def test_schedule_stage1_matches_quadrature(table):
     """In a table schedule, first and resumed stage-1 segments alike, every
-    piece end lies within 1e-13 max(1, |beta|) of `_stage1_beta_quad` from
-    the segment's start, and the float and array evaluations agree."""
+    piece end lies within 1e-13 max(1, |beta|) of `_stage1_beta_quad`
+    chained from the segment's start (`_chained_quad`), and the float and
+    array evaluations agree."""
     params = _params(1e-3)
     try:
         sch = proto.build_schedule(table, params)
@@ -116,10 +170,9 @@ def test_schedule_stage1_matches_quadrature(table):
         if seg.stage != 1:
             continue
         assert isinstance(seg.sol, proto._ExactLinear)
-        beta0 = seg.at(seg.t0)
-        for t in seg.sol.ts.tolist():
-            want = proto._stage1_beta_quad(table, params.kappa_i, seg.t0,
-                                           beta0, t, epsabs=1e-13)
+        ts = seg.sol.ts.tolist()
+        for t, want in zip(ts, _chained_quad(table, params.kappa_i, ts,
+                                             seg.at(seg.t0))):
             assert abs(seg.at(t) - want) <= _gap_bound(want), t
         probes = _probes(seg.sol)
         assert [seg.at(t) for t in probes.tolist()] \
@@ -201,8 +254,8 @@ def test_pieces_are_cut_or_fall_back(name, table):
 def test_quadrature_pieces_are_the_quadrature_form(monkeypatch):
     """On the delayed table the piece from the activation knot, where r_in
     rises from 0, is the one quadrature piece of the schedule: its values
-    are `_stage1_beta_quad` from the piece start (at the polishes' epsabs,
-    1e-13), bit for bit, and the propagation counts it in `fallback`."""
+    are `_stage1_beta_quad` from the piece start, bit for bit, and the
+    propagation counts it in `fallback`."""
     profile, params = _delayed_table(), _params()
     sch = proto.build_schedule(profile, params)
     seg = sch.segments[0]
@@ -213,8 +266,7 @@ def test_quadrature_pieces_are_the_quadrature_form(monkeypatch):
     knot = int(np.searchsorted(profile.taus, t_act))
     assert y == 0.0 and seg.sol.ts[i + 1] == profile.taus[knot + 1]
     for t in np.linspace(o, seg.sol.ts[i + 1], 9)[1:].tolist():
-        want = proto._stage1_beta_quad(profile, params.kappa_i, o, y, t,
-                                       epsabs=1e-13)
+        want = proto._stage1_beta_quad(profile, params.kappa_i, o, y, t)
         assert seg.at(t) == want == seg.dense(np.array([t]))[0]
     # before activation beta stays exactly 0
     assert not np.any(seg.dense(np.linspace(0.0, t_act, 50)))
@@ -255,8 +307,7 @@ def test_overflowing_series_fall_back():
     sol = _stage1(table, 1e-4, t_start=5.0)
     assert len(sol.fallback) >= 2          # the activation piece and more
     for t, y in zip(sol.ts.tolist()[::10], sol.dense(sol.ts[::10]).tolist()):
-        want = proto._stage1_beta_quad(table, 1e-4, 5.0, 0.0, t,
-                                       epsabs=1e-13)
+        want = proto._stage1_beta_quad(table, 1e-4, 5.0, 0.0, t)
         assert abs(y - want) <= _gap_bound(want), t
 
 
@@ -287,8 +338,7 @@ def _dop853_knot_gap(profile, kappa_i, t0, beta0, t1) -> float:
     gap = 0.0
     for t, y, _ in _knot_aligned_steps(rhs, t0, beta0, t1,
                                        prof._interior_breaks(profile, t0, t1)):
-        want = proto._stage1_beta_quad(profile, kappa_i, t0, beta0, t,
-                                       epsabs=1e-13)
+        want = proto._stage1_beta_quad(profile, kappa_i, t0, beta0, t)
         gap = max(gap, abs(y - want))
     return gap
 
@@ -305,7 +355,7 @@ def test_knot_gap_is_no_larger_than_dop853s(faint):
             continue
         beta0 = seg.at(seg.t0)
         gap = max(abs(seg.at(t) - proto._stage1_beta_quad(
-            profile, params.kappa_i, seg.t0, beta0, t, epsabs=1e-13))
+            profile, params.kappa_i, seg.t0, beta0, t))
             for t in seg.sol.ts.tolist())
         assert gap <= 5e-16
         assert gap <= _dop853_knot_gap(profile, params.kappa_i, seg.t0, beta0,
@@ -354,8 +404,9 @@ def test_analytic_scan_makes_no_dense_output_call(profile, monkeypatch):
         assert seg.dense(probes).tolist() == old.dense(probes).tolist()
 
 
-def _pointwise_loop(fn, profile, taus):
-    return np.array([fn(profile, t) for t in taus.tolist()], dtype=float)
+def _float_loop(fn, profile, taus: np.ndarray) -> np.ndarray:
+    return np.array([fn(profile, t) for t in taus.ravel().tolist()],
+                    dtype=float).reshape(taus.shape)
 
 
 def _gauss_n(r: float, n: float) -> prof.InputProfile:
@@ -369,20 +420,27 @@ def _gauss_n(r: float, n: float) -> prof.InputProfile:
                          ids=["rate_at", "cumulative"])
 @pytest.mark.parametrize("profile", [
     prof.exponential(0.036), prof.exponential(0.9), _gauss_n(0.1533, 1.0),
-    _gauss_n(0.1533, 4.0), _gauss_n(0.9, 4.0)],
-    ids=["exp_point", "exp", "gauss_n1", "gauss_n4", "gauss_narrow"])
+    _gauss_n(0.1533, 4.0), _gauss_n(0.9, 4.0), _catch_table(3, True)],
+    ids=["exp_point", "exp", "gauss_n1", "gauss_n4", "gauss_narrow", "table"])
 def test_pointwise_is_the_float_loop(profile, fn):
-    """`_pointwise` on an analytic profile equals the float calls bit for
-    bit, sign bits included: at tau = 0, on both sides of tau0 and on a row
-    grid of the CLI's size (`schedule` writes about 57,000 rows)."""
+    """`rate_at` and `cumulative` on 0-d, 1-d and 2-d arrays equal the
+    float calls bit for bit, sign bits included: at tau = 0, on both sides
+    of tau0, past a table's ends and on a row grid of the CLI's size
+    (`schedule` writes about 57,000 rows). A 0-d array gives a float."""
     end = prof.horizon(profile)
     taus = [np.array([0.0, 5e-324, 1e-300]),
             np.linspace(0.0, end, 57_001),
-            np.geomspace(1e-9, end, 4097)]
+            np.geomspace(1e-9, end, 4097).reshape(17, 241),
+            np.array([[0.0, 1.0], [end, 2.0 * end]])]
     if profile.kind == prof.GAUSSIAN:
         t0 = profile.tau0
         taus.append(t0 + np.array([-1.0, -1e-12, 0.0, 1e-12, 1.0]) * t0)
         taus.append(np.nextafter(t0, [-np.inf, np.inf]))
     for ts in taus:
-        got = prof._pointwise(fn, profile, ts)
-        assert got.tobytes() == _pointwise_loop(fn, profile, ts).tobytes()
+        got = fn(profile, ts)
+        assert got.shape == ts.shape
+        assert got.tobytes() == _float_loop(fn, profile, ts).tobytes()
+    for t in (0.0, 0.5 * end, 1.5 * end):
+        got = fn(profile, np.array(t))
+        assert type(got) is float
+        assert np.array(got).tobytes() == np.array(fn(profile, t)).tobytes()

@@ -203,14 +203,15 @@ def _recorded_solves(profile, params, monkeypatch):
                                      prof.gaussian(r=0.1533, n=4)],
                          ids=["exp_point", "exp", "gauss"])
 def test_analytic_schedules_keep_their_dop853_solves(profile, monkeypatch):
-    """An analytic schedule makes the same three DOP853 solves as before:
-    the threshold scan and stage 1 from 0, and stage 2 from r_in(tau_c) to
-    the horizon."""
+    """An analytic schedule makes two DOP853 solves: the threshold scan
+    from 0 towards the horizon, whose steps cut at tau_c are the stage-1
+    segment, and stage 2 from r_in(tau_c) to the horizon."""
     sch, solves = _recorded_solves(profile, _params(), monkeypatch)
     assert [seg.stage for seg in sch.segments] == [1, 2]
-    assert isinstance(sch.segments[1].sol, proto.OdeSolution)
+    assert all(isinstance(seg.sol, proto._Steps) for seg in sch.segments)
     tau_c, end = sch.tau_c, sch.horizon
-    assert solves == [(0.0, 0.0, end), (0.0, 0.0, tau_c),
+    assert sch.segments[0].sol.ts[-1] == tau_c
+    assert solves == [(0.0, 0.0, end),
                       (tau_c, prof.rate_at(profile, tau_c), end)]
 
 

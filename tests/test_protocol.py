@@ -13,7 +13,7 @@ import random
 
 import numpy as np
 import pytest
-from scipy.integrate import DOP853, DenseOutput, OdeSolution, solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 from scipy.integrate._ivp.rk import Dop853DenseOutput
 from scipy.optimize import brentq
 
@@ -22,6 +22,7 @@ from pulsecatch import profiles as prof
 from pulsecatch import protocol as proto
 from pulsecatch.errors import (DomainError, InfeasibleSchedule, NoThreshold,
                                SingularCoupling)
+from test_batched import _same_bits, odesolution
 
 
 def _params(ki: float = 1e-4) -> prof.MemoryParams:
@@ -146,17 +147,17 @@ def _whole_window_threshold(profile, kappa_i, t_start, beta_start, end):
     if profile.kind == prof.TABULATED:
         t_a = max([t_start] + [t for t in profile.taus.tolist() if t < lo])
         beta_a = proto._stage1_beta_quad(profile, kappa_i, t_start, beta_start,
-                                         t_a, epsabs=1e-13)
+                                         t_a)
 
     def g_quad(t):
         return math.sqrt(prof.rate_at(profile, t)) + proto._stage1_beta_quad(
-            profile, kappa_i, t_a, beta_a, t, epsabs=1e-13)
+            profile, kappa_i, t_a, beta_a, t)
 
     if g_quad(lo) > 0.0 > g_quad(hi):
         tau_c = brentq(g_quad, lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200)
     else:
         beta = whole.at if profile.kind == prof.TABULATED \
-            else proto._float_dense(whole)
+            else (lambda t: float(whole(t)[0]))
         tau_c = brentq(lambda t: math.sqrt(prof.rate_at(profile, t)) + beta(t),
                        lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200)
     return t0, beta0, lo, hi, tau_c, whole
@@ -202,8 +203,9 @@ def test_threshold_scan_equals_whole_window_scan(case):
         assert hi <= sol.ts[-1] < end and len(sol.ts) < len(whole.ts)
         new, old = sol.at, whole.at
     else:
+        assert isinstance(sol, proto._Steps)
         assert sol.ts[-2] < hi <= sol.ts[-1] < end
-        new, old = proto._float_dense(sol), proto._float_dense(whole)
+        new, old = sol.at, lambda t: float(whole(t)[0])
     steps = whole.ts[(whole.ts > lo) & (whole.ts < hi)]
     probes = np.concatenate([np.linspace(lo, hi, 65), steps,
                              np.nextafter(steps, -np.inf),
@@ -244,7 +246,7 @@ def test_same_sign_dense_bracket_is_no_threshold(monkeypatch):
     solver raises NoThreshold naming the bracket."""
     monkeypatch.setattr(proto, "_stage1_anchored",
                         lambda *args: (lambda t: 1.0))
-    monkeypatch.setattr(proto, "_float_dense", lambda sol: (lambda t: 1.0))
+    monkeypatch.setattr(proto._Steps, "at", lambda self, t: 1.0)
     with pytest.raises(NoThreshold, match=r"does not change sign on the "
                        r"bracket \[[0-9.e-]+, [0-9.e-]+\]"):
         proto.threshold_time(prof.exponential(0.036), _params())
@@ -285,14 +287,14 @@ def _coarse_table(seed: int) -> tuple[prof.InputProfile, prof.MemoryParams]:
 
 
 def _solve_ivp_segment(profile, kappa_i, seg, beta0, end):
-    """A schedule segment solved by `solve_ivp`: stage 1 over [t0, t1] from
+    """A schedule segment solved by `solve_ivp`: stage 1 over [t0, end] from
     beta0, stage 2 from t0 towards end with the kappa > 1 violation event."""
     opts = dict(method="DOP853", rtol=1e-12, atol=1e-14, dense_output=True)
     if seg.stage == 1:
         a = 0.5 * (1.0 + kappa_i)
         return solve_ivp(
             lambda t, y: [-math.sqrt(prof.rate_at(profile, t)) - a * y[0]],
-            (seg.t0, seg.t1), [beta0], **opts)
+            (seg.t0, end), [beta0], **opts)
 
     def violation(t, y):
         return (1.0 + 0.5 * 1e-9) * y[0] - prof.rate_at(profile, t) + 1e-13
@@ -304,28 +306,40 @@ def _solve_ivp_segment(profile, kappa_i, seg, beta0, end):
                      events=violation, **opts)
 
 
+def _dop853_solve(fun, t0: float, y0: float, end: float) -> proto._Steps:
+    """A fresh `_dop853_steps` solve over [t0, end] as a step table."""
+    ts, rows = [t0], []
+    for t, _, dense in proto._dop853_steps(fun, t0, y0, end, RuntimeError):
+        ts.append(t)
+        rows.append(proto._dop853_row(dense))
+    return proto._Steps(ts, rows)
+
+
 @pytest.mark.parametrize("case", ["exp_point", "gauss", "resumed"])
 def test_stepping_without_breaks_equals_solve_ivp(case):
     """Every DOP853 solve is `solve_ivp` bit for bit: the same steps, dense
     output, violation time and status. An analytic schedule is built from
-    such solves. The double hump (a table) is propagated exactly instead:
-    there the stepper runs the stage-1 solve of each of its stage-1
-    segments across the knots, and solve_ivp's stage 2 meets the same
-    violations."""
+    such solves; its stage-1 segment is the threshold scan's solve towards
+    the horizon, cut at tau_c inside the step holding it. The double hump
+    (a table) is propagated exactly instead: there the stepper runs the
+    stage-1 solve of each of its stage-1 segments across the knots, and
+    solve_ivp's stage 2 meets the same violations."""
     profile, params = _schedule(case).profile, _params()
     sch = proto.build_schedule(profile, params)
     if case == "resumed":
         assert [seg.stage for seg in sch.segments] == [1, 2, 1, 2]
     beta0 = 0.0
     for i, seg in enumerate(sch.segments):
+        scan = seg.stage == 1 and case != "resumed"
         ref = _solve_ivp_segment(profile, params.kappa_i, seg, beta0,
-                                 sch.horizon)
+                                 seg.t1 if seg.stage == 1 and not scan
+                                 else sch.horizon)
         sol = seg.sol
         if isinstance(sol, proto._ExactLinear):
             assert case == "resumed"
             if seg.stage == 1:
-                sol = proto._integrate_stage1(profile, params.kappa_i, seg.t0,
-                                              beta0, seg.t1)
+                sol = _dop853_solve(proto._stage1_rhs(profile, params.kappa_i),
+                                    seg.t0, beta0, seg.t1)
             elif i < len(sch.segments) - 1:
                 # solve_ivp finds the same violation, placed only to its
                 # error across the knots (2.5e-8)
@@ -335,18 +349,57 @@ def test_stepping_without_breaks_equals_solve_ivp(case):
                 continue
             else:
                 continue
-        assert np.array_equal(sol.ts, ref.t), i
-        ends = ref.t
-        new, old = proto._float_dense(sol), proto._float_dense(ref.sol)
+        ends = sol.ts
+        if scan:
+            n = len(ends) - 1
+            assert np.array_equal(ends[:-1], ref.t[:n])
+            assert ref.t[n - 1] < seg.t1 == ends[-1] <= ref.t[n]
+        else:
+            assert np.array_equal(ends, ref.t), i
         for t in np.concatenate([ends, np.nextafter(ends, -np.inf),
                                  np.nextafter(ends, np.inf)]).tolist():
-            assert new(t) == old(t), (i, t)
+            assert sol.at(t) == float(ref.sol(t)[0]), (i, t)
         if seg.stage == 2 and i < len(sch.segments) - 1:
             assert ref.status == 1
             assert seg.t1 == ref.t_events[0][0]
             beta0 = -math.sqrt(seg.at(seg.t1))
         else:
-            assert ref.status == 0 and seg.t1 == ref.t[-1]
+            assert ref.status == 0 and (scan or seg.t1 == ref.t[-1])
+
+
+@pytest.mark.parametrize("case", ["exp_point", "exp", "gauss",
+                                  "gauss_resumed"])
+def test_analytic_stage1_is_the_scan_cut_at_tau_c(case):
+    """An analytic stage-1 segment is the threshold scan's DOP853 solve cut
+    at tau_c. It ends at tau_c. Up to its last step it is a fresh solve to
+    tau_c bit for bit, within 1e-13 of `_stage1_beta_quad` at each step
+    end. The scan takes its last step past tau_c, so there the segment is
+    that step's dense output: at tau_c it lies 1.4e-13 (`exp`) and 1.0e-12
+    (the resumed stretch) from the quadrature, where the fresh solve ends a
+    step within 1.1e-14. Over the whole segment it is no further from the
+    quadrature than the fresh solve's own dense output gets."""
+    sch = _resumed_analytic() if case == "gauss_resumed" else _schedule(case)
+    profile, k = sch.profile, sch.params.kappa_i
+    stage1 = [seg for seg in sch.segments if seg.stage == 1]
+    assert len(stage1) == (2 if case == "gauss_resumed" else 1)
+    for seg in stage1:
+        sol, beta0 = seg.sol, seg.at(seg.t0)
+        assert isinstance(sol, proto._Steps)
+        assert (sol.ts[0], sol.ts[-1]) == (seg.t0, seg.t1)
+        fresh = _dop853_solve(proto._stage1_rhs(profile, k), seg.t0, beta0,
+                              seg.t1)
+        assert np.array_equal(fresh.ts, sol.ts)
+        steps = sol.ts[:-1]
+        probes = np.concatenate([steps, np.linspace(steps[0], steps[-1], 257)])
+        assert _same_bits(sol.dense(probes), fresh.dense(probes))
+        for t in steps.tolist():
+            want = proto._stage1_beta_quad(profile, k, seg.t0, beta0, t)
+            assert abs(sol.at(t) - want) <= 1e-13, t
+        grid = np.linspace(seg.t0, seg.t1, 257)
+        want = np.array([proto._stage1_beta_quad(profile, k, seg.t0, beta0, t)
+                         for t in grid.tolist()])
+        assert np.abs(sol.dense(grid) - want).max() \
+            <= np.abs(fresh.dense(grid) - want).max()
 
 
 _EPS = 2.0 ** -52       # machine epsilon, the knot-value checks' scale
@@ -559,18 +612,11 @@ def test_coarse_table_closes_loss_budget(seed):
 
 
 def test_stage_solver_failures_are_infeasible(monkeypatch):
+    """A failed stage-2 solve is InfeasibleSchedule. Stage 1 is solved only
+    by the threshold scan, where a failure is NoThreshold
+    (`test_stage1_solver_failure_is_no_threshold`)."""
     p = prof.exponential(0.036)
-    rhs, rate = proto._stage1_rhs, prof.rate_at
-
-    def broken(profile, kappa_i):
-        f = rhs(profile, kappa_i)
-        return lambda t, y: math.nan if t > 0.5 else f(t, y)
-
-    monkeypatch.setattr(proto, "_stage1_rhs", broken)
-    with pytest.raises(InfeasibleSchedule,
-                       match="stage-1 integration failed") as exc:
-        proto._integrate_stage1(p, 1e-4, 0.0, 0.0, 1.0)
-    assert float(str(exc.value).rsplit("= ", 1)[1]) <= 0.5
+    rate = prof.rate_at
     monkeypatch.setattr(prof, "rate_at", lambda profile, t: math.nan
                         if t > 2.0 else rate(profile, t))
     with pytest.raises(InfeasibleSchedule,
@@ -592,13 +638,12 @@ def _resumed_analytic() -> proto.CouplingSchedule:
     sch = _schedule("gauss")
     profile, k, end = sch.profile, sch.params.kappa_i, sch.horizon
     t_v, beta_v = profile.tau0, -0.2
-    tau_c2 = proto._first_threshold(profile, k, t_v, beta_v, end)[0]
+    tau_c2, sol1 = proto._first_threshold(profile, k, t_v, beta_v, end)
     sol2, violation = proto._integrate_stage2(profile, k, tau_c2, end)
     assert violation is None
     first, second = sch.segments
     segments = (first, proto._Segment(2, second.t0, t_v, second.sol),
-                proto._Segment(1, t_v, tau_c2, proto._integrate_stage1(
-                    profile, k, t_v, beta_v, tau_c2)),
+                proto._Segment(1, t_v, tau_c2, sol1),
                 proto._Segment(2, tau_c2, end, sol2))
     return proto.CouplingSchedule(profile, sch.params, sch.tau_c, segments,
                                   end, ("feasibility_resumed",))
@@ -654,7 +699,8 @@ def test_anchored_polish_equals_full_window_on_analytic_profiles(case):
     """Analytic profiles have no knots, so each polish anchors at its
     stretch's start with the exact seed: tau_c, every peak root (past the
     horizon too, with kappa_i = 1e-26) and the peak population equal the
-    full-window quadrature route's bit for bit."""
+    full-window quadrature route's bit for bit. The stage-1 solution that
+    comes with tau_c is the segment's, ending at tau_c."""
     starts = [(0.0, 0.0)]
     if case == "gauss_resumed":
         sch = _resumed_analytic()
@@ -666,13 +712,14 @@ def test_anchored_polish_equals_full_window_on_analytic_profiles(case):
     else:
         sch = _schedule(case)
     profile, params = sch.profile, sch.params
-    stage1_ends = [seg.t1 for seg in sch.segments if seg.stage == 1]
-    for (t_start, beta_start), tau_c in zip(starts, stage1_ends, strict=True):
+    stage1 = [seg for seg in sch.segments if seg.stage == 1]
+    for (t_start, beta_start), seg in zip(starts, stage1, strict=True):
         old = _whole_window_threshold(profile, params.kappa_i, t_start,
                                       beta_start, sch.horizon)[4]
-        assert proto._first_threshold(profile, params.kappa_i, t_start,
-                                      beta_start, sch.horizon) \
-            == (old, None) == (tau_c, None)
+        tau_c, sol = proto._first_threshold(profile, params.kappa_i, t_start,
+                                            beta_start, sch.horizon)
+        assert tau_c == old == seg.t1 == sol.ts[-1]
+        assert np.array_equal(sol.ts, seg.sol.ts)
     old = _full_window_peaks(sch)
     new = proto._local_maxima(sch) or [proto._tail_peak(sch)]
     assert new == old
@@ -707,7 +754,7 @@ def test_anchored_polish_matches_full_window_on_tables(case):
         checked.append((lo, hi, seg.t0,
                         proto._stage1_anchored(profile, k, seg.t0, beta0, lo),
                         functools.partial(proto._stage1_beta_quad, profile, k,
-                                          seg.t0, beta0, epsabs=1e-13)))
+                                          seg.t0, beta0)))
     for a, b, seg in _maxima_brackets(sch):
         assert seg.stage == 2
         checked.append((a, b, seg.t0,
@@ -906,12 +953,13 @@ def _same_float(a: float, b: float) -> bool:
 
 @pytest.mark.parametrize("case", ["exp_point", "gauss", "resumed"])
 def test_float_dense_output_is_bitwise_scipy(case):
-    """A segment's float evaluator equals its OdeSolution call bit for bit at
-    every step boundary, the segment ends, one ulp either side of each and
-    between steps. A table's segments are exact propagations with no
-    OdeSolution: there the float evaluator equals the array one bit for bit
-    at the same points, and at every tenth piece end of stage 1 lies within
-    2^-52 max(1, |beta|) of `_stage1_beta_quad` from the segment's start."""
+    """An analytic segment's float evaluator equals scipy's OdeSolution over
+    the same DOP853 steps bit for bit at every step boundary, the segment
+    ends, one ulp either side of each and between steps. A table's segments
+    are exact propagations: there the float evaluator equals the array one
+    bit for bit at the same points, and at every tenth piece end of stage 1
+    lies within 2^-52 max(1, |beta|) of `_stage1_beta_quad` from the
+    segment's start."""
     sch = _schedule(case)
     for seg in sch.segments:
         ts = seg.sol.ts
@@ -920,9 +968,9 @@ def test_float_dense_output_is_bitwise_scipy(case):
                                  np.nextafter(knots, np.inf),
                                  0.5 * (ts[1:] + ts[:-1])])
         if case != "resumed":
+            ref = odesolution(sch, seg)
             for t in probes.tolist():
-                assert _same_float(seg.at(t), float(seg.sol(t)[0])), \
-                    (seg.stage, t)
+                assert _same_float(seg.at(t), float(ref(t)[0])), (seg.stage, t)
             continue
         assert isinstance(seg.sol, proto._ExactLinear)
         got = seg.dense(probes).tolist()
@@ -933,31 +981,6 @@ def test_float_dense_output_is_bitwise_scipy(case):
                 want = proto._stage1_beta_quad(sch.profile, sch.params.kappa_i,
                                                seg.t0, seg.at(seg.t0), t)
                 assert abs(seg.at(t) - want) <= _EPS * max(1.0, abs(want)), t
-
-
-def test_float_dense_output_falls_back_for_other_interpolants():
-    seg = _schedule("gauss").segments[1]
-    calls = []
-
-    class Wrapped(DenseOutput):
-        """Not a DOP853 interpolant: delegates, counting calls."""
-
-        def __init__(self, inner):
-            super().__init__(inner.t_old, inner.t)
-            self.inner = inner
-
-        def _call_impl(self, t):
-            calls.append(t)
-            return self.inner._call_impl(t)
-
-    steps = list(seg.sol.interpolants)
-    steps[3] = Wrapped(steps[3])
-    other = proto._Segment(seg.stage, seg.t0, seg.t1,
-                           OdeSolution(seg.sol.ts, steps))
-    inside = 0.5 * float(seg.sol.ts[3] + seg.sol.ts[4])
-    for t in (inside, float(seg.sol.ts[1]), seg.t1):
-        assert other.at(t) == float(seg.sol(t)[0])
-    assert calls == [inside]
 
 
 def test_table_ending_at_zero():
@@ -1008,12 +1031,17 @@ def test_array_coupling_raises_where_float_call_does(method):
 
 
 def test_array_evaluation_rejects_out_of_domain_taus():
+    """Every evaluator rejects tau < 0 (`stage2_kappa`: tau < tau_c) on a
+    float and in an array; `beta` used to extrapolate the first DOP853
+    step there."""
     sch = _schedule("exp")
-    for method in ("beta_sq", "kappa"):
-        with pytest.raises(DomainError):
-            getattr(sch, method)(np.array([1.0, -1e-3]))
-    with pytest.raises(DomainError):
-        sch.stage2_kappa(np.array([sch.tau_c, 0.5 * sch.tau_c]))
+    for method in _SCHEDULE_METHODS:
+        for tau in (-1.0, np.array([-1.0]), np.array([1.0, -1e-3])):
+            with pytest.raises(DomainError, match=f"{method} requires tau"):
+                getattr(sch, method)(tau)
+    for tau in (0.5 * sch.tau_c, np.array([sch.tau_c, 0.5 * sch.tau_c])):
+        with pytest.raises(DomainError, match="tau >= tau_c"):
+            sch.stage2_kappa(tau)
 
 
 # ---------------------------------------------------------------------------
