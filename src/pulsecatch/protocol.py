@@ -6,10 +6,12 @@ threshold time tau_c on, stage 2 applies the zero-reflection law
 kappa(tau) = r_in(tau)/beta^2(tau), under which the memory absorbs the rest of
 the input without reflecting anything.
 
-The solver works for any profile through adaptive quadrature and bracketed
-root-finding; the closed forms in `closedform` are its oracles for the two
-analytic families. Sign conventions: the source amplitude beta1 is >= 0 and
-the memory amplitude beta is <= 0 everywhere.
+Both stages solve y' = p(tau) - k y, which the solver propagates exactly
+over pieces where p is a power series (`_ExactLinear`), and the roots are
+polished on those exact forms. The quadrature forms (`stage1_amplitude`,
+`stage2_population`) and the closed forms in `closedform` are its oracles.
+Sign conventions: the source amplitude beta1 is >= 0 and the memory
+amplitude beta is <= 0 everywhere.
 
 For inputs that rise too steeply the zero-reflection law can demand
 kappa > kappa_max after a first, tangential threshold. `build_schedule`
@@ -29,16 +31,12 @@ import numpy as np
 from scipy.integrate import quad
 # Not called here: the benchmark's tracer (perfbench/tracer.py) wraps it by name.
 from scipy.integrate import solve_ivp  # noqa: F401
-from scipy.integrate._ivp import dop853_coefficients as _DOP
-from scipy.integrate._ivp.rk import Dop853DenseOutput
 from scipy.optimize import brentq
 
 from . import profiles as prof
 from .errors import (DomainError, InfeasibleSchedule, NoPeak, NoThreshold,
                      SingularCoupling, brackets_root)
 
-_ODE_RTOL = 1e-12
-_ODE_ATOL = 1e-14
 _KAPPA_SLACK = 1e-9       # feasibility slack on kappa <= 1
 _MAX_SEGMENTS = 32
 _DAMP_CUT = 80.0          # exp(-80) below double-precision noise floor
@@ -70,12 +68,22 @@ def _stage1_beta_quad(profile: prof.InputProfile, kappa_i: float,
 
 def stage1_amplitude(profile: prof.InputProfile, params: prof.MemoryParams,
                      tau: float) -> float:
-    """Memory amplitude beta(tau) <= 0 under stage-1 dynamics (kappa = 1)."""
+    """Memory amplitude beta(tau) <= 0 under stage-1 dynamics (kappa = 1).
+
+    `_stage1_beta_quad` is chained from knot to knot over the kernel's
+    window, the last 80/a before tau (a = (1 + kappa_i)/2), each link cut
+    into pieces with a h <= 1/2 and started from the value at the last: one
+    quadrature over a window where sqrt(r_in) has a square-root edge can
+    miss it by far more than its tolerance."""
     if tau < 0.0:
         raise DomainError("stage1_amplitude requires tau >= 0")
-    if tau == 0.0:
-        return 0.0
-    return _stage1_beta_quad(profile, params.kappa_i, 0.0, 0.0, tau)
+    a = 0.5 * (1.0 + params.kappa_i)
+    o, beta = max(0.0, tau - _DAMP_CUT / a), 0.0
+    for t in prof._interior_breaks(profile, o, tau) + [tau] * (tau > o):
+        for s in np.linspace(o, t, math.ceil(2.0 * a * (t - o)) + 1)[1:]:
+            beta, o = _stage1_beta_quad(profile, params.kappa_i, o, beta,
+                                        float(s)), float(s)
+    return beta
 
 
 def stage2_population(profile: prof.InputProfile, params: prof.MemoryParams,
@@ -107,28 +115,6 @@ def _stage2_pop(profile: prof.InputProfile, k: float, t0: float, pop0: float,
     return seed + integral
 
 
-# Both stage equations are linear, so a quadrature form can restart at any
-# t_a from its value there. A root polish on [lo, hi] anchors at the last
-# table knot in (t0, lo), else t0, with one quadrature from t0; each
-# evaluation then integrates only from t_a. Analytic profiles have no breaks:
-# t_a = t0 with the exact seed, so every value is the full-window one.
-
-def _stage1_anchored(profile: prof.InputProfile, kappa_i: float, t0: float,
-                     beta0: float, lo: float) -> Callable[[float], float]:
-    """tau -> stage-1 beta(tau) for tau >= lo from beta(t0) = beta0."""
-    t_a = (_knots(profile, t0, lo) or [t0])[-1]
-    beta_a = _stage1_beta_quad(profile, kappa_i, t0, beta0, t_a)
-    return lambda t: _stage1_beta_quad(profile, kappa_i, t_a, beta_a, t)
-
-
-def _stage2_anchored(profile: prof.InputProfile, params: prof.MemoryParams,
-                     t0: float, lo: float) -> Callable[[float], float]:
-    """tau -> beta^2(tau) for tau >= lo in the stage-2 stretch from t0."""
-    t_a = (_knots(profile, t0, lo) or [t0])[-1]
-    pop_a = stage2_population(profile, params, t0, t_a)
-    return lambda t: _stage2_pop(profile, params.kappa_i, t_a, pop_a, t)
-
-
 # ---------------------------------------------------------------------------
 # threshold search
 # ---------------------------------------------------------------------------
@@ -144,152 +130,6 @@ def _activation_time(profile: prof.InputProfile) -> float | None:
     return float(profile.taus[max(i - 1, 0)])
 
 
-def _dop853_row(d: Dop853DenseOutput) -> tuple[float, ...]:
-    """(t_old, h, the rows of F from the last, y_old) of one DOP853 step."""
-    return (float(d.t_old), float(d.h), *d.F[::-1, 0].tolist(),
-            float(d.y_old[0]))
-
-
-def _dop853_at(t, t_old, h, f6, f5, f4, f3, f2, f1, f0, y_old):
-    """One DOP853 step's dense output at t (a float or an array) from its
-    `_dop853_row`: Dop853DenseOutput._call_impl's sequence, from y = 0
-    adding the rows of F from the last one, multiplying by x and 1 - x in
-    turn, then adding y_old (DOP853 dense output has 7 rows of F)."""
-    x = (t - t_old) / h
-    xm = 1 - x
-    return (((((((0.0 + f6) * x + f5) * xm + f4) * x + f3) * xm + f2) * x
-             + f1) * xm + f0) * x + y_old
-
-
-class _Steps:
-    """DOP853 steps as one table of their `_dop853_row`s, with
-    `_ExactLinear`'s interface: `ts` runs from the start through the step
-    ends (a cut ends it inside the last step), and a point takes the step
-    of `ts` holding it as OdeSolution does. `at` (floats) and `dense`
-    (arrays) run `_dop853_at`'s arithmetic: OdeSolution's, bit for bit."""
-
-    def __init__(self, ts: list[float], rows: list[tuple[float, ...]]):
-        self.ts = np.array(ts)
-        self._knots = ts
-        self._rows = rows
-        self._last = len(rows) - 1
-
-    @cached_property
-    def _columns(self) -> np.ndarray:
-        return np.array(self._rows).T
-
-    def cut(self, n: int, end: float) -> _Steps:
-        """The first n steps, the last of them ending at end."""
-        return _Steps(self._knots[:n] + [end], self._rows[:n])
-
-    def at(self, t: float) -> float:
-        i = bisect_left(self._knots, t) - 1
-        return _dop853_at(t, *self._rows[0 if i < 0 else self._last
-                                         if i > self._last else i])
-
-    def dense(self, t: np.ndarray) -> np.ndarray:
-        # `_dop853_at` with each row of the table gathered only when the
-        # sum reaches it, so no (10, n) block is built
-        columns = self._columns
-        i = np.clip(np.searchsorted(self.ts, t, side="left") - 1, 0, self._last)
-        x = (t - columns[0][i]) / columns[1][i]
-        xm = 1 - x
-        y = 0.0 + columns[2][i]
-        for row, w in zip(columns[3:9], (x, xm, x, xm, x, xm)):
-            y = y * w + row[i]
-        return y * x + columns[9][i]
-
-
-def _knots(profile: prof.InputProfile, a: float, b: float) -> list[float]:
-    """The table knots in (a, b), where the PCHIP rate is only C1 and the
-    polishes anchor. Analytic profiles have none."""
-    if profile.kind != prof.TABULATED:
-        return []
-    return prof._interior_breaks(profile, a, b)
-
-
-def _rms(x: float) -> float:
-    """np.linalg.norm of a 1-element array: sqrt(x.dot(x))."""
-    return math.sqrt(x * x)
-
-
-def _dop853_steps(fun, t0: float, y0: float, end: float,
-                  fail: Callable[[float], Exception]):
-    """Accepted DOP853 steps (t, y, dense) of the scalar ODE y' = fun(t, y)
-    from t0 to end >= t0.
-
-    This is scipy 1.17.1's DOP853 with `solve_ivp`'s settings (Hairer,
-    Norsett and Wanner, Solving ODEs I, II.4-II.5), operation for operation
-    on a 1-element state: each weighted stage sum is scipy's own `np.dot`
-    call with its operand shapes, on views of one (16, 1) stage array, and
-    everything else (step control, error norm, initial step, dense-output
-    rows 0-2) is the same float arithmetic on Python floats, so the steps
-    and dense outputs are those of `solve_ivp` bit for bit. A failed step
-    raises fail(t) at the last accepted t.
-    """
-    n, dot, C = _DOP.N_STAGES, np.dot, _DOP.C.tolist()
-    K = np.empty((_DOP.N_STAGES_EXTENDED, 1))
-    k = K[:, 0]
-    # (stage, K[:s].T, A[s, :s], C[s]): rk_step's stages, then dense output's
-    stages = [(s, K[:s].T, _DOP.A[s, :s], C[s]) for s in range(len(K))]
-    trial, extra, KB, KE = stages[1:n], stages[n + 1:], K[:n].T, K[:n + 1].T
-    t, y, end = float(t0), float(y0), float(end)
-    f = fun(t, y)
-    # common.select_initial_step (RMS norms of n = 1)
-    span = end - t
-    if span == 0.0:
-        return
-    scale = _ODE_ATOL + abs(y) * _ODE_RTOL
-    d0, d1 = _rms(y / scale), _rms(f / scale)
-    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
-    d2 = _rms((fun(t + h0, y + h0 * f) - f) / scale) / h0
-    h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 \
-        else (0.01 / max(d1, d2)) ** (1 / 8)
-    h_abs = min(100 * h0, h1, span)
-    while t < end:
-        # RungeKutta._step_impl and rk_step
-        min_step = 10 * (math.nextafter(t, math.inf) - t)
-        h_abs = max(h_abs, min_step)
-        rejected = False
-        while True:
-            if h_abs < min_step:
-                raise fail(t)
-            t_new = min(t + h_abs, end)
-            h = h_abs = t_new - t
-            k[0] = f
-            for s, KT, a, c in trial:
-                k[s] = fun(t + c * h, y + dot(KT, a).item() * h)
-            y_new = y + h * dot(KB, _DOP.B).item()
-            k[n] = f_new = fun(t + h, y_new)
-            scale = _ODE_ATOL + max(abs(y), abs(y_new)) * _ODE_RTOL
-            e5 = _rms(dot(KE, _DOP.E5).item() / scale) ** 2
-            e3 = _rms(dot(KE, _DOP.E3).item() / scale) ** 2
-            err = 0.0 if e5 == 0 and e3 == 0 else \
-                h * e5 / math.sqrt(e5 + 0.01 * e3)
-            if err < 1:
-                factor = 10 if err == 0 else min(10, 0.9 * err ** -0.125)
-                h_abs *= min(1, factor) if rejected else factor
-                break
-            h_abs *= max(0.2, 0.9 * err ** -0.125)
-            rejected = True
-        # DOP853._dense_output_impl
-        for s, KT, a, c in extra:
-            k[s] = fun(t + c * h, y + dot(KT, a).item() * h)
-        F = np.empty((_DOP.INTERPOLATOR_POWER, 1))
-        F[3:] = h * dot(_DOP.D, K)
-        dy = y_new - y
-        F[:3, 0] = dy, h * f - dy, 2 * dy - h * (f_new + f)
-        yield t_new, y_new, Dop853DenseOutput(t, t_new, np.array([y]), F)
-        t, y, f = t_new, y_new, f_new
-
-
-def _stage1_rhs(profile, kappa_i):
-    """Right-hand side of beta' = -sqrt(r_in) - (1+kappa_i)/2 beta, the
-    stage-1 memory amplitude under kappa = 1."""
-    a = 0.5 * (1.0 + kappa_i)
-    return lambda t, y: -math.sqrt(prof.rate_at(profile, t)) - a * y
-
-
 def _down(g: np.ndarray) -> np.ndarray:
     """Indices i of the downward zero crossings g[i] > 0 >= g[i + 1]."""
     return np.flatnonzero((g[:-1] > 0.0) & (g[1:] <= 0.0))
@@ -299,17 +139,15 @@ def _threshold_bracket(profile: prof.InputProfile, kappa_i: float,
                        t_start: float, beta_start: float, end: float):
     """Grid bracket (lo, hi) of the first downward crossing of
     g(tau) = sqrt(r_in(tau)) + beta(tau) past t_start, and the stage-1
-    solution from t_start up to the part holding hi.
+    solution from t_start up to the chunk holding hi.
 
     The fixed 8193-point grid runs from t0 to end: t0 is t_start or, past a
     leading stretch where r_in vanishes identically (g would sit at 0 for a
     fresh memory), the input's activation. The scan is deliberate: slowly
     varying inputs make g dip below zero and come back, and a solver's
-    steps can stride across the whole dip. It stops at the first crossing.
-    A table is propagated exactly in chunks of pieces (`_ExactLinear`); an
-    analytic profile is stepped by DOP853 as `solve_ivp` would, each step's
-    grid points (those in (t_old, t], plus t0 in the first step, as
-    OdeSolution assigns them) evaluated by its dense output (`_dop853_at`).
+    steps can stride across the whole dip. Stage 1 is propagated exactly in
+    chunks (`_ExactLinear.stage1`), each chunk's grid points evaluated in
+    order by its dense form, and the scan stops at the first crossing.
     """
     activation = _activation_time(profile)
     if activation is None:
@@ -317,43 +155,31 @@ def _threshold_bracket(profile: prof.InputProfile, kappa_i: float,
     t0 = max(t_start, activation)
     if t0 >= end:
         raise NoThreshold("input activates only beyond the search horizon")
-    parts, ends = [], [t0]      # a table's chunks, or a solve's step rows
-
-    def stretches():
-        """(t, beta on the grid points in (the last t, t]) in order of t."""
-        if profile.kind == prof.TABULATED:
-            for chunk in _ExactLinear.stage1(profile, kappa_i, t_start,
-                                             beta_start, t0, end):
-                parts.append(chunk)
-                yield chunk.ts[-1], chunk.dense
-            return
-        for t, _, dense in _dop853_steps(
-                _stage1_rhs(profile, kappa_i), t0, beta_start, end,
-                lambda t: NoThreshold(
-                    f"stage-1 integration failed near tau = {t}")):
-            row = _dop853_row(dense)
-            parts.append(row)
-            ends.append(t)
-            yield t, lambda s, row=row: _dop853_at(s, *row)
-
+    parts = []
     grid = np.linspace(t0, end, 8193)
     done = 0            # grid points scanned so far
     g_last = 0.0        # g at the last of them
-    for t, beta in stretches():
-        stop = int(np.searchsorted(grid, t, side="right"))
-        if stop == done:
-            continue
-        g = np.sqrt(prof.rate_at(profile, grid[done:stop])) \
-            + beta(grid[done:stop])
-        if done:
-            g = np.concatenate(([g_last], g))
-        down = _down(g)
-        if len(down):
-            i = max(done - 1, 0) + int(down[0])
-            sol = _ExactLinear.join(parts) if profile.kind == prof.TABULATED \
-                else _Steps(ends, parts)
-            return float(grid[i]), float(grid[i + 1]), sol
-        done, g_last = stop, float(g[-1])
+    for chunk in _ExactLinear.stage1(profile, kappa_i, t_start, beta_start,
+                                     t0, end):
+        parts.append(chunk)
+        # The grid points up to the first piece start where g <= 0, where
+        # the crossing usually is, go first, then the rest of the chunk's.
+        low = np.flatnonzero(np.sqrt(prof.rate_at(profile, chunk.ts[:-1]))
+                             + chunk._y_array <= 0.0)
+        for stop in np.searchsorted(grid, [*chunk.ts[low[:1]], chunk.ts[-1]],
+                                    side="right").tolist():
+            if stop <= done:
+                continue
+            g = np.sqrt(prof.rate_at(profile, grid[done:stop])) \
+                + chunk.dense(grid[done:stop])
+            if done:
+                g = np.concatenate(([g_last], g))
+            down = _down(g)
+            if len(down):
+                i = max(done - 1, 0) + int(down[0])
+                return float(grid[i]), float(grid[i + 1]), \
+                    _ExactLinear.join(parts)
+            done, g_last = stop, float(g[-1])
     raise NoThreshold(
         f"stage-1 population never reaches the threshold in [{t0}, {end}]"
     )
@@ -366,30 +192,17 @@ def _first_threshold(profile: prof.InputProfile, kappa_i: float,
     propagation (`_threshold_bracket`) cut at tau_c.
 
     `_threshold_bracket`'s crossing of g = sqrt(r_in) + beta (beta <= 0, so
-    g hits zero exactly at the threshold) is polished on the quadrature
-    form of g, which the quadrature oracle checks. The polish anchors at
-    the last table knot before the bracket (`_stage1_anchored`), so each
-    step integrates from there; an analytic profile anchors at t_start
-    with beta_start as the exact seed, so its root is the full-window one
-    bitwise.
+    g hits zero exactly at the threshold) is polished on the exact form of
+    g. The scan took its signs from array evaluations, so they are checked
+    on floats first.
     """
     lo, hi, sol = _threshold_bracket(profile, kappa_i, t_start, beta_start,
                                      end)
-    beta_quad = _stage1_anchored(profile, kappa_i, t_start, beta_start, lo)
-    g_quad = lambda t: math.sqrt(prof.rate_at(profile, t)) + beta_quad(t)
-
-    if g_quad(lo) > 0.0 > g_quad(hi):
-        tau_c = brentq(g_quad, lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200)
-    else:
-        # Quadrature disagrees about the bracket (possible only within its
-        # own ~1e-12 error of a tangency); fall back to the propagated
-        # dynamics. The scan took its signs from array evaluations, so
-        # check them on floats.
-        g_dense = lambda t: math.sqrt(prof.rate_at(profile, t)) + sol.at(t)
-        if not brackets_root(g_dense(lo), g_dense(hi)):
-            raise NoThreshold(f"threshold residual does not change sign on "
-                              f"the bracket [{lo!r}, {hi!r}]")
-        tau_c = brentq(g_dense, lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200)
+    g = lambda t: math.sqrt(prof.rate_at(profile, t)) + sol.at(t)
+    if not brackets_root(g(lo), g(hi)):
+        raise NoThreshold(f"threshold residual does not change sign on "
+                          f"the bracket [{lo!r}, {hi!r}]")
+    tau_c = brentq(g, lo, hi, xtol=1e-300, rtol=4 * _EPS, maxiter=200)
     return tau_c, sol.cut(max(bisect_left(sol._knots, tau_c), 1), tau_c)
 
 
@@ -408,10 +221,9 @@ class _Segment:
     stage: int              # 1: kappa = 1 builds the seed; 2: zero reflection
     t0: float
     t1: float
-    # beta (stage 1) or beta^2 (stage 2): an analytic profile's DOP853 steps
-    # (`_Steps`) or a table's exact propagation (`_ExactLinear`), whose `at`
-    # (floats) and `dense` (arrays) agree bit for bit
-    sol: _Steps | _ExactLinear
+    # beta (stage 1) or beta^2 (stage 2), propagated exactly: `at` (floats)
+    # and `dense` (arrays) agree bit for bit
+    sol: _ExactLinear
 
     @cached_property
     def at(self) -> Callable[[float], float]:
@@ -462,38 +274,53 @@ class CouplingSchedule:
         """Ends of every segment but the last: the segment lookup's edges."""
         return [seg.t1 for seg in self.segments[:-1]]
 
-    @cached_property
-    def _stages(self) -> np.ndarray:
-        return np.array([seg.stage for seg in self.segments])
-
     def _segment_at(self, tau: float) -> _Segment:
         """The segment holding tau: the first one ending after it, else the
         last."""
         return self.segments[bisect_right(self._inner_ends, tau)]
 
     def _dense(self, taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Stage and dense-output value (beta in stage 1, beta^2 in stage 2)
-        at each sample, with one dense-output call per segment."""
-        idx = np.searchsorted(self._inner_ends, taus, side="right")
-        vals = np.empty(taus.shape)
-        for i, seg in enumerate(self.segments):
-            mask = idx == i
-            if mask.any():
-                vals[mask] = seg.dense(taus[mask])
-        return self._stages[idx], vals
+        """Stage and dense value (beta in stage 1, beta^2 in stage 2) at each
+        sample, past the horizon too."""
+        return self._sampled(taus, math.inf)[:2]
 
-    def _sampled(self, taus: np.ndarray):
-        """(stage, dense value, beta^2) at each sample; past the horizon the
-        stage is 2, the dense value nan and beta^2 comes from quadrature."""
-        inside = taus <= self.horizon
-        stages = np.full(taus.shape, 2)
-        vals = np.full(taus.shape, math.nan)
-        stages[inside], vals[inside] = self._dense(taus[inside])
-        pop = np.where(stages == 1, vals * vals, np.where(vals < 0.0, 0.0, vals))
-        for i in np.flatnonzero(~inside).tolist():
-            pop[i] = stage2_population(self.profile, self.params,
-                                       self.last_tau_c, float(taus[i]))
-        return stages, vals, pop
+    def _sampled(self, taus: np.ndarray, horizon: float | None = None):
+        """(stage, dense value, beta^2) at each sample, with one dense call
+        per segment it touches; past the horizon (the schedule's unless
+        given) the stage is 2, the dense value nan and beta^2 comes from
+        quadrature. Sorted samples are cut into one slice per segment, and
+        others are evaluated sorted, then put back in their order."""
+        flat = taus.ravel()
+        if not np.all(flat[1:] >= flat[:-1]):
+            order = np.argsort(flat, kind="stable")
+            out = []
+            for part in self._sampled(flat[order], horizon):
+                out.append(np.empty_like(part))
+                out[-1][order] = part
+            return tuple(part.reshape(taus.shape) for part in out)
+        inside = int(np.searchsorted(
+            flat, self.horizon if horizon is None else horizon, side="right"))
+        cuts = [0, *np.searchsorted(flat[:inside], self._inner_ends).tolist(),
+                inside]
+        out = [], [], []        # stage, dense value and beta^2 per slice
+        for seg, a, b in zip(self.segments, cuts, cuts[1:]):
+            if a < b:
+                v = seg.dense(flat[a:b])
+                for part, x in zip(out, (np.full(b - a, seg.stage), v, v * v
+                                         if seg.stage == 1 else
+                                         np.where(v < 0.0, 0.0, v))):
+                    part.append(x)
+        if inside < len(flat):
+            past = flat[inside:].tolist()
+            for part, x in zip(out, (np.full(len(past), 2),
+                                     np.full(len(past), math.nan),
+                                     [stage2_population(
+                                         self.profile, self.params,
+                                         self.last_tau_c, t) for t in past])):
+                part.append(np.asarray(x))
+        return tuple((part[0] if len(part) == 1 else np.concatenate(
+            part or [np.empty(0, dtype)])).reshape(taus.shape)
+            for part, dtype in zip(out, (int, float, float)))
 
     def _dispatch(self, name: str, tau, on_float, on_array, **kw):
         """An evaluator's call at anything but a float in its domain: a 0-d
@@ -622,9 +449,9 @@ class CouplingSchedule:
 
 
 _TAIL = 2.0 ** -60       # series terms below this share of the leading one are cut
-_SPREAD = 0.5            # largest sum_j |c_j| h^j / c_0 of a square-root piece
-_MAX_TERMS = 60          # longest square-root series
-_CHUNK = 256             # pieces of the first stage-1 chunk; each next doubles
+_SPREAD = 0.5            # largest sum_j |c_j| h^j / c_0 of a table's root piece
+_MAX_TERMS = 60          # longest series
+_CHUNK = 32              # pieces of the first stage-1 chunk; each next doubles
 
 
 def _horner(coefs, v):
@@ -647,6 +474,17 @@ def _recentred(table: prof._Piecewise, piece: np.ndarray,
             (3.0 * c3 * s + 2.0 * c2) * s + c1, 3.0 * c3 * s + c2, c3]
 
 
+def _cut(starts: np.ndarray, h: np.ndarray, n: np.ndarray, end: float):
+    """(ts, the index of the piece each part comes from): the pieces from
+    starts, h long, each cut into n equal parts, the last ending at end."""
+    at = np.arange(len(starts))
+    if n.max() > 1:
+        at = np.repeat(at, n)
+        share = (np.arange(len(at)) - np.repeat(np.cumsum(n) - n, n)) / n[at]
+        starts = starts[at] + h[at] * share
+    return np.append(starts, end), at
+
+
 def _pieces(profile, starts: list[float], end: float, parts):
     """(ts, knot interval of each piece) for the pieces from `starts` to
     end, each cut into parts(starts, h, piece) equal parts."""
@@ -656,12 +494,8 @@ def _pieces(profile, starts: list[float], end: float, parts):
     piece = np.clip(np.searchsorted(table.pp.x, starts, side="right") - 1,
                     0, table.last)
     h = np.append(starts[1:], end) - starts
-    n = parts(starts, h, piece).astype(int)
-    if n.max() > 1:
-        at = np.repeat(np.arange(len(starts)), n)
-        share = (np.arange(len(at)) - np.repeat(np.cumsum(n) - n, n)) / n[at]
-        starts, piece = starts[at] + h[at] * share, piece[at]
-    return np.append(starts, end), piece
+    ts, at = _cut(starts, h, parts(starts, h, piece).astype(int), end)
+    return ts, piece[at]
 
 
 def _spread(c: list[np.ndarray], h: np.ndarray) -> np.ndarray:
@@ -671,55 +505,159 @@ def _spread(c: list[np.ndarray], h: np.ndarray) -> np.ndarray:
     return np.where(c[0] > 0.0, out, np.inf)
 
 
+def _series(first: np.ndarray, nxt, h: np.ndarray, done: np.ndarray):
+    """(rows, terms): the power series with rows first, nxt(rows, 1),
+    nxt(rows, 2), .. (rows holding those before) on each piece. A piece
+    keeps its terms up to the first n where rows n-2, n-1 and n are each at
+    most 2^-64 first at v = h (terms = n + 1), and holds 0 after; terms is
+    0 where no n below `_MAX_TERMS` passes, and 1 from the start where
+    done."""
+    rows = [first]
+    small, hn = _TAIL / 16.0 * first, np.ones_like(h)
+    tiny = []       # row n small at v = h, n = 1, 2, ..
+    with np.errstate(all="ignore"):
+        for n in range(1, _MAX_TERMS):
+            rows.append(nxt(rows, n))
+            hn = hn * h
+            tiny.append(np.abs(rows[-1]) * hn <= small)
+            # a done piece's rows are 0 (`_root_series`), so small too
+            if n >= 3 and tiny[-1].all() and tiny[-2].all() and tiny[-3].all():
+                break
+    tiny = np.array(tiny)
+    run = tiny[2:] & tiny[1:-1] & tiny[:-2]     # rows j+1, j+2, j+3 small
+    terms = np.where(done, 1, np.where(run.any(axis=0),
+                                       run.argmax(axis=0) + 4, 0))
+    rows = np.array(rows[:max(int(terms.max()), 2)])
+    rows[np.arange(len(rows))[:, None] >= terms] = 0.0
+    return list(rows), terms
+
+
 def _root_series(c: list[np.ndarray], h: np.ndarray, ok: np.ndarray):
     """(rows s_0, s_1, .., terms, passed): the Taylor series of
     sqrt(sum_j c_j v^j) on each piece, s_0 = sqrt(c_0) and
-    s_n = (c_n - sum_{j=1}^{n-1} s_j s_{n-j}) / (2 s_0).
+    s_n = (c_n - sum_{j=1}^{n-1} s_j s_{n-j}) / (2 s_0), cut by `_series`.
 
     A piece marked ok (0 throughout, or c_0 > 0 and sum_j |c_j| h^j <=
-    c_0/2) keeps its terms up to the first n where s_{n-2}, s_{n-1} and
-    s_n are each at most 2^-64 s_0 at v = h, and passes; its later rows
-    hold 0. The rest of its series is then below 2^-60 s_0 on the piece:
-    s solves 2 q s' = q' s for the cubic q, so for n >= 2
-    |s_{n+1}| h^(n+1) <= sum_j |c_j| h^j / c_0 |s_{n+1-j}| h^(n+1-j)."""
+    c_0/2) passes once its series is cut. The rest of its series is then
+    below 2^-60 s_0 on the piece: s solves 2 q s' = q' s for the cubic q,
+    so for n >= 2 |s_{n+1}| h^(n+1) <= sum_j |c_j| h^j / c_0
+    |s_{n+1-j}| h^(n+1-j)."""
     c = [np.where(ok, cj, 0.0) for cj in c]
-    rows = [np.sqrt(c[0])]
-    twice = np.where(rows[0] > 0.0, 2.0 * rows[0], 1.0)
-    small, hn = _TAIL / 16.0 * rows[0], np.ones_like(h)
-    run, terms = np.zeros(len(h), dtype=int), np.where(ok, 0, 1)
-    with np.errstate(all="ignore"):
-        for n in range(1, _MAX_TERMS):
-            # the products s_j s_{n-j} in order of j: each pair twice
-            conv = rows[n // 2] * rows[n // 2] if n % 2 == 0 else 0.0
-            for j in range(1, (n + 1) // 2):
-                conv = conv + 2.0 * (rows[j] * rows[n - j])
-            rows.append(((c[n] if n < 4 else 0.0) - conv) / twice)
-            hn = hn * h
-            run = np.where(np.abs(rows[-1]) * hn <= small, run + 1, 0)
-            terms = np.where((terms == 0) & (run >= 3), n + 1, terms)
-            if terms.all():
-                break
-    rows = [np.where(n < terms, row, 0.0) for n, row in enumerate(rows)]
+    first = np.sqrt(c[0])
+    twice = np.where(first > 0.0, 2.0 * first, 1.0)
+
+    def nxt(rows, n):
+        # the products s_j s_{n-j} in order of j: each pair twice
+        conv = rows[n // 2] * rows[n // 2] if n % 2 == 0 else 0.0
+        for j in range(1, (n + 1) // 2):
+            conv = conv + 2.0 * (rows[j] * rows[n - j])
+        return ((c[n] if n < 4 else 0.0) - conv) / twice
+
+    rows, terms = _series(first, nxt, h, ~ok)
     return rows, terms, ok & (terms > 0) & np.isfinite(rows).all(axis=0)
+
+
+def _taylor(profile: prof.InputProfile, grid: np.ndarray, root: bool):
+    """(ts, rows c_0, c_1, .., terms, passed): the pieces between the points
+    of grid, each cut into equal parts where the terms of its series could
+    sum to more than twice its value, sum_n |c_n| h^n > 2 c_0 (on a falling
+    flank the terms alternate, and the cut keeps them from cancelling), and
+    the Taylor series at each piece start o of an analytic r_in, or with
+    root of sqrt(r_in), cut by `_series`.
+
+    r_in(o + v) = c_0 exp(-a v - b v^2/2), with a = r, b = 0 for an
+    exponential and a = x/sigma^2, b = 1/sigma^2, x = o - tau0, for a
+    Gaussian; the root halves a and b. The sum is at most
+    c_0 exp(|a| h + b h^2/2), and log2 of that many parts bring it to 2.
+    The series: c_0 = r_in(o) (or its root), n c_n = -(a c_{n-1} + b c_{n-2}).
+    """
+    half = 0.5 if root else 1.0
+    h = np.diff(grid)
+    if profile.kind == prof.EXPONENTIAL:
+        a = half * profile.r
+        log_sum = a * h
+    else:
+        b = half / profile.sigma ** 2
+        log_sum = b * (np.abs(grid[:-1] - profile.tau0) * h + 0.5 * h * h)
+    ts = _cut(grid[:-1], h, np.maximum(np.ceil(log_sum / math.log(2.0)),
+                                       1.0).astype(int), float(grid[-1]))[0]
+    first = prof.rate_at(profile, ts[:-1])
+    if root:
+        first = np.sqrt(first)
+    if profile.kind == prof.EXPONENTIAL:
+        nxt = lambda rows, n: rows[-1] * -a / n
+    else:
+        na, nb = -b * (ts[:-1] - profile.tau0), -b
+        nxt = lambda rows, n: (na * rows[-1] + nb * rows[-2]) / n if n > 1 \
+            else na * rows[-1]
+    rows, terms = _series(first, nxt, np.diff(ts), np.zeros(len(ts) - 1,
+                                                            dtype=bool))
+    return ts, rows, terms, (terms > 0) & np.isfinite(rows).all(axis=0)
+
+
+def _uniform(profile: prof.InputProfile, k: float, t0: float, end: float,
+             root: bool):
+    """(n, h, chunk): [t0, end] cut into n equal pieces of length h, at
+    most 1/(2k) and the profile's own scale (sigma/4 for a Gaussian; for an
+    exponential the length over which the series, of sqrt(r_in) with root,
+    grows by e^(1/2)), and chunk(i, j), `_taylor` on pieces i to
+    j - 1, the last ending at end."""
+    scale = profile.sigma / 4.0 if profile.kind == prof.GAUSSIAN \
+        else (1.0 if root else 0.5) / profile.r
+    n = max(math.ceil((end - t0) / min(scale, 0.5 / k if k else math.inf)),
+            1)
+
+    def chunk(i: int, j: int):
+        ts = t0 + (end - t0) * (np.arange(i, j + 1) / n)
+        if j == n:
+            ts[-1] = end
+        return _taylor(profile, ts, root)
+
+    return n, (end - t0) / n, chunk
 
 
 def _phi_series(p: list, k: float, m: int) -> list:
     """Rows d_1..d_m of S(v) = sum_m d_m v^m, the solution of
     S' = sum_j p_j v^j - k S from S(0) = 0: d_m = b_m/m! with b_1 = p_0,
     b_m = (m-1)! p_{m-1} - k b_{m-1} (p_j = 0 past the last row)."""
-    b = [p[0]]
+    fact = np.array([float(math.factorial(j)) for j in range(m + 1)])
+    scaled = fact[:len(p), None] * np.array(p)      # j! p_j
+    b = [scaled[0]]
     for j in range(1, m):
-        b.append((float(math.factorial(j)) * p[j] if j < len(p) else 0.0)
-                 - k * b[-1])
-    return [bj / float(math.factorial(j)) for j, bj in enumerate(b, 1)]
+        b.append((scaled[j] if j < len(p) else 0.0) - k * b[-1])
+    return list(np.array(b) / fact[1:, None])
+
+
+def _phi_rows(p: list, terms: np.ndarray, passed: np.ndarray, k: float,
+              m: int):
+    """(d, passed): `_phi_series` of each piece's series p, with its first
+    max(terms + 1, m) rows kept and the others 0. A piece whose rows are
+    not finite fails: b_m = (m-1)! p_{m-1} - k b_{m-1} can overflow on a
+    very short piece with a long series."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = _phi_series(p, k, max(len(p) + 1, m))
+    d = np.array(d)
+    passed = passed & np.isfinite(d).all(axis=0)
+    d[(np.arange(len(d))[:, None] >= np.maximum(terms + 1, m)) | ~passed] = 0.0
+    return list(d), passed
+
+
+def _expm1_rows(k: float, h: float) -> list[float]:
+    """Rows g_1..g_M of expm1(-k v) = sum_m g_m v^m, g_m = (-k)^m/m!, with
+    the first M where (k h)^M/(M+1)! is below 2^-60 on the longest piece h."""
+    m = 1
+    while (k * h) ** m > _TAIL * math.factorial(m + 1):
+        m += 1
+    return [(-k) ** j / math.factorial(j) for j in range(1, m + 1)]
 
 
 class _ExactLinear:
     """y' = p(v) - k y propagated exactly over pieces, where from each
-    piece's start o, p(o + v) = sum_j p_j v^j: a table's stage-2 population
-    (p = r_in, k = kappa_i) and stage-1 amplitude (p = -sqrt(r_in),
-    k = (1 + kappa_i)/2). With y = y(o), the exponential integrator's phi
-    functions (Hochbruck and Ostermann, Acta Numerica 19, 2010) give
+    piece's start o, p(o + v) = sum_j p_j v^j: the stage-2 population
+    (p = r_in, k = kappa_i) and the stage-1 amplitude (p = -sqrt(r_in),
+    k = (1 + kappa_i)/2), on a table's PCHIP pieces and on an analytic
+    profile's Taylor series. With y = y(o), the exponential integrator's
+    phi functions (Hochbruck and Ostermann, Acta Numerica 19, 2010) give
 
         y(o + v) = y + (expm1(-k v) y + S(v)),
         S(v) = sum_j j! p_j v^(j+1) phi_{j+1}(-k v),  phi_m(z) = sum_n z^n/(n+m)!
@@ -730,8 +668,9 @@ class _ExactLinear:
     (floats) and `dense` (arrays) run the same arithmetic, bit for bit, and
     at a piece end give the recurrence y_{i+1} = y_i + (expm1(-k h_i) y_i +
     S_i(h_i)), which carries each rounding error on (TwoSum). A `fallback`
-    piece (stage 1 where r_in reaches 0 inside it or at its start, a branch
-    point of the square root) takes the quadrature form `quad(o, y, t)`.
+    piece (a table's stage 1 where r_in reaches 0 inside it or at its
+    start, a branch point of the square root) takes the quadrature form
+    `quad(o, y, t)`.
     """
 
     def __init__(self, ts: np.ndarray, y: list[float], lo: list[float],
@@ -776,10 +715,21 @@ class _ExactLinear:
     def stage2(cls, profile: prof.InputProfile, k: float, t0: float,
                y0: float, end: float) -> tuple[_ExactLinear, list[float]]:
         """The stage-2 population from beta^2(t0) = y0 to end, and beta^2 at
-        each entry of its `ts`. The pieces are the knot intervals from t0,
-        cut in equal parts so that k h <= 1/2; the series stop at the first
-        term M with 24 (k h)^(M-3)/(M+1)! below 2^-60 for the longest piece
-        h: the tail relative to the cubic's term."""
+        each entry of its `ts`. A table's pieces are the knot intervals from
+        t0, cut in equal parts so that k h <= 1/2, and p is each cubic; the
+        series stop at the first term M with 24 (k h)^(M-3)/(M+1)! below
+        2^-60 for the longest piece h: the tail relative to the cubic's
+        term. An analytic profile's pieces are `_uniform`, and a piece whose
+        series fails raises InfeasibleSchedule."""
+        if profile.kind != prof.TABULATED:
+            n, h, chunk = _uniform(profile, k, t0, end, False)
+            ts, rows, terms, passed = chunk(0, n)
+            g = _expm1_rows(k, h)
+            d, passed = _phi_rows(rows, terms, passed, k, len(g))
+            if not passed.all():
+                raise InfeasibleSchedule(f"stage-2 series failed near tau = "
+                                         f"{ts[np.flatnonzero(~passed)[0]]}")
+            return cls._propagated(ts, y0, 0.0, d, g)[:2]
         ts, piece = _pieces(profile, [t0] + prof._interior_breaks(
             profile, t0, end), end, lambda _, h, __: np.maximum(np.ceil(
                 2.0 * k * h), 1.0))
@@ -795,54 +745,53 @@ class _ExactLinear:
     def stage1(cls, profile: prof.InputProfile, kappa_i: float,
                t_start: float, beta_start: float, t0: float, end: float):
         """The stage-1 amplitude from beta(t_start) = beta_start towards
-        end, in chunks of 256, 512, .. pieces, each an `_ExactLinear` going
-        on from the last. r_in is 0 before t0: [t_start, t0] is one piece
-        with p = 0. From t0 the pieces are the knot intervals, cut in equal
-        parts so that k h <= 1/2 and, up to 32 parts, sum_j |c_j| h^j <=
-        c_0/4 (`_spread`). A piece falls back to `_stage1_beta_quad` where
-        its series fails `_root_series`. expm1's series has the first
-        length M with (k h)^M/(M+1)! below 2^-60 for the longest h, S's the
-        longer of M and one more than the square root's, so no piece
-        depends on its chunk."""
+        end, in chunks of `_CHUNK`, twice as many, .. pieces, each an
+        `_ExactLinear` going on from the last. On a table r_in is 0 before
+        t0: [t_start, t0] is one piece with p = 0. From t0 the pieces are
+        the knot intervals, cut in equal parts so that k h <= 1/2 and, up to
+        32 parts, sum_j |c_j| h^j <= c_0/4 (`_spread`), and a piece falls
+        back to `_stage1_beta_quad` where its series fails `_root_series`.
+        An analytic profile's pieces are `_uniform`, and a piece whose
+        series fails raises NoThreshold. expm1's series has the first length
+        M with (k h)^M/(M+1)! below 2^-60 for the longest h, S's the longer
+        of M and one more than the square root's, so no piece depends on its
+        chunk."""
         k = 0.5 * (1.0 + kappa_i)
-        table = profile._interp
+        if profile.kind == prof.TABULATED:
+            table = profile._interp
 
-        def parts(starts, h, piece):
-            spread = np.where(starts < t0, 0.0,
-                              _spread(_recentred(table, piece, starts), h))
-            need = np.where(np.isfinite(spread), np.minimum(np.ceil(
-                spread / (0.5 * _SPREAD)), 32.0), 1.0)
-            return np.maximum(np.maximum(np.ceil(2.0 * k * h), need), 1.0)
+            def parts(starts, h, piece):
+                spread = np.where(starts < t0, 0.0,
+                                  _spread(_recentred(table, piece, starts), h))
+                need = np.where(np.isfinite(spread), np.minimum(np.ceil(
+                    spread / (0.5 * _SPREAD)), 32.0), 1.0)
+                return np.maximum(np.maximum(np.ceil(2.0 * k * h), need), 1.0)
 
-        ts, piece = _pieces(profile, [t_start] * (t_start < t0) + [t0]
-                            + prof._interior_breaks(profile, t0, end), end,
-                            parts)
-        h = np.diff(ts)
-        c = [np.where(ts[:-1] < t0, 0.0, cj)
-             for cj in _recentred(table, piece, ts[:-1])]
-        ok = (_spread(c, h) <= _SPREAD) | ~np.any(c, axis=0)
-        rho = k * float(h.max())
-        m = 1
-        while rho ** m > _TAIL * math.factorial(m + 1):
-            m += 1
-        g = [(-k) ** j / math.factorial(j) for j in range(1, m + 1)]
+            ts, piece = _pieces(profile, [t_start] * (t_start < t0) + [t0]
+                                + prof._interior_breaks(profile, t0, end),
+                                end, parts)
+            h = np.diff(ts)
+            c = [np.where(ts[:-1] < t0, 0.0, cj)
+                 for cj in _recentred(table, piece, ts[:-1])]
+            ok = (_spread(c, h) <= _SPREAD) | ~np.any(c, axis=0)
+            n, h_max = len(h), float(h.max())
+            chunk = lambda i, j: (ts[i:j + 1], *_root_series(
+                [cj[i:j] for cj in c], h[i:j], ok[i:j]))
+        else:
+            n, h_max, chunk = _uniform(profile, k, t0, end, True)
+        g = _expm1_rows(k, h_max)
         quad = lambda o, y, t: _stage1_beta_quad(profile, kappa_i, o, y, t)
         y, lo, i, size = beta_start, 0.0, 0, _CHUNK
-        while i < len(h):
-            j = min(i + size, len(h))
-            rows, terms, passed = _root_series([cj[i:j] for cj in c], h[i:j],
-                                               ok[i:j])
-            with np.errstate(over="ignore", invalid="ignore"):
-                d = _phi_series([-row for row in rows], k,
-                                max(len(rows) + 1, m))
-            # b_m = (m-1)! p_{m-1} - k b_{m-1} can overflow on a very short
-            # piece with a long series: that piece falls back too
-            passed &= np.isfinite(d).all(axis=0)
-            d = [np.where(passed & (n < np.maximum(terms + 1, m)), row, 0.0)
-                 for n, row in enumerate(d)]
-            sol, ys, lo = cls._propagated(
-                ts[i:j + 1], y, lo, d, g,
-                tuple(np.flatnonzero(~passed).tolist()), quad)
+        while i < n:
+            j = min(i + size, n)
+            ts_j, rows, terms, passed = chunk(i, j)
+            d, passed = _phi_rows([-row for row in rows], terms, passed, k,
+                                  len(g))
+            fallback = tuple(np.flatnonzero(~passed).tolist())
+            if fallback and profile.kind != prof.TABULATED:
+                raise NoThreshold(f"stage-1 series failed near tau = "
+                                  f"{ts_j[fallback[0]]}")
+            sol, ys, lo = cls._propagated(ts_j, y, lo, d, g, fallback, quad)
             yield sol
             y, i, size = ys[-1], j, 2 * size
 
@@ -899,41 +848,25 @@ def _integrate_stage2(profile, kappa_i, tau_c, end):
 
     The violation function triggers at half the feasibility slack and
     carries an additive floor of 1e-13: once both the population and the
-    input rate have decayed below the integrator's absolute tolerance, the
-    ratio r_in/beta^2 is pure noise and must not be mistaken for a
-    violation. A table is propagated exactly over its PCHIP pieces, an
-    analytic profile stepped by DOP853 up to the first step that ends past
-    a violation. As in `solve_ivp`, the violation lies in the first piece or
-    step whose end values have g >= 0 >= g_new; `brentq` finds it there on
-    the exact form or the step's dense output, and the solution ends there.
+    input rate have decayed below it, the ratio r_in/beta^2 is noise and
+    must not be mistaken for a violation. Stage 2 is propagated exactly
+    (`_ExactLinear.stage2`). As in `solve_ivp`'s event search, the
+    violation lies in the first piece whose end values have
+    g >= 0 >= g_new; `brentq` finds it there on the exact form, and the
+    solution ends there.
     """
     def violation(t, y):
         return (1.0 + 0.5 * _KAPPA_SLACK) * y - prof.rate_at(profile, t) + 1e-13
 
-    y0 = prof.rate_at(profile, tau_c)
-    if profile.kind == prof.TABULATED:
-        sol, ys = _ExactLinear.stage2(profile, kappa_i, tau_c, y0, end)
-        at = sol.at
-    else:
-        ts, ys, rows = [tau_c], [y0], []
-        for t, y, dense in _dop853_steps(
-                lambda t, y: prof.rate_at(profile, t) - kappa_i * y,
-                tau_c, y0, end, lambda t: InfeasibleSchedule(
-                    f"stage-2 integration failed near tau = {t}")):
-            ts.append(t)
-            ys.append(y)
-            rows.append(_dop853_row(dense))
-            if violation(ts[-2], ys[-2]) >= 0.0 >= violation(t, y):
-                break
-        sol = _Steps(ts, rows)
-        at = lambda s: _dop853_at(s, *rows[-1])
+    sol, ys = _ExactLinear.stage2(profile, kappa_i, tau_c,
+                                  prof.rate_at(profile, tau_c), end)
     g = violation(sol.ts, np.array(ys))
     down = np.flatnonzero((g[:-1] >= 0.0) & (g[1:] <= 0.0))
     if not len(down):
         return sol, None
     i = int(down[0])
     lo = sol._knots[i]
-    root = brentq(lambda s: violation(s, at(s)), lo, sol._knots[i + 1],
+    root = brentq(lambda s: violation(s, sol.at(s)), lo, sol._knots[i + 1],
                   xtol=4 * _EPS, rtol=4 * _EPS)
     # as solve_ivp: a root at the piece's start ends the piece before
     return sol.cut(i if root == lo and i > 0 else i + 1, root), root
@@ -1029,13 +962,17 @@ def _losses(schedule: CouplingSchedule, tau_max: float) -> tuple[float, float]:
                 seg.beta_sq_array if table else None)
     if k != 0.0 and tau_max > schedule.horizon:
         # The input is extinct past the horizon: one interval, no breaks.
-        # beta^2 there is anchored once, before the horizon (on an analytic
-        # profile at last_tau_c, so it is schedule.beta_sq bitwise).
-        pop = _stage2_anchored(profile, schedule.params, schedule.last_tau_c,
-                               schedule.horizon)
-        intrinsic += quad(pop, schedule.horizon, tau_max,
-                          limit=200, epsabs=1e-10, epsrel=1e-12)[0]
+        intrinsic += quad(_tail_population(schedule), schedule.horizon,
+                          tau_max, limit=200, epsabs=1e-10, epsrel=1e-12)[0]
     return reflection, k * intrinsic
+
+
+def _tail_population(schedule: CouplingSchedule) -> Callable[[float], float]:
+    """tau -> beta^2(tau) past the horizon: the quadrature form from the
+    last segment's value at the horizon."""
+    pop = schedule.segments[-1].at(schedule.horizon)
+    return lambda t: _stage2_pop(schedule.profile, schedule.params.kappa_i,
+                                 schedule.horizon, pop, t)
 
 
 def _slope(schedule: CouplingSchedule, ts: np.ndarray) -> np.ndarray:
@@ -1044,7 +981,7 @@ def _slope(schedule: CouplingSchedule, ts: np.ndarray) -> np.ndarray:
 
     In stage-2 regions r_out = 0 by construction; in stage-1 regions it is
     (beta + sqrt(r_in))^2. Evaluated without dividing by the population,
-    which decays below the integrator noise floor in the far tail.
+    which underflows in the far tail.
     """
     k = schedule.params.kappa_i
     stages, b = schedule._dense(ts)
@@ -1064,13 +1001,11 @@ def _local_maxima(schedule: CouplingSchedule) -> list[tuple[float, float]]:
     A multi-hump input can produce several local maxima (population dips in
     resumed stage-1 windows), so all crossings are collected.
 
-    In a stage-2 stretch the root of r_in - kappa_i beta^2 is polished with
-    beta^2 by quadrature, not by the dense ODE output, which the quadrature
-    oracle checks. It anchors once per bracket at the last table knot before
-    it (`_stage2_anchored`), and the peak's beta^2 comes from that anchor; an
-    analytic profile anchors at the threshold, bitwise the full window.
+    In a stage-2 stretch the root of r_in - kappa_i beta^2 is polished on
+    the segment's exact form, and the peak's beta^2 is the schedule's there;
+    a bracket that form does not take is polished on the slope itself.
     """
-    profile, params = schedule.profile, schedule.params
+    profile, k = schedule.profile, schedule.params.kappa_i
     lo, hi = schedule.tau_c, schedule.horizon
     delta0 = 1e-6 * max(lo, 1.0)
     ts = lo + np.geomspace(delta0, hi - lo, 4097)
@@ -1078,19 +1013,13 @@ def _local_maxima(schedule: CouplingSchedule) -> list[tuple[float, float]]:
     for i in _down(_slope(schedule, ts)).tolist():
         a, b = float(ts[i]), float(ts[i + 1])
         seg = schedule._segment_at(0.5 * (a + b))
-        root = None
-        if seg.stage == 2:
-            pop = _stage2_anchored(profile, params, seg.t0, a)
-            h = lambda t: prof.rate_at(profile, t) - params.kappa_i * pop(t)
-            if h(a) > 0.0 >= h(b):
-                root = brentq(h, a, b, xtol=1e-10, rtol=8.9e-16, maxiter=200)
-        if root is None:
+        h = lambda t: prof.rate_at(profile, t) - k * seg.at(t)
+        if seg.stage == 2 and h(a) > 0.0 >= h(b):
+            root = brentq(h, a, b, xtol=1e-10, rtol=8.9e-16, maxiter=200)
+        else:
             root = brentq(lambda t: float(_slope(schedule, np.array([t]))[0]),
                           a, b, xtol=1e-10, rtol=8.9e-16, maxiter=200)
-        root = float(root)
-        in_seg = seg.stage == 2 and schedule._segment_at(root) is seg
-        peaks.append((root, pop(root) if in_seg
-                      else _population_at(schedule, root)))
+        peaks.append((float(root), schedule.beta_sq(float(root))))
         if len(peaks) >= 64:
             break
     return peaks
@@ -1098,9 +1027,8 @@ def _local_maxima(schedule: CouplingSchedule) -> list[tuple[float, float]]:
 
 def _tail_peak(schedule: CouplingSchedule) -> tuple[float, float]:
     """(tau, beta^2(tau)) at the peak past the horizon, where the input is
-    effectively extinct; beta^2 is anchored once, before the horizon."""
-    pop = _stage2_anchored(schedule.profile, schedule.params,
-                           schedule.last_tau_c, schedule.horizon)
+    effectively extinct (`_tail_population`)."""
+    pop = _tail_population(schedule)
     tail_slope = lambda t: prof.rate_at(schedule.profile, t) \
         - schedule.params.kappa_i * pop(t)
     left = schedule.horizon
@@ -1116,17 +1044,6 @@ def _tail_peak(schedule: CouplingSchedule) -> tuple[float, float]:
         left += width
         width *= 2.0
     raise NoPeak("population slope never crosses zero")
-
-
-def _population_at(schedule: CouplingSchedule, tau: float) -> float:
-    """beta^2(tau) for tau <= horizon, via quadrature when tau lies in a
-    stage-2 region so the reported fidelity does not depend on the dense ODE
-    output."""
-    seg = schedule._segment_at(tau)
-    if seg.stage == 2:
-        return stage2_population(schedule.profile, schedule.params,
-                                 seg.t0, tau)
-    return schedule.beta_sq(tau)
 
 
 def peak_time_and_fidelity(profile: prof.InputProfile, params: prof.MemoryParams,

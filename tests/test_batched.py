@@ -1,12 +1,10 @@
-"""The batched table quadrature and the stacked dense output equal scipy's
-routes bit for bit.
+"""The batched table quadrature equals scipy's route bit for bit, and the
+schedule's dense evaluation calls no scipy dense output.
 
 `profiles._quad_chunked` settles every chunk that QUADPACK's first pass
 would accept with one vectorized dqk21 pass, when its caller also gives the
-integrand on arrays (tabulated profiles only); `protocol._Steps` evaluates
-DOP853 steps on floats and arrays from one stacked table of their rows.
-Each is compared with `==` against the scipy route it replaces (`quad`,
-`OdeSolution`).
+integrand on arrays (tabulated profiles only). It is compared with `==`
+against the scipy route it replaces (`quad`).
 """
 from __future__ import annotations
 
@@ -289,7 +287,7 @@ def test_interior_breaks_are_the_knots_inside(table, a, b, knot):
 
 
 # ---------------------------------------------------------------------------
-# stacked dense output
+# dense output
 # ---------------------------------------------------------------------------
 
 def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
@@ -301,70 +299,6 @@ def _schedules():
     for profile in (prof.exponential(0.036), prof.gaussian(r=0.1533, n=4),
                     _two_hump(True)):
         yield proto.build_schedule(profile, params)
-
-
-def _probes(ts: np.ndarray) -> np.ndarray:
-    """Step ends, one ulp either side, midpoints, and points before the
-    first step and after the last."""
-    return np.concatenate([ts, np.nextafter(ts, -np.inf),
-                           np.nextafter(ts, np.inf), 0.5 * (ts[1:] + ts[:-1]),
-                           [ts[0] - 1.0, ts[0] - 1e-300, ts[-1] + 1.0,
-                            ts[-1] + 1e3]])
-
-
-def odesolution(sch: proto.CouplingSchedule, seg) -> OdeSolution:
-    """scipy's OdeSolution over the DOP853 steps of an analytic schedule's
-    segment: its stage solved again from the segment's start towards the
-    horizon, as the build solves it, on the segment's `ts`."""
-    profile, k = sch.profile, sch.params.kappa_i
-    if seg.stage == 1:
-        fun, y0 = proto._stage1_rhs(profile, k), seg.at(seg.t0)
-    else:
-        fun = lambda t, y: prof.rate_at(profile, t) - k * y
-        y0 = prof.rate_at(profile, seg.t0)
-    steps = proto._dop853_steps(fun, seg.t0, y0, sch.horizon, RuntimeError)
-    return OdeSolution(seg.sol.ts, [dense for (_, _, dense), _
-                                    in zip(steps, seg.sol.ts[1:])])
-
-
-def _assert_is_odesolution(table: proto._Steps, sol: OdeSolution):
-    """`at` and `dense` equal the OdeSolution call bit for bit on `_probes`
-    of its steps, sorted and reversed."""
-    probes = _probes(sol.ts)
-    assert _same_bits(table.dense(probes), sol(probes)[0])
-    assert _same_bits(table.dense(probes[::-1]), sol(probes[::-1])[0])
-    assert all(_same_bits(np.array([table.at(t)]), sol(t))
-               for t in probes.tolist())
-
-
-def test_stacked_dense_output_is_odesolution():
-    for sch in _schedules():
-        for seg in sch.segments:
-            if isinstance(seg.sol, proto._ExactLinear):
-                continue     # a table's (tests/test_exact_stage*.py)
-            assert isinstance(seg.sol, proto._Steps)
-            _assert_is_odesolution(seg.sol, odesolution(sch, seg))
-
-
-def test_stacked_dense_output_on_one_step():
-    profile = prof.exponential(0.5)
-    (t, _, dense), = proto._dop853_steps(proto._stage1_rhs(profile, KAPPA_I),
-                                         1.0, -0.2, 1.0 + 1e-7, RuntimeError)
-    _assert_is_odesolution(proto._Steps([1.0, t], [proto._dop853_row(dense)]),
-                           OdeSolution([1.0, t], [dense]))
-
-
-def test_stacked_dense_output_takes_odesolutions_step_at_a_boundary():
-    """At a step end OdeSolution evaluates the earlier step. Two synthetic
-    DOP853 steps that disagree there tell the steps apart."""
-    rng = np.random.default_rng(3)
-    steps = [Dop853DenseOutput(t0, t0 + 1.0, np.array([y0]),
-                               rng.normal(size=(7, 1)))
-             for t0, y0 in ((0.0, 0.5), (1.0, -2.0))]
-    assert steps[0](1.0)[0] != steps[1](1.0)[0]
-    _assert_is_odesolution(
-        proto._Steps([0.0, 1.0, 2.0], [proto._dop853_row(d) for d in steps]),
-        OdeSolution([0.0, 1.0, 2.0], steps))
 
 
 def test_schedule_dense_makes_no_odesolution_call(monkeypatch):

@@ -18,6 +18,7 @@ from pulsecatch import profiles as prof
 from pulsecatch import protocol
 from pulsecatch.errors import (DomainError, NoPeak, NoThreshold,
                                SingularCoupling, StepFailure)
+from test_protocol import _drained
 
 EXP_OP = ["--profile", "exp:r=0.036", "--kappa-i", "1e-4"]
 
@@ -86,13 +87,41 @@ def test_step_failure_maps_to_step_exit(tmp_path, monkeypatch, capsys):
     assert "integration failure" in capsys.readouterr().err
 
 
-def test_singular_coupling_maps_to_infeasible_exit(tmp_path, capsys):
-    # kappa_i = 0.9 drains the stage-2 population to zero while the input
-    # still arrives, so the zero-reflection coupling is undefined.
+def _drain_schedules(monkeypatch):
+    """Every schedule the CLI builds gets a stage-2 population forced to 0
+    halfway along its last segment (`test_protocol._drained`), while the
+    input still arrives: there the zero-reflection coupling is undefined."""
+    build = protocol.build_schedule
+    monkeypatch.setattr(protocol, "build_schedule",
+                        lambda profile, params: _drained(build(profile,
+                                                               params)))
+
+
+def test_singular_coupling_maps_to_infeasible_exit(tmp_path, capsys,
+                                                   monkeypatch):
+    _drain_schedules(monkeypatch)
     rc = cli.main(["simulate", "--profile", "exp:r=0.05", "--kappa-i", "0.9",
                    "--samples", "201", "--out", str(tmp_path / "t.csv")])
     assert rc == 2
     assert "infeasible:" in capsys.readouterr().err
+
+
+def test_heavy_loss_input_simulates(tmp_path):
+    """kappa_i = 0.9 above r = 0.05 does not drain the stage-2 population:
+    it tends to r_in/(kappa_i - r) (5.5e-15 at tau = 600) and stays
+    positive up to the horizon, so the run exits 0. A DOP853 stage 2 used
+    to reach 0 near tau = 557 and exit 2."""
+    profile, params = prof.exponential(0.05), prof.MemoryParams(kappa_i=0.9)
+    sch = protocol.build_schedule(profile, params)
+    taus = np.linspace(sch.tau_c, sch.horizon, 2001)
+    assert np.all(sch.beta_sq(taus) > 0.0)
+    assert sch.beta_sq(600.0) == pytest.approx(
+        prof.rate_at(profile, 600.0) / 0.85, rel=1e-9)
+    out = tmp_path / "t.csv"
+    assert cli.main(["simulate", "--profile", "exp:r=0.05", "--kappa-i",
+                     "0.9", "--samples", "201", "--out", str(out)]) == 0
+    taus, beta = _read_csv(out)[:, :3:2].T
+    assert taus[-1] == sch.horizon and np.all(beta[1:] < 0.0)
 
 
 @pytest.mark.parametrize("command", ["schedule", "simulate"])
@@ -120,10 +149,8 @@ def test_no_peak_maps_to_infeasible_exit(tmp_path, capsys, monkeypatch):
 
 def test_same_sign_threshold_bracket_exits_infeasible(tmp_path, monkeypatch,
                                                       capsys):
-    # both polishes of tau_c refuse the scan's bracket (see test_protocol)
-    monkeypatch.setattr(protocol, "_stage1_anchored",
-                        lambda *args: (lambda t: 1.0))
-    monkeypatch.setattr(protocol._Steps, "at", lambda self, t: 1.0)
+    # the polish of tau_c refuses the scan's bracket (see test_protocol)
+    monkeypatch.setattr(protocol._ExactLinear, "at", lambda self, t: 1.0)
     rc = cli.main(["schedule", *EXP_OP, "--out", str(tmp_path / "s")])
     assert rc == 2
     assert "does not change sign on the bracket" in capsys.readouterr().err
@@ -203,9 +230,10 @@ def test_schedule_lossless_infinite_peak_is_json_safe(tmp_path):
     assert 0.92 < payload["fidelity"] < 0.93
 
 
-def test_schedule_singular_rows_are_nan(tmp_path):
-    # kappa_i = 0.9 drains the population while input still arrives: the
-    # file carries nan in kappa and r_out exactly where kappa is undefined.
+def test_schedule_singular_rows_are_nan(tmp_path, monkeypatch):
+    # a population drained to zero while input still arrives: the file
+    # carries nan in kappa and r_out exactly where kappa is undefined.
+    _drain_schedules(monkeypatch)
     out = tmp_path / "singular"
     assert cli.main(["schedule", "--profile", "exp:r=0.05", "--kappa-i", "0.9",
                      "--samples", "2001", "--out", str(out)]) == 0

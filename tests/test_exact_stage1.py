@@ -6,7 +6,7 @@ piece's cubic. Its knot values are checked against the quadrature oracle
 `_stage1_beta_quad`; its float and array evaluations against each other;
 its pieces against the tail test that keeps every series inside its radius
 of convergence; its chunks against one build. Pieces where r_in reaches 0
-fall back to the quadrature form, and no table build steps DOP853.
+fall back to the quadrature form, and no build steps an ODE.
 """
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.integrate import OdeSolution
 from scipy.integrate._ivp.rk import Dop853DenseOutput
 
 from pulsecatch import profiles as prof
@@ -23,7 +24,7 @@ from pulsecatch.errors import PulsecatchError
 from test_batched import narrow_tables
 from test_exact_stage2 import _knot_aligned_steps
 from test_protocol import (_catch_table, _coarse_table, _delayed_table,
-                           _double_hump)
+                           _double_hump, _refuse_ode, _whole_window_threshold)
 
 
 def _params(kappa_i: float = 1e-4) -> prof.MemoryParams:
@@ -276,10 +277,7 @@ def test_quadrature_pieces_are_the_quadrature_form(monkeypatch):
                                   "delayed", "zero_run"])
 def test_table_build_makes_no_dop853_solve(case, monkeypatch):
     """A table's threshold scans, stage-1 and stage-2 segments step no
-    ODE: `_dop853_steps` is never called."""
-    def refuse(*args):
-        raise AssertionError("DOP853 solve on a table")
-
+    ODE: neither `solve_ivp` nor any scipy Runge-Kutta step is called."""
     profile, params = {
         "faint": (_catch_table(3, True), _params()),
         "twin": (_catch_table(3, False), _params()),
@@ -288,7 +286,7 @@ def test_table_build_makes_no_dop853_solve(case, monkeypatch):
         "delayed": (_delayed_table(), _params()),
         "zero_run": (_zero_run_table(), _params()),
     }[case]
-    monkeypatch.setattr(proto, "_dop853_steps", refuse)
+    _refuse_ode(monkeypatch)
     sch = proto.build_schedule(profile, params)
     assert all(isinstance(seg.sol, proto._ExactLinear) for seg in sch.segments)
     assert ("feasibility_resumed" in sch.flags) == (case in ("faint",
@@ -334,7 +332,8 @@ def test_short_windows_do_not_warn(profile):
 def _dop853_knot_gap(profile, kappa_i, t0, beta0, t1) -> float:
     """The largest gap to `_stage1_beta_quad` of the knot-aligned DOP853
     stage-1 solve over [t0, t1] that the exact propagation replaced."""
-    rhs = proto._stage1_rhs(profile, kappa_i)
+    a = 0.5 * (1.0 + kappa_i)
+    rhs = lambda t, y: -math.sqrt(prof.rate_at(profile, t)) - a * y
     gap = 0.0
     for t, y, _ in _knot_aligned_steps(rhs, t0, beta0, t1,
                                        prof._interior_breaks(profile, t0, t1)):
@@ -366,42 +365,26 @@ def test_knot_gap_is_no_larger_than_dop853s(faint):
                                      prof.gaussian(r=0.1533, n=4)],
                          ids=["exp", "gauss"])
 def test_analytic_scan_makes_no_dense_output_call(profile, monkeypatch):
-    """The analytic threshold scan evaluates each step's grid points with
-    `_dop853_at`, not scipy's `Dop853DenseOutput.__call__`: a build makes
-    no such call, and the bracket, tau_c and every segment equal those of
-    the scan done with the scipy call."""
+    """The analytic threshold scan steps no ODE and calls no scipy dense
+    output (`OdeSolution`, `Dop853DenseOutput`): with them refused, its
+    bracket and tau_c are those of the whole-window scan, and every
+    segment of a build is an exact propagation."""
     params = _params()
     end = prof.horizon(profile)
-    grid = np.linspace(0.0, end, 8193)
-    done, g_last, bracket = 0, 0.0, None
-    for t, _, dense in proto._dop853_steps(proto._stage1_rhs(
-            profile, params.kappa_i), 0.0, 0.0, end, RuntimeError):
-        stop = int(np.searchsorted(grid, t, side="right"))
-        if stop == done:
-            continue
-        g = np.sqrt(prof.rate_at(profile, grid[done:stop])) \
-            + dense(grid[done:stop])[0]
-        g = np.concatenate(([g_last], g)) if done else g
-        down = np.flatnonzero((g[:-1] > 0.0) & (g[1:] <= 0.0))
-        if len(down):
-            i = max(done - 1, 0) + int(down[0])
-            bracket = (float(grid[i]), float(grid[i + 1]))
-            break
-        done, g_last = stop, float(g[-1])
-    ref = proto.build_schedule(profile, params)
+    _, lo, hi, tau_c, _ = _whole_window_threshold(profile, params.kappa_i,
+                                                  0.0, 0.0, end)
 
     def refuse(self, t):
-        raise AssertionError("Dop853DenseOutput call")
+        raise AssertionError("scipy dense-output call")
 
+    _refuse_ode(monkeypatch)
+    monkeypatch.setattr(OdeSolution, "__call__", refuse)
     monkeypatch.setattr(Dop853DenseOutput, "__call__", refuse)
     assert proto._threshold_bracket(profile, params.kappa_i, 0.0, 0.0,
-                                    end)[:2] == bracket
+                                    end)[:2] == (lo, hi)
     sch = proto.build_schedule(profile, params)
-    assert sch.tau_c == ref.tau_c and bracket[0] <= sch.tau_c <= bracket[1]
-    for seg, old in zip(sch.segments, ref.segments, strict=True):
-        assert np.array_equal(seg.sol.ts, old.sol.ts)
-        probes = np.linspace(seg.t0, seg.t1, 257)
-        assert seg.dense(probes).tolist() == old.dense(probes).tolist()
+    assert sch.tau_c == tau_c and lo <= sch.tau_c <= hi
+    assert all(isinstance(seg.sol, proto._ExactLinear) for seg in sch.segments)
 
 
 def _float_loop(fn, profile, taus: np.ndarray) -> np.ndarray:

@@ -6,7 +6,7 @@ checked against the quadrature oracle `stage2_population` and, without
 loss, against the antiderivative `cumulative`; its float and array
 evaluations against each other; its violation times against the
 knot-aligned DOP853 solve it replaced (scipy's `DOP853`, its bound moved
-from knot to knot). Analytic profiles keep their DOP853 solves.
+from knot to knot). No build, analytic or tabulated, steps an ODE.
 """
 from __future__ import annotations
 
@@ -22,7 +22,11 @@ from scipy.optimize import brentq
 from pulsecatch import profiles as prof
 from pulsecatch import protocol as proto
 from test_batched import narrow_tables
-from test_protocol import _catch_table, _coarse_table, _double_hump
+from test_protocol import (_catch_table, _coarse_table, _double_hump,
+                           _refuse_ode)
+
+# solve_ivp's tolerances in the DOP853 reference solves
+_RTOL, _ATOL = 1e-12, 1e-14
 
 
 def _params(kappa_i: float = 1e-4) -> prof.MemoryParams:
@@ -135,7 +139,7 @@ def _knot_aligned_steps(fun, t0, y0, end, breaks):
     stepping runs on across it with the step size it has."""
     bounds = [b for b in breaks if t0 < b < end] + [float(end)]
     solver = DOP853(lambda t, y: [fun(t, y[0])], float(t0), [y0], bounds[0],
-                    rtol=proto._ODE_RTOL, atol=proto._ODE_ATOL)
+                    rtol=_RTOL, atol=_ATOL)
     for bound in bounds:
         solver.t_bound, solver.status = bound, "running"
         while solver.status == "running":
@@ -186,33 +190,25 @@ def test_violation_matches_knot_aligned_dop853(case):
             assert nxt.t0 == seg.t1
 
 
-def _recorded_solves(profile, params, monkeypatch):
-    """(t0, y0, end) of every DOP853 solve of build_schedule."""
-    stepping, solves = proto._dop853_steps, []
-
-    def recording(fun, t0, y0, end, fail):
-        solves.append((t0, y0, end))
-        return stepping(fun, t0, y0, end, fail)
-
-    monkeypatch.setattr(proto, "_dop853_steps", recording)
-    return proto.build_schedule(profile, params), solves
-
-
 @pytest.mark.parametrize("profile", [prof.exponential(0.036),
                                      prof.exponential(0.5),
                                      prof.gaussian(r=0.1533, n=4)],
                          ids=["exp_point", "exp", "gauss"])
-def test_analytic_schedules_keep_their_dop853_solves(profile, monkeypatch):
-    """An analytic schedule makes two DOP853 solves: the threshold scan
-    from 0 towards the horizon, whose steps cut at tau_c are the stage-1
-    segment, and stage 2 from r_in(tau_c) to the horizon."""
-    sch, solves = _recorded_solves(profile, _params(), monkeypatch)
+def test_analytic_schedules_make_no_ode_solve(profile, monkeypatch):
+    """An analytic schedule steps no ODE: its two segments are exact
+    propagations, stage 1 the threshold scan's cut at tau_c and stage 2
+    from r_in(tau_c) to the horizon, on equal pieces (cut further where the
+    series needs it) with kappa_i h <= 1/2."""
+    _refuse_ode(monkeypatch)
+    params = _params()
+    sch = proto.build_schedule(profile, params)
     assert [seg.stage for seg in sch.segments] == [1, 2]
-    assert all(isinstance(seg.sol, proto._Steps) for seg in sch.segments)
-    tau_c, end = sch.tau_c, sch.horizon
-    assert sch.segments[0].sol.ts[-1] == tau_c
-    assert solves == [(0.0, 0.0, end),
-                      (tau_c, prof.rate_at(profile, tau_c), end)]
+    assert all(isinstance(seg.sol, proto._ExactLinear) for seg in sch.segments)
+    first, second = sch.segments
+    assert (first.sol.ts[0], first.sol.ts[-1]) == (0.0, sch.tau_c)
+    assert (second.sol.ts[0], second.sol.ts[-1]) == (sch.tau_c, sch.horizon)
+    assert second.sol._y[0] == prof.rate_at(profile, sch.tau_c)
+    assert np.all(params.kappa_i * np.diff(second.sol.ts) <= 0.5)
 
 
 @pytest.mark.parametrize("faint", [True, False], ids=["faint", "twin"])
@@ -222,8 +218,8 @@ def test_table_stage2_makes_no_rhs_call(faint, monkeypatch):
     the array of its piece ends, once at tau_c, and otherwise only in the
     violation's root polish."""
     profile, params = _catch_table(3, faint=faint), _params()
-    sch, solves = _recorded_solves(profile, params, monkeypatch)
-    assert solves == []
+    _refuse_ode(monkeypatch)
+    sch = proto.build_schedule(profile, params)
 
     rate, calls = prof.rate_at, []
 
