@@ -1,10 +1,12 @@
-"""The batched table quadrature equals scipy's route bit for bit, and the
-schedule's dense evaluation calls no scipy dense output.
+"""The batched table quadrature and the stacked dense output equal scipy's
+routes bit for bit.
 
 `profiles._quad_chunked` settles every chunk that QUADPACK's first pass
 would accept with one vectorized dqk21 pass, when its caller also gives the
-integrand on arrays (tabulated profiles only). It is compared with `==`
-against the scipy route it replaces (`quad`).
+integrand on arrays (tabulated profiles only); `protocol._ExactLinear`
+evaluates its pieces on floats and arrays from one stacked table of their
+series rows. Each is compared with `==` against the scipy route it stands
+in for (`quad`, and `OdeSolution` over the same pieces one by one).
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy.integrate import OdeSolution, quad
+from scipy.integrate import DenseOutput, OdeSolution, quad
 from scipy.integrate._ivp.rk import Dop853DenseOutput
 
 from pulsecatch import profiles as prof
@@ -287,7 +289,7 @@ def test_interior_breaks_are_the_knots_inside(table, a, b, knot):
 
 
 # ---------------------------------------------------------------------------
-# dense output
+# stacked dense output
 # ---------------------------------------------------------------------------
 
 def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
@@ -299,6 +301,81 @@ def _schedules():
     for profile in (prof.exponential(0.036), prof.gaussian(r=0.1533, n=4),
                     _two_hump(True)):
         yield proto.build_schedule(profile, params)
+
+
+def _probes(ts: np.ndarray) -> np.ndarray:
+    """Piece ends, one ulp either side, midpoints, and points before the
+    first piece and after the last."""
+    return np.concatenate([ts, np.nextafter(ts, -np.inf),
+                           np.nextafter(ts, np.inf), 0.5 * (ts[1:] + ts[:-1]),
+                           [ts[0] - 1.0, ts[0] - 1e-300, ts[-1] + 1.0,
+                            ts[-1] + 1e3]])
+
+
+class _Piece(DenseOutput):
+    """Piece i of an exact propagation on its own, as scipy dense output:
+    the propagation's rows of that piece alone, evaluated wherever asked
+    (`at` on floats, `dense` on arrays)."""
+
+    def __init__(self, sol: proto._ExactLinear, i: int):
+        super().__init__(float(sol.ts[i]), float(sol.ts[i + 1]))
+        self.one = proto._ExactLinear(
+            sol.ts[i:i + 2], sol._y[i:i + 1], sol._lo[i:i + 1],
+            [row[i:i + 1] for row in sol._d], sol._g,
+            (0,) if i in sol.fallback else (), sol._quad)
+
+    def _call_impl(self, t):
+        if t.ndim == 0:
+            return np.array([self.one.at(float(t))])
+        return self.one.dense(t)[np.newaxis]
+
+
+def odesolution(sol: proto._ExactLinear) -> OdeSolution:
+    """scipy's OdeSolution over the pieces of an exact propagation, each
+    evaluated on its own: OdeSolution picks the piece."""
+    return OdeSolution(sol.ts, [_Piece(sol, i) for i in range(len(sol._y))])
+
+
+def _assert_is_odesolution(table: proto._ExactLinear, sol: OdeSolution):
+    """`at` and `dense` equal the OdeSolution call bit for bit on `_probes`
+    of its pieces, sorted and reversed."""
+    probes = _probes(sol.ts)
+    assert _same_bits(table.dense(probes), sol(probes)[0])
+    assert _same_bits(table.dense(probes[::-1]), sol(probes[::-1])[0])
+    assert all(_same_bits(np.array([table.at(t)]), sol(t))
+               for t in probes.tolist())
+
+
+def test_stacked_dense_output_is_odesolution():
+    """Every segment, analytic or tabulated, is an exact propagation that
+    evaluates as OdeSolution over its pieces: the same piece for every
+    point, and on it the same value as the piece alone."""
+    for sch in _schedules():
+        for seg in sch.segments:
+            assert isinstance(seg.sol, proto._ExactLinear)
+            assert len(seg.sol._y) > 1
+            _assert_is_odesolution(seg.sol, odesolution(seg.sol))
+
+
+def test_stacked_dense_output_on_one_step():
+    """A propagation of one piece is evaluated on that piece everywhere,
+    before and past it too."""
+    sol = next(proto._ExactLinear.stage1(prof.exponential(0.5), KAPPA_I, 1.0,
+                                         -0.2, 1.0, 1.0 + 1e-7))
+    assert len(sol._y) == 1
+    _assert_is_odesolution(sol, odesolution(sol))
+
+
+def test_stacked_dense_output_takes_odesolutions_step_at_a_boundary():
+    """At a piece end OdeSolution evaluates the earlier piece. Two
+    synthetic pieces that disagree there tell the pieces apart."""
+    rng = np.random.default_rng(3)
+    sol = proto._ExactLinear(np.array([0.0, 1.0, 2.0]), [0.5, -2.0],
+                             [0.0, 0.0], list(rng.normal(size=(7, 2))),
+                             [-0.5, 0.125, -1.0 / 48.0])
+    ends = [_Piece(sol, i).one.at(1.0) for i in (0, 1)]
+    assert ends[0] != ends[1] and sol.at(1.0) == ends[0]
+    _assert_is_odesolution(sol, odesolution(sol))
 
 
 def test_schedule_dense_makes_no_odesolution_call(monkeypatch):
