@@ -1,9 +1,10 @@
 """Analytic evaluators for exponential and Gaussian input pulses.
 
 These closed forms serve two purposes: they are the fast path for parameter
-sweeps, and they are independent oracles for the generic quadrature solver in
-`protocol`. All expressions are dimensionless (kappa_max = 1) and are written
-in overflow-safe form (expm1/log1p, scaled complementary error functions) so
+sweeps, and they are independent oracles for the generic solver in
+`protocol`, which propagates both stages exactly over power-series pieces.
+All expressions are dimensionless (kappa_max = 1) and are written in
+overflow-safe form (expm1/log1p, scaled complementary error functions) so
 they stay accurate for pulse times up to ~1e4 and through the parameter sets
 where the textbook expressions degenerate to 0/0.
 

@@ -12,9 +12,7 @@ import math
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from itertools import repeat
-from operator import add
+from functools import cached_property
 from pathlib import Path
 from typing import Callable
 
@@ -292,10 +290,8 @@ def _interior_breaks(profile: InputProfile, a: float, b: float) -> list[float]:
     return []
 
 
-# QUADPACK's dqk21 (Piessens et al., QUADPACK, 1983): the non-negative
-# abscissae of the 21-point Kronrod rule on [-1, 1], the centre last, their
-# weights, and the weights of the embedded 10-point Gauss rule, whose
-# abscissae are _XGK[1], _XGK[3], ...
+# The 21-point Kronrod rule on [-1, 1] (QUADPACK's dqk21, Piessens et al.,
+# 1983): its non-negative abscissae, the centre last, and their weights.
 _XGK = np.array([
     0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
     0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
@@ -310,128 +306,53 @@ _WGK = np.array([
     0.123491976262065851077208980316775, 0.134709217311473325928054001771707,
     0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
     0.149445554002916905664936468389821])
-_WG = np.array([
-    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
-    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
-    0.295524224714752870173892994651338])
-# dqk21 adds the node pairs into its sums in this order: first the Gauss
-# abscissae, then the others; _NODE_ORDER restores the order of _XGK.
-_SUM_ORDER = [1, 3, 5, 7, 9, 0, 2, 4, 6, 8]
-_XGK_SUM, _WGK_SUM = _XGK[_SUM_ORDER, None], _WGK[_SUM_ORDER, None]
-_NODE_ORDER = np.argsort(_SUM_ORDER)
+_NODES = np.concatenate((-_XGK, _XGK[-2::-1]))[:, None]     # ascending
+_WEIGHTS = np.concatenate((_WGK, _WGK[-2::-1]))[:, None]
 _EPMACH = sys.float_info.epsilon
-_UFLOW = sys.float_info.min
 _CHUNK = 40          # intervals per quad call, which caps its break points
 _EPSREL = 1e-12
 
 
-def _sum_down(first: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """first + rows[0] + rows[1] + ..., added in that order elementwise."""
-    return np.add.accumulate(np.concatenate((first[None], rows)))[-1]
-
-
-def _qk21(fv: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
-          hi: np.ndarray) -> tuple[list[float], list[float], list[float]]:
-    """dqk21 on every interval [lo[i], hi[i]] at once: the lists of its
-    result, abserr and resasc, each elementwise operation in dqk21's order.
-
-    fv takes all 21 nodes of every interval in one array and must give,
-    bitwise, the values the scalar integrand gives there. Row k of fv1 and
-    fv2 holds the node pair dqk21 adds k-th into its running sums.
-    """
-    m = len(lo)
-    centr = 0.5 * (lo + hi)
-    hlgth = 0.5 * (hi - lo)
-    absc = hlgth * _XGK_SUM
-    fx = fv(np.concatenate((centr, (centr - absc).ravel(),
-                            (centr + absc).ravel()))).reshape(21, m)
-    fc, fv1, fv2 = fx[0], fx[1:11], fx[11:]
-    fsum = fv1 + fv2
-    resk0 = _WGK[10] * fc
-    resg = _sum_down(np.zeros(m), _WG[:, None] * fsum[:5])
-    resk = _sum_down(resk0, _WGK_SUM * fsum)
-    resabs = _sum_down(np.abs(resk0), _WGK_SUM * (np.abs(fv1) + np.abs(fv2)))
-    reskh = resk * 0.5
-    resasc = _sum_down(_WGK[10] * np.abs(fc - reskh), (_WGK_SUM * (
-        np.abs(fv1 - reskh) + np.abs(fv2 - reskh)))[_NODE_ORDER])
-    dhlgth = np.abs(hlgth)
-    resabs = resabs * dhlgth
-    resasc = resasc * dhlgth
-    abserr = np.abs((resk - resg) * hlgth)
-    scaled = np.flatnonzero((resasc != 0.0) & (abserr != 0.0))
-    if len(scaled):
-        # C pow, as QUADPACK calls it: numpy's power may use other code.
-        q = (200.0 * abserr[scaled] / resasc[scaled]).tolist()
-        abserr[scaled] = resasc[scaled] * np.minimum(1.0, np.fromiter(
-            map(math.pow, q, repeat(1.5)), float, len(q)))
-    big = resabs > _UFLOW / (50.0 * _EPMACH)
-    abserr[big] = np.maximum((_EPMACH * 50.0) * resabs[big], abserr[big])
-    return (resk * hlgth).tolist(), abserr.tolist(), resasc.tolist()
-
-
-def _first_pass(fv: Callable[[np.ndarray], np.ndarray], edges: list[float],
-                epsabs: float) -> list[float | None]:
-    """Per chunk of `_quad_chunked`: the value `quad` returns when its
-    first pass already meets the tolerance, else None.
-
-    With break points `quad` runs QUADPACK's dqagpe: dqk21 on each interval
-    of the chunk, then a return iff the summed abserr is at most
-    max(epsabs, epsrel |summed result|), the sums taken in interval order
-    from 0. A one-interval chunk runs dqagse instead, which also asks that
-    abserr differ from resasc unless it is 0.
-    """
-    n = len(edges) - 1
-    e = np.array(edges)
-    result, abserr, resasc = _qk21(fv, e[:-1], e[1:])
-    out: list[float | None] = []
-    for i in range(0, n, _CHUNK):
-        j = min(i + _CHUNK, n)
-        val = reduce(add, result[i:j], 0.0)
-        ok = reduce(add, abserr[i:j], 0.0) <= max(epsabs, _EPSREL * abs(val))
-        if j == i + 1:
-            ok = (ok and abserr[i] != resasc[i]) or abserr[i] == 0.0
-        out.append(val if ok else None)
-    return out
+def _kronrod(f: Callable[[np.ndarray], np.ndarray], edges) -> np.ndarray:
+    """The 21-point Kronrod rule on each interval between `edges`: the
+    integral of f there. f takes the nodes of every interval in one flat
+    array and gives its value at each."""
+    e = np.asarray(edges, dtype=float)
+    centr, hlgth = 0.5 * (e[1:] + e[:-1]), 0.5 * (e[1:] - e[:-1])
+    fx = f((centr + hlgth * _NODES).ravel()).reshape(len(_NODES), -1)
+    return hlgth * (_WEIGHTS * fx).sum(axis=0)
 
 
 def _quad_chunked(f: Callable[[float], float], a: float, b: float,
-                  breaks: list[float], epsabs: float = 1e-12,
-                  fv: Callable[[np.ndarray], np.ndarray] | None = None) -> float:
+                  breaks: list[float], epsabs: float = 1e-12) -> float:
     """Adaptive quadrature of f over [a, b], split at the interior `breaks` in
-    chunks of 40 (quad caps its break points; tables are only C1 at knots).
-
-    fv, if given, is f on arrays, bitwise equal to f at each point. One
-    vectorized dqk21 pass over every interval then settles each chunk that
-    QUADPACK's first pass would accept, with quad's value to the bit; only
-    the others call quad, so they keep its value and its warnings.
-    """
+    chunks of 40 (quad caps its break points; tables are only C1 at knots)."""
     if b <= a:
         return 0.0
     if b - a <= 1e3 * _EPMACH * max(abs(a), abs(b)):
         # Too short for QUADPACK to bisect: it would stop at once with its
-        # "extremely bad integrand" warning. One dqk21 is exact to rounding.
-        fv = fv or (lambda s: np.array([f(t) for t in s.tolist()]))
-        return _qk21(fv, np.array([a]), np.array([b]))[0][0]
+        # "extremely bad integrand" warning. One rule is exact to rounding.
+        return float(_kronrod(lambda s: np.array([f(t) for t in s.tolist()]),
+                              [a, b])[0])
     edges = [a] + breaks + [b]
     n = len(edges) - 1
-    starts = range(0, n, _CHUNK)
-    first = [None] * len(starts) if fv is None else _first_pass(fv, edges, epsabs)
     total = 0.0
-    for i, val in zip(starts, first):
-        if val is None:
-            j = min(i + _CHUNK, n)
-            val, _ = quad(f, edges[i], edges[j], points=edges[i + 1:j] or None,
-                          limit=200, epsabs=epsabs, epsrel=_EPSREL)
-        total += val
+    for i in range(0, n, _CHUNK):
+        j = min(i + _CHUNK, n)
+        total += quad(f, edges[i], edges[j], points=edges[i + 1:j] or None,
+                      limit=200, epsabs=epsabs, epsrel=_EPSREL)[0]
     return total
 
 
 def _quad_rate(profile: InputProfile, a: float, b: float) -> float:
-    """Adaptive quadrature of rate_at over [a, b] to ~1e-12 absolute error."""
-    f = lambda s: rate_at(profile, s)       # bitwise on arrays too
-    # analytic profiles keep quad alone: the batched pass is slower for them
-    return _quad_chunked(f, a, b, _interior_breaks(profile, a, b), 1e-13,
-                         f if profile.kind == TABULATED else None)
+    """Integral of rate_at over [a, b]: on a table one Kronrod rule per knot
+    interval, exact to rounding on its cubics, else adaptive quadrature to
+    ~1e-13 absolute error."""
+    breaks = _interior_breaks(profile, a, b)
+    if profile.kind == TABULATED and b > a:
+        return float(_kronrod(lambda s: rate_at(profile, s),
+                              [a] + breaks + [b]).sum())
+    return _quad_chunked(lambda s: rate_at(profile, s), a, b, breaks, 1e-13)
 
 
 def total_excitation(profile: InputProfile, tau_end: float) -> float:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -56,12 +56,8 @@ def _stage1_beta_quad(profile: prof.InputProfile, kappa_i: float,
     a = 0.5 * (1.0 + kappa_i)
     lo = max(t0, tau - _DAMP_CUT / a)
     f = lambda s: math.exp(-a * (tau - s)) * math.sqrt(prof.rate_at(profile, s))
-    fv = None
-    if profile.kind == prof.TABULATED:
-        fv = lambda s: prof._map(math.exp, -a * (tau - s)) \
-            * np.sqrt(prof.rate_at(profile, s))
     integral = prof._quad_chunked(
-        f, lo, tau, prof._interior_breaks(profile, lo, tau), 1e-13, fv)
+        f, lo, tau, prof._interior_breaks(profile, lo, tau), 1e-13)
     boundary = beta0 * math.exp(-a * (tau - t0)) if beta0 != 0.0 else 0.0
     return boundary - integral
 
@@ -106,12 +102,8 @@ def _stage2_pop(profile: prof.InputProfile, k: float, t0: float, pop0: float,
     """Stage-2 population beta^2(tau) from beta^2(t0) = pop0."""
     seed = pop0 * math.exp(-k * (tau - t0))
     f = lambda s: math.exp(-k * (tau - s)) * prof.rate_at(profile, s)
-    fv = None
-    if profile.kind == prof.TABULATED:
-        fv = lambda s: prof._map(math.exp, -k * (tau - s)) \
-            * prof.rate_at(profile, s)
     integral = prof._quad_chunked(
-        f, t0, tau, prof._interior_breaks(profile, t0, tau), 1e-12, fv)
+        f, t0, tau, prof._interior_breaks(profile, t0, tau), 1e-12)
     return seed + integral
 
 
@@ -248,10 +240,10 @@ class _Segment:
 class CouplingSchedule:
     """Piecewise coupling schedule: kappa = 1 before tau_c, r_in/beta^2 after.
 
-    `segments` covers [0, horizon]; evaluations beyond the horizon fall back
-    to direct quadrature of the stage-2 population. Schedules with more than
-    one stage-1 segment arise from the feasibility guard and carry the
-    "feasibility_resumed" flag.
+    `segments` covers [0, horizon]; past the horizon beta^2 is `_tail`, the
+    stage-2 population carried on from the last segment's value there.
+    Schedules with more than one stage-1 segment arise from the feasibility
+    guard and carry the "feasibility_resumed" flag.
 
     The evaluation methods take a float or an array (`_dispatch`). An array
     costs one dense-output call per segment it touches, and each of its
@@ -268,6 +260,14 @@ class CouplingSchedule:
     @property
     def last_tau_c(self) -> float:
         return self.segments[-1].t0
+
+    @cached_property
+    def _tail(self) -> Callable[[float], float]:
+        """tau -> beta^2(tau) past the horizon, where the input is
+        effectively extinct: the quadrature form `_stage2_pop` from the last
+        segment's value at the horizon, so beta^2 is continuous there."""
+        return partial(_stage2_pop, self.profile, self.params.kappa_i,
+                       self.horizon, self.segments[-1].at(self.horizon))
 
     @cached_property
     def _inner_ends(self) -> list[float]:
@@ -287,9 +287,9 @@ class CouplingSchedule:
     def _sampled(self, taus: np.ndarray, horizon: float | None = None):
         """(stage, dense value, beta^2) at each sample, with one dense call
         per segment it touches; past the horizon (the schedule's unless
-        given) the stage is 2, the dense value nan and beta^2 comes from
-        quadrature. Sorted samples are cut into one slice per segment, and
-        others are evaluated sorted, then put back in their order."""
+        given) the stage is 2, the dense value nan and beta^2 is `_tail`'s.
+        Sorted samples are cut into one slice per segment, and others are
+        evaluated sorted, then put back in their order."""
         flat = taus.ravel()
         if not np.all(flat[1:] >= flat[:-1]):
             order = np.argsort(flat, kind="stable")
@@ -314,9 +314,7 @@ class CouplingSchedule:
             past = flat[inside:].tolist()
             for part, x in zip(out, (np.full(len(past), 2),
                                      np.full(len(past), math.nan),
-                                     [stage2_population(
-                                         self.profile, self.params,
-                                         self.last_tau_c, t) for t in past])):
+                                     [self._tail(t) for t in past])):
                 part.append(np.asarray(x))
         return tuple((part[0] if len(part) == 1 else np.concatenate(
             part or [np.empty(0, dtype)])).reshape(taus.shape)
@@ -345,8 +343,7 @@ class CouplingSchedule:
             return self._dispatch("beta_sq", tau, self.beta_sq,
                                   self._beta_sq_array)
         if tau > self.horizon:
-            return stage2_population(self.profile, self.params,
-                                     self.last_tau_c, tau)
+            return self._tail(tau)
         return self._segment_at(tau).beta_sq(tau)
 
     def beta(self, tau):
@@ -918,9 +915,11 @@ class TransferReport:
     """Transfer figures of merit and the loss breakdown.
 
     The four contributions fidelity + loss_stage1_reflection + loss_intrinsic
-    + loss_unabsorbed account for the full input excitation; each is computed
-    by an independent quadrature, so their sum reaching 1 is a genuine
-    cross-check rather than an identity.
+    + loss_unabsorbed account for the full input excitation. F is beta^2 at
+    the peak, read off the exact forms; the two losses integrate r_out and
+    beta^2 over the schedule (`_losses`), and the unabsorbed input is 1 less
+    the integral of r_in up to tau_max. None is derived from the others, so
+    their sum reaching 1 is a genuine cross-check rather than an identity.
     """
 
     tau_c: float
@@ -934,9 +933,10 @@ class TransferReport:
 
 def _losses(schedule: CouplingSchedule, tau_max: float) -> tuple[float, float]:
     """Stage-1 reflection, the integral of r_out over the stage-1 parts of
-    [0, tau_max], and intrinsic loss, kappa_i times the integral of beta^2."""
+    [0, tau_max], and intrinsic loss, kappa_i times the integral of beta^2.
+    Two routes (`_segment_integral`): adaptive quad on an analytic profile,
+    one Kronrod rule per knot interval on a table."""
     profile, k = schedule.profile, schedule.params.kappa_i
-    table = profile.kind == prof.TABULATED
     reflection = intrinsic = 0.0
     for seg in schedule.segments:
         hi = min(seg.t1, tau_max)
@@ -953,26 +953,36 @@ def _losses(schedule: CouplingSchedule, tau_max: float) -> tuple[float, float]:
                 w = _beta(s) + np.sqrt(prof.rate_at(profile, s))
                 return w * w
 
-            reflection += prof._quad_chunked(
-                r_out, seg.t0, hi, breaks, 1e-12, r_out_array if table else None)
+            reflection += _segment_integral(profile, seg, r_out, r_out_array,
+                                            breaks, hi)
         if k != 0.0:
-            # Quadrature nodes lie inside (t0, hi), so this is schedule.beta_sq.
-            intrinsic += prof._quad_chunked(
-                seg.beta_sq, seg.t0, hi, breaks, 1e-12,
-                seg.beta_sq_array if table else None)
+            # Nodes lie inside (t0, hi), so this is schedule.beta_sq.
+            intrinsic += _segment_integral(profile, seg, seg.beta_sq,
+                                           seg.beta_sq_array, breaks, hi)
     if k != 0.0 and tau_max > schedule.horizon:
         # The input is extinct past the horizon: one interval, no breaks.
-        intrinsic += quad(_tail_population(schedule), schedule.horizon,
-                          tau_max, limit=200, epsabs=1e-10, epsrel=1e-12)[0]
+        intrinsic += quad(schedule._tail, schedule.horizon, tau_max,
+                          limit=200, epsabs=1e-10, epsrel=1e-12)[0]
     return reflection, k * intrinsic
 
 
-def _tail_population(schedule: CouplingSchedule) -> Callable[[float], float]:
-    """tau -> beta^2(tau) past the horizon: the quadrature form from the
-    last segment's value at the horizon."""
-    pop = schedule.segments[-1].at(schedule.horizon)
-    return lambda t: _stage2_pop(schedule.profile, schedule.params.kappa_i,
-                                 schedule.horizon, pop, t)
+def _segment_integral(profile: prof.InputProfile, seg: _Segment, f, f_array,
+                      breaks: list[float], hi: float) -> float:
+    """The integral of f (f_array on arrays) over [seg.t0, hi], split at
+    the knots `breaks`. A table's integrands are smooth between knots, where
+    r_in is a cubic and the exact forms are power series, so each knot
+    interval takes one Kronrod rule, all at once; only one that holds a
+    stage-1 quadrature piece (`fallback`, where r_in reaches 0 and
+    sqrt(r_in) has a branch point) takes quad, as analytic profiles do."""
+    if profile.kind != prof.TABULATED:
+        return prof._quad_chunked(f, seg.t0, hi, breaks, 1e-12)
+    edges = [seg.t0] + breaks + [hi]
+    parts = prof._kronrod(f_array, edges)
+    for i in {bisect_right(edges, seg.sol._knots[j]) - 1
+              for j in seg.sol.fallback}:
+        if i < len(parts):
+            parts[i] = prof._quad_chunked(f, edges[i], edges[i + 1], [], 1e-12)
+    return float(parts.sum())
 
 
 def _slope(schedule: CouplingSchedule, ts: np.ndarray) -> np.ndarray:
@@ -1027,8 +1037,8 @@ def _local_maxima(schedule: CouplingSchedule) -> list[tuple[float, float]]:
 
 def _tail_peak(schedule: CouplingSchedule) -> tuple[float, float]:
     """(tau, beta^2(tau)) at the peak past the horizon, where the input is
-    effectively extinct (`_tail_population`)."""
-    pop = _tail_population(schedule)
+    effectively extinct (`CouplingSchedule._tail`)."""
+    pop = schedule._tail
     tail_slope = lambda t: prof.rate_at(schedule.profile, t) \
         - schedule.params.kappa_i * pop(t)
     left = schedule.horizon

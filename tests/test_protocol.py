@@ -718,6 +718,22 @@ def test_schedule_extends_beyond_horizon():
         cf.exp_population(0.5, 1e-3, tau), rel=1e-8)
 
 
+@pytest.mark.parametrize("case", ["exp_point", "gauss", "resumed",
+                                  "heavy_loss"])
+def test_population_is_continuous_at_the_horizon(case):
+    """Past the horizon beta^2 goes on from the last segment's value there
+    (`CouplingSchedule._tail`): one ulp past the horizon it lies within 2
+    ulp, plus its slope times that step, of the value at the horizon, on
+    floats and arrays alike."""
+    sch = _schedule(case)
+    h, k = sch.horizon, sch.params.kappa_i
+    past = math.nextafter(h, math.inf)
+    at, after = sch.beta_sq(h), sch.beta_sq(past)
+    slope = prof.rate_at(sch.profile, h) + k * at
+    assert abs(after - at) <= 2.0 * math.ulp(at) + slope * (past - h)
+    assert sch.beta_sq(np.array([h, past])).tolist() == [at, after]
+
+
 # ---------------------------------------------------------------------------
 # feasibility guard (multi-hump inputs)
 # ---------------------------------------------------------------------------
