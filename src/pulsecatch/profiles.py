@@ -316,11 +316,12 @@ _EPSREL = 1e-12
 def _kronrod(f: Callable[[np.ndarray], np.ndarray], edges) -> np.ndarray:
     """The 21-point Kronrod rule on each interval between `edges`: the
     integral of f there. f takes the nodes of every interval in one flat
-    array and gives its value at each."""
+    array and gives its value at each, or rows of such values."""
     e = np.asarray(edges, dtype=float)
     centr, hlgth = 0.5 * (e[1:] + e[:-1]), 0.5 * (e[1:] - e[:-1])
-    fx = f((centr + hlgth * _NODES).ravel()).reshape(len(_NODES), -1)
-    return hlgth * (_WEIGHTS * fx).sum(axis=0)
+    fx = f((centr + hlgth * _NODES).ravel())
+    fx = fx.reshape(fx.shape[:-1] + (len(_NODES), -1))
+    return hlgth * (_WEIGHTS * fx).sum(axis=-2)
 
 
 def _quad_chunked(f: Callable[[float], float], a: float, b: float,

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -449,6 +449,7 @@ _TAIL = 2.0 ** -60       # series terms below this share of the leading one are 
 _SPREAD = 0.5            # largest sum_j |c_j| h^j / c_0 of a table's root piece
 _MAX_TERMS = 60          # longest series
 _CHUNK = 32              # pieces of the first stage-1 chunk; each next doubles
+_FILL = np.arange(1.0, 64.0) / 64.0     # a crowded piece's interior samples
 
 
 def _horner(coefs, v):
@@ -688,6 +689,15 @@ class _ExactLinear:
         """[d_1, .., d_M] of each piece, for `at`."""
         return np.array(self._d).T.tolist()
 
+    @cached_property
+    def _a(self) -> np.ndarray:
+        """Rows a_1..a_M over the pieces, a_m = g_m y_i + d_m: on a piece
+        but a fallback one, y(o + v) = y_i + lo_i + sum_m a_m v^m."""
+        a = np.zeros((max(len(self._g), len(self._d)), len(self._y)))
+        a[:len(self._g)] = np.multiply.outer(self._g, self._y_array)
+        a[:len(self._d)] += self._d
+        return a
+
     @classmethod
     def _propagated(cls, ts, y0, lo0, d, g, fallback=(), quad=None):
         """(the pieces between `ts` from y(ts[0]) = y0 + lo0, the recurrence's
@@ -916,10 +926,12 @@ class TransferReport:
 
     The four contributions fidelity + loss_stage1_reflection + loss_intrinsic
     + loss_unabsorbed account for the full input excitation. F is beta^2 at
-    the peak, read off the exact forms; the two losses integrate r_out and
-    beta^2 over the schedule (`_losses`), and the unabsorbed input is 1 less
-    the integral of r_in up to tau_max. None is derived from the others, so
-    their sum reaching 1 is a genuine cross-check rather than an identity.
+    the peak, read off the exact forms. The losses (`_losses`) take one
+    Kronrod rule per stage-1 piece and the exact integral of stage 2's
+    series; the unabsorbed input is 1 less `cumulative` (analytic pulses)
+    or `total_excitation` (tables) at tau_max. None is derived from the
+    others, so their sum reaching 1 checks F and the stage-2 series against
+    the integral of r_in, and stage 1 against the rule.
     """
 
     tau_c: float
@@ -933,32 +945,35 @@ class TransferReport:
 
 def _losses(schedule: CouplingSchedule, tau_max: float) -> tuple[float, float]:
     """Stage-1 reflection, the integral of r_out over the stage-1 parts of
-    [0, tau_max], and intrinsic loss, kappa_i times the integral of beta^2.
-    Two routes (`_segment_integral`): adaptive quad on an analytic profile,
-    one Kronrod rule per knot interval on a table."""
+    [0, tau_max], and intrinsic loss, kappa_i times the integral of beta^2:
+    in stage 1 one Kronrod rule per piece (`_segment_integral`), in stage 2
+    the series' integral over piece i up to w_i = min(h_i, tau_max - t_i),
+    w_i (y_i + lo_i) + sum_m a_m w_i^(m+1)/(m+1), and quad past the horizon."""
     profile, k = schedule.profile, schedule.params.kappa_i
     reflection = intrinsic = 0.0
     for seg in schedule.segments:
         hi = min(seg.t1, tau_max)
         if hi <= seg.t0:
             break
-        breaks = prof._interior_breaks(profile, seg.t0, hi)
-        if seg.stage == 1:
+        sol = seg.sol
+        n = bisect_left(sol._knots, hi)
+        edges = sol._knots[:n] + [hi]
+        if seg.stage == 2:         # no fallback piece
+            if k != 0.0:
+                w, m = np.diff(edges), np.arange(1.0, len(sol._a) + 1.0)[:, None]
+                y = sol._y_array[:n] + sol._lo_array[:n]
+                series = (sol._a[:, :n] * w ** m / (m + 1.0)).sum(axis=0)
+                intrinsic += float(np.sum(w * (y + series)))
+            continue
 
-            def r_out(s, _beta=seg.at):
-                w = _beta(s) + math.sqrt(prof.rate_at(profile, s))
-                return w * w
+        def r_out_beta_sq(s, _beta=seg.dense):
+            # Nodes lie inside (t0, hi), so b * b is schedule.beta_sq.
+            b = _beta(s)
+            w = b + np.sqrt(prof.rate_at(profile, s))
+            return np.array([w * w, b * b])
 
-            def r_out_array(s, _beta=seg.dense):
-                w = _beta(s) + np.sqrt(prof.rate_at(profile, s))
-                return w * w
-
-            reflection += _segment_integral(profile, seg, r_out, r_out_array,
-                                            breaks, hi)
-        if k != 0.0:
-            # Nodes lie inside (t0, hi), so this is schedule.beta_sq.
-            intrinsic += _segment_integral(profile, seg, seg.beta_sq,
-                                           seg.beta_sq_array, breaks, hi)
+        r_out, beta_sq = _segment_integral(seg, r_out_beta_sq, edges)
+        reflection, intrinsic = reflection + r_out, intrinsic + beta_sq
     if k != 0.0 and tau_max > schedule.horizon:
         # The input is extinct past the horizon: one interval, no breaks.
         intrinsic += quad(schedule._tail, schedule.horizon, tau_max,
@@ -966,23 +981,17 @@ def _losses(schedule: CouplingSchedule, tau_max: float) -> tuple[float, float]:
     return reflection, k * intrinsic
 
 
-def _segment_integral(profile: prof.InputProfile, seg: _Segment, f, f_array,
-                      breaks: list[float], hi: float) -> float:
-    """The integral of f (f_array on arrays) over [seg.t0, hi], split at
-    the knots `breaks`. A table's integrands are smooth between knots, where
-    r_in is a cubic and the exact forms are power series, so each knot
-    interval takes one Kronrod rule, all at once; only one that holds a
-    stage-1 quadrature piece (`fallback`, where r_in reaches 0 and
-    sqrt(r_in) has a branch point) takes quad, as analytic profiles do."""
-    if profile.kind != prof.TABULATED:
-        return prof._quad_chunked(f, seg.t0, hi, breaks, 1e-12)
-    edges = [seg.t0] + breaks + [hi]
-    parts = prof._kronrod(f_array, edges)
-    for i in {bisect_right(edges, seg.sol._knots[j]) - 1
-              for j in seg.sol.fallback}:
-        if i < len(parts):
-            parts[i] = prof._quad_chunked(f, edges[i], edges[i + 1], [], 1e-12)
-    return float(parts.sum())
+def _segment_integral(seg: _Segment, f, edges: list[float]) -> list[float]:
+    """The integrals of the rows of f (on arrays) over a stage-1 segment's
+    pieces up to `edges`: one Kronrod rule per piece, all at once, where the
+    exact form is a power series; a quadrature piece (`fallback`, where
+    sqrt(r_in) has a branch point) takes quad, on floats."""
+    parts = prof._kronrod(f, edges)
+    for i in seg.sol.fallback:
+        for j, row in enumerate(parts if i < parts.shape[1] else ()):
+            row[i] = prof._quad_chunked(lambda t: float(f(np.array([t]))[j, 0]),
+                                        edges[i], edges[i + 1], [], 1e-12)
+    return parts.sum(axis=1).tolist()
 
 
 def _slope(schedule: CouplingSchedule, ts: np.ndarray) -> np.ndarray:
@@ -1001,37 +1010,73 @@ def _slope(schedule: CouplingSchedule, ts: np.ndarray) -> np.ndarray:
                     rate - k * np.where(b < 0.0, 0.0, b))
 
 
+@lru_cache(maxsize=None)
+def _bernstein(n: int) -> np.ndarray:
+    """T @ f: the Bernstein coefficients on [0, 1] of sum_j f_j u^j, j < n."""
+    return np.array([[math.comb(i, j) / math.comb(n - 1, j)
+                      for j in range(n)] for i in range(n)])
+
+
+def _peak_samples(schedule: CouplingSchedule, first: float) -> np.ndarray:
+    """Sorted samples from first to the horizon, each piece start and
+    segment end among them, that bracket every root of the slope. On a
+    piece it has the sign of y' = sum_m m a_m v^(m-1) (y = beta^2, stage 2)
+    or -y' (y = beta < 0). The Bernstein coefficients of f(u) = h y'(h u)
+    on [0, 1] change sign at least as often as f has roots (Collins and
+    Akritas, Proc. ACM SYMSAC 1976). If they change sign at most once, none
+    within 1e-13 sum_j |f_j| of 0, the piece ends bracket its one root; any
+    other piece, or a fallback one, gets 63 interior samples too."""
+    out = [np.array([first])]
+    for sol in [seg.sol for seg in schedule.segments if seg.t1 > first]:
+        h = np.diff(sol.ts)
+        m = np.arange(1.0, len(sol._a) + 1.0)[:, None]
+        with np.errstate(all="ignore"):
+            f = m * sol._a * h ** m
+            b = _bernstein(len(f)) @ f
+            sign = np.sign(b)
+            crowded = ((sign[1:] != sign[:-1]).sum(axis=0) > 1) \
+                | (np.abs(b) <= 1e-13 * np.abs(f).sum(axis=0)).any(axis=0) \
+                | ~np.isfinite(b).all(axis=0)
+        crowded[list(sol.fallback)] = True
+        i = np.flatnonzero(crowded)
+        out += [sol.ts, (sol.ts[i, None] + h[i, None] * _FILL).ravel()]
+    ts = np.unique(np.concatenate(out))
+    return ts[ts >= first]
+
+
 def _local_maxima(schedule: CouplingSchedule) -> list[tuple[float, float]]:
     """(tau, beta^2(tau)) at every tau in [tau_c, horizon] where the slope
-    crosses zero downward.
+    crosses zero downward, and past the horizon as below.
 
-    Log-spaced offsets from tau_c: the peak can sit anywhere between just
-    past the threshold (strong damping) and far in the tail (weak damping),
-    and a uniform grid over a long horizon would step right over early ones.
-    A multi-hump input can produce several local maxima (population dips in
-    resumed stage-1 windows), so all crossings are collected.
+    The slope is sampled where `_peak_samples` isolates its roots, from
+    1e-6 max(tau_c, 1) past tau_c on: no fixed grid steps over a narrow
+    peak. A multi-hump input can produce several local maxima (population
+    dips in resumed stage-1 windows), so all crossings are collected. With
+    kappa_i > 0, so is `_tail_peak` where beta^2 still rises at the horizon.
 
     In a stage-2 stretch the root of r_in - kappa_i beta^2 is polished on
-    the segment's exact form, and the peak's beta^2 is the schedule's there;
-    a bracket that form does not take is polished on the slope itself.
+    the segment's exact form to a few ulps, as tau_c is, and the peak's
+    beta^2 is the schedule's there; a bracket that form does not take is
+    polished on the slope itself.
     """
     profile, k = schedule.profile, schedule.params.kappa_i
-    lo, hi = schedule.tau_c, schedule.horizon
-    delta0 = 1e-6 * max(lo, 1.0)
-    ts = lo + np.geomspace(delta0, hi - lo, 4097)
-    peaks = []
-    for i in _down(_slope(schedule, ts)).tolist():
+    ts = _peak_samples(schedule,
+                       schedule.tau_c + 1e-6 * max(schedule.tau_c, 1.0))
+    slope, peaks = _slope(schedule, ts), []
+    for i in _down(slope).tolist():
         a, b = float(ts[i]), float(ts[i + 1])
         seg = schedule._segment_at(0.5 * (a + b))
         h = lambda t: prof.rate_at(profile, t) - k * seg.at(t)
         if seg.stage == 2 and h(a) > 0.0 >= h(b):
-            root = brentq(h, a, b, xtol=1e-10, rtol=8.9e-16, maxiter=200)
+            root = brentq(h, a, b, xtol=1e-300, rtol=4 * _EPS, maxiter=200)
         else:
             root = brentq(lambda t: float(_slope(schedule, np.array([t]))[0]),
-                          a, b, xtol=1e-10, rtol=8.9e-16, maxiter=200)
+                          a, b, xtol=1e-300, rtol=4 * _EPS, maxiter=200)
         peaks.append((float(root), schedule.beta_sq(float(root))))
         if len(peaks) >= 64:
             break
+    if k != 0.0 and slope[-1] > 0.0:
+        peaks.append(_tail_peak(schedule))
     return peaks
 
 
@@ -1083,12 +1128,14 @@ def peak_time_and_fidelity(profile: prof.InputProfile, params: prof.MemoryParams
     tau_max, fidelity = max(candidates, key=lambda tf: (tf[1], -tf[0]))
 
     reflection, intrinsic = _losses(schedule, tau_max)
+    absorbed = (prof.cumulative if profile.kind != prof.TABULATED
+                else prof.total_excitation)(profile, tau_max)
     return TransferReport(
         tau_c=schedule.tau_c,
         tau_max=tau_max,
         fidelity=fidelity,
         loss_stage1_reflection=reflection,
         loss_intrinsic=intrinsic,
-        loss_unabsorbed=1.0 - prof.total_excitation(profile, tau_max),
+        loss_unabsorbed=1.0 - absorbed,
         flags=flags,
     )

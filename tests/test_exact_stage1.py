@@ -21,7 +21,8 @@ from scipy.integrate._ivp.rk import Dop853DenseOutput
 from pulsecatch import profiles as prof
 from pulsecatch import protocol as proto
 from pulsecatch.errors import PulsecatchError
-from test_batched import _close, _scalar_route, narrow_tables
+from test_batched import (_close, _scalar_absorbed, _scalar_losses,
+                          narrow_tables)
 from test_exact_stage2 import _knot_aligned_steps
 from test_protocol import (_catch_table, _coarse_table, _delayed_table,
                            _double_hump, _refuse_ode, _whole_window_threshold)
@@ -278,23 +279,18 @@ def test_quadrature_pieces_are_the_quadrature_form(monkeypatch):
     ("long_pieces", 1e-4), ("long_pieces", 0.5), ("sqrt_edge", 1e-4),
     ("sqrt_edge", 0.5)])
 def test_losses_take_quad_on_quadrature_pieces(name, kappa_i, monkeypatch):
-    """In `_losses` each knot interval that holds a stage-1 quadrature piece
-    goes to quad, and only those: the Kronrod rule takes the others. The
-    losses up to the horizon and the input absorbed by the peak lie within
-    1e-15 of adaptive `quad` on every knot interval."""
+    """In `_losses` each stage-1 quadrature piece goes to quad, and only
+    those pieces, not their knot intervals: the Kronrod rule takes the
+    others. The losses up to the horizon and the input absorbed by the peak
+    lie within 1e-15 of adaptive `quad` on every knot interval."""
     table = {"delayed": _delayed_table, "zero_run": _zero_run_table,
              "long_pieces": _long_piece_table,
              "sqrt_edge": _sqrt_edge_table}[name]()
     params = _params(kappa_i)
     sch = proto.build_schedule(table, params)
     report = proto.peak_time_and_fidelity(table, params, sch)
-    want = set()
-    for seg in sch.segments:
-        edges = [seg.t0] + prof._interior_breaks(table, seg.t0, seg.t1) \
-            + [seg.t1]
-        for j in seg.sol.fallback:
-            i = int(np.searchsorted(edges, seg.sol.ts[j], side="right")) - 1
-            want.add((edges[i], edges[i + 1]))
+    want = {(seg.sol._knots[j], seg.sol._knots[j + 1])
+            for seg in sch.segments for j in seg.sol.fallback}
     assert want
     rough, inner = [], prof._quad_chunked
 
@@ -307,10 +303,9 @@ def test_losses_take_quad_on_quadrature_pieces(name, kappa_i, monkeypatch):
     losses = proto._losses(sch, sch.horizon)
     assert set(rough) == want
     monkeypatch.setattr(prof, "_quad_chunked", inner)
-    with _scalar_route():
-        assert _close(losses, proto._losses(sch, sch.horizon))
-        assert _close([prof.total_excitation(table, report.tau_max)],
-                      [1.0 - report.loss_unabsorbed])
+    assert _close(losses, _scalar_losses(sch, sch.horizon))
+    assert _close([_scalar_absorbed(table, report.tau_max)],
+                  [1.0 - report.loss_unabsorbed])
 
 
 @pytest.mark.parametrize("case", ["faint", "twin", "resumed", "coarse",

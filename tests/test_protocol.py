@@ -14,6 +14,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from scipy.integrate import solve_ivp
 from scipy.integrate._ivp.rk import RungeKutta
 from scipy.optimize import brentq
@@ -22,8 +23,8 @@ from pulsecatch import closedform as cf
 from pulsecatch import profiles as prof
 from pulsecatch import protocol as proto
 from pulsecatch.errors import (DomainError, InfeasibleSchedule, NoThreshold,
-                               SingularCoupling)
-from test_batched import _same_bits, odesolution
+                               PulsecatchError, SingularCoupling)
+from test_batched import _same_bits, narrow_tables, odesolution
 
 
 def _params(ki: float = 1e-4) -> prof.MemoryParams:
@@ -482,8 +483,10 @@ def _resumed_analytic() -> proto.CouplingSchedule:
 
 
 def _maxima_brackets(sch: proto.CouplingSchedule):
-    """`_local_maxima`'s brackets: the downward slope crossings on its
-    log-spaced grid, each with the segment holding its midpoint."""
+    """The oracle's brackets: the downward slope crossings on the 4097-point
+    log-spaced grid `_local_maxima` used to scan, each with the segment
+    holding its midpoint. Each polish runs to a few ulps, so its root does
+    not depend on the bracket."""
     lo, hi = sch.tau_c, sch.horizon
     ts = lo + np.geomspace(1e-6 * max(lo, 1.0), hi - lo, 4097)
     vals = proto._slope(sch, ts)
@@ -495,8 +498,9 @@ def _maxima_brackets(sch: proto.CouplingSchedule):
 def _full_window_peaks(sch: proto.CouplingSchedule):
     """The stage-2 peaks on the quadrature route: every slope r_in -
     kappa_i beta^2 and the peak's population take beta^2 by
-    `stage2_population` from the stretch's threshold. Past the horizon, the
-    same on `_tail_peak`'s scan."""
+    `stage2_population` from the stretch's threshold, and each root is
+    polished to a few ulps, as `_local_maxima` polishes. Past the horizon,
+    the same on `_tail_peak`'s scan."""
     profile, params = sch.profile, sch.params
 
     def polish(t0, a, b):
@@ -504,7 +508,7 @@ def _full_window_peaks(sch: proto.CouplingSchedule):
         h = lambda t: prof.rate_at(profile, t) - params.kappa_i * pop(t)
         if not h(a) > 0.0 >= h(b):
             return None
-        root = brentq(h, a, b, xtol=1e-10, rtol=8.9e-16, maxiter=200)
+        root = brentq(h, a, b, xtol=1e-300, rtol=4 * _EPS, maxiter=200)
         return root, pop(root)
 
     peaks = []
@@ -654,6 +658,89 @@ def test_table_polish_integrates_from_the_anchor(case, monkeypatch):
     assert 0.0 <= min(spans) and max(spans) <= np.diff(profile.taus).max()
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 27, 60])
+def test_bernstein_coefficients_give_the_polynomial(n):
+    """`_bernstein(n) @ f` are the Bernstein coefficients of sum_j f_j u^j:
+    sum_i b_i C(n-1, i) u^i (1 - u)^(n-1-i) is the polynomial on [0, 1],
+    within 1e-14 of sum_j |f_j|, and b_0, b_{n-1} are its end values."""
+    f = np.random.default_rng(n).normal(size=n)
+    b = proto._bernstein(n) @ f
+    u = np.linspace(0.0, 1.0, 101)
+    basis = np.array([math.comb(n - 1, i) * u ** i * (1.0 - u) ** (n - 1 - i)
+                      for i in range(n)])
+    want = np.polynomial.polynomial.polyval(u, f)
+    assert np.abs(b @ basis - want).max() <= 1e-14 * np.abs(f).sum()
+    assert b[0] == f[0] and abs(b[-1] - f.sum()) <= 1e-14 * np.abs(f).sum()
+
+
+def _spiked_table(faint: bool, knot: int) -> prof.InputProfile:
+    """`_catch_table(3, faint)` with its rates scaled by 0.995 and 0.25
+    added at one knot late in the main hump: a one-knot spike that lifts
+    the population to a higher, narrow peak."""
+    base = _catch_table(3, faint)
+    rates = base.rates * 0.995
+    rates[knot] += 0.25
+    return prof.tabulated(base.taus, rates)
+
+
+def _assert_global_peak(sch: proto.CouplingSchedule,
+                        rep: proto.TransferReport, near: bool = True):
+    """F is at least the largest beta^2 on 300,001 points over [tau_c,
+    horizon], less 1e-12, and (with near) tau_max lies within two grid
+    steps of that point."""
+    grid = np.linspace(sch.tau_c, sch.horizon, 300001)
+    pop = sch.beta_sq(grid)
+    j = int(pop.argmax())
+    assert rep.fidelity >= pop[j] - 1e-12, (rep.tau_max, grid[j])
+    if near:
+        assert abs(rep.tau_max - grid[j]) <= 2.0 * (grid[1] - grid[0])
+
+
+@pytest.mark.parametrize("knot", [1300, 1350])
+@pytest.mark.parametrize("faint", [False, True], ids=["twin", "faint"])
+def test_narrow_spike_peak_is_not_missed(faint, knot):
+    """A spike one knot wide (tau = 26.0 or 27.0) raises the population
+    past the main hump's peak. The report finds that peak: the slope is
+    sampled where its roots are isolated on the pieces, not on a fixed
+    grid, which put F at the earlier, lower peak (0.98125 instead of
+    0.98607 on the twin table)."""
+    table, params = _spiked_table(faint, knot), _params()
+    sch = proto.build_schedule(table, params)
+    assert ("feasibility_resumed" in sch.flags) == faint
+    _assert_global_peak(sch, proto.peak_time_and_fidelity(table, params, sch))
+
+
+def test_peak_at_the_horizon_is_not_missed():
+    """A table whose last rate is far from 0, with a zero sample at its
+    second knot: the population peaks early at 6e-5 (the zero sample),
+    then rises to 0.78 at the horizon, where the input stops. The report
+    compares the peak past the horizon too, where the population still
+    rises at the horizon; it used to report the early peak."""
+    taus = np.linspace(0.0, 2.0, 41)
+    rates = np.exp(-0.5 * ((taus - 1.0) / 0.5) ** 2)
+    rates[1] = 0.0
+    table, params = prof.tabulated(taus, rates / np.trapezoid(rates, taus)), \
+        _params()
+    sch = proto.build_schedule(table, params)
+    rep = proto.peak_time_and_fidelity(table, params, sch)
+    assert rep.fidelity > 0.78
+    _assert_global_peak(sch, rep)
+
+
+@settings(max_examples=40, deadline=None)
+@given(table=narrow_tables())
+def test_peak_is_the_global_maximum_on_narrow_tables(table):
+    """On tables with humps down to 1.5 knot spacings wide, F is at least
+    the population's maximum over [tau_c, horizon] on a fine grid."""
+    params = _params()
+    try:
+        sch = proto.build_schedule(table, params)
+        rep = proto.peak_time_and_fidelity(table, params, sch)
+    except PulsecatchError:
+        return
+    _assert_global_peak(sch, rep, near=False)
+
+
 # ---------------------------------------------------------------------------
 # schedule structure
 # ---------------------------------------------------------------------------
@@ -788,10 +875,15 @@ def _schedule(case: str) -> proto.CouplingSchedule:
 
 class _Drained:
     """A stage-2 solution whose population is forced to 0 from t_zero on:
-    a population that underflows while the input still arrives."""
+    a population that underflows while the input still arrives. Its pieces
+    and series (`ts`, `fallback`, the rows the report reads) are those of
+    the solution it wraps."""
 
     def __init__(self, sol, t_zero: float):
-        self.sol, self.ts, self.t_zero = sol, sol.ts, t_zero
+        self.sol, self.t_zero = sol, t_zero
+
+    def __getattr__(self, name: str):
+        return getattr(self.sol, name)
 
     def at(self, t: float) -> float:
         return 0.0 if t >= self.t_zero else self.sol.at(t)
