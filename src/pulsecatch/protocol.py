@@ -7,11 +7,12 @@ kappa(tau) = r_in(tau)/beta^2(tau), under which the memory absorbs the rest of
 the input without reflecting anything.
 
 Both stages solve y' = p(tau) - k y, which the solver propagates exactly
-over pieces where p is a power series (`_ExactLinear`), and the roots are
-polished on those exact forms. The quadrature forms (`stage1_amplitude`,
-`stage2_population`) and the closed forms in `closedform` are its oracles.
-Sign conventions: the source amplitude beta1 is >= 0 and the memory
-amplitude beta is <= 0 everywhere.
+over pieces where p is a power series (`_ExactLinear`). Each root sought
+(threshold, feasibility violation, peak) is one of a linear form in y and
+y' there, bracketed piece by piece (`_ExactLinear.samples`) and polished
+on the exact forms; `stage1_amplitude`, `stage2_population` and
+`closedform` are its oracles. Sign conventions: the source amplitude
+beta1 is >= 0 and the memory amplitude beta is <= 0 everywhere.
 
 For inputs that rise too steeply the zero-reflection law can demand
 kappa > kappa_max after a first, tangential threshold. `build_schedule`
@@ -129,17 +130,17 @@ def _down(g: np.ndarray) -> np.ndarray:
 
 def _threshold_bracket(profile: prof.InputProfile, kappa_i: float,
                        t_start: float, beta_start: float, end: float):
-    """Grid bracket (lo, hi) of the first downward crossing of
+    """Bracket (lo, hi) of the first downward crossing of
     g(tau) = sqrt(r_in(tau)) + beta(tau) past t_start, and the stage-1
     solution from t_start up to the chunk holding hi.
 
-    The fixed 8193-point grid runs from t0 to end: t0 is t_start or, past a
-    leading stretch where r_in vanishes identically (g would sit at 0 for a
-    fresh memory), the input's activation. The scan is deliberate: slowly
-    varying inputs make g dip below zero and come back, and a solver's
-    steps can stride across the whole dip. Stage 1 is propagated exactly in
-    chunks (`_ExactLinear.stage1`), each chunk's grid points evaluated in
-    order by its dense form, and the scan stops at the first crossing.
+    The scan runs from t0 to end: t0 is t_start or, past a leading stretch
+    where r_in vanishes identically (g would sit at 0 for a fresh memory),
+    the input's activation. Stage 1 is propagated exactly in chunks
+    (`_ExactLinear.stage1`), and the scan stops at the first chunk holding
+    a crossing. There sqrt(r_in) = -beta' - k beta (k = (1 + kappa_i)/2),
+    so g = (1 - k) beta - beta', and the chunk's `samples` of it bracket
+    every root: no dip of g, however narrow, falls between two of them.
     """
     activation = _activation_time(profile)
     if activation is None:
@@ -148,30 +149,18 @@ def _threshold_bracket(profile: prof.InputProfile, kappa_i: float,
     if t0 >= end:
         raise NoThreshold("input activates only beyond the search horizon")
     parts = []
-    grid = np.linspace(t0, end, 8193)
-    done = 0            # grid points scanned so far
-    g_last = 0.0        # g at the last of them
     for chunk in _ExactLinear.stage1(profile, kappa_i, t_start, beta_start,
                                      t0, end):
+        ts = chunk.samples(0.5 * (1.0 - kappa_i), -1.0, 0.0, t0)
+        g = np.sqrt(prof.rate_at(profile, ts)) + chunk.dense(ts)
+        if parts:       # the last chunk's end, as the scan saw it there
+            g[0] = g_last
         parts.append(chunk)
-        # The grid points up to the first piece start where g <= 0, where
-        # the crossing usually is, go first, then the rest of the chunk's.
-        low = np.flatnonzero(np.sqrt(prof.rate_at(profile, chunk.ts[:-1]))
-                             + chunk._y_array <= 0.0)
-        for stop in np.searchsorted(grid, [*chunk.ts[low[:1]], chunk.ts[-1]],
-                                    side="right").tolist():
-            if stop <= done:
-                continue
-            g = np.sqrt(prof.rate_at(profile, grid[done:stop])) \
-                + chunk.dense(grid[done:stop])
-            if done:
-                g = np.concatenate(([g_last], g))
-            down = _down(g)
-            if len(down):
-                i = max(done - 1, 0) + int(down[0])
-                return float(grid[i]), float(grid[i + 1]), \
-                    _ExactLinear.join(parts)
-            done, g_last = stop, float(g[-1])
+        down = _down(g)
+        if len(down):
+            i = int(down[0])
+            return float(ts[i]), float(ts[i + 1]), _ExactLinear.join(parts)
+        g_last = g[-1]
     raise NoThreshold(
         f"stage-1 population never reaches the threshold in [{t0}, {end}]"
     )
@@ -229,11 +218,6 @@ class _Segment:
         """Stored population at a float t inside the segment."""
         val = self.at(t)
         return val * val if self.stage == 1 else max(val, 0.0)
-
-    def beta_sq_array(self, ts: np.ndarray) -> np.ndarray:
-        """`beta_sq` at each t of an array, bitwise."""
-        val = self.dense(ts)
-        return val * val if self.stage == 1 else np.where(val < 0.0, 0.0, val)
 
 
 @dataclass(frozen=True, eq=False)
@@ -498,7 +482,7 @@ def _pieces(profile, starts: list[float], end: float, parts):
 
 def _spread(c: list[np.ndarray], h: np.ndarray) -> np.ndarray:
     """sum_j |c_j| h^j / c_0 on each piece: inf where c_0 <= 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         out = ((np.abs(c[3]) * h + np.abs(c[2])) * h + np.abs(c[1])) * h / c[0]
     return np.where(c[0] > 0.0, out, np.inf)
 
@@ -770,8 +754,8 @@ class _ExactLinear:
             def parts(starts, h, piece):
                 spread = np.where(starts < t0, 0.0,
                                   _spread(_recentred(table, piece, starts), h))
-                need = np.where(np.isfinite(spread), np.minimum(np.ceil(
-                    spread / (0.5 * _SPREAD)), 32.0), 1.0)
+                need = np.where(np.isfinite(spread), np.ceil(np.minimum(
+                    spread, 16.0 * _SPREAD) / (0.5 * _SPREAD)), 1.0)
                 return np.maximum(np.maximum(np.ceil(2.0 * k * h), need), 1.0)
 
             ts, piece = _pieces(profile, [t_start] * (t_start < t0) + [t0]
@@ -847,6 +831,36 @@ class _ExactLinear:
                 out[j] = self.at(float(t[j]))
         return out
 
+    def samples(self, alpha: float, beta: float, const: float,
+                first: float) -> np.ndarray:
+        """Sorted samples at or past first, every piece start and end among
+        them, that bracket every root of f = alpha y + beta y' + const: on a
+        piece f(o + v) = sum_j c_j v^j, c_0 = alpha (y_i + lo_i) + beta a_1
+        + const, c_j = alpha a_j + beta (j + 1) a_{j+1}.
+        The Bernstein coefficients of f(o + h u) on [0, 1] change sign at
+        least as often as f has roots (Collins and Akritas, Proc. ACM
+        SYMSAC 1976). If they change sign at most once, none within 1e-13
+        sum_j |c_j| h^j of 0, the piece ends bracket its one root; any
+        other piece, or a fallback one, gets 63 interior samples too."""
+        h, a = np.diff(self.ts), self._a
+        n = len(a) + (alpha != 0.0)         # alpha a_M is the top row
+        c = np.zeros((n, len(h)))
+        c[0] = alpha * (self._y_array + self._lo_array) + const
+        c[:len(a)] += beta * np.arange(1.0, len(a) + 1.0)[:, None] * a
+        c[1:] += alpha * a[:n - 1]
+        with np.errstate(all="ignore"):
+            f = c * h ** np.arange(n)[:, None]
+            b = _bernstein(n) @ f
+            sign = np.sign(b)
+            crowded = ((sign[1:] != sign[:-1]).sum(axis=0) > 1) \
+                | (np.abs(b) <= 1e-13 * np.abs(f).sum(axis=0)).any(axis=0) \
+                | ~np.isfinite(b).all(axis=0)
+        crowded[list(self.fallback)] = True
+        i = np.flatnonzero(crowded)
+        ts = np.unique(np.concatenate(
+            (self.ts, (self.ts[i, None] + h[i, None] * _FILL).ravel())))
+        return ts[ts >= first]
+
 
 def _integrate_stage2(profile, kappa_i, tau_c, end):
     """Solve beta^2' = r_in - kappa_i beta^2 from beta^2 = r_in at tau_c,
@@ -857,26 +871,27 @@ def _integrate_stage2(profile, kappa_i, tau_c, end):
     carries an additive floor of 1e-13: once both the population and the
     input rate have decayed below it, the ratio r_in/beta^2 is noise and
     must not be mistaken for a violation. Stage 2 is propagated exactly
-    (`_ExactLinear.stage2`). As in `solve_ivp`'s event search, the
-    violation lies in the first piece whose end values have
-    g >= 0 >= g_new; `brentq` finds it there on the exact form, and the
-    solution ends there.
+    (`_ExactLinear.stage2`); there r_in = y' + kappa_i y (y = beta^2), so
+    the violation is (1 + slack/2 - kappa_i) y - y' + 1e-13, and `samples`
+    of it bracket each root, inside a piece too. As in `solve_ivp`'s event
+    search, it lies between the first samples with g >= 0 >= g_new;
+    `brentq` finds it there on the exact form, and the solution ends there.
     """
     def violation(t, y):
         return (1.0 + 0.5 * _KAPPA_SLACK) * y - prof.rate_at(profile, t) + 1e-13
 
-    sol, ys = _ExactLinear.stage2(profile, kappa_i, tau_c,
-                                  prof.rate_at(profile, tau_c), end)
-    g = violation(sol.ts, np.array(ys))
+    sol = _ExactLinear.stage2(profile, kappa_i, tau_c,
+                              prof.rate_at(profile, tau_c), end)[0]
+    ts = sol.samples(1.0 + 0.5 * _KAPPA_SLACK - kappa_i, -1.0, 1e-13, tau_c)
+    g = violation(ts, sol.dense(ts))
     down = np.flatnonzero((g[:-1] >= 0.0) & (g[1:] <= 0.0))
     if not len(down):
         return sol, None
     i = int(down[0])
-    lo = sol._knots[i]
-    root = brentq(lambda s: violation(s, sol.at(s)), lo, sol._knots[i + 1],
-                  xtol=4 * _EPS, rtol=4 * _EPS)
-    # as solve_ivp: a root at the piece's start ends the piece before
-    return sol.cut(i if root == lo and i > 0 else i + 1, root), root
+    root = brentq(lambda s: violation(s, sol.at(s)), float(ts[i]),
+                  float(ts[i + 1]), xtol=4 * _EPS, rtol=4 * _EPS)
+    # as solve_ivp: a root at a piece's start ends the piece before
+    return sol.cut(max(bisect_left(sol._knots, root), 1), root), root
 
 
 def build_schedule(profile: prof.InputProfile,
@@ -1019,29 +1034,12 @@ def _bernstein(n: int) -> np.ndarray:
 
 def _peak_samples(schedule: CouplingSchedule, first: float) -> np.ndarray:
     """Sorted samples from first to the horizon, each piece start and
-    segment end among them, that bracket every root of the slope. On a
-    piece it has the sign of y' = sum_m m a_m v^(m-1) (y = beta^2, stage 2)
-    or -y' (y = beta < 0). The Bernstein coefficients of f(u) = h y'(h u)
-    on [0, 1] change sign at least as often as f has roots (Collins and
-    Akritas, Proc. ACM SYMSAC 1976). If they change sign at most once, none
-    within 1e-13 sum_j |f_j| of 0, the piece ends bracket its one root; any
-    other piece, or a fallback one, gets 63 interior samples too."""
-    out = [np.array([first])]
-    for sol in [seg.sol for seg in schedule.segments if seg.t1 > first]:
-        h = np.diff(sol.ts)
-        m = np.arange(1.0, len(sol._a) + 1.0)[:, None]
-        with np.errstate(all="ignore"):
-            f = m * sol._a * h ** m
-            b = _bernstein(len(f)) @ f
-            sign = np.sign(b)
-            crowded = ((sign[1:] != sign[:-1]).sum(axis=0) > 1) \
-                | (np.abs(b) <= 1e-13 * np.abs(f).sum(axis=0)).any(axis=0) \
-                | ~np.isfinite(b).all(axis=0)
-        crowded[list(sol.fallback)] = True
-        i = np.flatnonzero(crowded)
-        out += [sol.ts, (sol.ts[i, None] + h[i, None] * _FILL).ravel()]
-    ts = np.unique(np.concatenate(out))
-    return ts[ts >= first]
+    segment end among them, that bracket every root of the slope: on each
+    segment, `_ExactLinear.samples` of y' (y = beta^2, stage 2) or -y'
+    (y = beta < 0, stage 1), whose sign the slope has."""
+    return np.unique(np.concatenate([[first]] + [
+        seg.sol.samples(0.0, 1.0 if seg.stage == 2 else -1.0, 0.0, first)
+        for seg in schedule.segments if seg.t1 > first]))
 
 
 def _local_maxima(schedule: CouplingSchedule) -> list[tuple[float, float]]:
@@ -1082,11 +1080,15 @@ def _local_maxima(schedule: CouplingSchedule) -> list[tuple[float, float]]:
 
 def _tail_peak(schedule: CouplingSchedule) -> tuple[float, float]:
     """(tau, beta^2(tau)) at the peak past the horizon, where the input is
-    effectively extinct (`CouplingSchedule._tail`)."""
+    effectively extinct (`CouplingSchedule._tail`), polished as every root
+    is; the horizon itself if the slope is <= 0 just past it (a table's
+    input stops there)."""
     pop = schedule._tail
     tail_slope = lambda t: prof.rate_at(schedule.profile, t) \
         - schedule.params.kappa_i * pop(t)
     left = schedule.horizon
+    if tail_slope(math.nextafter(left, math.inf)) <= 0.0:
+        return left, schedule.beta_sq(left)
     width = max(schedule.horizon - schedule.tau_c, 1.0)
     for _ in range(64):
         ts = np.linspace(left, left + width, 65)
@@ -1094,7 +1096,7 @@ def _tail_peak(schedule: CouplingSchedule) -> tuple[float, float]:
         if len(down):
             i = int(down[0])
             t = brentq(tail_slope, float(ts[i]), float(ts[i + 1]),
-                       xtol=1e-10, rtol=8.9e-16, maxiter=200)
+                       xtol=1e-300, rtol=4 * _EPS, maxiter=200)
             return t, pop(t)
         left += width
         width *= 2.0
@@ -1112,8 +1114,6 @@ def peak_time_and_fidelity(profile: prof.InputProfile, params: prof.MemoryParams
     population never decreases after the last threshold.
     """
     k = params.kappa_i
-    flags = schedule.flags
-
     candidates = _local_maxima(schedule)
     if k == 0.0:
         tau_c_last = schedule.last_tau_c
@@ -1137,5 +1137,5 @@ def peak_time_and_fidelity(profile: prof.InputProfile, params: prof.MemoryParams
         loss_stage1_reflection=reflection,
         loss_intrinsic=intrinsic,
         loss_unabsorbed=1.0 - absorbed,
-        flags=flags,
+        flags=schedule.flags,
     )

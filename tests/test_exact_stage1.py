@@ -406,8 +406,9 @@ def test_analytic_scan_makes_no_dense_output_call(profile, monkeypatch):
     segment of a build is an exact propagation."""
     params = _params()
     end = prof.horizon(profile)
-    _, lo, hi, tau_c, _ = _whole_window_threshold(profile, params.kappa_i,
-                                                  0.0, 0.0, end)
+    _, lo, hi, tau_c, _, grid_tau_c = _whole_window_threshold(
+        profile, params.kappa_i, 0.0, 0.0, end)
+    assert abs(tau_c - grid_tau_c) <= 8 * proto._EPS * tau_c
 
     def refuse(self, t):
         raise AssertionError("scipy dense-output call")

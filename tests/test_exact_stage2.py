@@ -241,7 +241,7 @@ def test_table_stage2_makes_no_rhs_call(faint, monkeypatch):
 
 def _tail_table() -> prof.InputProfile:
     """A table cut off at a nonzero rate (3.2e-3 at its last knot), so that
-    tau_max lies just past its horizon."""
+    the population peaks at its horizon, where the input stops."""
     rng = np.random.default_rng(147)
     gaps = rng.uniform(0.25, 1.0, 41)
     taus = 5.0 + np.concatenate(([0.0], np.cumsum(gaps))) * 23.0 / gaps.sum()
@@ -253,15 +253,20 @@ def _tail_table() -> prof.InputProfile:
 def test_past_horizon_loss_tail_is_quiet():
     """The intrinsic loss past the horizon integrates beta^2 anchored once
     before the horizon, not a full-window quadrature at each node, which
-    made quad warn here (pytest turns IntegrationWarning into an error)."""
+    made quad warn here (pytest turns IntegrationWarning into an error).
+    The report takes the peak at the horizon itself, where the input stops
+    (the tail polish used to put it 1e-10 past), so the losses are also
+    taken to 1 past the horizon."""
     profile, params = _tail_table(), _params(1e-3)
     assert profile.rates[-1] > 1e-3
     sch = proto.build_schedule(profile, params)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rep = proto.peak_time_and_fidelity(profile, params, sch)
-    assert rep.tau_max > sch.horizon
+        past = proto._losses(sch, sch.horizon + 1.0)[1]
+    assert rep.tau_max == sch.horizon
     total = (rep.fidelity + rep.loss_stage1_reflection + rep.loss_intrinsic
              + rep.loss_unabsorbed)
     assert abs(total - 1.0) <= 1e-14
     assert math.isfinite(rep.loss_intrinsic) and rep.loss_intrinsic > 0.0
+    assert math.isfinite(past) and past > rep.loss_intrinsic

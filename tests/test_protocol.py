@@ -14,7 +14,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 from scipy.integrate._ivp.rk import RungeKutta
 from scipy.optimize import brentq
@@ -120,26 +120,33 @@ def test_tabulated_resampling_reproduces_exponential_threshold():
 def _whole_window_threshold(profile, kappa_i, t_start, beta_start, end):
     """The threshold search done the long way: stage 1 propagated over the
     whole window [t0, end] in one object (all chunks joined), a scan of
-    g = sqrt(r_in) + beta on 8193 points, and the same polish on the exact
-    form. Returns (t0, lo, hi, tau_c, sol)."""
+    g = sqrt(r_in) + beta on its `samples` of (1 - k) beta - beta' (k =
+    (1 + kappa_i)/2), and the same polish on the exact form. Returns (t0,
+    lo, hi, tau_c, sol, and tau_c polished in the bracket of the
+    8193-point grid on [t0, end] that the scan used before)."""
     t0 = max(t_start, proto._activation_time(profile))
     whole = proto._ExactLinear.join(list(proto._ExactLinear.stage1(
         profile, kappa_i, t_start, beta_start, t0, end)))
     assert whole.ts[-1] == end
-    ts = np.linspace(t0, end, 8193)
-    g = np.sqrt(prof.rate_at(profile, ts)) + whole.dense(ts)
-    i = int(np.flatnonzero((g[:-1] > 0.0) & (g[1:] <= 0.0))[0])
-    lo, hi = float(ts[i]), float(ts[i + 1])
-    tau_c = brentq(lambda t: math.sqrt(prof.rate_at(profile, t)) + whole.at(t),
-                   lo, hi, xtol=1e-300, rtol=4 * _EPS, maxiter=200)
-    return t0, lo, hi, tau_c, whole
+
+    def scan(ts):
+        g = np.sqrt(prof.rate_at(profile, ts)) + whole.dense(ts)
+        i = int(np.flatnonzero((g[:-1] > 0.0) & (g[1:] <= 0.0))[0])
+        lo, hi = float(ts[i]), float(ts[i + 1])
+        return lo, hi, brentq(
+            lambda t: math.sqrt(prof.rate_at(profile, t)) + whole.at(t),
+            lo, hi, xtol=1e-300, rtol=4 * _EPS, maxiter=200)
+
+    lo, hi, tau_c = scan(whole.samples(0.5 * (1.0 - kappa_i), -1.0, 0.0, t0))
+    return t0, lo, hi, tau_c, whole, scan(np.linspace(t0, end, 8193))[2]
 
 
 @pytest.mark.parametrize("case", ["exp_point", "gauss", "delayed", "resumed"])
 def test_threshold_scan_equals_whole_window_scan(case):
     """Propagating stage 1 in chunks only to the first crossing finds the
     same bracket, threshold and propagation, bit for bit, as scanning the
-    whole window."""
+    whole window's samples; tau_c lies within 8 eps tau_c of the root
+    polished in the old 8193-point grid's bracket."""
     params = _params()
     t_start, beta_start = 0.0, 0.0
     if case == "delayed":
@@ -153,10 +160,11 @@ def test_threshold_scan_equals_whole_window_scan(case):
     else:
         profile = _schedule(case).profile
     end = prof.horizon(profile)
-    t0, lo, hi, tau_c, whole = _whole_window_threshold(
+    t0, lo, hi, tau_c, whole, grid_tau_c = _whole_window_threshold(
         profile, params.kappa_i, t_start, beta_start, end)
     if case in ("delayed", "resumed"):
         assert t0 > 0.0
+    assert abs(tau_c - grid_tau_c) <= 8 * _EPS * tau_c
 
     got_lo, got_hi, sol = proto._threshold_bracket(profile, params.kappa_i,
                                                    t_start, beta_start, end)
@@ -188,6 +196,31 @@ def test_threshold_scan_reaching_end_raises():
     with pytest.raises(NoThreshold, match=r"never reaches the threshold in "
                                           r"\[0\.0, 10\.0\]"):
         proto.threshold_time(p, _params())
+
+
+def test_threshold_notch_between_grid_points_is_found():
+    """The benchmark's twin table (`multi_hump` for default_rng(3)) with
+    r_in dipping to 0 at one knot, 0.0009 from its neighbours, midway
+    between the points around 0.6 tau_c of the 8193-point grid the scan
+    used. sqrt(r_in) falls below |beta| inside the dip: that is the first
+    threshold, which the grid stepped over (tau_c 2.74741)."""
+    rng = np.random.default_rng(3)
+    taus = np.linspace(0.0, 30.0, 1501)
+    c1, c2 = rng.uniform(3.0, 5.0), rng.uniform(17.0, 22.0)
+    w1, w2 = rng.uniform(0.9, 1.2), rng.uniform(0.9, 1.2)
+    a1 = rng.uniform(0.3, 0.6)
+    rates = a1 * np.exp(-0.5 * ((taus - c1) / w1) ** 2) \
+        + (1.0 - a1) * np.exp(-0.5 * ((taus - c2) / w2) ** 2)
+    twin, params = prof.tabulated(taus, rates / np.trapezoid(rates, taus)), \
+        _params()
+    grid = np.linspace(0.0, 30.0, 8193)
+    j = int(np.searchsorted(grid, 0.6 * proto.threshold_time(twin, params)))
+    notch = 0.5 * (grid[j - 1] + grid[j])
+    taus = np.sort(np.append(taus, [notch - 9e-4, notch, notch + 9e-4]))
+    rates = np.where(taus == notch, 0.0, prof.rate_at(twin, taus))
+    rates /= prof.total_excitation(prof.tabulated(taus, rates), math.inf)
+    tau_c = proto.threshold_time(prof.tabulated(taus, rates), params)
+    assert notch - 9e-4 < tau_c < notch
 
 
 def _rate_nan_past(monkeypatch, t_bad: float) -> None:
@@ -715,7 +748,8 @@ def test_peak_at_the_horizon_is_not_missed():
     second knot: the population peaks early at 6e-5 (the zero sample),
     then rises to 0.78 at the horizon, where the input stops. The report
     compares the peak past the horizon too, where the population still
-    rises at the horizon; it used to report the early peak."""
+    rises at the horizon; it used to report the early peak. The peak is
+    the horizon itself (the tail polish put it at 2.0000000000567)."""
     taus = np.linspace(0.0, 2.0, 41)
     rates = np.exp(-0.5 * ((taus - 1.0) / 0.5) ** 2)
     rates[1] = 0.0
@@ -723,7 +757,7 @@ def test_peak_at_the_horizon_is_not_missed():
         _params()
     sch = proto.build_schedule(table, params)
     rep = proto.peak_time_and_fidelity(table, params, sch)
-    assert rep.fidelity > 0.78
+    assert rep.fidelity > 0.78 and rep.tau_max == sch.horizon
     _assert_global_peak(sch, rep)
 
 
@@ -744,6 +778,65 @@ def test_peak_is_the_global_maximum_on_narrow_tables(table):
 # ---------------------------------------------------------------------------
 # schedule structure
 # ---------------------------------------------------------------------------
+
+def _normalized(taus, rates) -> prof.InputProfile:
+    rates = np.asarray(rates, dtype=float)
+    return prof.tabulated(taus, rates / prof.total_excitation(
+        prof.tabulated(taus, rates), math.inf))
+
+
+def _stage2_points(sch: proto.CouplingSchedule):
+    """(tau, r_in, beta^2) on 60,001 points over each stage-2 segment
+    (stage 1 holds kappa = 1)."""
+    for seg in sch.segments:
+        if seg.stage == 2:
+            taus = np.linspace(seg.t0, seg.t1, 60001)
+            yield taus, prof.rate_at(sch.profile, taus), sch.beta_sq(taus)
+
+
+def test_violation_inside_a_piece_is_found():
+    """On a coarse table the zero-reflection law asks for kappa > 1 from
+    tau 2.55 on, and again below 1 within the same knot interval: both
+    piece ends pass. The violation is sought on the samples that bracket
+    its roots, so stage 1 resumes there (kappa reached 9.41 at tau 2.716
+    when only the piece ends were checked)."""
+    profile = _normalized(
+        [0, 2.51, 4.83, 5.35, 7.78, 11.67, 13.56, 14.11, 15.47, 19.28, 22.92,
+         25.07], [0.002, 0, 0.949, 0, 0.117, 0.068, 0.448, 0, 0.124, 0.642,
+                  0.07, 0.469])
+    sch = proto.build_schedule(profile, _params())
+    assert "feasibility_resumed" in sch.flags
+    for taus, _, _ in _stage2_points(sch):
+        assert sch.kappa(taus).max() <= 1.0 + 1e-9
+
+
+@st.composite
+def coarse_tables(draw):
+    """4 to 11 knots spaced 0.5-4 apart and rates u^3, u in [0, 1], the
+    largest u above 1e-100."""
+    n = draw(st.integers(4, 11))
+    gaps = draw(st.lists(st.floats(0.5, 4.0), min_size=n - 1,
+                         max_size=n - 1))
+    rates = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    assume(max(rates) > 1e-100)
+    return np.concatenate(([0.0], np.cumsum(gaps))), np.array(rates) ** 3
+
+
+@settings(max_examples=40, deadline=None)
+@given(table=coarse_tables())
+def test_coupling_stays_feasible_on_coarse_tables(table):
+    """kappa = r_in/beta^2 <= 1 + 1e-9 on every schedule built over a
+    coarse table, up to the violation's floor of 1e-13 (below it
+    r_in/beta^2 is noise, as where r_in = 7e-16 and beta^2 = 2.7e-22) and
+    the rounding of its polished root: r_in - (1 + 1e-9) beta^2 <= 1e-13
+    + 1e-15."""
+    try:
+        sch = proto.build_schedule(_normalized(*table), _params())
+    except PulsecatchError:
+        return
+    for _, rate, pop in _stage2_points(sch):
+        assert (rate - (1.0 + 1e-9) * pop).max() <= 1e-13 + 1e-15
+
 
 def test_schedule_two_segments_for_single_pulse():
     p = prof.exponential(0.036)
