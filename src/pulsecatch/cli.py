@@ -23,7 +23,6 @@ import math
 import sys
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from . import closedform
 from . import dynamics
@@ -142,6 +141,7 @@ def _load_kappa_csv(path: str):
     ka = np.clip(np.asarray([k for _, k in rows]), 0.0, 1.0)
     if np.any(np.diff(ta) <= 0.0):
         raise DomainError(f"coupling file {path} taus must be strictly increasing")
+    from scipy.interpolate import PchipInterpolator
     interp = PchipInterpolator(ta, ka, extrapolate=False)
     t0, t1 = float(ta[0]), float(ta[-1])
     k0, k1 = float(ka[0]), float(ka[-1])

@@ -18,14 +18,30 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from scipy.optimize import brentq
-from scipy.special import erf, erfcx
-
+from ._scipy import brentq
 from .errors import (DomainError, NoPeak, NoThreshold, SingularCoupling,
                      brackets_root)
 
 SQRT_PI = math.sqrt(math.pi)
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+def _load_special() -> None:
+    """Bind `erf` and `erfcx` to scipy's on the first Gaussian evaluation:
+    only the Gaussian forms need scipy.special, and a sweep calls them
+    about 10^5 times, so they are bound once instead of imported per call."""
+    global erf, erfcx
+    from scipy.special import erf, erfcx
+
+
+def erf(x):
+    _load_special()
+    return erf(x)
+
+
+def erfcx(x):
+    _load_special()
+    return erfcx(x)
 
 
 # ---------------------------------------------------------------------------

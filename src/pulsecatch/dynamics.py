@@ -26,9 +26,9 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import profiles as prof
+from ._scipy import solve_ivp
 from .errors import DomainError, StepFailure
 from .protocol import CouplingSchedule
 

@@ -1,5 +1,5 @@
 """Exception and warning types shared across the package, and the bracket
-test that keeps scipy's root finder from raising an untyped error."""
+test that keeps the root finder from raising an untyped error."""
 
 
 class PulsecatchError(Exception):
@@ -39,9 +39,11 @@ class BoundaryMaximumWarning(UserWarning):
 
 
 def brackets_root(f_lo: float, f_hi: float) -> bool:
-    """Whether scipy's brentq takes a bracket whose ends have these values:
-    neither is nan, and one is 0 or they differ in sign. Where it does not,
-    brentq raises a bare ValueError; callers raise their typed error instead.
+    """Whether brentq (`pulsecatch._scipy.brentq`, a port of scipy's that
+    checks its bracket as scipy does) takes a bracket whose ends have these
+    values: neither is nan, and one is 0 or they differ in sign. Where it
+    does not, brentq raises a bare ValueError; callers raise their typed
+    error instead.
     """
     if f_lo != f_lo or f_hi != f_hi:
         return False

@@ -17,9 +17,8 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import PchipInterpolator
 
+from ._scipy import quad
 from .errors import DomainError
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -71,7 +70,7 @@ class InputProfile:
         # 5e-309 between rates 1e-308 and 2e-308), scipy's weighted harmonic
         # mean of the neighbouring slopes overflows to inf and the knot slope
         # becomes 1/inf = 0, the limit the formula tends to; the overflow
-        # warning is noise.
+        # warning is noise. `tabulated` binds PchipInterpolator.
         with np.errstate(divide="ignore", over="ignore"):
             pp = PchipInterpolator(self.taus, self.rates, extrapolate=False)
         return _Piecewise(pp)
@@ -167,6 +166,10 @@ def tabulated(taus, rates) -> InputProfile:
     rates = rates.copy()
     taus.setflags(write=False)
     rates.setflags(write=False)
+    # Imported where a table is made, so that its first evaluation (its
+    # `_interp`) does not pay for loading scipy.interpolate.
+    global PchipInterpolator
+    from scipy.interpolate import PchipInterpolator
     return InputProfile(kind=TABULATED, taus=taus, rates=rates)
 
 
@@ -387,7 +390,10 @@ def validate(profile: InputProfile) -> ValidationReport:
     """Check the profile invariants; failures are reported, never raised."""
     failures: list[str] = []
 
-    total = total_excitation(profile, math.inf)
+    # An analytic family's normalization is its closed form; a table's is
+    # its Kronrod integral, which needs no scipy either.
+    total = total_excitation(profile, math.inf) if profile.kind == TABULATED \
+        else cumulative(profile, math.inf)
     if profile.kind == GAUSSIAN:
         deficit_bound = 0.5 * math.erfc(profile.n / math.sqrt(2.0))
         if not (-1e-9 <= 1.0 - total <= deficit_bound + 1e-9):

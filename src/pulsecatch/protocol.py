@@ -29,12 +29,10 @@ from functools import cached_property, lru_cache, partial
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
-# Not called here: the benchmark's tracer (perfbench/tracer.py) wraps it by name.
-from scipy.integrate import solve_ivp  # noqa: F401
-from scipy.optimize import brentq
 
 from . import profiles as prof
+# solve_ivp is not called here: the benchmark's tracer wraps it by name.
+from ._scipy import brentq, quad, solve_ivp  # noqa: F401
 from .errors import (DomainError, InfeasibleSchedule, NoPeak, NoThreshold,
                      SingularCoupling, brackets_root)
 
@@ -667,11 +665,15 @@ class _ExactLinear:
         self._g = g
         self.fallback = fallback    # indices of the quadrature pieces
         self._quad = quad
+        self._d_pieces: dict[int, list[float]] = {}
 
-    @cached_property
-    def _d_pieces(self) -> list[list[float]]:
-        """[d_1, .., d_M] of each piece, for `at`."""
-        return np.array(self._d).T.tolist()
+    def _d_piece(self, i: int) -> list[float]:
+        """[d_1, .., d_M] of piece i as floats, for `at`: a piece's rows
+        are read once, when `at` first reaches it."""
+        d = self._d_pieces.get(i)
+        if d is None:
+            d = self._d_pieces[i] = [float(row[i]) for row in self._d]
+        return d
 
     @cached_property
     def _a(self) -> np.ndarray:
@@ -815,7 +817,7 @@ class _ExactLinear:
         if i in self.fallback:
             return self._quad(self._knots[i], y, t)
         return y + (self._lo[i] + (_horner(self._g, v) * y
-                                   + _horner(self._d_pieces[i], v)))
+                                   + _horner(self._d_piece(i), v)))
 
     def dense(self, t: np.ndarray) -> np.ndarray:
         i = np.clip(np.searchsorted(self.ts, t, side="left") - 1, 0, self._last)

@@ -16,11 +16,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import closedform as cf
 from . import profiles as prof
 from . import protocol
+from ._scipy import quad
 from .errors import BoundaryMaximumWarning, DomainError, PulsecatchError
 
 R_RANGE = (0.05, 1.0)
@@ -267,9 +267,10 @@ def _fmt(v) -> str:
 
 
 def _csv_text(header: str, rows) -> str:
-    """The header line, then one line of `_fmt` values per row."""
-    lines = [header] + [",".join(_fmt(v) for v in row) for row in rows]
-    return "\n".join(lines) + "\n"
+    """The header line, then one line per row, each value spelled as `_fmt`
+    spells it: "%.17g" converts each value with float(), as `_fmt` does."""
+    line = ",".join(["%.17g"] * (header.count(",") + 1)) + "\n"
+    return header + "\n" + "".join([line % tuple(row) for row in rows])
 
 
 def _atomic_write(path, text: str) -> None:

@@ -1,14 +1,17 @@
 """Command-line interface: exit codes, file outputs and round trips.
 
 Everything runs in-process through `cli.main` so coverage and monkeypatching
-work; one subprocess test confirms the module entry point is wired up.
+work; subprocess tests confirm the module entry point is wired up and that
+it loads no scipy module on the `schedule` path.
 """
 from __future__ import annotations
 
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -188,6 +191,30 @@ def test_module_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "pulsecatch" in proc.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"],
+    ["schedule", *EXP_OP],
+    ["schedule", "--profile", "gauss:r=0.1533,n=4", "--kappa-i", "1e-4"],
+], ids=["help", "schedule-exp", "schedule-gauss"])
+def test_schedule_path_loads_no_scipy(argv, tmp_path):
+    """`--help` and `schedule` import no scipy module (`-X importtime`
+    names every module a run imports): scipy costs about 0.7 s of import."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    if argv[0] == "schedule":
+        argv = argv + ["--samples", "201", "--out", str(tmp_path / "s")]
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m",
+                           "pulsecatch", *argv], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    imported = [line.rsplit("|", 1)[1].strip()
+                for line in proc.stderr.splitlines()
+                if line.startswith("import time:") and "|" in line]
+    assert "pulsecatch.cli" in imported
+    assert [m for m in imported if m.split(".")[0] == "scipy"] == []
 
 
 # ---------------------------------------------------------------------------

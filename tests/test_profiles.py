@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pulsecatch import profiles as prof
 from pulsecatch.errors import DomainError
@@ -243,6 +243,19 @@ def test_gaussian_scalar_array_consistency(sigma, n):
     scalars = np.array([prof.rate_at(p, float(t)) for t in ts])
     # math.exp and np.exp may round the last bit differently
     np.testing.assert_allclose(arr, scalars, rtol=5e-16, atol=0.0)
+
+
+@settings(deadline=None)
+@given(family=st.sampled_from(["exp", "gauss"]),
+       r=st.floats(min_value=1e-3, max_value=10.0),
+       n=st.floats(min_value=3.0, max_value=8.0))
+def test_validate_total_is_the_quadrature_of_rate_at(family, r, n):
+    """`validate` takes an analytic family's normalization from its closed
+    form (`cumulative` at inf); the quadrature of `rate_at` agrees with it."""
+    p = prof.exponential(r) if family == "exp" else prof.gaussian(r=r, n=n)
+    assert prof.validate(p).total == prof.cumulative(p, math.inf)
+    assert abs(prof.validate(p).total
+               - prof.total_excitation(p, math.inf)) <= 1e-12
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=2.0), min_size=3, max_size=12))

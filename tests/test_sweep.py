@@ -8,6 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 from pulsecatch import profiles as prof
@@ -244,6 +245,39 @@ def test_optimal_rate_domain(ki):
 # ---------------------------------------------------------------------------
 # CSV output
 # ---------------------------------------------------------------------------
+
+_EDGE_CELLS = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324,
+               -2.2250738585072014e-308, 1e-310, 1e300, -1e-300, 1e308,
+               0.1, 1.0 / 3.0, np.float64(-0.0), np.float64(math.nan),
+               np.float64(2.5e-320), np.float64(1e300), 0, -7, 2 ** 60,
+               np.int64(-3), True]
+
+
+def _per_cell_csv(header: str, rows) -> str:
+    return "".join(line + "\n" for line in [header] + [
+        ",".join(format(float(v), ".17g") for v in row) for row in rows])
+
+
+@given(cells=st.lists(st.one_of(st.floats(), st.integers(-2 ** 70, 2 ** 70),
+                                st.sampled_from(_EDGE_CELLS)),
+                      min_size=0, max_size=60))
+def test_csv_text_is_per_cell_format(cells):
+    """One "%.17g" template per row gives the bytes of format(float(v),
+    ".17g") per cell: nan, signed infinities and zeros, subnormals and
+    ints included."""
+    rows = [tuple(cells[i:i + 3]) for i in range(0, len(cells) - 2, 3)]
+    assert sweep._csv_text("a,b,c", rows) == _per_cell_csv("a,b,c", rows)
+
+
+def test_csv_text_of_edge_cells():
+    rows = [(v, v, -v if not isinstance(v, (bool, np.bool_)) else v)
+            for v in _EDGE_CELLS]
+    text = sweep._csv_text("x,y,z", iter(rows))
+    assert text == _per_cell_csv("x,y,z", rows)
+    assert "-0,-0,0\n" in text and "nan,nan,nan\n" in text \
+        and "-inf,-inf,inf\n" in text and "4.9406564584124654e-324," in text
+    assert sweep._csv_text("x", []) == "x\n"
+
 
 def test_surface_csv_round_trip(tmp_path):
     kis = (1e-4, 1e-3)
