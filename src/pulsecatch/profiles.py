@@ -70,7 +70,7 @@ class InputProfile:
         # 5e-309 between rates 1e-308 and 2e-308), scipy's weighted harmonic
         # mean of the neighbouring slopes overflows to inf and the knot slope
         # becomes 1/inf = 0, the limit the formula tends to; the overflow
-        # warning is noise. `tabulated` binds PchipInterpolator.
+        # warning is noise.
         with np.errstate(divide="ignore", over="ignore"):
             pp = PchipInterpolator(self.taus, self.rates, extrapolate=False)
         return _Piecewise(pp)
@@ -166,11 +166,22 @@ def tabulated(taus, rates) -> InputProfile:
     rates = rates.copy()
     taus.setflags(write=False)
     rates.setflags(write=False)
-    # Imported where a table is made, so that its first evaluation (its
-    # `_interp`) does not pay for loading scipy.interpolate.
+    _load_pchip()
+    return InputProfile(kind=TABULATED, taus=taus, rates=rates)
+
+
+def _load_pchip() -> None:
+    """Bind `PchipInterpolator` to scipy's. `tabulated` calls this, so that
+    loading scipy.interpolate falls where a table is made and not on its
+    first evaluation (`_interp`)."""
     global PchipInterpolator
     from scipy.interpolate import PchipInterpolator
-    return InputProfile(kind=TABULATED, taus=taus, rates=rates)
+
+
+def PchipInterpolator(*args, **kwargs):
+    # a table made elsewhere (say, unpickled) loads it on first evaluation
+    _load_pchip()
+    return PchipInterpolator(*args, **kwargs)
 
 
 @dataclass(frozen=True)

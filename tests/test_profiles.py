@@ -2,6 +2,10 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,6 +149,24 @@ class TestEvaluation:
             for t in (0.7, 3.0, prof.horizon(p)):
                 assert prof.total_excitation(p, t) == pytest.approx(
                     prof.cumulative(p, t), abs=5e-11)
+
+
+def test_table_not_made_by_tabulated_evaluates():
+    """`tabulated` loads scipy's PCHIP; a table made without it (here in a
+    fresh interpreter, as an unpickled one would be) loads it on its first
+    evaluation."""
+    taus, rates = _bump_table(51)
+    code = ("import sys, numpy as np; from pulsecatch import profiles as prof; "
+            "p = prof.InputProfile(kind=prof.TABULATED, "
+            "taus=np.linspace(0.0, 12.0, 51), rates=np.array(eval(sys.argv[1]))); "
+            "print(repr(prof.rate_at(p, 5.3)))")
+    src = str(Path(prof.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code, repr(rates.tolist())],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) == prof.rate_at(prof.tabulated(taus, rates), 5.3)
 
 
 class TestValidate:
