@@ -428,7 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sched.add_argument("--kappa-i", type=float, default=0.0,
                          dest="kappa_i", help="intrinsic loss rate (default 0)")
     p_sched.add_argument("--samples", type=int, default=4001,
-                         help="rows in the schedule CSV (default 4001)")
+                         help="uniform rows in the schedule CSV, on top of "
+                              "the simulator's adaptive grid (default 4001)")
     p_sched.add_argument("--out", default="schedule",
                          help="output prefix: writes <out>.csv and <out>.json")
     p_sched.set_defaults(func=cmd_schedule)

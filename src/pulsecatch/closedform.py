@@ -209,26 +209,24 @@ def _exp_b2_s(a: float, b: float, tau0: float, tau: float) -> float:
 
 
 def _gauss_threshold_residual(a: float, b: float, tau0: float, tau: float) -> float:
-    """g(tau) = e^{-B^2} - sqrt(pi)/(2 sqrt(b)) (erf B + erf A); root marks tau_c.
+    """e^{B^2} g(tau) = 1 - C e^{B^2} (erf B + erf A), C = sqrt(pi)/(2 sqrt(b)).
 
-    For B <= 0 the erf sum is a difference of near-saturated values — for wide
-    pulses both sit at 1.0 in double precision and the naive form is pure
-    noise — so it is folded into scaled complementary error functions:
-    g = e^{-B^2} (1 - C erfcx(-B)) + C erfcx(A) e^{-A^2}, C = sqrt(pi)/(2 sqrt(b)).
+    g = e^{-B^2} - C (erf B + erf A) is the threshold residual; its root is
+    tau_c. Scaled by e^{B^2} it keeps g's sign and root, equals 1 exactly at
+    tau = 0 (where B = -A), and takes `_exp_b2_s`'s overflow-safe form.
     """
-    rb = math.sqrt(b)
-    big_b = rb * (tau - tau0) - 0.5 * a / rb
-    big_a = rb * tau0 + 0.5 * a / rb
-    c = 0.5 * SQRT_PI / rb
-    if big_b <= 0.0:
-        return math.exp(-big_b * big_b) * (1.0 - c * erfcx(-big_b)) \
-            + c * erfcx(big_a) * math.exp(-big_a * big_a)
-    return math.exp(-big_b * big_b) - c * (erf(big_b) + erf(big_a))
+    return 1.0 - 0.5 * SQRT_PI / math.sqrt(b) * _exp_b2_s(a, b, tau0, tau)
 
 
 @lru_cache(maxsize=1024)
 def gauss_constants(sigma: float, n: float, kappa_i: float) -> GaussConstants:
-    """a, b, tau0 and the root tau_c of the erf-form threshold equation."""
+    """a, b, tau0 and the root tau_c of the erf-form threshold equation.
+
+    dg/dtau = -sqrt(b) e^{-B^2} (2B + 1/sqrt(b)): g rises up to
+    tau0 - (1 - kappa_i) sigma^2 and falls after, and it starts at
+    g(0) = e^{-A^2} > 0, so it has one root and [0, tau0 + 10 sigma] brackets
+    it. The bracket is checked before the polish, in case rounding disagrees.
+    """
     _check_gauss_domain(sigma, n, kappa_i)
     a = 0.5 * (1.0 + kappa_i)
     b = 0.25 / (sigma * sigma)
@@ -236,22 +234,10 @@ def gauss_constants(sigma: float, n: float, kappa_i: float) -> GaussConstants:
     end = tau0 + 10.0 * sigma
 
     g = lambda t: _gauss_threshold_residual(a, b, tau0, t)
-    # g(0) = e^{-A^2} > 0 analytically; scan for the first sign change. The
-    # bracket is checked before the polish, in case rounding disagrees.
-    grid = [end * k / 512.0 for k in range(513)]
-    lo = 0.0
-    hi = None
-    for t in grid[1:]:
-        if g(t) <= 0.0:
-            hi = t
-            break
-        lo = t
-    if hi is None:
-        raise NoThreshold(f"no threshold crossing in [0, {end}]")
-    if not brackets_root(g(lo), g(hi)):
+    if not brackets_root(g(0.0), g(end)):
         raise NoThreshold(f"threshold residual does not change sign on the "
-                          f"bracket [{lo!r}, {hi!r}]")
-    tau_c = brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
+                          f"bracket [0.0, {end!r}]")
+    tau_c = brentq(g, 0.0, end, xtol=1e-14, rtol=8.9e-16, maxiter=200)
     return GaussConstants(sigma=sigma, n=n, kappa_i=kappa_i,
                           a=a, b=b, tau0=tau0, tau_c=tau_c)
 
@@ -289,6 +275,13 @@ def _gauss_stage2(cst: GaussConstants, sigma: float, n: float, tau: float) -> fl
         raise DomainError(
             f"Gaussian closed form overflows at kappa_i = {k}, sigma = {sigma}, "
             f"tau = {tau}") from None
+    if weight * math.ulp(1.0) > 1e-9:
+        # Before that, both erf values sit next to -1 and their difference
+        # keeps no digit: its rounding, about weight*eps, must stay below
+        # 1e-9 of a population's scale (populations are at most 1).
+        raise DomainError(
+            f"Gaussian closed form loses its digits at kappa_i = {k}, "
+            f"sigma = {sigma}, tau = {tau}")
     integral = 0.5 * weight * (erf(b2(tau)) - erf(b2(cst.tau_c)))
     return math.exp(-k * (tau - cst.tau_c)) * seed + integral
 
@@ -307,8 +300,12 @@ def gauss_coupling(sigma: float, n: float, kappa_i: float, tau: float) -> float:
 def gauss_report(sigma: float, n: float, kappa_i: float) -> tuple[float, float]:
     """Peak time and fidelity (tau_max, F) for the Gaussian input.
 
-    The peak solves r_in(tau_max) = kappa_i * beta^2(tau_max) on the falling
-    edge of the pulse; kappa_i = 0 returns (inf, beta^2(inf)).
+    The peak solves h = r_in - kappa_i beta^2 = 0 on the falling edge of the
+    pulse; kappa_i = 0 returns (inf, beta^2(inf)). h is the slope of beta^2,
+    so at any root h' = r_in'. Before tau0 r_in' > 0, and h, positive at
+    tau_c, cannot reach 0 on [tau_c, tau0]; after tau0 r_in' < 0, and h
+    crosses zero once, downward. The doubling from max(tau_c, tau0) stops at
+    the first window whose right end has h < 0, which brackets that root.
     """
     cst = gauss_constants(sigma, n, kappa_i)
     if kappa_i == 0.0:
@@ -318,9 +315,9 @@ def gauss_report(sigma: float, n: float, kappa_i: float) -> tuple[float, float]:
         return math.inf, fid
 
     h = lambda t: gauss_rate(sigma, n, t) - kappa_i * _gauss_stage2(cst, sigma, n, t)
-    # h(tau_c) = (1 - kappa_i) * beta^2(tau_c) > 0; expand past the nominal
-    # horizon if the intrinsic loss is so small that the crossing is later.
-    lo = cst.tau_c
+    # The doubling reaches past the nominal horizon if the intrinsic loss is
+    # so small that the crossing is later.
+    lo = max(cst.tau_c, cst.tau0)
     hi = cst.tau0 + 10.0 * sigma
     width = hi - lo
     for _ in range(64):
@@ -331,17 +328,8 @@ def gauss_report(sigma: float, n: float, kappa_i: float) -> tuple[float, float]:
         hi = lo + width
     else:
         raise NoPeak("input rate never falls below the intrinsic-loss rate")
-    # first sign change inside [lo, hi]
-    steps = 256
-    prev = lo
-    for k in range(1, steps + 1):
-        t = lo + (hi - lo) * k / steps
-        if h(t) < 0.0:
-            hi = t
-            break
-        prev = t
-    if not brackets_root(h(prev), h(hi)):
+    if not brackets_root(h(lo), h(hi)):
         raise NoPeak(f"peak residual does not change sign on the bracket "
-                     f"[{prev!r}, {hi!r}]")
-    tau_max = brentq(h, prev, hi, xtol=1e-12, rtol=8.9e-16, maxiter=200)
+                     f"[{lo!r}, {hi!r}]")
+    tau_max = brentq(h, lo, hi, xtol=1e-12, rtol=8.9e-16, maxiter=200)
     return tau_max, _gauss_stage2(cst, sigma, n, tau_max)

@@ -1083,24 +1083,29 @@ def _local_maxima(schedule: CouplingSchedule) -> list[tuple[float, float]]:
 def _tail_peak(schedule: CouplingSchedule) -> tuple[float, float]:
     """(tau, beta^2(tau)) at the peak past the horizon, where the input is
     effectively extinct (`CouplingSchedule._tail`), polished as every root
-    is; the horizon itself if the slope is <= 0 just past it (a table's
-    input stops there)."""
+    is; the horizon itself if the slope is <= 0 just past it.
+
+    The tail slope s = r_in - kappa_i beta^2 is the slope of beta^2, so at
+    any root s' = r_in'. Past the horizon r_in' < 0 on both analytic
+    families (a Gaussian's horizon is tau0 + 10 sigma), so s crosses zero
+    once, downward: the first doubling window whose right end has s <= 0
+    brackets it, its left end having s > 0. A table's input stops at the
+    horizon, where s = -kappa_i beta^2 <= 0 just past it.
+    """
     pop = schedule._tail
     tail_slope = lambda t: prof.rate_at(schedule.profile, t) \
         - schedule.params.kappa_i * pop(t)
-    left = schedule.horizon
-    if tail_slope(math.nextafter(left, math.inf)) <= 0.0:
-        return left, schedule.beta_sq(left)
+    left = math.nextafter(schedule.horizon, math.inf)
+    if tail_slope(left) <= 0.0:
+        return schedule.horizon, schedule.beta_sq(schedule.horizon)
     width = max(schedule.horizon - schedule.tau_c, 1.0)
     for _ in range(64):
-        ts = np.linspace(left, left + width, 65)
-        down = _down(prof._map(tail_slope, ts))
-        if len(down):
-            i = int(down[0])
-            t = brentq(tail_slope, float(ts[i]), float(ts[i + 1]),
-                       xtol=1e-300, rtol=4 * _EPS, maxiter=200)
+        right = left + width
+        if tail_slope(right) <= 0.0:
+            t = brentq(tail_slope, left, right, xtol=1e-300, rtol=4 * _EPS,
+                       maxiter=200)
             return t, pop(t)
-        left += width
+        left = right
         width *= 2.0
     raise NoPeak("population slope never crosses zero")
 

@@ -13,9 +13,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from pulsecatch import closedform as cf
 from pulsecatch.errors import DomainError, NoPeak, NoThreshold, SingularCoupling
+from pulsecatch.sweep import DEFAULT_KAPPA_I_GRID, DEFAULT_R_GRID
 
 # gaussian operating shape used throughout: peak rate 0.1533, center 4*sigma
 SIGMA_OP = 1.0 / (0.1533 * math.sqrt(2.0 * math.pi))
@@ -296,6 +298,73 @@ def test_same_sign_peak_bracket_is_no_peak(monkeypatch, fresh_gauss_constants):
     with pytest.raises(NoPeak, match=r"does not change sign on the "
                        r"bracket \[[0-9.]+, [0-9.]+\]"):
         cf.gauss_report(2.6, 4.0, 1e-4)
+
+
+def test_gauss_stage2_digit_loss_is_domain_error():
+    # kappa_i*sigma = 7.0: both stage-2 erf values sit next to -1 and their
+    # difference keeps no digit. The form used to return tau_max 16.12 and
+    # F 0.0370 here, where the generic solver gives 30.958 and 0.05636.
+    sigma = 1.0 / (0.0404634 * math.sqrt(2.0 * math.pi))
+    with pytest.raises(DomainError, match="loses its digits"):
+        cf.gauss_report(sigma, 3.0, 0.7109514)
+
+
+def test_gauss_root_searches_take_few_residual_calls(monkeypatch,
+                                                     fresh_gauss_constants):
+    # Each root is polished on the bracket its residual's shape proves, with
+    # no scan: on the sweep's default grid neither the threshold nor the peak
+    # of a cell takes more than 40 residual evaluations (the grid scans took
+    # up to 191 and 159).
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(cf, "_gauss_threshold_residual",
+                        counted("threshold", cf._gauss_threshold_residual))
+    monkeypatch.setattr(cf, "_gauss_stage2", counted("peak", cf._gauss_stage2))
+    worst = {"threshold": 0, "peak": 0}
+    for ki in DEFAULT_KAPPA_I_GRID:
+        for r in DEFAULT_R_GRID:
+            calls.update(threshold=0, peak=0)
+            sigma = 1.0 / (r * math.sqrt(2.0 * math.pi))
+            cf.gauss_report(sigma, 4.0, ki)
+            worst = {name: max(worst[name], calls[name]) for name in worst}
+    assert worst["threshold"] <= 40 and worst["peak"] <= 40, worst
+
+
+def _first_grid_root(f, lo, hi, xtol):
+    """The root polished inside the first sign change of f, positive at lo,
+    on an 8,193-point grid of [lo, hi]: the brackets' own oracle."""
+    ts = np.linspace(lo, hi, 8193).tolist()
+    for a, b in zip(ts, ts[1:]):
+        if f(b) <= 0.0:
+            return brentq(f, a, b, xtol=xtol, rtol=8.9e-16, maxiter=200)
+    raise AssertionError("no sign change on the grid")
+
+
+@settings(max_examples=30, deadline=None)
+@given(r=st.floats(min_value=0.05, max_value=1.0),
+       log_ki=st.floats(min_value=math.log(1e-5), max_value=math.log(1e-2)),
+       n=st.floats(min_value=3.0, max_value=8.0))
+def test_gauss_brackets_land_on_the_first_root(r, log_ki, n):
+    # tau_c and tau_max are polished on the brackets the residuals' shapes
+    # prove, [0, tau0 + 10 sigma] and the peak search's doubling window; each
+    # lies within 2 (xtol + rtol |tau|) of the first root on a fine grid.
+    sigma, ki = 1.0 / (r * math.sqrt(2.0 * math.pi)), math.exp(log_ki)
+    cst = cf.gauss_constants(sigma, n, ki)
+    end = cst.tau0 + 10.0 * sigma
+    g = lambda t: cf._gauss_threshold_residual(cst.a, cst.b, cst.tau0, t)
+    tau_c = _first_grid_root(g, 0.0, end, 1e-14)
+    assert abs(cst.tau_c - tau_c) <= 2.0 * (1e-14 + 8.9e-16 * tau_c)
+    tau_max, _ = cf.gauss_report(sigma, n, ki)
+    h = lambda t: cf.gauss_rate(sigma, n, t) \
+        - ki * cf.gauss_population(sigma, n, ki, t)
+    peak = _first_grid_root(h, cst.tau_c, end, 1e-12)
+    assert abs(tau_max - peak) <= 2.0 * (1e-12 + 8.9e-16 * peak)
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,15 @@ def test_threshold_matches_closed_form_gaussian(sigma, ki):
     assert tc == pytest.approx(cf.gauss_constants(sigma, 4.0, ki).tau_c, abs=1e-10)
 
 
+@pytest.mark.parametrize("r", [0.005, 0.002])
+def test_threshold_matches_closed_form_wide_gaussian(r):
+    # sigma = 80 and 199: e^{-A^2} underflows, and the closed form's
+    # unscaled residual, 0.0 at tau = 0, once gave tau_c = 0.0
+    tc = proto.threshold_time(prof.gaussian(r=r), _params())
+    sigma = 1.0 / (r * math.sqrt(2.0 * math.pi))
+    assert abs(cf.gauss_constants(sigma, 4.0, 1e-4).tau_c - tc) <= 1e-12
+
+
 def test_threshold_is_population_crossing():
     p = prof.exponential(0.2)
     params = _params(1e-3)

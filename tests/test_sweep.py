@@ -150,6 +150,17 @@ def test_gauss_closed_form_overflow_is_a_typed_cell_failure():
     assert not isinstance(cell, sweep.CellFailure)
 
 
+def test_gauss_closed_form_digit_loss_is_a_typed_cell_failure():
+    # kappa_i*sigma = 7.0: the stage-2 erf difference keeps no digit, and
+    # the cell used to be a success with F 0.0370 (generic solver: 0.05636)
+    with pytest.warns(UserWarning, match="beyond the standard ranges"):
+        grid = sweep.fidelity_surface("gauss", grid=([0.7109514], [0.0404634]))
+    failure = grid.results[0][0]
+    assert isinstance(failure, sweep.CellFailure)
+    assert failure.error.startswith(
+        "DomainError: Gaussian closed form loses its digits")
+
+
 def test_surface_monotone_in_kappa_i():
     # more intrinsic loss can never help, at any rate, for either family
     kis = np.geomspace(1e-5, 1e-2, 5)
