@@ -4,10 +4,11 @@
 Brent, *Algorithms for Minimization without Derivatives*, 1973, ch. 4),
 operation for operation, so it returns scipy's root bit for bit. `quad` and
 `solve_ivp` import scipy.integrate on each call: `pulsecatch schedule` on an
-analytic pulse never calls them, and scipy.integrate costs about 0.7 s to
-import. Each module binds these names itself, so replacing one module's
-binding (as a tracer or a test does) leaves the others alone; the wrappers
-never rebind a module's name.
+analytic pulse and a closed-form `pulsecatch sweep` cell never call them,
+and scipy.integrate costs 0.2-0.3 s to import on top of scipy.special, which
+the Gaussian closed forms load. Each module binds these names itself, so
+replacing one module's binding (as a tracer or a test does) leaves the
+others alone; the wrappers never rebind a module's name.
 """
 from __future__ import annotations
 

@@ -231,6 +231,8 @@ def _schedule_rows(schedule: protocol.CouplingSchedule, n: int):
 
 
 def cmd_schedule(args) -> int:
+    if args.samples < 0:
+        raise DomainError(f"--samples must be >= 0, got {args.samples}")
     profile = prof.parse_profile(args.profile)
     _require_valid(profile)
     params = _memory_params(args.kappa_i)
@@ -266,6 +268,9 @@ def cmd_schedule(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
+    if args.samples is not None and args.samples < 3:
+        # the energy balance takes a centred difference
+        raise DomainError(f"--samples must be >= 3, got {args.samples}")
     profile = prof.parse_profile(args.profile)
     _require_valid(profile)
     params = _memory_params(args.kappa_i)
@@ -383,13 +388,19 @@ def _semiclassical_checks(family: str, scale: float) -> list[dict]:
 
 
 def cmd_verify(args) -> int:
+    scale = args.inject_kappa_scale
+    if not (math.isfinite(scale) and scale >= 0.0):
+        # a nan or inf coupling stalls the integrators; a negative one has
+        # no square root
+        raise DomainError(
+            f"--inject-kappa-scale must be finite and >= 0, got {scale!r}")
     checks: list[dict] = []
     if args.target in ("master-equation", "all"):
         for family in ("exp", "gauss"):
-            checks.extend(_master_equation_checks(family, args.inject_kappa_scale))
+            checks.extend(_master_equation_checks(family, scale))
     if args.target in ("semiclassical", "all"):
         for family in ("exp", "gauss"):
-            checks.extend(_semiclassical_checks(family, args.inject_kappa_scale))
+            checks.extend(_semiclassical_checks(family, scale))
 
     for check in checks:
         check["pass"] = bool(check["value"] <= check["bound"])
@@ -397,7 +408,7 @@ def cmd_verify(args) -> int:
 
     payload = {
         "target": args.target,
-        "kappa_scale": args.inject_kappa_scale,
+        "kappa_scale": scale,
         "checks": checks,
         "pass": all_pass,
     }
@@ -441,7 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--tol", type=float, default=1e-11,
                        help="integration tolerance in [1e-13, 1e-6]")
     p_sim.add_argument("--samples", type=int, default=None,
-                       help="uniform output samples (default: adaptive grid)")
+                       help="uniform output samples, at least 3 "
+                            "(default: adaptive grid)")
     p_sim.add_argument("--kappa", default=None,
                        help="coupling override: const:<v> or file:<path>")
     p_sim.add_argument("--out", default="trajectory.csv")
@@ -462,7 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["master-equation", "semiclassical", "all"])
     p_ver.add_argument("--inject-kappa-scale", type=float, default=1.0,
                        dest="inject_kappa_scale",
-                       help="fault-injection hook: multiply the coupling")
+                       help="fault-injection hook: multiply the coupling "
+                            "by this finite value >= 0")
     p_ver.add_argument("--out", default="verify.json")
     p_ver.set_defaults(func=cmd_verify)
 

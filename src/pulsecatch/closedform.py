@@ -18,6 +18,9 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
+from . import profiles as prof
 from ._scipy import brentq
 from .errors import (DomainError, NoPeak, NoThreshold, SingularCoupling,
                      brackets_root)
@@ -333,3 +336,106 @@ def gauss_report(sigma: float, n: float, kappa_i: float) -> tuple[float, float]:
                      f"[{lo!r}, {hi!r}]")
     tau_max = brentq(h, lo, hi, xtol=1e-12, rtol=8.9e-16, maxiter=200)
     return tau_max, _gauss_stage2(cst, sigma, n, tau_max)
+
+
+# ---------------------------------------------------------------------------
+# loss budgets: d(beta^2)/dtau = r_in - r_out - kappa_i beta^2
+# ---------------------------------------------------------------------------
+
+def _exp_stage1_integrals(r: float, kappa_i: float,
+                          tau_c: float) -> tuple[float, float]:
+    """(int beta^2, int r_out) over the stage-1 window [0, tau_c], in closed form.
+
+    With s = 1 + kappa_i - r and phi(tau) = 2(1 - e^{-s tau/2})/s, the stage-1
+    amplitude is beta = -sqrt(r_in) phi and the reflected amplitude is
+    sqrt(r_in) (1 - phi); phi hits exactly 1 at the threshold. Expanding the
+    naive closed forms in powers of 1/s loses ~s^-2 digits near r = 1,
+    kappa_i = 0, so both integrals use integration-by-parts recurrences on
+    moments of phi and psi = 1 - phi instead (phi' = 1 - (s/2) phi).
+    """
+    s = 1.0 + kappa_i - r
+    e_rt = math.exp(-r * tau_c)
+    phi_t = tau_c if s == 0.0 else -2.0 * math.expm1(-0.5 * s * tau_c) / s
+    psi_t = 1.0 - phi_t
+
+    # K_k = int_0^tau_c e^{-r t} phi^k dt
+    k0 = (1.0 - e_rt) / r
+    k1 = (k0 - e_rt * phi_t) / (0.5 * s + r)
+    k2 = (2.0 * k1 - e_rt * phi_t * phi_t) / (s + r)
+    beta_sq = r * k2
+
+    # J_k = int_0^tau_c e^{-r t} psi^k dt;  psi' = -(1 - s/2) - (s/2) psi
+    j1 = (1.0 - e_rt * psi_t - (1.0 - 0.5 * s) * k0) / (0.5 * s + r)
+    j2 = (1.0 - e_rt * psi_t * psi_t - 2.0 * (1.0 - 0.5 * s) * j1) / (s + r)
+    r_out = r * j2
+    return beta_sq, r_out
+
+
+def exp_losses(r: float, kappa_i: float,
+               tau_max: float) -> tuple[float, float, float]:
+    """(stage-1 reflection, intrinsic loss, unabsorbed input) up to tau_max
+    for an exponential input, every term in closed form."""
+    cst = exp_constants(r, kappa_i)
+    beta_sq_1, refl = _exp_stage1_integrals(r, kappa_i, cst.tau_c)
+    # Stage-2 population A1 e^{-k_i tau} - A2 e^{-r tau}; the intrinsic loss
+    # kappa_i * int beta^2 needs no division by kappa_i in this form.
+    e_ki = math.exp(-kappa_i * cst.tau_c) - math.exp(-kappa_i * tau_max)
+    e_r = math.exp(-r * cst.tau_c) - math.exp(-r * tau_max)
+    intrinsic = kappa_i * beta_sq_1 + cst.a1 * e_ki - (kappa_i / r) * cst.a2 * e_r
+    return refl, intrinsic, math.exp(-r * tau_max)
+
+
+def _gauss_stage1_population(cst: GaussConstants, tau: np.ndarray) -> np.ndarray:
+    """beta^2 = r_in (C e^{B^2}(erf B + erf A))^2 at each tau in [0, tau_c],
+    C = sqrt(pi)/(2 sqrt(b)): `gauss_population`'s stage-1 form on an array,
+    so that one Kronrod sum takes all its nodes in a few numpy calls. Each
+    branch of `_exp_b2_s` sees only the B of its own sign, so neither
+    overflows."""
+    rb = math.sqrt(cst.b)
+    big_a = rb * cst.tau0 + 0.5 * cst.a / rb
+    big_b = rb * (tau - cst.tau0) - 0.5 * cst.a / rb
+    neg, pos = np.minimum(big_b, 0.0), np.maximum(big_b, 0.0)
+    scaled = np.where(big_b <= 0.0,
+                      erfcx(-neg) - erfcx(big_a) * np.exp(neg * neg - big_a * big_a),
+                      np.exp(pos * pos) * (erf(pos) + erf(big_a)))
+    bracket = 0.5 * SQRT_PI / rb * scaled
+    z = (tau - cst.tau0) / cst.sigma
+    return np.exp(-0.5 * z * z) / (cst.sigma * SQRT_2PI) * bracket * bracket
+
+
+def _gauss_stage1_integral(cst: GaussConstants) -> float:
+    """S1 = int_0^tau_c beta^2: the 21-point Kronrod rule on equal pieces at
+    most 2 sigma wide (one rule over all of [0, tau_c] keeps only ~12 digits
+    of a pulse with n = 8)."""
+    pieces = max(1, math.ceil(cst.tau_c / (2.0 * cst.sigma)))
+    edges = np.linspace(0.0, cst.tau_c, pieces + 1)
+    return float(prof._kronrod(lambda t: _gauss_stage1_population(cst, t),
+                               edges).sum())
+
+
+def gauss_losses(sigma: float, n: float, kappa_i: float,
+                 tau_max: float) -> tuple[float, float, float]:
+    """(stage-1 reflection, intrinsic loss, unabsorbed input) up to tau_max
+    for a Gaussian input; up to tau0 + 10 sigma when tau_max is inf
+    (kappa_i = 0).
+
+    The energy balance integrated over each stage leaves one integral,
+    S1 = int_0^tau_c beta^2. Stage 1 ends at beta^2 = r_in(tau_c), so its
+    reflection is C(tau_c) - r_in(tau_c) - kappa_i S1, with C the input's
+    cumulative. Stage 2 reflects nothing, so its intrinsic loss is
+    C(upper) - C(tau_c) - (beta^2(upper) - r_in(tau_c)). All terms share
+    one C and one r_in(tau_c), and beta^2(tau_max) is the fidelity of
+    `gauss_report` bit for bit, so the budget closes to rounding.
+    """
+    cst = gauss_constants(sigma, n, kappa_i)
+    upper = tau_max if math.isfinite(tau_max) else cst.tau0 + 10.0 * sigma
+    profile = prof.gaussian(sigma=sigma, n=n)
+    c_tc = prof.cumulative(profile, cst.tau_c)
+    c_up = prof.cumulative(profile, upper)
+    seed = gauss_rate(sigma, n, cst.tau_c)
+    s1 = _gauss_stage1_integral(cst)
+    stage2 = (c_up - c_tc) - (float(_gauss_stage2(cst, sigma, n, upper)) - seed)
+    # cumulative(inf) already excludes the left-truncation deficit, so the
+    # unabsorbed term carries both the not-yet-arrived input and the
+    # truncated mass.
+    return c_tc - seed - kappa_i * s1, kappa_i * s1 + stage2, 1.0 - c_up

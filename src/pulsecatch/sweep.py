@@ -1,6 +1,8 @@
 """Fidelity surfaces over (kappa_i, r) grids and the loss-optimal input rate.
 
-The built-in families evaluate through `closedform` (microseconds per cell);
+The built-in families evaluate through `closedform`, loss budget included
+(`exp_losses`, `gauss_losses`: closed forms and, for a Gaussian, one
+Kronrod sum; no adaptive quadrature, so a sweep loads no scipy.integrate);
 anything else goes through the generic `protocol` solver. Cells are pure and
 independent — the engine fills the matrix serially in index order, so output
 is deterministic and any future parallel fill must assemble by index to keep
@@ -20,7 +22,6 @@ import numpy as np
 from . import closedform as cf
 from . import profiles as prof
 from . import protocol
-from ._scipy import quad
 from .errors import BoundaryMaximumWarning, DomainError, PulsecatchError
 
 R_RANGE = (0.05, 1.0)
@@ -64,76 +65,24 @@ class SweepGrid:
         return out
 
 
-def _exp_stage1_integrals(r: float, kappa_i: float,
-                          tau_c: float) -> tuple[float, float]:
-    """(int beta^2, int r_out) over the stage-1 window [0, tau_c], in closed form.
-
-    With s = 1 + kappa_i - r and phi(tau) = 2(1 - e^{-s tau/2})/s, the stage-1
-    amplitude is beta = -sqrt(r_in) phi and the reflected amplitude is
-    sqrt(r_in) (1 - phi); phi hits exactly 1 at the threshold. Expanding the
-    naive closed forms in powers of 1/s loses ~s^-2 digits near r = 1,
-    kappa_i = 0, so both integrals use integration-by-parts recurrences on
-    moments of phi and psi = 1 - phi instead (phi' = 1 - (s/2) phi).
-    """
-    s = 1.0 + kappa_i - r
-    e_rt = math.exp(-r * tau_c)
-    phi_t = tau_c if s == 0.0 else -2.0 * math.expm1(-0.5 * s * tau_c) / s
-    psi_t = 1.0 - phi_t
-
-    # K_k = int_0^tau_c e^{-r t} phi^k dt
-    k0 = (1.0 - e_rt) / r
-    k1 = (k0 - e_rt * phi_t) / (0.5 * s + r)
-    k2 = (2.0 * k1 - e_rt * phi_t * phi_t) / (s + r)
-    beta_sq = r * k2
-
-    # J_k = int_0^tau_c e^{-r t} psi^k dt;  psi' = -(1 - s/2) - (s/2) psi
-    j1 = (1.0 - e_rt * psi_t - (1.0 - 0.5 * s) * k0) / (0.5 * s + r)
-    j2 = (1.0 - e_rt * psi_t * psi_t - 2.0 * (1.0 - 0.5 * s) * j1) / (s + r)
-    r_out = r * j2
-    return beta_sq, r_out
-
-
 def _exp_cell(r: float, kappa_i: float) -> protocol.TransferReport:
-    cst = cf.exp_constants(r, kappa_i)
     tau_max, fidelity = cf.exp_report(r, kappa_i)
-    beta_sq_1, refl = _exp_stage1_integrals(r, kappa_i, cst.tau_c)
-    # Stage-2 population A1 e^{-k_i tau} - A2 e^{-r tau}; the intrinsic loss
-    # kappa_i * int beta^2 needs no division by kappa_i in this form.
-    e_ki = math.exp(-kappa_i * cst.tau_c) - math.exp(-kappa_i * tau_max)
-    e_r = math.exp(-r * cst.tau_c) - math.exp(-r * tau_max)
-    intrinsic = kappa_i * beta_sq_1 + cst.a1 * e_ki - (kappa_i / r) * cst.a2 * e_r
+    refl, intrinsic, unabsorbed = cf.exp_losses(r, kappa_i, tau_max)
     return protocol.TransferReport(
-        tau_c=cst.tau_c, tau_max=tau_max, fidelity=fidelity,
-        loss_stage1_reflection=refl, loss_intrinsic=intrinsic,
-        loss_unabsorbed=math.exp(-r * tau_max))
+        tau_c=cf.exp_constants(r, kappa_i).tau_c, tau_max=tau_max,
+        fidelity=fidelity, loss_stage1_reflection=refl,
+        loss_intrinsic=intrinsic, loss_unabsorbed=unabsorbed)
 
 
 def _gauss_cell(r: float, kappa_i: float) -> protocol.TransferReport:
     sigma = 1.0 / (r * math.sqrt(2.0 * math.pi))
     n = prof.DEFAULT_GAUSSIAN_OFFSET
-    cst = cf.gauss_constants(sigma, n, kappa_i)
     tau_max, fidelity = cf.gauss_report(sigma, n, kappa_i)
-
-    def pop(t: float) -> float:
-        return cf.gauss_population(sigma, n, kappa_i, t)
-
-    def r_out(t: float) -> float:
-        w = math.sqrt(cf.gauss_rate(sigma, n, t)) - math.sqrt(pop(t))
-        return w * w
-
-    refl = quad(r_out, 0.0, cst.tau_c, limit=200, epsabs=1e-12)[0]
-    upper = tau_max if math.isfinite(tau_max) else cst.tau0 + 10.0 * sigma
-    intr = kappa_i * (quad(pop, 0.0, cst.tau_c, limit=200, epsabs=1e-12)[0]
-                      + quad(pop, cst.tau_c, upper, limit=200,
-                             points=[cst.tau0] if cst.tau_c < cst.tau0 < upper
-                             else None, epsabs=1e-12)[0])
-    # cumulative(inf) already excludes the left-truncation deficit, so this
-    # term carries both the not-yet-arrived input and the truncated mass.
-    unabs = 1.0 - prof.cumulative(prof.gaussian(r=r), float(upper))
+    refl, intrinsic, unabsorbed = cf.gauss_losses(sigma, n, kappa_i, tau_max)
     return protocol.TransferReport(
-        tau_c=cst.tau_c, tau_max=tau_max, fidelity=fidelity,
-        loss_stage1_reflection=refl, loss_intrinsic=intr,
-        loss_unabsorbed=unabs)
+        tau_c=cf.gauss_constants(sigma, n, kappa_i).tau_c, tau_max=tau_max,
+        fidelity=fidelity, loss_stage1_reflection=refl,
+        loss_intrinsic=intrinsic, loss_unabsorbed=unabsorbed)
 
 
 def _generic_cell(profile: prof.InputProfile,
@@ -182,6 +131,8 @@ def fidelity_surface(family, grid: tuple[Sequence[float], Sequence[float]]
     rs = tuple(float(r) for r in rs)
     if not kis or not rs:
         raise DomainError("grid axes must be non-empty")
+    if not all(map(math.isfinite, kis + rs)):
+        raise DomainError("grid values must be finite")
     if any(k <= 0.0 for k in kis):
         raise DomainError("kappa_i grid values must be positive")
     if list(kis) != sorted(kis) or list(rs) != sorted(rs):

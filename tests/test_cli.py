@@ -217,6 +217,35 @@ def test_schedule_path_loads_no_scipy(argv, tmp_path):
     assert [m for m in imported if m.split(".")[0] == "scipy"] == []
 
 
+def test_gauss_sweep_loads_no_scipy_integrate(tmp_path):
+    """`sweep --profile gauss` takes its losses from the energy balance and
+    the closed forms: it loads scipy.special (erf, erfcx) and no
+    scipy.integrate module, which costs about 0.3 s more to import."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m",
+                           "pulsecatch", "sweep", "--profile", "gauss",
+                           "--grid-ki", "1e-5,1e-2", "--grid-r", "0.05,1",
+                           "--out", str(tmp_path / "s.csv")],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "4 cells, 0 failed" in proc.stdout
+    imported = [line.rsplit("|", 1)[1].strip()
+                for line in proc.stderr.splitlines()
+                if line.startswith("import time:") and "|" in line]
+    assert "pulsecatch.cli" in imported and "scipy.special" in imported
+    assert [m for m in imported if m.startswith("scipy.integrate")] == []
+
+
+def _no_solve(monkeypatch):
+    """Make any schedule build fail at once: the checks below must come first
+    (a nan or inf coupling scale used to spin in the integrators)."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a solve started before the flags were checked")
+    monkeypatch.setattr(protocol, "build_schedule", refuse)
+
+
 # ---------------------------------------------------------------------------
 # schedule
 # ---------------------------------------------------------------------------
@@ -245,6 +274,18 @@ def test_schedule_outputs(tmp_path, capsys):
     assert np.all(np.diff(taus) > 0.0)
     assert np.all(kappas[taus < 1.36] == 1.0)  # stage-1 plateau
     assert np.nanmax(kappas) <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("samples", ["-5", "-1"])
+def test_schedule_negative_samples_is_input_error(samples, tmp_path, capsys,
+                                                 monkeypatch):
+    _no_solve(monkeypatch)
+    out = tmp_path / "sched"
+    assert cli.main(["schedule", *EXP_OP, "--samples", samples,
+                     "--out", str(out)]) == 1
+    assert "--samples must be >= 0" in capsys.readouterr().err
+    assert not out.with_suffix(".csv").exists()
+    assert not out.with_suffix(".json").exists()
 
 
 def test_schedule_lossless_infinite_peak_is_json_safe(tmp_path):
@@ -342,6 +383,17 @@ def test_simulate_residual_shrinks_with_tol(tmp_path, capsys):
     assert residuals[1] < 0.5 * residuals[0]
 
 
+@pytest.mark.parametrize("samples", ["2", "0", "-3"])
+def test_simulate_too_few_samples_is_input_error(samples, tmp_path, capsys,
+                                                monkeypatch):
+    _no_solve(monkeypatch)
+    out = tmp_path / "trajectory.csv"
+    assert cli.main(["simulate", *EXP_OP, "--samples", samples,
+                     "--out", str(out)]) == 1
+    assert "--samples must be >= 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_bad_kappa_literals(tmp_path):
     assert cli.main(["simulate", *EXP_OP, "--kappa", "const:1.5",
                      "--out", str(tmp_path / "x.csv")]) == 1
@@ -418,6 +470,19 @@ def test_sweep_bad_grid_literal(tmp_path):
                      "--out", str(tmp_path / "s.csv")]) == 1
 
 
+@pytest.mark.parametrize("grid", [("1e-4,1e-3", "0.1,nan"),
+                                  ("nan,1e-3", "0.1,0.2"),
+                                  ("1e-4,inf", "0.1,0.2"),
+                                  ("1e-4,1e-3", "-inf,0.2")],
+                         ids=["r-nan", "ki-nan", "ki-inf", "r-inf"])
+def test_sweep_non_finite_grid_is_input_error(grid, tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    assert cli.main(["sweep", "--profile", "gauss", f"--grid-ki={grid[0]}",
+                     f"--grid-r={grid[1]}", "--out", str(out)]) == 1
+    assert "grid values must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -453,3 +518,15 @@ def test_verify_fault_injection_detected(tmp_path, capsys):
 def test_verify_rejects_unknown_target(tmp_path):
     assert cli.main(["verify", "everything",
                      "--out", str(tmp_path / "v.json")]) == 1
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf", "-inf", "-1"])
+def test_verify_rejects_bad_kappa_scale(scale, tmp_path, capsys, monkeypatch):
+    # nan and inf used to spin in DOP853 for minutes, -1 died in math.sqrt
+    _no_solve(monkeypatch)
+    out = tmp_path / "v.json"
+    assert cli.main(["verify", f"--inject-kappa-scale={scale}",
+                     "--out", str(out)]) == 1
+    assert "--inject-kappa-scale must be finite and >= 0" \
+        in capsys.readouterr().err
+    assert not out.exists()

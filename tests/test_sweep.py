@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
+from pulsecatch import closedform as cf
 from pulsecatch import profiles as prof
 from pulsecatch import protocol
 from pulsecatch import sweep
@@ -36,6 +37,10 @@ def test_exp_cell_budget_closes(r, ki):
 @pytest.mark.parametrize("ki", [1e-5, 1e-2])
 @pytest.mark.parametrize("r", [0.05, 0.1533, 1.0])
 def test_gauss_cell_budget_closes(r, ki):
+    """Not an independent check any more: `closedform.gauss_losses` takes
+    every term from one cumulative and takes beta^2(tau_max) from F, so the
+    budget closes by algebra. The losses' own oracles are quadratures in
+    test_closedform."""
     assert _budget_defect(sweep._gauss_cell(r, ki)) <= 1e-12
 
 
@@ -55,7 +60,7 @@ def test_exp_stage1_integrals_match_quadrature(r, ki, tau_c):
                     0.0, tau_c, epsabs=1e-15, epsrel=1e-13)[0]
     want_out = quad(lambda t: r * math.exp(-r * t) * (1.0 - phi(t)) ** 2,
                     0.0, tau_c, epsabs=1e-15, epsrel=1e-13)[0]
-    got_pop, got_out = sweep._exp_stage1_integrals(r, ki, tau_c)
+    got_pop, got_out = cf._exp_stage1_integrals(r, ki, tau_c)
     assert got_pop == pytest.approx(want_pop, abs=1e-12)
     assert got_out == pytest.approx(want_out, abs=1e-12)
 
@@ -191,6 +196,21 @@ def test_surface_rows_unimodal():
 def test_surface_rejects_bad_grids(bad_grid):
     with pytest.raises(DomainError):
         sweep.fidelity_surface("exp", grid=bad_grid)
+
+
+@pytest.mark.parametrize("bad_grid", [
+    ((1e-4, 1e-3), (0.1, math.nan)),
+    ((math.nan, 1e-3), (0.1,)),
+    ((1e-4, math.inf), (0.1,)),
+    ((1e-4,), (-math.inf, 0.1)),
+    ((1e-4,), (0.1, math.inf)),
+], ids=["r-nan", "ki-nan", "ki-inf", "r-minus-inf", "r-inf"])
+@pytest.mark.parametrize("family", ["exp", "gauss"])
+def test_surface_rejects_non_finite_grid_values(family, bad_grid):
+    # nan passes both `k <= 0` and the sortedness check: it used to give
+    # nan rows and a "failed" count, with exit 0 from the CLI
+    with pytest.raises(DomainError, match="grid values must be finite"):
+        sweep.fidelity_surface(family, grid=bad_grid)
 
 
 def test_surface_warns_beyond_standard_ranges():
