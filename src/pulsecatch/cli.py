@@ -201,20 +201,78 @@ def _require_valid(profile: prof.InputProfile) -> None:
 # schedule
 # ---------------------------------------------------------------------------
 
+def _uniform(a: float, b: float, h: float, cap: int = 150000) -> np.ndarray:
+    n = min(int(math.ceil((b - a) / h)) + 1, cap)
+    return np.linspace(a, b, max(n, 2))
+
+
+def _dense_samples(schedule: protocol.CouplingSchedule) -> np.ndarray:
+    """Curvature-adaptive grid on [0, horizon] for the schedule CSV.
+
+    The spacing follows the curvature of beta^2, so that a PCHIP through
+    the file's kappa column reproduces the schedule to well below 1e-9
+    (`simulate --kappa file:`): ~r^3 for the exponential family (decaying
+    as e^{-r tau}) and ~1/sigma^3 through a Gaussian pulse body; past the
+    populated region everything flattens and a geometric tail suffices.
+    Each breakpoint gets a fine zone, and a table's knots are samples.
+    """
+    profile, tau_end = schedule.profile, schedule.horizon
+    pieces = [np.array([0.0, tau_end])]
+    tau_c = min(schedule.tau_c, tau_end)
+    if profile.kind == prof.EXPONENTIAL:
+        r = profile.r
+        pieces.append(_uniform(0.0, tau_c, 3.5e-5 / math.sqrt(r)))
+        mid = min(tau_end, tau_c + 6.0 / r)
+        pieces.append(_uniform(tau_c, mid, 7e-5 / r ** 1.5))
+        # Second zone: |d^3 beta^2| has decayed by e^-6, so a 4x coarser
+        # spacing holds the same error budget out to where the geometric
+        # tail is safe for any rate in the standard range.
+        dense_end = min(tau_end, tau_c + 14.0 / r)
+        if dense_end > mid:
+            pieces.append(_uniform(mid, dense_end, 2.8e-4 / r ** 1.5))
+    elif profile.kind == prof.GAUSSIAN:
+        sg = profile.sigma
+        pieces.append(_uniform(0.0, tau_c, sg / 3000.0))
+        dense_end = min(tau_end, max(tau_c, profile.tau0 + 6.0 * sg))
+        pieces.append(_uniform(tau_c, dense_end, sg / 5500.0))
+    else:
+        dense_end = min(tau_end, prof.horizon(profile))
+        pieces.append(_uniform(0.0, dense_end, dense_end / 12000.0))
+    if dense_end < tau_end:
+        span = tau_end - dense_end
+        n_tail = min(3000, int(math.ceil(math.log(span / 1e-3) / 8e-3)) + 1)
+        pieces.append(dense_end + np.geomspace(1e-3, span, max(n_tail, 2)))
+    for b in schedule.breakpoints():
+        if b < tau_end:
+            pieces.append(_uniform(max(0.0, b - 0.5),
+                                   min(tau_end, b + 0.5), 5e-4))
+    if profile.kind == prof.TABULATED:
+        pieces.append(np.asarray([t for t in profile.taus if t <= tau_end]))
+    ts = np.unique(np.concatenate(pieces))
+    ts = ts[(ts >= 0.0) & (ts <= tau_end)]
+    # Merging overlapping pieces can leave near-coincident samples; drop
+    # those closer than 1e-6.
+    keep = np.empty(ts.shape, dtype=bool)
+    keep[0] = True
+    keep[1:] = np.diff(ts) > 1e-6
+    keep[-1] = True
+    if ts.size > 1 and ts[-1] - ts[-2] <= 1e-6:
+        keep[-2] = False
+    return ts[keep]
+
+
 def _schedule_rows(schedule: protocol.CouplingSchedule, n: int):
     """Yield (tau, kappa, r_in, beta1_sq, beta_sq, r_out) rows over [0, horizon].
 
-    The grid is the union of `n` uniform samples with the curvature-adaptive
-    grid the simulator itself uses, so an interpolant through the file
-    reproduces kappa(tau) well below the 1e-9 round-trip budget; segment
-    boundaries are inserted as exact knots so the stage-1 plateau ends
-    precisely at tau_c in the file. Where the coupling is numerically
-    undefined (population underflowed to zero while the rate has not) the
-    kappa and r_out cells hold `nan`.
+    The grid is the union of `n` uniform samples with `_dense_samples`, so
+    an interpolant through the file reproduces kappa(tau) well below the
+    1e-9 round-trip budget; segment boundaries are inserted as exact knots
+    so the stage-1 plateau ends precisely at tau_c in the file. Where the
+    coupling is numerically undefined (population underflowed to zero while
+    the rate has not) the kappa and r_out cells hold `nan`.
     """
     knots = [schedule.tau_c] + schedule.breakpoints()
-    adaptive = dynamics._default_samples(schedule.profile, schedule,
-                                         schedule.horizon)
+    adaptive = _dense_samples(schedule)
     ts = np.unique(np.concatenate([np.linspace(0.0, schedule.horizon, n),
                                    adaptive, np.asarray(knots)]))
     profile = schedule.profile
@@ -269,7 +327,7 @@ def cmd_schedule(args) -> int:
 
 def cmd_simulate(args) -> int:
     if args.samples is not None and args.samples < 3:
-        # the energy balance takes a centred difference
+        # the energy balance differences at least 3 samples
         raise DomainError(f"--samples must be >= 3, got {args.samples}")
     profile = prof.parse_profile(args.profile)
     _require_valid(profile)
@@ -287,13 +345,13 @@ def cmd_simulate(args) -> int:
 
     traj = dynamics.simulate_amplitudes(profile, params, coupling, tau_end,
                                         tol=args.tol, samples=args.samples)
+    residual = dynamics.energy_balance_residual(traj)
 
     rows = zip(traj.taus, traj.beta1, traj.beta, traj.kappa, traj.r_in,
                traj.r_out, traj.cum_reflection, traj.cum_intrinsic)
     _atomic_write(args.out, _csv_text(
         "tau,beta1,beta,kappa,r_in,r_out,cum_reflection,cum_intrinsic", rows))
 
-    residual = dynamics.energy_balance_residual(traj)
     print(f"energy balance residual = {_fmt(residual)}")
     if tau_c is not None:
         mask = traj.taus >= tau_c
@@ -452,8 +510,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--tol", type=float, default=1e-11,
                        help="integration tolerance in [1e-13, 1e-6]")
     p_sim.add_argument("--samples", type=int, default=None,
-                       help="uniform output samples, at least 3 "
-                            "(default: adaptive grid)")
+                       help="uniform output samples, at least 3 (default: "
+                            "a uniform grid per segment between tau_c, the "
+                            "coupling's breaks and a table's knots, spaced "
+                            "from --tol)")
     p_sim.add_argument("--kappa", default=None,
                        help="coupling override: const:<v> or file:<path>")
     p_sim.add_argument("--out", default="trajectory.csv")

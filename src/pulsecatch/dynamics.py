@@ -33,6 +33,8 @@ from .errors import DomainError, StepFailure
 from .protocol import CouplingSchedule
 
 _DEFAULT_TOL = 1e-10
+# Nodes of the energy-balance stencil: first derivatives of 6th order.
+_STENCIL = 7
 
 
 def reflection_rate(beta, kappa, r_in):
@@ -55,6 +57,11 @@ class Trajectory:
     to intrinsic decay up to each sample. At every sample
     beta1^2 + beta^2 + cum_reflection + cum_intrinsic equals the initial
     excitation to within the integration tolerance.
+
+    `edges` are the points where the right-hand side is not smooth (0, the
+    coupling's breaks, a table's knots, the end), in order;
+    `energy_balance_residual` keeps its stencils between them. Empty means
+    one smooth segment over the samples.
     """
 
     taus: np.ndarray
@@ -67,6 +74,7 @@ class Trajectory:
     cum_intrinsic: np.ndarray
     kappa_i: float
     tol: float
+    edges: tuple[float, ...] = ()
 
     def __post_init__(self):
         for arr in (self.taus, self.beta1, self.beta, self.kappa, self.r_in,
@@ -87,67 +95,61 @@ def _as_kappa_fn(schedule_or_kappa) -> tuple[Callable[[float], float], list[floa
     raise DomainError("expected a CouplingSchedule or a callable kappa(tau)")
 
 
-def _uniform(a: float, b: float, h: float, cap: int = 150000) -> np.ndarray:
-    n = min(int(math.ceil((b - a) / h)) + 1, cap)
-    return np.linspace(a, b, max(n, 2))
-
-
-def _default_samples(profile: prof.InputProfile, schedule_or_kappa,
-                     tau_end: float) -> np.ndarray:
-    """Sample grid dense enough that centered differences of beta^2 resolve
-    the energy balance to ~50x the default tolerance.
-
-    The spacing follows the curvature of beta^2: the finite-difference error
-    is ~h^2 |d^3 beta^2| / 6, and the third derivative scales like r^3 for
-    the exponential family (decaying as e^{-r tau}) and like 1/sigma^3
-    through a Gaussian pulse body; past the populated region everything
-    flattens and a geometric tail suffices.
-    """
-    pieces = [np.array([0.0, tau_end])]
-    if isinstance(schedule_or_kappa, CouplingSchedule):
-        tau_c = min(schedule_or_kappa.tau_c, tau_end)
-        if profile.kind == prof.EXPONENTIAL:
-            r = profile.r
-            pieces.append(_uniform(0.0, tau_c, 3.5e-5 / math.sqrt(r)))
-            mid = min(tau_end, tau_c + 6.0 / r)
-            pieces.append(_uniform(tau_c, mid, 7e-5 / r ** 1.5))
-            # Second zone: |d^3 beta^2| has decayed by e^-6, so a 4x coarser
-            # spacing holds the same error budget out to where the geometric
-            # tail is safe for any rate in the standard range.
-            dense_end = min(tau_end, tau_c + 14.0 / r)
-            if dense_end > mid:
-                pieces.append(_uniform(mid, dense_end, 2.8e-4 / r ** 1.5))
-        elif profile.kind == prof.GAUSSIAN:
-            sg = profile.sigma
-            pieces.append(_uniform(0.0, tau_c, sg / 3000.0))
-            dense_end = min(tau_end, max(tau_c, profile.tau0 + 6.0 * sg))
-            pieces.append(_uniform(tau_c, dense_end, sg / 5500.0))
-        else:
-            dense_end = min(tau_end, prof.horizon(profile))
-            pieces.append(_uniform(0.0, dense_end, dense_end / 12000.0))
-        if dense_end < tau_end:
-            span = tau_end - dense_end
-            n_tail = min(3000, int(math.ceil(math.log(span / 1e-3) / 8e-3)) + 1)
-            pieces.append(dense_end + np.geomspace(1e-3, span, max(n_tail, 2)))
-        for b in schedule_or_kappa.breakpoints():
-            if b < tau_end:
-                pieces.append(_uniform(max(0.0, b - 0.5),
-                                       min(tau_end, b + 0.5), 5e-4))
-    else:
-        pieces.append(np.linspace(0.0, tau_end, 8001))
+def _edges(profile: prof.InputProfile, breaks: Sequence[float],
+           tau_end: float) -> tuple[float, ...]:
+    """0, the coupling's breaks, a table's knots and tau_end, in order: the
+    points where the right-hand side is not smooth. The coupling has a kink
+    at a break (beta^2 has one in its second derivative), and PCHIP's r_in
+    one in its second derivative at a knot."""
+    inner = [b for b in breaks if 0.0 < b < tau_end]
     if profile.kind == prof.TABULATED:
-        pieces.append(np.asarray([t for t in profile.taus if t <= tau_end]))
-    ts = np.unique(np.concatenate(pieces))
-    ts = ts[(ts >= 0.0) & (ts <= tau_end)]
-    # Merging overlapping pieces can leave near-coincident samples, and a
-    # centered difference across a ~1e-9 gap turns rounding into noise.
-    keep = np.empty(ts.shape, dtype=bool)
-    keep[0] = True
-    keep[1:] = np.diff(ts) > 1e-6
-    keep[-1] = True
-    if ts.size > 1 and ts[-1] - ts[-2] <= 1e-6:
-        keep[-2] = False
-    return ts[keep]
+        inner += [t for t in profile.taus.tolist() if 0.0 < t < tau_end]
+    return (0.0, *sorted(set(inner)), float(tau_end))
+
+
+def _spacing(tol: float) -> float:
+    """Grid spacing per unit of the pulse's time scale T.
+
+    A 7-node stencil is off by at most about h^6 |f^(7)| / 7 (its one-sided
+    end), and |f^(7)| of beta^2 is about T^-7 for these pulses, so
+    h = T (7 tol)^(1/6) holds the stencil's error near tol / T.
+    """
+    return (7.0 * tol) ** (1.0 / 6.0)
+
+
+def _segment_grid(profile: prof.InputProfile, edges: Sequence[float],
+                  tol: float) -> np.ndarray:
+    """One uniform grid per segment between consecutive edges, each edge a
+    sample, for stencils of `_STENCIL` nodes that stay inside a segment.
+
+    A segment's spacing is `_spacing(tol)` times its time scale T: the
+    pulse's (1/r for the exponential, sigma for the Gaussian, the knot
+    spacing for a table), or the segment's own length where that is
+    shorter, but no less than 1, the memory's own time (kappa <= 1). Stage
+    1 of a long exponential pulse lasts about 1.4, and there kappa = 1 sets
+    the pace, not 1/r. Every segment gets at least `_STENCIL` samples, but
+    one shorter than its spacing has nothing to resolve: it gets just its
+    ends, and the residual skips it.
+    """
+    a, b = np.asarray(edges[:-1]), np.asarray(edges[1:])
+    span = b - a
+    if profile.kind == prof.EXPONENTIAL:
+        scale = np.full(span.shape, 1.0 / profile.r)
+    elif profile.kind == prof.GAUSSIAN:
+        scale = np.full(span.shape, profile.sigma)
+    else:
+        knots = profile.taus
+        i = np.searchsorted(knots, 0.5 * (a + b))
+        inside = (i > 0) & (i < len(knots))
+        i = np.clip(i, 1, len(knots) - 1)
+        scale = np.where(inside, knots[i] - knots[i - 1], math.inf)
+    step = _spacing(tol) * np.minimum(scale, np.maximum(span, 1.0))
+    counts = np.where(span < step, 2,
+                      np.maximum(np.ceil(span / step) + 1, _STENCIL))
+    pieces = [np.linspace(t0, t1, n)[:-1]
+              for t0, t1, n in zip(a.tolist(), b.tolist(),
+                                   counts.astype(int).tolist())]
+    return np.concatenate(pieces + [np.array([edges[-1]])])
 
 
 def _checked_grid(tol: float, tau_end: float,
@@ -205,8 +207,11 @@ def simulate_amplitudes(profile: prof.InputProfile, params: prof.MemoryParams,
     is the exact beta1 = sqrt(max(0, 1 - int r_in)).
 
     `schedule_or_kappa` is either a CouplingSchedule or any callable
-    kappa(tau) in [0, 1]. `samples` selects the output grid: None for an
-    adaptive default, an int for uniform sampling, or an explicit array.
+    kappa(tau) in [0, 1]. `samples` selects the output grid: None for one
+    uniform grid per segment between the trajectory's `edges`, spaced from
+    `tol` (`_segment_grid`), an int for uniform sampling, or an explicit
+    array. A Gaussian's integrator step is capped at one stencil's width of
+    that grid unless `max_step` says otherwise.
     `beta0` (<= 0) seeds the memory, for decay tests against closed forms.
     `max_step` caps the integrator step, bounding how far any dense-output
     interpolant span can stretch.
@@ -218,14 +223,16 @@ def simulate_amplitudes(profile: prof.InputProfile, params: prof.MemoryParams,
     kappa_fn, breaks = _as_kappa_fn(schedule_or_kappa)
     k_i = params.kappa_i
 
+    edges = _edges(profile, breaks, tau_end)
+    if ts is None:
+        ts = _segment_grid(profile, edges, tol)
+
     step_cap = max_step
     if math.isinf(step_cap) and profile.kind == prof.GAUSSIAN:
         # Steps spanning a large fraction of the pulse make the dense-output
-        # interpolant's error the dominant term in the energy residual.
-        step_cap = profile.sigma / 3.0
-
-    if ts is None:
-        ts = _default_samples(profile, schedule_or_kappa, tau_end)
+        # interpolant's error the dominant term in the energy residual: no
+        # step spans more than one stencil of the default grid.
+        step_cap = (_STENCIL - 1) * _spacing(tol) * profile.sigma
 
     def rhs(t, y):
         beta = y[0]
@@ -250,24 +257,72 @@ def simulate_amplitudes(profile: prof.InputProfile, params: prof.MemoryParams,
                       r_in=r_in, r_out=r_out,
                       cum_reflection=out[1].copy(),
                       cum_intrinsic=out[2].copy(),
-                      kappa_i=k_i, tol=tol)
+                      kappa_i=k_i, tol=tol, edges=edges)
+
+
+def _fornberg(z: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """First-derivative weights at z[i] on the nodes x[i, :], by Fornberg's
+    recursion (Math. Comp. 51, 1988) for derivative orders 0 and 1, one
+    stencil per row: sum_j w[i, j] f(x[i, j]) = f'(z[i]) for every
+    polynomial f of degree < x.shape[1]. The nodes may be spaced unevenly
+    and lie on one side of z."""
+    c0 = np.zeros(x.shape)          # interpolation weights
+    c1 = np.zeros(x.shape)          # first-derivative weights
+    c0[:, 0] = 1.0
+    prod = np.ones(len(z))
+    dz = x[:, 0] - z
+    for i in range(1, x.shape[1]):
+        p = np.ones(len(z))
+        dz_prev, dz = dz, x[:, i] - z
+        for j in range(i):
+            dx = x[:, i] - x[:, j]
+            p = p * dx
+            if j == i - 1:
+                c1[:, i] = prod * (c0[:, j] - dz_prev * c1[:, j]) / p
+                c0[:, i] = -prod * dz_prev * c0[:, j] / p
+            c1[:, j] = (dz * c1[:, j] - c0[:, j]) / dx
+            c0[:, j] = dz * c0[:, j] / dx
+        prod = p
+    return c1
 
 
 def energy_balance_residual(trajectory: Trajectory) -> float:
-    """Max over interior samples of |r_in - d(beta^2)/dtau - k_i beta^2 - r_out|.
+    """Max over samples of |r_in - d(beta^2)/dtau - k_i beta^2 - r_out|.
 
-    The derivative is a centered difference on the (possibly nonuniform)
-    sample grid, so the result measures how well the simulated run honors
-    the local energy balance; for trajectories from `simulate_amplitudes`
-    with default sampling it stays below ~50x the integration tolerance.
+    d(beta^2)/dtau takes Fornberg weights on `_STENCIL` = 7 neighbouring
+    samples (6th order), centred where the segment allows and one-sided near
+    its ends. A stencil never crosses one of the trajectory's `edges`, so a
+    kink of the coupling (at tau_c, say) does not enter the result; a
+    segment with 3 to 6 samples takes all of them, and one with fewer is
+    skipped. On `simulate_amplitudes`' default grid the stencil's error is
+    about tol / T (see `_spacing`), and the result measures how well the run
+    honors the local energy balance: at most 50x the tolerance at both
+    operating points. Raises DomainError when no segment has 3 samples.
     """
-    if len(trajectory) < 3:
-        raise DomainError("need at least 3 samples for a centered difference")
+    taus = trajectory.taus
     beta_sq = trajectory.beta * trajectory.beta
-    d_beta_sq = np.gradient(beta_sq, trajectory.taus, edge_order=2)
-    res = trajectory.r_in - d_beta_sq - trajectory.kappa_i * beta_sq \
-        - trajectory.r_out
-    return float(np.max(np.abs(res[1:-1])))
+    balance = trajectory.r_in - trajectory.kappa_i * beta_sq - trajectory.r_out
+    edges = trajectory.edges or (taus[0], taus[-1])
+    lo = np.searchsorted(taus, edges[:-1])
+    hi = np.searchsorted(taus, edges[1:], side="right")
+    stencils: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
+    for i0, i1 in zip(lo.tolist(), hi.tolist()):
+        k = min(_STENCIL, i1 - i0)
+        if k >= 3:
+            rows = np.arange(i0, i1)
+            stencils.setdefault(k, []).append(
+                (rows, np.clip(rows - k // 2, i0, i1 - k)))
+    if not stencils:
+        raise DomainError("no segment between the trajectory's edges (its "
+                          "coupling breaks and table knots) holds 3 samples")
+    worst = []
+    for k, parts in stencils.items():
+        rows = np.concatenate([r for r, _ in parts])
+        nodes = np.concatenate([s for _, s in parts])[:, None] + np.arange(k)
+        d_beta_sq = np.sum(_fornberg(taus[rows], taus[nodes])
+                           * beta_sq[nodes], axis=1)
+        worst.append(np.max(np.abs(balance[rows] - d_beta_sq)))
+    return float(np.max(worst))     # a nan anywhere is the result
 
 
 # ---------------------------------------------------------------------------

@@ -118,7 +118,9 @@ def compare_with_full_quantum(profile: prof.InputProfile, *,
     the return value measures only the numerical routes (~1e-12 for the
     analytic families, interpolation-limited for tabulated data).
     `kappa_scale` multiplies the quantum coupling; any value but 1 is a
-    deliberate fault the comparison must detect.
+    deliberate fault the comparison must detect. Samples where the quantum
+    coupling is 0 have no relative deviation; when every sample is such
+    (`kappa_scale = 0`), nothing was compared and the result is inf.
     """
     params = prof.MemoryParams(kappa_i=0.0)
     schedule = protocol.build_schedule(profile, params)
@@ -128,10 +130,6 @@ def compare_with_full_quantum(profile: prof.InputProfile, *,
 
     taus = np.linspace(tau_c, prof.horizon(profile), n_samples)
     k_quantum = kappa_scale * schedule.stage2_kappa(taus)
-    worst = 0.0
-    for tau, k_q in zip(taus.tolist(), k_quantum.tolist()):
-        if k_q == 0.0:
-            continue
-        k_sc = semiclassical_coupling(field, tau)
-        worst = max(worst, abs(k_q - k_sc) / k_q)
-    return worst
+    return max((abs(k_q - semiclassical_coupling(field, tau)) / k_q
+                for tau, k_q in zip(taus.tolist(), k_quantum.tolist())
+                if k_q != 0.0), default=math.inf)

@@ -339,6 +339,17 @@ def test_simulate_default_schedule(tmp_path, capsys):
     assert np.max(np.abs(total - 1.0)) <= 1e-8
 
 
+@pytest.mark.parametrize("literal", ["exp:r=0.036", "gauss:r=0.1533,n=4"])
+def test_simulate_defaults_meet_residual_bound(literal, tmp_path, capsys):
+    # the default --tol 1e-11 and its 50 tol bound, on the default grid
+    out = tmp_path / "trajectory.csv"
+    assert cli.main(["simulate", "--profile", literal, "--kappa-i", "1e-4",
+                     "--out", str(out)]) == 0
+    captured = capsys.readouterr().out
+    assert _stdout_value(captured, "energy balance residual") <= 5e-10
+    assert len(out.read_text().splitlines()) - 1 < 5000
+
+
 def test_simulate_constant_coupling_reflects(tmp_path, capsys):
     out = tmp_path / "closed.csv"
     assert cli.main(["simulate", "--profile", "exp:r=0.2",
@@ -392,6 +403,24 @@ def test_simulate_too_few_samples_is_input_error(samples, tmp_path, capsys,
                      "--out", str(out)]) == 1
     assert "--samples must be >= 3" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_simulate_grid_coarser_than_table_knots_is_input_error(tmp_path,
+                                                              capsys):
+    # 11 samples across 100 knot intervals leave no segment between knots
+    # with 3 samples: there is no residual to report, and no file is written
+    taus = np.linspace(0.0, 10.0, 101)
+    rates = np.exp(-0.5 * (taus - 4.0) ** 2)
+    table = tmp_path / "pulse.csv"
+    np.savetxt(table, np.c_[taus, rates / np.trapezoid(rates, taus)],
+               delimiter=",", fmt="%.17g")
+    out = tmp_path / "trajectory.csv"
+    assert cli.main(["simulate", "--profile", f"table:{table}", "--kappa-i",
+                     "1e-4", "--samples", "11", "--out", str(out)]) == 1
+    assert "holds 3 samples" in capsys.readouterr().err
+    assert not out.exists()
+    assert cli.main(["simulate", "--profile", f"table:{table}", "--kappa-i",
+                     "1e-4", "--out", str(out)]) == 0
 
 
 def test_simulate_bad_kappa_literals(tmp_path):
@@ -513,6 +542,20 @@ def test_verify_fault_injection_detected(tmp_path, capsys):
     # a 1% coupling error shows up as ~1% relative deviation
     dev = payload["checks"][0]["value"]
     assert 5e-3 < dev < 2e-2
+
+
+def test_verify_zero_kappa_scale_fails(tmp_path, capsys):
+    # a zero coupling leaves no sample to compare: that is a failed check,
+    # not a deviation of 0 (it used to print PASS and exit 0)
+    out = tmp_path / "verify.json"
+    assert cli.main(["verify", "semiclassical", "--inject-kappa-scale", "0",
+                     "--out", str(out)]) == 4
+    payload = json.loads(out.read_text())
+    assert payload["pass"] is False
+    assert [c["value"] for c in payload["checks"]] == ["inf", "inf"]
+    captured = capsys.readouterr().out
+    assert captured.count("FAIL semiclassical/") == 2
+    assert "PASS" not in captured
 
 
 def test_verify_rejects_unknown_target(tmp_path):

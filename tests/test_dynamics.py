@@ -1,10 +1,12 @@
 """Generic amplitude integrator, energy bookkeeping and the Lindblad oracle."""
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pulsecatch import dynamics as dyn
 from pulsecatch import profiles as prof
@@ -89,8 +91,8 @@ def test_residual_detects_violations():
         cum_reflection=tr.cum_reflection.copy(),
         cum_intrinsic=tr.cum_intrinsic.copy(),
         kappa_i=tr.kappa_i, tol=tr.tol)
-    # the uniform grid here is FD-limited, not integrator-limited, so the
-    # healthy residual is only ~1e-6; the broken one is off by ~10^3 more
+    # the healthy residual is ~1e-10 on this uniform grid; the broken one is
+    # off by the stage-1 reflection scale
     assert dyn.energy_balance_residual(tr) < 1e-5
     assert dyn.energy_balance_residual(broken) > 1e-4
 
@@ -204,6 +206,157 @@ def test_residual_needs_three_samples():
     tr = dyn.simulate_amplitudes(p, params, sch, 10.0, samples=[0.0, 10.0])
     with pytest.raises(DomainError):
         dyn.energy_balance_residual(tr)
+
+
+def _synthetic(ts, beta_sq, rate, edges=()):
+    """A lossless Trajectory with beta^2, r_in as given and r_out = 0, so
+    its energy balance is r_in = d(beta^2)/dtau."""
+    zeros = np.zeros_like(ts)
+    return dyn.Trajectory(taus=ts, beta1=zeros.copy(), beta=-np.sqrt(beta_sq),
+                          kappa=zeros.copy(), r_in=rate, r_out=zeros.copy(),
+                          cum_reflection=zeros.copy(),
+                          cum_intrinsic=zeros.copy(), kappa_i=0.0, tol=1e-10,
+                          edges=edges)
+
+
+def test_fornberg_weights_of_uniform_stencils():
+    # the tabulated 6th-order weights: centred and fully one-sided
+    x = np.arange(7.0)[None, :]
+    np.testing.assert_allclose(
+        dyn._fornberg(np.array([3.0]), x)[0],
+        [-1 / 60, 3 / 20, -3 / 4, 0.0, 3 / 4, -3 / 20, 1 / 60], atol=1e-15)
+    np.testing.assert_allclose(
+        dyn._fornberg(np.array([0.0]), x)[0],
+        [-49 / 20, 6.0, -15 / 2, 20 / 3, -15 / 4, 6 / 5, -1 / 6], rtol=1e-14)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gaps=st.lists(st.floats(0.05, 1.0), min_size=6, max_size=6),
+       start=st.floats(-5.0, 5.0),
+       where=st.floats(-1.0, 7.0),
+       coefs=st.lists(st.floats(-2.0, 2.0), min_size=7, max_size=7))
+def test_fornberg_weights_exact_on_polynomials(gaps, start, where, coefs):
+    # uneven nodes, z anywhere from inside to one side of all of them
+    x = start + np.concatenate([[0.0], np.cumsum(gaps)])
+    z = start + where * float(np.mean(gaps))
+    poly = np.polynomial.Polynomial(coefs)
+    w = dyn._fornberg(np.array([z]), x[None, :])[0]
+    terms = w * poly(x)
+    scale = float(np.sum(np.abs(terms))) + abs(float(poly.deriv()(z)))
+    assert abs(float(np.sum(terms)) - float(poly.deriv()(z))) \
+        <= 1e-12 * scale
+    # each power of (x - z) up to the 6th on its own
+    for k in range(7):
+        mono = np.polynomial.Polynomial.basis(k)
+        assert abs(float(np.sum(w * mono(x - z))) - (k == 1)) \
+            <= 1e-12 * float(np.sum(np.abs(w * mono(x - z))) + 1.0)
+
+
+def test_kink_at_an_edge_does_not_enter_residual():
+    # beta^2 = t^2 up to 1, then 1 + 2 (t-1) + 3 (t-1)^2: the slope is
+    # continuous and the curvature jumps, as at tau_c
+    ts = np.linspace(0.0, 2.0, 41)
+    u = ts - 1.0
+    beta_sq = np.where(u > 0.0, 1.0 + 2.0 * u + 3.0 * u * u, ts * ts)
+    rate = np.where(u > 0.0, 2.0 + 6.0 * u, 2.0 * ts)
+    assert dyn.energy_balance_residual(
+        _synthetic(ts, beta_sq, rate, (0.0, 1.0, 2.0))) <= 1e-12
+    assert dyn.energy_balance_residual(_synthetic(ts, beta_sq, rate)) > 1e-3
+    # on a simulated run, tau_c is an edge; across it the residual is large
+    p, params, sch = _exp_setup()
+    tr = dyn.simulate_amplitudes(p, params, sch, sch.horizon, tol=1e-11)
+    assert sch.tau_c in tr.edges
+    healthy = dyn.energy_balance_residual(tr)
+    assert healthy <= 50 * tr.tol
+    assert dyn.energy_balance_residual(
+        dataclasses.replace(tr, edges=())) > 1e3 * healthy
+
+
+def test_residual_needs_a_segment_of_three_samples():
+    # three segments of at most 2 samples each: nothing to difference
+    ts = np.array([0.0, 0.5, 1.5, 2.0])
+    tr = _synthetic(ts, ts * ts, 2.0 * ts, (0.0, 1.0, 1.7, 2.0))
+    with pytest.raises(DomainError):
+        dyn.energy_balance_residual(tr)
+    # one segment of 3 samples takes a 3-node stencil, exact on t^2
+    tr = _synthetic(ts, ts * ts, 2.0 * ts, (0.0, 1.0, 2.0))
+    assert dyn.energy_balance_residual(
+        dataclasses.replace(tr, edges=(0.0, 2.0))) <= 1e-14
+
+
+def test_residual_keeps_a_nan():
+    # segments of 3 and of 39 samples take stencils of different sizes; a
+    # nan in either is the result, not dropped by the max
+    ts = np.linspace(0.0, 2.0, 41)
+    for bad in (1, 30):
+        rate = 2.0 * ts
+        rate[bad] = np.nan
+        tr = _synthetic(ts, ts * ts, rate, (0.0, 0.1, 2.0))
+        assert math.isnan(dyn.energy_balance_residual(tr))
+
+
+def test_trajectory_without_edges_is_one_segment():
+    # a coupling without breaks: the run's edges are just its ends, and a
+    # Trajectory built without edges reads the same residual
+    p = prof.exponential(0.2)
+    params = prof.MemoryParams(kappa_i=1e-3)
+    tr = dyn.simulate_amplitudes(p, params, lambda t: 0.3, 20.0, tol=1e-11,
+                                 samples=401)
+    assert tr.edges == (0.0, 20.0)
+    bare = dyn.Trajectory(
+        taus=tr.taus, beta1=tr.beta1, beta=tr.beta, kappa=tr.kappa,
+        r_in=tr.r_in, r_out=tr.r_out, cum_reflection=tr.cum_reflection,
+        cum_intrinsic=tr.cum_intrinsic, kappa_i=tr.kappa_i, tol=tr.tol)
+    assert bare.edges == ()
+    assert dyn.energy_balance_residual(bare) \
+        == dyn.energy_balance_residual(tr)
+
+
+@pytest.mark.parametrize("make", [lambda: prof.exponential(0.036),
+                                  lambda: prof.gaussian(r=0.1533, n=4)])
+def test_default_grid_is_uniform_per_segment(make):
+    p = make()
+    params = prof.MemoryParams(kappa_i=KI_OP)
+    sch = proto.build_schedule(p, params)
+    sizes = []
+    for tol in (1e-10, 1e-11):
+        tr = dyn.simulate_amplitudes(p, params, sch, sch.horizon, tol=tol)
+        assert tr.edges == (0.0, *sch.breakpoints(), sch.horizon)
+        for a, b in zip(tr.edges[:-1], tr.edges[1:]):
+            seg = tr.taus[(tr.taus >= a) & (tr.taus <= b)]
+            assert seg[0] == a and seg[-1] == b
+            assert len(seg) >= dyn._STENCIL
+            np.testing.assert_allclose(np.diff(seg), (b - a) / (len(seg) - 1),
+                                       rtol=1e-9)
+        sizes.append(len(tr))
+    assert sizes[0] < sizes[1] < 5000
+
+
+@pytest.mark.parametrize("tol", [1e-7, 1e-9, 1e-11, 1e-13])
+@pytest.mark.parametrize("make", [lambda: prof.exponential(0.036),
+                                  lambda: prof.gaussian(r=0.1533, n=4)],
+                         ids=["exp", "gauss"])
+def test_default_residual_tracks_tol(make, tol):
+    # grid and Gaussian step cap both follow tol: the residual stays near
+    # tol itself, far inside 50 tol. A fixed sigma/3 cap left a 4.1e-10
+    # floor on the Gaussian whatever the tol.
+    p = make()
+    params = prof.MemoryParams(kappa_i=KI_OP)
+    sch = proto.build_schedule(p, params)
+    tr = dyn.simulate_amplitudes(p, params, sch, sch.horizon, tol=tol)
+    assert dyn.energy_balance_residual(tr) <= 2 * tol
+
+
+def test_table_knots_are_edges():
+    # r_in's second derivative jumps at a PCHIP knot: stencils stop there
+    taus = np.linspace(0.0, 10.0, 11)
+    rates = np.exp(-0.5 * (taus - 4.0) ** 2)
+    p = prof.tabulated(taus, rates / np.trapezoid(rates, taus))
+    params = prof.MemoryParams(kappa_i=KI_OP)
+    sch = proto.build_schedule(p, params)
+    tr = dyn.simulate_amplitudes(p, params, sch, sch.horizon, tol=1e-10)
+    assert set(taus.tolist()) <= set(tr.edges)
+    assert set(tr.edges) <= set(tr.taus.tolist())
 
 
 def test_trajectory_is_immutable():

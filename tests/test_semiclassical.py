@@ -85,6 +85,14 @@ def test_quantum_agreement_analytic_families(make, bound):
     assert sc.compare_with_full_quantum(make()) <= bound
 
 
+def test_comparison_of_no_sample_is_inf():
+    # kappa_scale = 0 zeroes every quantum coupling, so no sample has a
+    # relative deviation: the comparison must fail, not return 0
+    assert sc.compare_with_full_quantum(prof.exponential(0.2),
+                                        n_samples=11, kappa_scale=0.0) \
+        == math.inf
+
+
 def test_quantum_agreement_tabulated():
     r = 0.2
     taus = np.linspace(0.0, prof.horizon(prof.exponential(r)), 6001)
