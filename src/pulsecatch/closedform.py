@@ -3,10 +3,10 @@
 These closed forms serve two purposes: they are the fast path for parameter
 sweeps, and they are independent oracles for the generic solver in
 `protocol`, which propagates both stages exactly over power-series pieces.
-All expressions are dimensionless (kappa_max = 1) and are written in
-overflow-safe form (expm1/log1p, scaled complementary error functions) so
-they stay accurate for pulse times up to ~1e4 and through the parameter sets
-where the textbook expressions degenerate to 0/0.
+All expressions are dimensionless (kappa_max = 1) and overflow-safe (expm1,
+log1p, and one erfcx identity in place of each Gaussian erf difference), so
+they hold for pulse times up to ~1e4, for any kappa_i sigma, and where the
+textbook expressions degenerate to 0/0.
 
 Conventions: the memory amplitude beta is <= 0, populations are its square.
 Stage 1 is [0, tau_c) at kappa = 1; stage 2 is the zero-reflection schedule
@@ -195,19 +195,24 @@ def _check_gauss_domain(sigma: float, n: float, kappa_i: float) -> None:
         raise DomainError(f"kappa_i must lie in [0, 1), got {kappa_i}")
 
 
+def _erf_gap(x, y, gap, exp=math.exp):
+    """e^{x^2} (erf x - erf y) = erfcx(-x) - erfcx(-y) e^{(x+y) gap}, y <= x <= 0
+    (DLMF 7.2): no factor overflows, and gap = x - y, taken exact, cancels nothing."""
+    return erfcx(-x) - erfcx(-y) * exp((x + y) * gap)
+
+
 def _exp_b2_s(a: float, b: float, tau0: float, tau: float) -> float:
     """Return exp(B^2) * (erf(B) + erf(A)) without overflow for B <= 0.
 
     This is the bracket whose value is 1 exactly at the threshold time. For
-    tau in [0, tau0 + a/(2b)] we have B <= 0 and |B| <= A, and the scaled
-    complementary error function keeps every factor in range.
+    tau in [0, tau0 + a/(2b)] we have B <= 0 and |B| <= A, and `_erf_gap`
+    with x = B, y = -A and x - y = sqrt(b) tau keeps every factor in range.
     """
     rb = math.sqrt(b)
     big_b = rb * (tau - tau0) - 0.5 * a / rb
     big_a = rb * tau0 + 0.5 * a / rb
     if big_b <= 0.0:
-        # e^{B^2}(erf(B)+erf(A)) = erfcx(-B) - erfcx(A) e^{B^2-A^2}
-        return erfcx(-big_b) - erfcx(big_a) * math.exp(big_b * big_b - big_a * big_a)
+        return _erf_gap(big_b, -big_a, rb * tau)
     return math.exp(big_b * big_b) * (erf(big_b) + erf(big_a))
 
 
@@ -266,27 +271,23 @@ def gauss_population(sigma: float, n: float, kappa_i: float, tau: float) -> floa
 
 
 def _gauss_stage2(cst: GaussConstants, sigma: float, n: float, tau: float) -> float:
+    """beta^2 = e^{-k (tau - tau_c)} r_in(tau_c) + w (erf x - erf y)/2, k = kappa_i,
+    w = e^{-k (tau - tau0) + k^2 sigma^2/2}, x, y = b2(tau), b2(tau_c), b2(s) = (s - tau0
+    - k sigma^2)/(sigma sqrt 2). For x <= 0 the erf term is g(tau) `_erf_gap`/2 with gap
+    (tau - tau_c)/(sigma sqrt 2), g = w e^{-x^2} = e^{-(tau - tau0)^2/(2 sigma^2)}; for
+    x > 0, w <= 1. No overflow or cancellation next to -1, for any kappa_i sigma."""
     k = cst.kappa_i
     seed = gauss_rate(sigma, n, cst.tau_c)
     rt2b = math.sqrt(2.0 * cst.b)  # = 1/(sigma*sqrt(2))
     b2 = lambda s: rt2b * (s - cst.tau0) - 0.5 * k / rt2b
-    try:
+    x, y = b2(tau), b2(cst.tau_c)
+    if x <= 0.0:
+        z = (tau - cst.tau0) / sigma
+        integral = math.exp(-0.5 * z * z) * _erf_gap(x, y, rt2b * (tau - cst.tau_c))
+    else:
         weight = math.exp(-k * (tau - cst.tau0) + 0.125 * k * k / cst.b)
-    except OverflowError:
-        # e^{k^2 sigma^2/4} overflows long before the erf difference it
-        # multiplies underflows: kappa_i*sigma is beyond this form's range.
-        raise DomainError(
-            f"Gaussian closed form overflows at kappa_i = {k}, sigma = {sigma}, "
-            f"tau = {tau}") from None
-    if weight * math.ulp(1.0) > 1e-9:
-        # Before that, both erf values sit next to -1 and their difference
-        # keeps no digit: its rounding, about weight*eps, must stay below
-        # 1e-9 of a population's scale (populations are at most 1).
-        raise DomainError(
-            f"Gaussian closed form loses its digits at kappa_i = {k}, "
-            f"sigma = {sigma}, tau = {tau}")
-    integral = 0.5 * weight * (erf(b2(tau)) - erf(b2(cst.tau_c)))
-    return math.exp(-k * (tau - cst.tau_c)) * seed + integral
+        integral = weight * (erf(x) - erf(y))
+    return math.exp(-k * (tau - cst.tau_c)) * seed + 0.5 * integral
 
 
 def gauss_coupling(sigma: float, n: float, kappa_i: float, tau: float) -> float:
@@ -395,8 +396,7 @@ def _gauss_stage1_population(cst: GaussConstants, tau: np.ndarray) -> np.ndarray
     big_a = rb * cst.tau0 + 0.5 * cst.a / rb
     big_b = rb * (tau - cst.tau0) - 0.5 * cst.a / rb
     neg, pos = np.minimum(big_b, 0.0), np.maximum(big_b, 0.0)
-    scaled = np.where(big_b <= 0.0,
-                      erfcx(-neg) - erfcx(big_a) * np.exp(neg * neg - big_a * big_a),
+    scaled = np.where(big_b <= 0.0, _erf_gap(neg, -big_a, rb * tau, np.exp),
                       np.exp(pos * pos) * (erf(pos) + erf(big_a)))
     bracket = 0.5 * SQRT_PI / rb * scaled
     z = (tau - cst.tau0) / cst.sigma

@@ -11,15 +11,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import erfcx
 
 from pulsecatch import closedform as cf
-from pulsecatch.errors import (DomainError, NoPeak, NoThreshold,
-                               PulsecatchError, SingularCoupling)
-from pulsecatch.sweep import DEFAULT_KAPPA_I_GRID, DEFAULT_R_GRID
+from pulsecatch import profiles as prof
+from pulsecatch.errors import DomainError, NoPeak, NoThreshold, SingularCoupling
+from pulsecatch.sweep import DEFAULT_KAPPA_I_GRID, DEFAULT_R_GRID, _generic_cell
 
 # gaussian operating shape used throughout: peak rate 0.1533, center 4*sigma
 SIGMA_OP = 1.0 / (0.1533 * math.sqrt(2.0 * math.pi))
@@ -303,12 +303,14 @@ def test_same_sign_peak_bracket_is_no_peak(monkeypatch, fresh_gauss_constants):
 
 
 def test_gauss_stage2_digit_loss_is_domain_error():
-    # kappa_i*sigma = 7.0: both stage-2 erf values sit next to -1 and their
-    # difference keeps no digit. The form used to return tau_max 16.12 and
-    # F 0.0370 here, where the generic solver gives 30.958 and 0.05636.
-    sigma = 1.0 / (0.0404634 * math.sqrt(2.0 * math.pi))
-    with pytest.raises(DomainError, match="loses its digits"):
-        cf.gauss_report(sigma, 3.0, 0.7109514)
+    # kappa_i*sigma = 7.0: both stage-2 erf values sit next to -1, and their
+    # difference keeps no digit (this cell was a DomainError, hence the
+    # name). The erfcx form matches the generic solver here.
+    r, n, ki = 0.0404634, 3.0, 0.7109514
+    tau_max, fid = cf.gauss_report(1.0 / (r * math.sqrt(2.0 * math.pi)), n, ki)
+    slow = _generic_cell(prof.gaussian(r=r, n=n), ki)
+    assert abs(fid - slow.fidelity) <= 1e-14
+    assert abs(tau_max - slow.tau_max) <= 1e-12 * max(1.0, slow.tau_max)
 
 
 def test_gauss_root_searches_take_few_residual_calls(monkeypatch,
@@ -383,8 +385,8 @@ def _quad_pieces(f, a: float, b: float, width: float) -> float:
 
 
 def _gauss_stage2_oracle(cst: cf.GaussConstants, tau: float) -> float:
-    """Stage-2 beta^2 without the library's erf difference, which cancels in
-    the head of a pulse: with g = e^{-(tau - tau0)^2/(2 sigma^2)} and
+    """Stage-2 beta^2 written apart from the library's form, with no erf
+    difference at all: with g = e^{-(tau - tau0)^2/(2 sigma^2)} and
     b2 = (tau - tau0)/(sigma sqrt 2) - kappa_i sigma/sqrt 2, it is
     e^{-kappa_i (tau - tau_c)} g(tau_c) (r - erfcx(-b2(tau_c))/2)
     + erfcx(-b2(tau)) g(tau)/2."""
@@ -424,9 +426,8 @@ def _check_gauss_losses(r: float, ki: float, n: float) -> None:
     assert abs(refl - want_refl) <= 1e-13
     assert abs(unabs - want_unabs) <= 1e-13
     # The intrinsic loss takes beta^2(tau_max) from F, so that the budget
-    # closes, and carries F's rounding: up to ~e^{kappa_i^2 sigma^2/2} eps,
-    # 3e-13 at kappa_i sigma = 4.4. Held to the oracle, F + intrinsic loss
-    # is what this function computes.
+    # closes: it is held to its integral directly, and with F.
+    assert abs(intr - ki * (s1 + s2)) <= 1e-13
     want_fid = _gauss_stage2_oracle(cst, upper)
     assert abs((intr + fid) - (ki * (s1 + s2) + want_fid)) <= 1e-13
 
@@ -443,12 +444,7 @@ def test_gauss_losses_match_quadrature_on_grid_corners(r, ki, n):
        log_ki=st.floats(min_value=math.log(1e-9), max_value=math.log(0.9)),
        n=st.sampled_from([3.0, 4.0, 6.0, 8.0]))
 def test_gauss_losses_match_quadrature(r, log_ki, n):
-    sigma, ki = 1.0 / (r * math.sqrt(2.0 * math.pi)), math.exp(log_ki)
-    try:
-        cf.gauss_report(sigma, n, ki)
-    except PulsecatchError:
-        assume(False)       # no closed-form cell: nothing to budget
-    _check_gauss_losses(r, ki, n)
+    _check_gauss_losses(r, math.exp(log_ki), n)
 
 
 # ---------------------------------------------------------------------------

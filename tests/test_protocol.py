@@ -61,10 +61,12 @@ def test_threshold_matches_closed_form_gaussian(sigma, ki):
 @pytest.mark.parametrize("r", [0.005, 0.002])
 def test_threshold_matches_closed_form_wide_gaussian(r):
     # sigma = 80 and 199: e^{-A^2} underflows, and the closed form's
-    # unscaled residual, 0.0 at tau = 0, once gave tau_c = 0.0
+    # unscaled residual, 0.0 at tau = 0, once gave tau_c = 0.0; its
+    # exponent B^2 - A^2, a difference of two numbers near 1,760, once put
+    # tau_c 5e-13 off
     tc = proto.threshold_time(prof.gaussian(r=r), _params())
     sigma = 1.0 / (r * math.sqrt(2.0 * math.pi))
-    assert abs(cf.gauss_constants(sigma, 4.0, 1e-4).tau_c - tc) <= 1e-12
+    assert abs(cf.gauss_constants(sigma, 4.0, 1e-4).tau_c - tc) <= 1e-14
 
 
 def test_threshold_is_population_crossing():

@@ -146,24 +146,25 @@ def test_surface_records_typed_errors_only():
 
 
 def test_gauss_closed_form_overflow_is_a_typed_cell_failure():
-    # sigma = 399 and kappa_i = 0.26: e^{kappa_i^2 sigma^2/4} overflows.
+    # sigma = 399 and kappa_i = 0.26: the stage-2 weight e^{kappa_i^2
+    # sigma^2/2} overflows (this cell was a DomainError, hence the name).
+    # The erfcx form never forms it, so both cells are results.
     with pytest.warns(UserWarning, match="beyond the standard ranges"):
         grid = sweep.fidelity_surface("gauss", grid=([0.26], [0.001, 0.1]))
-    failure, cell = grid.results[0]
-    assert isinstance(failure, sweep.CellFailure)
-    assert failure.error.startswith("DomainError: Gaussian closed form overflows")
-    assert not isinstance(cell, sweep.CellFailure)
+    assert all(isinstance(cell, protocol.TransferReport)
+               for cell in grid.results[0])
 
 
 def test_gauss_closed_form_digit_loss_is_a_typed_cell_failure():
-    # kappa_i*sigma = 7.0: the stage-2 erf difference keeps no digit, and
-    # the cell used to be a success with F 0.0370 (generic solver: 0.05636)
+    # kappa_i*sigma = 7.0: the stage-2 erf difference keeps no digit (this
+    # cell was a DomainError, hence the name). The erfcx form gives the
+    # generic solver's F.
     with pytest.warns(UserWarning, match="beyond the standard ranges"):
         grid = sweep.fidelity_surface("gauss", grid=([0.7109514], [0.0404634]))
-    failure = grid.results[0][0]
-    assert isinstance(failure, sweep.CellFailure)
-    assert failure.error.startswith(
-        "DomainError: Gaussian closed form loses its digits")
+    cell = grid.results[0][0]
+    assert isinstance(cell, protocol.TransferReport)
+    slow = sweep._generic_cell(prof.gaussian(r=0.0404634), 0.7109514)
+    assert abs(cell.fidelity - slow.fidelity) <= 1e-14
 
 
 def test_surface_monotone_in_kappa_i():
