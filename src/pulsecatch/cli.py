@@ -19,6 +19,7 @@ values leak into the files.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
 
@@ -56,6 +57,10 @@ _VERIFY_KAPPA_I = 1e-4
 # segment's dense output is called a handful of times per file, small enough
 # that the row tuples of one chunk stay a few hundred kilobytes.
 _ROW_CHUNK = 2048
+# `_schedule_grid`'s three constants.
+_FAN_START = 1e-3
+_FAN_GROWTH = 1.1
+_BODY_PER_T = 20.0
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +88,7 @@ def _json_text(value, indent: int = 0) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, str):
-        return '"' + value + '"'
+        return json.dumps(value, ensure_ascii=False)
     if isinstance(value, int):
         return str(value)
     v = float(value)
@@ -201,80 +206,52 @@ def _require_valid(profile: prof.InputProfile) -> None:
 # schedule
 # ---------------------------------------------------------------------------
 
-def _uniform(a: float, b: float, h: float, cap: int = 150000) -> np.ndarray:
-    n = min(int(math.ceil((b - a) / h)) + 1, cap)
-    return np.linspace(a, b, max(n, 2))
+def _schedule_grid(schedule: protocol.CouplingSchedule, n: int) -> np.ndarray:
+    """Rows of the schedule CSV: strictly increasing taus on [0, horizon].
 
-
-def _dense_samples(schedule: protocol.CouplingSchedule) -> np.ndarray:
-    """Curvature-adaptive grid on [0, horizon] for the schedule CSV.
-
-    The spacing follows the curvature of beta^2, so that a PCHIP through
-    the file's kappa column reproduces the schedule to well below 1e-9
-    (`simulate --kappa file:`): ~r^3 for the exponential family (decaying
-    as e^{-r tau}) and ~1/sigma^3 through a Gaussian pulse body; past the
-    populated region everything flattens and a geometric tail suffices.
-    Each breakpoint gets a fine zone, and a table's knots are samples.
+    Every segment end (0, tau_c, the breakpoints, the horizon) is a row.
+    From each end a fan of rows runs into its segment, spaced `_FAN_START`
+    at first and `_FAN_GROWTH` times wider per row, up to the segment's
+    midpoint or the body spacing: right after an end kappa moves on the
+    memory's own time scale (kappa ~ 1/(1 + tau - tau_c) for slow pulses).
+    Between the fans the rows are uniform at the body spacing, the pulse's
+    time scale T (1/r or sigma) over `_BODY_PER_T`, or horizon/(n - 1) where
+    that is finer; a table has no T, and its knots are rows instead. The
+    reflection is stationary in kappa along the schedule, so a PCHIP
+    through the rows moves beta only at second order in its error.
     """
-    profile, tau_end = schedule.profile, schedule.horizon
-    pieces = [np.array([0.0, tau_end])]
-    tau_c = min(schedule.tau_c, tau_end)
+    profile, end = schedule.profile, schedule.horizon
+    ends = np.unique([0.0, schedule.tau_c, *schedule.breakpoints(), end])
+    h = math.inf
     if profile.kind == prof.EXPONENTIAL:
-        r = profile.r
-        pieces.append(_uniform(0.0, tau_c, 3.5e-5 / math.sqrt(r)))
-        mid = min(tau_end, tau_c + 6.0 / r)
-        pieces.append(_uniform(tau_c, mid, 7e-5 / r ** 1.5))
-        # Second zone: |d^3 beta^2| has decayed by e^-6, so a 4x coarser
-        # spacing holds the same error budget out to where the geometric
-        # tail is safe for any rate in the standard range.
-        dense_end = min(tau_end, tau_c + 14.0 / r)
-        if dense_end > mid:
-            pieces.append(_uniform(mid, dense_end, 2.8e-4 / r ** 1.5))
+        h = 1.0 / (profile.r * _BODY_PER_T)
     elif profile.kind == prof.GAUSSIAN:
-        sg = profile.sigma
-        pieces.append(_uniform(0.0, tau_c, sg / 3000.0))
-        dense_end = min(tau_end, max(tau_c, profile.tau0 + 6.0 * sg))
-        pieces.append(_uniform(tau_c, dense_end, sg / 5500.0))
-    else:
-        dense_end = min(tau_end, prof.horizon(profile))
-        pieces.append(_uniform(0.0, dense_end, dense_end / 12000.0))
-    if dense_end < tau_end:
-        span = tau_end - dense_end
-        n_tail = min(3000, int(math.ceil(math.log(span / 1e-3) / 8e-3)) + 1)
-        pieces.append(dense_end + np.geomspace(1e-3, span, max(n_tail, 2)))
-    for b in schedule.breakpoints():
-        if b < tau_end:
-            pieces.append(_uniform(max(0.0, b - 0.5),
-                                   min(tau_end, b + 0.5), 5e-4))
-    if profile.kind == prof.TABULATED:
-        pieces.append(np.asarray([t for t in profile.taus if t <= tau_end]))
-    ts = np.unique(np.concatenate(pieces))
-    ts = ts[(ts >= 0.0) & (ts <= tau_end)]
-    # Merging overlapping pieces can leave near-coincident samples; drop
-    # those closer than 1e-6.
-    keep = np.empty(ts.shape, dtype=bool)
-    keep[0] = True
-    keep[1:] = np.diff(ts) > 1e-6
-    keep[-1] = True
-    if ts.size > 1 and ts[-1] - ts[-2] <= 1e-6:
-        keep[-2] = False
-    return ts[keep]
+        h = profile.sigma / _BODY_PER_T
+    if n >= 2:
+        h = min(h, end / (n - 1))
+    # offset 0, then steps below min(h, horizon): enough to pass any midpoint
+    steps = math.ceil(math.log(min(h, end) / _FAN_START) / math.log(_FAN_GROWTH))
+    fan = np.cumsum(np.r_[0.0, _FAN_START * _FAN_GROWTH ** np.arange(steps)])
+    pieces = [profile.taus[profile.taus <= end]] \
+        if profile.kind == prof.TABULATED else []
+    for a, b in zip(ends[:-1], ends[1:]):
+        offsets = fan[fan < 0.5 * (b - a)]
+        body = max(1, math.ceil((b - a - 2.0 * offsets[-1]) / h))
+        pieces += [a + offsets, b - offsets,
+                   np.linspace(a + offsets[-1], b - offsets[-1], body + 1)]
+    return np.unique(np.concatenate(pieces))
 
 
 def _schedule_rows(schedule: protocol.CouplingSchedule, n: int):
     """Yield (tau, kappa, r_in, beta1_sq, beta_sq, r_out) rows over [0, horizon].
 
-    The grid is the union of `n` uniform samples with `_dense_samples`, so
-    an interpolant through the file reproduces kappa(tau) well below the
-    1e-9 round-trip budget; segment boundaries are inserted as exact knots
-    so the stage-1 plateau ends precisely at tau_c in the file. Where the
-    coupling is numerically undefined (population underflowed to zero while
-    the rate has not) the kappa and r_out cells hold `nan`.
+    The rows are `_schedule_grid`'s, so that `simulate --kappa file:`
+    reproduces the schedule well within its 1e-9 round-trip budget and the
+    stage-1 plateau ends exactly at tau_c in the file. Where the coupling is
+    numerically undefined (population underflowed to zero while the rate
+    has not) the kappa and r_out cells hold `nan`.
     """
-    knots = [schedule.tau_c] + schedule.breakpoints()
-    adaptive = _dense_samples(schedule)
-    ts = np.unique(np.concatenate([np.linspace(0.0, schedule.horizon, n),
-                                   adaptive, np.asarray(knots)]))
+    ts = _schedule_grid(schedule, n)
     profile = schedule.profile
     for start in range(0, len(ts), _ROW_CHUNK):
         t = ts[start:start + _ROW_CHUNK]
@@ -497,8 +474,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sched.add_argument("--kappa-i", type=float, default=0.0,
                          dest="kappa_i", help="intrinsic loss rate (default 0)")
     p_sched.add_argument("--samples", type=int, default=4001,
-                         help="uniform rows in the schedule CSV, on top of "
-                              "the simulator's adaptive grid (default 4001)")
+                         help="caps the schedule CSV's body spacing at "
+                              "horizon/(samples - 1); below 2 the pulse's "
+                              "time scale alone sets it (default 4001)")
     p_sched.add_argument("--out", default="schedule",
                          help="output prefix: writes <out>.csv and <out>.json")
     p_sched.set_defaults(func=cmd_schedule)

@@ -197,8 +197,7 @@ def simulate_amplitudes(profile: prof.InputProfile, params: prof.MemoryParams,
                         schedule_or_kappa, tau_end: float,
                         tol: float = _DEFAULT_TOL, *,
                         samples: int | Sequence[float] | None = None,
-                        beta0: float = 0.0,
-                        max_step: float = math.inf) -> Trajectory:
+                        beta0: float = 0.0) -> Trajectory:
     """Integrate the amplitude dynamics under a given coupling.
 
     d(beta)/dtau = -sqrt(kappa r_in) - (kappa + kappa_i)/2 beta, together
@@ -211,10 +210,8 @@ def simulate_amplitudes(profile: prof.InputProfile, params: prof.MemoryParams,
     uniform grid per segment between the trajectory's `edges`, spaced from
     `tol` (`_segment_grid`), an int for uniform sampling, or an explicit
     array. A Gaussian's integrator step is capped at one stencil's width of
-    that grid unless `max_step` says otherwise.
+    that grid.
     `beta0` (<= 0) seeds the memory, for decay tests against closed forms.
-    `max_step` caps the integrator step, bounding how far any dense-output
-    interpolant span can stretch.
     """
     ts = _checked_grid(tol, tau_end, samples)
     if beta0 > 0.0:
@@ -227,12 +224,11 @@ def simulate_amplitudes(profile: prof.InputProfile, params: prof.MemoryParams,
     if ts is None:
         ts = _segment_grid(profile, edges, tol)
 
-    step_cap = max_step
-    if math.isinf(step_cap) and profile.kind == prof.GAUSSIAN:
-        # Steps spanning a large fraction of the pulse make the dense-output
-        # interpolant's error the dominant term in the energy residual: no
-        # step spans more than one stencil of the default grid.
-        step_cap = (_STENCIL - 1) * _spacing(tol) * profile.sigma
+    # Steps spanning a large fraction of a Gaussian pulse make the
+    # dense-output interpolant's error the dominant term in the energy
+    # residual: no step spans more than one stencil of the default grid.
+    step_cap = (_STENCIL - 1) * _spacing(tol) * profile.sigma \
+        if profile.kind == prof.GAUSSIAN else math.inf
 
     def rhs(t, y):
         beta = y[0]

@@ -21,7 +21,7 @@ from pulsecatch import profiles as prof
 from pulsecatch import protocol
 from pulsecatch.errors import (DomainError, NoPeak, NoThreshold,
                                SingularCoupling, StepFailure)
-from test_protocol import _drained
+from test_protocol import _double_hump, _drained
 
 EXP_OP = ["--profile", "exp:r=0.036", "--kappa-i", "1e-4"]
 
@@ -298,6 +298,48 @@ def test_schedule_lossless_infinite_peak_is_json_safe(tmp_path):
     assert 0.92 < payload["fidelity"] < 0.93
 
 
+@pytest.mark.parametrize("case", ["exp", "gauss", "table"])
+def test_schedule_grid_holds_every_end_and_knot(case, tmp_path):
+    # rows: strictly increasing on [0, horizon], every segment end and knot
+    # among them, no gap wider than horizon/(n - 1); few rows at the defaults
+    profile = {"exp": prof.exponential(0.036),
+               "gauss": prof.gaussian(r=0.1533, n=4),
+               "table": _double_hump()}[case]
+    schedule = protocol.build_schedule(profile, prof.MemoryParams(kappa_i=1e-4))
+    end = schedule.horizon
+    ends = [0.0, schedule.tau_c, *schedule.breakpoints(), end]
+    if case == "table":
+        ends += profile.taus[profile.taus <= end].tolist()
+        assert schedule.breakpoints()
+    for n in (0, 1, 3001, 4001):
+        ts = cli._schedule_grid(schedule, n)
+        assert ts[0] == 0.0 and ts[-1] == end
+        assert np.all(np.diff(ts) > 0.0)
+        assert np.isin(ends, ts).all()
+        if n >= 2:
+            assert np.max(np.diff(ts)) <= end / (n - 1) * (1.0 + 1e-12)
+    if case != "table":
+        out = tmp_path / "s"
+        assert cli.main(["schedule", "--profile", cli.OPERATING_POINTS[case],
+                         "--kappa-i", "1e-4", "--out", str(out)]) == 0
+        rows = out.with_suffix(".csv").read_text().splitlines()
+        assert len(rows) - 1 <= 5000
+
+
+def test_schedule_json_escapes_the_profile_literal(tmp_path):
+    # a quote and a backslash in a table's path stay valid JSON
+    taus = np.linspace(0.0, 10.0, 101)
+    rates = np.exp(-0.5 * (taus - 4.0) ** 2)
+    table = tmp_path / 'we\\ird"name.csv'
+    np.savetxt(table, np.c_[taus, rates / np.trapezoid(rates, taus)],
+               delimiter=",", fmt="%.17g")
+    out = tmp_path / "s"
+    assert cli.main(["schedule", "--profile", f"table:{table}", "--kappa-i",
+                     "1e-4", "--out", str(out)]) == 0
+    payload = json.loads(out.with_suffix(".json").read_text())
+    assert payload["profile"] == f"table:{table}"
+
+
 def test_schedule_singular_rows_are_nan(tmp_path, monkeypatch):
     # a population drained to zero while input still arrives: the file
     # carries nan in kappa and r_out exactly where kappa is undefined.
@@ -363,16 +405,20 @@ def test_simulate_constant_coupling_reflects(tmp_path, capsys):
     assert np.max(np.abs(data[:, 2])) == 0.0
 
 
-def test_simulate_round_trip_through_schedule_file(tmp_path):
+@pytest.mark.parametrize("samples", [[], ["--samples", "0"]],
+                         ids=["default-samples", "samples-0"])
+@pytest.mark.parametrize("literal", ["exp:r=0.036", "gauss:r=0.1533,n=4"])
+def test_simulate_round_trip_through_schedule_file(literal, samples, tmp_path):
     # export the schedule, feed it back via --kappa file:, compare
+    op = ["--profile", literal, "--kappa-i", "1e-4"]
     sched = tmp_path / "sched"
     traj_inline = tmp_path / "inline.csv"
     traj_file = tmp_path / "fromfile.csv"
-    assert cli.main(["schedule", *EXP_OP, "--out", str(sched)]) == 0
+    assert cli.main(["schedule", *op, *samples, "--out", str(sched)]) == 0
     common = ["--tol", "1e-11", "--samples", "20001"]
-    assert cli.main(["simulate", *EXP_OP, *common,
+    assert cli.main(["simulate", *op, *common,
                      "--out", str(traj_inline)]) == 0
-    assert cli.main(["simulate", *EXP_OP, *common,
+    assert cli.main(["simulate", *op, *common,
                      "--kappa", f"file:{sched}.csv",
                      "--out", str(traj_file)]) == 0
     a = _read_csv(traj_inline)

@@ -68,17 +68,6 @@ def test_residual_shrinks_with_tolerance():
     assert residuals[0] > residuals[1] > residuals[2]
 
 
-def test_max_step_controls_interpolant_error():
-    # with long steps the dense-output interpolant dominates the residual
-    p = prof.gaussian(r=0.1533, n=4)
-    params = prof.MemoryParams(kappa_i=KI_OP)
-    sch = proto.build_schedule(p, params)
-    end = prof.horizon(p)
-    coarse = dyn.simulate_amplitudes(p, params, sch, end, tol=1e-10, max_step=12.0)
-    capped = dyn.simulate_amplitudes(p, params, sch, end, tol=1e-10)
-    assert dyn.energy_balance_residual(capped) < 0.5 * dyn.energy_balance_residual(coarse)
-
-
 def test_residual_detects_violations():
     # zero out the reflected channel of a healthy run: the bookkeeping
     # identity must break by roughly the stage-1 reflection scale

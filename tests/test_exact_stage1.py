@@ -444,8 +444,8 @@ def _gauss_n(r: float, n: float) -> prof.InputProfile:
 def test_pointwise_is_the_float_loop(profile, fn):
     """`rate_at` and `cumulative` on 0-d, 1-d and 2-d arrays equal the
     float calls bit for bit, sign bits included: at tau = 0, on both sides
-    of tau0, past a table's ends and on a row grid of the CLI's size
-    (`schedule` writes about 57,000 rows). A 0-d array gives a float."""
+    of tau0, past a table's ends and on a fine uniform row grid (57,001
+    rows, more than `schedule` writes). A 0-d array gives a float."""
     end = prof.horizon(profile)
     taus = [np.array([0.0, 5e-324, 1e-300]),
             np.linspace(0.0, end, 57_001),
