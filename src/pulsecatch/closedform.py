@@ -8,6 +8,11 @@ log1p, and one erfcx identity in place of each Gaussian erf difference), so
 they hold for pulse times up to ~1e4, for any kappa_i sigma, and where the
 textbook expressions degenerate to 0/0.
 
+The Gaussian forms take arrays of cells: `gauss_grid` finds every cell's
+threshold and peak with one bracketed array root search each (Chandrupatla's
+method, no `brentq`; `protocol` keeps its own), and the scalar entry points
+are that code on one cell.
+
 Conventions: the memory amplitude beta is <= 0, populations are its square.
 Stage 1 is [0, tau_c) at kappa = 1; stage 2 is the zero-reflection schedule
 kappa(tau) = r_in(tau)/beta^2(tau).
@@ -15,13 +20,13 @@ kappa(tau) = r_in(tau)/beta^2(tau).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import profiles as prof
-from ._scipy import brentq
 from .errors import (DomainError, NoPeak, NoThreshold, SingularCoupling,
                      brackets_root)
 
@@ -31,8 +36,8 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 def _load_special() -> None:
     """Bind `erf` and `erfcx` to scipy's on the first Gaussian evaluation:
-    only the Gaussian forms need scipy.special, and a sweep calls them
-    about 10^5 times, so they are bound once instead of imported per call."""
+    only the Gaussian forms need scipy.special, so they are bound once
+    instead of imported per call."""
     global erf, erfcx
     from scipy.special import erf, erfcx
 
@@ -186,75 +191,246 @@ class GaussConstants:
     tau_c: float
 
 
-def _check_gauss_domain(sigma: float, n: float, kappa_i: float) -> None:
+_RTOL = 4.0 * sys.float_info.epsilon     # the root searches' relative tolerance
+_MAXITER = 200                           # residual evaluations per root, at most
+
+
+def _gauss_domain_error(sigma: float, n: float, kappa_i: float):
+    """The DomainError of a cell outside the closed forms' domain, or None.
+    b = 1/(4 sigma^2) must be a normal float: the forms divide by sqrt(b)."""
     if not (sigma > 0.0) or not math.isfinite(sigma):
-        raise DomainError(f"sigma must be positive, got {sigma}")
+        return DomainError(f"sigma must be positive and finite, got {sigma}")
     if n < 3.0:
-        raise DomainError(f"Gaussian offset multiplier n must be >= 3, got {n}")
+        return DomainError(f"Gaussian offset multiplier n must be >= 3, got {n}")
     if not (0.0 <= kappa_i < 1.0):
-        raise DomainError(f"kappa_i must lie in [0, 1), got {kappa_i}")
+        return DomainError(f"kappa_i must lie in [0, 1), got {kappa_i}")
+    square = sigma * sigma
+    if not (square > 0.0 and sys.float_info.min <= 0.25 / square < math.inf):
+        return DomainError(f"b = 1/(4 sigma^2) is not a normal float at "
+                           f"sigma = {sigma}")
+    return None
 
 
-def _erf_gap(x, y, gap, exp=math.exp):
+def _live(errors: list) -> np.ndarray:
+    """Indices of the cells that no step has failed yet."""
+    return np.flatnonzero([e is None for e in errors])
+
+
+def _fail(errors: list, cells: np.ndarray, make, *columns) -> None:
+    """Give each of `cells` that no step has failed yet the error make(*row),
+    row its values in `columns` (as Python floats)."""
+    for c, *row in zip(cells.tolist(), *(v.tolist() for v in columns)):
+        if errors[c] is None:
+            errors[c] = make(*row)
+
+
+def _erf_gap(x, y, gap):
     """e^{x^2} (erf x - erf y) = erfcx(-x) - erfcx(-y) e^{(x+y) gap}, y <= x <= 0
     (DLMF 7.2): no factor overflows, and gap = x - y, taken exact, cancels nothing."""
-    return erfcx(-x) - erfcx(-y) * exp((x + y) * gap)
+    return erfcx(-x) - erfcx(-y) * np.exp((x + y) * gap)
 
 
-def _exp_b2_s(a: float, b: float, tau0: float, tau: float) -> float:
-    """Return exp(B^2) * (erf(B) + erf(A)) without overflow for B <= 0.
-
-    This is the bracket whose value is 1 exactly at the threshold time. For
-    tau in [0, tau0 + a/(2b)] we have B <= 0 and |B| <= A, and `_erf_gap`
-    with x = B, y = -A and x - y = sqrt(b) tau keeps every factor in range.
-    """
-    rb = math.sqrt(b)
-    big_b = rb * (tau - tau0) - 0.5 * a / rb
+@np.errstate(all="ignore")
+def _gauss_bracket(a, b, tau0, tau):
+    """C e^{B^2} (erf B + erf A), C = sqrt(pi)/(2 sqrt(b)): the stage-1 bracket,
+    exactly 1 at the threshold time. For tau in [0, tau0 + a/(2b)] we have
+    B <= 0 and |B| <= A, and `_erf_gap` with x = B, y = -A and x - y =
+    sqrt(b) tau keeps every factor in range. Each cell takes the branch of
+    its own B's sign; the other branch's overflow is discarded."""
+    rb = np.sqrt(b)
     big_a = rb * tau0 + 0.5 * a / rb
-    if big_b <= 0.0:
-        return _erf_gap(big_b, -big_a, rb * tau)
-    return math.exp(big_b * big_b) * (erf(big_b) + erf(big_a))
+    big_b = rb * (tau - tau0) - 0.5 * a / rb
+    scaled = np.where(big_b <= 0.0, _erf_gap(big_b, -big_a, rb * tau),
+                      np.exp(big_b * big_b) * (erf(big_b) + erf(big_a)))
+    return 0.5 * SQRT_PI / rb * scaled
 
 
-def _gauss_threshold_residual(a: float, b: float, tau0: float, tau: float) -> float:
+def _gauss_threshold_residual(a, b, tau0, tau):
     """e^{B^2} g(tau) = 1 - C e^{B^2} (erf B + erf A), C = sqrt(pi)/(2 sqrt(b)).
 
     g = e^{-B^2} - C (erf B + erf A) is the threshold residual; its root is
     tau_c. Scaled by e^{B^2} it keeps g's sign and root, equals 1 exactly at
-    tau = 0 (where B = -A), and takes `_exp_b2_s`'s overflow-safe form.
+    tau = 0 (where B = -A), and takes `_gauss_bracket`'s overflow-safe form.
     """
-    return 1.0 - 0.5 * SQRT_PI / math.sqrt(b) * _exp_b2_s(a, b, tau0, tau)
+    return 1.0 - _gauss_bracket(a, b, tau0, tau)
 
 
-@lru_cache(maxsize=1024)
-def gauss_constants(sigma: float, n: float, kappa_i: float) -> GaussConstants:
-    """a, b, tau0 and the root tau_c of the erf-form threshold equation.
+def _gauss_stage1(sigma, n, kappa_i, tau):
+    """beta^2 = r_in (C e^{B^2}(erf B + erf A))^2 on [0, tau_c]."""
+    bracket = _gauss_bracket(0.5 * (1.0 + kappa_i), 0.25 / (sigma * sigma),
+                             n * sigma, tau)
+    return gauss_rate(sigma, n, tau) * bracket * bracket
+
+
+@np.errstate(all="ignore")
+def _gauss_stage2(sigma, n, kappa_i, tau_c, tau):
+    """beta^2 = e^{-k (tau - tau_c)} r_in(tau_c) + w (erf x - erf y)/2, k = kappa_i,
+    w = e^{-k (tau - tau0) + k^2 sigma^2/2}, x, y = b2(tau), b2(tau_c), b2(s) = (s - tau0
+    - k sigma^2)/(sigma sqrt 2). For x <= 0 the erf term is g(tau) `_erf_gap`/2 with gap
+    (tau - tau_c)/(sigma sqrt 2), g = w e^{-x^2} = e^{-(tau - tau0)^2/(2 sigma^2)}; for
+    x > 0, w <= 1. No overflow or cancellation next to -1, for any kappa_i sigma. Each
+    cell takes the branch of its own x's sign; the other branch's overflow is discarded."""
+    k, tau0, b = kappa_i, n * sigma, 0.25 / (sigma * sigma)
+    seed = gauss_rate(sigma, n, tau_c)
+    rt2b = np.sqrt(2.0 * b)  # = 1/(sigma*sqrt(2))
+    x = rt2b * (tau - tau0) - 0.5 * k / rt2b
+    y = rt2b * (tau_c - tau0) - 0.5 * k / rt2b
+    z = (tau - tau0) / sigma
+    head = np.exp(-0.5 * z * z) * _erf_gap(x, y, rt2b * (tau - tau_c))
+    tail = np.exp(-k * (tau - tau0) + 0.125 * k * k / b) * (erf(x) - erf(y))
+    return np.exp(-k * (tau - tau_c)) * seed + 0.5 * np.where(x <= 0.0, head, tail)
+
+
+@np.errstate(all="ignore")
+def _roots(f, j, x1, x2, f1, f2, xtol: float) -> np.ndarray:
+    """A root of f in each bracket [x1, x2] whose ends' values f1, f2 pass
+    `brackets_root`, within xtol + 4 eps |root|, by Chandrupatla's method
+    (Adv. Eng. Softw. 28, 145 (1997)): inverse quadratic interpolation where
+    it is safe, bisection elsewhere, each step half the tolerance or more
+    inside the bracket. f(j, x) is the residual of cells j at x. A cell that
+    settles is not evaluated again, so its root is the one it gets alone;
+    nan where f turned nan or _MAXITER evaluations did not settle it."""
+    root = np.full(j.shape, np.nan)
+    at = np.arange(j.size)                 # each searching cell's place in root
+    x3, f3, t = x2, f2, 0.5
+    for step in range(_MAXITER + 1):
+        near = np.abs(f1) < np.abs(f2)
+        xm = np.where(near, x1, x2)
+        dx = np.abs(x2 - x1)
+        tol = xtol + _RTOL * np.abs(xm)
+        done = (dx < tol) | (np.where(near, f1, f2) == 0.0)
+        root[at[done]] = xm[done]
+        go = ~done & (f1 == f1)
+        if step == _MAXITER or not go.any():
+            return root
+        if not go.all():
+            at, j, x1, x2, x3, f1, f2, f3, dx, tol = (
+                v[go] for v in (at, j, x1, x2, x3, f1, f2, f3, dx, tol))
+        if step:    # the first step bisects: x3 is no point of the search yet
+            xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
+            iqi = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
+            t = np.where(iqi, f1 / (f1 - f2) * f3 / (f3 - f2)
+                         - (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f2 - f3),
+                         0.5)
+            t = np.clip(t, 0.5 * tol / dx, 1.0 - 0.5 * tol / dx)
+        x = x1 + t * (x2 - x1)
+        fx = f(j, x)
+        same = np.sign(fx) == np.sign(f1)
+        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+        x1, f1 = x, fx
+
+
+def _gauss_thresholds(sigma, n, kappa_i, errors: list):
+    """(tau_c,) of the cells that `errors` does not fail, nan in the others;
+    first, the cells outside the domain fail.
 
     dg/dtau = -sqrt(b) e^{-B^2} (2B + 1/sqrt(b)): g rises up to
     tau0 - (1 - kappa_i) sigma^2 and falls after, and it starts at
     g(0) = e^{-A^2} > 0, so it has one root and [0, tau0 + 10 sigma] brackets
-    it. The bracket is checked before the polish, in case rounding disagrees.
+    it. The bracket is checked before the search, in case rounding disagrees.
     """
-    _check_gauss_domain(sigma, n, kappa_i)
-    a = 0.5 * (1.0 + kappa_i)
-    b = 0.25 / (sigma * sigma)
-    tau0 = n * sigma
-    end = tau0 + 10.0 * sigma
+    for c, (s, k) in enumerate(zip(sigma.tolist(), kappa_i.tolist())):
+        errors[c] = errors[c] or _gauss_domain_error(s, n, k)
+    tau_c = np.full(sigma.shape, np.nan)
+    i = _live(errors)
+    s, k = sigma[i], kappa_i[i]
+    a, b, tau0 = 0.5 * (1.0 + k), 0.25 / (s * s), n * s
+    end = tau0 + 10.0 * s
+    g = lambda j, t: _gauss_threshold_residual(a[j], b[j], tau0[j], t)
+    g0, g1 = np.split(g(np.tile(np.arange(i.size), 2),
+                        np.concatenate([np.zeros(i.size), end])), 2)
+    ok = brackets_root(g0, g1)
+    _fail(errors, i[~ok], lambda e: NoThreshold(
+        f"threshold residual does not change sign on the bracket [0.0, {e!r}]"),
+        end[~ok])
+    j = np.flatnonzero(ok)
+    tau_c[i[j]] = root = _roots(g, j, np.zeros(j.size), end[j], g0[j], g1[j], 1e-14)
+    _fail(errors, i[j][np.isnan(root)], lambda e: DomainError(
+        f"the threshold search did not settle on [0.0, {e!r}]"),
+        end[j][np.isnan(root)])
+    return (tau_c,)
 
-    g = lambda t: _gauss_threshold_residual(a, b, tau0, t)
-    if not brackets_root(g(0.0), g(end)):
-        raise NoThreshold(f"threshold residual does not change sign on the "
-                          f"bracket [0.0, {end!r}]")
-    tau_c = brentq(g, 0.0, end, xtol=1e-14, rtol=8.9e-16, maxiter=200)
+
+def _gauss_peaks(sigma, n, kappa_i, tau_c, errors: list):
+    """(tau_max, F) of the cells that `errors` does not fail, nan in the others.
+
+    The peak solves h = r_in - kappa_i beta^2 = 0 on the falling edge of the
+    pulse; kappa_i = 0 gives (inf, beta^2(inf)). h is the slope of beta^2,
+    so at any root h' = r_in'. Before tau0 r_in' > 0, and h, positive at
+    tau_c, cannot reach 0 on [tau_c, tau0]; after tau0 r_in' < 0, and h
+    crosses zero once, downward. The doubling from max(tau_c, tau0) stops at
+    the first window whose right end has h < 0, which brackets that root.
+    """
+    tau_max, fid = np.full(sigma.shape, np.nan), np.full(sigma.shape, np.nan)
+    live = _live(errors)
+    i = live[kappa_i[live] == 0.0]
+    s, tc = sigma[i], tau_c[i]
+    tau_max[i] = math.inf
+    fid[i] = gauss_rate(s, n, tc) + 0.5 * (
+        1.0 - erf(np.sqrt(2.0 * (0.25 / (s * s))) * (tc - n * s)))
+
+    i = live[kappa_i[live] > 0.0]
+    s, k, tc = sigma[i], kappa_i[i], tau_c[i]
+    h = lambda j, t: gauss_rate(s[j], n, t) \
+        - k[j] * _gauss_stage2(s[j], n, k[j], tc[j], t)
+    # The doubling reaches past the nominal horizon if the intrinsic loss is
+    # so small that the crossing is later.
+    lo, hi = np.maximum(tc, n * s), n * s + 10.0 * s
+    width = hi - lo
+    h_lo, h_hi = np.split(h(np.tile(np.arange(i.size), 2),
+                            np.concatenate([lo, hi])), 2)
+    rising = np.flatnonzero(~(h_hi < 0.0))
+    for _ in range(63):
+        if not rising.size:
+            break
+        lo[rising], h_lo[rising] = hi[rising], h_hi[rising]
+        width[rising] *= 2.0
+        hi[rising] = lo[rising] + width[rising]
+        h_hi[rising] = h(rising, hi[rising])
+        rising = rising[~(h_hi[rising] < 0.0)]
+    _fail(errors, i[rising], lambda: NoPeak(
+        "input rate never falls below the intrinsic-loss rate"))
+    ok = brackets_root(h_lo, h_hi)
+    _fail(errors, i[~ok], lambda a, b: NoPeak(
+        f"peak residual does not change sign on the bracket [{a!r}, {b!r}]"),
+        lo[~ok], hi[~ok])
+    ok[rising] = False
+    j = np.flatnonzero(ok)
+    tau_max[i[j]] = root = _roots(h, j, lo[j], hi[j], h_lo[j], h_hi[j], 1e-12)
+    fid[i[j]] = _gauss_stage2(s[j], n, k[j], tc[j], root)
+    bad = j[np.isnan(root)]
+    _fail(errors, i[bad], lambda a, b: DomainError(
+        f"the peak search did not settle on [{a!r}, {b!r}]"), lo[bad], hi[bad])
+    return tau_max, fid
+
+
+def _one_cell(stage, sigma: float, n: float, kappa_i: float, *values):
+    """`stage` on the one cell (sigma, n, kappa_i) with its `values`: the
+    results as Python floats, or the cell's error raised."""
+    errors = [None]
+    cell = lambda v: np.array([v], dtype=float)
+    out = stage(cell(sigma), n, cell(kappa_i), *map(cell, values), errors)
+    if errors[0] is not None:
+        raise errors[0]
+    return tuple(float(v[0]) for v in out)
+
+
+@lru_cache(maxsize=1024)
+def gauss_constants(sigma: float, n: float, kappa_i: float) -> GaussConstants:
+    """a, b, tau0 and the root tau_c of the erf-form threshold equation
+    (`_gauss_thresholds` on one cell)."""
+    (tau_c,) = _one_cell(_gauss_thresholds, sigma, n, kappa_i)
     return GaussConstants(sigma=sigma, n=n, kappa_i=kappa_i,
-                          a=a, b=b, tau0=tau0, tau_c=tau_c)
+                          a=0.5 * (1.0 + kappa_i), b=0.25 / (sigma * sigma),
+                          tau0=n * sigma, tau_c=tau_c)
 
 
-def gauss_rate(sigma: float, n: float, tau: float) -> float:
-    """r_in(tau) for the Gaussian family (peak rate from sigma)."""
+def gauss_rate(sigma, n, tau):
+    """r_in(tau) for the Gaussian family (peak rate from sigma), elementwise."""
     r = 1.0 / (sigma * SQRT_2PI)
     z = (tau - n * sigma) / sigma
-    return r * math.exp(-0.5 * z * z)
+    return r * np.exp(-0.5 * z * z)
 
 
 def gauss_population(sigma: float, n: float, kappa_i: float, tau: float) -> float:
@@ -263,31 +439,9 @@ def gauss_population(sigma: float, n: float, kappa_i: float, tau: float) -> floa
     if tau < 0.0:
         raise DomainError("tau must be >= 0")
     if tau < cst.tau_c:
-        # beta^2 = r_in * [sqrt(pi)/(2 sqrt(b)) e^{B^2}(erf B + erf A)]^2;
-        # the square bracket is exactly 1 at the threshold.
-        bracket = 0.5 * SQRT_PI / math.sqrt(cst.b) * _exp_b2_s(cst.a, cst.b, cst.tau0, tau)
-        return gauss_rate(sigma, n, tau) * bracket * bracket
-    return _gauss_stage2(cst, sigma, n, tau)
-
-
-def _gauss_stage2(cst: GaussConstants, sigma: float, n: float, tau: float) -> float:
-    """beta^2 = e^{-k (tau - tau_c)} r_in(tau_c) + w (erf x - erf y)/2, k = kappa_i,
-    w = e^{-k (tau - tau0) + k^2 sigma^2/2}, x, y = b2(tau), b2(tau_c), b2(s) = (s - tau0
-    - k sigma^2)/(sigma sqrt 2). For x <= 0 the erf term is g(tau) `_erf_gap`/2 with gap
-    (tau - tau_c)/(sigma sqrt 2), g = w e^{-x^2} = e^{-(tau - tau0)^2/(2 sigma^2)}; for
-    x > 0, w <= 1. No overflow or cancellation next to -1, for any kappa_i sigma."""
-    k = cst.kappa_i
-    seed = gauss_rate(sigma, n, cst.tau_c)
-    rt2b = math.sqrt(2.0 * cst.b)  # = 1/(sigma*sqrt(2))
-    b2 = lambda s: rt2b * (s - cst.tau0) - 0.5 * k / rt2b
-    x, y = b2(tau), b2(cst.tau_c)
-    if x <= 0.0:
-        z = (tau - cst.tau0) / sigma
-        integral = math.exp(-0.5 * z * z) * _erf_gap(x, y, rt2b * (tau - cst.tau_c))
-    else:
-        weight = math.exp(-k * (tau - cst.tau0) + 0.125 * k * k / cst.b)
-        integral = weight * (erf(x) - erf(y))
-    return math.exp(-k * (tau - cst.tau_c)) * seed + 0.5 * integral
+        # the stage-1 bracket is exactly 1 at the threshold
+        return float(_gauss_stage1(sigma, n, kappa_i, tau))
+    return float(_gauss_stage2(sigma, n, kappa_i, cst.tau_c, tau))
 
 
 def gauss_coupling(sigma: float, n: float, kappa_i: float, tau: float) -> float:
@@ -295,48 +449,17 @@ def gauss_coupling(sigma: float, n: float, kappa_i: float, tau: float) -> float:
     cst = gauss_constants(sigma, n, kappa_i)
     if tau < cst.tau_c - 1e-12:
         raise DomainError("gauss_coupling is the stage-2 law; needs tau >= tau_c")
-    pop = _gauss_stage2(cst, sigma, n, max(tau, cst.tau_c))
+    pop = float(_gauss_stage2(sigma, n, kappa_i, cst.tau_c, max(tau, cst.tau_c)))
     if pop <= 0.0:
         raise SingularCoupling(f"population not positive at tau = {tau}")
-    return gauss_rate(sigma, n, tau) / pop
+    return float(gauss_rate(sigma, n, tau)) / pop
 
 
 def gauss_report(sigma: float, n: float, kappa_i: float) -> tuple[float, float]:
-    """Peak time and fidelity (tau_max, F) for the Gaussian input.
-
-    The peak solves h = r_in - kappa_i beta^2 = 0 on the falling edge of the
-    pulse; kappa_i = 0 returns (inf, beta^2(inf)). h is the slope of beta^2,
-    so at any root h' = r_in'. Before tau0 r_in' > 0, and h, positive at
-    tau_c, cannot reach 0 on [tau_c, tau0]; after tau0 r_in' < 0, and h
-    crosses zero once, downward. The doubling from max(tau_c, tau0) stops at
-    the first window whose right end has h < 0, which brackets that root.
-    """
-    cst = gauss_constants(sigma, n, kappa_i)
-    if kappa_i == 0.0:
-        rt2b = math.sqrt(2.0 * cst.b)
-        seed = gauss_rate(sigma, n, cst.tau_c)
-        fid = seed + 0.5 * (1.0 - erf(rt2b * (cst.tau_c - cst.tau0)))
-        return math.inf, fid
-
-    h = lambda t: gauss_rate(sigma, n, t) - kappa_i * _gauss_stage2(cst, sigma, n, t)
-    # The doubling reaches past the nominal horizon if the intrinsic loss is
-    # so small that the crossing is later.
-    lo = max(cst.tau_c, cst.tau0)
-    hi = cst.tau0 + 10.0 * sigma
-    width = hi - lo
-    for _ in range(64):
-        if h(hi) < 0.0:
-            break
-        lo = hi
-        width *= 2.0
-        hi = lo + width
-    else:
-        raise NoPeak("input rate never falls below the intrinsic-loss rate")
-    if not brackets_root(h(lo), h(hi)):
-        raise NoPeak(f"peak residual does not change sign on the bracket "
-                     f"[{lo!r}, {hi!r}]")
-    tau_max = brentq(h, lo, hi, xtol=1e-12, rtol=8.9e-16, maxiter=200)
-    return tau_max, _gauss_stage2(cst, sigma, n, tau_max)
+    """Peak time and fidelity (tau_max, F) for the Gaussian input
+    (`_gauss_peaks` on one cell); kappa_i = 0 returns (inf, beta^2(inf))."""
+    tau_c = gauss_constants(sigma, n, kappa_i).tau_c
+    return _one_cell(_gauss_peaks, sigma, n, kappa_i, tau_c)
 
 
 # ---------------------------------------------------------------------------
@@ -386,38 +509,33 @@ def exp_losses(r: float, kappa_i: float,
     return refl, intrinsic, math.exp(-r * tau_max)
 
 
-def _gauss_stage1_population(cst: GaussConstants, tau: np.ndarray) -> np.ndarray:
-    """beta^2 = r_in (C e^{B^2}(erf B + erf A))^2 at each tau in [0, tau_c],
-    C = sqrt(pi)/(2 sqrt(b)): `gauss_population`'s stage-1 form on an array,
-    so that one Kronrod sum takes all its nodes in a few numpy calls. Each
-    branch of `_exp_b2_s` sees only the B of its own sign, so neither
-    overflows."""
-    rb = math.sqrt(cst.b)
-    big_a = rb * cst.tau0 + 0.5 * cst.a / rb
-    big_b = rb * (tau - cst.tau0) - 0.5 * cst.a / rb
-    neg, pos = np.minimum(big_b, 0.0), np.maximum(big_b, 0.0)
-    scaled = np.where(big_b <= 0.0, _erf_gap(neg, -big_a, rb * tau, np.exp),
-                      np.exp(pos * pos) * (erf(pos) + erf(big_a)))
-    bracket = 0.5 * SQRT_PI / rb * scaled
-    z = (tau - cst.tau0) / cst.sigma
-    return np.exp(-0.5 * z * z) / (cst.sigma * SQRT_2PI) * bracket * bracket
+def _gauss_cumulative(sigma, n, tau):
+    """The input's integral over [0, tau], as `profiles.cumulative` writes it."""
+    root2 = math.sqrt(2.0)
+    tau0 = n * sigma
+    return 0.5 * (erf((tau - tau0) / (sigma * root2)) + erf(tau0 / (sigma * root2)))
 
 
-def _gauss_stage1_integral(cst: GaussConstants) -> float:
-    """S1 = int_0^tau_c beta^2: the 21-point Kronrod rule on equal pieces at
-    most 2 sigma wide (one rule over all of [0, tau_c] keeps only ~12 digits
-    of a pulse with n = 8)."""
-    pieces = max(1, math.ceil(cst.tau_c / (2.0 * cst.sigma)))
-    edges = np.linspace(0.0, cst.tau_c, pieces + 1)
-    return float(prof._kronrod(lambda t: _gauss_stage1_population(cst, t),
-                               edges).sum())
+def _gauss_stage1_integral(sigma, n, kappa_i, tau_c):
+    """S1 = int_0^tau_c beta^2 of each cell: the 21-point Kronrod rule on equal
+    pieces at most 2 sigma wide (one rule over all of [0, tau_c] keeps only
+    ~12 digits of a pulse with n = 8). A cell with fewer pieces than another
+    pads with empty ones at tau_c, and both sums run in order (`cumsum`), so
+    that a cell's S1 does not depend on the cells beside it."""
+    pieces = np.maximum(1.0, np.ceil(tau_c / (2.0 * sigma)))
+    step = tau_c / pieces
+    p = np.arange(int(pieces.max(initial=1.0)) + 1)[:, None]
+    edges = np.where(p < pieces, p * step, tau_c)
+    centr, hlgth = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    nodes = centr + hlgth * prof._NODES[:, :, None]
+    rule = prof._WEIGHTS[:, :, None] * _gauss_stage1(sigma, n, kappa_i, nodes)
+    return (hlgth * rule.cumsum(axis=0)[-1]).cumsum(axis=0)[-1]
 
 
-def gauss_losses(sigma: float, n: float, kappa_i: float,
-                 tau_max: float) -> tuple[float, float, float]:
-    """(stage-1 reflection, intrinsic loss, unabsorbed input) up to tau_max
-    for a Gaussian input; up to tau0 + 10 sigma when tau_max is inf
-    (kappa_i = 0).
+def _gauss_budget(sigma, n, kappa_i, tau_c, tau_max, errors: list):
+    """(stage-1 reflection, intrinsic loss, unabsorbed input) up to tau_max of
+    the cells that `errors` does not fail, nan in the others; up to
+    tau0 + 10 sigma where tau_max is inf (kappa_i = 0).
 
     The energy balance integrated over each stage leaves one integral,
     S1 = int_0^tau_c beta^2. Stage 1 ends at beta^2 = r_in(tau_c), so its
@@ -427,15 +545,41 @@ def gauss_losses(sigma: float, n: float, kappa_i: float,
     one C and one r_in(tau_c), and beta^2(tau_max) is the fidelity of
     `gauss_report` bit for bit, so the budget closes to rounding.
     """
-    cst = gauss_constants(sigma, n, kappa_i)
-    upper = tau_max if math.isfinite(tau_max) else cst.tau0 + 10.0 * sigma
-    profile = prof.gaussian(sigma=sigma, n=n)
-    c_tc = prof.cumulative(profile, cst.tau_c)
-    c_up = prof.cumulative(profile, upper)
-    seed = gauss_rate(sigma, n, cst.tau_c)
-    s1 = _gauss_stage1_integral(cst)
-    stage2 = (c_up - c_tc) - (float(_gauss_stage2(cst, sigma, n, upper)) - seed)
-    # cumulative(inf) already excludes the left-truncation deficit, so the
-    # unabsorbed term carries both the not-yet-arrived input and the
-    # truncated mass.
-    return c_tc - seed - kappa_i * s1, kappa_i * s1 + stage2, 1.0 - c_up
+    out = np.full((3,) + sigma.shape, np.nan)
+    i = _live(errors)
+    s, k, tc = sigma[i], kappa_i[i], tau_c[i]
+    upper = np.where(np.isfinite(tau_max[i]), tau_max[i], n * s + 10.0 * s)
+    c_tc, c_up = _gauss_cumulative(s, n, tc), _gauss_cumulative(s, n, upper)
+    seed = gauss_rate(s, n, tc)
+    s1 = _gauss_stage1_integral(s, n, k, tc)
+    stage2 = (c_up - c_tc) - (_gauss_stage2(s, n, k, tc, upper) - seed)
+    # C(inf) already excludes the left-truncation deficit, so the unabsorbed
+    # term carries both the not-yet-arrived input and the truncated mass.
+    out[:, i] = c_tc - seed - k * s1, k * s1 + stage2, 1.0 - c_up
+    return tuple(out)
+
+
+def gauss_losses(sigma: float, n: float, kappa_i: float,
+                 tau_max: float) -> tuple[float, float, float]:
+    """(stage-1 reflection, intrinsic loss, unabsorbed input) up to tau_max
+    for a Gaussian input (`_gauss_budget` on one cell)."""
+    tau_c = gauss_constants(sigma, n, kappa_i).tau_c
+    return _one_cell(_gauss_budget, sigma, n, kappa_i, tau_c, tau_max)
+
+
+def gauss_grid(sigma, n: float, kappa_i):
+    """tau_c, tau_max, F and the loss budget of every cell (sigma[i], n,
+    kappa_i[i]) of two 1-D arrays, each stage run on all cells at once.
+
+    Returns (tau_c, tau_max, fidelity, (reflection, intrinsic, unabsorbed),
+    errors): arrays over the cells, nan where a cell failed, and each cell's
+    typed error or None. A cell's values and error are those the scalar
+    entry points give it (or raise), bit for bit and word for word.
+    """
+    sigma = np.asarray(sigma, dtype=float)
+    kappa_i = np.asarray(kappa_i, dtype=float)
+    errors = [None] * sigma.size
+    (tau_c,) = _gauss_thresholds(sigma, n, kappa_i, errors)
+    tau_max, fid = _gauss_peaks(sigma, n, kappa_i, tau_c, errors)
+    losses = _gauss_budget(sigma, n, kappa_i, tau_c, tau_max, errors)
+    return tau_c, tau_max, fid, losses, errors

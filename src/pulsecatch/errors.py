@@ -38,13 +38,12 @@ class BoundaryMaximumWarning(UserWarning):
     """A maximizer landed on an edge of the scanned range instead of the interior."""
 
 
-def brackets_root(f_lo: float, f_hi: float) -> bool:
+def brackets_root(f_lo, f_hi):
     """Whether brentq (`pulsecatch._scipy.brentq`, a port of scipy's that
     checks its bracket as scipy does) takes a bracket whose ends have these
     values: neither is nan, and one is 0 or they differ in sign. Where it
     does not, brentq raises a bare ValueError; callers raise their typed
-    error instead.
+    error instead. Elementwise on arrays.
     """
-    if f_lo != f_lo or f_hi != f_hi:
-        return False
-    return f_lo == 0.0 or f_hi == 0.0 or (f_lo < 0.0) != (f_hi < 0.0)
+    return (f_lo == f_lo) & (f_hi == f_hi) & (
+        (f_lo == 0.0) | (f_hi == 0.0) | ((f_lo < 0.0) != (f_hi < 0.0)))

@@ -1,12 +1,13 @@
 """Fidelity surfaces over (kappa_i, r) grids and the loss-optimal input rate.
 
 The built-in families evaluate through `closedform`, loss budget included
-(`exp_losses`, `gauss_losses`: closed forms and, for a Gaussian, one
-Kronrod sum; no adaptive quadrature, so a sweep loads no scipy.integrate);
-anything else goes through the generic `protocol` solver. Cells are pure and
-independent — the engine fills the matrix serially in index order, so output
-is deterministic and any future parallel fill must assemble by index to keep
-that property.
+(`exp_losses`, `gauss_grid`: closed forms and, for a Gaussian, one Kronrod
+sum; no adaptive quadrature, so a sweep loads no scipy.integrate); anything
+else goes through the generic `protocol` solver. An exponential or generic
+grid is filled cell by cell in index order; a Gaussian grid is one array
+evaluation of all its cells (`closedform.gauss_grid`), whose every step is
+elementwise. Either way a cell's result depends on its own (kappa_i, r)
+alone, bit for bit, so output is deterministic.
 """
 from __future__ import annotations
 
@@ -65,24 +66,33 @@ class SweepGrid:
         return out
 
 
+def _report(tau_c: float, tau_max: float, fidelity: float,
+            losses) -> protocol.TransferReport:
+    refl, intrinsic, unabsorbed = losses
+    return protocol.TransferReport(
+        tau_c=tau_c, tau_max=tau_max, fidelity=fidelity,
+        loss_stage1_reflection=refl, loss_intrinsic=intrinsic,
+        loss_unabsorbed=unabsorbed)
+
+
 def _exp_cell(r: float, kappa_i: float) -> protocol.TransferReport:
     tau_max, fidelity = cf.exp_report(r, kappa_i)
-    refl, intrinsic, unabsorbed = cf.exp_losses(r, kappa_i, tau_max)
-    return protocol.TransferReport(
-        tau_c=cf.exp_constants(r, kappa_i).tau_c, tau_max=tau_max,
-        fidelity=fidelity, loss_stage1_reflection=refl,
-        loss_intrinsic=intrinsic, loss_unabsorbed=unabsorbed)
+    return _report(cf.exp_constants(r, kappa_i).tau_c, tau_max, fidelity,
+                   cf.exp_losses(r, kappa_i, tau_max))
 
 
-def _gauss_cell(r: float, kappa_i: float) -> protocol.TransferReport:
-    sigma = 1.0 / (r * math.sqrt(2.0 * math.pi))
-    n = prof.DEFAULT_GAUSSIAN_OFFSET
-    tau_max, fidelity = cf.gauss_report(sigma, n, kappa_i)
-    refl, intrinsic, unabsorbed = cf.gauss_losses(sigma, n, kappa_i, tau_max)
-    return protocol.TransferReport(
-        tau_c=cf.gauss_constants(sigma, n, kappa_i).tau_c, tau_max=tau_max,
-        fidelity=fidelity, loss_stage1_reflection=refl,
-        loss_intrinsic=intrinsic, loss_unabsorbed=unabsorbed)
+def _gauss_cells(kis, rs) -> list:
+    """Each cell of the Gaussian grid kis x rs, row-major, from one
+    `closedform.gauss_grid` call: a TransferReport, or the typed error that
+    the cell's scalar closed forms raise."""
+    ki, r = (a.ravel() for a in np.meshgrid(kis, rs, indexing="ij"))
+    with np.errstate(divide="ignore"):      # r = 0: sigma = inf, a DomainError
+        sigma = 1.0 / (r * cf.SQRT_2PI)
+    tau_c, tau_max, fid, losses, errors = cf.gauss_grid(
+        sigma, prof.DEFAULT_GAUSSIAN_OFFSET, ki)
+    return [err or _report(tc, tm, f, rest) for err, tc, tm, f, *rest in zip(
+        errors, tau_c.tolist(), tau_max.tolist(), fid.tolist(),
+        *(v.tolist() for v in losses))]
 
 
 def _generic_cell(profile: prof.InputProfile,
@@ -100,8 +110,18 @@ def _evaluate_cell(family, r: float, kappa_i: float) -> protocol.TransferReport:
             # closed-form validity needs kappa_i < r; outside that, fall back
             return _generic_cell(prof.exponential(r), kappa_i)
     if family == "gauss":
-        return _gauss_cell(r, kappa_i)
+        (cell,) = _gauss_cells((kappa_i,), (r,))
+        if isinstance(cell, PulsecatchError):
+            raise cell
+        return cell
     return _generic_cell(family(r), kappa_i)
+
+
+def _cell_or_error(family, r: float, kappa_i: float):
+    try:
+        return _evaluate_cell(family, r, kappa_i)
+    except PulsecatchError as exc:  # record; anything else is a bug
+        return exc
 
 
 def _resolve_family(family):
@@ -141,18 +161,16 @@ def fidelity_surface(family, grid: tuple[Sequence[float], Sequence[float]]
         warnings.warn("grid extends beyond the standard ranges "
                       "kappa_i <= 1e-2, r in [0.05, 1]", stacklevel=2)
 
-    rows = []
-    for ki in kis:
-        row = []
-        for r in rs:
-            try:
-                row.append(_evaluate_cell(fam, r, ki))
-            except PulsecatchError as exc:  # record; anything else is a bug
-                row.append(CellFailure(kappa_i=ki, r=r,
-                                       error=f"{type(exc).__name__}: {exc}"))
-        rows.append(tuple(row))
+    if fam == "gauss":
+        cells = iter(_gauss_cells(kis, rs))
+    else:
+        cells = iter([_cell_or_error(fam, r, ki) for ki in kis for r in rs])
+    rows = tuple(tuple(
+        cell if isinstance(cell, protocol.TransferReport) else CellFailure(
+            kappa_i=ki, r=r, error=f"{type(cell).__name__}: {cell}")
+        for r, cell in zip(rs, cells)) for ki in kis)
     name = fam if isinstance(fam, str) else getattr(fam, "__name__", "custom")
-    return SweepGrid(family=name, kappa_is=kis, rs=rs, results=tuple(rows))
+    return SweepGrid(family=name, kappa_is=kis, rs=rs, results=rows)
 
 
 def optimal_rate(family, kappa_i: float) -> tuple[float, float]:

@@ -131,7 +131,9 @@ def test_numpy_scalar_arguments_give_a_float():
 
 
 def test_solvers_bind_the_port():
-    assert proto.brentq is brentq and cf.brentq is brentq
+    # protocol polishes with the port; closedform searches whole grids of
+    # cells with its own array root finder and binds no brentq at all
+    assert proto.brentq is brentq and not hasattr(cf, "brentq")
 
 
 @settings(max_examples=40, deadline=None)

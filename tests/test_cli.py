@@ -166,7 +166,7 @@ def test_same_sign_closed_form_bracket_exits_infeasible(scan, tmp_path,
     # `verify`; its exp half runs at a short pulse to keep the test quick
     if scan == "threshold":
         monkeypatch.setattr(closedform, "_gauss_threshold_residual",
-                            lambda *args: -1.0)
+                            lambda a, b, tau0, tau: np.full_like(tau, -1.0))
     else:
         monkeypatch.setattr(closedform, "_gauss_stage2", lambda *args: 1e300)
     monkeypatch.setitem(cli.OPERATING_POINTS, "exp", "exp:r=1.0")
@@ -543,6 +543,17 @@ def test_sweep_bad_grid_literal(tmp_path):
                      "--grid-ki", "1e-4:1e-3:2:cubic",
                      "--grid-r", "0.1,0.2",
                      "--out", str(tmp_path / "s.csv")]) == 1
+
+
+def test_sweep_records_degenerate_gauss_rates_as_failed_cells(tmp_path, capsys):
+    # r = 0 and r = 1e-300 raised ZeroDivisionError with a traceback (exit 1)
+    out = tmp_path / "s.csv"
+    with pytest.warns(UserWarning, match="beyond the standard ranges"):
+        assert cli.main(["sweep", "--profile", "gauss", "--grid-ki", "1e-4",
+                         "--grid-r", "0,1e-300,0.5", "--out", str(out)]) == 0
+    assert "3 cells, 2 failed" in capsys.readouterr().out
+    rows = out.read_text().strip().split("\n")[1:]
+    assert [row.split(",")[2] == "nan" for row in rows] == [True, True, False]
 
 
 @pytest.mark.parametrize("grid", [("1e-4,1e-3", "0.1,nan"),

@@ -15,7 +15,8 @@ from pulsecatch import closedform as cf
 from pulsecatch import profiles as prof
 from pulsecatch import protocol
 from pulsecatch import sweep
-from pulsecatch.errors import BoundaryMaximumWarning, DomainError, NoThreshold
+from pulsecatch.errors import (BoundaryMaximumWarning, DomainError, NoThreshold,
+                               PulsecatchError)
 
 
 def _budget_defect(rep: protocol.TransferReport) -> float:
@@ -41,7 +42,7 @@ def test_gauss_cell_budget_closes(r, ki):
     every term from one cumulative and takes beta^2(tau_max) from F, so the
     budget closes by algebra. The losses' own oracles are quadratures in
     test_closedform."""
-    assert _budget_defect(sweep._gauss_cell(r, ki)) <= 1e-12
+    assert _budget_defect(sweep._evaluate_cell("gauss", r, ki)) <= 1e-12
 
 
 @pytest.mark.parametrize("r,ki,tau_c", [
@@ -79,7 +80,7 @@ def test_exp_cell_agrees_with_generic_solver(r, ki):
 
 def test_gauss_cell_agrees_with_generic_solver():
     r, ki = 0.1533, 1e-4
-    fast = sweep._gauss_cell(r, ki)
+    fast = sweep._evaluate_cell("gauss", r, ki)
     slow = sweep._generic_cell(prof.gaussian(r=r), ki)
     assert fast.tau_c == pytest.approx(slow.tau_c, abs=1e-9)
     assert fast.fidelity == pytest.approx(slow.fidelity, abs=1e-9)
@@ -143,6 +144,65 @@ def test_surface_records_typed_errors_only():
 
     with pytest.raises(TypeError, match="a bug"):
         sweep.fidelity_surface(buggy, grid=([1e-4], [0.1]))
+
+
+def _cell_fields(cell) -> tuple:
+    """A cell's values as bit patterns, or its failure text."""
+    if isinstance(cell, sweep.CellFailure):
+        return (cell.error,)
+    return tuple(float(v).hex() for v in (
+        cell.tau_c, cell.tau_max, cell.fidelity, cell.loss_stage1_reflection,
+        cell.loss_intrinsic, cell.loss_unabsorbed))
+
+
+def _scalar_cell(r: float, ki: float) -> tuple:
+    """_cell_fields of the cell as the scalar closed forms give it."""
+    n = prof.DEFAULT_GAUSSIAN_OFFSET
+    with np.errstate(divide="ignore"):
+        sigma = float(1.0 / (np.float64(r) * cf.SQRT_2PI))
+    try:
+        tau_c = cf.gauss_constants(sigma, n, ki).tau_c
+        tau_max, fid = cf.gauss_report(sigma, n, ki)
+        losses = cf.gauss_losses(sigma, n, ki, tau_max)
+    except PulsecatchError as exc:
+        return (f"{type(exc).__name__}: {exc}",)
+    return tuple(float(v).hex() for v in (tau_c, tau_max, fid, *losses))
+
+
+@pytest.mark.parametrize("kis,rs", [
+    (sweep.DEFAULT_KAPPA_I_GRID, sweep.DEFAULT_R_GRID),
+    # r = 0 and 1e-300 (domain), kappa_i sigma = 104 (0.26, 0.001) and 7.0
+    # (0.7109514, 0.0404634), and narrow pulses beside them
+    ((0.26, 0.7109514), (0.0, 1e-300, 0.001, 0.0404634, 1.0)),
+], ids=["default", "edge"])
+def test_gauss_grid_cells_equal_single_cells(kis, rs):
+    # A Gaussian grid is one array evaluation; each of its cells is what the
+    # scalar closed forms give that cell alone, bit for bit, and a failed
+    # cell carries the error they raise, word for word.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        grid = sweep.fidelity_surface("gauss", grid=(kis, rs))
+    for ki, row in zip(grid.kappa_is, grid.results):
+        for r, cell in zip(grid.rs, row):
+            assert _cell_fields(cell) == _scalar_cell(r, ki), (ki, r)
+    assert sum(isinstance(c, sweep.CellFailure) for row in grid.results
+               for c in row) == (0 if len(rs) == 40 else 4)
+
+
+def test_gauss_degenerate_rates_are_typed_cell_failures():
+    # r = 0 gives sigma = inf, and r = 1e-300 a b = 1/(4 sigma^2) that
+    # underflows to 0: both raised ZeroDivisionError out of the sweep. A
+    # pulse so wide that its threshold search cannot settle on the bracket
+    # [0, tau0 + 10 sigma] raised brentq's bare RuntimeError.
+    with pytest.warns(UserWarning, match="beyond the standard ranges"):
+        grid = sweep.fidelity_surface("gauss", grid=([1e-4], [0.0, 1e-300, 0.5]))
+    zero, tiny, fine = grid.results[0]
+    assert zero.error == "DomainError: sigma must be positive and finite, got inf"
+    assert tiny.error.startswith("DomainError: b = 1/(4 sigma^2) is not a "
+                                 "normal float")
+    assert isinstance(fine, protocol.TransferReport)
+    with pytest.raises(DomainError, match="did not settle"):
+        cf.gauss_report(1e150, 4.0, 1e-4)
 
 
 def test_gauss_closed_form_overflow_is_a_typed_cell_failure():
