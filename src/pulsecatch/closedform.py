@@ -397,7 +397,7 @@ def _gauss_peaks(sigma, n, kappa_i, tau_c, errors: list):
         lo[~ok], hi[~ok])
     ok[rising] = False
     j = np.flatnonzero(ok)
-    tau_max[i[j]] = root = _roots(h, j, lo[j], hi[j], h_lo[j], h_hi[j], 1e-12)
+    tau_max[i[j]] = root = _roots(h, j, lo[j], hi[j], h_lo[j], h_hi[j], 1e-14)
     fid[i[j]] = _gauss_stage2(s[j], n, k[j], tc[j], root)
     bad = j[np.isnan(root)]
     _fail(errors, i[bad], lambda a, b: DomainError(
