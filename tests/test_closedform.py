@@ -348,12 +348,12 @@ def test_gauss_root_searches_take_few_residual_calls(monkeypatch,
 
 def _first_grid_root(f, lo, hi, xtol):
     """The root polished inside the first sign change of f, positive at lo,
-    on an 8,193-point grid of [lo, hi]: the brackets' own oracle."""
-    ts = np.linspace(lo, hi, 8193).tolist()
-    for a, b in zip(ts, ts[1:]):
-        if f(b) <= 0.0:
-            return brentq(f, a, b, xtol=xtol, rtol=8.9e-16, maxiter=200)
-    raise AssertionError("no sign change on the grid")
+    on an 8,193-point grid of [lo, hi]: the brackets' own oracle. f takes
+    the grid as one array, and floats."""
+    ts = np.linspace(lo, hi, 8193)
+    k = int(np.argmax(f(ts[1:]) <= 0.0))    # the first grid point at or past 0
+    assert f(ts[k + 1]) <= 0.0, "no sign change on the grid"
+    return brentq(f, ts[k], ts[k + 1], xtol=xtol, rtol=8.9e-16, maxiter=200)
 
 
 @settings(max_examples=30, deadline=None)
@@ -371,8 +371,9 @@ def test_gauss_brackets_land_on_the_first_root(r, log_ki, n):
     tau_c = _first_grid_root(g, 0.0, end, 1e-14)
     assert abs(cst.tau_c - tau_c) <= 2.0 * (1e-14 + 8.9e-16 * tau_c)
     tau_max, _ = cf.gauss_report(sigma, n, ki)
+    # gauss_population on [tau_c, end], where it is the stage-2 form
     h = lambda t: cf.gauss_rate(sigma, n, t) \
-        - ki * cf.gauss_population(sigma, n, ki, t)
+        - ki * cf._gauss_stage2(sigma, n, ki, cst.tau_c, t)
     peak = _first_grid_root(h, cst.tau_c, end, 1e-12)
     assert abs(tau_max - peak) <= 2.0 * (1e-12 + 8.9e-16 * peak)
 
