@@ -146,8 +146,7 @@ def _load_kappa_csv(path: str):
     ka = np.clip(np.asarray([k for _, k in rows]), 0.0, 1.0)
     if np.any(np.diff(ta) <= 0.0):
         raise DomainError(f"coupling file {path} taus must be strictly increasing")
-    from scipy.interpolate import PchipInterpolator
-    interp = PchipInterpolator(ta, ka, extrapolate=False)
+    interp = prof._pchip(ta, ka)
     t0, t1 = float(ta[0]), float(ta[-1])
     k0, k1 = float(ka[0]), float(ka[-1])
 
@@ -156,7 +155,7 @@ def _load_kappa_csv(path: str):
             return k0
         if t >= t1:
             return k1
-        return min(1.0, max(0.0, float(interp(t))))
+        return min(1.0, max(0.0, interp.at(t)))
 
     # Plateau boundaries (kappa pegged at 1) are derivative kinks; exposing
     # them lets the integrator restart there instead of stepping across.

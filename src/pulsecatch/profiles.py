@@ -64,16 +64,9 @@ class InputProfile:
 
     @cached_property
     def _interp(self) -> _Piecewise:
-        # Shape-preserving cubic keeps the interpolant inside the local data
-        # range, up to rounding: `rate_at` reads the few-ulp negatives it can
-        # leave next to a zero sample as 0. Where a secant slope is tiny (say
-        # 5e-309 between rates 1e-308 and 2e-308), scipy's weighted harmonic
-        # mean of the neighbouring slopes overflows to inf and the knot slope
-        # becomes 1/inf = 0, the limit the formula tends to; the overflow
-        # warning is noise.
-        with np.errstate(divide="ignore", over="ignore"):
-            pp = PchipInterpolator(self.taus, self.rates, extrapolate=False)
-        return _Piecewise(pp)
+        # `rate_at` reads the few-ulp negatives that the cubic can leave next
+        # to a zero sample as 0.
+        return _pchip(self.taus, self.rates)
 
     @cached_property
     def _interp_cum(self) -> _Piecewise:
@@ -110,6 +103,16 @@ class _Piecewise:
             res = res + coef * z
             z *= s
         return res
+
+
+def _pchip(x, y) -> _Piecewise:
+    """Shape-preserving cubic through (x, y), inside the local data range up
+    to rounding (a table's rates, a coupling file's kappa). Where a secant
+    slope is tiny (5e-309 between 1e-308 and 2e-308), scipy's weighted
+    harmonic mean of the neighbouring slopes overflows and the knot slope is
+    1/inf = 0, the formula's limit; the overflow warning is noise."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return _Piecewise(PchipInterpolator(x, y, extrapolate=False))
 
 
 def exponential(r: float) -> InputProfile:

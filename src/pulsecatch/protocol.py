@@ -1121,12 +1121,13 @@ def peak_time_and_fidelity(profile: prof.InputProfile, params: prof.MemoryParams
     population never decreases after the last threshold.
     """
     k = params.kappa_i
+    integral = (prof.cumulative if profile.kind != prof.TABULATED
+                else prof.total_excitation)
     candidates = _local_maxima(schedule)
     if k == 0.0:
         tau_c_last = schedule.last_tau_c
-        total = prof.total_excitation(profile, math.inf)
-        limit = prof.rate_at(profile, tau_c_last) \
-            + (total - prof.total_excitation(profile, tau_c_last))
+        limit = prof.rate_at(profile, tau_c_last) + (
+            integral(profile, math.inf) - integral(profile, tau_c_last))
         candidates.append((math.inf, limit))
     elif not candidates:
         candidates.append(_tail_peak(schedule))
@@ -1135,8 +1136,7 @@ def peak_time_and_fidelity(profile: prof.InputProfile, params: prof.MemoryParams
     tau_max, fidelity = max(candidates, key=lambda tf: (tf[1], -tf[0]))
 
     reflection, intrinsic = _losses(schedule, tau_max)
-    absorbed = (prof.cumulative if profile.kind != prof.TABULATED
-                else prof.total_excitation)(profile, tau_max)
+    absorbed = integral(profile, tau_max)
     return TransferReport(
         tau_c=schedule.tau_c,
         tau_max=tau_max,

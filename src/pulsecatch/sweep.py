@@ -3,11 +3,10 @@
 The built-in families evaluate through `closedform`, loss budget included
 (`exp_losses`, `gauss_grid`: closed forms and, for a Gaussian, one Kronrod
 sum; no adaptive quadrature, so a sweep loads no scipy.integrate); anything
-else goes through the generic `protocol` solver. An exponential or generic
-grid is filled cell by cell in index order; a Gaussian grid is one array
-evaluation of all its cells (`closedform.gauss_grid`), whose every step is
-elementwise. Either way a cell's result depends on its own (kappa_i, r)
-alone, bit for bit, so output is deterministic.
+else goes through the generic `protocol` solver. Surfaces and the scans of
+`optimal_rate` take their cells by one route, `_cells`: one by one in index
+order, or a whole Gaussian grid in one elementwise array evaluation. Either
+way a cell's result depends on its own (kappa_i, r) alone, bit for bit.
 """
 from __future__ import annotations
 
@@ -102,26 +101,24 @@ def _generic_cell(profile: prof.InputProfile,
     return protocol.peak_time_and_fidelity(profile, params, schedule)
 
 
-def _evaluate_cell(family, r: float, kappa_i: float) -> protocol.TransferReport:
-    if family == "exp":
+def _cells(fam, kis, rs) -> list:
+    """Each cell of the grid kis x rs, row-major: a TransferReport, or the
+    PulsecatchError that the cell raised (anything else is a bug)."""
+    if fam == "gauss":
+        return _gauss_cells(kis, rs)
+
+    def cell(ki: float, r: float):
         try:
-            return _exp_cell(r, kappa_i)
-        except DomainError:
-            # closed-form validity needs kappa_i < r; outside that, fall back
-            return _generic_cell(prof.exponential(r), kappa_i)
-    if family == "gauss":
-        (cell,) = _gauss_cells((kappa_i,), (r,))
-        if isinstance(cell, PulsecatchError):
-            raise cell
-        return cell
-    return _generic_cell(family(r), kappa_i)
-
-
-def _cell_or_error(family, r: float, kappa_i: float):
-    try:
-        return _evaluate_cell(family, r, kappa_i)
-    except PulsecatchError as exc:  # record; anything else is a bug
-        return exc
+            if fam != "exp":
+                return _generic_cell(fam(r), ki)
+            try:
+                return _exp_cell(r, ki)
+            except DomainError:
+                # closed-form validity needs kappa_i < r; outside that, fall back
+                return _generic_cell(prof.exponential(r), ki)
+        except PulsecatchError as exc:
+            return exc
+    return [cell(ki, r) for ki in kis for r in rs]
 
 
 def _resolve_family(family):
@@ -161,10 +158,7 @@ def fidelity_surface(family, grid: tuple[Sequence[float], Sequence[float]]
         warnings.warn("grid extends beyond the standard ranges "
                       "kappa_i <= 1e-2, r in [0.05, 1]", stacklevel=2)
 
-    if fam == "gauss":
-        cells = iter(_gauss_cells(kis, rs))
-    else:
-        cells = iter([_cell_or_error(fam, r, ki) for ki in kis for r in rs])
+    cells = iter(_cells(fam, kis, rs))
     rows = tuple(tuple(
         cell if isinstance(cell, protocol.TransferReport) else CellFailure(
             kappa_i=ki, r=r, error=f"{type(cell).__name__}: {cell}")
@@ -176,39 +170,35 @@ def fidelity_surface(family, grid: tuple[Sequence[float], Sequence[float]]
 def optimal_rate(family, kappa_i: float) -> tuple[float, float]:
     """Loss-optimal input rate: maximize F over r in [0.05, 1] for fixed kappa_i.
 
-    Coarse scan to bracket the maximum, then golden-section refinement to
-    |delta r| <= 1e-4. If the maximizer sits on a range edge a
-    BoundaryMaximumWarning is emitted (the true optimum lies outside).
+    A 33-point scan brackets the maximum between the best point's
+    neighbours; each rescan of the bracket at 9 points (F at its ends
+    reused, the rest one `_cells` call) narrows it 4x, until a rescan spans
+    at most 1e-4. Returns the best point of the last rescan, with its F. If
+    that sits on a range edge a BoundaryMaximumWarning is emitted (the true
+    optimum lies outside).
     """
     if not (0.0 < kappa_i <= KAPPA_I_RANGE[1]):
         raise DomainError("optimal_rate requires kappa_i in (0, 1e-2]")
     fam = _resolve_family(family)
 
-    def f_of(r: float) -> float:
-        return _evaluate_cell(fam, r, kappa_i).fidelity
+    def fidelities(rs: list) -> list:
+        cells = _cells(fam, (kappa_i,), rs)
+        for error in (c for c in cells if isinstance(c, PulsecatchError)):
+            raise error
+        return [cell.fidelity for cell in cells]
 
     lo, hi = R_RANGE
-    scan = np.linspace(lo, hi, 33)
-    vals = [f_of(float(r)) for r in scan]
-    k = int(np.argmax(vals))
-    a = float(scan[max(k - 1, 0)])
-    b = float(scan[min(k + 1, len(scan) - 1)])
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f_of(x1), f_of(x2)
-    while b - a > 1e-4:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f_of(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f_of(x1)
-    r_star = 0.5 * (a + b)
-    f_star = f_of(r_star)
+    scan = np.linspace(lo, hi, 33).tolist()
+    fids = fidelities(scan)
+    while True:
+        k = max(range(len(scan)), key=fids.__getitem__)    # the first maximum
+        if scan[-1] - scan[0] <= 1e-4:
+            break
+        i, j = max(k - 1, 0), min(k + 1, len(scan) - 1)
+        inner = [scan[i] + (scan[j] - scan[i]) * m / 8 for m in range(1, 8)]
+        scan, fids = ([scan[i], *inner, scan[j]],
+                      [fids[i], *fidelities(inner), fids[j]])
+    r_star, f_star = scan[k], fids[k]
     if r_star - lo < 2e-4 or hi - r_star < 2e-4:
         warnings.warn(f"fidelity maximum at the edge of [{lo}, {hi}] "
                       f"(r* = {r_star:.6g})", BoundaryMaximumWarning,

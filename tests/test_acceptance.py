@@ -227,7 +227,7 @@ def test_solver_routes_agree_on_subgrid():
         for r in rs:
             fast_e = sweep._exp_cell(float(r), float(ki))
             slow_e = sweep._generic_cell(prof.exponential(float(r)), float(ki))
-            fast_g = sweep._evaluate_cell("gauss", float(r), float(ki))
+            (fast_g,) = sweep._cells("gauss", (float(ki),), (float(r),))
             slow_g = sweep._generic_cell(prof.gaussian(r=float(r)), float(ki))
             worst_tc = max(worst_tc,
                            abs(fast_e.tau_c - slow_e.tau_c),

@@ -3,9 +3,11 @@ stacked dense output equals scipy's route bit for bit.
 
 On a table, `profiles._kronrod` integrates r_in with one 21-point Kronrod
 rule per knot interval, all intervals in one array call, and the losses
-with one rule per stage-1 piece and the stage-2 series' exact integral;
-each is compared with adaptive `quad` on every knot interval of the same
-integrand. `protocol._ExactLinear` evaluates its pieces on floats and
+with one rule per stage-1 piece and the stage-2 series' exact integral.
+The r_in quadratures are compared with adaptive `quad` on every knot
+interval of the same integrand, the losses with a 20-point Gauss-Legendre
+rule on every knot interval cut at the schedule's pieces, summed by
+math.fsum. `protocol._ExactLinear` evaluates its pieces on floats and
 arrays from one stacked table of their series rows, and is compared with
 `==` against `OdeSolution` over the same pieces one by one.
 """
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+from bisect import bisect_right
 import warnings
 
 import numpy as np
@@ -52,46 +55,62 @@ def _scalar_route():
         prof._kronrod = batched
 
 
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(20)
+_GL_U, _GL_W = ((1.0 + _GL_X) / 2.0).tolist(), (_GL_W / 2.0).tolist()
+
+
+def _legendre(f, a: float, b: float) -> list[float]:
+    """The terms of a 20-point Gauss-Legendre rule for f over [a, b]. Each
+    node is a + (b - a) u: its rounding is its own, where a centre plus an
+    offset (QUADPACK's nodes, and `_kronrod`'s) would shift all the nodes
+    by the centre's rounding and bias the sum by that times f(b) - f(a)."""
+    return [w * (b - a) * f(a + (b - a) * u) for u, w in zip(_GL_U, _GL_W)]
+
+
+def _adaptive(f, a: float, b: float) -> list[float]:
+    """One term: adaptive `quad` to 1e-17 absolute or 1e-14 relative."""
+    return [quad(f, a, b, limit=200, epsabs=1e-17, epsrel=1e-14)[0]]
+
+
 def _scalar_losses(sch: proto.CouplingSchedule, tau_max: float):
-    """`proto._losses` by adaptive `quad` on each knot interval of each
-    segment up to tau_max, to 1e-17 absolute or 1e-14 relative, on the
-    schedule's float evaluators (r_out and beta^2 of the segment, `_tail`
-    past the horizon); quad's warnings are muted."""
+    """`proto._losses` on the schedule's float evaluators (r_out and beta^2
+    of the segment, `_tail` past the horizon), segment by segment up to
+    tau_max, and in a segment on each knot interval cut at the starts of
+    its pieces, where beta takes another series. Each cut takes a 20-point
+    Gauss-Legendre rule (`_legendre`), to about 1e-17; a quadrature piece
+    (a branch point of sqrt(r_in)) and the tail take adaptive `quad`, whose
+    warnings are muted. The terms are summed by math.fsum."""
     profile, k = sch.profile, sch.params.kappa_i
-    reflection = intrinsic = 0.0
-
-    def integral(f, a, b):
-        return quad(f, a, b, limit=200, epsabs=1e-17, epsrel=1e-14)[0]
-
+    reflection, intrinsic = [], []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for seg in sch.segments:
             hi = min(seg.t1, tau_max)
             if hi <= seg.t0:
                 break
-            edges = [seg.t0] + prof._interior_breaks(profile, seg.t0, hi) \
-                + [hi]
+            starts = seg.sol._knots
+            edges = sorted({seg.t0, hi, *prof._interior_breaks(profile, seg.t0, hi),
+                            *(t for t in starts if seg.t0 < t < hi)})
             r_out = lambda s, seg=seg: (
                 seg.at(s) + math.sqrt(prof.rate_at(profile, s))) ** 2
             for a, b in zip(edges[:-1], edges[1:]):
+                piece = min(max(bisect_right(starts, a) - 1, 0), len(starts) - 2)
+                rule = _adaptive if piece in seg.sol.fallback else _legendre
                 if seg.stage == 1:
-                    reflection += integral(r_out, a, b)
+                    reflection += rule(r_out, a, b)
                 if k != 0.0:
-                    intrinsic += integral(seg.beta_sq, a, b)
+                    intrinsic += rule(seg.beta_sq, a, b)
         if k != 0.0 and tau_max > sch.horizon:
-            intrinsic += integral(sch._tail, sch.horizon, tau_max)
-    return reflection, k * intrinsic
+            intrinsic += _adaptive(sch._tail, sch.horizon, tau_max)
+    return math.fsum(reflection), k * math.fsum(intrinsic)
 
 
 def _scalar_absorbed(profile: prof.InputProfile, tau: float) -> float:
-    """The integral of r_in over [0, tau] by adaptive `quad` on each knot
-    interval, as `_scalar_losses` integrates."""
+    """The integral of r_in over [0, tau]: `_legendre` on each knot
+    interval, exact on the cubics, summed by math.fsum."""
     edges = [0.0] + prof._interior_breaks(profile, 0.0, tau) + [tau]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return sum(quad(lambda s: prof.rate_at(profile, s), a, b, limit=200,
-                        epsabs=1e-17, epsrel=1e-14)[0]
-                   for a, b in zip(edges[:-1], edges[1:]))
+    return math.fsum(term for a, b in zip(edges[:-1], edges[1:]) for term in
+                     _legendre(lambda s: prof.rate_at(profile, s), a, b))
 
 
 @contextlib.contextmanager
@@ -228,8 +247,8 @@ def test_batched_quadratures_equal_scalar_route(table, cut):
 def test_batched_losses_equal_scalar_route(table):
     """The loss budget's reflection and intrinsic integrals (a Kronrod rule
     per stage-1 piece, the series' integral in stage 2) and the report's
-    losses lie within 1e-15 of adaptive `quad` on each knot interval
-    (`_scalar_losses`, `_scalar_absorbed`)."""
+    losses lie within 1e-15 of a Gauss-Legendre rule on each knot interval
+    cut at the pieces (`_scalar_losses`, `_scalar_absorbed`)."""
     params = prof.MemoryParams(kappa_i=1e-3)
     try:
         sch = proto.build_schedule(table, params)
@@ -280,6 +299,20 @@ def test_analytic_profiles_never_take_the_first_pass():
     with _quad_calls() as calls:
         proto.peak_time_and_fidelity(sch.profile, sch.params, sch)
     assert calls == []
+
+
+@pytest.mark.parametrize("profile", [prof.exponential(0.036),
+                                     prof.gaussian(r=0.1533, n=4)],
+                         ids=["exp", "gauss"])
+def test_lossless_analytic_reports_make_no_quad_call(profile):
+    """Without intrinsic loss the report's tau -> inf candidate takes the
+    input still to come from `cumulative`, as the unabsorbed loss does."""
+    params = prof.MemoryParams(kappa_i=0.0)
+    with _quad_calls() as calls:
+        sch = proto.build_schedule(profile, params)
+        report = proto.peak_time_and_fidelity(profile, params, sch)
+    assert calls == []
+    assert report.tau_max == math.inf
 
 
 @settings(max_examples=60, deadline=None)

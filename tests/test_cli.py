@@ -506,6 +506,23 @@ def test_two_column_loaders_keep_their_non_finite_policy(tmp_path):
         prof.parse_profile(f"table:{path}")
 
 
+def test_coupling_file_is_scipys_pchip_bit_for_bit(tmp_path):
+    """Inside the file's span the coupling is scipy's PCHIP through the
+    clipped rows, evaluated by `profiles._Piecewise.at`, bit for bit."""
+    from scipy.interpolate import PchipInterpolator
+
+    rng = np.random.default_rng(7)
+    taus = np.cumsum(rng.uniform(0.01, 0.5, 400))
+    kappas = np.minimum(1.0, np.abs(np.sin(taus)) * 1.2)
+    path = tmp_path / "kappa.csv"
+    path.write_text("tau,kappa\n" + "".join(
+        f"{t!r},{k!r}\n" for t, k in zip(taus.tolist(), kappas.tolist())))
+    kappa_fn, t_end = cli._load_kappa_csv(str(path))
+    pp = PchipInterpolator(taus, kappas, extrapolate=False)
+    for t in rng.uniform(taus[0], t_end, 2000).tolist():
+        assert kappa_fn(t) == min(1.0, max(0.0, float(pp(t)))), t
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------

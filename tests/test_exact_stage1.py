@@ -282,7 +282,9 @@ def test_losses_take_quad_on_quadrature_pieces(name, kappa_i, monkeypatch):
     """In `_losses` each stage-1 quadrature piece goes to quad, and only
     those pieces, not their knot intervals: the Kronrod rule takes the
     others. The losses up to the horizon and the input absorbed by the peak
-    lie within 1e-15 of adaptive `quad` on every knot interval."""
+    lie within 1e-15 of their oracles (`_scalar_losses`, `_scalar_absorbed`:
+    Gauss-Legendre on every knot interval cut at the pieces, and adaptive
+    `quad` on the quadrature pieces)."""
     table = {"delayed": _delayed_table, "zero_run": _zero_run_table,
              "long_pieces": _long_piece_table,
              "sqrt_edge": _sqrt_edge_table}[name]()

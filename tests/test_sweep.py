@@ -42,7 +42,7 @@ def test_gauss_cell_budget_closes(r, ki):
     every term from one cumulative and takes beta^2(tau_max) from F, so the
     budget closes by algebra. The losses' own oracles are quadratures in
     test_closedform."""
-    assert _budget_defect(sweep._evaluate_cell("gauss", r, ki)) <= 1e-12
+    assert _budget_defect(*sweep._cells("gauss", (ki,), (r,))) <= 1e-12
 
 
 @pytest.mark.parametrize("r,ki,tau_c", [
@@ -80,7 +80,7 @@ def test_exp_cell_agrees_with_generic_solver(r, ki):
 
 def test_gauss_cell_agrees_with_generic_solver():
     r, ki = 0.1533, 1e-4
-    fast = sweep._evaluate_cell("gauss", r, ki)
+    (fast,) = sweep._cells("gauss", (ki,), (r,))
     slow = sweep._generic_cell(prof.gaussian(r=r), ki)
     assert fast.tau_c == pytest.approx(slow.tau_c, abs=1e-9)
     assert fast.fidelity == pytest.approx(slow.fidelity, abs=1e-9)
@@ -90,7 +90,7 @@ def test_gauss_cell_agrees_with_generic_solver():
 
 def test_exp_cell_falls_back_when_closed_form_inapplicable():
     # kappa_i >= r: exp_report raises, the sweep silently reroutes
-    rep = sweep._evaluate_cell("exp", 0.05, 1e-2)
+    (rep,) = sweep._cells("exp", (1e-2,), (0.05,))
     assert isinstance(rep, protocol.TransferReport)
     assert math.isfinite(rep.tau_max)
     assert 0.0 < rep.fidelity < 1.0
@@ -332,6 +332,35 @@ def test_optimal_rate_monotone_in_kappa_i():
 def test_optimal_rate_domain(ki):
     with pytest.raises(DomainError):
         sweep.optimal_rate("exp", ki)
+
+
+@pytest.mark.parametrize("ki", [1e-5, 1e-4, 1e-3, 1e-2])
+@pytest.mark.parametrize("fam", ["exp", "gauss"])
+def test_optimal_rate_matches_dense_row(fam, ki):
+    """r* lies within 1e-4 of the best of 19,001 rates 5e-5 apart, and F*
+    is at most 1e-9 below it. At kappa_i = 1e-5 the exponential maximum is
+    the r = 0.05 edge, which the search returns exactly."""
+    rs = np.linspace(*sweep.R_RANGE, 19001)
+    row = sweep.fidelity_surface(fam, ((ki,), rs)).fidelity_matrix()[0]
+    j = int(np.argmax(row))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BoundaryMaximumWarning)
+        r_star, f_star = sweep.optimal_rate(fam, ki)
+    assert abs(r_star - rs[j]) <= 1e-4
+    assert f_star >= row[j] - 1e-9
+
+
+def test_gauss_optimal_rate_takes_few_grid_calls(monkeypatch):
+    """The scan and each rescan are one `gauss_grid` call: 7 in all."""
+    calls, inner = [], cf.gauss_grid
+
+    def counted(sigma, *args, **kwargs):
+        calls.append(np.size(sigma))
+        return inner(sigma, *args, **kwargs)
+
+    monkeypatch.setattr(cf, "gauss_grid", counted)
+    sweep.optimal_rate("gauss", 1e-4)
+    assert len(calls) <= 8, calls
 
 
 # ---------------------------------------------------------------------------
