@@ -56,7 +56,7 @@ def _scalar_route():
 
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(20)
-_GL_U, _GL_W = ((1.0 + _GL_X) / 2.0).tolist(), (_GL_W / 2.0).tolist()
+_GL_U, _GL_W = ((1.0 + _GL_X) / 2.0).tolist(), (_GL_W / 2.0).tolist()  # on [0, 1]
 
 
 def _legendre(f, a: float, b: float) -> list[float]:
@@ -89,12 +89,14 @@ def _scalar_losses(sch: proto.CouplingSchedule, tau_max: float):
             if hi <= seg.t0:
                 break
             starts = seg.sol._knots
-            edges = sorted({seg.t0, hi, *prof._interior_breaks(profile, seg.t0, hi),
+            edges = sorted({seg.t0, hi,
+                            *prof._interior_breaks(profile, seg.t0, hi),
                             *(t for t in starts if seg.t0 < t < hi)})
             r_out = lambda s, seg=seg: (
                 seg.at(s) + math.sqrt(prof.rate_at(profile, s))) ** 2
             for a, b in zip(edges[:-1], edges[1:]):
-                piece = min(max(bisect_right(starts, a) - 1, 0), len(starts) - 2)
+                piece = min(max(bisect_right(starts, a) - 1, 0),
+                            len(starts) - 2)
                 rule = _adaptive if piece in seg.sol.fallback else _legendre
                 if seg.stage == 1:
                     reflection += rule(r_out, a, b)
