@@ -333,10 +333,12 @@ _EPSREL = 1e-12
 def _kronrod(f: Callable[[np.ndarray], np.ndarray], edges) -> np.ndarray:
     """The 21-point Kronrod rule on each interval between `edges`: the
     integral of f there. f takes the nodes of every interval in one flat
-    array and gives its value at each, or rows of such values."""
+    array and gives its value at each, or rows of such values. Nodes are
+    a + h (1 + x), h the half length: at a centre plus an offset (QUADPACK's)
+    they would all shift with the centre's rounding and bias the sum."""
     e = np.asarray(edges, dtype=float)
-    centr, hlgth = 0.5 * (e[1:] + e[:-1]), 0.5 * (e[1:] - e[:-1])
-    fx = f((centr + hlgth * _NODES).ravel())
+    hlgth = 0.5 * (e[1:] - e[:-1])
+    fx = f((e[:-1] + hlgth * (1.0 + _NODES)).ravel())
     fx = fx.reshape(fx.shape[:-1] + (len(_NODES), -1))
     return hlgth * (_WEIGHTS * fx).sum(axis=-2)
 

@@ -25,15 +25,15 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
 
 from . import profiles as prof
-# solve_ivp is not called here: the benchmark's tracer wraps it by name.
+# Neither quad nor solve_ivp is called here: the tracer wraps them by name.
 from ._scipy import brentq, quad, solve_ivp  # noqa: F401
-from .errors import (DomainError, InfeasibleSchedule, NoPeak, NoThreshold,
+from .errors import (DomainError, InfeasibleSchedule, NoThreshold,
                      SingularCoupling, brackets_root)
 
 _KAPPA_SLACK = 1e-9       # feasibility slack on kappa <= 1
@@ -222,10 +222,10 @@ class _Segment:
 class CouplingSchedule:
     """Piecewise coupling schedule: kappa = 1 before tau_c, r_in/beta^2 after.
 
-    `segments` covers [0, horizon]; past the horizon beta^2 is `_tail`, the
-    stage-2 population carried on from the last segment's value there.
-    Schedules with more than one stage-1 segment arise from the feasibility
-    guard and carry the "feasibility_resumed" flag.
+    `segments` covers [0, horizon]; past the horizon beta^2 is `_tail`'s,
+    the stage-2 population propagated exactly on from the last segment's
+    value there. Schedules with more than one stage-1 segment arise from the
+    feasibility guard and carry the "feasibility_resumed" flag.
 
     The evaluation methods take a float or an array (`_dispatch`). An array
     costs one dense-output call per segment it touches, and each of its
@@ -244,12 +244,19 @@ class CouplingSchedule:
         return self.segments[-1].t0
 
     @cached_property
-    def _tail(self) -> Callable[[float], float]:
-        """tau -> beta^2(tau) past the horizon, where the input is
-        effectively extinct: the quadrature form `_stage2_pop` from the last
-        segment's value at the horizon, so beta^2 is continuous there."""
-        return partial(_stage2_pop, self.profile, self.params.kappa_i,
-                       self.horizon, self.segments[-1].at(self.horizon))
+    def _tail(self) -> _Segment:
+        """The stage-2 segment past the horizon H, built on first use:
+        `_Tail` from the last segment's value at H to U, the first of
+        H + w (2^j - 1), w = max(H - tau_c, 1), where r_in is 0.0 (on a
+        table, whose r_in is 0 past its last knot, H itself)."""
+        profile, k, h = self.profile, self.params.kappa_i, self.horizon
+        end, width = h, max(h - self.tau_c, 1.0)
+        while profile.kind != prof.TABULATED \
+                and prof.rate_at(profile, end) != 0.0:
+            end, width = end + width, 2.0 * width
+        tail, ys = _Tail.stage2(profile, k, h, self.segments[-1].at(h), end)
+        tail._k, tail._end, tail._y_end = k, end, ys[-1]
+        return _Segment(2, h, end, tail)
 
     @cached_property
     def _inner_ends(self) -> list[float]:
@@ -258,46 +265,37 @@ class CouplingSchedule:
 
     def _segment_at(self, tau: float) -> _Segment:
         """The segment holding tau: the first one ending after it, else the
-        last."""
+        last; past the horizon, the tail."""
+        if tau > self.horizon:
+            return self._tail
         return self.segments[bisect_right(self._inner_ends, tau)]
 
-    def _dense(self, taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Stage and dense value (beta in stage 1, beta^2 in stage 2) at each
-        sample, past the horizon too."""
-        return self._sampled(taus, math.inf)[:2]
-
-    def _sampled(self, taus: np.ndarray, horizon: float | None = None):
+    def _sampled(self, taus: np.ndarray):
         """(stage, dense value, beta^2) at each sample, with one dense call
-        per segment it touches; past the horizon (the schedule's unless
-        given) the stage is 2, the dense value nan and beta^2 is `_tail`'s.
+        per segment it touches, the tail past the horizon among them.
         Sorted samples are cut into one slice per segment, and others are
         evaluated sorted, then put back in their order."""
         flat = taus.ravel()
         if not np.all(flat[1:] >= flat[:-1]):
             order = np.argsort(flat, kind="stable")
             out = []
-            for part in self._sampled(flat[order], horizon):
+            for part in self._sampled(flat[order]):
                 out.append(np.empty_like(part))
                 out[-1][order] = part
             return tuple(part.reshape(taus.shape) for part in out)
-        inside = int(np.searchsorted(
-            flat, self.horizon if horizon is None else horizon, side="right"))
+        inside = int(np.searchsorted(flat, self.horizon, side="right"))
         cuts = [0, *np.searchsorted(flat[:inside], self._inner_ends).tolist(),
-                inside]
+                inside, len(flat)]
+        segments = self.segments + ((self._tail,) if inside < len(flat)
+                                    else ())
         out = [], [], []        # stage, dense value and beta^2 per slice
-        for seg, a, b in zip(self.segments, cuts, cuts[1:]):
+        for seg, a, b in zip(segments, cuts, cuts[1:]):
             if a < b:
                 v = seg.dense(flat[a:b])
                 for part, x in zip(out, (np.full(b - a, seg.stage), v, v * v
                                          if seg.stage == 1 else
                                          np.where(v < 0.0, 0.0, v))):
                     part.append(x)
-        if inside < len(flat):
-            past = flat[inside:].tolist()
-            for part, x in zip(out, (np.full(len(past), 2),
-                                     np.full(len(past), math.nan),
-                                     [self._tail(t) for t in past])):
-                part.append(np.asarray(x))
         return tuple((part[0] if len(part) == 1 else np.concatenate(
             part or [np.empty(0, dtype)])).reshape(taus.shape)
             for part, dtype in zip(out, (int, float, float)))
@@ -324,19 +322,16 @@ class CouplingSchedule:
         if not isinstance(tau, float) or tau < 0.0:
             return self._dispatch("beta_sq", tau, self.beta_sq,
                                   self._beta_sq_array)
-        if tau > self.horizon:
-            return self._tail(tau)
         return self._segment_at(tau).beta_sq(tau)
 
     def beta(self, tau):
         """Memory amplitude (<= 0) at any tau >= 0 (a float or an array)."""
         if not isinstance(tau, float) or tau < 0.0:
             return self._dispatch("beta", tau, self.beta, self._beta_array)
-        if tau <= self.horizon:
-            seg = self._segment_at(tau)
-            if seg.stage == 1:
-                return seg.at(tau)
-        return -math.sqrt(self.beta_sq(tau))
+        seg = self._segment_at(tau)
+        if seg.stage == 1:
+            return seg.at(tau)
+        return -math.sqrt(seg.beta_sq(tau))
 
     def stage2_kappa(self, tau):
         """Zero-reflection coupling r_in/beta^2 for tau >= tau_c (a float or
@@ -364,7 +359,7 @@ class CouplingSchedule:
         if not isinstance(tau, float) or tau < 0.0:
             return self._dispatch("kappa", tau, self.kappa, self._kappa_array,
                                   nan_if_singular=nan_if_singular)
-        if tau <= self.horizon and self._segment_at(tau).stage == 1:
+        if self._segment_at(tau).stage == 1:
             return 1.0
         try:
             return self.stage2_kappa(tau)
@@ -864,6 +859,24 @@ class _ExactLinear:
         return ts[ts >= first]
 
 
+class _Tail(_ExactLinear):
+    """The stage-2 population past the horizon (`CouplingSchedule._tail`):
+    `stage2`'s pieces up to their end U, where r_in is 0.0, and past U the
+    exact solution there, y(U) e^{-k (t - U)}, on floats and arrays alike.
+    `CouplingSchedule._tail` sets k, U and y(U) (_k, _end and _y_end)."""
+
+    def at(self, t: float) -> float:
+        if t <= self._end:
+            return super().at(t)
+        return self._y_end * math.exp(-self._k * (t - self._end))
+
+    def dense(self, t: np.ndarray) -> np.ndarray:
+        out, past = super().dense(np.minimum(t, self._end)), t > self._end
+        out[past] = self._y_end * prof._map(math.exp,
+                                            -self._k * (t[past] - self._end))
+        return out
+
+
 def _integrate_stage2(profile, kappa_i, tau_c, end):
     """Solve beta^2' = r_in - kappa_i beta^2 from beta^2 = r_in at tau_c,
     up to end or to the first point where the zero-reflection law would
@@ -945,10 +958,11 @@ class TransferReport:
     + loss_unabsorbed account for the full input excitation. F is beta^2 at
     the peak, read off the exact forms. The losses (`_losses`) take one
     Kronrod rule per stage-1 piece and the exact integral of stage 2's
-    series; the unabsorbed input is 1 less `cumulative` (analytic pulses)
-    or `total_excitation` (tables) at tau_max. None is derived from the
-    others, so their sum reaching 1 checks F and the stage-2 series against
-    the integral of r_in, and stage 1 against the rule.
+    series, past the horizon too; the unabsorbed input is 1 less
+    `cumulative` (analytic pulses) or `total_excitation` (tables) at
+    tau_max. None is derived from the others, so their sum reaching 1
+    checks F and the stage-2 series against the integral of r_in, and
+    stage 1 against the rule.
     """
 
     tau_c: float
@@ -965,10 +979,15 @@ def _losses(schedule: CouplingSchedule, tau_max: float) -> tuple[float, float]:
     [0, tau_max], and intrinsic loss, kappa_i times the integral of beta^2:
     in stage 1 one Kronrod rule per piece (`_segment_integral`), in stage 2
     the series' integral over piece i up to w_i = min(h_i, tau_max - t_i),
-    w_i (y_i + lo_i) + sum_m a_m w_i^(m+1)/(m+1), and quad past the horizon."""
+    w_i (y_i + lo_i) + sum_m a_m w_i^(m+1)/(m+1). Past the horizon the tail
+    (`CouplingSchedule._tail`) is one more stage-2 segment up to U, and past
+    U its decay integrates in closed form, y(U) (1 - e^{-kappa_i (tau_max -
+    U)})/kappa_i."""
     profile, k = schedule.profile, schedule.params.kappa_i
     reflection = intrinsic = 0.0
-    for seg in schedule.segments:
+    tail = (schedule._tail,) if k != 0.0 and tau_max > schedule.horizon \
+        else ()
+    for seg in schedule.segments + tail:
         hi = min(seg.t1, tau_max)
         if hi <= seg.t0:
             break
@@ -991,10 +1010,9 @@ def _losses(schedule: CouplingSchedule, tau_max: float) -> tuple[float, float]:
 
         r_out, beta_sq = _segment_integral(seg, r_out_beta_sq, edges)
         reflection, intrinsic = reflection + r_out, intrinsic + beta_sq
-    if k != 0.0 and tau_max > schedule.horizon:
-        # The input is extinct past the horizon: one interval, no breaks.
-        intrinsic += quad(schedule._tail, schedule.horizon, tau_max,
-                          limit=200, epsabs=1e-10, epsrel=1e-12)[0]
+    for seg in tail:        # past U: the decay
+        intrinsic -= seg.sol._y_end * math.expm1(
+            -k * max(tau_max - seg.t1, 0.0)) / k
     return reflection, k * intrinsic
 
 
@@ -1020,7 +1038,7 @@ def _slope(schedule: CouplingSchedule, ts: np.ndarray) -> np.ndarray:
     which underflows in the far tail.
     """
     k = schedule.params.kappa_i
-    stages, b = schedule._dense(ts)
+    stages, b, _ = schedule._sampled(ts)
     rate = prof.rate_at(schedule.profile, ts)
     w = b + np.sqrt(rate)
     return np.where(stages == 1, rate - k * b * b - w * w,
@@ -1045,25 +1063,27 @@ def _peak_samples(schedule: CouplingSchedule, first: float) -> np.ndarray:
 
 
 def _local_maxima(schedule: CouplingSchedule) -> list[tuple[float, float]]:
-    """(tau, beta^2(tau)) at every tau in [tau_c, horizon] where the slope
-    crosses zero downward, and past the horizon as below.
+    """(tau, beta^2(tau)) at every tau past tau_c where the slope crosses
+    zero downward.
 
     The slope is sampled where `_peak_samples` isolates its roots, from
-    1e-6 max(tau_c, 1) past tau_c on: no fixed grid steps over a narrow
-    peak. A multi-hump input can produce several local maxima (population
-    dips in resumed stage-1 windows), so all crossings are collected. With
-    kappa_i > 0, so is `_tail_peak` where beta^2 still rises at the horizon.
+    1e-6 max(tau_c, 1) past tau_c to the horizon: no fixed grid steps over
+    a narrow peak. A multi-hump input can produce several local maxima
+    (population dips in resumed stage-1 windows), so all crossings are
+    collected. With kappa_i > 0, where beta^2 still rises at the horizon or
+    no crossing came before it, so are the tail's (`CouplingSchedule._tail`,
+    sampled the same way). Its slope is > 0 just past the horizon, else the
+    peak is the horizon itself (a table, whose input stops there), and
+    -kappa_i beta^2 <= 0 at its end, where r_in is 0.0.
 
-    In a stage-2 stretch the root of r_in - kappa_i beta^2 is polished on
-    the segment's exact form to a few ulps, as tau_c is, and the peak's
-    beta^2 is the schedule's there; a bracket that form does not take is
-    polished on the slope itself.
+    In a stage-2 stretch, the tail's too, the root of r_in - kappa_i beta^2
+    is polished on the segment's exact form to a few ulps, as tau_c is, and
+    the peak's beta^2 is the schedule's there; a bracket that form does not
+    take is polished on the slope itself.
     """
     profile, k = schedule.profile, schedule.params.kappa_i
-    ts = _peak_samples(schedule,
-                       schedule.tau_c + 1e-6 * max(schedule.tau_c, 1.0))
-    slope, peaks = _slope(schedule, ts), []
-    for i in _down(slope).tolist():
+
+    def polish(ts: np.ndarray, i: int) -> tuple[float, float]:
         a, b = float(ts[i]), float(ts[i + 1])
         seg = schedule._segment_at(0.5 * (a + b))
         h = lambda t: prof.rate_at(profile, t) - k * seg.at(t)
@@ -1072,42 +1092,21 @@ def _local_maxima(schedule: CouplingSchedule) -> list[tuple[float, float]]:
         else:
             root = brentq(lambda t: float(_slope(schedule, np.array([t]))[0]),
                           a, b, xtol=1e-300, rtol=4 * _EPS, maxiter=200)
-        peaks.append((float(root), schedule.beta_sq(float(root))))
-        if len(peaks) >= 64:
-            break
-    if k != 0.0 and slope[-1] > 0.0:
-        peaks.append(_tail_peak(schedule))
+        return float(root), schedule.beta_sq(float(root))
+
+    ts = _peak_samples(schedule,
+                       schedule.tau_c + 1e-6 * max(schedule.tau_c, 1.0))
+    slope = _slope(schedule, ts)
+    peaks = [polish(ts, i) for i in _down(slope)[:64].tolist()]
+    if k != 0.0 and (slope[-1] > 0.0 or not peaks):
+        end = schedule.horizon
+        past = math.nextafter(end, math.inf)
+        if prof.rate_at(profile, past) - k * schedule.beta_sq(past) <= 0.0:
+            peaks.append((end, schedule.beta_sq(end)))
+        else:
+            ts = schedule._tail.sol.samples(0.0, 1.0, 0.0, end)
+            peaks.append(polish(ts, int(_down(_slope(schedule, ts))[0])))
     return peaks
-
-
-def _tail_peak(schedule: CouplingSchedule) -> tuple[float, float]:
-    """(tau, beta^2(tau)) at the peak past the horizon, where the input is
-    effectively extinct (`CouplingSchedule._tail`), polished as every root
-    is; the horizon itself if the slope is <= 0 just past it.
-
-    The tail slope s = r_in - kappa_i beta^2 is the slope of beta^2, so at
-    any root s' = r_in'. Past the horizon r_in' < 0 on both analytic
-    families (a Gaussian's horizon is tau0 + 10 sigma), so s crosses zero
-    once, downward: the first doubling window whose right end has s <= 0
-    brackets it, its left end having s > 0. A table's input stops at the
-    horizon, where s = -kappa_i beta^2 <= 0 just past it.
-    """
-    pop = schedule._tail
-    tail_slope = lambda t: prof.rate_at(schedule.profile, t) \
-        - schedule.params.kappa_i * pop(t)
-    left = math.nextafter(schedule.horizon, math.inf)
-    if tail_slope(left) <= 0.0:
-        return schedule.horizon, schedule.beta_sq(schedule.horizon)
-    width = max(schedule.horizon - schedule.tau_c, 1.0)
-    for _ in range(64):
-        right = left + width
-        if tail_slope(right) <= 0.0:
-            t = brentq(tail_slope, left, right, xtol=1e-300, rtol=4 * _EPS,
-                       maxiter=200)
-            return t, pop(t)
-        left = right
-        width *= 2.0
-    raise NoPeak("population slope never crosses zero")
 
 
 def peak_time_and_fidelity(profile: prof.InputProfile, params: prof.MemoryParams,
@@ -1129,8 +1128,6 @@ def peak_time_and_fidelity(profile: prof.InputProfile, params: prof.MemoryParams
         limit = prof.rate_at(profile, tau_c_last) + (
             integral(profile, math.inf) - integral(profile, tau_c_last))
         candidates.append((math.inf, limit))
-    elif not candidates:
-        candidates.append(_tail_peak(schedule))
 
     # On exact ties, prefer the earliest attainment.
     tau_max, fidelity = max(candidates, key=lambda tf: (tf[1], -tf[0]))

@@ -1,12 +1,12 @@
-"""The batched table quadrature agrees with adaptive `quad`, and the
-stacked dense output equals scipy's route bit for bit.
+"""The batched table quadrature agrees with a Gauss-Legendre oracle, and
+the stacked dense output equals scipy's route bit for bit.
 
 On a table, `profiles._kronrod` integrates r_in with one 21-point Kronrod
 rule per knot interval, all intervals in one array call, and the losses
 with one rule per stage-1 piece and the stage-2 series' exact integral.
-The r_in quadratures are compared with adaptive `quad` on every knot
-interval of the same integrand, the losses with a 20-point Gauss-Legendre
-rule on every knot interval cut at the schedule's pieces, summed by
+The r_in quadratures are compared with a 20-point Gauss-Legendre rule on
+every knot interval of the same integrand, the losses with the same rule
+on every knot interval cut at the schedule's pieces, each summed by
 math.fsum. `protocol._ExactLinear` evaluates its pieces on floats and
 arrays from one stacked table of their series rows, and is compared with
 `==` against `OdeSolution` over the same pieces one by one.
@@ -31,20 +31,29 @@ from pulsecatch.errors import PulsecatchError
 KAPPA_I = 1e-4
 
 
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(20)
+_GL_U, _GL_W = ((1.0 + _GL_X) / 2.0).tolist(), (_GL_W / 2.0).tolist()  # on [0, 1]
+
+
+def _legendre(f, a: float, b: float) -> list[float]:
+    """The terms of a 20-point Gauss-Legendre rule for f over [a, b]. Each
+    node is a + (b - a) u: its rounding is its own, where a centre plus an
+    offset (QUADPACK's nodes) would shift all the nodes by the centre's
+    rounding and bias the sum by that times f(b) - f(a)."""
+    return [w * (b - a) * f(a + (b - a) * u) for u, w in zip(_GL_U, _GL_W)]
+
+
 @contextlib.contextmanager
 def _scalar_route():
-    """Every `_kronrod` interval integrated by adaptive `quad` instead, to
-    1e-17 absolute or 1e-14 relative, on the same integrand taken one float
-    at a time; quad's warnings (roundoff near these tolerances) are muted.
-    Yields the number of intervals it integrated."""
+    """Every `_kronrod` interval integrated by `_legendre` instead, its
+    terms summed by math.fsum, on the same integrand taken one float at a
+    time. Yields the number of intervals it integrated."""
     batched, done = prof._kronrod, [0]
 
     def scalar(integrand, edges):
         f = lambda t: float(integrand(np.array([t]))[0])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            out = [quad(f, a, b, limit=200, epsabs=1e-17, epsrel=1e-14)[0]
-                   for a, b in zip(edges[:-1], edges[1:])]
+        out = [math.fsum(_legendre(f, a, b))
+               for a, b in zip(edges[:-1], edges[1:])]
         done[0] += len(out)
         return np.array(out)
 
@@ -55,18 +64,6 @@ def _scalar_route():
         prof._kronrod = batched
 
 
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(20)
-_GL_U, _GL_W = ((1.0 + _GL_X) / 2.0).tolist(), (_GL_W / 2.0).tolist()  # on [0, 1]
-
-
-def _legendre(f, a: float, b: float) -> list[float]:
-    """The terms of a 20-point Gauss-Legendre rule for f over [a, b]. Each
-    node is a + (b - a) u: its rounding is its own, where a centre plus an
-    offset (QUADPACK's nodes, and `_kronrod`'s) would shift all the nodes
-    by the centre's rounding and bias the sum by that times f(b) - f(a)."""
-    return [w * (b - a) * f(a + (b - a) * u) for u, w in zip(_GL_U, _GL_W)]
-
-
 def _adaptive(f, a: float, b: float) -> list[float]:
     """One term: adaptive `quad` to 1e-17 absolute or 1e-14 relative."""
     return [quad(f, a, b, limit=200, epsabs=1e-17, epsrel=1e-14)[0]]
@@ -74,12 +71,14 @@ def _adaptive(f, a: float, b: float) -> list[float]:
 
 def _scalar_losses(sch: proto.CouplingSchedule, tau_max: float):
     """`proto._losses` on the schedule's float evaluators (r_out and beta^2
-    of the segment, `_tail` past the horizon), segment by segment up to
-    tau_max, and in a segment on each knot interval cut at the starts of
-    its pieces, where beta takes another series. Each cut takes a 20-point
-    Gauss-Legendre rule (`_legendre`), to about 1e-17; a quadrature piece
-    (a branch point of sqrt(r_in)) and the tail take adaptive `quad`, whose
-    warnings are muted. The terms are summed by math.fsum."""
+    of the segment), segment by segment up to tau_max, and in a segment on
+    each knot interval cut at the starts of its pieces, where beta takes
+    another series. Each cut takes a 20-point Gauss-Legendre rule
+    (`_legendre`), to about 1e-17; a quadrature piece (a branch point of
+    sqrt(r_in)) takes adaptive `quad`, and so does the population past the
+    horizon, in the quadrature form `_stage2_pop` from the schedule's value
+    at the horizon. quad's warnings are muted. The terms are summed by
+    math.fsum."""
     profile, k = sch.profile, sch.params.kappa_i
     reflection, intrinsic = [], []
     with warnings.catch_warnings():
@@ -103,7 +102,9 @@ def _scalar_losses(sch: proto.CouplingSchedule, tau_max: float):
                 if k != 0.0:
                     intrinsic += rule(seg.beta_sq, a, b)
         if k != 0.0 and tau_max > sch.horizon:
-            intrinsic += _adaptive(sch._tail, sch.horizon, tau_max)
+            h = sch.horizon
+            intrinsic += _adaptive(lambda t: proto._stage2_pop(
+                profile, k, h, sch.beta_sq(h), t), h, tau_max)
     return math.fsum(reflection), k * math.fsum(intrinsic)
 
 
@@ -231,8 +232,8 @@ def test_kronrod_is_exact_on_polynomials(degree):
 @example(table=prof.tabulated([0.0, 1.0], [1.0, 1.0]), cut=(0.0, 1.0))
 def test_batched_quadratures_equal_scalar_route(table, cut):
     """Each table quadrature, over the whole table and over a window that
-    may start before or end past it, lies within 1e-15 of adaptive `quad`
-    on each knot interval and warns alike."""
+    may start before or end past it, lies within 1e-15 of a Gauss-Legendre
+    rule on each knot interval (`_scalar_route`) and warns alike."""
     lo, hi = float(table.taus[0]), float(table.taus[-1])
     a = min(cut) * (hi + 1.0)
     b = a + (max(cut) - min(cut)) * (hi + 1.0 - a)
@@ -308,13 +309,19 @@ def test_analytic_profiles_never_take_the_first_pass():
                          ids=["exp", "gauss"])
 def test_lossless_analytic_reports_make_no_quad_call(profile):
     """Without intrinsic loss the report's tau -> inf candidate takes the
-    input still to come from `cumulative`, as the unabsorbed loss does."""
-    params = prof.MemoryParams(kappa_i=0.0)
-    with _quad_calls() as calls:
-        sch = proto.build_schedule(profile, params)
-        report = proto.peak_time_and_fidelity(profile, params, sch)
-    assert calls == []
-    assert report.tau_max == math.inf
+    input still to come from `cumulative`, as the unabsorbed loss does.
+    At kappa_i = 1e-26 the peak lies past the horizon, where the tail is
+    propagated exactly and its losses read off its pieces."""
+    for kappa_i in (0.0, 1e-26):
+        params = prof.MemoryParams(kappa_i=kappa_i)
+        with _quad_calls() as calls:
+            sch = proto.build_schedule(profile, params)
+            report = proto.peak_time_and_fidelity(profile, params, sch)
+        assert calls == [], kappa_i
+        if kappa_i == 0.0:
+            assert report.tau_max == math.inf
+        else:
+            assert sch.horizon < report.tau_max < math.inf
 
 
 @settings(max_examples=60, deadline=None)
@@ -423,7 +430,7 @@ def test_schedule_dense_makes_no_odesolution_call(monkeypatch):
     Dop853DenseOutput."""
     sch = next(_schedules())
     taus = np.linspace(0.0, sch.horizon, 4097)
-    want = sch._dense(taus)
+    want = sch._sampled(taus)
 
     def refuse(self, t):
         raise AssertionError("scipy dense-output call")
@@ -431,5 +438,5 @@ def test_schedule_dense_makes_no_odesolution_call(monkeypatch):
     monkeypatch.setattr(OdeSolution, "__call__", refuse)
     monkeypatch.setattr(Dop853DenseOutput, "__call__", refuse)
     sch = proto.build_schedule(sch.profile, sch.params)
-    got = sch._dense(taus)
+    got = sch._sampled(taus)
     assert np.array_equal(got[0], want[0]) and _same_bits(got[1], want[1])

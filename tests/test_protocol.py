@@ -544,7 +544,7 @@ def _full_window_peaks(sch: proto.CouplingSchedule):
     kappa_i beta^2 and the peak's population take beta^2 by
     `stage2_population` from the stretch's threshold, and each root is
     polished to a few ulps, as `_local_maxima` polishes. Past the horizon,
-    the same on `_tail_peak`'s scan."""
+    the same on 64-point windows that double from it."""
     profile, params = sch.profile, sch.params
 
     def polish(t0, a, b):
@@ -597,7 +597,7 @@ def test_anchored_polish_equals_full_window_on_analytic_profiles(case):
     """Each polish runs on the exact forms, anchored at the start of the
     piece holding its point: tau_c on the stage-1 propagation, every peak
     on its stage-2 segment (past the horizon, with kappa_i = 1e-26, on the
-    quadrature from the horizon). They equal the full-window quadrature
+    tail propagated from the horizon). They equal the full-window quadrature
     route to rounding: tau_c within 1e-14 of the root polished on
     `_stage1_beta_quad` from the stretch's start, and each peak time within
     1e-14 max(1, tau) and its population within 1e-15 of the route through
@@ -623,7 +623,7 @@ def test_anchored_polish_equals_full_window_on_analytic_profiles(case):
         assert tau_c == seg.t1 == sol.ts[-1] and abs(tau_c - old) <= 1e-14
         assert np.array_equal(sol.ts, seg.sol.ts)
     old = _full_window_peaks(sch)
-    new = proto._local_maxima(sch) or [proto._tail_peak(sch)]
+    new = proto._local_maxima(sch)
     _assert_peaks_match(new, old)
     assert case.endswith("_tail") == (old[0][0] > sch.horizon)
     rep = proto.peak_time_and_fidelity(profile, params, sch)
@@ -902,11 +902,19 @@ def test_schedule_population_matches_closed_form():
 
 
 def test_schedule_extends_beyond_horizon():
+    """Past the horizon beta^2 is the closed form's: 10 past it, and 10
+    past the tail's end U, where r_in is 0.0 and beta^2 decays; there the
+    float and array calls agree bit for bit."""
     p = prof.exponential(0.5)
     sch = proto.build_schedule(p, _params(1e-3))
     tau = sch.horizon + 10.0
     assert sch.beta_sq(tau) == pytest.approx(
         cf.exp_population(0.5, 1e-3, tau), rel=1e-8)
+    far = sch._tail.t1 + 10.0
+    assert sch._tail.t1 > tau and prof.rate_at(p, sch._tail.t1) == 0.0
+    assert sch.beta_sq(np.array([far])).tolist() == [sch.beta_sq(far)]
+    assert sch.beta_sq(far) == pytest.approx(
+        cf.exp_population(0.5, 1e-3, far), rel=1e-8)
 
 
 @pytest.mark.parametrize("case", ["exp_point", "gauss", "resumed",
@@ -915,7 +923,11 @@ def test_population_is_continuous_at_the_horizon(case):
     """Past the horizon beta^2 goes on from the last segment's value there
     (`CouplingSchedule._tail`): one ulp past the horizon it lies within 2
     ulp, plus its slope times that step, of the value at the horizon, on
-    floats and arrays alike."""
+    floats and arrays alike. They agree bit for bit 10 past the tail's end
+    U too, where beta^2 decays, and match the closed form there within
+    1e-14 relative; on a table (U is the horizon) and at heavy loss (where
+    the closed form overflows) they equal the quadrature form `_stage2_pop`
+    from the horizon."""
     sch = _schedule(case)
     h, k = sch.horizon, sch.params.kappa_i
     past = math.nextafter(h, math.inf)
@@ -923,6 +935,18 @@ def test_population_is_continuous_at_the_horizon(case):
     slope = prof.rate_at(sch.profile, h) + k * at
     assert abs(after - at) <= 2.0 * math.ulp(at) + slope * (past - h)
     assert sch.beta_sq(np.array([h, past])).tolist() == [at, after]
+    profile, far = sch.profile, sch._tail.t1 + 10.0
+    pop = sch.beta_sq(far)
+    assert sch.beta_sq(np.array([h, far])).tolist() == [at, pop]
+    if case in ("resumed", "heavy_loss"):
+        assert pop == proto._stage2_pop(profile, k, h,
+                                        sch.segments[-1].at(h), far)
+    elif profile.kind == prof.EXPONENTIAL:
+        assert pop == pytest.approx(cf.exp_population(profile.r, k, far),
+                                    rel=1e-14)
+    else:
+        assert pop == pytest.approx(cf.gauss_population(
+            profile.sigma, profile.n, k, far), rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
