@@ -251,12 +251,13 @@ def _tail_table() -> prof.InputProfile:
 
 
 def test_past_horizon_loss_tail_is_quiet():
-    """The intrinsic loss past the horizon integrates beta^2 anchored once
-    before the horizon, not a full-window quadrature at each node, which
-    made quad warn here (pytest turns IntegrationWarning into an error).
+    """The intrinsic loss past the horizon is the tail's closed integral:
+    a table's input stops there, so beta^2 decays from its value at the
+    horizon. No quadrature runs (a full-window quadrature at each node once
+    made quad warn here; pytest turns IntegrationWarning into an error).
     The report takes the peak at the horizon itself, where the input stops
-    (the tail polish used to put it 1e-10 past), so the losses are also
-    taken to 1 past the horizon."""
+    (a tail polish once put it 1e-10 past), so the losses are also taken to
+    1 past the horizon."""
     profile, params = _tail_table(), _params(1e-3)
     assert profile.rates[-1] > 1e-3
     sch = proto.build_schedule(profile, params)
