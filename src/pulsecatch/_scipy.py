@@ -2,18 +2,28 @@
 
 `brentq` is a port of scipy's C `brentq` (scipy/optimize/Zeros/brentq.c;
 Brent, *Algorithms for Minimization without Derivatives*, 1973, ch. 4),
-operation for operation, so it returns scipy's root bit for bit. `quad` and
-`solve_ivp` import scipy.integrate on each call: `pulsecatch schedule` on an
-analytic pulse and a closed-form `pulsecatch sweep` cell never call them,
-and scipy.integrate costs 0.2-0.3 s to import on top of scipy.special, which
-the Gaussian closed forms load. Each module binds these names itself, so
+operation for operation, so it returns scipy's root bit for bit.
+`solve_ivp` is a port of scipy's `solve_ivp` on its DOP853 path with dense
+output (scipy/integrate/_ivp: `ivp.py`, `rk.py`, `common.py`, `base.py`;
+Hairer, Norsett and Wanner, *Solving Ordinary Differential Equations I*,
+sec. II.4-II.6), with the same numpy calls on the same operand shapes, so
+its steps, `nfev` and dense output are scipy's bit for bit; its Butcher
+tableau is read from scipy's own `dop853_coefficients.py`, which imports
+only numpy. `quad` imports scipy.integrate on each call. So neither
+`simulate` nor `verify` loads scipy.integrate, which costs about 0.34 s to
+import on top of scipy.special. Each module binds these names itself, so
 replacing one module's binding (as a tracer or a test does) leaves the
 others alone; the wrappers never rebind a module's name.
 """
 from __future__ import annotations
 
+import functools
 import math
 import sys
+from itertools import groupby
+from types import SimpleNamespace
+
+import numpy as np
 
 _RTOL_MIN = 4.0 * sys.float_info.epsilon      # scipy's rtol floor
 
@@ -87,13 +97,237 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12,
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
+
+
 def quad(*args, **kwargs):
     """`scipy.integrate.quad`, imported on the call."""
     from scipy.integrate import quad
     return quad(*args, **kwargs)
 
 
-def solve_ivp(*args, **kwargs):
-    """`scipy.integrate.solve_ivp`, imported on the call."""
-    from scipy.integrate import solve_ivp
-    return solve_ivp(*args, **kwargs)
+# ---------------------------------------------------------------------------
+# DOP853 (scipy/integrate/_ivp)
+# ---------------------------------------------------------------------------
+
+SAFETY = 0.9        # multiplies the steps the error's asymptotics suggest
+MIN_FACTOR = 0.2    # the least and largest factors of one step change
+MAX_FACTOR = 10
+_ERROR_EXPONENT = -1 / (7 + 1)      # the error estimator's order is 7
+_TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+_FINISHED = "The solver successfully reached the end of the integration " \
+    "interval."
+
+
+@functools.cache
+def _tableau() -> SimpleNamespace:
+    """DOP853's coefficients as `scipy.integrate._ivp.rk.DOP853` slices them,
+    from scipy's `dop853_coefficients.py` loaded as a file: importing it by
+    name would run `scipy/integrate/__init__.py`, the whole import."""
+    import importlib.util
+    import os
+    root = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    spec = importlib.util.spec_from_file_location(
+        "pulsecatch._dop853_coefficients",
+        os.path.join(root, "integrate", "_ivp", "dop853_coefficients.py"))
+    c = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(c)
+    n = c.N_STAGES
+    return SimpleNamespace(n_stages=n, n_extended=c.N_STAGES_EXTENDED,
+                           power=c.INTERPOLATOR_POWER,
+                           A=c.A[:n, :n], B=c.B, C=c.C[:n], E3=c.E3, E5=c.E5,
+                           D=c.D, A_extra=c.A[n + 1:], C_extra=c.C[n + 1:])
+
+
+def _rms(x: np.ndarray):
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _initial_step(fun, t0, y0, t_bound, max_step, f0, rtol, atol):
+    """`select_initial_step` forward in time, for the error estimator's
+    order 7."""
+    interval_length = abs(t_bound - t0)
+    scale = atol + np.abs(y0) * rtol
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval_length)
+    f1 = fun(t0 + h0, y0 + h0 * f0)
+    d2 = _rms((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / (7 + 1))
+    return min(100 * h0, h1, interval_length, max_step)
+
+
+def _rk_stages(fun, t, y, h, K, A, C, first: int) -> None:
+    """Stages `first` on of K: K[s] = fun(t + c_s h, y + h sum_j a_sj K[j])."""
+    for s, (a, c) in enumerate(zip(A, C), start=first):
+        dy = np.dot(K[:s].T, a[:s]) * h
+        K[s] = fun(t + c * h, y + dy)
+
+
+def _error_norm(K, h, scale, tab) -> float:
+    """DOP853's `_estimate_error_norm`: the 5th-order error estimate, damped
+    by the 3rd-order one, as an RMS norm relative to `scale`."""
+    err5 = np.dot(K.T, tab.E5) / scale
+    err3 = np.dot(K.T, tab.E3) / scale
+    err5_norm_2 = np.linalg.norm(err5) ** 2
+    err3_norm_2 = np.linalg.norm(err3) ** 2
+    if err5_norm_2 == 0 and err3_norm_2 == 0:
+        return 0.0
+    denom = err5_norm_2 + 0.01 * err3_norm_2
+    return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
+
+
+class _Dop853Dense:
+    """`Dop853DenseOutput` over one step from t_old to t_old + h."""
+
+    def __init__(self, t_old, h, y_old, F):
+        self.t_old, self.h, self.y_old, self.F = t_old, h, y_old, F
+
+    def __call__(self, t: np.ndarray) -> np.ndarray:
+        x = ((t - self.t_old) / self.h)[:, None]
+        y = np.zeros((len(x), len(self.y_old)), dtype=self.y_old.dtype)
+        for i, f in enumerate(reversed(self.F)):
+            y += f
+            if i % 2 == 0:
+                y *= x
+            else:
+                y *= 1 - x
+        y += self.y_old
+        return y.T
+
+
+class OdeSolution:
+    """`scipy.integrate.OdeSolution` over increasing step ends `ts`, called
+    on a 1-D array of times: a time on a step end takes the step before
+    it."""
+
+    def __init__(self, ts, interpolants):
+        self.ts = np.asarray(ts)
+        self.interpolants = interpolants
+
+    def __call__(self, t) -> np.ndarray:
+        t = np.asarray(t)
+        if t.ndim != 1:
+            raise ValueError("`t` must be a 1-D array.")
+        order = np.argsort(t)
+        reverse = np.empty_like(order)
+        reverse[order] = np.arange(order.shape[0])
+        t_sorted = t[order]
+        segments = np.clip(np.searchsorted(self.ts, t_sorted, side="left")
+                           - 1, 0, len(self.interpolants) - 1)
+        ys = []
+        start = 0
+        for segment, group in groupby(segments.tolist()):
+            end = start + len(list(group))
+            ys.append(self.interpolants[segment](t_sorted[start:end]))
+            start = end
+        return np.hstack(ys)[:, reverse]
+
+
+def solve_ivp(fun, t_span, y0, method, *, dense_output, rtol=1e-3,
+              atol=1e-6, max_step=math.inf) -> SimpleNamespace:
+    """`scipy.integrate.solve_ivp(fun, t_span, y0, method="DOP853",
+    dense_output=True, rtol=rtol, atol=atol, max_step=max_step)`, bit for
+    bit, for an increasing t_span, a non-empty 1-D y0 (float or complex)
+    and rtol >= 100 eps. Any other method, events, t_eval, first_step or
+    vectorized right-hand side is a TypeError: nothing else is ported.
+
+    The result has scipy's t (the step ends), y (the states there, shape
+    (n, len(t))), sol (the dense output), status (0 at the end, -1 when a
+    step failed), message and nfev (the right-hand side's evaluations).
+    """
+    if method != "DOP853" or dense_output is not True:
+        raise TypeError("only method='DOP853' with dense_output=True is "
+                        "ported")
+    t0, tf = map(float, t_span)
+    if not t0 < tf:
+        raise ValueError("`t_span` must increase.")
+    # check_arguments: the state's dtype is complex or float
+    y = np.asarray(y0)
+    dtype = complex if np.issubdtype(y.dtype, np.complexfloating) else float
+    y = y.astype(dtype, copy=False)
+    if y.ndim != 1 or y.size == 0:
+        raise ValueError("`y0` must be 1-dimensional and not empty.")
+    if not np.isfinite(y).all():
+        raise ValueError("All components of the initial state `y0` must be "
+                         "finite.")
+    if max_step <= 0:
+        raise ValueError("`max_step` must be positive.")
+    # scipy raises a smaller rtol to 100 eps with a warning: not ported
+    if np.any(rtol < 100 * sys.float_info.epsilon):
+        raise ValueError("`rtol` must be at least 100 eps.")
+    atol = np.asarray(atol)
+    if atol.ndim > 0 and atol.shape != y.shape or np.any(atol < 0):
+        raise ValueError("`atol` must be positive, one value or one per "
+                         "component.")
+
+    nfev = 0
+
+    def f(t, y):
+        nonlocal nfev
+        nfev += 1
+        return np.asarray(fun(t, y), dtype=dtype)
+
+    tab = _tableau()
+    fy = f(t0, y)
+    h_abs = _initial_step(f, t0, y, tf, max_step, fy, rtol, atol)
+    K_ext = np.empty((tab.n_extended, y.size), dtype=dtype)
+    K = K_ext[:tab.n_stages + 1]
+    t = t0
+    ts, ys, interpolants = [t0], [y0], []
+    status, message = None, _FINISHED
+    while status is None:
+        # RungeKutta._step_impl
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        if h_abs > max_step:
+            h_abs = max_step
+        elif h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                status, message = -1, _TOO_SMALL_STEP
+                break
+            t_new = min(t + h_abs, tf)
+            h = t_new - t
+            h_abs = np.abs(h)
+            K[0] = fy               # rk_step
+            _rk_stages(f, t, y, h, K, tab.A[1:], tab.C[1:], 1)
+            y_new = y + h * np.dot(K[:-1].T, tab.B)
+            f_new = f(t + h, y_new)
+            K[-1] = f_new
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error_norm = _error_norm(K, h, scale, tab)
+            if error_norm < 1:
+                factor = MAX_FACTOR if error_norm == 0 else \
+                    min(MAX_FACTOR, SAFETY * error_norm ** _ERROR_EXPONENT)
+                if rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** _ERROR_EXPONENT)
+            rejected = True
+        if status == -1:
+            break
+        t_old, y_old = t, y
+        t, y, fy = t_new, y_new, f_new
+        if t >= tf:
+            status = 0
+        # DOP853._dense_output_impl
+        _rk_stages(f, t_old, y_old, h, K_ext, tab.A_extra, tab.C_extra,
+                   tab.n_stages + 1)
+        F = np.empty((tab.power, y.size), dtype=dtype)
+        delta_y = y - y_old
+        F[0] = delta_y
+        F[1] = h * K_ext[0] - delta_y
+        F[2] = 2 * delta_y - h * (fy + K_ext[0])
+        F[3:] = h * np.dot(tab.D, K_ext)
+        interpolants.append(_Dop853Dense(t_old, t - t_old, y_old, F))
+        ts.append(t)
+        ys.append(y)
+    return SimpleNamespace(t=np.array(ts), y=np.vstack(ys).T,
+                           sol=OdeSolution(ts, interpolants), status=status,
+                           message=message, nfev=nfev)

@@ -387,14 +387,13 @@ def _master_equation_checks(family: str, scale: float) -> list[dict]:
     traj = dynamics.simulate_amplitudes(profile, params, coupling, tau_end,
                                         tol=1e-10, samples=ts)
 
-    reduction = dynamics._reduction_deviation(states, traj)
-    trace_dev = 0.0
-    ground_dev = 0.0
-    for i, dm in enumerate(states):
-        trace_dev = max(trace_dev, abs(dm.trace - 1.0))
-        ground_dev = max(ground_dev,
-                         abs(dm.rho[0, 0].real
-                             - (traj.cum_reflection[i] + traj.cum_intrinsic[i])))
+    rho = np.stack([dm.rho for dm in states])
+    reduction = dynamics._reduction_deviation(rho, traj)
+    real = rho.real
+    trace_dev = float(np.max(np.abs(
+        (real[:, 0, 0] + real[:, 1, 1]) + real[:, 2, 2] - 1.0)))
+    ground_dev = float(np.max(np.abs(
+        real[:, 0, 0] - (traj.cum_reflection + traj.cum_intrinsic))))
 
     stage2 = traj.taus >= schedule.tau_c
     max_r_out = float(np.max(traj.r_out[stage2]))

@@ -107,10 +107,15 @@ def exp_constants(r: float, kappa_i: float) -> ExpConstants:
 
 
 def _phi(x: float, delta: float) -> float:
-    """Integral of exp(-x*u) over [0, delta]; finite and smooth through x = 0."""
+    """Integral of exp(-x*u) over [0, delta]; finite and smooth through x = 0.
+    Raises OverflowError where it passes the float range (x < 0, large
+    delta), also where only the division by x does."""
     if x == 0.0:
         return delta
-    return -math.expm1(-x * delta) / x
+    phi = -math.expm1(-x * delta) / x
+    if phi == math.inf:
+        raise OverflowError("math range error")
+    return phi
 
 
 def exp_population(r: float, kappa_i: float, tau: float) -> float:
@@ -127,24 +132,36 @@ def exp_population(r: float, kappa_i: float, tau: float) -> float:
         return root * root
     delta = tau - tau_c
     seed = r * math.exp(-r * tau_c)  # = r_in(tau_c), the threshold population
-    return math.exp(-kappa_i * delta) * seed * (1.0 + _phi(r - kappa_i, delta))
+    try:
+        return math.exp(-kappa_i * delta) * seed \
+            * (1.0 + _phi(r - kappa_i, delta))
+    except OverflowError:
+        # kappa_i > r and e^{(kappa_i - r) delta} overflows: the same value
+        # with e^{-kappa_i delta} multiplied through
+        decay = math.exp(-kappa_i * delta)
+        return seed * (decay + (math.exp(-r * delta) - decay) / (kappa_i - r))
 
 
 def exp_coupling(r: float, kappa_i: float, tau: float) -> float:
     """Stage-2 coupling kappa(tau) = r_in(tau)/beta^2(tau) = r/(a1*e^{(r-k_i)tau} - a2).
 
-    Computed as exp(-(r-kappa_i)*(tau-tau_c)) / (1 + Phi) which cannot
-    overflow; exactly 1 at tau = tau_c.
+    Computed as exp(-(r-kappa_i)*(tau-tau_c)) / (1 + Phi), exactly 1 at
+    tau = tau_c. Where kappa_i > r and that overflows, both are multiplied
+    by e^{(r-kappa_i) delta}: the coupling tends to kappa_i - r.
     """
     _check_exp_domain(r, kappa_i)
     tau_c = exp_tau_c(r, kappa_i)
     if tau < tau_c - 1e-12:
         raise DomainError("exp_coupling is the stage-2 law; needs tau >= tau_c")
     delta = max(tau - tau_c, 0.0)
-    denom = 1.0 + _phi(r - kappa_i, delta)
-    if denom <= 0.0:
-        raise SingularCoupling(f"population not positive at tau = {tau}")
-    return math.exp(-(r - kappa_i) * delta) / denom
+    x = r - kappa_i
+    try:
+        denom = 1.0 + _phi(x, delta)
+        if denom <= 0.0:
+            raise SingularCoupling(f"population not positive at tau = {tau}")
+        return math.exp(-x * delta) / denom
+    except OverflowError:
+        return 1.0 / (math.exp(x * delta) + math.expm1(x * delta) / x)
 
 
 def exp_report(r: float, kappa_i: float) -> tuple[float, float]:

@@ -10,8 +10,11 @@ Two independent routes through the same physics:
 * `simulate_master_equation` evolves the full 3-level Lindblad master
   equation on span{|00>, |10>, |01>} (ground, source excited, memory
   excited), with the cascaded-coupling Hamiltonian and collective jump
-  operator. `verify_nonhermitian_reduction` pins the two routes against
-  each other.
+  operator, its generator written out element by element (`_generator`).
+  `verify_nonhermitian_reduction` pins the two routes against each other.
+
+Both integrate with `_scipy.solve_ivp`, a port of scipy's DOP853 that takes
+scipy's steps bit for bit, so neither loads scipy.integrate.
 
 The source is an imaginary emitter releasing the prescribed input: its decay
 rate is kappa_1(tau) = r_in/beta1^2, and beta1^2 = 1 - int r_in holds exactly,
@@ -355,6 +358,28 @@ def _kappa_1(profile: prof.InputProfile, t: float) -> float:
     return rate / remaining
 
 
+def _generator(y: np.ndarray, kap: float, kap1: float,
+               k_i: float) -> tuple[complex, ...]:
+    """d(rho)/dtau, row by row, for rho = y.reshape(3, 3).
+
+    In the cascaded frame the effective generator G = -iH - (1/2) sum L^dag L
+    is real and lower triangular: G11 = -kappa_1/2, G21 = -sqrt(kappa_1
+    kappa), G22 = -(kappa + kappa_i)/2. So d(rho) = G rho + rho G^T +
+    |00><00| (v^T rho v + kappa_i rho22), with v = (0, sqrt(kappa_1),
+    sqrt(kappa)) the collective jump's row, written out element by element.
+    """
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = y.tolist()
+    g1, g2 = -0.5 * kap1, -0.5 * (kap + k_i)
+    g21 = -math.sqrt(kap1 * kap)
+    v1, v2 = math.sqrt(kap1), math.sqrt(kap)
+    jump = v1 * (v1 * r11 + v2 * r12) + v2 * (v1 * r21 + v2 * r22) \
+        + k_i * r22
+    return (jump, g1 * r01, g21 * r01 + g2 * r02,
+            g1 * r10, 2.0 * g1 * r11, g21 * r11 + (g1 + g2) * r12,
+            g21 * r10 + g2 * r20, g21 * r11 + (g1 + g2) * r21,
+            g21 * (r12 + r21) + 2.0 * g2 * r22)
+
+
 def simulate_master_equation(profile: prof.InputProfile,
                              params: prof.MemoryParams,
                              schedule_or_kappa, tau_end: float,
@@ -366,31 +391,16 @@ def simulate_master_equation(profile: prof.InputProfile,
     The generator combines the cascaded-coupling Hamiltonian
     H = (i/2) sqrt(kappa_1 kappa) (|10><01| - |01><10|), the collective decay
     L = sqrt(kappa)|00><01| + sqrt(kappa_1)|00><10| into the shared line, and
-    the intrinsic decay L_i = sqrt(kappa_i)|00><01| of the memory. The trace
-    is preserved to ~1e-10 and the state stays Hermitian and positive.
+    the intrinsic decay L_i = sqrt(kappa_i)|00><01| of the memory
+    (`_generator` writes it out). The trace is preserved to ~1e-10 and the
+    state stays Hermitian and positive.
     """
     ts = _checked_grid(tol, tau_end, 801 if samples is None else samples)
     kappa_fn, breaks = _as_kappa_fn(schedule_or_kappa)
     k_i = params.kappa_i
 
-    e_01 = np.zeros((3, 3), dtype=complex); e_01[0, 1] = 1.0   # |00><10|
-    e_02 = np.zeros((3, 3), dtype=complex); e_02[0, 2] = 1.0   # |00><01|
-    h_base = np.zeros((3, 3), dtype=complex)
-    h_base[1, 2] = 0.5j
-    h_base[2, 1] = -0.5j   # times sqrt(kappa_1 kappa): cascaded interaction
-
     def rhs(t, y):
-        rho = y.reshape(3, 3)
-        kap = kappa_fn(t)
-        kap1 = _kappa_1(profile, t)
-        h = math.sqrt(kap1 * kap) * h_base
-        l_t = math.sqrt(kap) * e_02 + math.sqrt(kap1) * e_01
-        drho = -1j * (h @ rho - rho @ h)
-        for l_op in (l_t, math.sqrt(k_i) * e_02):
-            ldag = l_op.conj().T
-            ldl = ldag @ l_op
-            drho += l_op @ rho @ ldag - 0.5 * (ldl @ rho + rho @ ldl)
-        return drho.reshape(9)
+        return _generator(y, kappa_fn(t), _kappa_1(profile, t), k_i)
 
     rho0 = np.zeros((3, 3), dtype=complex)
     rho0[1, 1] = 1.0
@@ -416,16 +426,13 @@ def verify_nonhermitian_reduction(profile: prof.InputProfile,
                                       tau_end, tol=1e-10, samples=ts)
     traj = simulate_amplitudes(profile, params, schedule_or_kappa, tau_end,
                                tol=1e-10, samples=ts)
-    return _reduction_deviation(states, traj)
+    return _reduction_deviation(np.stack([dm.rho for dm in states]), traj)
 
 
-def _reduction_deviation(states: Sequence[DensityMatrix3],
-                         traj: Trajectory) -> float:
+def _reduction_deviation(rho: np.ndarray, traj: Trajectory) -> float:
     """Max over shared samples of |rho block over {|10>, |01>} - psi psi^dag|,
-    with psi = (beta1, beta) from the amplitude run."""
-    worst = 0.0
-    for i, dm in enumerate(states):
-        psi = np.array([traj.beta1[i], traj.beta[i]])
-        dev = np.max(np.abs(dm.rho[1:, 1:] - np.outer(psi, psi)))
-        worst = max(worst, float(dev))
-    return worst
+    with rho the states stacked (shape (n, 3, 3)) and psi = (beta1, beta)
+    from the amplitude run; a nan anywhere is the result."""
+    psi = np.stack([traj.beta1, traj.beta], axis=1)
+    return float(np.max(np.abs(rho[:, 1:, 1:]
+                               - psi[:, :, None] * psi[:, None, :])))

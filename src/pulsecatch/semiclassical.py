@@ -37,12 +37,15 @@ class ClassicalField:
         tau_i: time at which the absorption stage begins.
         breakpoints: optional interior times where A_in is non-smooth,
             passed to the quadrature as split points.
+        cumulative: optional antiderivative of A_in^2; when given, the
+            power integral is its difference and takes no quadrature.
     """
 
     a_in: Callable[[float], float]
     a0: float
     tau_i: float = 0.0
     breakpoints: tuple[float, ...] = ()
+    cumulative: Callable[[float], float] | None = None
     # memo of the largest tau integrated so far -> integral value; sweeping
     # tau forward (the common pattern) then only integrates increments
     _memo: dict = field(default_factory=dict, repr=False, compare=False)
@@ -52,11 +55,15 @@ class ClassicalField:
             raise DomainError("the seed amplitude a0 must be >= 0")
 
     def power_integral(self, tau: float) -> float:
-        """int_{tau_i}^{tau} A_in^2(s) ds by adaptive quadrature (abs err <= 1e-10)."""
+        """int_{tau_i}^{tau} A_in^2(s) ds: cumulative(tau) - cumulative(tau_i)
+        where the field has an antiderivative, else by adaptive quadrature
+        (abs err <= 1e-10)."""
         if tau < self.tau_i:
             raise DomainError("tau must be >= tau_i")
         if tau == self.tau_i:
             return 0.0
+        if self.cumulative is not None:
+            return self.cumulative(tau) - self.cumulative(self.tau_i)
         done_to = self.tau_i
         acc = 0.0
         if self._memo and self._memo["tau"] <= tau:
@@ -72,10 +79,13 @@ class ClassicalField:
 
 def field_from_profile(profile: prof.InputProfile, tau_i: float,
                        a0: float) -> ClassicalField:
-    """Classical field with A_in = sqrt(r_in) of a (real) input profile."""
+    """Classical field with A_in = sqrt(r_in) of a (real) input profile, whose
+    power integral is `profiles.cumulative`'s difference: the closed form of
+    an analytic pulse, a table's PCHIP antiderivative."""
     a_in = lambda s: math.sqrt(prof.rate_at(profile, s))
     breaks = tuple(prof._interior_breaks(profile, -math.inf, math.inf))
-    return ClassicalField(a_in=a_in, a0=a0, tau_i=tau_i, breakpoints=breaks)
+    return ClassicalField(a_in=a_in, a0=a0, tau_i=tau_i, breakpoints=breaks,
+                          cumulative=lambda s: prof.cumulative(profile, s))
 
 
 def semiclassical_population(field: ClassicalField, tau: float) -> float:

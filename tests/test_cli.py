@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pulsecatch import cli, closedform
+from pulsecatch import cli, closedform, dynamics
 from pulsecatch import profiles as prof
 from pulsecatch import protocol
 from pulsecatch.errors import (DomainError, NoPeak, NoThreshold,
@@ -193,6 +193,23 @@ def test_module_entry_point():
     assert "pulsecatch" in proc.stdout
 
 
+def _imported(argv: list[str], cwd: Path) -> list[str]:
+    """Every module `python -m pulsecatch <argv>` imports, as `-X importtime`
+    names them, from a run in `cwd` that must exit 0."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m",
+                           "pulsecatch", *argv], capture_output=True,
+                          text=True, env=env, cwd=cwd)
+    assert proc.returncode == 0, proc.stderr
+    imported = [line.rsplit("|", 1)[1].strip()
+                for line in proc.stderr.splitlines()
+                if line.startswith("import time:") and "|" in line]
+    assert "pulsecatch.cli" in imported
+    return imported
+
+
 @pytest.mark.parametrize("argv", [
     ["--help"],
     ["schedule", *EXP_OP],
@@ -201,19 +218,9 @@ def test_module_entry_point():
 def test_schedule_path_loads_no_scipy(argv, tmp_path):
     """`--help` and `schedule` import no scipy module (`-X importtime`
     names every module a run imports): scipy costs about 0.7 s of import."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     if argv[0] == "schedule":
         argv = argv + ["--samples", "201", "--out", str(tmp_path / "s")]
-    proc = subprocess.run([sys.executable, "-X", "importtime", "-m",
-                           "pulsecatch", *argv], capture_output=True,
-                          text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    imported = [line.rsplit("|", 1)[1].strip()
-                for line in proc.stderr.splitlines()
-                if line.startswith("import time:") and "|" in line]
-    assert "pulsecatch.cli" in imported
+    imported = _imported(argv, tmp_path)
     assert [m for m in imported if m.split(".")[0] == "scipy"] == []
 
 
@@ -221,20 +228,28 @@ def test_gauss_sweep_loads_no_scipy_integrate(tmp_path):
     """`sweep --profile gauss` takes its losses from the energy balance and
     the closed forms: it loads scipy.special (erf, erfcx) and no
     scipy.integrate module, which costs about 0.3 s more to import."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-X", "importtime", "-m",
-                           "pulsecatch", "sweep", "--profile", "gauss",
-                           "--grid-ki", "1e-5,1e-2", "--grid-r", "0.05,1",
-                           "--out", str(tmp_path / "s.csv")],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert "4 cells, 0 failed" in proc.stdout
-    imported = [line.rsplit("|", 1)[1].strip()
-                for line in proc.stderr.splitlines()
-                if line.startswith("import time:") and "|" in line]
-    assert "pulsecatch.cli" in imported and "scipy.special" in imported
+    imported = _imported(["sweep", "--profile", "gauss", "--grid-ki",
+                          "1e-5,1e-2", "--grid-r", "0.05,1", "--out",
+                          str(tmp_path / "s.csv")], tmp_path)
+    assert "scipy.special" in imported
+    assert [m for m in imported if m.startswith("scipy.integrate")] == []
+
+
+@pytest.mark.parametrize("profile", ["exp:r=0.036", "gauss:r=0.1533,n=4"])
+def test_simulate_loads_no_scipy(profile, tmp_path):
+    """`simulate` on an analytic pulse imports no scipy module: solve_ivp is
+    the port of scipy's DOP853 (`pulsecatch._scipy`)."""
+    imported = _imported(["simulate", "--profile", profile, "--kappa-i",
+                          "1e-4", "--samples", "201"], tmp_path)
+    assert [m for m in imported if m.split(".")[0] == "scipy"] == []
+
+
+def test_verify_loads_no_scipy_integrate(tmp_path):
+    """`verify all` loads scipy.special, for the Gaussian closed forms, and
+    no scipy.integrate module: the master equation takes the DOP853 port,
+    the semiclassical power integral `profiles.cumulative`."""
+    imported = _imported(["verify", "all"], tmp_path)
+    assert "scipy.special" in imported
     assert [m for m in imported if m.startswith("scipy.integrate")] == []
 
 
@@ -602,6 +617,36 @@ def test_verify_all_passes(tmp_path, capsys):
     names = {c["name"] for c in payload["checks"]}
     assert "master-equation/exp/reduction" in names
     assert "semiclassical/gauss/coupling-deviation" in names
+
+
+def test_master_equation_checks_equal_per_sample_loops(monkeypatch):
+    """The reduction, trace and ground-state checks take the stacked
+    states; they equal the per-sample loops over `DensityMatrix3`, with the
+    same arithmetic, bit for bit."""
+    runs = {}
+
+    def record(name):
+        run = getattr(dynamics, name)
+
+        def recorded(*args, **kwargs):
+            runs[name] = run(*args, **kwargs)
+            return runs[name]
+        monkeypatch.setattr(dynamics, name, recorded)
+    record("simulate_master_equation")
+    record("simulate_amplitudes")
+    checks = {c["name"].rsplit("/", 1)[1]: c["value"]
+              for c in cli._master_equation_checks("exp", 1.0)}
+    states, traj = runs["simulate_master_equation"], runs["simulate_amplitudes"]
+    reduction = trace = ground = 0.0
+    for i, dm in enumerate(states):
+        psi = np.array([traj.beta1[i], traj.beta[i]])
+        reduction = max(reduction, float(np.max(np.abs(
+            dm.rho[1:, 1:] - np.outer(psi, psi)))))
+        trace = max(trace, abs(dm.trace - 1.0))
+        ground = max(ground, abs(dm.rho[0, 0].real - (
+            traj.cum_reflection[i] + traj.cum_intrinsic[i])))
+    assert (checks["reduction"], checks["trace"],
+            checks["ground-state-bookkeeping"]) == (reduction, trace, ground)
 
 
 def test_verify_fault_injection_detected(tmp_path, capsys):

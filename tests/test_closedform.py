@@ -7,7 +7,9 @@ energy-bookkeeping ODE.
 """
 from __future__ import annotations
 
+import decimal
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from scipy.special import erfcx
 
 from pulsecatch import closedform as cf
 from pulsecatch import profiles as prof
+from pulsecatch import protocol as proto
 from pulsecatch.errors import DomainError, NoPeak, NoThreshold, SingularCoupling
 from pulsecatch.sweep import DEFAULT_KAPPA_I_GRID, DEFAULT_R_GRID, _generic_cell
 
@@ -185,6 +188,64 @@ def test_degenerate_rate_equals_loss_stays_finite():
         assert pop == pytest.approx(nearby, rel=1e-9)
     assert cf.exp_coupling(r, r, tau_c) == 1.0
     assert 0.0 < cf.exp_coupling(r, r, tau_c + 3.0) < 1.0
+
+
+def _decimal_exp_population(r: float, kappa_i: float, tau_c: float,
+                            delta: float) -> float:
+    """seed [e^{-kappa_i delta} + (e^{-r delta} - e^{-kappa_i delta}) /
+    (kappa_i - r)], seed = r e^{-r tau_c}, in 50-digit decimal arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        r_, k, d = Decimal(r), Decimal(kappa_i), Decimal(delta)
+        seed = r_ * (-r_ * Decimal(tau_c)).exp()
+        decay = (-k * d).exp()
+        return float(seed * (decay + ((-r_ * d).exp() - decay) / (k - r_)))
+
+
+def test_heavy_loss_population_does_not_overflow():
+    """kappa_i > r: e^{(kappa_i - r) delta} overflows about 835 past tau_c
+    at r = 0.05, kappa_i = 0.9, and the population takes the form with
+    e^{-kappa_i delta} multiplied through; it used to raise OverflowError."""
+    r, ki = 0.05, 0.9
+    tau_c = cf.exp_tau_c(r, ki)
+    profile = prof.exponential(r)
+    assert cf.exp_population(r, ki, 15967.99) == 0.0
+    assert proto._stage2_pop(profile, ki, tau_c, prof.rate_at(profile, tau_c),
+                             15967.99) == 0.0
+    tau = tau_c + 1000.0
+    want = _decimal_exp_population(r, ki, tau_c, tau - tau_c)
+    assert want == pytest.approx(9.9e-24, rel=0.01)
+    assert cf.exp_population(r, ki, tau) == pytest.approx(want, rel=1e-12)
+    # the division by r - kappa_i alone overflowed here: the population was nan
+    tau = tau_c + 834.9
+    assert cf.exp_population(r, ki, tau) == pytest.approx(
+        _decimal_exp_population(r, ki, tau_c, tau - tau_c), rel=1e-12)
+
+
+def test_heavy_loss_coupling_tends_to_the_loss_excess():
+    r, ki = 0.05, 0.9
+    tau_c = cf.exp_tau_c(r, ki)
+    for delta in (834.9, 1000.0, 15967.99):
+        kappa = cf.exp_coupling(r, ki, tau_c + delta)
+        assert math.isfinite(kappa)
+        assert kappa == pytest.approx(ki - r, rel=1e-14)
+
+
+@pytest.mark.parametrize("r,ki", [(0.05, 0.9), (0.3, 0.5), (0.2, 1e-4)])
+def test_forms_without_overflow_stay_bit_for_bit(r, ki):
+    """Up to where e^{(kappa_i - r) delta} overflows, both evaluators are
+    the (1 + Phi) forms, operation for operation."""
+    tau_c = cf.exp_tau_c(r, ki)
+    x = r - ki
+    seed = r * math.exp(-r * tau_c)
+    for delta in (0.0, 1e-3, 0.7, 5.0, 60.0, 400.0, 800.0):
+        d = (tau_c + delta) - tau_c
+        phi = -math.expm1(-x * d) / x
+        assert math.isfinite(phi)
+        assert cf.exp_population(r, ki, tau_c + delta) == \
+            math.exp(-ki * d) * seed * (1.0 + phi)
+        assert cf.exp_coupling(r, ki, tau_c + delta) == \
+            math.exp(-x * d) / (1.0 + phi)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,173 @@
+"""The package's solve_ivp against scipy's DOP853: the same steps, states,
+dense output and right-hand-side count bit for bit, on every solve the
+simulators make and on random linear systems, and the same failure."""
+from __future__ import annotations
+
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy.integrate
+from hypothesis import given, settings, strategies as st
+
+from pulsecatch import _scipy, cli, dynamics
+from pulsecatch import profiles as prof
+from pulsecatch import protocol as proto
+
+EXP = prof.exponential(0.036)
+GAUSS = prof.gaussian(r=0.1533, n=4)
+LOSSY = prof.MemoryParams(kappa_i=1e-4)
+
+
+def _two_humps() -> prof.InputProfile:
+    """A faint early hump and the main one, 301 knots on [0, 30]."""
+    taus = np.linspace(0.0, 30.0, 301)
+    rates = 0.04 * np.exp(-0.5 * ((taus - 4.0) / 1.1) ** 2) \
+        + 0.96 * np.exp(-0.5 * ((taus - 19.0) / 1.0) ** 2)
+    return prof.tabulated(taus, rates / np.trapezoid(rates, taus))
+
+
+def _assert_same(got, want) -> None:
+    assert (got.status, got.message, got.nfev) == \
+        (want.status, want.message, want.nfev)
+    assert got.t.dtype == want.t.dtype and np.array_equal(got.t, want.t)
+    assert got.y.dtype == want.y.dtype and np.array_equal(got.y, want.y)
+    # step ends and points inside the steps, out of order
+    inner = 0.5 * (want.t[:-1] + want.t[1:])
+    ts = np.concatenate([want.t, inner[::-1], want.t[::3] + 1e-3 * inner[0]])
+    ts = ts[(ts >= want.t[0]) & (ts <= want.t[-1])]
+    assert np.array_equal(got.sol(ts), want.sol(ts))
+
+
+@pytest.fixture
+def both(monkeypatch):
+    """Make `dynamics` solve with the port and with scipy; each pair of
+    results is recorded and the port's is used."""
+    pairs = []
+
+    def solve(fun, t_span, y0, **kwargs):
+        got = _scipy.solve_ivp(fun, t_span, y0, **kwargs)
+        pairs.append((got, scipy.integrate.solve_ivp(fun, t_span, y0,
+                                                     **kwargs), kwargs))
+        return got
+
+    monkeypatch.setattr(dynamics, "solve_ivp", solve)
+    return pairs
+
+
+def _coupling(tmp_path, kind):
+    """The coupling `simulate --kappa <kind>` builds, and its tau_end."""
+    if kind == "const":
+        kappa, _ = cli._parse_kappa_override("const:0.05")
+        return kappa, prof.horizon(EXP)
+    assert cli.main(["schedule", "--profile", "exp:r=0.036", "--kappa-i",
+                     "1e-4", "--out", str(tmp_path / "s")]) == 0
+    return cli._parse_kappa_override(f"file:{tmp_path / 's.csv'}")
+
+
+@pytest.mark.parametrize("case", ["exp", "gauss", "table", "const", "file"])
+def test_amplitude_solves_equal_scipys(case, both, tmp_path):
+    """Every segment between the coupling's breaks that
+    `simulate_amplitudes` solves at `simulate`'s default tolerance (1e-9 on
+    the table), the Gaussian's with its step cap."""
+    profile = {"gauss": GAUSS, "table": _two_humps()}.get(case, EXP)
+    if case in ("const", "file"):
+        coupling, tau_end = _coupling(tmp_path, case)
+    else:
+        coupling = proto.build_schedule(profile, LOSSY)
+        tau_end = coupling.horizon
+    dynamics.simulate_amplitudes(profile, LOSSY, coupling, tau_end,
+                                 1e-9 if case == "table" else 1e-11)
+    assert both
+    caps = {kwargs["max_step"] for _, _, kwargs in both}
+    assert (caps != {math.inf}) == (case == "gauss")
+    for got, want, _ in both:
+        _assert_same(got, want)
+
+
+def test_master_equation_solves_equal_scipys(both):
+    """The complex 9-vector state, as `verify master-equation` solves it."""
+    schedule = proto.build_schedule(EXP, LOSSY)
+    dynamics.simulate_master_equation(EXP, LOSSY, schedule, 120.0,
+                                      tol=1e-10)
+    assert both and all(got.y.dtype == complex for got, _, _ in both)
+    for got, want, _ in both:
+        _assert_same(got, want)
+
+
+def _linear(m: np.ndarray, b: np.ndarray):
+    return lambda t, y: m @ y + b * math.sin(t)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n=st.integers(1, 4), complex_=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1),
+       rtol=st.sampled_from([1e-12, 1e-10, 1e-7, 1e-4]),
+       max_step=st.sampled_from([math.inf, 0.37, 3.0]),
+       end=st.floats(0.01, 30.0))
+def test_linear_systems_equal_scipys(n, complex_, seed, rtol, max_step, end):
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(n, n)) - 1.5 * np.eye(n)
+    b = rng.normal(size=n)
+    y0 = rng.normal(size=n)
+    if complex_:
+        m = m + 1j * rng.normal(size=(n, n))
+        y0 = y0 + 1j * rng.normal(size=n)
+    kwargs = dict(method="DOP853", dense_output=True, rtol=rtol,
+                  atol=rtol * 1e-3, max_step=max_step)
+    _assert_same(_scipy.solve_ivp(_linear(m, b), (0.0, end), y0, **kwargs),
+                 scipy.integrate.solve_ivp(_linear(m, b), (0.0, end), y0,
+                                           **kwargs))
+
+
+def test_failed_step_equals_scipys():
+    """A right-hand side that turns nan past t = 1: the steps shrink onto 1
+    until one is below the spacing of the floats there."""
+    fun = lambda t, y: [math.nan if t > 1.0 else -y[0]]
+    kwargs = dict(method="DOP853", dense_output=True, rtol=1e-10, atol=1e-13)
+    got = _scipy.solve_ivp(fun, (0.0, 5.0), np.array([1.0]), **kwargs)
+    want = scipy.integrate.solve_ivp(fun, (0.0, 5.0), np.array([1.0]),
+                                     **kwargs)
+    assert got.status == -1 and got.t[-1] < 1.0
+    assert got.message == "Required step size is less than spacing between " \
+                          "numbers."
+    _assert_same(got, want)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(method="RK45", dense_output=True),
+    dict(method="DOP853", dense_output=False),
+    dict(method="DOP853", dense_output=True, t_eval=[0.5]),
+    dict(method="DOP853", dense_output=True, events=lambda t, y: y[0]),
+    dict(method="DOP853", dense_output=True, first_step=0.1),
+    dict(method="DOP853", dense_output=True, vectorized=True),
+], ids=["rk45", "no-dense", "t_eval", "events", "first_step", "vectorized"])
+def test_what_is_not_ported_is_a_type_error(kwargs):
+    with pytest.raises(TypeError):
+        _scipy.solve_ivp(lambda t, y: -y, (0.0, 1.0), np.array([1.0]),
+                         **kwargs)
+
+
+def test_solve_loads_no_scipy_module():
+    """The tableau is read from scipy's coefficient file, which imports
+    only numpy: a solve leaves no scipy module in `sys.modules`."""
+    src = str(Path(_scipy.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, numpy as np\n"
+            "from pulsecatch._scipy import solve_ivp\n"
+            "r = solve_ivp(lambda t, y: -y, (0.0, 2.0), np.array([1.0]),\n"
+            "              'DOP853', dense_output=True, rtol=1e-10,\n"
+            "              atol=1e-13)\n"
+            "assert r.status == 0\n"
+            "assert abs(r.sol([1.0])[0, 0] - np.exp(-1.0)) < 1e-9\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] == 'scipy'))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

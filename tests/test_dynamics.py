@@ -393,3 +393,40 @@ def test_master_equation_rejects_bad_tol():
     p, params, sch = _exp_setup()
     with pytest.raises(DomainError):
         dyn.simulate_master_equation(p, params, sch, 10.0, tol=1e-15)
+
+
+def _matrix_generator(rho: np.ndarray, kap: float, kap1: float,
+                      k_i: float) -> np.ndarray:
+    """The Lindblad right-hand side as matrix products: the cascaded
+    Hamiltonian H = (i/2) sqrt(kappa_1 kappa) (|10><01| - |01><10|), the
+    collective jump L = sqrt(kappa)|00><01| + sqrt(kappa_1)|00><10| and the
+    memory's intrinsic jump sqrt(kappa_i)|00><01|."""
+    e_01 = np.zeros((3, 3), dtype=complex); e_01[0, 1] = 1.0   # |00><10|
+    e_02 = np.zeros((3, 3), dtype=complex); e_02[0, 2] = 1.0   # |00><01|
+    h = np.zeros((3, 3), dtype=complex)
+    h[1, 2] = 0.5j * math.sqrt(kap1 * kap)
+    h[2, 1] = -0.5j * math.sqrt(kap1 * kap)
+    drho = -1j * (h @ rho - rho @ h)
+    for l_op in (math.sqrt(kap) * e_02 + math.sqrt(kap1) * e_01,
+                 math.sqrt(k_i) * e_02):
+        ldag = l_op.conj().T
+        ldl = ldag @ l_op
+        drho += l_op @ rho @ ldag - 0.5 * (ldl @ rho + rho @ ldl)
+    return drho
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(parts=st.lists(st.floats(-1.0, 1.0), min_size=18, max_size=18),
+       kap=st.floats(0.0, 1.0), kap1=st.floats(0.0, 1.0),
+       k_i=st.floats(0.0, 1.0))
+def test_written_out_generator_equals_matrix_form(parts, kap, kap1, k_i):
+    """`dynamics._generator` against the matrix products on Hermitian,
+    positive, unit-trace states."""
+    a = np.array(parts[:9]).reshape(3, 3) + 1j * np.array(parts[9:]).reshape(3, 3)
+    rho = a @ a.conj().T
+    if np.trace(rho).real == 0.0:
+        rho = np.diag([1.0, 0.0, 0.0]).astype(complex)
+    rho /= np.trace(rho).real
+    got = np.array(dyn._generator(rho.reshape(9), kap, kap1, k_i))
+    want = _matrix_generator(rho, kap, kap1, k_i).reshape(9)
+    assert np.max(np.abs(got - want)) <= 1e-15

@@ -17,6 +17,15 @@ def _const_field(c: float = 0.5, a0: float = 0.8, tau_i: float = 1.0) -> sc.Clas
     return sc.ClassicalField(a_in=lambda s: c, a0=a0, tau_i=tau_i)
 
 
+def _quad_field(profile: prof.InputProfile, tau_i: float,
+                a0: float) -> sc.ClassicalField:
+    """A plain field over the profile's A_in and breaks: its power integral
+    takes the memoized quadrature, not `field_from_profile`'s cumulative."""
+    f = sc.field_from_profile(profile, tau_i, a0)
+    return sc.ClassicalField(a_in=f.a_in, a0=a0, tau_i=tau_i,
+                             breakpoints=f.breakpoints)
+
+
 def test_constant_field_closed_form():
     # A_in = c: population = a0^2 + c^2 (tau - tau_i), coupling is their ratio
     c, a0, t0 = 0.5, 0.8, 1.0
@@ -58,11 +67,12 @@ def test_power_integral_domain():
 def test_power_integral_memoization_consistency():
     # sweeping forward must give the same values as fresh evaluation
     p = prof.gaussian(sigma=1.2, n=4)
-    swept = sc.field_from_profile(p, 0.0, 0.1)
+    swept = _quad_field(p, 0.0, 0.1)
     taus = np.linspace(0.5, 11.0, 24)
     forward = [swept.power_integral(float(t)) for t in taus]
+    assert swept._memo["tau"] == taus[-1]
     for t, v in zip(taus, forward):
-        fresh = sc.field_from_profile(p, 0.0, 0.1)
+        fresh = _quad_field(p, 0.0, 0.1)
         assert fresh.power_integral(float(t)) == pytest.approx(v, abs=1e-11)
     # moving backward after a memoized sweep also works
     assert swept.power_integral(float(taus[3])) == pytest.approx(forward[3], abs=1e-11)
@@ -107,7 +117,36 @@ def test_power_integral_additivity(split, end):
     # int_{tau_i}^{end} = int_{tau_i}^{split} + int_{split}^{end}, evaluated
     # through independent field objects so the memo cannot simply cancel
     p = prof.gaussian(sigma=1.0, n=5)
-    head = sc.field_from_profile(p, 1.0, 0.0).power_integral(split)
-    tail = sc.field_from_profile(p, split, 0.0).power_integral(end)
-    whole = sc.field_from_profile(p, 1.0, 0.0).power_integral(end)
+    head = _quad_field(p, 1.0, 0.0).power_integral(split)
+    tail = _quad_field(p, split, 0.0).power_integral(end)
+    whole = _quad_field(p, 1.0, 0.0).power_integral(end)
     assert head + tail == pytest.approx(whole, abs=5e-11)
+
+
+def _two_humps() -> prof.InputProfile:
+    """A faint early hump and the main one, 301 knots on [0, 30]."""
+    taus = np.linspace(0.0, 30.0, 301)
+    rates = 0.04 * np.exp(-0.5 * ((taus - 4.0) / 1.1) ** 2) \
+        + 0.96 * np.exp(-0.5 * (taus - 19.0) ** 2)
+    return prof.tabulated(taus, rates / np.trapezoid(rates, taus))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: prof.exponential(0.036),
+    lambda: prof.gaussian(r=0.1533, n=4),
+    _two_humps,
+], ids=["exp", "gauss", "table"])
+def test_power_integral_from_cumulative_matches_quadrature(make):
+    """`field_from_profile` differences `profiles.cumulative`; the
+    quadrature of A_in^2 over the same interval agrees within 1e-13."""
+    p = make()
+    end = prof.horizon(p)
+    for tau_i in (0.0, 0.3 * end):
+        field = sc.field_from_profile(p, tau_i, 0.2)
+        assert field.cumulative is not None
+        for tau in np.linspace(tau_i, end, 17)[1:].tolist():
+            breaks = [b for b in field.breakpoints if tau_i < b < tau]
+            quad = prof._quad_chunked(lambda s: field.a_in(s) ** 2, tau_i,
+                                      tau, breaks)
+            assert field.power_integral(tau) == pytest.approx(quad, abs=1e-13)
+        assert field._memo == {}
