@@ -193,9 +193,9 @@ def test_module_entry_point():
     assert "pulsecatch" in proc.stdout
 
 
-def _imported(argv: list[str], cwd: Path) -> list[str]:
+def _imported(argv: list[str], cwd: Path) -> tuple[list[str], str]:
     """Every module `python -m pulsecatch <argv>` imports, as `-X importtime`
-    names them, from a run in `cwd` that must exit 0."""
+    names them, and its stdout, from a run in `cwd` that must exit 0."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -207,7 +207,7 @@ def _imported(argv: list[str], cwd: Path) -> list[str]:
                 for line in proc.stderr.splitlines()
                 if line.startswith("import time:") and "|" in line]
     assert "pulsecatch.cli" in imported
-    return imported
+    return imported, proc.stdout
 
 
 @pytest.mark.parametrize("argv", [
@@ -220,7 +220,7 @@ def test_schedule_path_loads_no_scipy(argv, tmp_path):
     names every module a run imports): scipy costs about 0.7 s of import."""
     if argv[0] == "schedule":
         argv = argv + ["--samples", "201", "--out", str(tmp_path / "s")]
-    imported = _imported(argv, tmp_path)
+    imported, _ = _imported(argv, tmp_path)
     assert [m for m in imported if m.split(".")[0] == "scipy"] == []
 
 
@@ -228,9 +228,10 @@ def test_gauss_sweep_loads_no_scipy_integrate(tmp_path):
     """`sweep --profile gauss` takes its losses from the energy balance and
     the closed forms: it loads scipy.special (erf, erfcx) and no
     scipy.integrate module, which costs about 0.3 s more to import."""
-    imported = _imported(["sweep", "--profile", "gauss", "--grid-ki",
-                          "1e-5,1e-2", "--grid-r", "0.05,1", "--out",
-                          str(tmp_path / "s.csv")], tmp_path)
+    imported, stdout = _imported(["sweep", "--profile", "gauss", "--grid-ki",
+                                  "1e-5,1e-2", "--grid-r", "0.05,1", "--out",
+                                  str(tmp_path / "s.csv")], tmp_path)
+    assert "4 cells, 0 failed" in stdout
     assert "scipy.special" in imported
     assert [m for m in imported if m.startswith("scipy.integrate")] == []
 
@@ -239,8 +240,8 @@ def test_gauss_sweep_loads_no_scipy_integrate(tmp_path):
 def test_simulate_loads_no_scipy(profile, tmp_path):
     """`simulate` on an analytic pulse imports no scipy module: solve_ivp is
     the port of scipy's DOP853 (`pulsecatch._scipy`)."""
-    imported = _imported(["simulate", "--profile", profile, "--kappa-i",
-                          "1e-4", "--samples", "201"], tmp_path)
+    imported, _ = _imported(["simulate", "--profile", profile, "--kappa-i",
+                             "1e-4", "--samples", "201"], tmp_path)
     assert [m for m in imported if m.split(".")[0] == "scipy"] == []
 
 
@@ -248,7 +249,8 @@ def test_verify_loads_no_scipy_integrate(tmp_path):
     """`verify all` loads scipy.special, for the Gaussian closed forms, and
     no scipy.integrate module: the master equation takes the DOP853 port,
     the semiclassical power integral `profiles.cumulative`."""
-    imported = _imported(["verify", "all"], tmp_path)
+    imported, stdout = _imported(["verify", "all"], tmp_path)
+    assert stdout.count("PASS") == 12
     assert "scipy.special" in imported
     assert [m for m in imported if m.startswith("scipy.integrate")] == []
 
