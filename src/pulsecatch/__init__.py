@@ -57,7 +57,6 @@ from .protocol import (
     threshold_time,
 )
 from .dynamics import (
-    DensityMatrix3,
     Trajectory,
     energy_balance_residual,
     reflection_rate,
@@ -96,8 +95,8 @@ __all__ = [
     "CouplingSchedule", "TransferReport", "build_schedule",
     "peak_time_and_fidelity", "stage1_amplitude", "stage2_population",
     "threshold_time",
-    "DensityMatrix3", "Trajectory", "energy_balance_residual",
-    "reflection_rate", "simulate_amplitudes", "simulate_master_equation",
+    "Trajectory", "energy_balance_residual", "reflection_rate",
+    "simulate_amplitudes", "simulate_master_equation",
     "verify_nonhermitian_reduction",
     "ClassicalField", "compare_with_full_quantum", "field_from_profile",
     "output_amplitude", "semiclassical_coupling", "semiclassical_population",

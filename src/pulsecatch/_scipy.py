@@ -4,16 +4,17 @@
 Brent, *Algorithms for Minimization without Derivatives*, 1973, ch. 4),
 operation for operation, so it returns scipy's root bit for bit.
 `solve_ivp` is a port of scipy's `solve_ivp` on its DOP853 path with dense
-output (scipy/integrate/_ivp: `ivp.py`, `rk.py`, `common.py`, `base.py`;
-Hairer, Norsett and Wanner, *Solving Ordinary Differential Equations I*,
-sec. II.4-II.6), with the same numpy calls on the same operand shapes, so
-its steps, `nfev` and dense output are scipy's bit for bit; its Butcher
-tableau is read from scipy's own `dop853_coefficients.py`, which imports
-only numpy. `quad` imports scipy.integrate on each call. So neither
-`simulate` nor `verify` loads scipy.integrate, which costs about 0.34 s to
-import on top of scipy.special. Each module binds these names itself, so
-replacing one module's binding (as a tracer or a test does) leaves the
-others alone; the wrappers never rebind a module's name.
+output, the only path it takes (scipy/integrate/_ivp: `ivp.py`, `rk.py`,
+`common.py`, `base.py`; Hairer, Norsett and Wanner, *Solving Ordinary
+Differential Equations I*, sec. II.4-II.6), with the same numpy calls on
+the same operand shapes, so its steps, `nfev` and dense output are scipy's
+bit for bit; its Butcher tableau is read from scipy's own
+`dop853_coefficients.py`, which imports only numpy. `quad` imports
+scipy.integrate on each call. So neither `simulate` nor `verify` loads
+scipy.integrate, which costs about 0.34 s to import on top of
+scipy.special. Each module binds these names itself, so replacing one
+module's binding (as a tracer or a test does) leaves the others alone; the
+wrappers never rebind a module's name.
 """
 from __future__ import annotations
 
@@ -227,21 +228,19 @@ class OdeSolution:
         return np.hstack(ys)[:, reverse]
 
 
-def solve_ivp(fun, t_span, y0, method, *, dense_output, rtol=1e-3,
-              atol=1e-6, max_step=math.inf) -> SimpleNamespace:
+def solve_ivp(fun, t_span, y0, *, rtol=1e-3, atol=1e-6,
+              max_step=math.inf) -> SimpleNamespace:
     """`scipy.integrate.solve_ivp(fun, t_span, y0, method="DOP853",
     dense_output=True, rtol=rtol, atol=atol, max_step=max_step)`, bit for
     bit, for an increasing t_span, a non-empty 1-D y0 (float or complex)
-    and rtol >= 100 eps. Any other method, events, t_eval, first_step or
-    vectorized right-hand side is a TypeError: nothing else is ported.
+    and rtol >= 100 eps. It is always DOP853 with dense output: nothing
+    else is ported, so `method`, `dense_output`, events, t_eval,
+    first_step or vectorized are TypeErrors, as unexpected keywords.
 
     The result has scipy's t (the step ends), y (the states there, shape
     (n, len(t))), sol (the dense output), status (0 at the end, -1 when a
     step failed), message and nfev (the right-hand side's evaluations).
     """
-    if method != "DOP853" or dense_output is not True:
-        raise TypeError("only method='DOP853' with dense_output=True is "
-                        "ported")
     t0, tf = map(float, t_span)
     if not t0 < tf:
         raise ValueError("`t_span` must increase.")

@@ -382,12 +382,11 @@ def _master_equation_checks(family: str, scale: float) -> list[dict]:
     tau_end = min(schedule.horizon, tau_max + 10.0)
     ts = np.unique(np.concatenate([np.linspace(0.0, tau_end, 801), [tau_max]]))
 
-    states = dynamics.simulate_master_equation(profile, params, coupling,
-                                               tau_end, tol=1e-10, samples=ts)
+    rho = dynamics.simulate_master_equation(profile, params, coupling,
+                                            tau_end, tol=1e-10, samples=ts)
     traj = dynamics.simulate_amplitudes(profile, params, coupling, tau_end,
                                         tol=1e-10, samples=ts)
 
-    rho = np.stack([dm.rho for dm in states])
     reduction = dynamics._reduction_deviation(rho, traj)
     real = rho.real
     trace_dev = float(np.max(np.abs(

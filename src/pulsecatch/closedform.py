@@ -132,14 +132,16 @@ def exp_population(r: float, kappa_i: float, tau: float) -> float:
         return root * root
     delta = tau - tau_c
     seed = r * math.exp(-r * tau_c)  # = r_in(tau_c), the threshold population
-    try:
-        return math.exp(-kappa_i * delta) * seed \
-            * (1.0 + _phi(r - kappa_i, delta))
-    except OverflowError:
-        # kappa_i > r and e^{(kappa_i - r) delta} overflows: the same value
-        # with e^{-kappa_i delta} multiplied through
-        decay = math.exp(-kappa_i * delta)
-        return seed * (decay + (math.exp(-r * delta) - decay) / (kappa_i - r))
+    decay = math.exp(-kappa_i * delta)
+    # kappa_i > r: where e^{(kappa_i - r) delta} overflows, or where the
+    # decayed seed is subnormal and keeps few digits, the same value with
+    # e^{-kappa_i delta} multiplied through
+    if kappa_i <= r or decay * seed >= sys.float_info.min:
+        try:
+            return decay * seed * (1.0 + _phi(r - kappa_i, delta))
+        except OverflowError:
+            pass
+    return seed * (decay + (math.exp(-r * delta) - decay) / (kappa_i - r))
 
 
 def exp_coupling(r: float, kappa_i: float, tau: float) -> float:

@@ -166,6 +166,8 @@ def _checked_grid(tol: float, tau_end: float,
     if samples is None:
         return None
     if isinstance(samples, int):
+        if samples < 2:
+            raise DomainError("samples must be at least 2")
         return np.linspace(0.0, tau_end, samples)
     ts = np.asarray(samples, dtype=float)
     if ts.ndim != 1 or len(ts) < 2 or ts[0] < 0.0 or ts[-1] > tau_end \
@@ -184,8 +186,8 @@ def _integrate_segments(rhs, y0: np.ndarray, breaks: list[float],
     y = y0
     out = np.empty((len(y0), len(ts)), dtype=y0.dtype)
     for a, b in zip(edges[:-1], edges[1:]):
-        sol = solve_ivp(rhs, (a, b), y, method="DOP853", rtol=tol,
-                        atol=tol * 1e-3, dense_output=True, max_step=max_step)
+        sol = solve_ivp(rhs, (a, b), y, rtol=tol, atol=tol * 1e-3,
+                        max_step=max_step)
         if sol.status < 0:
             raise StepFailure(f"{what} failed: {sol.message}",
                               tau=float(sol.t[-1]))
@@ -328,27 +330,6 @@ def energy_balance_residual(trajectory: Trajectory) -> float:
 # 3-level Lindblad oracle
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DensityMatrix3:
-    """Density matrix on span{|00>, |10>, |01>} at one sample time."""
-
-    tau: float
-    rho: np.ndarray
-
-    def __post_init__(self):
-        self.rho.setflags(write=False)
-
-    @property
-    def trace(self) -> float:
-        return float(np.real(np.trace(self.rho)))
-
-    def hermiticity_defect(self) -> float:
-        return float(np.max(np.abs(self.rho - self.rho.conj().T)))
-
-    def min_eigenvalue(self) -> float:
-        return float(np.min(np.linalg.eigvalsh(0.5 * (self.rho + self.rho.conj().T))))
-
-
 def _kappa_1(profile: prof.InputProfile, t: float) -> float:
     """Decay rate of the imaginary source emitting the prescribed input."""
     rate = prof.rate_at(profile, t)
@@ -385,8 +366,13 @@ def simulate_master_equation(profile: prof.InputProfile,
                              schedule_or_kappa, tau_end: float,
                              tol: float = _DEFAULT_TOL, *,
                              samples: int | Sequence[float] | None = 801
-                             ) -> list[DensityMatrix3]:
+                             ) -> np.ndarray:
     """Evolve the full master equation from the pure state |10> (source loaded).
+
+    Returns the density matrices on span{|00>, |10>, |01>} at the samples,
+    as one read-only complex array of shape (n, 3, 3) in sample order.
+    `samples` is the grid: an int n means np.linspace(0, tau_end, n) (801
+    by default), or an explicit increasing array within [0, tau_end].
 
     The generator combines the cascaded-coupling Hamiltonian
     H = (i/2) sqrt(kappa_1 kappa) (|10><01| - |01><10|), the collective decay
@@ -406,8 +392,9 @@ def simulate_master_equation(profile: prof.InputProfile,
     rho0[1, 1] = 1.0
     out = _integrate_segments(rhs, rho0.reshape(9), breaks, tau_end, ts, tol,
                               math.inf, "master equation")
-    return [DensityMatrix3(tau=float(t), rho=out[:, i].reshape(3, 3).copy())
-            for i, t in enumerate(ts)]
+    rho = out.T.reshape(len(ts), 3, 3)
+    rho.setflags(write=False)
+    return rho
 
 
 def verify_nonhermitian_reduction(profile: prof.InputProfile,
@@ -422,11 +409,11 @@ def verify_nonhermitian_reduction(profile: prof.InputProfile,
     for a single excitation.
     """
     ts = np.linspace(0.0, tau_end, 801)
-    states = simulate_master_equation(profile, params, schedule_or_kappa,
-                                      tau_end, tol=1e-10, samples=ts)
+    rho = simulate_master_equation(profile, params, schedule_or_kappa,
+                                   tau_end, tol=1e-10, samples=ts)
     traj = simulate_amplitudes(profile, params, schedule_or_kappa, tau_end,
                                tol=1e-10, samples=ts)
-    return _reduction_deviation(np.stack([dm.rho for dm in states]), traj)
+    return _reduction_deviation(rho, traj)
 
 
 def _reduction_deviation(rho: np.ndarray, traj: Trajectory) -> float:

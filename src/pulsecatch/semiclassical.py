@@ -16,7 +16,7 @@ the two (see `compare_with_full_quantum`) is a cross-check of both.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -32,60 +32,39 @@ class ClassicalField:
 
     Attributes:
         a_in: real-valued input amplitude; A_in^2 is the input power.
+        cumulative: an antiderivative of A_in^2; the power integral is its
+            difference. Where A_in^2 has no closed antiderivative, pass a
+            quadrature of it from a fixed start.
         a0: initial stored amplitude (>= 0); a0 > 0 keeps the coupling
             finite at tau_i when the input starts from zero.
         tau_i: time at which the absorption stage begins.
-        breakpoints: optional interior times where A_in is non-smooth,
-            passed to the quadrature as split points.
-        cumulative: optional antiderivative of A_in^2; when given, the
-            power integral is its difference and takes no quadrature.
     """
 
     a_in: Callable[[float], float]
+    cumulative: Callable[[float], float]
     a0: float
     tau_i: float = 0.0
-    breakpoints: tuple[float, ...] = ()
-    cumulative: Callable[[float], float] | None = None
-    # memo of the largest tau integrated so far -> integral value; sweeping
-    # tau forward (the common pattern) then only integrates increments
-    _memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.a0 < 0.0:
             raise DomainError("the seed amplitude a0 must be >= 0")
 
     def power_integral(self, tau: float) -> float:
-        """int_{tau_i}^{tau} A_in^2(s) ds: cumulative(tau) - cumulative(tau_i)
-        where the field has an antiderivative, else by adaptive quadrature
-        (abs err <= 1e-10)."""
+        """int_{tau_i}^{tau} A_in^2(s) ds, as cumulative(tau) -
+        cumulative(tau_i): exactly 0.0 at tau_i."""
         if tau < self.tau_i:
             raise DomainError("tau must be >= tau_i")
-        if tau == self.tau_i:
-            return 0.0
-        if self.cumulative is not None:
-            return self.cumulative(tau) - self.cumulative(self.tau_i)
-        done_to = self.tau_i
-        acc = 0.0
-        if self._memo and self._memo["tau"] <= tau:
-            done_to, acc = self._memo["tau"], self._memo["value"]
-        breaks = [p for p in self.breakpoints if done_to < p < tau]
-        value = acc + prof._quad_chunked(lambda s: self.a_in(s) ** 2,
-                                         done_to, tau, breaks)
-        if not self._memo or tau > self._memo["tau"]:
-            self._memo["tau"] = tau
-            self._memo["value"] = value
-        return value
+        return self.cumulative(tau) - self.cumulative(self.tau_i)
 
 
 def field_from_profile(profile: prof.InputProfile, tau_i: float,
                        a0: float) -> ClassicalField:
     """Classical field with A_in = sqrt(r_in) of a (real) input profile, whose
-    power integral is `profiles.cumulative`'s difference: the closed form of
-    an analytic pulse, a table's PCHIP antiderivative."""
-    a_in = lambda s: math.sqrt(prof.rate_at(profile, s))
-    breaks = tuple(prof._interior_breaks(profile, -math.inf, math.inf))
-    return ClassicalField(a_in=a_in, a0=a0, tau_i=tau_i, breakpoints=breaks,
-                          cumulative=lambda s: prof.cumulative(profile, s))
+    cumulative is `profiles.cumulative`: the closed form of an analytic
+    pulse, a table's PCHIP antiderivative."""
+    return ClassicalField(a_in=lambda s: math.sqrt(prof.rate_at(profile, s)),
+                          cumulative=lambda s: prof.cumulative(profile, s),
+                          a0=a0, tau_i=tau_i)
 
 
 def semiclassical_population(field: ClassicalField, tau: float) -> float:

@@ -622,9 +622,8 @@ def test_verify_all_passes(tmp_path, capsys):
 
 
 def test_master_equation_checks_equal_per_sample_loops(monkeypatch):
-    """The reduction, trace and ground-state checks take the stacked
-    states; they equal the per-sample loops over `DensityMatrix3`, with the
-    same arithmetic, bit for bit."""
+    """The reduction, trace and ground-state checks take the states as one
+    array; they equal per-sample loops over it, bit for bit."""
     runs = {}
 
     def record(name):
@@ -638,14 +637,14 @@ def test_master_equation_checks_equal_per_sample_loops(monkeypatch):
     record("simulate_amplitudes")
     checks = {c["name"].rsplit("/", 1)[1]: c["value"]
               for c in cli._master_equation_checks("exp", 1.0)}
-    states, traj = runs["simulate_master_equation"], runs["simulate_amplitudes"]
+    rho, traj = runs["simulate_master_equation"], runs["simulate_amplitudes"]
     reduction = trace = ground = 0.0
-    for i, dm in enumerate(states):
+    for i in range(len(rho)):
         psi = np.array([traj.beta1[i], traj.beta[i]])
         reduction = max(reduction, float(np.max(np.abs(
-            dm.rho[1:, 1:] - np.outer(psi, psi)))))
-        trace = max(trace, abs(dm.trace - 1.0))
-        ground = max(ground, abs(dm.rho[0, 0].real - (
+            rho[i, 1:, 1:] - np.outer(psi, psi)))))
+        trace = max(trace, abs(float(np.real(np.trace(rho[i]))) - 1.0))
+        ground = max(ground, abs(rho[i, 0, 0].real - (
             traj.cum_reflection[i] + traj.cum_intrinsic[i])))
     assert (checks["reduction"], checks["trace"],
             checks["ground-state-bookkeeping"]) == (reduction, trace, ground)

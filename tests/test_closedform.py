@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import decimal
 import math
+import sys
 from decimal import Decimal
 
 import numpy as np
@@ -233,19 +234,43 @@ def test_heavy_loss_coupling_tends_to_the_loss_excess():
 
 @pytest.mark.parametrize("r,ki", [(0.05, 0.9), (0.3, 0.5), (0.2, 1e-4)])
 def test_forms_without_overflow_stay_bit_for_bit(r, ki):
-    """Up to where e^{(kappa_i - r) delta} overflows, both evaluators are
-    the (1 + Phi) forms, operation for operation."""
+    """Up to where e^{(kappa_i - r) delta} overflows, the coupling is the
+    (1 + Phi) form, operation for operation, and so is the population
+    wherever the decayed seed e^{-kappa_i delta} seed is a normal float.
+    Where it is subnormal (kappa_i > r: 800 past tau_c at r = 0.05,
+    kappa_i = 0.9), the population is the form with e^{-kappa_i delta}
+    multiplied through, operation for operation."""
     tau_c = cf.exp_tau_c(r, ki)
     x = r - ki
     seed = r * math.exp(-r * tau_c)
+    subnormal = []
     for delta in (0.0, 1e-3, 0.7, 5.0, 60.0, 400.0, 800.0):
         d = (tau_c + delta) - tau_c
         phi = -math.expm1(-x * d) / x
         assert math.isfinite(phi)
-        assert cf.exp_population(r, ki, tau_c + delta) == \
-            math.exp(-ki * d) * seed * (1.0 + phi)
+        decay = math.exp(-ki * d)
+        if decay * seed >= sys.float_info.min:
+            assert cf.exp_population(r, ki, tau_c + delta) == \
+                decay * seed * (1.0 + phi)
+        else:
+            subnormal.append(delta)
+            assert cf.exp_population(r, ki, tau_c + delta) == \
+                seed * (decay + (math.exp(-r * d) - decay) / (ki - r))
         assert cf.exp_coupling(r, ki, tau_c + delta) == \
             math.exp(-x * d) / (1.0 + phi)
+    assert subnormal == ([800.0] if (r, ki) == (0.05, 0.9) else [])
+
+
+def test_heavy_loss_population_keeps_its_digits():
+    """kappa_i > r: e^{-kappa_i delta} seed goes subnormal about 786 past
+    tau_c at r = 0.05, kappa_i = 0.9, where the (1 + Phi) form kept ever
+    fewer digits (0.8% off at 820, and 0.0 at 834 for 3.97e-20)."""
+    r, ki = 0.05, 0.9
+    tau_c = cf.exp_tau_c(r, ki)
+    for delta in (786.0, 787.0, 800.0, 820.0, 834.0):
+        tau = tau_c + delta
+        assert cf.exp_population(r, ki, tau) == pytest.approx(
+            _decimal_exp_population(r, ki, tau_c, tau - tau_c), rel=1e-14)
 
 
 # ---------------------------------------------------------------------------

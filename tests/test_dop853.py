@@ -43,6 +43,12 @@ def _assert_same(got, want) -> None:
     assert np.array_equal(got.sol(ts), want.sol(ts))
 
 
+def _scipys(fun, t_span, y0, **kwargs):
+    """scipy's solve_ivp on the path the port always takes."""
+    return scipy.integrate.solve_ivp(fun, t_span, y0, method="DOP853",
+                                     dense_output=True, **kwargs)
+
+
 @pytest.fixture
 def both(monkeypatch):
     """Make `dynamics` solve with the port and with scipy; each pair of
@@ -51,8 +57,7 @@ def both(monkeypatch):
 
     def solve(fun, t_span, y0, **kwargs):
         got = _scipy.solve_ivp(fun, t_span, y0, **kwargs)
-        pairs.append((got, scipy.integrate.solve_ivp(fun, t_span, y0,
-                                                     **kwargs), kwargs))
+        pairs.append((got, _scipys(fun, t_span, y0, **kwargs), kwargs))
         return got
 
     monkeypatch.setattr(dynamics, "solve_ivp", solve)
@@ -117,21 +122,18 @@ def test_linear_systems_equal_scipys(n, complex_, seed, rtol, max_step, end):
     if complex_:
         m = m + 1j * rng.normal(size=(n, n))
         y0 = y0 + 1j * rng.normal(size=n)
-    kwargs = dict(method="DOP853", dense_output=True, rtol=rtol,
-                  atol=rtol * 1e-3, max_step=max_step)
+    kwargs = dict(rtol=rtol, atol=rtol * 1e-3, max_step=max_step)
     _assert_same(_scipy.solve_ivp(_linear(m, b), (0.0, end), y0, **kwargs),
-                 scipy.integrate.solve_ivp(_linear(m, b), (0.0, end), y0,
-                                           **kwargs))
+                 _scipys(_linear(m, b), (0.0, end), y0, **kwargs))
 
 
 def test_failed_step_equals_scipys():
     """A right-hand side that turns nan past t = 1: the steps shrink onto 1
     until one is below the spacing of the floats there."""
     fun = lambda t, y: [math.nan if t > 1.0 else -y[0]]
-    kwargs = dict(method="DOP853", dense_output=True, rtol=1e-10, atol=1e-13)
+    kwargs = dict(rtol=1e-10, atol=1e-13)
     got = _scipy.solve_ivp(fun, (0.0, 5.0), np.array([1.0]), **kwargs)
-    want = scipy.integrate.solve_ivp(fun, (0.0, 5.0), np.array([1.0]),
-                                     **kwargs)
+    want = _scipys(fun, (0.0, 5.0), np.array([1.0]), **kwargs)
     assert got.status == -1 and got.t[-1] < 1.0
     assert got.message == "Required step size is less than spacing between " \
                           "numbers."
@@ -139,15 +141,17 @@ def test_failed_step_equals_scipys():
 
 
 @pytest.mark.parametrize("kwargs", [
-    dict(method="RK45", dense_output=True),
-    dict(method="DOP853", dense_output=False),
-    dict(method="DOP853", dense_output=True, t_eval=[0.5]),
-    dict(method="DOP853", dense_output=True, events=lambda t, y: y[0]),
-    dict(method="DOP853", dense_output=True, first_step=0.1),
-    dict(method="DOP853", dense_output=True, vectorized=True),
+    dict(method="RK45"),
+    dict(dense_output=False),
+    dict(t_eval=[0.5]),
+    dict(events=lambda t, y: y[0]),
+    dict(first_step=0.1),
+    dict(vectorized=True),
 ], ids=["rk45", "no-dense", "t_eval", "events", "first_step", "vectorized"])
 def test_what_is_not_ported_is_a_type_error(kwargs):
-    with pytest.raises(TypeError):
+    """The port is always DOP853 with dense output and takes no argument
+    to choose otherwise: each of these is an unexpected keyword."""
+    with pytest.raises(TypeError, match="unexpected keyword"):
         _scipy.solve_ivp(lambda t, y: -y, (0.0, 1.0), np.array([1.0]),
                          **kwargs)
 
@@ -161,8 +165,7 @@ def test_solve_loads_no_scipy_module():
     code = ("import sys, numpy as np\n"
             "from pulsecatch._scipy import solve_ivp\n"
             "r = solve_ivp(lambda t, y: -y, (0.0, 2.0), np.array([1.0]),\n"
-            "              'DOP853', dense_output=True, rtol=1e-10,\n"
-            "              atol=1e-13)\n"
+            "              rtol=1e-10, atol=1e-13)\n"
             "assert r.status == 0\n"
             "assert abs(r.sol([1.0])[0, 0] - np.exp(-1.0)) < 1e-9\n"
             "print(sorted(m for m in sys.modules\n"

@@ -188,6 +188,10 @@ def test_simulators_share_argument_checks(simulate):
         simulate(p, params, sch, -1.0)
     with pytest.raises(DomainError):
         simulate(p, params, sch, 10.0, tol=1e-5)
+    # an int grid takes at least 2 samples, as an explicit one does
+    for bad in (0, 1, -1):
+        with pytest.raises(DomainError, match="samples"):
+            simulate(p, params, sch, 10.0, samples=bad)
 
 
 def test_residual_needs_three_samples():
@@ -362,25 +366,34 @@ def test_trajectory_is_immutable():
 
 def test_master_equation_state_invariants():
     p, params, sch = _exp_setup(r=0.2, ki=1e-3)
-    states = dyn.simulate_master_equation(p, params, sch, 40.0, tol=1e-10,
-                                          samples=201)
-    assert len(states) == 201
-    assert states[0].rho[1, 1] == pytest.approx(1.0)
-    for dm in states[::10]:
-        assert dm.trace == pytest.approx(1.0, abs=1e-10)
-        assert dm.hermiticity_defect() <= 1e-12
-        assert dm.min_eigenvalue() >= -1e-10
+    rho = dyn.simulate_master_equation(p, params, sch, 40.0, tol=1e-10,
+                                       samples=201)
+    assert len(rho) == 201
+    assert rho[0, 1, 1] == pytest.approx(1.0)
+    for i in range(0, 201, 10):
+        assert float(np.real(np.trace(rho[i]))) == pytest.approx(1.0, abs=1e-10)
+        assert float(np.max(np.abs(rho[i] - rho[i].conj().T))) <= 1e-12
+        assert float(np.min(np.linalg.eigvalsh(
+            0.5 * (rho[i] + rho[i].conj().T)))) >= -1e-10
 
 
 def test_master_equation_ground_state_collects_losses():
     p, params, sch = _exp_setup(r=0.2, ki=1e-3)
     ts = np.linspace(0.0, 40.0, 201)
-    states = dyn.simulate_master_equation(p, params, sch, 40.0, tol=1e-10,
-                                          samples=ts)
+    rho = dyn.simulate_master_equation(p, params, sch, 40.0, tol=1e-10,
+                                       samples=ts)
     tr = dyn.simulate_amplitudes(p, params, sch, 40.0, tol=1e-10, samples=ts)
-    for i, dm in enumerate(states):
+    for i in range(len(ts)):
         lost = tr.cum_reflection[i] + tr.cum_intrinsic[i]
-        assert float(np.real(dm.rho[0, 0])) == pytest.approx(lost, abs=1e-8)
+        assert float(np.real(rho[i, 0, 0])) == pytest.approx(lost, abs=1e-8)
+
+
+def test_master_equation_states_are_one_read_only_array():
+    p, params, sch = _exp_setup(r=0.2, ki=1e-3)
+    rho = dyn.simulate_master_equation(p, params, sch, 10.0, samples=11)
+    assert rho.shape == (11, 3, 3) and rho.dtype == complex
+    with pytest.raises(ValueError):
+        rho[0, 0, 0] = 1.0
 
 
 def test_amplitudes_are_exact_reduction_of_master_equation():

@@ -14,16 +14,8 @@ from pulsecatch.errors import DomainError, SingularCoupling
 
 
 def _const_field(c: float = 0.5, a0: float = 0.8, tau_i: float = 1.0) -> sc.ClassicalField:
-    return sc.ClassicalField(a_in=lambda s: c, a0=a0, tau_i=tau_i)
-
-
-def _quad_field(profile: prof.InputProfile, tau_i: float,
-                a0: float) -> sc.ClassicalField:
-    """A plain field over the profile's A_in and breaks: its power integral
-    takes the memoized quadrature, not `field_from_profile`'s cumulative."""
-    f = sc.field_from_profile(profile, tau_i, a0)
-    return sc.ClassicalField(a_in=f.a_in, a0=a0, tau_i=tau_i,
-                             breakpoints=f.breakpoints)
+    return sc.ClassicalField(a_in=lambda s: c, cumulative=lambda s: c * c * s,
+                             a0=a0, tau_i=tau_i)
 
 
 def test_constant_field_closed_form():
@@ -47,14 +39,20 @@ def test_output_is_nulled():
 
 
 def test_zero_stored_power_is_an_error():
-    f = sc.ClassicalField(a_in=lambda s: 0.0, a0=0.0)
+    f = sc.ClassicalField(a_in=lambda s: 0.0, cumulative=lambda s: 0.0,
+                          a0=0.0)
     with pytest.raises(SingularCoupling, match="stored power is zero"):
         sc.semiclassical_coupling(f, 2.0)
 
 
 def test_negative_seed_rejected():
     with pytest.raises(DomainError):
-        sc.ClassicalField(a_in=lambda s: 1.0, a0=-0.1)
+        sc.ClassicalField(a_in=lambda s: 1.0, cumulative=lambda s: s, a0=-0.1)
+
+
+def test_field_needs_its_cumulative():
+    with pytest.raises(TypeError):
+        sc.ClassicalField(a_in=lambda s: 1.0, a0=0.5)
 
 
 def test_power_integral_domain():
@@ -65,25 +63,30 @@ def test_power_integral_domain():
 
 
 def test_power_integral_memoization_consistency():
-    # sweeping forward must give the same values as fresh evaluation
+    # a field keeps no state: sweeping forward, moving backward and fresh
+    # fields all give cumulative(tau) - cumulative(tau_i), bit for bit
     p = prof.gaussian(sigma=1.2, n=4)
-    swept = _quad_field(p, 0.0, 0.1)
-    taus = np.linspace(0.5, 11.0, 24)
-    forward = [swept.power_integral(float(t)) for t in taus]
-    assert swept._memo["tau"] == taus[-1]
-    for t, v in zip(taus, forward):
-        fresh = _quad_field(p, 0.0, 0.1)
-        assert fresh.power_integral(float(t)) == pytest.approx(v, abs=1e-11)
-    # moving backward after a memoized sweep also works
-    assert swept.power_integral(float(taus[3])) == pytest.approx(forward[3], abs=1e-11)
+    swept = sc.field_from_profile(p, 0.0, 0.1)
+    taus = np.linspace(0.5, 11.0, 24).tolist()
+    want = [prof.cumulative(p, t) - prof.cumulative(p, 0.0) for t in taus]
+    assert [swept.power_integral(t) for t in taus] == want
+    assert [swept.power_integral(t) for t in taus[::-1]] == want[::-1]
+    assert [sc.field_from_profile(p, 0.0, 0.1).power_integral(t)
+            for t in taus] == want
 
 
 def test_field_from_profile_breakpoints():
-    g = sc.field_from_profile(prof.gaussian(sigma=2.0, n=4), 0.0, 0.0)
-    assert g.breakpoints == (8.0,)
+    # A_in is sqrt(r_in) and the power integral the cumulative's difference,
+    # across a Gaussian's centre and a table's knots
+    gp = prof.gaussian(sigma=2.0, n=4)
+    g = sc.field_from_profile(gp, 0.0, 0.0)
     tab = prof.tabulated([0.0, 1.0, 2.0], [0.2, 0.6, 0.2])
     t = sc.field_from_profile(tab, 0.0, 0.0)
-    assert t.breakpoints == (0.0, 1.0, 2.0)
+    for p, f, taus in ((gp, g, (3.0, 8.0, 12.5)), (tab, t, (0.5, 1.0, 2.0))):
+        for tau in taus:
+            assert f.a_in(tau) == math.sqrt(prof.rate_at(p, tau))
+            assert f.power_integral(tau) == \
+                prof.cumulative(p, tau) - prof.cumulative(p, 0.0)
     assert t.a_in(1.0) == pytest.approx(math.sqrt(0.6), rel=1e-12)
 
 
@@ -115,11 +118,11 @@ def test_quantum_agreement_tabulated():
        end=st.floats(min_value=10.0, max_value=14.0))
 def test_power_integral_additivity(split, end):
     # int_{tau_i}^{end} = int_{tau_i}^{split} + int_{split}^{end}, evaluated
-    # through independent field objects so the memo cannot simply cancel
+    # through independent field objects
     p = prof.gaussian(sigma=1.0, n=5)
-    head = _quad_field(p, 1.0, 0.0).power_integral(split)
-    tail = _quad_field(p, split, 0.0).power_integral(end)
-    whole = _quad_field(p, 1.0, 0.0).power_integral(end)
+    head = sc.field_from_profile(p, 1.0, 0.0).power_integral(split)
+    tail = sc.field_from_profile(p, split, 0.0).power_integral(end)
+    whole = sc.field_from_profile(p, 1.0, 0.0).power_integral(end)
     assert head + tail == pytest.approx(whole, abs=5e-11)
 
 
@@ -138,15 +141,14 @@ def _two_humps() -> prof.InputProfile:
 ], ids=["exp", "gauss", "table"])
 def test_power_integral_from_cumulative_matches_quadrature(make):
     """`field_from_profile` differences `profiles.cumulative`; the
-    quadrature of A_in^2 over the same interval agrees within 1e-13."""
+    quadrature of A_in^2 over the same interval, split where r_in is not
+    smooth, agrees within 1e-13."""
     p = make()
     end = prof.horizon(p)
     for tau_i in (0.0, 0.3 * end):
         field = sc.field_from_profile(p, tau_i, 0.2)
-        assert field.cumulative is not None
         for tau in np.linspace(tau_i, end, 17)[1:].tolist():
-            breaks = [b for b in field.breakpoints if tau_i < b < tau]
+            breaks = list(prof._interior_breaks(p, tau_i, tau))
             quad = prof._quad_chunked(lambda s: field.a_in(s) ** 2, tau_i,
                                       tau, breaks)
             assert field.power_integral(tau) == pytest.approx(quad, abs=1e-13)
-        assert field._memo == {}
