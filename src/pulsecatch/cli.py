@@ -13,7 +13,9 @@ coupling, 3 integrator step failure, 4 verification bound violated.
 All emitted numbers carry 17 significant digits so files round-trip doubles
 losslessly, and every file is written atomically (temp file + rename).
 Output depends only on the flags: no wall clock, locale, or environment
-values leak into the files.
+values leak into the files. Each command imports the modules it runs when
+it runs, so `--help` loads no numpy and `schedule` none of the closed
+forms, the sweep or the cross-checks.
 """
 
 from __future__ import annotations
@@ -23,14 +25,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
-from . import closedform
-from . import dynamics
-from . import profiles as prof
-from . import protocol
-from . import semiclassical
-from . import sweep as sweepmod
 from .errors import (
     DomainError,
     InfeasibleSchedule,
@@ -39,7 +33,6 @@ from .errors import (
     SingularCoupling,
     StepFailure,
 )
-from .sweep import _atomic_write, _csv_text, _fmt
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -73,6 +66,7 @@ def _json_text(value, indent: int = 0) -> str:
     Non-finite floats are emitted as quoted strings ("inf", "nan") because
     bare IEEE specials are not valid JSON.
     """
+    from .profiles import _fmt
     pad = " " * indent
     if isinstance(value, dict):
         if not value:
@@ -103,6 +97,7 @@ def _json_text(value, indent: int = 0) -> str:
 
 def _parse_grid(text: str) -> tuple[float, ...]:
     """Grid literal: comma-separated values, or `lo:hi:n:lin` / `lo:hi:n:log`."""
+    import numpy as np
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
@@ -138,6 +133,8 @@ def _load_kappa_csv(path: str):
     inside, a monotonicity-preserving cubic avoids overshoot above 1 at the
     stage boundary plateaus.
     """
+    import numpy as np
+    from . import profiles as prof
     rows = [(t, k) for t, k in prof._read_pairs(path, "coupling file")
             if math.isfinite(k)]
     if len(rows) < 2:
@@ -188,14 +185,16 @@ def _parse_kappa_override(text: str):
 def _memory_params(kappa_i: float) -> prof.MemoryParams:
     """MemoryParams for --kappa-i, with a warning on stderr above the range
     the closed-form oracles are validated on (0 is the lossless limit)."""
+    from . import profiles as prof
     params = prof.MemoryParams(kappa_i=kappa_i)
-    if kappa_i > sweepmod.KAPPA_I_RANGE[1]:
+    if kappa_i > prof.KAPPA_I_RANGE[1]:
         print(f"warning: --kappa-i {kappa_i!r} lies above the validated "
-              f"range kappa_i <= {sweepmod.KAPPA_I_RANGE[1]!r}", file=sys.stderr)
+              f"range kappa_i <= {prof.KAPPA_I_RANGE[1]!r}", file=sys.stderr)
     return params
 
 
 def _require_valid(profile: prof.InputProfile) -> None:
+    from . import profiles as prof
     report = prof.validate(profile)
     if not report.ok:
         raise DomainError("invalid profile: " + "; ".join(report.failures))
@@ -219,6 +218,8 @@ def _schedule_grid(schedule: protocol.CouplingSchedule, n: int) -> np.ndarray:
     reflection is stationary in kappa along the schedule, so a PCHIP
     through the rows moves beta only at second order in its error.
     """
+    import numpy as np
+    from . import profiles as prof
     profile, end = schedule.profile, schedule.horizon
     ends = np.unique([0.0, schedule.tau_c, *schedule.breakpoints(), end])
     h = math.inf
@@ -250,6 +251,8 @@ def _schedule_rows(schedule: protocol.CouplingSchedule, n: int):
     numerically undefined (population underflowed to zero while the rate
     has not) the kappa and r_out cells hold `nan`.
     """
+    import numpy as np
+    from . import profiles as prof
     ts = _schedule_grid(schedule, n)
     profile = schedule.profile
     for start in range(0, len(ts), _ROW_CHUNK):
@@ -265,6 +268,9 @@ def _schedule_rows(schedule: protocol.CouplingSchedule, n: int):
 
 
 def cmd_schedule(args) -> int:
+    from . import profiles as prof
+    from . import protocol
+    from .profiles import _atomic_write, _csv_text, _fmt
     if args.samples < 0:
         raise DomainError(f"--samples must be >= 0, got {args.samples}")
     profile = prof.parse_profile(args.profile)
@@ -302,6 +308,11 @@ def cmd_schedule(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
+    import numpy as np
+    from . import dynamics
+    from . import profiles as prof
+    from . import protocol
+    from .profiles import _atomic_write, _csv_text, _fmt
     if args.samples is not None and args.samples < 3:
         # the energy balance differences at least 3 samples
         raise DomainError(f"--samples must be >= 3, got {args.samples}")
@@ -343,6 +354,8 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_sweep(args) -> int:
+    from . import protocol
+    from . import sweep as sweepmod
     grid = None
     if (args.grid_ki is None) != (args.grid_r is None):
         raise DomainError("give both --grid-ki and --grid-r, or neither")
@@ -369,6 +382,11 @@ def _master_equation_checks(family: str, scale: float) -> list[dict]:
     build, anything else is the fault-injection hook and should trip the
     reflection/fidelity detectors.
     """
+    import numpy as np
+    from . import closedform
+    from . import dynamics
+    from . import profiles as prof
+    from . import protocol
     profile = prof.parse_profile(OPERATING_POINTS[family])
     params = prof.MemoryParams(kappa_i=_VERIFY_KAPPA_I)
     schedule = protocol.build_schedule(profile, params)
@@ -413,6 +431,8 @@ def _master_equation_checks(family: str, scale: float) -> list[dict]:
 def _semiclassical_checks(family: str, scale: float) -> list[dict]:
     """Semiclassical coupling cross-check at one operating point; `scale`
     multiplies the quantum coupling (fault injection when not 1.0)."""
+    from . import profiles as prof
+    from . import semiclassical
     profile = prof.parse_profile(OPERATING_POINTS[family])
     dev = semiclassical.compare_with_full_quantum(profile, kappa_scale=scale)
     return [{"name": f"semiclassical/{family}/coupling-deviation",
@@ -420,6 +440,7 @@ def _semiclassical_checks(family: str, scale: float) -> list[dict]:
 
 
 def cmd_verify(args) -> int:
+    from .profiles import _atomic_write, _fmt
     scale = args.inject_kappa_scale
     if not (math.isfinite(scale) and scale >= 0.0):
         # a nan or inf coupling stalls the integrators; a negative one has

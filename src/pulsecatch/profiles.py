@@ -4,12 +4,16 @@ Everything in this package is dimensionless: times are measured in units of
 1/kappa_max and rates in units of kappa_max, so kappa_max itself is always 1.
 A profile carries one excitation in total, i.e. the integral of r_in over
 [0, inf) equals 1 (up to the truncation deficit of a Gaussian cut at tau = 0).
+The package's one CSV reader (`_read_pairs`) and writer (`_fmt`,
+`_csv_text`, `_atomic_write`) live here, since every command loads this module.
 """
 from __future__ import annotations
 
 import csv
 import math
+import os
 import sys
+import tempfile
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -185,6 +189,12 @@ def PchipInterpolator(*args, **kwargs):
     # a table made elsewhere (say, unpickled) loads it on first evaluation
     _load_pchip()
     return PchipInterpolator(*args, **kwargs)
+
+
+# The standard ranges: the closed-form oracles are validated for kappa_i up
+# to KAPPA_I_RANGE[1], and sweeps beyond either range warn.
+R_RANGE = (0.05, 1.0)
+KAPPA_I_RANGE = (0.0, 1e-2)          # open below: sweep cells require kappa_i > 0
 
 
 @dataclass(frozen=True)
@@ -485,6 +495,48 @@ def _read_pairs(path_text: str, what: str) -> list[tuple[float, float]]:
                 if pairs:
                     raise DomainError(f"bad row in {what} {path}: {row!r}")
     return pairs
+
+
+def _fmt(v) -> str:
+    """17-significant-digit text, so files round-trip doubles (`inf`, `-inf`, `nan`)."""
+    return format(float(v), ".17g")
+
+
+def _csv_text(header: str, rows) -> str:
+    """The header line, then one line per row, each value spelled as `_fmt`
+    spells it: "%.17g" converts each value with float(), as `_fmt` does."""
+    line = ",".join(["%.17g"] * (header.count(",") + 1)) + "\n"
+    return header + "\n" + "".join([line % tuple(row) for row in rows])
+
+
+def _atomic_write(path, text: str) -> None:
+    """Write text to `path` via a sibling temp file and an atomic rename.
+
+    The file gets the mode a plain `open` would give it, 0o666 less the
+    umask, rather than the owner-only mode of the temp file. A failed write
+    leaves no temp file behind, and an OSError that names a file names
+    `path`: the temp file's random name means nothing to the caller.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    tmp = None
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-",
+                                   suffix=os.path.basename(path))
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, path)
+    except BaseException as exc:
+        if tmp is not None:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+        if isinstance(exc, OSError) and exc.filename is not None:
+            raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from exc
+        raise
 
 
 def _load_table(path_text: str) -> InputProfile:

@@ -11,8 +11,6 @@ way a cell's result depends on its own (kappa_i, r) alone, bit for bit.
 from __future__ import annotations
 
 import math
-import os
-import tempfile
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -23,9 +21,8 @@ from . import closedform as cf
 from . import profiles as prof
 from . import protocol
 from .errors import BoundaryMaximumWarning, DomainError, PulsecatchError
+from .profiles import KAPPA_I_RANGE, R_RANGE, _atomic_write, _csv_text
 
-R_RANGE = (0.05, 1.0)
-KAPPA_I_RANGE = (0.0, 1e-2)          # open below: cells require kappa_i > 0
 DEFAULT_KAPPA_I_GRID = tuple(np.geomspace(1e-5, 1e-2, 25))
 DEFAULT_R_GRID = tuple(np.linspace(0.05, 1.0, 40))
 
@@ -218,39 +215,3 @@ def write_surface_csv(grid: SweepGrid, path) -> None:
             else:
                 rows.append((ki, r, math.nan, math.nan, math.nan))
     _atomic_write(path, _csv_text("kappa_i,r,fidelity,tau_c,tau_max", rows))
-
-
-def _fmt(v) -> str:
-    """17-significant-digit text, so files round-trip doubles (`inf`, `-inf`, `nan`)."""
-    return format(float(v), ".17g")
-
-
-def _csv_text(header: str, rows) -> str:
-    """The header line, then one line per row, each value spelled as `_fmt`
-    spells it: "%.17g" converts each value with float(), as `_fmt` does."""
-    line = ",".join(["%.17g"] * (header.count(",") + 1)) + "\n"
-    return header + "\n" + "".join([line % tuple(row) for row in rows])
-
-
-def _atomic_write(path, text: str) -> None:
-    """Write text to `path` via a sibling temp file and an atomic rename.
-
-    The file gets the mode a plain `open` would give it, 0o666 less the
-    umask, rather than the owner-only mode of the temp file.
-    """
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-",
-                               suffix=os.path.basename(path))
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise

@@ -1,8 +1,8 @@
 """Command-line interface: exit codes, file outputs and round trips.
 
 Everything runs in-process through `cli.main` so coverage and monkeypatching
-work; subprocess tests confirm the module entry point is wired up and that
-it loads no scipy module on the `schedule` path.
+work; subprocess tests confirm the module entry point is wired up and pin
+the modules each command loads.
 """
 from __future__ import annotations
 
@@ -74,7 +74,7 @@ def test_no_threshold_maps_to_infeasible_exit(tmp_path, monkeypatch, capsys):
     def raise_nothreshold(profile, params):
         raise NoThreshold("synthetic")
 
-    monkeypatch.setattr(cli.protocol, "build_schedule", raise_nothreshold)
+    monkeypatch.setattr(protocol, "build_schedule", raise_nothreshold)
     rc = cli.main(["schedule", *EXP_OP, "--out", str(tmp_path / "s")])
     assert rc == 2
     assert "infeasible" in capsys.readouterr().err
@@ -84,7 +84,7 @@ def test_step_failure_maps_to_step_exit(tmp_path, monkeypatch, capsys):
     def raise_stepfailure(*args, **kwargs):
         raise StepFailure("synthetic", tau=1.0)
 
-    monkeypatch.setattr(cli.dynamics, "simulate_amplitudes", raise_stepfailure)
+    monkeypatch.setattr(dynamics, "simulate_amplitudes", raise_stepfailure)
     rc = cli.main(["simulate", *EXP_OP, "--out", str(tmp_path / "t.csv")])
     assert rc == 3
     assert "integration failure" in capsys.readouterr().err
@@ -180,10 +180,26 @@ def test_same_sign_closed_form_bracket_exits_infeasible(scan, tmp_path,
     assert "does not change sign on the bracket" in capsys.readouterr().err
 
 
-def test_unwritable_output_is_input_error(tmp_path):
-    rc = cli.main(["schedule", *EXP_OP,
-                   "--out", str(tmp_path / "no" / "such" / "dir" / "s")])
+def test_unwritable_output_is_input_error(tmp_path, capsys):
+    out = tmp_path / "no" / "such" / "dir" / "s"
+    rc = cli.main(["schedule", *EXP_OP, "--out", str(out)])
     assert rc == 1
+    # the error names the file asked for, not the random temp file
+    err = capsys.readouterr().err
+    assert f"{out}.csv" in err and ".tmp-" not in err
+
+
+def test_output_onto_a_directory_names_the_path(tmp_path, capsys):
+    """A rename onto a directory fails after the temp file is written: the
+    error names `--out`, and the temp file is gone."""
+    out = tmp_path / "taken"
+    out.mkdir()
+    rc = cli.main(["sweep", "--profile", "exp", "--grid-ki", "1e-4",
+                   "--grid-r", "0.1", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"'{out}'" in err and ".tmp-" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
 
 def test_module_entry_point():
@@ -210,6 +226,18 @@ def _imported(argv: list[str], cwd: Path) -> tuple[list[str], str]:
     return imported, proc.stdout
 
 
+def _package_modules(imported: list[str]) -> set[str]:
+    return {m for m in imported if m.split(".")[0] == "pulsecatch"}
+
+
+# The pulsecatch modules a command loads: those it runs, and no others.
+# (`__main__` runs as the script, so `-X importtime` does not list it.)
+_FRONT_END = {"pulsecatch", "pulsecatch.cli", "pulsecatch.errors"}
+_SCHEDULE = _FRONT_END | {"pulsecatch._scipy", "pulsecatch.profiles",
+                          "pulsecatch.protocol"}
+_SWEEP = _SCHEDULE | {"pulsecatch.closedform", "pulsecatch.sweep"}
+
+
 @pytest.mark.parametrize("argv", [
     ["--help"],
     ["schedule", *EXP_OP],
@@ -217,11 +245,18 @@ def _imported(argv: list[str], cwd: Path) -> tuple[list[str], str]:
 ], ids=["help", "schedule-exp", "schedule-gauss"])
 def test_schedule_path_loads_no_scipy(argv, tmp_path):
     """`--help` and `schedule` import no scipy module (`-X importtime`
-    names every module a run imports): scipy costs about 0.7 s of import."""
+    names every module a run imports): scipy costs about 0.7 s of import.
+    `--help` imports no numpy and none of the solvers either, and
+    `schedule` none of the closed forms, the sweep or the cross-checks."""
     if argv[0] == "schedule":
         argv = argv + ["--samples", "201", "--out", str(tmp_path / "s")]
     imported, _ = _imported(argv, tmp_path)
     assert [m for m in imported if m.split(".")[0] == "scipy"] == []
+    if argv[0] == "--help":
+        assert [m for m in imported if m.split(".")[0] == "numpy"] == []
+        assert _package_modules(imported) == _FRONT_END
+    else:
+        assert _package_modules(imported) == _SCHEDULE
 
 
 def test_gauss_sweep_loads_no_scipy_integrate(tmp_path):
@@ -234,6 +269,16 @@ def test_gauss_sweep_loads_no_scipy_integrate(tmp_path):
     assert "4 cells, 0 failed" in stdout
     assert "scipy.special" in imported
     assert [m for m in imported if m.startswith("scipy.integrate")] == []
+    assert _package_modules(imported) == _SWEEP
+
+
+def test_exp_sweep_loads_no_scipy(tmp_path):
+    """`sweep --profile exp` on its default grid imports no scipy module:
+    the exponential closed forms and their losses need none."""
+    imported, stdout = _imported(["sweep", "--profile", "exp"], tmp_path)
+    assert "1000 cells, 0 failed" in stdout
+    assert [m for m in imported if m.split(".")[0] == "scipy"] == []
+    assert _package_modules(imported) == _SWEEP
 
 
 @pytest.mark.parametrize("profile", ["exp:r=0.036", "gauss:r=0.1533,n=4"])
@@ -243,6 +288,7 @@ def test_simulate_loads_no_scipy(profile, tmp_path):
     imported, _ = _imported(["simulate", "--profile", profile, "--kappa-i",
                              "1e-4", "--samples", "201"], tmp_path)
     assert [m for m in imported if m.split(".")[0] == "scipy"] == []
+    assert _package_modules(imported) == _SCHEDULE | {"pulsecatch.dynamics"}
 
 
 def test_verify_loads_no_scipy_integrate(tmp_path):
@@ -253,6 +299,9 @@ def test_verify_loads_no_scipy_integrate(tmp_path):
     assert stdout.count("PASS") == 12
     assert "scipy.special" in imported
     assert [m for m in imported if m.startswith("scipy.integrate")] == []
+    assert _package_modules(imported) == _SCHEDULE | {
+        "pulsecatch.closedform", "pulsecatch.dynamics",
+        "pulsecatch.semiclassical"}
 
 
 def _no_solve(monkeypatch):
