@@ -354,6 +354,7 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_sweep(args) -> int:
+    import warnings
     from . import protocol
     from . import sweep as sweepmod
     grid = None
@@ -361,7 +362,12 @@ def cmd_sweep(args) -> int:
         raise DomainError("give both --grid-ki and --grid-r, or neither")
     if args.grid_ki is not None:
         grid = (_parse_grid(args.grid_ki), _parse_grid(args.grid_r))
-    surface = sweepmod.fidelity_surface(args.family, grid)
+    # the library's UserWarning, printed as `schedule` prints its warnings
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        surface = sweepmod.fidelity_surface(args.family, grid)
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
 
     failures = sum(1 for row in surface.results
                    for cell in row if not isinstance(cell, protocol.TransferReport))

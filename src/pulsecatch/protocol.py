@@ -424,6 +424,8 @@ class CouplingSchedule:
 
 _TAIL = 2.0 ** -60       # series terms below this share of the leading one are cut
 _SPREAD = 0.5            # largest sum_j |c_j| h^j / c_0 of a table's root piece
+_FINE = 0.125            # the same on a piece cut again (`_refined`)
+_MAX_SPLIT = 4096        # most pieces `_refined` halves at once
 _MAX_TERMS = 60          # longest series
 _CHUNK = 32              # pieces of the first stage-1 chunk; each next doubles
 _FILL = np.arange(1.0, 64.0) / 64.0     # a crowded piece's interior samples
@@ -439,14 +441,18 @@ def _horner(coefs, v):
     return acc * v
 
 
+def _shift(c, s) -> list[np.ndarray]:
+    """[c_0, .., c_3] re-centred by s: sum_j c_j (s + v)^j = sum_j out_j v^j."""
+    c0, c1, c2, c3 = c
+    return [((c3 * s + c2) * s + c1) * s + c0,
+            (3.0 * c3 * s + 2.0 * c2) * s + c1, 3.0 * c3 * s + c2, c3]
+
+
 def _recentred(table: prof._Piecewise, piece: np.ndarray,
                starts: np.ndarray) -> list[np.ndarray]:
     """[c_0, .., c_3]: the cubic of knot interval piece[i] re-centred at
     starts[i], r_in(starts[i] + v) = sum_j c_j[i] v^j."""
-    c0, c1, c2, c3 = table.pp.c[::-1][:, piece]
-    s = starts - table.pp.x[piece]
-    return [((c3 * s + c2) * s + c1) * s + c0,
-            (3.0 * c3 * s + 2.0 * c2) * s + c1, 3.0 * c3 * s + c2, c3]
+    return _shift(table.pp.c[::-1][:, piece], starts - table.pp.x[piece])
 
 
 def _cut(starts: np.ndarray, h: np.ndarray, n: np.ndarray, end: float):
@@ -591,10 +597,19 @@ def _uniform(profile: prof.InputProfile, k: float, t0: float, end: float,
     return n, (end - t0) / n, chunk
 
 
-def _phi_series(p: list, k: float, m: int) -> list:
+def _phi_series(p: list, k: float, m: int, shift=None) -> list:
     """Rows d_1..d_m of S(v) = sum_m d_m v^m, the solution of
     S' = sum_j p_j v^j - k S from S(0) = 0: d_m = b_m/m! with b_1 = p_0,
-    b_m = (m-1)! p_{m-1} - k b_{m-1} (p_j = 0 past the last row)."""
+    b_m = (m-1)! p_{m-1} - k b_{m-1} (p_j = 0 past the last row). With a
+    shift per piece (`_refined`: 1/2 on a branch piece), S(v) = |v|^shift
+    sum_m d_m v^m solves S' = |v|^shift sum_j p_j v^j - k S for v of
+    either sign, by (m + shift) d_m = p_{m-1} - k d_{m-1}."""
+    if shift is not None:
+        d = [p[0] / (1.0 + shift)]
+        for j in range(2, m + 1):
+            d.append(((p[j - 1] if j <= len(p) else 0.0) - k * d[-1])
+                     / (j + shift))
+        return d
     fact = np.array([float(math.factorial(j)) for j in range(m + 1)])
     scaled = fact[:len(p), None] * np.array(p)      # j! p_j
     b = [scaled[0]]
@@ -604,17 +619,96 @@ def _phi_series(p: list, k: float, m: int) -> list:
 
 
 def _phi_rows(p: list, terms: np.ndarray, passed: np.ndarray, k: float,
-              m: int):
+              m: int, shift=None):
     """(d, passed): `_phi_series` of each piece's series p, with its first
     max(terms + 1, m) rows kept and the others 0. A piece whose rows are
     not finite fails: b_m = (m-1)! p_{m-1} - k b_{m-1} can overflow on a
     very short piece with a long series."""
     with np.errstate(over="ignore", invalid="ignore"):
-        d = _phi_series(p, k, max(len(p) + 1, m))
+        d = _phi_series(p, k, max(len(p) + 1, m), shift)
     d = np.array(d)
     passed = passed & np.isfinite(d).all(axis=0)
     d[(np.arange(len(d))[:, None] >= np.maximum(terms + 1, m)) | ~passed] = 0.0
     return list(d), passed
+
+
+def _root_form(profile: prof.InputProfile, a: np.ndarray, b: np.ndarray,
+               kp: np.ndarray):
+    """(o, branch, lam, q): sqrt(r_in(o + u)) = |u|^(1/2 if branch) (lam_0
+    + lam_1 u) sqrt(q(u)) on each piece [a, b] of knot interval kp, q a
+    cubic. At a zero sample z of the interval, r_in(z + u) = u^m q_z(u),
+    m counting the cubic's coefficients at z below 2^-46 of its sum there.
+    An interior zero knot has PCHIP slope 0, so m = 2: sqrt(r_in) =
+    |t - z| sqrt(q_z) on the whole interval. An odd m (a zero first or last
+    sample with a nonzero slope) is a branch point, the anchor of a piece
+    no further from it than its length, q = sign(u)^m q_z. Any other piece
+    takes its own cubic, o = a."""
+    x = profile._interp.pp.x
+    left = profile.rates[kp] == 0.0
+    z = np.where(left, x[kp], x[kp + 1])
+    e = _recentred(profile._interp, kp, z)
+    e[0] = np.zeros(len(kp))
+    mag = [abs(ej) * (x[kp + 1] - x[kp]) ** j for j, ej in enumerate(e)]
+    tiny = [mj <= 2.0 ** -46 * sum(mag) for mj in mag]
+    m = np.where(left | (profile.rates[kp + 1] == 0.0),
+                 1 + tiny[1] + (tiny[1] & tiny[2]), 0)
+    m[(m % 2 == 1) & (np.minimum(abs(a - z), abs(b - z)) > b - a)] = 0
+    z = np.where(m > 0, z, x[kp])
+    e = np.where(m > 0, e, profile._interp.pp.c[::-1][:, kp])
+    branch, sign = m % 2 == 1, np.where(a < z, -1.0, 1.0)
+    o = np.where(branch, z, a)
+    up = np.arange(4)[:, None] + m                  # q_z: e shifted down by m
+    q = np.where(up < 4, e[np.minimum(up, 3), np.arange(len(m))], 0.0)
+    lam = [np.where(m > 1, sign * (o - z), 1.0), np.where(m > 1, sign, 0.0)]
+    return o, branch, lam, _shift(q * np.where(branch, sign, 1.0), o - z)
+
+
+def _refined(profile: prof.InputProfile, k: float, m: int, a: np.ndarray,
+             b: np.ndarray, kp: np.ndarray) -> list:
+    """`_merged`'s parts, (starts, d rows, anchors, branch) per round, of
+    the pieces [a, b] (knot intervals kp) whose series failed, each in its
+    `_root_form` and halved until its q spreads at most `_FINE` from its
+    anchor and its series passes: hp refinement towards each root or branch
+    point (Babuska and Guo, Comput. Mech. 1, 1986). Where h sqrt(sum_j
+    |c_j| h^j) <= 2^-70 (r_in's cubic near underflow or its own rounding),
+    p = 0. More than `_MAX_SPLIT` pieces to halve, or 60 halvings, raise
+    NoThreshold."""
+    parts = []
+    for _ in range(61):
+        if not len(a):
+            return parts
+        o, branch, lam, q = _root_form(profile, a, b, kp)
+        h = np.maximum(abs(a - o), abs(b - o))
+        s, terms, passed = _root_series(q, h, _spread(q, h) <= _FINE)
+        p = [-(lam[0] * sj + lam[1] * before)
+             for sj, before in zip(s + [0.0], [0.0] + s)]
+        d, passed = _phi_rows(p, terms + 1, passed, k, m, 0.5 * branch)
+        c, w = _recentred(profile._interp, kp, a), b - a
+        zero = ~passed & (w * w * sum(abs(cj) * w ** j for j, cj
+                                      in enumerate(c)) <= 2.0 ** -140)
+        keep = passed | zero        # d is 0 on a failed piece
+        parts.append((a[keep], [row[keep] for row in d],
+                      np.where(zero, a, o)[keep], (branch & ~zero)[keep]))
+        a, b, kp = a[~keep], b[~keep], kp[~keep]
+        if len(a) > _MAX_SPLIT:
+            break
+        a, b, kp = (np.concatenate((a, 0.5 * (a + b))),
+                    np.concatenate((0.5 * (a + b), b)), np.tile(kp, 2))
+    raise NoThreshold(f"stage-1 series failed near tau = {a[0]}")
+
+
+def _merged(parts: list, end: float):
+    """(ts, d, o, branch) of the pieces of `parts`, each (starts, d rows,
+    anchors, branch), in the order of their starts, the last ending at end;
+    a part's missing rows are 0."""
+    starts = np.concatenate([part[0] for part in parts])
+    order = np.argsort(starts, kind="stable")
+    d = [np.concatenate([part[1][n] if n < len(part[1])
+                         else np.zeros(len(part[0])) for part in parts])[order]
+         for n in range(max(len(part[1]) for part in parts))]
+    return (np.append(starts[order], end), d,
+            *(np.concatenate([part[n] for part in parts])[order]
+              for n in (2, 3)))
 
 
 def _expm1_rows(k: float, h: float) -> list[float]:
@@ -628,7 +722,7 @@ def _expm1_rows(k: float, h: float) -> list[float]:
 
 class _ExactLinear:
     """y' = p(v) - k y propagated exactly over pieces, where from each
-    piece's start o, p(o + v) = sum_j p_j v^j: the stage-2 population
+    piece's anchor o, p(o + v) = sum_j p_j v^j: the stage-2 population
     (p = r_in, k = kappa_i) and the stage-1 amplitude (p = -sqrt(r_in),
     k = (1 + kappa_i)/2), on a table's PCHIP pieces and on an analytic
     profile's Taylor series. With y = y(o), the exponential integrator's
@@ -638,28 +732,30 @@ class _ExactLinear:
         S(v) = sum_j j! p_j v^(j+1) phi_{j+1}(-k v),  phi_m(z) = sum_n z^n/(n+m)!
 
     two power series in v, with coefficients g_m = (-k)^m/m! and d_m
-    (`_phi_series`). A point takes the piece of `ts` that holds it, the
+    (`_phi_series`). A piece is anchored at its start, but for a table's
+    stage 1 at a square-root branch point of r_in (a zero first or last
+    sample with a nonzero slope, `_root_form`), at the piece's start or
+    end: there p(o + v) = |v|^(1/2) sum_j p_j v^j, and S takes the same
+    factor (`branch`). A point takes the piece of `ts` that holds it, the
     earlier one at a piece end, clamped to the first and last pieces. `at`
     (floats) and `dense` (arrays) run the same arithmetic, bit for bit, and
     at a piece end give the recurrence y_{i+1} = y_i + (expm1(-k h_i) y_i +
-    S_i(h_i)), which carries each rounding error on (TwoSum). A `fallback`
-    piece (a table's stage 1 where r_in reaches 0 inside it or at its
-    start, a branch point of the square root) takes the quadrature form
-    `quad(o, y, t)`.
+    S_i(h_i)), which carries each rounding error on (TwoSum).
     """
 
     def __init__(self, ts: np.ndarray, y: list[float], lo: list[float],
-                 d: list[np.ndarray], g: list[float],
-                 fallback: tuple[int, ...] = (), quad=None):
+                 d: list[np.ndarray], g: list[float], o=None, branch=None):
         self.ts = ts
         self._knots = ts.tolist()
         self._last = len(y) - 1
-        self._y, self._y_array = y, np.array(y)
+        self._y, self._y_array = y, np.array(y)     # y at each anchor
         self._lo, self._lo_array = lo, np.array(lo)
         self._d = d                 # rows d_1..d_M, each over the pieces
         self._g = g
-        self.fallback = fallback    # indices of the quadrature pieces
-        self._quad = quad
+        self._o = ts[:-1] if o is None else o       # each piece's anchor
+        self._branch = np.zeros(len(y), bool) if branch is None else branch
+        self._anchors, self._roots = self._o.tolist(), self._branch.tolist()
+        self._any_branch = any(self._roots)
         self._d_pieces: dict[int, list[float]] = {}
 
     def _d_piece(self, i: int) -> list[float]:
@@ -673,31 +769,41 @@ class _ExactLinear:
     @cached_property
     def _a(self) -> np.ndarray:
         """Rows a_1..a_M over the pieces, a_m = g_m y_i + d_m: on a piece
-        but a fallback one, y(o + v) = y_i + lo_i + sum_m a_m v^m."""
+        but a branch one, y(o + v) = y_i + lo_i + sum_m a_m v^m."""
         a = np.zeros((max(len(self._g), len(self._d)), len(self._y)))
         a[:len(self._g)] = np.multiply.outer(self._g, self._y_array)
         a[:len(self._d)] += self._d
         return a
 
     @classmethod
-    def _propagated(cls, ts, y0, lo0, d, g, fallback=(), quad=None):
+    def _propagated(cls, ts, y0, lo0, d, g, o=None, branch=None):
         """(the pieces between `ts` from y(ts[0]) = y0 + lo0, the recurrence's
-        values at `ts`, the rounding error of the last)."""
-        h = ts[1:] - ts[:-1]
+        values at `ts`, the rounding error of the last). A piece anchored
+        off its start takes y at its anchor first, from y(ts[i]) = y (1 + e)
+        + S, e and S its forms at ts[i]."""
+        o = ts[:-1] if o is None else o
+
+        def forms(v):
+            s = _horner(d, v)
+            if branch is not None:
+                s = s * np.where(branch, np.sqrt(np.abs(v)), 1.0)
+            return _horner(g, v).tolist(), s.tolist()
+
+        moved = (o != ts[:-1]).tolist()
+        ends = forms(ts[1:] - o)
+        starts = forms(ts[:-1] - o) if any(moved) else ends
         ys, los = [y0], [lo0]
-        for i, (e, s_h) in enumerate(zip(_horner(g, h).tolist(),
-                                         _horner(d, h).tolist())):
+        for e, s_v, e0, s0, off in zip(*ends, *starts, moved):
             y, lo = ys[-1], los[-1]
-            if i in fallback:
-                ys.append(quad(float(ts[i]), y, float(ts[i + 1])))
-                los.append(0.0)
-                continue
-            inc = lo + (e * y + s_h)
+            if off:
+                y, lo = (y + lo - s0) / (1.0 + e0), 0.0
+                ys[-1], los[-1] = y, lo
+            inc = lo + (e * y + s_v)
             y_new = y + inc
             back = y_new - y
             ys.append(y_new)
             los.append((y - (y_new - back)) + (inc - back))
-        return cls(ts, ys[:-1], los[:-1], d, g, fallback, quad), ys, los[-1]
+        return cls(ts, ys[:-1], los[:-1], d, g, o, branch), ys, los[-1]
 
     @classmethod
     def stage2(cls, profile: prof.InputProfile, k: float, t0: float,
@@ -737,13 +843,13 @@ class _ExactLinear:
         `_ExactLinear` going on from the last. On a table r_in is 0 before
         t0: [t_start, t0] is one piece with p = 0. From t0 the pieces are
         the knot intervals, cut in equal parts so that k h <= 1/2 and, up to
-        32 parts, sum_j |c_j| h^j <= c_0/4 (`_spread`), and a piece falls
-        back to `_stage1_beta_quad` where its series fails `_root_series`.
-        An analytic profile's pieces are `_uniform`, and a piece whose
-        series fails raises NoThreshold. expm1's series has the first length
-        M with (k h)^M/(M+1)! below 2^-60 for the longest h, S's the longer
-        of M and one more than the square root's, so no piece depends on its
-        chunk."""
+        32 parts, sum_j |c_j| h^j <= c_0/4 (`_spread`), and a piece whose
+        series fails `_root_series` is cut again (`_refined`). An analytic
+        profile's pieces are `_uniform`, and a piece whose series fails
+        raises NoThreshold. expm1's series has the first length M with
+        (k h)^M/(M+1)! below 2^-60 for the longest h of the first cut, S's
+        the longer of M and one more than the square root's, so no piece
+        depends on its chunk."""
         k = 0.5 * (1.0 + kappa_i)
         if profile.kind == prof.TABULATED:
             table = profile._interp
@@ -768,65 +874,63 @@ class _ExactLinear:
         else:
             n, h_max, chunk = _uniform(profile, k, t0, end, True)
         g = _expm1_rows(k, h_max)
-        quad = lambda o, y, t: _stage1_beta_quad(profile, kappa_i, o, y, t)
         y, lo, i, size = beta_start, 0.0, 0, _CHUNK
         while i < n:
             j = min(i + size, n)
             ts_j, rows, terms, passed = chunk(i, j)
             d, passed = _phi_rows([-row for row in rows], terms, passed, k,
                                   len(g))
-            fallback = tuple(np.flatnonzero(~passed).tolist())
-            if fallback and profile.kind != prof.TABULATED:
-                raise NoThreshold(f"stage-1 series failed near tau = "
-                                  f"{ts_j[fallback[0]]}")
-            sol, ys, lo = cls._propagated(ts_j, y, lo, d, g, fallback, quad)
+            o = branch = None
+            if not passed.all():
+                if profile.kind != prof.TABULATED:
+                    raise NoThreshold(f"stage-1 series failed near tau = "
+                                      f"{ts_j[np.flatnonzero(~passed)[0]]}")
+                a, cut = ts_j[:-1], ~passed
+                ts_j, d, o, branch = _merged(
+                    [(a[passed], [row[passed] for row in d], a[passed],
+                      cut[passed])] + _refined(profile, k, len(g), a[cut],
+                                               ts_j[1:][cut], piece[i:j][cut]),
+                    ts_j[-1])
+            sol, ys, lo = cls._propagated(ts_j, y, lo, d, g, o, branch)
             yield sol
             y, i, size = ys[-1], j, 2 * size
 
     @classmethod
     def join(cls, parts: list[_ExactLinear]) -> _ExactLinear:
         """Consecutive propagations as one, each piece bitwise as it was."""
-        rows, sizes = max(len(p._d) for p in parts), [len(p._y) for p in parts]
-        d = [np.concatenate([p._d[n] if n < len(p._d) else np.zeros(size)
-                             for p, size in zip(parts, sizes)])
-             for n in range(rows)]
-        starts = np.cumsum([0] + sizes)
-        return cls(np.concatenate([p.ts[:-1] for p in parts]
-                                  + [parts[-1].ts[-1:]]),
-                   [v for p in parts for v in p._y],
-                   [v for p in parts for v in p._lo], d, parts[0]._g,
-                   tuple(int(o) + i for p, o in zip(parts, starts)
-                         for i in p.fallback), parts[0]._quad)
+        ts, d, o, branch = _merged([(p.ts[:-1], p._d, p._o, p._branch)
+                                    for p in parts], parts[-1].ts[-1])
+        return cls(ts, [v for p in parts for v in p._y],
+                   [v for p in parts for v in p._lo], d, parts[0]._g, o,
+                   branch)
 
     def cut(self, n: int, end: float) -> _ExactLinear:
         """The first n pieces, the last of them ending at end."""
         return _ExactLinear(np.append(self.ts[:n], end), self._y[:n],
                             self._lo[:n], [row[:n] for row in self._d],
-                            self._g, tuple(i for i in self.fallback if i < n),
-                            self._quad)
+                            self._g, self._o[:n], self._branch[:n])
 
     def at(self, t: float) -> float:
         i = bisect_left(self._knots, t) - 1
         i = 0 if i < 0 else self._last if i > self._last else i
-        v, y = t - self._knots[i], self._y[i]
-        if i in self.fallback:
-            return self._quad(self._knots[i], y, t)
-        return y + (self._lo[i] + (_horner(self._g, v) * y
-                                   + _horner(self._d_piece(i), v)))
+        v, y = t - self._anchors[i], self._y[i]
+        s = _horner(self._d_piece(i), v)
+        if self._roots[i]:
+            s = s * math.sqrt(abs(v))
+        return y + (self._lo[i] + (_horner(self._g, v) * y + s))
 
     def dense(self, t: np.ndarray) -> np.ndarray:
         i = np.clip(np.searchsorted(self.ts, t, side="left") - 1, 0, self._last)
-        v, y = t - self.ts[i], self._y_array[i]
+        v, y = t - self._o[i], self._y_array[i]
         # _horner on the rows of the pieces at i, each gathered as it is
         # reached, so no (M, n) block is built
         s = self._d[-1][i]
         for row in self._d[-2::-1]:
             s = s * v + row[i]
-        out = y + (self._lo_array[i] + (_horner(self._g, v) * y + s * v))
-        if self.fallback:
-            for j in np.flatnonzero(np.isin(i, self.fallback)).tolist():
-                out[j] = self.at(float(t[j]))
-        return out
+        s = s * v
+        if self._any_branch:
+            s = np.where(self._branch[i], s * np.sqrt(np.abs(v)), s)
+        return y + (self._lo_array[i] + (_horner(self._g, v) * y + s))
 
     def samples(self, alpha: float, beta: float, const: float,
                 first: float) -> np.ndarray:
@@ -838,7 +942,7 @@ class _ExactLinear:
         least as often as f has roots (Collins and Akritas, Proc. ACM
         SYMSAC 1976). If they change sign at most once, none within 1e-13
         sum_j |c_j| h^j of 0, the piece ends bracket its one root; any
-        other piece, or a fallback one, gets 63 interior samples too."""
+        other piece, or a branch one, gets 63 interior samples too."""
         h, a = np.diff(self.ts), self._a
         n = len(a) + (alpha != 0.0)         # alpha a_M is the top row
         c = np.zeros((n, len(h)))
@@ -851,8 +955,7 @@ class _ExactLinear:
             sign = np.sign(b)
             crowded = ((sign[1:] != sign[:-1]).sum(axis=0) > 1) \
                 | (np.abs(b) <= 1e-13 * np.abs(f).sum(axis=0)).any(axis=0) \
-                | ~np.isfinite(b).all(axis=0)
-        crowded[list(self.fallback)] = True
+                | ~np.isfinite(b).all(axis=0) | self._branch
         i = np.flatnonzero(crowded)
         ts = np.unique(np.concatenate(
             (self.ts, (self.ts[i, None] + h[i, None] * _FILL).ravel())))
@@ -977,7 +1080,8 @@ class TransferReport:
 def _losses(schedule: CouplingSchedule, tau_max: float) -> tuple[float, float]:
     """Stage-1 reflection, the integral of r_out over the stage-1 parts of
     [0, tau_max], and intrinsic loss, kappa_i times the integral of beta^2:
-    in stage 1 one Kronrod rule per piece (`_segment_integral`), in stage 2
+    in stage 1 one Kronrod rule per piece, and on a branch piece, anchored
+    at o, one in s = sqrt|t - o|, where f(o +- s^2) 2 s is smooth; in stage 2
     the series' integral over piece i up to w_i = min(h_i, tau_max - t_i),
     w_i (y_i + lo_i) + sum_m a_m w_i^(m+1)/(m+1). Past the horizon the tail
     (`CouplingSchedule._tail`) is one more stage-2 segment up to U, and past
@@ -994,7 +1098,7 @@ def _losses(schedule: CouplingSchedule, tau_max: float) -> tuple[float, float]:
         sol = seg.sol
         n = bisect_left(sol._knots, hi)
         edges = sol._knots[:n] + [hi]
-        if seg.stage == 2:         # no fallback piece
+        if seg.stage == 2:         # no branch piece
             if k != 0.0:
                 w, m = np.diff(edges), np.arange(1.0, len(sol._a) + 1.0)[:, None]
                 y = sol._y_array[:n] + sol._lo_array[:n]
@@ -1008,25 +1112,19 @@ def _losses(schedule: CouplingSchedule, tau_max: float) -> tuple[float, float]:
             w = b + np.sqrt(prof.rate_at(profile, s))
             return np.array([w * w, b * b])
 
-        r_out, beta_sq = _segment_integral(seg, r_out_beta_sq, edges)
-        reflection, intrinsic = reflection + r_out, intrinsic + beta_sq
+        parts = prof._kronrod(r_out_beta_sq, edges)
+        for i in np.flatnonzero(sol._branch[:n]).tolist():
+            o = sol._anchors[i]
+            sign = 1.0 if o <= edges[i] else -1.0
+            parts[:, i] = prof._kronrod(lambda s: r_out_beta_sq(
+                o + sign * s * s) * (2.0 * s), sorted(
+                    math.sqrt(abs(t - o)) for t in edges[i:i + 2]))[:, 0]
+        reflection += float(parts[0].sum())
+        intrinsic += float(parts[1].sum())
     for seg in tail:        # past U: the decay
         intrinsic -= seg.sol._y_end * math.expm1(
             -k * max(tau_max - seg.t1, 0.0)) / k
     return reflection, k * intrinsic
-
-
-def _segment_integral(seg: _Segment, f, edges: list[float]) -> list[float]:
-    """The integrals of the rows of f (on arrays) over a stage-1 segment's
-    pieces up to `edges`: one Kronrod rule per piece, all at once, where the
-    exact form is a power series; a quadrature piece (`fallback`, where
-    sqrt(r_in) has a branch point) takes quad, on floats."""
-    parts = prof._kronrod(f, edges)
-    for i in seg.sol.fallback:
-        for j, row in enumerate(parts if i < parts.shape[1] else ()):
-            row[i] = prof._quad_chunked(lambda t: float(f(np.array([t]))[j, 0]),
-                                        edges[i], edges[i + 1], [], 1e-12)
-    return parts.sum(axis=1).tolist()
 
 
 def _slope(schedule: CouplingSchedule, ts: np.ndarray) -> np.ndarray:

@@ -74,8 +74,9 @@ def _scalar_losses(sch: proto.CouplingSchedule, tau_max: float):
     of the segment), segment by segment up to tau_max, and in a segment on
     each knot interval cut at the starts of its pieces, where beta takes
     another series. Each cut takes a 20-point Gauss-Legendre rule
-    (`_legendre`), to about 1e-17; a quadrature piece (a branch point of
-    sqrt(r_in)) takes adaptive `quad`, and so does the population past the
+    (`_legendre`), to about 1e-17; a branch piece (a square-root branch
+    point of r_in at its anchor, `_ExactLinear._branch`) takes adaptive
+    `quad`, and so does the population past the
     horizon, in the quadrature form `_stage2_pop` from the schedule's value
     at the horizon. quad's warnings are muted. The terms are summed by
     math.fsum."""
@@ -96,7 +97,7 @@ def _scalar_losses(sch: proto.CouplingSchedule, tau_max: float):
             for a, b in zip(edges[:-1], edges[1:]):
                 piece = min(max(bisect_right(starts, a) - 1, 0),
                             len(starts) - 2)
-                rule = _adaptive if piece in seg.sol.fallback else _legendre
+                rule = _adaptive if seg.sol._branch[piece] else _legendre
                 if seg.stage == 1:
                     reflection += rule(r_out, a, b)
                 if k != 0.0:
@@ -368,8 +369,8 @@ class _Piece(DenseOutput):
         super().__init__(float(sol.ts[i]), float(sol.ts[i + 1]))
         self.one = proto._ExactLinear(
             sol.ts[i:i + 2], sol._y[i:i + 1], sol._lo[i:i + 1],
-            [row[i:i + 1] for row in sol._d], sol._g,
-            (0,) if i in sol.fallback else (), sol._quad)
+            [row[i:i + 1] for row in sol._d], sol._g, sol._o[i:i + 1],
+            sol._branch[i:i + 1])
 
     def _call_impl(self, t):
         if t.ndim == 0:

@@ -629,12 +629,16 @@ def test_sweep_bad_grid_literal(tmp_path):
 
 
 def test_sweep_records_degenerate_gauss_rates_as_failed_cells(tmp_path, capsys):
-    # r = 0 and r = 1e-300 raised ZeroDivisionError with a traceback (exit 1)
+    # r = 0 and r = 1e-300 raised ZeroDivisionError with a traceback (exit 1).
+    # The out-of-range grid warns in a plain line, as `schedule` does: no
+    # install path, no line number of cli.py.
     out = tmp_path / "s.csv"
-    with pytest.warns(UserWarning, match="beyond the standard ranges"):
-        assert cli.main(["sweep", "--profile", "gauss", "--grid-ki", "1e-4",
-                         "--grid-r", "0,1e-300,0.5", "--out", str(out)]) == 0
-    assert "3 cells, 2 failed" in capsys.readouterr().out
+    assert cli.main(["sweep", "--profile", "gauss", "--grid-ki", "1e-4",
+                     "--grid-r", "0,1e-300,0.5", "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ("warning: grid extends beyond the standard "
+                            "ranges kappa_i <= 1e-2, r in [0.05, 1]\n")
+    assert "3 cells, 2 failed" in captured.out
     rows = out.read_text().strip().split("\n")[1:]
     assert [row.split(",")[2] == "nan" for row in rows] == [True, True, False]
 

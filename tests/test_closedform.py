@@ -340,6 +340,21 @@ def test_gauss_peak_stationarity():
     assert fid > cf.gauss_population(sigma, n, ki, tau_max + 1.0)
 
 
+def test_gauss_peak_past_the_horizon():
+    """At kappa_i = 1e-26 the input rate falls below the intrinsic-loss rate
+    only past tau0 + 10 sigma: the peak search doubles its window beyond
+    that horizon, and the closed form agrees with the generic solver's
+    exact tail (`protocol.CouplingSchedule._tail`)."""
+    profile = prof.gaussian(r=0.1533, n=4)
+    params = prof.MemoryParams(kappa_i=1e-26)
+    tau_max, fid = cf.gauss_report(profile.sigma, profile.n, params.kappa_i)
+    report = proto.peak_time_and_fidelity(
+        profile, params, proto.build_schedule(profile, params))
+    assert tau_max > prof.horizon(profile) + 2.0
+    assert abs(tau_max - report.tau_max) <= 2e-16 * tau_max
+    assert abs(fid - report.fidelity) <= 2e-16
+
+
 def test_gauss_lossless_limit():
     tau_max, fid = cf.gauss_report(SIGMA_OP, 4.0, 0.0)
     assert math.isinf(tau_max)

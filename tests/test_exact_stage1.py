@@ -5,8 +5,9 @@ a = (1 + kappa_i)/2, with the Taylor series of the square root of each
 piece's cubic. Its knot values are checked against the quadrature oracle
 `_stage1_beta_quad`; its float and array evaluations against each other;
 its pieces against the tail test that keeps every series inside its radius
-of convergence; its chunks against one build. Pieces where r_in reaches 0
-fall back to the quadrature form, and no build steps an ODE.
+of convergence; its chunks against one build. Where r_in reaches 0 the
+pieces take its root's own form (`protocol._root_form`): no build or report
+calls `quad`, and none steps an ODE.
 """
 from __future__ import annotations
 
@@ -21,8 +22,8 @@ from scipy.integrate._ivp.rk import Dop853DenseOutput
 from pulsecatch import profiles as prof
 from pulsecatch import protocol as proto
 from pulsecatch.errors import PulsecatchError
-from test_batched import (_close, _scalar_absorbed, _scalar_losses,
-                          narrow_tables)
+from test_batched import (_close, _quad_calls, _scalar_absorbed,
+                          _scalar_losses, narrow_tables)
 from test_exact_stage2 import _knot_aligned_steps
 from test_protocol import (_catch_table, _coarse_table, _delayed_table,
                            _double_hump, _refuse_ode, _whole_window_threshold)
@@ -82,6 +83,16 @@ def _sqrt_edge_table() -> prof.InputProfile:
     return prof.tabulated(taus, rates)
 
 
+def _close_knot_table() -> prof.InputProfile:
+    """400 knots 1e-10 apart from tau = 5, zero up to the 50th, then a
+    Gaussian hump: pieces so short that a long square-root series on them
+    would overflow the phi recurrence."""
+    taus = 5.0 + 1e-10 * np.arange(400)
+    x = np.arange(400)
+    rates = np.where(x < 50, 0.0, np.exp(-0.5 * ((x - 250) / 60) ** 2))
+    return prof.tabulated(taus, rates / np.trapezoid(rates, taus))
+
+
 def _chained_quad(table, kappa_i: float, ts: list[float],
                   beta0: float) -> list[float]:
     """`_stage1_beta_quad` at each of ts, each from the value at the one
@@ -91,8 +102,7 @@ def _chained_quad(table, kappa_i: float, ts: list[float],
     it: by 3.6e-13 on `_sqrt_edge_table`, and by 2.9e-11 at t = 18.34 on a
     linear ramp from 0 over one knot interval of 19 (kappa_i = 0.5), where
     a 40-digit reference puts the exact propagation and this chain within
-    1.2e-16. On a quadrature piece the chain repeats the propagation's own
-    quadrature, so there it checks the recurrence only."""
+    1.2e-16."""
     out = [beta0]
     for a, b in zip(ts, ts[1:]):
         out.append(proto._stage1_beta_quad(table, kappa_i, a, out[-1], b))
@@ -143,7 +153,7 @@ def test_knot_values_match_quadrature(kappa_i, table, share, beta_start):
     """Every piece-end value lies within 1e-13 max(1, |beta|) of
     `_stage1_beta_quad` chained from piece end to piece end
     (`_chained_quad`), from any start value, on tables with leading and
-    inner zeros, where pieces fall back to the quadrature form."""
+    inner zeros, where the pieces take the root's own form."""
     lo, hi = float(table.taus[0]), float(table.taus[-1])
     t_start = max(0.0, lo - 1.0) + share * (hi - max(0.0, lo - 1.0))
     if max(t_start, proto._activation_time(table)) >= hi:
@@ -186,15 +196,14 @@ def test_schedule_stage1_matches_quadrature(table):
 def test_float_and_array_evaluations_agree(name, table, kappa_i):
     """`at` on each float equals `dense` on the array with `==` at the
     piece ends, the midpoints, one ulp either side of the ends and outside
-    the stretch, on quadrature pieces too; at a piece end both give the
+    the stretch, on branch pieces too; at each piece's anchor both give the
     recurrence's value."""
     sol = _stage1(table, kappa_i, beta_start=-0.1)
     probes = _probes(sol)
     assert [sol.at(t) for t in probes.tolist()] == sol.dense(probes).tolist()
     assert sol.dense(probes[::-1]).tolist() == sol.dense(probes).tolist()[::-1]
-    assert sol.dense(sol.ts[1:-1]).tolist() == sol._y[1:]
-    if name in ("delayed", "zero_run", "long_pieces"):
-        assert sol.fallback
+    assert sol.dense(sol._o[1:]).tolist() == sol._y[1:]
+    assert sol._branch.any() == (name == "long_pieces")
 
 
 @pytest.mark.parametrize("name, table", list(_tables()))
@@ -205,24 +214,27 @@ def test_chunks_equal_one_build(name, table, monkeypatch):
     monkeypatch.setattr(proto, "_CHUNK", 10 ** 6)
     whole = _stage1(table, 1e-4, beta_start=-0.2)
     assert np.array_equal(sol.ts, whole.ts)
-    assert (sol._y, sol._lo, sol.fallback) \
-        == (whole._y, whole._lo, whole.fallback)
+    assert (sol._y, sol._lo, sol._o.tolist(), sol._branch.tolist()) \
+        == (whole._y, whole._lo, whole._o.tolist(), whole._branch.tolist())
     probes = _probes(sol)
     assert sol.dense(probes).tolist() == whole.dense(probes).tolist()
 
 
 @pytest.mark.parametrize("name, table", list(_tables()))
 def test_pieces_are_cut_or_fall_back(name, table):
-    """No series is used past its radius of convergence. A series piece
-    has k h <= 1/2 and a cubic that is 0 throughout or positive at its
-    start with sum_j |c_j| h^j <= c_0/2, so positive on the whole piece;
-    a piece where r_in reaches 0 (inside, or at its start after a
-    positive stretch) is a quadrature piece, and so is every piece that
-    fails the tests. Long pieces are cut in equal parts, and so are pieces
-    whose cubic varies too much, so that few pieces fall back."""
+    """No series is used past its radius of convergence. Every piece has
+    k h <= 1/2. A piece of the first cut has a cubic that is 0 throughout or
+    positive at its start with sum_j |c_j| h^j <= c_0/2; a piece cut again
+    (`protocol._refined`) has its `_root_form` q positive at its anchor
+    with sum_j |q_j| h^j <= q_0/8 over the piece seen from there, or r_in
+    so small on it that h sqrt(sum_j |c_j| h^j) <= 2^-70, and p = 0. The
+    series' polynomial stays positive on the whole piece. A piece near a
+    zero first or last sample with a nonzero slope, a square-root branch
+    point, is anchored there; every other piece at its start. No piece
+    falls back to a quadrature."""
     k = 0.5 * (1.0 + 1e-4)
     sol = _stage1(table, 1e-4)
-    starts, h = sol.ts[:-1], np.diff(sol.ts)
+    starts, ends, h = sol.ts[:-1], sol.ts[1:], np.diff(sol.ts)
     assert np.all(k * h <= 0.5)
     # before activation (t0) r_in is 0: one piece; from there the knots
     t0 = max(float(table.taus[0]), proto._activation_time(table))
@@ -232,46 +244,54 @@ def test_pieces_are_cut_or_fall_back(name, table):
     piece = np.clip(np.searchsorted(table_pp.pp.x, starts, side="right") - 1,
                     0, table_pp.last)
     c = proto._recentred(table_pp, piece, starts)
-    zero = starts < t0
-    flat = zero | ((c[0] == 0) & (c[1] == 0) & (c[2] == 0) & (c[3] == 0))
-    spread = proto._spread(c, h)
-    series = np.setdiff1d(np.arange(len(h)), sol.fallback)
-    assert np.all(flat[series] | (spread[series] <= 0.5))
-    # sampled on each series piece, the cubic stays positive (or 0)
-    v = np.linspace(0.0, 1.0, 33)[:, None] * h[series]
-    cubic = ((c[3][series] * v + c[2][series]) * v + c[1][series]) * v \
-        + c[0][series]
-    assert np.all(flat[series] | (cubic > 0.0).all(axis=0))
-    # every piece where r_in reaches 0 after being positive falls back
-    ends = prof.rate_at(table, sol.ts)
-    touches = (ends[:-1] == 0.0) != (ends[1:] == 0.0)
-    assert set(np.flatnonzero(touches & ~zero).tolist()) <= set(sol.fallback)
-    if name == "long_pieces":
-        assert len(h) > 2 * (len(knots) - 1) and len(sol.fallback) >= 2
-    elif name != "zero_run":
-        # cutting keeps the quadrature pieces rare where r_in stays positive
-        assert len(sol.fallback) <= len(h) // 100
+    flat = (starts < t0) | ((c[0] == 0) & (c[1] == 0) & (c[2] == 0)
+                            & (c[3] == 0))
+    first = flat | (proto._spread(c, h) <= 0.5)
+    tiny = h * h * sum(np.abs(cj) * h ** j for j, cj in enumerate(c)) \
+        <= 2.0 ** -140
+    assert not np.array(sol._d)[:, ~first & tiny].any()
+    o, branch, _, q = proto._root_form(table, starts, ends, piece)
+    reach = np.maximum(abs(starts - o), abs(ends - o))
+    series = ~first & ~tiny
+    assert np.all(proto._spread(q, reach)[series] <= 0.125)
+    # the anchors: a piece's start, or a branch point
+    assert np.array_equal(sol._branch, series & branch)
+    assert np.array_equal(sol._o, np.where(sol._branch, o, starts))
+    # sampled on each piece, the series' polynomial stays positive (or 0)
+    u = np.linspace(0.0, 1.0, 33)[:, None] * h + (starts - sol._o)
+    poly = np.where(series, ((q[3] * u + q[2]) * u + q[1]) * u + q[0],
+                    ((c[3] * u + c[2]) * u + c[1]) * u + c[0])
+    assert np.all((flat | (~first & tiny)) | (poly > 0.0).all(axis=0))
+    # branch pieces sit at the zero first sample with a nonzero slope
+    assert set(sol._o[sol._branch].tolist()) \
+        == ({0.0} if name == "long_pieces" else set())
 
 
-def test_quadrature_pieces_are_the_quadrature_form(monkeypatch):
-    """On the delayed table the piece from the activation knot, where r_in
-    rises from 0, is the one quadrature piece of the schedule: its values
-    are `_stage1_beta_quad` from the piece start, bit for bit, and the
-    propagation counts it in `fallback`."""
+def test_quadrature_pieces_are_the_quadrature_form():
+    """On the delayed table r_in rises from the activation knot z, whose
+    sample is 0 and PCHIP's slope too: a double root, so sqrt(r_in) =
+    (t - z) sqrt(q) with q linear is analytic there. That knot interval
+    is cut into series pieces, each anchored at its start and in that
+    factored form, and their values lie within 1e-13 of
+    `_stage1_beta_quad` from z, where beta is 0."""
     profile, params = _delayed_table(), _params()
     sch = proto.build_schedule(profile, params)
-    seg = sch.segments[0]
+    sol = sch.segments[0].sol
     t_act = proto._activation_time(profile)
-    assert seg.sol.fallback == (int(np.flatnonzero(seg.sol.ts == t_act)[0]),)
-    i = seg.sol.fallback[0]
-    o, y = seg.sol._knots[i], seg.sol._y[i]
     knot = int(np.searchsorted(profile.taus, t_act))
-    assert y == 0.0 and seg.sol.ts[i + 1] == profile.taus[knot + 1]
-    for t in np.linspace(o, seg.sol.ts[i + 1], 9)[1:].tolist():
-        want = proto._stage1_beta_quad(profile, params.kappa_i, o, y, t)
-        assert seg.at(t) == want == seg.dense(np.array([t]))[0]
+    i, j = (int(np.flatnonzero(sol.ts == t)[0])
+            for t in (t_act, profile.taus[knot + 1]))
+    assert j - i > 1 and not sol._branch.any()
+    assert np.array_equal(sol._o, sol.ts[:-1]) and sol._y[i] == 0.0
+    lam = proto._root_form(profile, sol.ts[i:j], sol.ts[i + 1:j + 1],
+                           np.full(j - i, knot))[2]
+    assert np.array_equal(lam[0], sol.ts[i:j] - t_act) and np.all(lam[1] == 1)
+    for t in np.linspace(t_act, sol.ts[j], 9)[1:].tolist():
+        want = proto._stage1_beta_quad(profile, params.kappa_i, t_act, 0.0, t)
+        assert abs(sol.at(t) - want) <= _gap_bound(want)
+        assert sol.at(t) == sol.dense(np.array([t]))[0]
     # before activation beta stays exactly 0
-    assert not np.any(seg.dense(np.linspace(0.0, t_act, 50)))
+    assert not np.any(sol.dense(np.linspace(0.0, t_act, 50)))
 
 
 @pytest.mark.parametrize("name, kappa_i", [
@@ -279,31 +299,32 @@ def test_quadrature_pieces_are_the_quadrature_form(monkeypatch):
     ("long_pieces", 1e-4), ("long_pieces", 0.5), ("sqrt_edge", 1e-4),
     ("sqrt_edge", 0.5)])
 def test_losses_take_quad_on_quadrature_pieces(name, kappa_i, monkeypatch):
-    """In `_losses` each stage-1 quadrature piece goes to quad, and only
-    those pieces, not their knot intervals: the Kronrod rule takes the
-    others. The losses up to the horizon and the input absorbed by the peak
-    lie within 1e-15 of their oracles (`_scalar_losses`, `_scalar_absorbed`:
-    Gauss-Legendre on every knot interval cut at the pieces, and adaptive
-    `quad` on the quadrature pieces)."""
+    """`_losses` calls no quadrature: each stage-1 piece takes one Kronrod
+    rule, a branch piece (anchored at a square-root branch point o) in
+    s = sqrt|t - o|, where the integrand is smooth. The losses up to the
+    horizon and the input absorbed by the peak lie within 1e-15 of their
+    oracles (`_scalar_losses`, `_scalar_absorbed`: Gauss-Legendre on every
+    knot interval cut at the pieces, and adaptive `quad` on the branch
+    pieces)."""
     table = {"delayed": _delayed_table, "zero_run": _zero_run_table,
              "long_pieces": _long_piece_table,
              "sqrt_edge": _sqrt_edge_table}[name]()
     params = _params(kappa_i)
     sch = proto.build_schedule(table, params)
     report = proto.peak_time_and_fidelity(table, params, sch)
-    want = {(seg.sol._knots[j], seg.sol._knots[j + 1])
-            for seg in sch.segments for j in seg.sol.fallback}
-    assert want
-    rough, inner = [], prof._quad_chunked
+    branch = [seg.sol._o[j] for seg in sch.segments
+              for j in np.flatnonzero(seg.sol._branch).tolist()]
+    assert set(branch) == ({0.0} if name in ("long_pieces", "sqrt_edge")
+                           else set())
+    calls, inner = [], prof._quad_chunked
 
     def recording(f, a, b, breaks, epsabs=1e-12):
-        if epsabs == 1e-12:         # the oracles in `at` ask for 1e-13
-            rough.append((a, b))
+        calls.append((a, b))
         return inner(f, a, b, breaks, epsabs)
 
     monkeypatch.setattr(prof, "_quad_chunked", recording)
     losses = proto._losses(sch, sch.horizon)
-    assert set(rough) == want
+    assert calls == []
     monkeypatch.setattr(prof, "_quad_chunked", inner)
     assert _close(losses, _scalar_losses(sch, sch.horizon))
     assert _close([_scalar_absorbed(table, report.tau_max)],
@@ -331,19 +352,39 @@ def test_table_build_makes_no_dop853_solve(case, monkeypatch):
 
 
 def test_overflowing_series_fall_back():
-    """On knots 1e-10 apart the phi recurrence b_m = (m-1)! p_{m-1} - ..
-    of a long square-root series overflows: that piece falls back to the
-    quadrature form, and every value stays finite and within 1e-13 of
+    """On knots 1e-10 apart (`_close_knot_table`) a long square-root series
+    overflows the phi recurrence b_m = (m-1)! p_{m-1} - ..; the pieces that
+    would need one are cut again instead, so every piece is a series piece
+    with finite rows, and every value lies within 1e-13 of
     `_stage1_beta_quad`."""
-    taus = 5.0 + 1e-10 * np.arange(400)
-    x = np.arange(400)
-    rates = np.where(x < 50, 0.0, np.exp(-0.5 * ((x - 250) / 60) ** 2))
-    table = prof.tabulated(taus, rates / np.trapezoid(rates, taus))
+    table = _close_knot_table()
     sol = _stage1(table, 1e-4, t_start=5.0)
-    assert len(sol.fallback) >= 2          # the activation piece and more
+    assert len(sol._y) > 349 and not sol._branch.any()
+    assert np.isfinite(np.array(sol._d)).all()
     for t, y in zip(sol.ts.tolist()[::10], sol.dense(sol.ts[::10]).tolist()):
         want = proto._stage1_beta_quad(table, 1e-4, 5.0, 0.0, t)
         assert abs(y - want) <= _gap_bound(want), t
+
+
+@settings(max_examples=25, deadline=None)
+@given(table=narrow_tables())
+@example(table=_zero_run_table())
+@example(table=_delayed_table())
+@example(table=_long_piece_table())
+@example(table=_sqrt_edge_table())
+@example(table=_close_knot_table())
+def test_builds_and_reports_call_no_quad(table):
+    """Every stage-1 piece of a table is a series piece, whatever its
+    samples: no build or report calls `quad`, on zero samples, on tails
+    down to 1e-300 and on knots 1e-10 apart."""
+    params = _params()
+    with _quad_calls() as calls:
+        try:
+            sch = proto.build_schedule(table, params)
+            proto.peak_time_and_fidelity(table, params, sch)
+        except PulsecatchError:
+            pass
+    assert calls == []
 
 
 @pytest.mark.parametrize("profile", [_zero_run_table(), _catch_table(3, True),
@@ -351,8 +392,8 @@ def test_overflowing_series_fall_back():
                                      prof.gaussian(r=0.1533, n=4)],
                          ids=["zero_run", "faint", "exp", "gauss"])
 def test_short_windows_do_not_warn(profile):
-    """A quadrature window a few hundred ulps wide, such as a quadrature
-    piece evaluated one ulp past its start, is one Kronrod rule: QUADPACK
+    """A quadrature window a few hundred ulps wide, such as the oracle's
+    over a piece one ulp past its start, is one Kronrod rule: QUADPACK
     would stop bisecting it at once and warn (pytest makes that an error).
     The value is the boundary term less about w sqrt(r_in)."""
     for o in (1.0, 3.0, 4.3, 12.0):

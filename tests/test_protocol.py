@@ -415,7 +415,7 @@ def test_table_steps_end_at_knots():
         inside = knots[(knots > seg.t0) & (knots < seg.t1)]
         assert np.array_equal(seg.sol.ts, np.concatenate(
             ([seg.t0], inside, [seg.t1])))
-        assert seg.sol.fallback == ()
+        assert not seg.sol._branch.any()
 
 
 def test_table_steps_are_rarely_rejected(monkeypatch):
@@ -1004,7 +1004,7 @@ def _schedule(case: str) -> proto.CouplingSchedule:
 class _Drained:
     """A stage-2 solution whose population is forced to 0 from t_zero on:
     a population that underflows while the input still arrives. Its pieces
-    and series (`ts`, `fallback`, the rows the report reads) are those of
+    and series (`ts`, `_branch`, the rows the report reads) are those of
     the solution it wraps."""
 
     def __init__(self, sol, t_zero: float):

@@ -96,6 +96,18 @@ def test_exp_cell_falls_back_when_closed_form_inapplicable():
     assert 0.0 < rep.fidelity < 1.0
 
 
+def test_exp_surface_falls_back_to_the_generic_cell():
+    """In a surface, an exp cell with kappa_i >= r is the generic solver's
+    report, bit for bit, flagged kappa_i_ge_r; the cell with kappa_i < r
+    keeps its closed form."""
+    with pytest.warns(UserWarning, match="beyond the standard ranges"):
+        grid = sweep.fidelity_surface("exp", ([0.2], [0.1, 0.5]))
+    generic, closed = grid.results[0]
+    assert generic == sweep._generic_cell(prof.exponential(0.1), 0.2)
+    assert generic.flags == ("kappa_i_ge_r",)
+    assert closed == sweep._exp_cell(0.5, 0.2) and closed.flags == ()
+
+
 # ---------------------------------------------------------------------------
 # surface evaluation
 # ---------------------------------------------------------------------------
