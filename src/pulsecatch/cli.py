@@ -448,11 +448,12 @@ def _semiclassical_checks(family: str, scale: float) -> list[dict]:
 def cmd_verify(args) -> int:
     from .profiles import _atomic_write, _fmt
     scale = args.inject_kappa_scale
-    if not (math.isfinite(scale) and scale >= 0.0):
-        # a nan or inf coupling stalls the integrators; a negative one has
-        # no square root
+    if not 0.0 <= scale <= 10.0:
+        # a nan or a large coupling stalls the integrators (the solve
+        # stiffens with the scale); a negative one has no square root
         raise DomainError(
-            f"--inject-kappa-scale must be finite and >= 0, got {scale!r}")
+            f"--inject-kappa-scale must be finite and >= 0 and <= 10, "
+            f"got {scale!r}")
     checks: list[dict] = []
     if args.target in ("master-equation", "all"):
         for family in ("exp", "gauss"):
@@ -537,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--inject-kappa-scale", type=float, default=1.0,
                        dest="inject_kappa_scale",
                        help="fault-injection hook: multiply the coupling "
-                            "by this finite value >= 0")
+                            "by this value in [0, 10]")
     p_ver.add_argument("--out", default="verify.json")
     p_ver.set_defaults(func=cmd_verify)
 

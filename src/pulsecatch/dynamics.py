@@ -14,7 +14,9 @@ Two independent routes through the same physics:
   `verify_nonhermitian_reduction` pins the two routes against each other.
 
 Both integrate with `_scipy.solve_ivp`, a port of scipy's DOP853 that takes
-scipy's steps bit for bit, so neither loads scipy.integrate.
+scipy's steps bit for bit, so neither loads scipy.integrate. Both restart it
+at each of the run's edges (`_coupling`): the coupling's breaks and a
+table's knots, where the right-hand side is not smooth.
 
 The source is an imaginary emitter releasing the prescribed input: its decay
 rate is kappa_1(tau) = r_in/beta1^2, and beta1^2 = 1 - int r_in holds exactly,
@@ -62,9 +64,9 @@ class Trajectory:
     excitation to within the integration tolerance.
 
     `edges` are the points where the right-hand side is not smooth (0, the
-    coupling's breaks, a table's knots, the end), in order;
-    `energy_balance_residual` keeps its stencils between them. Empty means
-    one smooth segment over the samples.
+    coupling's breaks, a table's knots, the end), in order. The integrator
+    restarts at each, and `energy_balance_residual` keeps its stencils
+    between them. Empty means one smooth segment over the samples.
     """
 
     taus: np.ndarray
@@ -88,26 +90,24 @@ class Trajectory:
         return len(self.taus)
 
 
-def _as_kappa_fn(schedule_or_kappa) -> tuple[Callable[[float], float], list[float]]:
-    """Normalize the coupling argument to (callable, interior breakpoints)."""
+def _coupling(profile: prof.InputProfile, schedule_or_kappa, tau_end: float
+              ) -> tuple[Callable[[float], float], tuple[float, ...]]:
+    """The coupling argument as (kappa(tau), edges). The edges are 0, the
+    coupling's breaks, a table's knots and tau_end, each once and in order:
+    the points where the right-hand side is not smooth. The coupling has a
+    kink at a break (beta^2 has one in its second derivative), and PCHIP's
+    r_in one in its second derivative at a knot."""
     if isinstance(schedule_or_kappa, CouplingSchedule):
-        return schedule_or_kappa.kappa, schedule_or_kappa.breakpoints()
-    if callable(schedule_or_kappa):
+        kappa_fn, breaks = schedule_or_kappa.kappa, schedule_or_kappa.breakpoints()
+    elif callable(schedule_or_kappa):
         breaks = getattr(schedule_or_kappa, "breakpoints", None)
-        return schedule_or_kappa, list(breaks()) if callable(breaks) else []
-    raise DomainError("expected a CouplingSchedule or a callable kappa(tau)")
-
-
-def _edges(profile: prof.InputProfile, breaks: Sequence[float],
-           tau_end: float) -> tuple[float, ...]:
-    """0, the coupling's breaks, a table's knots and tau_end, in order: the
-    points where the right-hand side is not smooth. The coupling has a kink
-    at a break (beta^2 has one in its second derivative), and PCHIP's r_in
-    one in its second derivative at a knot."""
+        kappa_fn, breaks = schedule_or_kappa, breaks() if callable(breaks) else []
+    else:
+        raise DomainError("expected a CouplingSchedule or a callable kappa(tau)")
     inner = [b for b in breaks if 0.0 < b < tau_end]
     if profile.kind == prof.TABULATED:
         inner += [t for t in profile.taus.tolist() if 0.0 < t < tau_end]
-    return (0.0, *sorted(set(inner)), float(tau_end))
+    return kappa_fn, (0.0, *sorted(set(inner)), float(tau_end))
 
 
 def _spacing(tol: float) -> float:
@@ -176,24 +176,25 @@ def _checked_grid(tol: float, tau_end: float,
     return ts
 
 
-def _integrate_segments(rhs, y0: np.ndarray, breaks: list[float],
-                        tau_end: float, ts: np.ndarray, tol: float,
-                        max_step: float, what: str) -> np.ndarray:
-    """Integrate y' = rhs(t, y) over [0, tau_end], restarting at every
-    interior breakpoint (the coupling is not smooth there), and sample each
-    segment's dense output at the ts it covers; shape (len(y0), len(ts))."""
-    edges = [0.0] + [b for b in sorted(breaks) if 0.0 < b < tau_end] + [tau_end]
+def _integrate_segments(rhs, y0: np.ndarray, edges: Sequence[float],
+                        ts: np.ndarray, tol: float, max_step: float,
+                        what: str) -> np.ndarray:
+    """Integrate y' = rhs(t, y) from edges[0] to edges[-1], restarting at
+    every edge (the right-hand side is not smooth there), and sample each
+    segment's dense output at the ts it covers, a sample on an interior edge
+    taking the segment after it; shape (len(y0), len(ts))."""
     y = y0
     out = np.empty((len(y0), len(ts)), dtype=y0.dtype)
-    for a, b in zip(edges[:-1], edges[1:]):
+    cuts = np.searchsorted(ts, edges).tolist()
+    cuts[-1] = len(ts)
+    for a, b, i0, i1 in zip(edges[:-1], edges[1:], cuts[:-1], cuts[1:]):
         sol = solve_ivp(rhs, (a, b), y, rtol=tol, atol=tol * 1e-3,
                         max_step=max_step)
         if sol.status < 0:
             raise StepFailure(f"{what} failed: {sol.message}",
                               tau=float(sol.t[-1]))
-        mask = (ts >= a) & (ts <= b) if b < tau_end else (ts >= a)
-        if np.any(mask):
-            out[:, mask] = sol.sol(ts[mask])
+        if i1 > i0:
+            out[:, i0:i1] = sol.sol(ts[i0:i1])
         y = sol.y[:, -1]
     return out
 
@@ -222,10 +223,8 @@ def simulate_amplitudes(profile: prof.InputProfile, params: prof.MemoryParams,
     if beta0 > 0.0:
         raise DomainError("the memory amplitude convention is beta <= 0")
 
-    kappa_fn, breaks = _as_kappa_fn(schedule_or_kappa)
+    kappa_fn, edges = _coupling(profile, schedule_or_kappa, tau_end)
     k_i = params.kappa_i
-
-    edges = _edges(profile, breaks, tau_end)
     if ts is None:
         ts = _segment_grid(profile, edges, tol)
 
@@ -244,8 +243,8 @@ def simulate_amplitudes(profile: prof.InputProfile, params: prof.MemoryParams,
                 w * w,
                 k_i * beta * beta)
 
-    out = _integrate_segments(rhs, np.array([beta0, 0.0, 0.0]), breaks,
-                              tau_end, ts, tol, step_cap, "integrator")
+    out = _integrate_segments(rhs, np.array([beta0, 0.0, 0.0]), edges, ts,
+                              tol, step_cap, "integrator")
     beta = out[0].copy()
     r_in = np.asarray(prof.rate_at(profile, ts), dtype=float)
     if isinstance(schedule_or_kappa, CouplingSchedule):
@@ -382,7 +381,7 @@ def simulate_master_equation(profile: prof.InputProfile,
     state stays Hermitian and positive.
     """
     ts = _checked_grid(tol, tau_end, 801 if samples is None else samples)
-    kappa_fn, breaks = _as_kappa_fn(schedule_or_kappa)
+    kappa_fn, edges = _coupling(profile, schedule_or_kappa, tau_end)
     k_i = params.kappa_i
 
     def rhs(t, y):
@@ -390,8 +389,8 @@ def simulate_master_equation(profile: prof.InputProfile,
 
     rho0 = np.zeros((3, 3), dtype=complex)
     rho0[1, 1] = 1.0
-    out = _integrate_segments(rhs, rho0.reshape(9), breaks, tau_end, ts, tol,
-                              math.inf, "master equation")
+    out = _integrate_segments(rhs, rho0.reshape(9), edges, ts, tol, math.inf,
+                              "master equation")
     rho = out.T.reshape(len(ts), 3, 3)
     rho.setflags(write=False)
     return rho

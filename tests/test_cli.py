@@ -209,15 +209,20 @@ def test_module_entry_point():
     assert "pulsecatch" in proc.stdout
 
 
-def _imported(argv: list[str], cwd: Path) -> tuple[list[str], str]:
-    """Every module `python -m pulsecatch <argv>` imports, as `-X importtime`
-    names them, and its stdout, from a run in `cwd` that must exit 0."""
+def _run(options: list[str], argv: list[str], cwd: Path):
+    """`python <options> -m pulsecatch <argv>` run in `cwd` on this source."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-X", "importtime", "-m",
-                           "pulsecatch", *argv], capture_output=True,
-                          text=True, env=env, cwd=cwd)
+    return subprocess.run([sys.executable, *options, "-m", "pulsecatch",
+                           *argv], capture_output=True, text=True, env=env,
+                          cwd=cwd)
+
+
+def _imported(argv: list[str], cwd: Path) -> tuple[list[str], str]:
+    """Every module `python -m pulsecatch <argv>` imports, as `-X importtime`
+    names them, and its stdout, from a run in `cwd` that must exit 0."""
+    proc = _run(["-X", "importtime"], argv, cwd)
     assert proc.returncode == 0, proc.stderr
     imported = [line.rsplit("|", 1)[1].strip()
                 for line in proc.stderr.splitlines()
@@ -473,9 +478,16 @@ def test_simulate_constant_coupling_reflects(tmp_path, capsys):
 
 @pytest.mark.parametrize("samples", [[], ["--samples", "0"]],
                          ids=["default-samples", "samples-0"])
-@pytest.mark.parametrize("literal", ["exp:r=0.036", "gauss:r=0.1533,n=4"])
+@pytest.mark.parametrize("literal", ["exp:r=0.036", "gauss:r=0.1533,n=4",
+                                     "table:double-hump"])
 def test_simulate_round_trip_through_schedule_file(literal, samples, tmp_path):
-    # export the schedule, feed it back via --kappa file:, compare
+    # export the schedule, feed it back via --kappa file:, compare; the
+    # double hump resumes stage 1, and both runs restart at its knots
+    if literal == "table:double-hump":
+        pulse = _double_hump()
+        literal = f"table:{tmp_path / 'pulse.csv'}"
+        np.savetxt(tmp_path / "pulse.csv", np.c_[pulse.taus, pulse.rates],
+                   delimiter=",", fmt="%.17g")
     op = ["--profile", literal, "--kappa-i", "1e-4"]
     sched = tmp_path / "sched"
     traj_inline = tmp_path / "inline.csv"
@@ -493,6 +505,19 @@ def test_simulate_round_trip_through_schedule_file(literal, samples, tmp_path):
     # the exported coupling reproduces the internal schedule essentially exactly
     assert np.max(np.abs(a[:, 2] - b[:, 2])) <= 1e-9   # beta
     assert abs(a[-1, 6] - b[-1, 6]) <= 1e-9            # cum_reflection
+
+
+def test_simulate_coupling_file_with_a_one_row_plateau(tmp_path):
+    # the plateau's one row starts and ends it: kappa 1.0 at tau = 1 is
+    # both kinks, a repeated break that used to end in a traceback
+    kappa = tmp_path / "k.csv"
+    kappa.write_text("0,0.5\n1,1.0\n2,0.5\n")
+    proc = _run([], ["simulate", "--profile", "exp:r=0.5", "--kappa",
+                     f"file:{kappa}", "--out", str(tmp_path / "trajectory.csv")],
+                tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len(_read_csv(tmp_path / "trajectory.csv")) >= 3
 
 
 def test_simulate_residual_shrinks_with_tol(tmp_path, capsys):
@@ -736,9 +761,12 @@ def test_verify_rejects_unknown_target(tmp_path):
                      "--out", str(tmp_path / "v.json")]) == 1
 
 
-@pytest.mark.parametrize("scale", ["nan", "inf", "-inf", "-1"])
+@pytest.mark.parametrize("scale", ["nan", "inf", "-inf", "-1", "10.5",
+                                   "1e300"])
 def test_verify_rejects_bad_kappa_scale(scale, tmp_path, capsys, monkeypatch):
-    # nan and inf used to spin in DOP853 for minutes, -1 died in math.sqrt
+    # nan and inf used to spin in DOP853 for minutes, -1 died in math.sqrt;
+    # the solve stiffens with the scale (1e300 did not finish in 120 s), and
+    # past ten times kappa_max it is no fault injection
     _no_solve(monkeypatch)
     out = tmp_path / "v.json"
     assert cli.main(["verify", f"--inject-kappa-scale={scale}",
@@ -746,3 +774,12 @@ def test_verify_rejects_bad_kappa_scale(scale, tmp_path, capsys, monkeypatch):
     assert "--inject-kappa-scale must be finite and >= 0" \
         in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_verify_takes_kappa_scale_ten(tmp_path, monkeypatch):
+    # ten times kappa_max is the largest injected fault: it passes the flag
+    # check and reaches the first solve
+    _no_solve(monkeypatch)
+    with pytest.raises(AssertionError, match="a solve started"):
+        cli.main(["verify", "--inject-kappa-scale=10",
+                  "--out", str(tmp_path / "v.json")])

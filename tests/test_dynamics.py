@@ -12,6 +12,7 @@ from pulsecatch import dynamics as dyn
 from pulsecatch import profiles as prof
 from pulsecatch import protocol as proto
 from pulsecatch.errors import DomainError
+from test_protocol import _catch_table, _double_hump
 
 KI_OP = 1e-4
 
@@ -340,16 +341,95 @@ def test_default_residual_tracks_tol(make, tol):
     assert dyn.energy_balance_residual(tr) <= 2 * tol
 
 
-def test_table_knots_are_edges():
-    # r_in's second derivative jumps at a PCHIP knot: stencils stop there
+def _knot_table() -> prof.InputProfile:
     taus = np.linspace(0.0, 10.0, 11)
     rates = np.exp(-0.5 * (taus - 4.0) ** 2)
-    p = prof.tabulated(taus, rates / np.trapezoid(rates, taus))
+    return prof.tabulated(taus, rates / np.trapezoid(rates, taus))
+
+
+def test_table_knots_are_edges():
+    # r_in's second derivative jumps at a PCHIP knot: stencils stop there
+    p = _knot_table()
+    taus = p.taus
     params = prof.MemoryParams(kappa_i=KI_OP)
     sch = proto.build_schedule(p, params)
     tr = dyn.simulate_amplitudes(p, params, sch, sch.horizon, tol=1e-10)
     assert set(taus.tolist()) <= set(tr.edges)
     assert set(tr.edges) <= set(tr.taus.tolist())
+
+
+def test_breaks_repeated_unsorted_and_at_the_ends_are_edges_once():
+    # breaks given unsorted, repeated, and at 0 and tau_end run through both
+    # simulators bit for bit like the same breaks sorted and deduplicated;
+    # a repeated break used to hand DOP853 an empty span and raise
+    p, params, sch = _exp_setup(r=0.2, ki=1e-3)
+    tau_c = sch.breakpoints()[0]
+
+    def messy(t):
+        return sch.kappa(t)
+
+    def tidy(t):
+        return sch.kappa(t)
+
+    messy.breakpoints = lambda: [30.0, tau_c, 7.5, 0.0, tau_c]
+    tidy.breakpoints = lambda: sorted([7.5, tau_c])
+    ts = np.linspace(0.0, 30.0, 301)
+    runs = [dyn.simulate_amplitudes(p, params, k, 30.0, tol=1e-10, samples=ts)
+            for k in (messy, tidy)]
+    assert runs[0].edges == runs[1].edges \
+        == (0.0, *sorted([7.5, tau_c]), 30.0)
+    for field in dataclasses.fields(dyn.Trajectory):
+        assert np.array_equal(getattr(runs[0], field.name),
+                              getattr(runs[1], field.name))
+    rhos = [dyn.simulate_master_equation(p, params, k, 30.0, samples=ts)
+            for k in (messy, tidy)]
+    assert np.array_equal(rhos[0], rhos[1])
+
+
+@pytest.mark.parametrize("case", ["table", "resumed"])
+def test_solves_restart_exactly_at_the_edges(case, monkeypatch):
+    # every solve of both simulators spans two consecutive edges of the run,
+    # in order: the integrator has no list of restarts of its own. Both
+    # runs end before the master equation's source rate blows up in the
+    # pulse's tail.
+    profile, tau_end = {"table": (_knot_table(), 8.0),
+                        "resumed": (_double_hump(), 25.0)}[case]
+    params = prof.MemoryParams(kappa_i=KI_OP)
+    sch = proto.build_schedule(profile, params)
+    spans = []
+    solve = dyn.solve_ivp
+
+    def recorded(fun, t_span, *args, **kwargs):
+        spans.append(tuple(t_span))
+        return solve(fun, t_span, *args, **kwargs)
+
+    monkeypatch.setattr(dyn, "solve_ivp", recorded)
+    tr = dyn.simulate_amplitudes(profile, params, sch, tau_end, samples=201)
+    pairs = list(zip(tr.edges[:-1], tr.edges[1:]))
+    assert set(sch.breakpoints()) <= set(tr.edges)
+    assert set(profile.taus[profile.taus < tau_end].tolist()) <= set(tr.edges)
+    assert spans == pairs
+    spans.clear()
+    dyn.simulate_master_equation(profile, params, sch, tau_end, samples=201)
+    assert spans == pairs
+
+
+@pytest.mark.parametrize("faint", [True, False], ids=["faint", "twin"])
+def test_table_residual_meets_bound_at_the_defaults(faint):
+    # the benchmark's tables at simulate's default --tol and grid: stepping
+    # across the knots left 2e-7 to 5e-7 here, against 50 tol = 5e-10
+    profile, params = _catch_table(3, faint), prof.MemoryParams(kappa_i=KI_OP)
+    sch = proto.build_schedule(profile, params)
+    tr = dyn.simulate_amplitudes(profile, params, sch, sch.horizon, tol=1e-11)
+    assert dyn.energy_balance_residual(tr) <= 50 * tr.tol
+
+
+@pytest.mark.parametrize("faint", [True, False], ids=["faint", "twin"])
+def test_table_is_exact_reduction_of_master_equation(faint):
+    profile, params = _catch_table(3, faint), prof.MemoryParams(kappa_i=KI_OP)
+    sch = proto.build_schedule(profile, params)
+    assert dyn.verify_nonhermitian_reduction(profile, params, sch, 20.0) \
+        <= 1e-8
 
 
 def test_trajectory_is_immutable():
