@@ -320,15 +320,13 @@ def cmd_simulate(args) -> int:
     _require_valid(profile)
     params = _memory_params(args.kappa_i)
 
-    tau_c = None
+    schedule = None
     if args.kappa is not None:
         coupling, file_end = _parse_kappa_override(args.kappa)
         tau_end = file_end if file_end is not None else prof.horizon(profile)
     else:
         schedule = protocol.build_schedule(profile, params)
-        coupling = schedule
-        tau_end = schedule.horizon
-        tau_c = schedule.tau_c
+        coupling, tau_end = schedule, schedule.horizon
 
     traj = dynamics.simulate_amplitudes(profile, params, coupling, tau_end,
                                         tol=args.tol, samples=args.samples)
@@ -340,8 +338,8 @@ def cmd_simulate(args) -> int:
         "tau,beta1,beta,kappa,r_in,r_out,cum_reflection,cum_intrinsic", rows))
 
     print(f"energy balance residual = {_fmt(residual)}")
-    if tau_c is not None:
-        mask = traj.taus >= tau_c
+    if schedule is not None:
+        mask = schedule.stage(traj.taus) == 2
         print(f"max stage-2 r_out = {_fmt(float(np.max(traj.r_out[mask])))}")
     else:
         print(f"max r_out = {_fmt(float(np.max(traj.r_out)))}")
@@ -418,7 +416,7 @@ def _master_equation_checks(family: str, scale: float) -> list[dict]:
     ground_dev = float(np.max(np.abs(
         real[:, 0, 0] - (traj.cum_reflection + traj.cum_intrinsic))))
 
-    stage2 = traj.taus >= schedule.tau_c
+    stage2 = schedule.stage(traj.taus) == 2
     max_r_out = float(np.max(traj.r_out[stage2]))
     peak = float(traj.beta[np.searchsorted(traj.taus, tau_max)] ** 2)
 

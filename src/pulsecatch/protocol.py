@@ -218,6 +218,13 @@ class _Segment:
         return val * val if self.stage == 1 else max(val, 0.0)
 
 
+def _amplitude(taus, stages: np.ndarray, vals: np.ndarray,
+               pop: np.ndarray) -> np.ndarray:
+    """beta <= 0 at `CouplingSchedule._sampled`'s samples: the dense value
+    in stage 1, -sqrt(beta^2) in stage 2."""
+    return np.where(stages == 1, vals, -np.sqrt(pop))
+
+
 @dataclass(frozen=True, eq=False)
 class CouplingSchedule:
     """Piecewise coupling schedule: kappa = 1 before tau_c, r_in/beta^2 after.
@@ -227,9 +234,10 @@ class CouplingSchedule:
     value there. Schedules with more than one stage-1 segment arise from the
     feasibility guard and carry the "feasibility_resumed" flag.
 
-    The evaluation methods take a float or an array (`_dispatch`). An array
-    costs one dense-output call per segment it touches, and each of its
-    values equals the float call bitwise.
+    The evaluation methods take a float or an array (`_answer`). An array
+    costs one dense-output call per segment it touches. A float is a
+    one-element array, but to `kappa`, whose float path gives the array's
+    value bit for bit.
     """
 
     profile: prof.InputProfile
@@ -247,10 +255,10 @@ class CouplingSchedule:
     def _tail(self) -> _Segment:
         """The stage-2 segment past the horizon H, built on first use:
         `_Tail` from the last segment's value at H to U, the first of
-        H + w (2^j - 1), w = max(H - tau_c, 1), where r_in is 0.0 (on a
-        table, whose r_in is 0 past its last knot, H itself)."""
+        H + w (2^j - 1), w = H - tau_c, where r_in is 0.0 (on a table,
+        whose r_in is 0 past its last knot, H itself)."""
         profile, k, h = self.profile, self.params.kappa_i, self.horizon
-        end, width = h, max(h - self.tau_c, 1.0)
+        end, width = h, h - self.tau_c
         while profile.kind != prof.TABULATED \
                 and prof.rate_at(profile, end) != 0.0:
             end, width = end + width, 2.0 * width
@@ -300,54 +308,42 @@ class CouplingSchedule:
             part or [np.empty(0, dtype)])).reshape(taus.shape)
             for part, dtype in zip(out, (int, float, float)))
 
-    def _dispatch(self, name: str, tau, on_float, on_array, **kw):
-        """An evaluator's call at anything but a float in its domain: a 0-d
-        tau goes to on_float as a float, an array to on_array as a float
-        array (each with **kw), once tau >= 0 (`stage2_kappa`: tau >= tau_c)
-        is checked."""
-        scalar = isinstance(tau, float) or np.ndim(tau) == 0
-        tau = float(tau) if scalar else np.asarray(tau, dtype=float)
-        floor = self.tau_c if name == "stage2_kappa" else 0.0
-        if (tau < floor) if scalar else np.any(tau < floor):
+    def _answer(self, name: str, tau, compute, floor: float = 0.0, **kw):
+        """compute(taus, stage, dense value, beta^2, **kw), the last three
+        `_sampled`'s, at tau as a float array, once tau >= floor (0;
+        `stage2_kappa`: tau_c) is checked: an array of tau's shape, and at
+        a float or 0-d tau its one value as a Python scalar."""
+        taus = np.asarray(tau, dtype=float)
+        if np.any(taus < floor):
             raise DomainError(f"{name} requires tau >= "
                               f"{'tau_c' if floor else 0}")
-        return (on_float if scalar else on_array)(tau, **kw)
+        flat = np.atleast_1d(taus)
+        out = compute(flat, *self._sampled(flat), **kw)
+        return out.item() if taus.ndim == 0 else out
 
-    # Each evaluator's body is its float path; every other call goes through
-    # `_dispatch`, so a float in the domain costs one type check. The bodies
-    # make no closure: that would put self in a cell on every call.
+    # Each evaluator is one array computation through `_answer`. `kappa`
+    # alone keeps a float path, for the simulators' right-hand sides; it
+    # makes no closure, which would put self in a cell on every call.
 
     def beta_sq(self, tau):
         """Stored population beta^2 at any tau >= 0 (a float or an array)."""
-        if not isinstance(tau, float) or tau < 0.0:
-            return self._dispatch("beta_sq", tau, self.beta_sq,
-                                  self._beta_sq_array)
-        return self._segment_at(tau).beta_sq(tau)
+        return self._answer("beta_sq", tau, lambda t, stage, v, pop: pop)
 
     def beta(self, tau):
         """Memory amplitude (<= 0) at any tau >= 0 (a float or an array)."""
-        if not isinstance(tau, float) or tau < 0.0:
-            return self._dispatch("beta", tau, self.beta, self._beta_array)
-        seg = self._segment_at(tau)
-        if seg.stage == 1:
-            return seg.at(tau)
-        return -math.sqrt(seg.beta_sq(tau))
+        return self._answer("beta", tau, _amplitude)
+
+    def stage(self, tau):
+        """The stage, 1 or 2, of the segment holding each tau >= 0 (a float
+        or an array); past the horizon 2."""
+        return self._answer("stage", tau, lambda t, stage, v, pop: stage)
 
     def stage2_kappa(self, tau):
         """Zero-reflection coupling r_in/beta^2 for tau >= tau_c (a float or
         an array)."""
-        if not isinstance(tau, float) or tau < self.tau_c:
-            return self._dispatch("stage2_kappa", tau, self.stage2_kappa,
-                                  self._stage2_kappa_array)
-        rate = prof.rate_at(self.profile, tau)
-        if rate == 0.0:
-            return 0.0
-        pop = self.beta_sq(tau)
-        if pop <= 0.0:
-            raise SingularCoupling(
-                f"population numerically null at tau = {tau}; coupling undefined"
-            )
-        return rate / pop
+        return self._answer("stage2_kappa", tau, lambda t, stage, v, pop:
+                            self._coupling(t, np.full_like(stage, 2), v, pop),
+                            self.tau_c)
 
     def kappa(self, tau, *, nan_if_singular: bool = False):
         """Full piecewise coupling: 1 in stage-1 segments, r_in/beta^2 after.
@@ -357,65 +353,51 @@ class CouplingSchedule:
         otherwise SingularCoupling is raised.
         """
         if not isinstance(tau, float) or tau < 0.0:
-            return self._dispatch("kappa", tau, self.kappa, self._kappa_array,
-                                  nan_if_singular=nan_if_singular)
-        if self._segment_at(tau).stage == 1:
+            return self._answer("kappa", tau, self._coupling,
+                                nan_if_singular=nan_if_singular)
+        seg = self._segment_at(tau)
+        if seg.stage == 1:
             return 1.0
-        try:
-            return self.stage2_kappa(tau)
-        except SingularCoupling:
+        rate = prof.rate_at(self.profile, tau)
+        if rate == 0.0:
+            return 0.0
+        pop = seg.beta_sq(tau)
+        if pop <= 0.0:
             if nan_if_singular:
                 return math.nan
-            raise
+            raise SingularCoupling(f"population numerically null at tau = "
+                                   f"{tau}; coupling undefined")
+        return rate / pop
 
     def reflection(self, tau):
         """Instantaneous reflection rate r_out = (beta sqrt(kappa) + sqrt(r_in))^2
         (tau a float or an array)."""
-        if not isinstance(tau, float) or tau < 0.0:
-            return self._dispatch("reflection", tau, self.reflection,
-                                  self._reflection_array)
-        w = self.beta(tau) * math.sqrt(self.kappa(tau)) \
-            + math.sqrt(prof.rate_at(self.profile, tau))
-        return w * w
+        def compute(t, stage, v, pop):
+            w = _amplitude(t, stage, v, pop) \
+                * np.sqrt(self._coupling(t, stage, v, pop)) \
+                + np.sqrt(prof.rate_at(self.profile, t))
+            return w * w
+        return self._answer("reflection", tau, compute)
 
-    def _beta_sq_array(self, taus: np.ndarray) -> np.ndarray:
-        return self._sampled(taus)[2]
-
-    def _beta_array(self, taus: np.ndarray) -> np.ndarray:
-        stages, vals, pop = self._sampled(taus)
-        return np.where(stages == 1, vals, -np.sqrt(pop))
-
-    def _zero_reflection(self, taus: np.ndarray, pop: np.ndarray,
-                         nan_if_singular: bool = False) -> np.ndarray:
-        """r_in/beta^2 at each sample, 0 where r_in = 0; where beta^2 <= 0
-        while r_in is not, raise SingularCoupling or give nan."""
+    def _coupling(self, taus: np.ndarray, stages: np.ndarray,
+                  vals: np.ndarray, pop: np.ndarray,
+                  nan_if_singular: bool = False) -> np.ndarray:
+        """kappa at each sample: 1 in stage 1; in stage 2 r_in/beta^2, 0
+        where r_in = 0, and where beta^2 <= 0 while r_in is not,
+        SingularCoupling raised or nan."""
+        two = stages == 2
+        taus, pop = taus[two], pop[two]
         rate = prof.rate_at(self.profile, taus)
         singular = (rate != 0.0) & (pop <= 0.0)
+        if singular.any() and not nan_if_singular:
+            raise SingularCoupling(f"population numerically null at tau = "
+                                   f"{float(taus[singular][0])}; coupling "
+                                   f"undefined")
+        out = np.ones(two.shape)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            out = np.where(rate == 0.0, 0.0, rate / pop)
-        if singular.any():
-            if not nan_if_singular:
-                raise SingularCoupling(
-                    f"population numerically null at tau = "
-                    f"{float(taus[singular][0])}; coupling undefined")
-            out[singular] = math.nan
+            out[two] = np.where(singular, math.nan,
+                                np.where(rate == 0.0, 0.0, rate / pop))
         return out
-
-    def _stage2_kappa_array(self, taus: np.ndarray) -> np.ndarray:
-        return self._zero_reflection(taus, self._sampled(taus)[2])
-
-    def _kappa_array(self, taus: np.ndarray, *,
-                     nan_if_singular: bool = False) -> np.ndarray:
-        stages, _, pop = self._sampled(taus)
-        two = stages == 2
-        out = np.ones(taus.shape)
-        out[two] = self._zero_reflection(taus[two], pop[two], nan_if_singular)
-        return out
-
-    def _reflection_array(self, taus: np.ndarray) -> np.ndarray:
-        w = self._beta_array(taus) * np.sqrt(self._kappa_array(taus)) \
-            + np.sqrt(prof.rate_at(self.profile, taus))
-        return w * w
 
     def breakpoints(self) -> list[float]:
         """Segment boundary times (kappa is non-smooth there)."""
@@ -1165,10 +1147,11 @@ def _local_maxima(schedule: CouplingSchedule) -> list[tuple[float, float]]:
     zero downward.
 
     The slope is sampled where `_peak_samples` isolates its roots, from
-    1e-6 max(tau_c, 1) past tau_c to the horizon: no fixed grid steps over
-    a narrow peak. A multi-hump input can produce several local maxima
-    (population dips in resumed stage-1 windows), so all crossings are
-    collected. With kappa_i > 0, where beta^2 still rises at the horizon or
+    1e-6 max(tau_c, min(H - tau_c, 1)) past tau_c to the horizon H: no
+    fixed grid steps over a narrow peak, and the start lies before H
+    however narrow the pulse. A multi-hump input can produce several local
+    maxima (population dips in resumed stage-1 windows), so all crossings
+    are collected. With kappa_i > 0, where beta^2 still rises at the horizon or
     no crossing came before it, so are the tail's (`CouplingSchedule._tail`,
     sampled the same way). Its slope is > 0 just past the horizon, else the
     peak is the horizon itself (a table, whose input stops there), and
@@ -1180,6 +1163,7 @@ def _local_maxima(schedule: CouplingSchedule) -> list[tuple[float, float]]:
     take is polished on the slope itself.
     """
     profile, k = schedule.profile, schedule.params.kappa_i
+    pop = lambda t: schedule._segment_at(t).beta_sq(t)
 
     def polish(ts: np.ndarray, i: int) -> tuple[float, float]:
         a, b = float(ts[i]), float(ts[i + 1])
@@ -1190,17 +1174,17 @@ def _local_maxima(schedule: CouplingSchedule) -> list[tuple[float, float]]:
         else:
             root = brentq(lambda t: float(_slope(schedule, np.array([t]))[0]),
                           a, b, xtol=1e-300, rtol=4 * _EPS, maxiter=200)
-        return float(root), schedule.beta_sq(float(root))
+        return float(root), pop(float(root))
 
-    ts = _peak_samples(schedule,
-                       schedule.tau_c + 1e-6 * max(schedule.tau_c, 1.0))
+    ts = _peak_samples(schedule, schedule.tau_c + 1e-6 * max(
+        schedule.tau_c, min(schedule.horizon - schedule.tau_c, 1.0)))
     slope = _slope(schedule, ts)
     peaks = [polish(ts, i) for i in _down(slope)[:64].tolist()]
     if k != 0.0 and (slope[-1] > 0.0 or not peaks):
         end = schedule.horizon
         past = math.nextafter(end, math.inf)
-        if prof.rate_at(profile, past) - k * schedule.beta_sq(past) <= 0.0:
-            peaks.append((end, schedule.beta_sq(end)))
+        if prof.rate_at(profile, past) - k * pop(past) <= 0.0:
+            peaks.append((end, pop(end)))
         else:
             ts = schedule._tail.sol.samples(0.0, 1.0, 0.0, end)
             peaks.append(polish(ts, int(_down(_slope(schedule, ts))[0])))

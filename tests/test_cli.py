@@ -463,6 +463,24 @@ def test_simulate_defaults_meet_residual_bound(literal, tmp_path, capsys):
     assert len(out.read_text().splitlines()) - 1 < 5000
 
 
+def test_simulate_reads_stage2_from_the_schedule(tmp_path, capsys):
+    # the double hump returns to stage 1 at tau = 19.98 to 21.59, where the
+    # memory reflects; `max stage-2 r_out` reads only stage-2 segments, and
+    # read 3.7e-3 at tau = 20.86 when it took every tau >= tau_c
+    pulse = _double_hump()
+    table = tmp_path / "pulse.csv"
+    np.savetxt(table, np.c_[pulse.taus, pulse.rates], delimiter=",",
+               fmt="%.17g")
+    out = tmp_path / "trajectory.csv"
+    assert cli.main(["simulate", "--profile", f"table:{table}", "--kappa-i",
+                     "1e-4", "--out", str(out)]) == 0
+    assert _stdout_value(capsys.readouterr().out, "max stage-2 r_out") <= 1e-7
+    data = _read_csv(out)
+    sch = protocol.build_schedule(pulse, prof.MemoryParams(kappa_i=1e-4))
+    resumed = (data[:, 0] > sch.tau_c) & (sch.stage(data[:, 0]) == 1)
+    assert resumed.any() and np.max(data[resumed, 5]) > 1e-3
+
+
 def test_simulate_constant_coupling_reflects(tmp_path, capsys):
     out = tmp_path / "closed.csv"
     assert cli.main(["simulate", "--profile", "exp:r=0.2",

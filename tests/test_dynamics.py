@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from pulsecatch import dynamics as dyn
 from pulsecatch import profiles as prof
 from pulsecatch import protocol as proto
-from pulsecatch.errors import DomainError
+from pulsecatch.errors import DomainError, StepFailure
 from test_protocol import _catch_table, _double_hump
 
 KI_OP = 1e-4
@@ -430,6 +430,41 @@ def test_table_is_exact_reduction_of_master_equation(faint):
     sch = proto.build_schedule(profile, params)
     assert dyn.verify_nonhermitian_reduction(profile, params, sch, 20.0) \
         <= 1e-8
+
+
+def test_master_equation_over_a_leading_zero_run():
+    # r_in is 0 up to tau = 3: the source's decay rate is 0 there, not
+    # 0/(1 - C), and the reduction holds through the run and the pulse
+    taus = np.linspace(0.0, 20.0, 201)
+    rates = np.where(taus < 3.0, 0.0, np.exp(-0.5 * ((taus - 8.0) / 1.2) ** 2))
+    profile = prof.tabulated(taus, rates / np.trapezoid(rates, taus))
+    params = prof.MemoryParams(kappa_i=KI_OP)
+    assert all(dyn._kappa_1(profile, t) == 0.0
+               for t in np.linspace(0.0, 2.9, 30).tolist())
+    sch = proto.build_schedule(profile, params)
+    assert dyn.verify_nonhermitian_reduction(profile, params, sch, 12.0) \
+        <= 1e-8
+
+
+@pytest.mark.parametrize("simulate, what", [
+    (dyn.simulate_amplitudes, "integrator"),
+    (dyn.simulate_master_equation, "master equation")])
+def test_step_failure_carries_tau(simulate, what, monkeypatch):
+    # a solve that stops short raises StepFailure at the last time it reached
+    p, params, sch = _exp_setup()
+    solve = dyn.solve_ivp
+
+    def stalled(fun, t_span, *args, **kwargs):
+        sol = solve(fun, (t_span[0], 0.5 * (t_span[0] + t_span[1])), *args,
+                    **kwargs)
+        sol.status, sol.message = -1, "step size too small"
+        return sol
+
+    monkeypatch.setattr(dyn, "solve_ivp", stalled)
+    with pytest.raises(StepFailure, match=f"{what} failed: step size too "
+                                          f"small") as caught:
+        simulate(p, params, sch, 5.0, samples=11)
+    assert caught.value.tau == 0.5 * sch.tau_c
 
 
 def test_trajectory_is_immutable():

@@ -1153,6 +1153,56 @@ def test_array_evaluation_rejects_out_of_domain_taus():
             sch.stage2_kappa(tau)
 
 
+def test_stage_is_the_law_of_the_segment_holding_each_tau():
+    """`stage` reads the segments: 2 from tau_c on, 1 again in the resumed
+    stage-1 window, 2 past the horizon; a float or 0-d tau gives an int."""
+    sch = _schedule("resumed")
+    taus = _probe_taus(sch)
+    want = [sch._segment_at(t).stage for t in taus.tolist()]
+    got = sch.stage(taus)
+    assert got.tolist() == want
+    resumed = sch.segments[2]
+    assert resumed.stage == 1 and resumed.t0 > sch.tau_c
+    assert np.array_equal(got == 2, (taus >= sch.tau_c) & ~(
+        (taus >= resumed.t0) & (taus < resumed.t1)))
+    order = np.random.default_rng(11).permutation(len(taus))
+    assert np.array_equal(sch.stage(taus[order]), got[order])
+    for t in (0.5 * sch.tau_c, sch.tau_c, 0.5 * (resumed.t0 + resumed.t1),
+              sch.horizon + 1.0):
+        one = sch.stage(t)
+        assert type(one) is int and one == sch.stage(np.float64(t).reshape(()))
+        assert one == sch._segment_at(t).stage
+    for tau in (-1.0, np.array([1.0, -1e-3])):
+        with pytest.raises(DomainError, match="stage requires tau >= 0"):
+            sch.stage(tau)
+
+
+def test_peak_in_a_stage1_segment_is_polished_on_the_slope():
+    """A schedule held at kappa = 1 throughout: its one peak lies in a
+    stage-1 segment, so `_local_maxima` polishes it on the slope. For an
+    exponential input beta = -sqrt(r) (e^{-r t/2} - e^{-a t})/(a - r/2),
+    a = (1 + kappa_i)/2, peaks at t* = ln(2a/r)/(a - r/2)."""
+    r, ki = 0.5, 1e-3
+    p = prof.exponential(r)
+    sch = proto.build_schedule(p, _params(ki))
+    sol = proto._ExactLinear.join(list(proto._ExactLinear.stage1(
+        p, ki, 0.0, 0.0, 0.0, sch.horizon)))
+    held = dataclasses.replace(sch, segments=(
+        proto._Segment(1, 0.0, sch.horizon, sol),))
+    (tau, f), = proto._local_maxima(held)
+    a = 0.5 * (1.0 + ki)
+    t_star = math.log(2.0 * a / r) / (a - 0.5 * r)
+    beta = -math.sqrt(r) * (math.exp(-0.5 * r * t_star) - math.exp(-a * t_star)) \
+        / (a - 0.5 * r)
+    assert tau == pytest.approx(t_star, abs=1e-12)
+    assert f == sol.at(tau) ** 2 == pytest.approx(beta * beta, abs=1e-14)
+    rep = proto.peak_time_and_fidelity(p, _params(ki), held)
+    assert (rep.tau_max, rep.fidelity) == (tau, f)
+    total = (rep.fidelity + rep.loss_stage1_reflection + rep.loss_intrinsic
+             + rep.loss_unabsorbed)
+    assert total == pytest.approx(1.0, abs=1e-8)
+
+
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
@@ -1210,6 +1260,37 @@ def test_lossless_peak_is_asymptotic():
     _, a1 = cf.exp_report(r, 0.0)
     assert rep.fidelity == pytest.approx(a1, abs=1e-9)
     assert rep.loss_intrinsic == 0.0
+
+
+@pytest.mark.parametrize("pulse, ki", [
+    *[(f"gauss:sigma={s}", 1e-4) for s in ("1e-9", "1e-8", "1e-7", "1e-6",
+                                           "1e-5")],
+    ("gauss:sigma=1e-9", 1e-26), ("gauss:sigma=1e-9", 0.0),
+    ("exp:r=1e9", 1e-4), ("exp:r=1e7", 1e-4), ("exp:r=1e9", 1e-26)])
+def test_narrow_pulses_give_a_report(pulse, ki):
+    """Pulses far narrower than the memory's time scale: the peak search
+    starts inside (tau_c, H) and the tail's window is H - tau_c wide, where
+    1e-6 max(tau_c, 1) and a window of at least 1 used to leave the search
+    past the peak and the tail with about 1/(sigma/4) pieces (a multi-GiB
+    allocation). The peak lies in (tau_c, H), past H at kappa_i = 1e-26 and
+    at infinity without loss; a Gaussian's report agrees with the closed
+    forms, whose absolute xtol is 1e-14."""
+    p = prof.parse_profile(pulse)
+    sch = proto.build_schedule(p, _params(ki))
+    rep = proto.peak_time_and_fidelity(p, _params(ki), sch)
+    total = (rep.fidelity + rep.loss_stage1_reflection + rep.loss_intrinsic
+             + rep.loss_unabsorbed)
+    assert total == pytest.approx(1.0, abs=1e-8)
+    if ki == 0.0:
+        assert rep.tau_max == math.inf
+    elif ki == 1e-26:
+        assert rep.tau_max > sch.horizon
+    else:
+        assert sch.tau_c < rep.tau_max < sch.horizon
+    if p.kind == prof.GAUSSIAN and ki > 0.0:
+        tau_max, fid = cf.gauss_report(p.sigma, p.n, ki)
+        assert rep.tau_max == pytest.approx(tau_max, rel=1e-6)
+        assert rep.fidelity == pytest.approx(fid, rel=1e-6)
 
 
 def test_heavy_loss_regime_is_flagged_not_failed():
