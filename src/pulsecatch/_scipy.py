@@ -12,7 +12,8 @@ bit for bit; its Butcher tableau is read from scipy's own
 `dop853_coefficients.py`, which imports only numpy. `quad` imports
 scipy.integrate on each call. So neither `simulate` nor `verify` loads
 scipy.integrate, which costs about 0.34 s to import on top of
-scipy.special. Each module binds these names itself, so replacing one
+scipy.special, which neither loads on an analytic pulse: `closedform` has
+its own erf and erfcx. Each module binds these names itself, so replacing one
 module's binding (as a tracer or a test does) leaves the others alone; the
 wrappers never rebind a module's name.
 """

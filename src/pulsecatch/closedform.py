@@ -13,6 +13,12 @@ threshold and peak with one bracketed array root search each (Chandrupatla's
 method, no `brentq`; `protocol` keeps its own), and the scalar entry points
 are that code on one cell.
 
+`erf` and `erfcx` are this module's own numpy code, with no scipy: Taylor
+series about the centres k/128 whose coefficients follow from the functions'
+ODEs, and erfc's continued fraction past 8. Against 40-digit mpmath erfcx is
+within 4 ulps on [0, 1e8] and erf within 1 on [-40, 40] (scipy.special: 8
+and 2); the tests hold them to scipy.special within 10 and 4 ulps.
+
 Conventions: the memory amplitude beta is <= 0, populations are its square.
 Stage 1 is [0, tau_c) at kappa = 1; stage 2 is the zero-reflection schedule
 kappa(tau) = r_in(tau)/beta^2(tau).
@@ -34,22 +40,85 @@ SQRT_PI = math.sqrt(math.pi)
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
-def _load_special() -> None:
-    """Bind `erf` and `erfcx` to scipy's on the first Gaussian evaluation:
-    only the Gaussian forms need scipy.special, so they are bound once
-    instead of imported per call."""
-    global erf, erfcx
-    from scipy.special import erf, erfcx
+# ---------------------------------------------------------------------------
+# erf and erfcx: Taylor series about the nearest k/_M, from their ODEs
+# ---------------------------------------------------------------------------
+
+_M, _BLOCK = 128, 4096                 # centres k/_M; elements per pass
+_ROUND = 1.5 * 2.0 ** 52               # x + _ROUND is x rounded to an integer
+_ROUND_BITS = int(np.float64(_ROUND).view(np.int64))
 
 
-def erf(x):
-    _load_special()
-    return erf(x)
+def _taylor_table(span: float, degree: int, seed, step) -> np.ndarray:
+    """Row j: a_n _M^-n, n = degree - j, of a function's Taylor series about
+    each c = k/_M on [0, span]; seed(c) = (a_0, a_1), and the function's ODE
+    gives (n + 1) a_{n+1} = step(n, c, a_n, a_{n-1})."""
+    c = np.arange(int(span * _M) + 1) / _M
+    a = [np.array(v) for v in zip(*map(seed, c.tolist()))]
+    for n in range(1, degree):
+        a.append(step(n, c, a[n], a[n - 1]) / (n + 1))
+    return np.array([a[n] * _M ** -float(n) for n in range(degree, -1, -1)])
+
+
+# erfcx' = 2x erfcx - 2/sqrt(pi) and erf'' = -2x erf' (c*c is exact)
+_ERFCX = _taylor_table(8.0, 6, lambda c: (e := math.exp(c * c) * math.erfc(c),
+                                          2.0 * c * e - 2.0 / SQRT_PI),
+                       lambda n, c, a, b: 2.0 * c * a + 2.0 * b)
+_ERF = _taylor_table(6.0, 7, lambda c: (math.erf(c), 2.0 / SQRT_PI * math.exp(-c * c)),
+                     lambda n, c, a, b: -2.0 * c * a - 2.0 * (n - 1) / n * b)
+
+
+def _taylor(table, t):
+    """`table`'s series about the centre k/_M nearest each t of a 1-D array
+    (t _M rounded by adding _ROUND), by Horner's rule in u = _M t - k, exact;
+    _BLOCK elements at a time, so that the temporaries stay small."""
+    if t.size > _BLOCK:
+        return np.concatenate([_taylor(table, t[s:s + _BLOCK])
+                               for s in range(0, t.size, _BLOCK)])
+    tm = t * _M
+    r = tm + _ROUND
+    k, u = r.view(np.int64) - _ROUND_BITS, tm - (r - _ROUND)
+    p = table[0].take(k, mode="clip")                # nan: any row, u is nan
+    for row in table[1:]:
+        p *= u
+        p += row.take(k, mode="clip")
+    return p
 
 
 def erfcx(x):
-    _load_special()
-    return erfcx(x)
+    """e^{x^2} erfc(x), elementwise: the series about the nearest k/128 to
+    degree 6 on [0, 8], erfc's continued fraction (DLMF 7.9.2) to 12 terms
+    above, and 2 e^{x^2} - erfcx(-x) below 0 (inf below -26.6)."""
+    x = np.asarray(x, dtype=float)
+    t = x.reshape(-1)
+    a = np.abs(t)
+    p = _taylor(_ERFCX, np.minimum(a, 8.0))
+    far, neg = a > 8.0, t < 0.0
+    if np.count_nonzero(far):
+        y = f = a[far]
+        for j in range(12, 0, -1):
+            f = y + 0.5 * j / f
+        p[far] = 1.0 / (SQRT_PI * f)
+    if np.count_nonzero(neg):
+        y = t[neg]
+        with np.errstate(over="ignore"):
+            p[neg] = 2.0 * np.exp(y * y) - p[neg]
+    return p.reshape(x.shape)[()]
+
+
+def erf(x):
+    """erf(x), elementwise: the series of erf |x| about the nearest k/128 to
+    degree 7, with the sign of x, and +-1 past 6, where erf rounds to it."""
+    x = np.asarray(x, dtype=float)
+    t = np.minimum(np.abs(x), 6.0).reshape(-1)
+    return np.copysign(_taylor(_ERF, t).reshape(x.shape), x)[()]
+
+
+def _both(f, x, y):
+    """(f(x), f(y)) from one call of the elementwise f."""
+    x, y = np.asarray(x), np.asarray(y)
+    v = f(np.concatenate([x.ravel(), y.ravel()]))
+    return v[:x.size].reshape(x.shape), v[x.size:].reshape(y.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -245,23 +314,23 @@ def _fail(errors: list, cells: np.ndarray, make, *columns) -> None:
 
 def _erf_gap(x, y, gap):
     """e^{x^2} (erf x - erf y) = erfcx(-x) - erfcx(-y) e^{(x+y) gap}, y <= x <= 0
-    (DLMF 7.2): no factor overflows, and gap = x - y, taken exact, cancels nothing."""
-    return erfcx(-x) - erfcx(-y) * np.exp((x + y) * gap)
+    (DLMF 7.2): no factor overflows, and gap = x - y, taken exact, cancels nothing.
+    For x > 0 it holds too, with erfcx(-x) = 2 e^{x^2} - erfcx(x)."""
+    ex, ey = _both(erfcx, -x, -y)
+    return ex - ey * np.exp((x + y) * gap)
 
 
 @np.errstate(all="ignore")
 def _gauss_bracket(a, b, tau0, tau):
     """C e^{B^2} (erf B + erf A), C = sqrt(pi)/(2 sqrt(b)): the stage-1 bracket,
-    exactly 1 at the threshold time. For tau in [0, tau0 + a/(2b)] we have
-    B <= 0 and |B| <= A, and `_erf_gap` with x = B, y = -A and x - y =
-    sqrt(b) tau keeps every factor in range. Each cell takes the branch of
-    its own B's sign; the other branch's overflow is discarded."""
+    exactly 1 at the threshold time, as `_erf_gap` with x = B, y = -A and
+    x - y = sqrt(b) tau. For tau in [0, tau0 + a/(2b)] we have B <= 0 and
+    |B| <= A, which keeps every factor in range; up to tau0 + 10 sigma, the
+    end of the threshold search's bracket, B <= 5 and erfcx(-B) < 2 e^25."""
     rb = np.sqrt(b)
     big_a = rb * tau0 + 0.5 * a / rb
     big_b = rb * (tau - tau0) - 0.5 * a / rb
-    scaled = np.where(big_b <= 0.0, _erf_gap(big_b, -big_a, rb * tau),
-                      np.exp(big_b * big_b) * (erf(big_b) + erf(big_a)))
-    return 0.5 * SQRT_PI / rb * scaled
+    return 0.5 * SQRT_PI / rb * _erf_gap(big_b, -big_a, rb * tau)
 
 
 def _gauss_threshold_residual(a, b, tau0, tau):
@@ -288,16 +357,20 @@ def _gauss_stage2(sigma, n, kappa_i, tau_c, tau):
     - k sigma^2)/(sigma sqrt 2). For x <= 0 the erf term is g(tau) `_erf_gap`/2 with gap
     (tau - tau_c)/(sigma sqrt 2), g = w e^{-x^2} = e^{-(tau - tau0)^2/(2 sigma^2)}; for
     x > 0, w <= 1. No overflow or cancellation next to -1, for any kappa_i sigma. Each
-    cell takes the branch of its own x's sign; the other branch's overflow is discarded."""
+    cell takes the branch of its own x's sign; a branch no cell takes is not run."""
     k, tau0, b = kappa_i, n * sigma, 0.25 / (sigma * sigma)
     seed = gauss_rate(sigma, n, tau_c)
     rt2b = np.sqrt(2.0 * b)  # = 1/(sigma*sqrt(2))
     x = rt2b * (tau - tau0) - 0.5 * k / rt2b
     y = rt2b * (tau_c - tau0) - 0.5 * k / rt2b
     z = (tau - tau0) / sigma
-    head = np.exp(-0.5 * z * z) * _erf_gap(x, y, rt2b * (tau - tau_c))
-    tail = np.exp(-k * (tau - tau0) + 0.125 * k * k / b) * (erf(x) - erf(y))
-    return np.exp(-k * (tau - tau_c)) * seed + 0.5 * np.where(x <= 0.0, head, tail)
+    head = lambda: np.exp(-0.5 * z * z) * _erf_gap(x, y, rt2b * (tau - tau_c))
+    tail = lambda: (np.exp(-k * (tau - tau0) + 0.125 * k * k / b)
+                    * np.subtract(*_both(erf, x, y)))
+    heads = np.count_nonzero(x <= 0.0)
+    term = (head() if heads == np.size(x) else tail() if heads == 0
+            else np.where(x <= 0.0, head(), tail()))
+    return np.exp(-k * (tau - tau_c)) * seed + 0.5 * term
 
 
 @np.errstate(all="ignore")
@@ -529,7 +602,9 @@ def exp_losses(r: float, kappa_i: float,
 
 
 def _gauss_cumulative(sigma, n, tau):
-    """The input's integral over [0, tau], as `profiles.cumulative` writes it."""
+    """The input's integral over [0, tau]: `profiles.cumulative`'s formula,
+    with this module's erf where it takes `math.erf`, so the two can differ
+    in the last bit (1,778 of 10,000 sampled points, by at most 1.1e-16)."""
     root2 = math.sqrt(2.0)
     tau0 = n * sigma
     return 0.5 * (erf((tau - tau0) / (sigma * root2)) + erf(tau0 / (sigma * root2)))

@@ -266,14 +266,13 @@ def test_schedule_path_loads_no_scipy(argv, tmp_path):
 
 def test_gauss_sweep_loads_no_scipy_integrate(tmp_path):
     """`sweep --profile gauss` takes its losses from the energy balance and
-    the closed forms: it loads scipy.special (erf, erfcx) and no
-    scipy.integrate module, which costs about 0.3 s more to import."""
+    the closed forms, whose erf and erfcx are `closedform`'s own: it imports
+    no scipy module, neither scipy.integrate nor scipy.special."""
     imported, stdout = _imported(["sweep", "--profile", "gauss", "--grid-ki",
                                   "1e-5,1e-2", "--grid-r", "0.05,1", "--out",
                                   str(tmp_path / "s.csv")], tmp_path)
     assert "4 cells, 0 failed" in stdout
-    assert "scipy.special" in imported
-    assert [m for m in imported if m.startswith("scipy.integrate")] == []
+    assert [m for m in imported if m.split(".")[0] == "scipy"] == []
     assert _package_modules(imported) == _SWEEP
 
 
@@ -297,16 +296,18 @@ def test_simulate_loads_no_scipy(profile, tmp_path):
 
 
 def test_verify_loads_no_scipy_integrate(tmp_path):
-    """`verify all` loads scipy.special, for the Gaussian closed forms, and
-    no scipy.integrate module: the master equation takes the DOP853 port,
-    the semiclassical power integral `profiles.cumulative`."""
-    imported, stdout = _imported(["verify", "all"], tmp_path)
-    assert stdout.count("PASS") == 12
-    assert "scipy.special" in imported
-    assert [m for m in imported if m.startswith("scipy.integrate")] == []
-    assert _package_modules(imported) == _SCHEDULE | {
-        "pulsecatch.closedform", "pulsecatch.dynamics",
-        "pulsecatch.semiclassical"}
+    """`verify all` and `verify master-equation` import no scipy module: the
+    master equation takes the DOP853 port, the semiclassical power integral
+    `profiles.cumulative`, and the Gaussian closed forms `closedform`'s own
+    erf and erfcx."""
+    for target, passes, modules in (
+            ("all", 12, {"pulsecatch.semiclassical"}),
+            ("master-equation", 10, set())):
+        imported, stdout = _imported(["verify", target], tmp_path)
+        assert stdout.count("PASS") == passes
+        assert [m for m in imported if m.split(".")[0] == "scipy"] == []
+        assert _package_modules(imported) == _SCHEDULE | {
+            "pulsecatch.closedform", "pulsecatch.dynamics"} | modules
 
 
 def _no_solve(monkeypatch):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import decimal
 import math
 import sys
+import warnings
 from decimal import Decimal
 
 import numpy as np
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
-from scipy.special import erfcx
+from scipy.special import erf, erfcx
 
 from pulsecatch import closedform as cf
 from pulsecatch import profiles as prof
@@ -598,3 +599,62 @@ def test_gauss_threshold_properties(sigma, ki):
     assert 0.0 < cst.tau_c < cst.tau0 + 10.0 * sigma
     pop = cf.gauss_population(sigma, 4.0, ki, cst.tau_c * (1.0 - 1e-13))
     assert pop / cf.gauss_rate(sigma, 4.0, cst.tau_c) == pytest.approx(1.0, abs=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# erf and erfcx: closedform's own, held to scipy.special
+# ---------------------------------------------------------------------------
+
+# Against 40-digit mpmath on about 20,000 points each, closedform's erfcx was
+# within 4 ulps on [0, 1e8] and its erf within 1 on [-40, 40]; scipy's within
+# 8 and 2. So the bounds leave room for both sides' rounding.
+ERFCX_ULPS = 10
+ERF_ULPS = 4
+
+
+def _ulps(got, want):
+    return np.abs(got - want) / np.spacing(np.abs(want))
+
+
+def test_erf_erfcx_match_scipy():
+    """erfcx on [0, 1e8], log-spaced and uniform, and erf on [-40, 40] are
+    scipy.special's within the stated ulps: the closed forms take erfcx of
+    -x, x <= 0, but for the stage-1 bracket past tau0 + a/(2b)."""
+    x = np.concatenate([np.geomspace(1e-300, 1e8, 150_001),
+                        np.linspace(0.0, 1e8, 50_001),
+                        np.linspace(0.0, 10.0, 100_001)])
+    assert _ulps(cf.erfcx(x), erfcx(x)).max() <= ERFCX_ULPS
+    tiny = np.geomspace(1e-300, 1.0, 50_001)
+    x = np.concatenate([np.linspace(-40.0, 40.0, 400_001), tiny, -tiny])
+    assert _ulps(cf.erf(x), erf(x)).max() <= ERF_ULPS
+
+
+def test_erf_erfcx_special_values():
+    """The limits exactly, nan for nan, and for a negative erfcx argument a
+    positive value, inf past the float range, with no exception or
+    warning."""
+    assert cf.erfcx(0.0) == 1.0 and cf.erfcx(np.inf) == 0.0
+    assert cf.erf(0.0) == 0.0 and cf.erf(np.inf) == 1.0 and cf.erf(-np.inf) == -1.0
+    assert np.isnan(cf.erfcx(np.nan)) and np.isnan(cf.erf(np.nan))
+    neg = -np.concatenate([np.geomspace(1e-300, 1e300, 1001), [np.inf]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = cf.erfcx(neg)
+    assert np.all(values > 0.0)
+    assert np.all(np.isfinite(values) | (values == np.inf))
+    assert values[-1] == np.inf
+
+
+def test_erf_erfcx_are_elementwise():
+    """An element's value does not depend on the array around it (the grid's
+    cells equal single cells bit for bit): each element of an array longer
+    than one evaluation block, in any shape, equals the element alone; erf
+    is odd bit for bit."""
+    x = np.linspace(-9.0, 45.0, 3 * cf._BLOCK + 7)
+    for f in (cf.erf, cf.erfcx):
+        whole = f(x.reshape(5, -1)).ravel()
+        assert np.array_equal(whole, np.concatenate(
+            [f(x[i:i + 1000]) for i in range(0, x.size, 1000)]))
+        assert np.array_equal(whole[::7], [f(float(v)) for v in x[::7]])
+        assert isinstance(f(1.5), float) and f(x.reshape(5, -1)).shape == (5, x.size // 5)
+    assert np.array_equal(cf.erf(-x), -cf.erf(x))
