@@ -46,10 +46,6 @@ OPERATING_POINTS = {
     "gauss": "gauss:r=0.1533,n=4",
 }
 _VERIFY_KAPPA_I = 1e-4
-# Rows per array evaluation in `_schedule_rows`: large enough that each
-# segment's dense output is called a handful of times per file, small enough
-# that the row tuples of one chunk stay a few hundred kilobytes.
-_ROW_CHUNK = 2048
 # `_schedule_grid`'s three constants.
 _FAN_START = 1e-3
 _FAN_GROWTH = 1.1
@@ -141,8 +137,9 @@ def _load_kappa_csv(path: str):
         raise DomainError(f"coupling file {path} needs at least two finite rows")
     ta = np.asarray([t for t, _ in rows])
     ka = np.clip(np.asarray([k for _, k in rows]), 0.0, 1.0)
-    if np.any(np.diff(ta) <= 0.0):
-        raise DomainError(f"coupling file {path} taus must be strictly increasing")
+    if not (np.isfinite(ta).all() and (np.diff(ta) > 0.0).all()):
+        raise DomainError(f"coupling file {path} taus must be finite and "
+                          "strictly increasing")
     interp = prof._pchip(ta, ka)
     t0, t1 = float(ta[0]), float(ta[-1])
     k0, k1 = float(ka[0]), float(ka[-1])
@@ -243,7 +240,7 @@ def _schedule_grid(schedule: protocol.CouplingSchedule, n: int) -> np.ndarray:
 
 
 def _schedule_rows(schedule: protocol.CouplingSchedule, n: int):
-    """Yield (tau, kappa, r_in, beta1_sq, beta_sq, r_out) rows over [0, horizon].
+    """(tau, kappa, r_in, beta1_sq, beta_sq, r_out) rows over [0, horizon].
 
     The rows are `_schedule_grid`'s, so that `simulate --kappa file:`
     reproduces the schedule well within its 1e-9 round-trip budget and the
@@ -253,18 +250,15 @@ def _schedule_rows(schedule: protocol.CouplingSchedule, n: int):
     """
     import numpy as np
     from . import profiles as prof
-    ts = _schedule_grid(schedule, n)
-    profile = schedule.profile
-    for start in range(0, len(ts), _ROW_CHUNK):
-        t = ts[start:start + _ROW_CHUNK]
-        rate = prof.rate_at(profile, t)
-        remaining = 1.0 - prof.cumulative(profile, t)
-        bsq = schedule.beta_sq(t)
-        kap = schedule.kappa(t, nan_if_singular=True)
-        w = -np.sqrt(bsq * kap) + np.sqrt(rate)
-        yield from zip(t.tolist(), kap.tolist(), rate.tolist(),
-                       np.where(remaining > 0.0, remaining, 0.0).tolist(),
-                       bsq.tolist(), (w * w).tolist())
+    t = _schedule_grid(schedule, n)
+    rate = prof.rate_at(schedule.profile, t)
+    remaining = 1.0 - prof.cumulative(schedule.profile, t)
+    bsq = schedule.beta_sq(t)
+    kap = schedule.kappa(t, nan_if_singular=True)
+    w = -np.sqrt(bsq * kap) + np.sqrt(rate)
+    return zip(t.tolist(), kap.tolist(), rate.tolist(),
+               np.where(remaining > 0.0, remaining, 0.0).tolist(),
+               bsq.tolist(), (w * w).tolist())
 
 
 def cmd_schedule(args) -> int:

@@ -121,8 +121,9 @@ def _pchip(x, y) -> _Piecewise:
 
 def exponential(r: float) -> InputProfile:
     """Profile r_in(tau) = r * exp(-r*tau)."""
-    if not (r > 0.0) or not math.isfinite(r):
-        raise DomainError(f"exponential profile needs r > 0, got {r}")
+    if not (0.0 < r < math.inf and 50.0 / r < math.inf):
+        raise DomainError(f"exponential profile needs r > 0 and a finite "
+                          f"horizon 50/r, got {r}")
     return InputProfile(kind=EXPONENTIAL, r=float(r))
 
 
@@ -137,14 +138,17 @@ def gaussian(r: float | None = None, sigma: float | None = None,
     """
     if (r is None) == (sigma is None):
         raise DomainError("give exactly one of r or sigma for a Gaussian profile")
-    if r is not None:
-        if not (r > 0.0) or not math.isfinite(r):
-            raise DomainError(f"gaussian profile needs r > 0, got {r}")
-        sigma = 1.0 / (float(r) * SQRT_2PI)
+    given = float(sigma if r is None else r)
+    if not (given > 0.0):
+        raise DomainError(f"gaussian profile needs r or sigma > 0, got {given}")
+    if r is None:
+        sigma, r = given, 1.0 / (given * SQRT_2PI)
     else:
-        if not (sigma > 0.0) or not math.isfinite(sigma):
-            raise DomainError(f"gaussian profile needs sigma > 0, got {sigma}")
-        r = 1.0 / (float(sigma) * SQRT_2PI)
+        sigma = 1.0 / (given * SQRT_2PI)
+    square = sigma * sigma
+    if not (square > 0.0 and sys.float_info.min <= 0.25 / square < math.inf):
+        raise DomainError(f"gaussian profile needs a normal 1/(4 sigma^2), "
+                          f"got sigma = {sigma}")
     n = float(n)
     if not math.isfinite(n) or n < MIN_GAUSSIAN_OFFSET:
         raise DomainError(
@@ -308,7 +312,7 @@ def horizon(profile: InputProfile) -> float:
 
 
 def _interior_breaks(profile: InputProfile, a: float, b: float) -> list[float]:
-    """Points in (a, b) where r_in is not smooth: the Gaussian centre, table knots."""
+    """Where the adaptive oracles split (a, b): the Gaussian's peak, table knots."""
     if profile.kind == GAUSSIAN and a < profile.tau0 < b:
         return [profile.tau0]
     if profile.kind == TABULATED:
@@ -333,24 +337,27 @@ _WGK = np.array([
     0.123491976262065851077208980316775, 0.134709217311473325928054001771707,
     0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
     0.149445554002916905664936468389821])
-_NODES = np.concatenate((-_XGK, _XGK[-2::-1]))[:, None]     # ascending
-_WEIGHTS = np.concatenate((_WGK, _WGK[-2::-1]))[:, None]
+_NODES = np.concatenate((-_XGK, _XGK[-2::-1]))     # ascending
+_WEIGHTS = np.concatenate((_WGK, _WGK[-2::-1]))
 _EPMACH = sys.float_info.epsilon
 _CHUNK = 40          # intervals per quad call, which caps its break points
 _EPSREL = 1e-12
 
 
 def _kronrod(f: Callable[[np.ndarray], np.ndarray], edges) -> np.ndarray:
-    """The 21-point Kronrod rule on each interval between `edges`: the
-    integral of f there. f takes the nodes of every interval in one flat
-    array and gives its value at each, or rows of such values. Nodes are
-    a + h (1 + x), h the half length: at a centre plus an offset (QUADPACK's)
-    they would all shift with the centre's rounding and bias the sum."""
+    """The 21-point Kronrod rule on each interval between `edges`, the
+    intervals along their first axis: the integral of f there. f takes the
+    nodes as one array of shape (21,) + the intervals' shape, so that
+    per-interval parameters broadcast, and gives its value at each, or rows
+    of such values. Nodes are a + h (1 + x), h the half length: at a centre
+    plus an offset (QUADPACK's) they would all shift with the centre's
+    rounding and bias the sum. Each interval's 21 terms are summed in node
+    order, so its integral is the same bit for bit alone or in a batch."""
     e = np.asarray(edges, dtype=float)
-    hlgth = 0.5 * (e[1:] - e[:-1])
-    fx = f((e[:-1] + hlgth * (1.0 + _NODES)).ravel())
-    fx = fx.reshape(fx.shape[:-1] + (len(_NODES), -1))
-    return hlgth * (_WEIGHTS * fx).sum(axis=-2)
+    hlgth, ax = 0.5 * (e[1:] - e[:-1]), -e.ndim - 1
+    x, w = (v.reshape((-1,) + (1,) * e.ndim) for v in (_NODES, _WEIGHTS))
+    fx = np.cumsum(w * f(e[:-1] + hlgth * (1.0 + x)), axis=ax)
+    return hlgth * fx.take(-1, axis=ax)
 
 
 def _quad_chunked(f: Callable[[float], float], a: float, b: float,
@@ -362,8 +369,7 @@ def _quad_chunked(f: Callable[[float], float], a: float, b: float,
     if b - a <= 1e3 * _EPMACH * max(abs(a), abs(b)):
         # Too short for QUADPACK to bisect: it would stop at once with its
         # "extremely bad integrand" warning. One rule is exact to rounding.
-        return float(_kronrod(lambda s: np.array([f(t) for t in s.tolist()]),
-                              [a, b])[0])
+        return float(_kronrod(lambda s: _map(f, s), [a, b])[0])
     edges = [a] + breaks + [b]
     n = len(edges) - 1
     total = 0.0

@@ -208,8 +208,8 @@ def _quadratures(table: prof.InputProfile, a: float, b: float):
 @pytest.mark.parametrize("degree", [0, 1, 3, 20, 31])
 def test_kronrod_is_exact_on_polynomials(degree):
     """The rule integrates a polynomial of degree <= 31 exactly, to
-    rounding, on every interval at once, and asks for the nodes in one flat
-    array."""
+    rounding, on every interval at once, and asks for the nodes in one
+    array, the node axis first."""
     rng = np.random.default_rng(degree)
     coefs = rng.normal(size=degree + 1)
     antider = np.polynomial.Polynomial(coefs).integ()
@@ -222,9 +222,28 @@ def test_kronrod_is_exact_on_polynomials(degree):
 
     got = prof._kronrod(fv, edges)
     want = antider(edges[1:]) - antider(edges[:-1])
-    assert shapes == [(21 * (len(edges) - 1),)]
+    assert shapes == [(21, len(edges) - 1)]
     scale = np.abs(coefs).sum() * 2.0 ** (degree + 1)
     assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+
+def test_kronrod_interval_is_the_same_alone_or_in_a_batch():
+    """An interval's integral does not depend on the intervals beside it:
+    alone, in a 1-D batch and in 2-D edges (two intervals a column) it is
+    the same bit for bit, and so is each row of an f that gives rows."""
+    rng = np.random.default_rng(35)
+    edges = -5.0 + np.cumsum(np.append(0.0, rng.uniform(0.01, 3.0, 2000)))
+    f = lambda s: np.exp(np.sin(7.0 * s)) * 1e3 + np.cos(s)
+    alone = np.array([prof._kronrod(f, edges[i:i + 2])[0]
+                      for i in range(2000)])
+    assert np.array_equal(prof._kronrod(f, edges), alone)
+    columns = np.stack((edges[:-1:2], edges[1::2], edges[2::2]))
+    assert np.array_equal(prof._kronrod(f, columns).T.ravel(), alone)
+    rows = prof._kronrod(lambda s: np.array([f(s), s * s]), edges)
+    assert np.array_equal(rows[0], alone)
+    squares = [prof._kronrod(lambda s: s * s, edges[i:i + 2])[0]
+               for i in range(2000)]
+    assert np.array_equal(rows[1], squares)
 
 
 @settings(max_examples=40, deadline=None)

@@ -539,6 +539,19 @@ def test_simulate_coupling_file_with_a_one_row_plateau(tmp_path):
     assert len(_read_csv(tmp_path / "trajectory.csv")) >= 3
 
 
+@pytest.mark.parametrize("taus", [("0", "nan", "2"), ("0", "1", "inf")])
+def test_simulate_coupling_file_with_a_non_finite_tau(taus, tmp_path):
+    # a nan tau passed the increasing check and reached PCHIP's ValueError
+    kappa = tmp_path / "k.csv"
+    kappa.write_text("".join(f"{t},0.5\n" for t in taus))
+    proc = _run([], ["simulate", "--profile", "exp:r=0.5", "--kappa",
+                     f"file:{kappa}", "--out", str(tmp_path / "trajectory.csv")],
+                tmp_path)
+    assert proc.returncode == 1
+    assert "error: coupling file" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_simulate_residual_shrinks_with_tol(tmp_path, capsys):
     residuals = []
     for tol in ("1e-8", "1e-10"):

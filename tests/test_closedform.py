@@ -15,7 +15,7 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import erf, erfcx
@@ -569,6 +569,8 @@ def test_gauss_losses_match_quadrature_on_grid_corners(r, ki, n):
 @given(r=st.floats(min_value=0.005, max_value=3.0),
        log_ki=st.floats(min_value=math.log(1e-9), max_value=math.log(0.9)),
        n=st.sampled_from([3.0, 4.0, 6.0, 8.0]))
+# one piece over [0, tau_c] missed S1 by 2.6e-10 here: beta's transient
+@example(r=0.009765625, log_ki=-0.125, n=6.0)
 def test_gauss_losses_match_quadrature(r, log_ki, n):
     _check_gauss_losses(r, math.exp(log_ki), n)
 

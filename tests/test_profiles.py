@@ -30,7 +30,8 @@ class TestConstructors:
         assert p.r == 0.25
         assert p.sigma is None and p.taus is None
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    # 1e-320: the horizon 50/r is inf
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, 1e-320])
     def test_exponential_rejects_nonpositive_rate(self, bad):
         with pytest.raises(DomainError):
             prof.exponential(bad)
@@ -41,6 +42,15 @@ class TestConstructors:
         q = prof.gaussian(sigma=p.sigma)
         assert q.r == pytest.approx(0.1533, rel=1e-14)
         assert p.tau0 == pytest.approx(4.0 * p.sigma)
+
+    # sigma = 1e-200 and r = 1e200: 1/(4 sigma^2) is inf, as sigma^2 is 0
+    @pytest.mark.parametrize("bad", [
+        {"sigma": 0.0}, {"sigma": -1.0}, {"sigma": math.nan},
+        {"sigma": math.inf}, {"sigma": 1e-200},
+        {"r": 0.0}, {"r": math.inf}, {"r": 1e200}])
+    def test_gaussian_rejects_unrepresentable_width(self, bad):
+        with pytest.raises(DomainError):
+            prof.gaussian(**bad)
 
     def test_gaussian_requires_exactly_one_of_r_sigma(self):
         with pytest.raises(DomainError):
@@ -122,10 +132,13 @@ class TestEvaluation:
 
     def test_negative_time_rejected(self):
         p = prof.exponential(0.5)
-        with pytest.raises(DomainError):
-            prof.rate_at(p, -0.1)
-        with pytest.raises(DomainError):
-            prof.cumulative(p, np.array([0.0, -1.0]))
+        for call in (lambda: prof.rate_at(p, -0.1),
+                     lambda: prof.rate_at(p, np.array([0.0, -1.0])),
+                     lambda: prof.cumulative(p, -1.0),
+                     lambda: prof.cumulative(p, np.array([0.0, -1.0])),
+                     lambda: prof.total_excitation(p, -1.0)):
+            with pytest.raises(DomainError):
+                call()
 
     def test_tabulated_vanishes_outside_support(self):
         p = prof.tabulated([1.0, 2.0, 3.0], [0.5, 1.0, 0.5])

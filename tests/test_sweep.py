@@ -346,6 +346,13 @@ def test_optimal_rate_domain(ki):
         sweep.optimal_rate("exp", ki)
 
 
+def test_optimal_rate_raises_a_failed_cells_error():
+    """A cell's typed error ends the search: here every pulse of the family
+    fails its offset check."""
+    with pytest.raises(DomainError, match="offset multiplier"):
+        sweep.optimal_rate(lambda r: prof.gaussian(r=r, n=2.0), 1e-4)
+
+
 @pytest.mark.parametrize("ki", [1e-5, 1e-4, 1e-3, 1e-2])
 @pytest.mark.parametrize("fam", ["exp", "gauss"])
 def test_optimal_rate_matches_dense_row(fam, ki):
