@@ -409,6 +409,7 @@ _SPREAD = 0.5            # largest sum_j |c_j| h^j / c_0 of a table's root piece
 _FINE = 0.125            # the same on a piece cut again (`_refined`)
 _MAX_SPLIT = 4096        # most pieces `_refined` halves at once
 _MAX_TERMS = 60          # longest series
+_MAX_PIECES = 2 ** 20    # most pieces in one grid (`_check_pieces`)
 _CHUNK = 32              # pieces of the first stage-1 chunk; each next doubles
 _FILL = np.arange(1.0, 64.0) / 64.0     # a crowded piece's interior samples
 
@@ -437,9 +438,18 @@ def _recentred(table: prof._Piecewise, piece: np.ndarray,
     return _shift(table.pp.c[::-1][:, piece], starts - table.pp.x[piece])
 
 
+def _check_pieces(n, t: float):
+    """DomainError before a grid of n > `_MAX_PIECES` pieces from t exists."""
+    if n > _MAX_PIECES:
+        raise DomainError(f"the series need {float(n):.3g} pieces from tau = "
+                          f"{t:.6g}, more than {_MAX_PIECES:,}")
+
+
 def _cut(starts: np.ndarray, h: np.ndarray, n: np.ndarray, end: float):
     """(ts, the index of the piece each part comes from): the pieces from
     starts, h long, each cut into n equal parts, the last ending at end."""
+    _check_pieces(n.sum(), starts[0])
+    n = n.astype(int)
     at = np.arange(len(starts))
     if n.max() > 1:
         at = np.repeat(at, n)
@@ -457,7 +467,7 @@ def _pieces(profile, starts: list[float], end: float, parts):
     piece = np.clip(np.searchsorted(table.pp.x, starts, side="right") - 1,
                     0, table.last)
     h = np.append(starts[1:], end) - starts
-    ts, at = _cut(starts, h, parts(starts, h, piece).astype(int), end)
+    ts, at = _cut(starts, h, parts(starts, h, piece), end)
     return ts, piece[at]
 
 
@@ -543,7 +553,7 @@ def _taylor(profile: prof.InputProfile, grid: np.ndarray, root: bool):
         b = half / profile.sigma ** 2
         log_sum = b * (np.abs(grid[:-1] - profile.tau0) * h + 0.5 * h * h)
     ts = _cut(grid[:-1], h, np.maximum(np.ceil(log_sum / math.log(2.0)),
-                                       1.0).astype(int), float(grid[-1]))[0]
+                                       1.0), float(grid[-1]))[0]
     first = prof.rate_at(profile, ts[:-1])
     if root:
         first = np.sqrt(first)
@@ -571,6 +581,7 @@ def _uniform(profile: prof.InputProfile, k: float, t0: float, end: float,
             1)
 
     def chunk(i: int, j: int):
+        _check_pieces(j - i, t0 + (end - t0) * i / n)
         ts = t0 + (end - t0) * (np.arange(i, j + 1) / n)
         if j == n:
             ts[-1] = end
@@ -579,36 +590,26 @@ def _uniform(profile: prof.InputProfile, k: float, t0: float, end: float,
     return n, (end - t0) / n, chunk
 
 
-def _phi_series(p: list, k: float, m: int, shift=None) -> list:
-    """Rows d_1..d_m of S(v) = sum_m d_m v^m, the solution of
-    S' = sum_j p_j v^j - k S from S(0) = 0: d_m = b_m/m! with b_1 = p_0,
-    b_m = (m-1)! p_{m-1} - k b_{m-1} (p_j = 0 past the last row). With a
-    shift per piece (`_refined`: 1/2 on a branch piece), S(v) = |v|^shift
-    sum_m d_m v^m solves S' = |v|^shift sum_j p_j v^j - k S for v of
-    either sign, by (m + shift) d_m = p_{m-1} - k d_{m-1}."""
-    if shift is not None:
-        d = [p[0] / (1.0 + shift)]
-        for j in range(2, m + 1):
-            d.append(((p[j - 1] if j <= len(p) else 0.0) - k * d[-1])
-                     / (j + shift))
-        return d
-    fact = np.array([float(math.factorial(j)) for j in range(m + 1)])
-    scaled = fact[:len(p), None] * np.array(p)      # j! p_j
-    b = [scaled[0]]
-    for j in range(1, m):
-        b.append((scaled[j] if j < len(p) else 0.0) - k * b[-1])
-    return list(np.array(b) / fact[1:, None])
+def _phi_series(p: list, k: float, m: int, shift=0.0) -> list:
+    """Rows d_1..d_m of S(v) = |v|^shift sum_m d_m v^m, the solution of
+    S' = |v|^shift sum_j p_j v^j - k S from S(0) = 0, for v of either sign:
+    (m + shift) d_m = p_{m-1} - k d_{m-1}, d_0 = 0 (p_j = 0 past the last
+    row). The shift is 0, or per piece 1/2 on a branch piece (`_refined`)."""
+    d = [p[0] / (1.0 + shift)]
+    for j in range(2, m + 1):
+        d.append(((p[j - 1] if j <= len(p) else 0.0) - k * d[-1])
+                 / (j + shift))
+    return d
 
 
 def _phi_rows(p: list, terms: np.ndarray, passed: np.ndarray, k: float,
-              m: int, shift=None):
+              m: int, shift=0.0):
     """(d, passed): `_phi_series` of each piece's series p, with its first
     max(terms + 1, m) rows kept and the others 0. A piece whose rows are
-    not finite fails: b_m = (m-1)! p_{m-1} - k b_{m-1} can overflow on a
-    very short piece with a long series."""
+    not finite fails: a very short piece's series can have rows near the
+    largest float, and p_{m-1} - k d_{m-1} overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
-        d = _phi_series(p, k, max(len(p) + 1, m), shift)
-    d = np.array(d)
+        d = np.array(_phi_series(p, k, max(len(p) + 1, m), shift))
     passed = passed & np.isfinite(d).all(axis=0)
     d[(np.arange(len(d))[:, None] >= np.maximum(terms + 1, m)) | ~passed] = 0.0
     return list(d), passed
@@ -693,11 +694,12 @@ def _merged(parts: list, end: float):
               for n in (2, 3)))
 
 
-def _expm1_rows(k: float, h: float) -> list[float]:
+def _expm1_rows(k: float, h: float, lead: int = 0) -> list[float]:
     """Rows g_1..g_M of expm1(-k v) = sum_m g_m v^m, g_m = (-k)^m/m!, with
-    the first M where (k h)^M/(M+1)! is below 2^-60 on the longest piece h."""
-    m = 1
-    while (k * h) ** m > _TAIL * math.factorial(m + 1):
+    the first M > lead where the tail against the term of degree lead,
+    (lead+1)! (k h)^(M-lead)/(M+1)!, is below 2^-60 on the longest piece h."""
+    m, scale = lead + 1, math.factorial(lead + 1)
+    while scale * (k * h) ** (m - lead) > _TAIL * math.factorial(m + 1):
         m += 1
     return [(-k) ** j / math.factorial(j) for j in range(1, m + 1)]
 
@@ -713,16 +715,17 @@ class _ExactLinear:
         y(o + v) = y + (expm1(-k v) y + S(v)),
         S(v) = sum_j j! p_j v^(j+1) phi_{j+1}(-k v),  phi_m(z) = sum_n z^n/(n+m)!
 
-    two power series in v, with coefficients g_m = (-k)^m/m! and d_m
-    (`_phi_series`). A piece is anchored at its start, but for a table's
-    stage 1 at a square-root branch point of r_in (a zero first or last
-    sample with a nonzero slope, `_root_form`), at the piece's start or
-    end: there p(o + v) = |v|^(1/2) sum_j p_j v^j, and S takes the same
-    factor (`branch`). A point takes the piece of `ts` that holds it, the
-    earlier one at a piece end, clamped to the first and last pieces. `at`
-    (floats) and `dense` (arrays) run the same arithmetic, bit for bit, and
-    at a piece end give the recurrence y_{i+1} = y_i + (expm1(-k h_i) y_i +
-    S_i(h_i)), which carries each rounding error on (TwoSum).
+    two power series in v, with coefficients g_m = (-k)^m/m!
+    (`_expm1_rows`) and d_m (`_phi_series`). A piece is anchored at its
+    start, but for a table's stage 1 at a square-root branch point of r_in
+    (a zero first or last sample with a nonzero slope, `_root_form`), at
+    the piece's start or end: there p(o + v) = |v|^(1/2) sum_j p_j v^j,
+    and S takes the same factor (`branch`). A point takes the piece of `ts`
+    that holds it, the earlier one at a piece end, clamped to the first and
+    last pieces. `at` (floats) and `dense` (arrays) run the same
+    arithmetic, bit for bit, and at a piece end give the recurrence y_{i+1}
+    = y_i + (expm1(-k h_i) y_i + S_i(h_i)), which carries each rounding
+    error on (TwoSum).
     """
 
     def __init__(self, ts: np.ndarray, y: list[float], lo: list[float],
@@ -793,10 +796,9 @@ class _ExactLinear:
         """The stage-2 population from beta^2(t0) = y0 to end, and beta^2 at
         each entry of its `ts`. A table's pieces are the knot intervals from
         t0, cut in equal parts so that k h <= 1/2, and p is each cubic; the
-        series stop at the first term M with 24 (k h)^(M-3)/(M+1)! below
-        2^-60 for the longest piece h: the tail relative to the cubic's
-        term. An analytic profile's pieces are `_uniform`, and a piece whose
-        series fails raises InfeasibleSchedule."""
+        series stop where `_expm1_rows` puts the tail below 2^-60 of the
+        cubic's term (lead 3). An analytic profile's pieces are `_uniform`,
+        and a piece whose series fails raises InfeasibleSchedule."""
         if profile.kind != prof.TABULATED:
             n, h, chunk = _uniform(profile, k, t0, end, False)
             ts, rows, terms, passed = chunk(0, n)
@@ -809,12 +811,9 @@ class _ExactLinear:
         ts, piece = _pieces(profile, [t0] + prof._interior_breaks(
             profile, t0, end), end, lambda _, h, __: np.maximum(np.ceil(
                 2.0 * k * h), 1.0))
-        rho = k * float(np.diff(ts).max())
-        m = 4
-        while 24.0 * rho ** (m - 3) > _TAIL * math.factorial(m + 1):
-            m += 1
-        d = _phi_series(_recentred(profile._interp, piece, ts[:-1]), k, m)
-        g = [(-k) ** j / math.factorial(j) for j in range(1, m + 1)]
+        g = _expm1_rows(k, float(np.diff(ts).max()), 3)
+        d = _phi_series(_recentred(profile._interp, piece, ts[:-1]), k,
+                        len(g))
         return cls._propagated(ts, y0, 0.0, d, g)[:2]
 
     @classmethod
@@ -1065,10 +1064,10 @@ def _losses(schedule: CouplingSchedule, tau_max: float) -> tuple[float, float]:
     in stage 1 one Kronrod rule per piece, and on a branch piece, anchored
     at o, one in s = sqrt|t - o|, where f(o +- s^2) 2 s is smooth; in stage 2
     the series' integral over piece i up to w_i = min(h_i, tau_max - t_i),
-    w_i (y_i + lo_i) + sum_m a_m w_i^(m+1)/(m+1). Past the horizon the tail
-    (`CouplingSchedule._tail`) is one more stage-2 segment up to U, and past
-    U its decay integrates in closed form, y(U) (1 - e^{-kappa_i (tau_max -
-    U)})/kappa_i."""
+    w_i (y_i + lo_i) + sum_m a_m w_i^(m+1)/(m+1) in term order (the same
+    alone or in a batch). Past the horizon the tail (`CouplingSchedule._tail`)
+    is one more stage-2 segment up to U, and past U its decay integrates in
+    closed form, y(U) (1 - e^{-kappa_i (tau_max - U)})/kappa_i."""
     profile, k = schedule.profile, schedule.params.kappa_i
     reflection = intrinsic = 0.0
     tail = (schedule._tail,) if k != 0.0 and tau_max > schedule.horizon \
@@ -1084,8 +1083,8 @@ def _losses(schedule: CouplingSchedule, tau_max: float) -> tuple[float, float]:
             if k != 0.0:
                 w, m = np.diff(edges), np.arange(1.0, len(sol._a) + 1.0)[:, None]
                 y = sol._y_array[:n] + sol._lo_array[:n]
-                series = (sol._a[:, :n] * w ** m / (m + 1.0)).sum(axis=0)
-                intrinsic += float(np.sum(w * (y + series)))
+                terms = (sol._a[:, :n] * w ** m / (m + 1.0)).cumsum(axis=0)
+                intrinsic += float(np.sum(w * (y + terms[-1])))
             continue
 
         def r_out_beta_sq(s, _beta=seg.dense):

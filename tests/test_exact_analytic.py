@@ -200,3 +200,62 @@ def test_loss_budget_closes_to_rounding(case):
     total = (rep.fidelity + rep.loss_stage1_reflection + rep.loss_intrinsic
              + rep.loss_unabsorbed)
     assert abs(total - 1.0) <= 2e-15
+
+
+@pytest.mark.parametrize("shift", [None, 0.5, "per piece"])
+def test_phi_rows_satisfy_their_recurrence(shift):
+    """Each row of `_phi_series` is (p_{m-1} - k d_{m-1}) / (m + s), d_0 =
+    0, bit for bit, past the last row of p too: s = 0 (the default), s =
+    1/2 and s per piece (1/2 on a branch piece)."""
+    rng = np.random.default_rng(36)
+    p = list(rng.standard_normal((6, 50)) * 10.0 ** rng.uniform(-3, 3, 50))
+    if shift == "per piece":
+        shift = 0.5 * (rng.uniform(size=50) < 0.5)
+    k = 0.50005
+    d = proto._phi_series(p, k, 14, *([] if shift is None else [shift]))
+    shift = 0.0 if shift is None else shift
+    assert len(d) == 14
+    before = np.zeros(50)
+    for m, row in enumerate(d, start=1):
+        p_m = p[m - 1] if m <= len(p) else 0.0
+        assert _same_bits(row, (p_m - k * before) / (m + shift))
+        before = row
+
+
+def test_phi_rows_of_a_short_piece_with_a_long_series_are_finite():
+    """A piece 5e-8 long of r_in = 1e8 e^{-1e8 v}: its Taylor series keeps
+    over 40 terms, and (m-1)! p_{m-1} overflows (the old factorial-scaled
+    rows were inf and failed the piece), but p_{m-1} and the rows d_m do
+    not. The rows pass, and S(h) lies within 1e-14 of r_in's integral
+    against e^{-k (h - v)}, which is closed for an exponential."""
+    a, h, k = 1e8, np.array([5e-8]), 0.5
+    rows, terms = proto._series(np.array([a]), lambda rows, n:
+                                rows[-1] * -a / n, h, np.zeros(1, bool))
+    assert terms[0] > 40
+    assert any(math.isinf(math.factorial(j) * float(row[0]))
+               for j, row in enumerate(rows))
+    d, passed = proto._phi_rows(rows, terms, np.ones(1, bool), k,
+                                len(proto._expm1_rows(k, float(h[0]))))
+    assert passed.all() and np.isfinite(d).all()
+    want = a * (math.exp(-k * 5e-8) - math.exp(-a * 5e-8)) / (a - k)
+    assert abs(proto._horner(d, h)[0] - want) <= 1e-14 * want
+
+
+def test_expm1_rows_keep_the_old_lengths():
+    """`_expm1_rows` stops where the tail against its lead term is below
+    2^-60: with lead 0, where (k h)^M/(M+1)! is (the analytic pieces'
+    rule), with lead 3, where 24 (k h)^(M-3)/(M+1)! is (the table's stage 2,
+    which had its own loop). Both are inlined here as they were, on k h
+    from 1e-12 to 1/2, and give the same rows."""
+    for rho in np.geomspace(1e-12, 0.5, 400).tolist():
+        k, h = 0.75, rho / 0.75
+        m = 1
+        while (k * h) ** m > 2.0 ** -60 * math.factorial(m + 1):
+            m += 1
+        table = 4
+        while 24.0 * (k * h) ** (table - 3) > 2.0 ** -60 \
+                * math.factorial(table + 1):
+            table += 1
+        for lead, want in ((0, m), (3, table)):
+            assert proto._expm1_rows(k, h, lead) == [
+                (-k) ** j / math.factorial(j) for j in range(1, want + 1)]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -271,3 +272,41 @@ def test_past_horizon_loss_tail_is_quiet():
     assert abs(total - 1.0) <= 1e-14
     assert math.isfinite(rep.loss_intrinsic) and rep.loss_intrinsic > 0.0
     assert math.isfinite(past) and past > rep.loss_intrinsic
+
+
+
+def _stage2_loss(sch: proto.CouplingSchedule, sol: proto._ExactLinear):
+    """`_losses`' intrinsic loss of a schedule whose one segment is sol, a
+    stage-2 propagation, over all its pieces."""
+    t0, t1 = float(sol.ts[0]), float(sol.ts[-1])
+    alone = SimpleNamespace(profile=sch.profile, params=sch.params,
+                            horizon=math.inf, segments=(SimpleNamespace(
+                                t0=t0, t1=t1, stage=2, sol=sol),))
+    return proto._losses(alone, t1)[1]
+
+
+
+@pytest.mark.parametrize("profile", [prof.exponential(0.036),
+                                     prof.gaussian(r=0.1533, n=4)],
+                         ids=["exp", "gauss"])
+def test_stage2_piece_loss_is_the_same_alone_or_in_a_batch(profile):
+    """A stage-2 piece's loss integral sums its series' terms in term order,
+    so it does not depend on the pieces beside it (numpy's sum along the
+    terms is pairwise for one piece and row by row for a batch). With y = 0
+    a piece's integral is its terms' sum: each piece of an analytic stage 2
+    (over 20 terms) gives the same loss bit for bit alone and in the batch
+    of all pieces, the others' rows 0."""
+    sch = proto.build_schedule(profile, _params(1e-3))
+    sol = next(seg.sol for seg in sch.segments if seg.stage == 2)
+    n = len(sol.ts) - 1
+    assert len(sol._a) > 20
+
+    def bare(i: int, j: int, d: list[np.ndarray]) -> proto._ExactLinear:
+        return proto._ExactLinear(sol.ts[i:j + 1], [0.0] * (j - i),
+                                  [0.0] * (j - i), d, sol._g)
+
+    for i in range(n):
+        alone = bare(i, i + 1, [row[i:i + 1] for row in sol._d])
+        batch = bare(0, n, [np.where(np.arange(n) == i, row, 0.0)
+                            for row in sol._d])
+        assert _stage2_loss(sch, alone) == _stage2_loss(sch, batch)

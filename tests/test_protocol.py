@@ -10,7 +10,12 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1291,6 +1296,41 @@ def test_narrow_pulses_give_a_report(pulse, ki):
         tau_max, fid = cf.gauss_report(p.sigma, p.n, ki)
         assert rep.tau_max == pytest.approx(tau_max, rel=1e-6)
         assert rep.fidelity == pytest.approx(fid, rel=1e-6)
+
+
+def test_oversized_grids_are_domain_errors():
+    """An input whose pieces would number over 2^20 in one grid raises
+    DomainError before the grid is built, in a fresh interpreter capped at
+    2 GB of address space: stage 2 of slow exponentials (1e7 pieces at r =
+    1e-9, 1e298 at 1e-300) and a slow Gaussian at kappa_i = 1e-4, and the
+    stage-1 cuts of a table with knots 1e9 apart (2e9 pieces). Each used to
+    end in a MemoryError or numpy's size ValueError."""
+    code = textwrap.dedent("""\
+        import resource, sys
+        resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))
+        from pulsecatch import profiles as prof, protocol as proto
+        for text in sys.argv[1:]:
+            p = prof.tabulated([0.0, 1e9, 2e9], [0.0, 7.5e-10, 0.0]) \\
+                if text == "table" else prof.parse_profile(text)
+            try:
+                proto.build_schedule(p, prof.MemoryParams(kappa_i=1e-4))
+                print("built")
+            except Exception as exc:
+                print(type(exc).__name__, exc)
+        """)
+    src = str(Path(proto.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    inputs = ["exp:r=1e-9", "exp:r=1e-10", "gauss:r=1e-10", "exp:r=1e-300",
+              "table"]
+    proc = subprocess.run([sys.executable, "-c", code, *inputs],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == len(inputs)
+    for line in lines:
+        assert line.startswith("DomainError "), line
+        assert "more than 1,048,576" in line and len(line) < 120, line
 
 
 def test_heavy_loss_regime_is_flagged_not_failed():
