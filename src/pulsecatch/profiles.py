@@ -74,25 +74,31 @@ class InputProfile:
 
     @cached_property
     def _interp_cum(self) -> _Piecewise:
+        # 0.0 at the first sample: scipy starts the first piece's constant there.
         return _Piecewise(self._interp.pp.antiderivative())
 
 
 class _Piecewise:
-    """A scipy piecewise polynomial with plain-list copies of its knots and
-    coefficients, so that `at` evaluates a float without array overhead.
+    """A table's cubic, and the one place that knows how it is stored.
 
-    `at(t)` is bitwise equal to `float(pp(t))` for t in [x[0], x[-1]]: it
-    takes the piece scipy's interval search takes (x[i] <= t < x[i+1], the
-    last piece closed) and sums the power basis in the order of scipy's
-    `evaluate_poly1`, from the constant term up. Arrays go to `pp`.
+    `knots` are the breakpoints x_0 < .. < x_n, and row j of `coefs` holds
+    the coefficients of (t - x_i)^j on each piece i, constant term first.
+    `x` and `c` are plain-list copies of them (`c` per piece), so that
+    `at(t)` evaluates a float without array overhead: it is bitwise equal to
+    `float(pp(t))` for t in [x[0], x[-1]]. It takes the piece scipy's
+    interval search takes (x[i] <= t < x[i+1], the last piece closed) and
+    sums the power basis in the order of scipy's `evaluate_poly1`, from the
+    constant term up. Arrays go to `pp`, the scipy PPoly itself.
     """
 
-    __slots__ = ("pp", "x", "c", "last")
+    __slots__ = ("pp", "knots", "coefs", "x", "c", "last")
 
     def __init__(self, pp):
         self.pp = pp
-        self.x = pp.x.tolist()
-        self.c = pp.c[::-1].T.tolist()      # per piece, constant term first
+        self.knots = pp.x
+        self.coefs = pp.c[::-1]
+        self.x = self.knots.tolist()
+        self.c = self.coefs.T.tolist()
         self.last = len(self.c) - 1
 
     def at(self, t: float) -> float:
@@ -114,9 +120,16 @@ def _pchip(x, y) -> _Piecewise:
     to rounding (a table's rates, a coupling file's kappa). Where a secant
     slope is tiny (5e-309 between 1e-308 and 2e-308), scipy's weighted
     harmonic mean of the neighbouring slopes overflows and the knot slope is
-    1/inf = 0, the formula's limit; the overflow warning is noise."""
+    1/inf = 0, the formula's limit; the overflow warning is noise. Samples
+    whose slopes are not finite floats (a secant of 1e308 per unit) are a
+    DomainError."""
+    from scipy.interpolate import PchipInterpolator
     with np.errstate(divide="ignore", over="ignore"):
-        return _Piecewise(PchipInterpolator(x, y, extrapolate=False))
+        try:
+            pp = PchipInterpolator(x, y, extrapolate=False)
+        except ValueError as exc:
+            raise DomainError(f"no PCHIP through these samples: {exc}") from exc
+    return _Piecewise(pp)
 
 
 def exponential(r: float) -> InputProfile:
@@ -177,22 +190,10 @@ def tabulated(taus, rates) -> InputProfile:
     rates = rates.copy()
     taus.setflags(write=False)
     rates.setflags(write=False)
-    _load_pchip()
+    # scipy.interpolate loads where a table is made, not on its first
+    # evaluation (`_interp`), which `_pchip` builds.
+    import scipy.interpolate  # noqa: F401
     return InputProfile(kind=TABULATED, taus=taus, rates=rates)
-
-
-def _load_pchip() -> None:
-    """Bind `PchipInterpolator` to scipy's. `tabulated` calls this, so that
-    loading scipy.interpolate falls where a table is made and not on its
-    first evaluation (`_interp`)."""
-    global PchipInterpolator
-    from scipy.interpolate import PchipInterpolator
-
-
-def PchipInterpolator(*args, **kwargs):
-    # a table made elsewhere (say, unpickled) loads it on first evaluation
-    _load_pchip()
-    return PchipInterpolator(*args, **kwargs)
 
 
 # The standard ranges: the closed-form oracles are validated for kappa_i up
@@ -271,8 +272,7 @@ def cumulative(profile: InputProfile, tau):
             lo = math.erf(profile.tau0 / (profile.sigma * root2))
             return 0.5 * (math.erf((tau - profile.tau0) / (profile.sigma * root2)) + lo)
         table = profile._interp_cum
-        t0, t1 = table.x[0], table.x[-1]
-        return table.at(min(max(tau, t0), t1)) - table.at(t0)
+        return table.at(min(max(tau, table.x[0]), table.x[-1]))
     arr = np.asarray(tau, dtype=float)
     if np.any(arr < 0.0):
         raise DomainError("cumulative requires tau >= 0")
@@ -284,9 +284,8 @@ def cumulative(profile: InputProfile, tau):
         out = 0.5 * (_map(math.erf, (arr - profile.tau0)
                           / (profile.sigma * root2)) + lo)
     else:
-        t0, t1 = profile.taus[0], profile.taus[-1]
-        base = profile._interp_cum.pp(t0)
-        out = profile._interp_cum.pp(np.clip(arr, t0, t1)) - base
+        out = profile._interp_cum.pp(np.clip(arr, profile.taus[0],
+                                             profile.taus[-1]))
     if np.ndim(tau) == 0:
         return float(out)
     return out

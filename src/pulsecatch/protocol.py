@@ -435,7 +435,7 @@ def _recentred(table: prof._Piecewise, piece: np.ndarray,
                starts: np.ndarray) -> list[np.ndarray]:
     """[c_0, .., c_3]: the cubic of knot interval piece[i] re-centred at
     starts[i], r_in(starts[i] + v) = sum_j c_j[i] v^j."""
-    return _shift(table.pp.c[::-1][:, piece], starts - table.pp.x[piece])
+    return _shift(table.coefs[:, piece], starts - table.knots[piece])
 
 
 def _check_pieces(n, t: float):
@@ -464,7 +464,7 @@ def _pieces(profile, starts: list[float], end: float, parts):
     table = profile._interp
     starts = np.array(starts)
     # the piece scipy's search gives the start: x[i] <= t < x[i+1]
-    piece = np.clip(np.searchsorted(table.pp.x, starts, side="right") - 1,
+    piece = np.clip(np.searchsorted(table.knots, starts, side="right") - 1,
                     0, table.last)
     h = np.append(starts[1:], end) - starts
     ts, at = _cut(starts, h, parts(starts, h, piece), end)
@@ -626,7 +626,7 @@ def _root_form(profile: prof.InputProfile, a: np.ndarray, b: np.ndarray,
     sample with a nonzero slope) is a branch point, the anchor of a piece
     no further from it than its length, q = sign(u)^m q_z. Any other piece
     takes its own cubic, o = a."""
-    x = profile._interp.pp.x
+    x = profile._interp.knots
     left = profile.rates[kp] == 0.0
     z = np.where(left, x[kp], x[kp + 1])
     e = _recentred(profile._interp, kp, z)
@@ -637,7 +637,7 @@ def _root_form(profile: prof.InputProfile, a: np.ndarray, b: np.ndarray,
                  1 + tiny[1] + (tiny[1] & tiny[2]), 0)
     m[(m % 2 == 1) & (np.minimum(abs(a - z), abs(b - z)) > b - a)] = 0
     z = np.where(m > 0, z, x[kp])
-    e = np.where(m > 0, e, profile._interp.pp.c[::-1][:, kp])
+    e = np.where(m > 0, e, profile._interp.coefs[:, kp])
     branch, sign = m % 2 == 1, np.where(a < z, -1.0, 1.0)
     o = np.where(branch, z, a)
     up = np.arange(4)[:, None] + m                  # q_z: e shifted down by m

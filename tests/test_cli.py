@@ -552,6 +552,26 @@ def test_simulate_coupling_file_with_a_non_finite_tau(taus, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("kind", ["profile", "kappa"])
+def test_overflowing_pchip_is_input_error(kind, tmp_path):
+    # a secant slope of 1e308 per unit (a table) or 1e308 per 1e-308 (a
+    # coupling file) overflows PCHIP's knot slopes, which scipy rejects
+    # with a ValueError
+    csv = tmp_path / "samples.csv"
+    if kind == "profile":
+        csv.write_text("0,0\n1,1e308\n2,0\n")
+        argv = ["schedule", "--profile", f"table:{csv}",
+                "--out", str(tmp_path / "s")]
+    else:
+        csv.write_text("0,0\n1e-308,1\n2e-308,0\n3,0\n")
+        argv = ["simulate", "--profile", "exp:r=0.5", "--kappa",
+                f"file:{csv}", "--out", str(tmp_path / "trajectory.csv")]
+    proc = _run([], argv, tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert "error: no PCHIP through these samples" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_simulate_residual_shrinks_with_tol(tmp_path, capsys):
     residuals = []
     for tol in ("1e-8", "1e-10"):

@@ -325,6 +325,37 @@ def _tables(draw):
                           rates)
 
 
+@given(_tables())
+def test_table_cubic_layout_is_scipys(p):
+    """`knots` and `coefs` are the PPoly's x and its c reversed (row j the
+    coefficients of (t - x_i)^j), bit for bit, for the cubic and its
+    antiderivative; the antiderivative is 0.0 at the first knot, on a float
+    and on an array."""
+    for table in (p._interp, p._interp_cum):
+        assert table.knots.tobytes() == table.pp.x.tobytes()
+        assert table.coefs.shape == table.pp.c.shape
+        assert table.coefs.tobytes() == table.pp.c[::-1].tobytes()
+    t0 = float(p.taus[0])
+    assert _same_float(prof.cumulative(p, t0), 0.0)
+    assert _same_float(float(prof.cumulative(p, np.array([t0]))[0]), 0.0)
+
+
+def test_tabulated_loads_scipy_interpolate():
+    """A table's constructor loads scipy.interpolate, so that its first
+    evaluation (which builds the PCHIP cubic) imports nothing."""
+    code = ("import sys; from pulsecatch import profiles as prof; "
+            "assert 'scipy.interpolate' not in sys.modules; "
+            "prof.tabulated([0.0, 1.0, 2.0], [0.0, 1.0, 0.0]); "
+            "print('scipy.interpolate' in sys.modules)")
+    src = str(Path(prof.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True"
+
+
 def _same_float(a: float, b: float) -> bool:
     return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
 

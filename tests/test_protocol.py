@@ -11,6 +11,7 @@ import dataclasses
 import functools
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -1331,6 +1332,43 @@ def test_oversized_grids_are_domain_errors():
     for line in lines:
         assert line.startswith("DomainError "), line
         assert "more than 1,048,576" in line and len(line) < 120, line
+
+
+def test_unpickled_table_reports_as_made():
+    """A table pickled before its cubic is built and unpickled in a fresh
+    interpreter that never calls `tabulated` (so scipy.interpolate is not
+    loaded) builds the cubic on first use and evaluates, schedules and
+    reports as the table it was pickled from, bit for bit."""
+    values = textwrap.dedent("""\
+        def values(p):
+            ts = [0.0, 0.013, 4.2, 17.0, 29.99, 30.0, 31.0]
+            params = prof.MemoryParams(kappa_i=1e-4)
+            rep = proto.peak_time_and_fidelity(
+                p, params, proto.build_schedule(p, params))
+            return repr([[prof.rate_at(p, t) for t in ts],
+                         prof.rate_at(p, np.array(ts)).tolist(),
+                         [prof.cumulative(p, t) for t in ts],
+                         prof.cumulative(p, np.array(ts)).tolist(),
+                         dataclasses.astuple(rep)])
+        """)
+    code = textwrap.dedent("""\
+        import dataclasses, pickle, sys
+        import numpy as np
+        from pulsecatch import profiles as prof, protocol as proto
+        p = pickle.loads(sys.stdin.buffer.read())
+        assert "scipy.interpolate" not in sys.modules
+        """) + values + "print(values(p))\n"
+    p = _catch_table(3, faint=True)
+    assert "_interp" not in p.__dict__
+    src = str(Path(proto.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], input=pickle.dumps(p),
+                          capture_output=True, env=env)
+    assert proc.returncode == 0, proc.stderr.decode()
+    here = {"dataclasses": dataclasses, "np": np, "prof": prof, "proto": proto}
+    exec(values, here)
+    assert proc.stdout.decode().strip() == here["values"](p)
 
 
 def test_heavy_loss_regime_is_flagged_not_failed():
