@@ -218,7 +218,7 @@ def _schedule_grid(schedule: protocol.CouplingSchedule, n: int) -> np.ndarray:
     import numpy as np
     from . import profiles as prof
     profile, end = schedule.profile, schedule.horizon
-    ends = np.unique([0.0, schedule.tau_c, *schedule.breakpoints(), end])
+    ends = prof._unique([0.0, schedule.tau_c, *schedule.breakpoints(), end])
     h = math.inf
     if profile.kind == prof.EXPONENTIAL:
         h = 1.0 / (profile.r * _BODY_PER_T)
@@ -236,7 +236,7 @@ def _schedule_grid(schedule: protocol.CouplingSchedule, n: int) -> np.ndarray:
         body = max(1, math.ceil((b - a - 2.0 * offsets[-1]) / h))
         pieces += [a + offsets, b - offsets,
                    np.linspace(a + offsets[-1], b - offsets[-1], body + 1)]
-    return np.unique(np.concatenate(pieces))
+    return prof._unique(np.concatenate(pieces))
 
 
 def _schedule_rows(schedule: protocol.CouplingSchedule, n: int):
@@ -396,7 +396,7 @@ def _master_equation_checks(family: str, scale: float) -> list[dict]:
     coupling = schedule if scale == 1.0 \
         else (lambda t: scale * schedule.kappa(t))
     tau_end = min(schedule.horizon, tau_max + 10.0)
-    ts = np.unique(np.concatenate([np.linspace(0.0, tau_end, 801), [tau_max]]))
+    ts = prof._unique(np.concatenate([np.linspace(0.0, tau_end, 801), [tau_max]]))
 
     rho = dynamics.simulate_master_equation(profile, params, coupling,
                                             tau_end, tol=1e-10, samples=ts)

@@ -74,8 +74,21 @@ class InputProfile:
 
     @cached_property
     def _interp_cum(self) -> _Piecewise:
-        # 0.0 at the first sample: scipy starts the first piece's constant there.
-        return _Piecewise(self._interp.pp.antiderivative())
+        # scipy's PPoly.antiderivative: row j over j + 1, and each piece's
+        # constant the previous piece at its length (its `fix_continuity`),
+        # summed as `_Piecewise.at` sums; 0.0 on the first piece.
+        table = self._interp
+        coefs = np.zeros((5, table.coefs.shape[1]))
+        coefs[1:] = table.coefs / np.array([[1.0], [2.0], [3.0], [4.0]])
+        x, const, consts = table.x, 0.0, [0.0]
+        for i, (c1, c2, c3, c4) in enumerate(coefs[1:, :-1].T.tolist(), 1):
+            s = x[i] - x[i - 1]
+            s2 = s * s
+            s3 = s2 * s
+            const = 0.0 + const + c1 * s + c2 * s2 + c3 * s3 + c4 * (s3 * s)
+            consts.append(const)
+        coefs[0] = consts
+        return _Piecewise(table.knots, coefs)
 
 
 class _Piecewise:
@@ -84,21 +97,20 @@ class _Piecewise:
     `knots` are the breakpoints x_0 < .. < x_n, and row j of `coefs` holds
     the coefficients of (t - x_i)^j on each piece i, constant term first.
     `x` and `c` are plain-list copies of them (`c` per piece), so that
-    `at(t)` evaluates a float without array overhead: it is bitwise equal to
-    `float(pp(t))` for t in [x[0], x[-1]]. It takes the piece scipy's
-    interval search takes (x[i] <= t < x[i+1], the last piece closed) and
-    sums the power basis in the order of scipy's `evaluate_poly1`, from the
-    constant term up. Arrays go to `pp`, the scipy PPoly itself.
+    `at(t)` evaluates a float without array overhead. Floats and arrays
+    (`__call__`) are evaluated as scipy's PPoly evaluates them, bit for bit
+    for t in [x[0], x[-1]]: on the piece scipy's interval search takes
+    (x[i] <= t < x[i+1], the last piece closed), summing the power basis in
+    the order of its `evaluate_poly1`, from the constant term up.
     """
 
-    __slots__ = ("pp", "knots", "coefs", "x", "c", "last")
+    __slots__ = ("knots", "coefs", "x", "c", "last")
 
-    def __init__(self, pp):
-        self.pp = pp
-        self.knots = pp.x
-        self.coefs = pp.c[::-1]
-        self.x = self.knots.tolist()
-        self.c = self.coefs.T.tolist()
+    def __init__(self, knots: np.ndarray, coefs: np.ndarray):
+        self.knots = knots
+        self.coefs = coefs
+        self.x = knots.tolist()
+        self.c = coefs.T.tolist()
         self.last = len(self.c) - 1
 
     def at(self, t: float) -> float:
@@ -114,22 +126,62 @@ class _Piecewise:
             z *= s
         return res
 
+    def __call__(self, t: np.ndarray) -> np.ndarray:
+        i = np.searchsorted(self.knots[1:-1], t, side="right")
+        s = t - self.knots.take(i)
+        res, z = 0.0 + self.coefs[0].take(i), 1.0
+        for row in self.coefs[1:]:
+            z = z * s
+            res += row.take(i) * z
+        return res
+
 
 def _pchip(x, y) -> _Piecewise:
-    """Shape-preserving cubic through (x, y), inside the local data range up
-    to rounding (a table's rates, a coupling file's kappa). Where a secant
-    slope is tiny (5e-309 between 1e-308 and 2e-308), scipy's weighted
-    harmonic mean of the neighbouring slopes overflows and the knot slope is
-    1/inf = 0, the formula's limit; the overflow warning is noise. Samples
-    whose slopes are not finite floats (a secant of 1e308 per unit) are a
-    DomainError."""
-    from scipy.interpolate import PchipInterpolator
+    """Shape-preserving cubic through strictly increasing, finite (x, y):
+    scipy's PchipInterpolator, bit for bit, on the same numpy operations
+    (Fritsch and Carlson, SIAM J. Numer. Anal. 17, 238 (1980); the knot
+    slopes are Fritsch and Butland's weighted harmonic means, the end slopes
+    Moler's one-sided estimate, `_pchip_edge`). It lies inside the local
+    data range up to rounding (a table's rates, a coupling file's kappa).
+    Where a secant slope is tiny (5e-309 between 1e-308 and 2e-308), the
+    harmonic mean overflows and the knot slope is 1/inf = 0, the formula's
+    limit; the overflow warning is noise. Samples whose slopes are not
+    finite floats (a secant of 1e308 per unit) are a DomainError."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     with np.errstate(divide="ignore", over="ignore"):
-        try:
-            pp = PchipInterpolator(x, y, extrapolate=False)
-        except ValueError as exc:
-            raise DomainError(f"no PCHIP through these samples: {exc}") from exc
-    return _Piecewise(pp)
+        h = np.diff(x)
+        m = (y[1:] - y[:-1]) / h
+        if len(x) == 2:
+            d = np.array([m[0], m[0]])
+        else:
+            sign = np.sign(m)
+            flat = (sign[1:] != sign[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
+            w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+            with np.errstate(invalid="ignore"):
+                whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+            d = np.zeros_like(y)
+            d[1:-1][~flat] = 1.0 / whmean[~flat]
+            d[0] = _pchip_edge(h[0], h[1], m[0], m[1])
+            d[-1] = _pchip_edge(h[-1], h[-2], m[-1], m[-2])
+        if not np.isfinite(d).all():
+            raise DomainError("no PCHIP through these samples: `dydx` must "
+                              "contain only finite values.")
+        # CubicHermiteSpline's power form; its secant slopes are m
+        t = (d[:-1] + d[1:] - 2 * m) / h
+        coefs = np.stack((y[:-1], d[:-1], (m - d[:-1]) / h - t, t / h))
+    return _Piecewise(x, coefs)
+
+
+def _pchip_edge(h0, h1, m0, m1) -> float:
+    """An end slope: the one-sided three-point estimate, 0 where its sign
+    is not the end secant's, 3 m0 where the secants change sign and it
+    exceeds 3 |m0|."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
 
 
 def exponential(r: float) -> InputProfile:
@@ -173,8 +225,10 @@ def gaussian(r: float | None = None, sigma: float | None = None,
 def tabulated(taus, rates) -> InputProfile:
     """Tabulated profile from strictly increasing (tau_k, r_k) samples.
 
-    Negative r_k are accepted at construction so that `validate` can name the
-    violated invariant; every downstream solver requires a validated profile.
+    r_in between the samples is their PCHIP cubic (`_pchip`), built on first
+    use, as its antiderivative is; neither loads scipy. Negative r_k are
+    accepted at construction so that `validate` can name the violated
+    invariant; every downstream solver requires a validated profile.
     """
     taus = np.asarray(taus, dtype=float)
     rates = np.asarray(rates, dtype=float)
@@ -190,9 +244,6 @@ def tabulated(taus, rates) -> InputProfile:
     rates = rates.copy()
     taus.setflags(write=False)
     rates.setflags(write=False)
-    # scipy.interpolate loads where a table is made, not on its first
-    # evaluation (`_interp`), which `_pchip` builds.
-    import scipy.interpolate  # noqa: F401
     return InputProfile(kind=TABULATED, taus=taus, rates=rates)
 
 
@@ -246,7 +297,7 @@ def rate_at(profile: InputProfile, tau):
         z = (arr - profile.tau0) / profile.sigma
         out = profile.r * _map(math.exp, -0.5 * z * z)
     else:
-        out = profile._interp.pp(np.clip(arr, profile.taus[0], profile.taus[-1]))
+        out = profile._interp(np.clip(arr, profile.taus[0], profile.taus[-1]))
         out = np.where((arr < profile.taus[0]) | (arr > profile.taus[-1])
                        | (out < 0.0), 0.0, out)
     if np.ndim(tau) == 0:
@@ -284,8 +335,8 @@ def cumulative(profile: InputProfile, tau):
         out = 0.5 * (_map(math.erf, (arr - profile.tau0)
                           / (profile.sigma * root2)) + lo)
     else:
-        out = profile._interp_cum.pp(np.clip(arr, profile.taus[0],
-                                             profile.taus[-1]))
+        out = profile._interp_cum(np.clip(arr, profile.taus[0],
+                                          profile.taus[-1]))
     if np.ndim(tau) == 0:
         return float(out)
     return out
@@ -295,6 +346,18 @@ def _map(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
     """fn at each float of an array, in its shape."""
     return np.fromiter(map(fn, x.ravel().tolist()), float,
                        x.size).reshape(x.shape)
+
+
+def _unique(values) -> np.ndarray:
+    """The sorted distinct values, as np.unique finds them (its `_unique1d`:
+    sort, then keep each value that differs from the one before), without
+    the numpy.ma import np.unique makes; -0.0 and 0.0 are one value, and
+    NaNs, which the package never passes, are not merged."""
+    a = np.sort(np.ravel(values))
+    keep = np.empty(a.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
 
 
 def horizon(profile: InputProfile) -> float:

@@ -938,7 +938,7 @@ class _ExactLinear:
                 | (np.abs(b) <= 1e-13 * np.abs(f).sum(axis=0)).any(axis=0) \
                 | ~np.isfinite(b).all(axis=0) | self._branch
         i = np.flatnonzero(crowded)
-        ts = np.unique(np.concatenate(
+        ts = prof._unique(np.concatenate(
             (self.ts, (self.ts[i, None] + h[i, None] * _FILL).ravel())))
         return ts[ts >= first]
 
@@ -1136,7 +1136,7 @@ def _peak_samples(schedule: CouplingSchedule, first: float) -> np.ndarray:
     segment end among them, that bracket every root of the slope: on each
     segment, `_ExactLinear.samples` of y' (y = beta^2, stage 2) or -y'
     (y = beta < 0, stage 1), whose sign the slope has."""
-    return np.unique(np.concatenate([[first]] + [
+    return prof._unique(np.concatenate([[first]] + [
         seg.sol.samples(0.0, 1.0 if seg.stage == 2 else -1.0, 0.0, first)
         for seg in schedule.segments if seg.t1 > first]))
 

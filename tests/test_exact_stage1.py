@@ -241,7 +241,7 @@ def test_pieces_are_cut_or_fall_back(name, table):
     knots = table.taus
     assert np.isin(knots[(knots > t0) & (knots < sol.ts[-1])], sol.ts).all()
     table_pp = table._interp
-    piece = np.clip(np.searchsorted(table_pp.pp.x, starts, side="right") - 1,
+    piece = np.clip(np.searchsorted(table_pp.knots, starts, side="right") - 1,
                     0, table_pp.last)
     c = proto._recentred(table_pp, piece, starts)
     flat = (starts < t0) | ((c[0] == 0) & (c[1] == 0) & (c[2] == 0)

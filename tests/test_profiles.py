@@ -325,35 +325,158 @@ def _tables(draw):
                           rates)
 
 
+def _scipy_pchip(p: prof.InputProfile):
+    """The oracle: scipy's PCHIP through a table's samples, and its
+    antiderivative."""
+    from scipy.interpolate import PchipInterpolator
+    with np.errstate(divide="ignore", over="ignore"):   # as `_pchip`
+        pp = PchipInterpolator(p.taus, p.rates, extrapolate=False)
+    return pp, pp.antiderivative()
+
+
+# Tables the port must meet scipy on beyond the drawn ones: 2 and 3 knots,
+# secant slopes in the denormal range, and zero runs at both ends.
+_PCHIP_EXAMPLES = [
+    ([0.0, 1.0], [0.25, 0.75]),
+    ([0.5, 2.0], [1.0, 0.0]),
+    ([0.0, 1.5, 2.0], [0.0, 1.0, 0.5]),
+    ([0.0, 3.225580565561099, 6.451161131122198],
+     [0.19930189806940551, 0.18743571933252437, 0.0]),
+    ([0.0, 2.0, 4.0, 6.0], [0.0, 1e-308, 2e-308, 1.0]),
+    ([0.0, 1.0, 2.0, 3.0, 4.0], [1e-308, 2e-308, 5e-324, 3e-308, 0.0]),
+    ([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], [0.0, 0.0, 1.0, -0.0, 0.0, 0.0]),
+]
+
+
+def _coefs_are_scipys(p):
+    for table, pp in zip((p._interp, p._interp_cum), _scipy_pchip(p)):
+        assert table.knots.tobytes() == pp.x.tobytes()
+        assert table.coefs.shape == pp.c.shape
+        assert table.coefs.tobytes() == pp.c[::-1].tobytes()
+
+
 @given(_tables())
 def test_table_cubic_layout_is_scipys(p):
-    """`knots` and `coefs` are the PPoly's x and its c reversed (row j the
+    """`knots` and `coefs` are scipy's PPoly x and its c reversed (row j the
     coefficients of (t - x_i)^j), bit for bit, for the cubic and its
     antiderivative; the antiderivative is 0.0 at the first knot, on a float
     and on an array."""
-    for table in (p._interp, p._interp_cum):
-        assert table.knots.tobytes() == table.pp.x.tobytes()
-        assert table.coefs.shape == table.pp.c.shape
-        assert table.coefs.tobytes() == table.pp.c[::-1].tobytes()
+    _coefs_are_scipys(p)
     t0 = float(p.taus[0])
     assert _same_float(prof.cumulative(p, t0), 0.0)
     assert _same_float(float(prof.cumulative(p, np.array([t0]))[0]), 0.0)
 
 
+def _array_path_is_scipys(p, rng):
+    pp, cum = _scipy_pchip(p)
+    t0, t1 = float(p.taus[0]), float(p.taus[-1])
+    ts = np.concatenate([p.taus, rng.uniform(t0, t1, 500), [t1],
+                         0.5 * (p.taus[1:] + p.taus[:-1])])
+    for table, ref in ((p._interp, pp), (p._interp_cum, cum)):
+        assert table(ts).tobytes() == ref(ts).tobytes()
+        assert table(ts.reshape(-1, 1)).tobytes() == ref(ts).tobytes()
+    assert prof.cumulative(p, ts).tobytes() == cum(ts).tobytes()
+    want = pp(ts)
+    assert prof.rate_at(p, ts).tobytes() \
+        == np.where(want < 0.0, 0.0, want).tobytes()
+
+
+@given(_tables(), st.integers(0, 2 ** 32 - 1))
+def test_table_array_path_is_bitwise_scipy(p, seed):
+    """`_Piecewise` evaluates arrays as scipy's PPoly does, bit for bit:
+    the cubic and its antiderivative at every knot, between knots, at the
+    last knot (in the closed last piece), in any shape; so do `rate_at`
+    and `cumulative`."""
+    _array_path_is_scipys(p, np.random.default_rng(seed))
+
+
+@given(st.integers(1, 6), st.integers(1, 5), st.data())
+def test_piecewise_evaluation_is_ppolys(pieces, order, data):
+    """On any coefficients (signed zeros, subnormals and overflow among
+    them) `_Piecewise` evaluates floats and arrays as scipy's PPoly: a sum
+    that is -0.0 throughout reads +0.0, as its leading 0.0 + c_0 gives."""
+    from scipy.interpolate import PPoly
+    coef = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -3.0, 5e-324,
+                            -5e-324, 1e300, -1e300])
+    coefs = np.array(data.draw(st.lists(
+        st.lists(coef, min_size=pieces, max_size=pieces),
+        min_size=order, max_size=order)))
+    knots = np.concatenate([[0.0], np.cumsum(data.draw(st.lists(
+        st.sampled_from([0.25, 1.0, 3.0]), min_size=pieces,
+        max_size=pieces)))])
+    table, pp = prof._Piecewise(knots, coefs), PPoly(coefs[::-1], knots)
+    ts = np.concatenate([knots, 0.5 * (knots[1:] + knots[:-1])])
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = pp(ts)
+        assert table(ts).tobytes() == want.tobytes()
+        assert np.array([table.at(t) for t in ts.tolist()]).tobytes() \
+            == want.tobytes()
+
+
+@pytest.mark.parametrize("taus, rates", _PCHIP_EXAMPLES)
+def test_short_and_denormal_tables_are_scipys(taus, rates):
+    p = prof.tabulated(taus, rates)
+    _coefs_are_scipys(p)
+    _array_path_is_scipys(p, np.random.default_rng(len(taus)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("faint", [False, True])
+def test_benchmark_tables_are_scipys(seed, faint):
+    """The benchmark's two-hump tables, 1,501 knots each."""
+    from test_protocol import _catch_table
+    p = _catch_table(seed, faint)
+    _coefs_are_scipys(p)
+    _array_path_is_scipys(p, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("taus, rates", [
+    ([0.0, 1.0, 2.0], [0.0, 1e308, 0.0]),
+    ([0.0, 1e-308, 2e-308, 3.0], [0.0, 1.0, 0.0, 0.0]),
+    ([0.0, 1e-309], [0.0, 1.0]),
+])
+def test_overflowing_slopes_are_scipys_error(taus, rates):
+    """Samples whose knot slopes are not finite floats are a DomainError
+    that carries scipy's ValueError text."""
+    from scipy.interpolate import PchipInterpolator
+    with np.errstate(all="ignore"), pytest.raises(ValueError) as want:
+        PchipInterpolator(taus, rates, extrapolate=False)
+    with pytest.raises(DomainError) as got:
+        prof._pchip(taus, rates)
+    assert str(got.value) == f"no PCHIP through these samples: {want.value}"
+
+
 def test_tabulated_loads_scipy_interpolate():
-    """A table's constructor loads scipy.interpolate, so that its first
-    evaluation (which builds the PCHIP cubic) imports nothing."""
-    code = ("import sys; from pulsecatch import profiles as prof; "
-            "assert 'scipy.interpolate' not in sys.modules; "
-            "prof.tabulated([0.0, 1.0, 2.0], [0.0, 1.0, 0.0]); "
-            "print('scipy.interpolate' in sys.modules)")
+    """A table loads no scipy module: not where it is made, not where its
+    cubic and antiderivative are built and evaluated, on floats or arrays."""
+    code = ("import sys; import numpy as np; "
+            "from pulsecatch import profiles as prof; "
+            "p = prof.tabulated([0.0, 1.0, 2.0], [0.0, 1.0, 0.0]); "
+            "[f(p, t) for f in (prof.rate_at, prof.cumulative) "
+            "for t in (0.5, np.array([0.5, 2.0]))]; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
     src = str(Path(prof.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "True"
+    assert proc.stdout.strip() == "[]"
+
+
+@given(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e-300, -1e-300,
+                                 math.inf, -math.inf]), max_size=30))
+@example([0.0, -0.0, 0.0, -0.0])
+@example([-0.0, 0.0, 3.0, 3.0])
+@example([])
+def test_unique_is_numpys(values):
+    """`_unique` gives np.unique's array bit for bit (which zero of a run
+    of ±0.0 it keeps included), on lists and arrays."""
+    want = np.unique(np.array(values, dtype=float))
+    assert prof._unique(values).tobytes() == want.tobytes()
+    assert prof._unique(np.array(values, dtype=float)).tobytes() \
+        == want.tobytes()
 
 
 def _same_float(a: float, b: float) -> bool:
@@ -368,7 +491,7 @@ def test_table_float_path_is_bitwise_scipy(p):
     scipy PPoly evaluation bit for bit: at every knot (the last one is in
     the closed last piece), one ulp either side of it and between knots.
     rate_at reads rounding negatives as 0, on both paths."""
-    pp, cum = p._interp.pp, p._interp_cum.pp
+    pp, cum = _scipy_pchip(p)
     knots = p.taus.tolist()
     t0, t1 = knots[0], knots[-1]
     mids = (0.5 * (p.taus[1:] + p.taus[:-1])).tolist()
