@@ -8,7 +8,9 @@ output, the only path it takes (scipy/integrate/_ivp: `ivp.py`, `rk.py`,
 `common.py`, `base.py`; Hairer, Norsett and Wanner, *Solving Ordinary
 Differential Equations I*, sec. II.4-II.6), with the same numpy calls on
 the same operand shapes, so its steps, `nfev` and dense output are scipy's
-bit for bit; its Butcher tableau is read from scipy's own
+bit for bit. It reads the dense output at the caller's samples as it
+steps, as scipy's `OdeSolution` would read it after the solve, and keeps
+no step history; its Butcher tableau is read from scipy's own
 `dop853_coefficients.py`, which imports only numpy. `quad` imports
 scipy.integrate on each call. So neither `simulate` nor `verify` loads
 scipy.integrate, which costs about 0.34 s to import on top of
@@ -22,7 +24,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from itertools import groupby
 from types import SimpleNamespace
 
 import numpy as np
@@ -182,65 +183,23 @@ def _error_norm(K, h, scale, tab) -> float:
     return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
 
 
-class _Dop853Dense:
-    """`Dop853DenseOutput` over one step from t_old to t_old + h."""
-
-    def __init__(self, t_old, h, y_old, F):
-        self.t_old, self.h, self.y_old, self.F = t_old, h, y_old, F
-
-    def __call__(self, t: np.ndarray) -> np.ndarray:
-        x = ((t - self.t_old) / self.h)[:, None]
-        y = np.zeros((len(x), len(self.y_old)), dtype=self.y_old.dtype)
-        for i, f in enumerate(reversed(self.F)):
-            y += f
-            if i % 2 == 0:
-                y *= x
-            else:
-                y *= 1 - x
-        y += self.y_old
-        return y.T
-
-
-class OdeSolution:
-    """`scipy.integrate.OdeSolution` over increasing step ends `ts`, called
-    on a 1-D array of times: a time on a step end takes the step before
-    it."""
-
-    def __init__(self, ts, interpolants):
-        self.ts = np.asarray(ts)
-        self.interpolants = interpolants
-
-    def __call__(self, t) -> np.ndarray:
-        t = np.asarray(t)
-        if t.ndim != 1:
-            raise ValueError("`t` must be a 1-D array.")
-        order = np.argsort(t)
-        reverse = np.empty_like(order)
-        reverse[order] = np.arange(order.shape[0])
-        t_sorted = t[order]
-        segments = np.clip(np.searchsorted(self.ts, t_sorted, side="left")
-                           - 1, 0, len(self.interpolants) - 1)
-        ys = []
-        start = 0
-        for segment, group in groupby(segments.tolist()):
-            end = start + len(list(group))
-            ys.append(self.interpolants[segment](t_sorted[start:end]))
-            start = end
-        return np.hstack(ys)[:, reverse]
-
-
-def solve_ivp(fun, t_span, y0, *, rtol=1e-3, atol=1e-6,
+def solve_ivp(fun, t_span, y0, samples, *, rtol=1e-3, atol=1e-6,
               max_step=math.inf) -> SimpleNamespace:
     """`scipy.integrate.solve_ivp(fun, t_span, y0, method="DOP853",
     dense_output=True, rtol=rtol, atol=atol, max_step=max_step)`, bit for
     bit, for an increasing t_span, a non-empty 1-D y0 (float or complex)
-    and rtol >= 100 eps. It is always DOP853 with dense output: nothing
-    else is ported, so `method`, `dense_output`, events, t_eval,
+    and rtol >= 100 eps, with its dense output read at `samples` (sorted,
+    inside t_span; not checked). It is always DOP853 with dense output:
+    nothing else is ported, so `method`, `dense_output`, events, t_eval,
     first_step or vectorized are TypeErrors, as unexpected keywords.
 
-    The result has scipy's t (the step ends), y (the states there, shape
-    (n, len(t))), sol (the dense output), status (0 at the end, -1 when a
-    step failed), message and nfev (the right-hand side's evaluations).
+    Each accepted step reads the samples it covers as it is taken, by
+    `OdeSolution`'s rule: a sample on a step end takes the step that ends
+    there, and one at t_span[0] the first step. The result has t and y (the
+    last accepted step's end and state), values (the states at the samples,
+    shape (n, len(samples)); those past a failed run's t are unset), status
+    (0 at the end, -1 when a step failed), message and nfev (the right-hand
+    side's evaluations, scipy's count with dense output).
     """
     t0, tf = map(float, t_span)
     if not t0 < tf:
@@ -276,8 +235,9 @@ def solve_ivp(fun, t_span, y0, *, rtol=1e-3, atol=1e-6,
     h_abs = _initial_step(f, t0, y, tf, max_step, fy, rtol, atol)
     K_ext = np.empty((tab.n_extended, y.size), dtype=dtype)
     K = K_ext[:tab.n_stages + 1]
-    t = t0
-    ts, ys, interpolants = [t0], [y0], []
+    t, i0 = t0, 0
+    samples = np.asarray(samples, dtype=float)
+    values = np.empty((y.size, len(samples)), dtype=dtype)
     status, message = None, _FINISHED
     while status is None:
         # RungeKutta._step_impl
@@ -316,18 +276,26 @@ def solve_ivp(fun, t_span, y0, *, rtol=1e-3, atol=1e-6,
         t, y, fy = t_new, y_new, f_new
         if t >= tf:
             status = 0
-        # DOP853._dense_output_impl
+        # DOP853._dense_output_impl: its stages run on every step, so nfev
+        # is scipy's count with dense output
         _rk_stages(f, t_old, y_old, h, K_ext, tab.A_extra, tab.C_extra,
                    tab.n_stages + 1)
-        F = np.empty((tab.power, y.size), dtype=dtype)
-        delta_y = y - y_old
-        F[0] = delta_y
-        F[1] = h * K_ext[0] - delta_y
-        F[2] = 2 * delta_y - h * (fy + K_ext[0])
-        F[3:] = h * np.dot(tab.D, K_ext)
-        interpolants.append(_Dop853Dense(t_old, t - t_old, y_old, F))
-        ts.append(t)
-        ys.append(y)
-    return SimpleNamespace(t=np.array(ts), y=np.vstack(ys).T,
-                           sol=OdeSolution(ts, interpolants), status=status,
+        i1 = int(np.searchsorted(samples, t, side="right"))
+        if i1 > i0:
+            F = np.empty((tab.power, y.size), dtype=dtype)
+            delta_y = y - y_old
+            F[0] = delta_y
+            F[1] = h * K_ext[0] - delta_y
+            F[2] = 2 * delta_y - h * (fy + K_ext[0])
+            F[3:] = h * np.dot(tab.D, K_ext)
+            # Dop853DenseOutput at the samples in (t_old, t]
+            x = ((samples[i0:i1] - t_old) / h)[:, None]
+            out = np.zeros((i1 - i0, y.size), dtype=dtype)
+            for k, f_k in enumerate(reversed(F)):
+                out += f_k
+                out *= x if k % 2 == 0 else 1 - x
+            out += y_old
+            values[:, i0:i1] = out.T
+            i0 = i1
+    return SimpleNamespace(t=t, y=y, values=values, status=status,
                            message=message, nfev=nfev)

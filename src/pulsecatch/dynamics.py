@@ -14,9 +14,10 @@ Two independent routes through the same physics:
   `verify_nonhermitian_reduction` pins the two routes against each other.
 
 Both integrate with `_scipy.solve_ivp`, a port of scipy's DOP853 that takes
-scipy's steps bit for bit, so neither loads scipy.integrate. Both restart it
-at each of the run's edges (`_coupling`): the coupling's breaks and a
-table's knots, where the right-hand side is not smooth.
+scipy's steps bit for bit and reads its dense output at the samples as it
+steps, so neither loads scipy.integrate. Both restart it at each of the
+run's edges (`_coupling`): the coupling's breaks and a table's knots, where
+the right-hand side is not smooth.
 
 The source is an imaginary emitter releasing the prescribed input: its decay
 rate is kappa_1(tau) = r_in/beta1^2, and beta1^2 = 1 - int r_in holds exactly,
@@ -161,8 +162,8 @@ def _checked_grid(tol: float, tau_end: float,
     grid, or None when the caller should use its own default."""
     if not (1e-13 <= tol <= 1e-6):
         raise DomainError("tol must lie in [1e-13, 1e-6]")
-    if tau_end <= 0.0:
-        raise DomainError("tau_end must be positive")
+    if not 0.0 < tau_end < math.inf:
+        raise DomainError("tau_end must be positive and finite")
     if samples is None:
         return None
     if isinstance(samples, int):
@@ -170,8 +171,8 @@ def _checked_grid(tol: float, tau_end: float,
             raise DomainError("samples must be at least 2")
         return np.linspace(0.0, tau_end, samples)
     ts = np.asarray(samples, dtype=float)
-    if ts.ndim != 1 or len(ts) < 2 or ts[0] < 0.0 or ts[-1] > tau_end \
-            or np.any(np.diff(ts) <= 0.0):
+    if ts.ndim != 1 or len(ts) < 2 or not ts[0] >= 0.0 \
+            or not ts[-1] <= tau_end or not np.all(np.diff(ts) > 0.0):
         raise DomainError("samples must be increasing within [0, tau_end]")
     return ts
 
@@ -180,22 +181,20 @@ def _integrate_segments(rhs, y0: np.ndarray, edges: Sequence[float],
                         ts: np.ndarray, tol: float, max_step: float,
                         what: str) -> np.ndarray:
     """Integrate y' = rhs(t, y) from edges[0] to edges[-1], restarting at
-    every edge (the right-hand side is not smooth there), and sample each
-    segment's dense output at the ts it covers, a sample on an interior edge
-    taking the segment after it; shape (len(y0), len(ts))."""
+    every edge (the right-hand side is not smooth there); each segment's
+    solve reads its dense output at the ts it covers, a sample on an
+    interior edge taking the segment after it; shape (len(y0), len(ts))."""
     y = y0
     out = np.empty((len(y0), len(ts)), dtype=y0.dtype)
     cuts = np.searchsorted(ts, edges).tolist()
     cuts[-1] = len(ts)
     for a, b, i0, i1 in zip(edges[:-1], edges[1:], cuts[:-1], cuts[1:]):
-        sol = solve_ivp(rhs, (a, b), y, rtol=tol, atol=tol * 1e-3,
-                        max_step=max_step)
+        sol = solve_ivp(rhs, (a, b), y, ts[i0:i1], rtol=tol,
+                        atol=tol * 1e-3, max_step=max_step)
         if sol.status < 0:
             raise StepFailure(f"{what} failed: {sol.message}",
-                              tau=float(sol.t[-1]))
-        if i1 > i0:
-            out[:, i0:i1] = sol.sol(ts[i0:i1])
-        y = sol.y[:, -1]
+                              tau=float(sol.t))
+        out[:, i0:i1], y = sol.values, sol.y
     return out
 
 

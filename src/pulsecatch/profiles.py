@@ -276,7 +276,7 @@ def rate_at(profile: InputProfile, tau):
     if isinstance(tau, float) or isinstance(tau, int):
         # Scalar fast path: integrators and quadratures call this millions of
         # times, so the analytic families skip the array machinery entirely.
-        if tau < 0.0:
+        if not tau >= 0.0:
             raise DomainError("rate_at requires tau >= 0")
         if profile.kind == EXPONENTIAL:
             return profile.r * math.exp(-profile.r * tau)
@@ -289,7 +289,7 @@ def rate_at(profile: InputProfile, tau):
         val = table.at(tau)
         return 0.0 if val < 0.0 else val
     arr = np.asarray(tau, dtype=float)
-    if np.any(arr < 0.0):
+    if not np.all(arr >= 0.0):
         raise DomainError("rate_at requires tau >= 0")
     if profile.kind == EXPONENTIAL:
         out = profile.r * _map(math.exp, -profile.r * arr)
@@ -314,7 +314,7 @@ def cumulative(profile: InputProfile, tau):
     `rate_at` maps math.exp.
     """
     if isinstance(tau, float) or isinstance(tau, int):
-        if tau < 0.0:
+        if not tau >= 0.0:
             raise DomainError("cumulative requires tau >= 0")
         if profile.kind == EXPONENTIAL:
             return -math.expm1(-profile.r * tau)
@@ -325,7 +325,7 @@ def cumulative(profile: InputProfile, tau):
         table = profile._interp_cum
         return table.at(min(max(tau, table.x[0]), table.x[-1]))
     arr = np.asarray(tau, dtype=float)
-    if np.any(arr < 0.0):
+    if not np.all(arr >= 0.0):
         raise DomainError("cumulative requires tau >= 0")
     if profile.kind == EXPONENTIAL:
         out = -_map(math.expm1, -profile.r * arr)
@@ -455,7 +455,7 @@ def _quad_rate(profile: InputProfile, a: float, b: float) -> float:
 
 def total_excitation(profile: InputProfile, tau_end: float) -> float:
     """Numerically integrate r_in over [0, tau_end] (tau_end may be inf)."""
-    if tau_end < 0.0:
+    if not tau_end >= 0.0:
         raise DomainError("total_excitation requires tau_end >= 0")
     if tau_end == 0.0:
         return 0.0

@@ -70,7 +70,7 @@ def stage1_amplitude(profile: prof.InputProfile, params: prof.MemoryParams,
     into pieces with a h <= 1/2 and started from the value at the last: one
     quadrature over a window where sqrt(r_in) has a square-root edge can
     miss it by far more than its tolerance."""
-    if tau < 0.0:
+    if not tau >= 0.0:
         raise DomainError("stage1_amplitude requires tau >= 0")
     a = 0.5 * (1.0 + params.kappa_i)
     o, beta = max(0.0, tau - _DAMP_CUT / a), 0.0
@@ -90,7 +90,7 @@ def stage2_population(profile: prof.InputProfile, params: prof.MemoryParams,
     evaluated with the decaying weight inside the integral so nothing
     overflows however large tau gets.
     """
-    if tau < tau_c:
+    if not tau >= tau_c:
         raise DomainError("stage2_population requires tau >= tau_c")
     return _stage2_pop(profile, params.kappa_i, tau_c,
                        prof.rate_at(profile, tau_c), tau)
@@ -281,16 +281,13 @@ class CouplingSchedule:
     def _sampled(self, taus: np.ndarray):
         """(stage, dense value, beta^2) at each sample, with one dense call
         per segment it touches, the tail past the horizon among them.
-        Sorted samples are cut into one slice per segment, and others are
-        evaluated sorted, then put back in their order."""
+        Sorted samples are cut into one slice per segment; others are
+        sorted first, and the values put back in their order."""
         flat = taus.ravel()
+        order = None
         if not np.all(flat[1:] >= flat[:-1]):
             order = np.argsort(flat, kind="stable")
-            out = []
-            for part in self._sampled(flat[order]):
-                out.append(np.empty_like(part))
-                out[-1][order] = part
-            return tuple(part.reshape(taus.shape) for part in out)
+            flat = flat[order]
         inside = int(np.searchsorted(flat, self.horizon, side="right"))
         cuts = [0, *np.searchsorted(flat[:inside], self._inner_ends).tolist(),
                 inside, len(flat)]
@@ -304,9 +301,14 @@ class CouplingSchedule:
                                          if seg.stage == 1 else
                                          np.where(v < 0.0, 0.0, v))):
                     part.append(x)
-        return tuple((part[0] if len(part) == 1 else np.concatenate(
-            part or [np.empty(0, dtype)])).reshape(taus.shape)
-            for part, dtype in zip(out, (int, float, float)))
+        out = [part[0] if len(part) == 1 else
+               np.concatenate(part or [np.empty(0, dtype)])
+               for part, dtype in zip(out, (int, float, float))]
+        if order is not None:
+            for i, part in enumerate(out):
+                out[i] = np.empty_like(part)
+                out[i][order] = part
+        return tuple(part.reshape(taus.shape) for part in out)
 
     def _answer(self, name: str, tau, compute, floor: float = 0.0, **kw):
         """compute(taus, stage, dense value, beta^2, **kw), the last three
@@ -314,7 +316,7 @@ class CouplingSchedule:
         `stage2_kappa`: tau_c) is checked: an array of tau's shape, and at
         a float or 0-d tau its one value as a Python scalar."""
         taus = np.asarray(tau, dtype=float)
-        if np.any(taus < floor):
+        if not np.all(taus >= floor):
             raise DomainError(f"{name} requires tau >= "
                               f"{'tau_c' if floor else 0}")
         flat = np.atleast_1d(taus)
@@ -352,7 +354,7 @@ class CouplingSchedule:
         (see `stage2_kappa`) the value is nan with `nan_if_singular`;
         otherwise SingularCoupling is raised.
         """
-        if not isinstance(tau, float) or tau < 0.0:
+        if not (isinstance(tau, float) and tau >= 0.0):
             return self._answer("kappa", tau, self._coupling,
                                 nan_if_singular=nan_if_singular)
         seg = self._segment_at(tau)

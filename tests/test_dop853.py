@@ -1,8 +1,10 @@
-"""The package's solve_ivp against scipy's DOP853: the same steps, states,
-dense output and right-hand-side count bit for bit, on every solve the
-simulators make and on random linear systems, and the same failure."""
+"""The package's solve_ivp against scipy's DOP853 with dense output: the
+same last step, final state, dense output at the samples and
+right-hand-side count bit for bit, on every solve the simulators make and
+on random linear systems, and the same failure."""
 from __future__ import annotations
 
+import functools
 import math
 import os
 import subprocess
@@ -31,37 +33,51 @@ def _two_humps() -> prof.InputProfile:
     return prof.tabulated(taus, rates / np.trapezoid(rates, taus))
 
 
-def _assert_same(got, want) -> None:
-    assert (got.status, got.message, got.nfev) == \
-        (want.status, want.message, want.nfev)
-    assert got.t.dtype == want.t.dtype and np.array_equal(got.t, want.t)
-    assert got.y.dtype == want.y.dtype and np.array_equal(got.y, want.y)
-    # step ends and points inside the steps, out of order
-    inner = 0.5 * (want.t[:-1] + want.t[1:])
-    ts = np.concatenate([want.t, inner[::-1], want.t[::3] + 1e-3 * inner[0]])
-    ts = ts[(ts >= want.t[0]) & (ts <= want.t[-1])]
-    assert np.array_equal(got.sol(ts), want.sol(ts))
-
-
 def _scipys(fun, t_span, y0, **kwargs):
     """scipy's solve_ivp on the path the port always takes."""
     return scipy.integrate.solve_ivp(fun, t_span, y0, method="DOP853",
                                      dense_output=True, **kwargs)
 
 
+def _assert_same(got, want, samples, again) -> None:
+    """The port's run `got` with `samples` is scipy's run `want`: status,
+    message, nfev, the last step's end and state, and the values at the
+    samples as `want.sol` reads them (those the run reached). `again(ts)`,
+    a second port run, reads them at scipy's step ends, at its step
+    midpoints and just past its step ends."""
+    assert (got.status, got.message, got.nfev) == \
+        (want.status, want.message, want.nfev)
+    assert got.t == want.t[-1]
+    assert got.y.dtype == want.y.dtype and np.array_equal(got.y,
+                                                          want.y[:, -1])
+    reached = samples <= want.t[-1]
+    assert got.values.dtype == want.y.dtype
+    assert got.values.shape == (len(want.y), len(samples))
+    assert np.array_equal(got.values[:, reached], want.sol(samples[reached]))
+    inner = 0.5 * (want.t[:-1] + want.t[1:])
+    ts = np.concatenate([want.t, inner, np.nextafter(want.t, np.inf)])
+    ts = np.sort(ts[ts <= want.t[-1]])
+    assert np.array_equal(again(ts).values, want.sol(ts))
+
+
+def _run(fun, t_span, y0, samples, **kwargs):
+    """`_assert_same`'s arguments for one solve."""
+    again = functools.partial(_scipy.solve_ivp, fun, t_span, y0, **kwargs)
+    return again(samples), _scipys(fun, t_span, y0, **kwargs), samples, again
+
+
 @pytest.fixture
 def both(monkeypatch):
-    """Make `dynamics` solve with the port and with scipy; each pair of
-    results is recorded and the port's is used."""
-    pairs = []
+    """Make `dynamics` solve with the port and with scipy; each solve is
+    recorded as `_assert_same`'s arguments and the port's result is used."""
+    runs = []
 
-    def solve(fun, t_span, y0, **kwargs):
-        got = _scipy.solve_ivp(fun, t_span, y0, **kwargs)
-        pairs.append((got, _scipys(fun, t_span, y0, **kwargs), kwargs))
-        return got
+    def solve(fun, t_span, y0, samples, **kwargs):
+        runs.append(_run(fun, t_span, y0, samples, **kwargs))
+        return runs[-1][0]
 
     monkeypatch.setattr(dynamics, "solve_ivp", solve)
-    return pairs
+    return runs
 
 
 def _coupling(tmp_path, kind):
@@ -88,10 +104,10 @@ def test_amplitude_solves_equal_scipys(case, both, tmp_path):
     dynamics.simulate_amplitudes(profile, LOSSY, coupling, tau_end,
                                  1e-9 if case == "table" else 1e-11)
     assert both
-    caps = {kwargs["max_step"] for _, _, kwargs in both}
+    caps = {again.keywords["max_step"] for *_, again in both}
     assert (caps != {math.inf}) == (case == "gauss")
-    for got, want, _ in both:
-        _assert_same(got, want)
+    for run in both:
+        _assert_same(*run)
 
 
 def test_master_equation_solves_equal_scipys(both):
@@ -99,9 +115,9 @@ def test_master_equation_solves_equal_scipys(both):
     schedule = proto.build_schedule(EXP, LOSSY)
     dynamics.simulate_master_equation(EXP, LOSSY, schedule, 120.0,
                                       tol=1e-10)
-    assert both and all(got.y.dtype == complex for got, _, _ in both)
-    for got, want, _ in both:
-        _assert_same(got, want)
+    assert both and all(got.y.dtype == complex for got, *_ in both)
+    for run in both:
+        _assert_same(*run)
 
 
 def _linear(m: np.ndarray, b: np.ndarray):
@@ -122,22 +138,51 @@ def test_linear_systems_equal_scipys(n, complex_, seed, rtol, max_step, end):
     if complex_:
         m = m + 1j * rng.normal(size=(n, n))
         y0 = y0 + 1j * rng.normal(size=n)
-    kwargs = dict(rtol=rtol, atol=rtol * 1e-3, max_step=max_step)
-    _assert_same(_scipy.solve_ivp(_linear(m, b), (0.0, end), y0, **kwargs),
-                 _scipys(_linear(m, b), (0.0, end), y0, **kwargs))
+    samples = np.sort(np.concatenate([[0.0, end], rng.uniform(0.0, end, 5)]))
+    _assert_same(*_run(_linear(m, b), (0.0, end), y0, samples, rtol=rtol,
+                       atol=rtol * 1e-3, max_step=max_step))
+
+
+def _nan_past_1(t, y):
+    return [math.nan if t > 1.0 else -y[0]]
 
 
 def test_failed_step_equals_scipys():
     """A right-hand side that turns nan past t = 1: the steps shrink onto 1
     until one is below the spacing of the floats there."""
-    fun = lambda t, y: [math.nan if t > 1.0 else -y[0]]
-    kwargs = dict(rtol=1e-10, atol=1e-13)
-    got = _scipy.solve_ivp(fun, (0.0, 5.0), np.array([1.0]), **kwargs)
-    want = _scipys(fun, (0.0, 5.0), np.array([1.0]), **kwargs)
-    assert got.status == -1 and got.t[-1] < 1.0
+    run = _run(_nan_past_1, (0.0, 5.0), np.array([1.0]),
+               np.linspace(0.0, 5.0, 11), rtol=1e-10, atol=1e-13)
+    got = run[0]
+    assert got.status == -1 and got.t < 1.0
     assert got.message == "Required step size is less than spacing between " \
                           "numbers."
-    _assert_same(got, want)
+    _assert_same(*run)
+
+
+def test_samples_on_step_ends_take_the_step_ending_there():
+    """A sample at t0 takes the first step's interpolant, and one on a step
+    end the interpolant of the step that ends there. No samples give an
+    empty `values`, and a failed run ends at its last accepted step."""
+    fun = lambda t, y: -y + np.sin(3.0 * t)
+    kwargs = dict(rtol=1e-6, atol=1e-9)
+    want = _scipys(fun, (0.0, 10.0), np.array([1.0]), **kwargs)
+    ends, pieces = want.t, want.sol.interpolants
+    got = _scipy.solve_ivp(fun, (0.0, 10.0), np.array([1.0]), ends, **kwargs)
+    ending = [pieces[0](ends[:1])] + [p(ends[k + 1:k + 2])
+                                      for k, p in enumerate(pieces)]
+    assert np.array_equal(got.values, np.hstack(ending))
+
+    empty = _scipy.solve_ivp(fun, (0.0, 10.0), np.array([1.0]), [], **kwargs)
+    assert empty.values.shape == (1, 0)
+    assert (empty.t, empty.nfev) == (got.t, got.nfev)
+    assert np.array_equal(empty.y, got.y)
+
+    failed = _scipy.solve_ivp(_nan_past_1, (0.0, 5.0), np.array([1.0]),
+                              [0.0, 0.5, 2.0], **kwargs)
+    want = _scipys(_nan_past_1, (0.0, 5.0), np.array([1.0]), **kwargs)
+    assert failed.status == -1 and failed.t == want.t[-1] < 1.0
+    assert np.array_equal(failed.y, want.y[:, -1])
+    assert np.array_equal(failed.values[:, :2], want.sol([0.0, 0.5]))
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -152,7 +197,7 @@ def test_what_is_not_ported_is_a_type_error(kwargs):
     """The port is always DOP853 with dense output and takes no argument
     to choose otherwise: each of these is an unexpected keyword."""
     with pytest.raises(TypeError, match="unexpected keyword"):
-        _scipy.solve_ivp(lambda t, y: -y, (0.0, 1.0), np.array([1.0]),
+        _scipy.solve_ivp(lambda t, y: -y, (0.0, 1.0), np.array([1.0]), [],
                          **kwargs)
 
 
@@ -165,9 +210,9 @@ def test_solve_loads_no_scipy_module():
     code = ("import sys, numpy as np\n"
             "from pulsecatch._scipy import solve_ivp\n"
             "r = solve_ivp(lambda t, y: -y, (0.0, 2.0), np.array([1.0]),\n"
-            "              rtol=1e-10, atol=1e-13)\n"
+            "              [1.0], rtol=1e-10, atol=1e-13)\n"
             "assert r.status == 0\n"
-            "assert abs(r.sol([1.0])[0, 0] - np.exp(-1.0)) < 1e-9\n"
+            "assert abs(r.values[0, 0] - np.exp(-1.0)) < 1e-9\n"
             "print(sorted(m for m in sys.modules\n"
             "             if m.split('.')[0] == 'scipy'))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,

@@ -187,6 +187,10 @@ def test_simulators_share_argument_checks(simulate):
         simulate(p, params, sch, 40.0, samples=[5.0, 30.0, 60.0])
     with pytest.raises(DomainError):
         simulate(p, params, sch, -1.0)
+    # a run to tau_end = inf never ends, and its int grid was all nan
+    for samples in (None, 11):
+        with pytest.raises(DomainError, match="tau_end"):
+            simulate(p, params, sch, math.inf, samples=samples)
     with pytest.raises(DomainError):
         simulate(p, params, sch, 10.0, tol=1e-5)
     # an int grid takes at least 2 samples, as an explicit one does
@@ -465,6 +469,45 @@ def test_step_failure_carries_tau(simulate, what, monkeypatch):
                                           f"small") as caught:
         simulate(p, params, sch, 5.0, samples=11)
     assert caught.value.tau == 0.5 * sch.tau_c
+
+
+_EVALUATORS = ("beta_sq", "beta", "stage", "kappa", "stage2_kappa",
+               "reflection")
+
+
+@pytest.mark.parametrize("call", [
+    *(pytest.param(lambda p, m, s, name=name: getattr(s, name)(math.nan),
+                   id=f"{name}-float") for name in _EVALUATORS),
+    *(pytest.param(lambda p, m, s, name=name:
+                   getattr(s, name)(np.array([s.tau_c, math.nan])),
+                   id=f"{name}-array") for name in _EVALUATORS),
+    *(pytest.param(lambda p, m, s, fn=fn, tau=tau, table=table:
+                   fn(_double_hump() if table else p, tau),
+                   id=f"{fn.__name__}-{'table-' * table}{kind}")
+      for fn in (prof.rate_at, prof.cumulative) for table in (False, True)
+      for kind, tau in (("float", math.nan),
+                        ("array", np.array([1.0, math.nan])))),
+    pytest.param(lambda p, m, s: prof.total_excitation(p, math.nan),
+                 id="total_excitation"),
+    pytest.param(lambda p, m, s: proto.stage1_amplitude(p, m, math.nan),
+                 id="stage1_amplitude"),
+    pytest.param(lambda p, m, s: proto.stage2_population(p, m, s.tau_c,
+                                                         math.nan),
+                 id="stage2_population"),
+    *(pytest.param(lambda p, m, s, sim=sim: sim(p, m, s, math.nan),
+                   id=f"{sim.__name__}-tau_end")
+      for sim in (dyn.simulate_amplitudes, dyn.simulate_master_equation)),
+    *(pytest.param(lambda p, m, s, sim=sim:
+                   sim(p, m, s, 10.0, samples=[0.0, math.nan, 10.0]),
+                   id=f"{sim.__name__}-samples")
+      for sim in (dyn.simulate_amplitudes, dyn.simulate_master_equation)),
+])
+def test_nan_time_is_a_domain_error(call):
+    """Each entry point that takes a time rejects a nan one, in an array
+    too: a check written `tau < 0` lets nan through, and an array holding a
+    nan never reads as sorted to the schedule's evaluators."""
+    with pytest.raises(DomainError):
+        call(*_exp_setup())
 
 
 def test_trajectory_is_immutable():
