@@ -10,14 +10,15 @@ Differential Equations I*, sec. II.4-II.6), with the same numpy calls on
 the same operand shapes, so its steps, `nfev` and dense output are scipy's
 bit for bit. It reads the dense output at the caller's samples as it
 steps, as scipy's `OdeSolution` would read it after the solve, and keeps
-no step history; its Butcher tableau is read from scipy's own
-`dop853_coefficients.py`, which imports only numpy. `quad` imports
-scipy.integrate on each call. So neither `simulate` nor `verify` loads
-scipy.integrate, which costs about 0.34 s to import on top of
-scipy.special, which neither loads on an analytic pulse: `closedform` has
-its own erf and erfcx. Each module binds these names itself, so replacing one
-module's binding (as a tracer or a test does) leaves the others alone; the
-wrappers never rebind a module's name.
+no step history. Its preconditions are not checked: `dynamics` builds
+its arguments and checks what a caller passes in. Its Butcher tableau is
+read from scipy's own `dop853_coefficients.py`, which imports only numpy.
+`quad` imports scipy.integrate on each call. So neither `simulate` nor
+`verify` loads scipy.integrate, which costs about 0.34 s to import on top
+of scipy.special, which neither loads on an analytic pulse: `closedform`
+has its own erf and erfcx. Each module binds these names itself, so
+replacing one module's binding (as a tracer or a test does) leaves the
+others alone; the wrappers never rebind a module's name.
 """
 from __future__ import annotations
 
@@ -187,11 +188,13 @@ def solve_ivp(fun, t_span, y0, samples, *, rtol=1e-3, atol=1e-6,
               max_step=math.inf) -> SimpleNamespace:
     """`scipy.integrate.solve_ivp(fun, t_span, y0, method="DOP853",
     dense_output=True, rtol=rtol, atol=atol, max_step=max_step)`, bit for
-    bit, for an increasing t_span, a non-empty 1-D y0 (float or complex)
-    and rtol >= 100 eps, with its dense output read at `samples` (sorted,
-    inside t_span; not checked). It is always DOP853 with dense output:
-    nothing else is ported, so `method`, `dense_output`, events, t_eval,
-    first_step or vectorized are TypeErrors, as unexpected keywords.
+    bit, with its dense output read at `samples`. Its preconditions are
+    not checked; `dynamics` builds them: an increasing t_span, a finite,
+    non-empty 1-D y0 (float or complex), rtol >= 100 eps, atol > 0,
+    max_step > 0 and samples sorted inside t_span. It is always DOP853
+    with dense output: nothing else is ported, so `method`,
+    `dense_output`, events, t_eval, first_step or vectorized are
+    TypeErrors, as unexpected keywords.
 
     Each accepted step reads the samples it covers as it is taken, by
     `OdeSolution`'s rule: a sample on a step end takes the step that ends
@@ -202,26 +205,10 @@ def solve_ivp(fun, t_span, y0, samples, *, rtol=1e-3, atol=1e-6,
     side's evaluations, scipy's count with dense output).
     """
     t0, tf = map(float, t_span)
-    if not t0 < tf:
-        raise ValueError("`t_span` must increase.")
     # check_arguments: the state's dtype is complex or float
     y = np.asarray(y0)
     dtype = complex if np.issubdtype(y.dtype, np.complexfloating) else float
     y = y.astype(dtype, copy=False)
-    if y.ndim != 1 or y.size == 0:
-        raise ValueError("`y0` must be 1-dimensional and not empty.")
-    if not np.isfinite(y).all():
-        raise ValueError("All components of the initial state `y0` must be "
-                         "finite.")
-    if max_step <= 0:
-        raise ValueError("`max_step` must be positive.")
-    # scipy raises a smaller rtol to 100 eps with a warning: not ported
-    if np.any(rtol < 100 * sys.float_info.epsilon):
-        raise ValueError("`rtol` must be at least 100 eps.")
-    atol = np.asarray(atol)
-    if atol.ndim > 0 and atol.shape != y.shape or np.any(atol < 0):
-        raise ValueError("`atol` must be positive, one value or one per "
-                         "component.")
 
     nfev = 0
 

@@ -65,8 +65,6 @@ def _json_text(value, indent: int = 0) -> str:
     from .profiles import _fmt
     pad = " " * indent
     if isinstance(value, dict):
-        if not value:
-            return "{}"
         items = [f'{pad}  "{k}": {_json_text(v, indent + 2)}'
                  for k, v in value.items()]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
@@ -79,8 +77,6 @@ def _json_text(value, indent: int = 0) -> str:
         return "true" if value else "false"
     if isinstance(value, str):
         return json.dumps(value, ensure_ascii=False)
-    if isinstance(value, int):
-        return str(value)
     v = float(value)
     if math.isinf(v) or math.isnan(v):
         return '"' + _fmt(v) + '"'

@@ -190,7 +190,7 @@ def _phi(x: float, delta: float) -> float:
 def exp_population(r: float, kappa_i: float, tau: float) -> float:
     """Memory population beta^2(tau) under the optimal two-stage schedule."""
     _check_exp_domain(r, kappa_i)
-    if tau < 0.0:
+    if not tau >= 0.0:
         raise DomainError("tau must be >= 0")
     tau_c = exp_tau_c(r, kappa_i)
     if tau < tau_c:
@@ -222,7 +222,7 @@ def exp_coupling(r: float, kappa_i: float, tau: float) -> float:
     """
     _check_exp_domain(r, kappa_i)
     tau_c = exp_tau_c(r, kappa_i)
-    if tau < tau_c - 1e-12:
+    if not tau >= tau_c - 1e-12:
         raise DomainError("exp_coupling is the stage-2 law; needs tau >= tau_c")
     delta = max(tau - tau_c, 0.0)
     x = r - kappa_i
@@ -528,7 +528,7 @@ def gauss_rate(sigma, n, tau):
 def gauss_population(sigma: float, n: float, kappa_i: float, tau: float) -> float:
     """Memory population beta^2(tau) for the Gaussian input, both stages."""
     cst = gauss_constants(sigma, n, kappa_i)
-    if tau < 0.0:
+    if not tau >= 0.0:
         raise DomainError("tau must be >= 0")
     if tau < cst.tau_c:
         # the stage-1 bracket is exactly 1 at the threshold
@@ -539,7 +539,7 @@ def gauss_population(sigma: float, n: float, kappa_i: float, tau: float) -> floa
 def gauss_coupling(sigma: float, n: float, kappa_i: float, tau: float) -> float:
     """Stage-2 coupling r_in(tau)/beta^2(tau) for the Gaussian input."""
     cst = gauss_constants(sigma, n, kappa_i)
-    if tau < cst.tau_c - 1e-12:
+    if not tau >= cst.tau_c - 1e-12:
         raise DomainError("gauss_coupling is the stage-2 law; needs tau >= tau_c")
     pop = float(_gauss_stage2(sigma, n, kappa_i, cst.tau_c, max(tau, cst.tau_c)))
     if pop <= 0.0:

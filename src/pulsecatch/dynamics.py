@@ -216,11 +216,13 @@ def simulate_amplitudes(profile: prof.InputProfile, params: prof.MemoryParams,
     `tol` (`_segment_grid`), an int for uniform sampling, or an explicit
     array. A Gaussian's integrator step is capped at one stencil's width of
     that grid.
-    `beta0` (<= 0) seeds the memory, for decay tests against closed forms.
+    `beta0` (finite and <= 0) seeds the memory, for decay tests against
+    closed forms.
     """
     ts = _checked_grid(tol, tau_end, samples)
-    if beta0 > 0.0:
-        raise DomainError("the memory amplitude convention is beta <= 0")
+    if not -math.inf < beta0 <= 0.0:
+        raise DomainError("beta0 must be finite; the memory amplitude "
+                          "convention is beta <= 0")
 
     kappa_fn, edges = _coupling(profile, schedule_or_kappa, tau_end)
     k_i = params.kappa_i

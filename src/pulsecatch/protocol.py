@@ -279,36 +279,19 @@ class CouplingSchedule:
         return self.segments[bisect_right(self._inner_ends, tau)]
 
     def _sampled(self, taus: np.ndarray):
-        """(stage, dense value, beta^2) at each sample, with one dense call
-        per segment it touches, the tail past the horizon among them.
-        Sorted samples are cut into one slice per segment; others are
-        sorted first, and the values put back in their order."""
-        flat = taus.ravel()
-        order = None
-        if not np.all(flat[1:] >= flat[:-1]):
-            order = np.argsort(flat, kind="stable")
-            flat = flat[order]
-        inside = int(np.searchsorted(flat, self.horizon, side="right"))
-        cuts = [0, *np.searchsorted(flat[:inside], self._inner_ends).tolist(),
-                inside, len(flat)]
-        segments = self.segments + ((self._tail,) if inside < len(flat)
-                                    else ())
-        out = [], [], []        # stage, dense value and beta^2 per slice
-        for seg, a, b in zip(segments, cuts, cuts[1:]):
-            if a < b:
-                v = seg.dense(flat[a:b])
-                for part, x in zip(out, (np.full(b - a, seg.stage), v, v * v
-                                         if seg.stage == 1 else
-                                         np.where(v < 0.0, 0.0, v))):
-                    part.append(x)
-        out = [part[0] if len(part) == 1 else
-               np.concatenate(part or [np.empty(0, dtype)])
-               for part, dtype in zip(out, (int, float, float))]
-        if order is not None:
-            for i, part in enumerate(out):
-                out[i] = np.empty_like(part)
-                out[i][order] = part
-        return tuple(part.reshape(taus.shape) for part in out)
+        """(stage, dense value, beta^2) at each sample, in taus' shape. Each
+        sample takes `_segment_at`'s segment (index len(segments): the
+        tail), with one dense call per segment touched; `dense` works
+        element by element, so no value depends on the samples around it."""
+        index = np.searchsorted(self._inner_ends, taus, side="right")
+        index[taus > self.horizon] = len(self.segments)
+        stage, vals = np.empty(taus.shape, dtype=int), np.empty(taus.shape)
+        for i in np.flatnonzero(np.bincount(index.ravel())).tolist():
+            seg = self._tail if i == len(self.segments) else self.segments[i]
+            at = index == i
+            stage[at], vals[at] = seg.stage, seg.dense(taus[at])
+        return stage, vals, np.where(stage == 1, vals * vals,
+                                     np.where(vals < 0.0, 0.0, vals))
 
     def _answer(self, name: str, tau, compute, floor: float = 0.0, **kw):
         """compute(taus, stage, dense value, beta^2, **kw), the last three

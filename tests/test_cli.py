@@ -621,6 +621,38 @@ def test_simulate_bad_kappa_literals(tmp_path):
                      "--out", str(tmp_path / "x.csv")]) == 1
 
 
+SWEEP_R = ["sweep", "--profile", "exp", "--grid-r", "0.1", "--grid-ki"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    ([*SWEEP_R, "1e-4:x:5:log"], "bad number in grid literal '1e-4:x:5:log'"),
+    ([*SWEEP_R, "1e-2:1e-4:5:log"], "grid literal needs hi > lo and n >= 1"),
+    ([*SWEEP_R, "0:1e-2:5:log"], "log grids need lo > 0"),
+    ([*SWEEP_R, "1e-4,abc"], "bad number in grid literal '1e-4,abc'"),
+    ([*SWEEP_R, ","], "empty grid literal"),
+    (["simulate", *EXP_OP, "--kappa", "file:{one_row}"],
+     "needs at least two finite rows"),
+    (["simulate", *EXP_OP, "--kappa", "file:{backwards}"],
+     "taus must be finite and strictly increasing"),
+    (["simulate", *EXP_OP, "--kappa", "foo"],
+     "--kappa takes const:<value> or file:<path>, got 'foo'"),
+    (["simulate", *EXP_OP, "--kappa", "const:abc"],
+     "bad constant coupling 'abc'")],
+    ids=["grid-bad-number", "grid-hi-below-lo", "log-grid-at-zero",
+         "list-bad-number", "empty-list", "kappa-file-one-row",
+         "kappa-file-backwards", "kappa-no-kind", "kappa-const-bad-number"])
+def test_bad_literal_is_input_error(argv, message, tmp_path, capsys):
+    (tmp_path / "one_row.csv").write_text("0,0.5\n")
+    (tmp_path / "backwards.csv").write_text("0,0.5\n2,0.5\n1,0.5\n")
+    argv = [a.format(one_row=tmp_path / "one_row.csv",
+                     backwards=tmp_path / "backwards.csv") for a in argv]
+    out = tmp_path / "out.csv"
+    assert cli.main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err and not out.exists()
+
+
 def _table_rows(path):
     p = prof.parse_profile(f"table:{path}")
     return p.taus.tolist(), p.rates.tolist()

@@ -8,6 +8,7 @@ energy-bookkeeping ODE.
 from __future__ import annotations
 
 import decimal
+import functools
 import math
 import sys
 import warnings
@@ -62,6 +63,18 @@ def test_coupling_is_stage2_only():
     g = cf.gauss_constants(SIGMA_OP, 4.0, 1e-4)
     with pytest.raises(DomainError):
         cf.gauss_coupling(SIGMA_OP, 4.0, 1e-4, 0.5 * g.tau_c)
+
+
+@pytest.mark.parametrize("at_time", [
+    functools.partial(cf.exp_population, 0.2, 1e-4),
+    functools.partial(cf.exp_coupling, 0.2, 1e-4),
+    functools.partial(cf.gauss_population, SIGMA_OP, 4.0, 1e-4),
+    functools.partial(cf.gauss_coupling, SIGMA_OP, 4.0, 1e-4)],
+    ids=["exp_population", "exp_coupling", "gauss_population",
+         "gauss_coupling"])
+def test_time_functions_reject_nan_time(at_time):
+    with pytest.raises(DomainError):
+        at_time(math.nan)
 
 
 def test_exp_report_needs_kappa_i_below_r():

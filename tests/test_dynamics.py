@@ -168,8 +168,9 @@ def test_simulate_rejects_bad_arguments():
         dyn.simulate_amplitudes(p, params, sch, 10.0, tol=1e-5)
     with pytest.raises(DomainError):
         dyn.simulate_amplitudes(p, params, sch, -1.0)
-    with pytest.raises(DomainError):
-        dyn.simulate_amplitudes(p, params, sch, 10.0, beta0=0.5)
+    for beta0 in (0.5, math.nan, -math.inf):
+        with pytest.raises(DomainError, match="convention is beta <= 0"):
+            dyn.simulate_amplitudes(p, params, sch, 10.0, beta0=beta0)
     with pytest.raises(DomainError):
         dyn.simulate_amplitudes(p, params, "not-a-coupling", 10.0)
     for bad in ([5.0, 1.0], [-1.0, 2.0], [0.0, 20.0], [3.0]):

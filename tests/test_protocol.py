@@ -1063,6 +1063,10 @@ def test_array_evaluation_equals_float_calls(case, method):
     # shuffled samples land on the same values
     order = np.random.default_rng(7).permutation(len(taus))
     assert np.array_equal(getattr(sch, method)(taus[order]), got[order])
+    # a 2-D array keeps its shape, each value the 1-D array's
+    rows = got[:len(taus) // 2 * 2].reshape(2, -1)
+    grid = getattr(sch, method)(taus[:rows.size].reshape(rows.shape))
+    assert grid.shape == rows.shape and np.array_equal(grid, rows)
 
 
 def _same_float(a: float, b: float) -> bool:
