@@ -207,9 +207,10 @@ def _schedule_grid(schedule: protocol.CouplingSchedule, n: int) -> np.ndarray:
     memory's own time scale (kappa ~ 1/(1 + tau - tau_c) for slow pulses).
     Between the fans the rows are uniform at the body spacing, the pulse's
     time scale T (1/r or sigma) over `_BODY_PER_T`, or horizon/(n - 1) where
-    that is finer; a table has no T, and its knots are rows instead. The
-    reflection is stationary in kappa along the schedule, so a PCHIP
-    through the rows moves beta only at second order in its error.
+    that is finer. A table's knots are rows and its body is horizon/(n - 1):
+    a record can far outlast its pulse, and T/20 would grow its CSV without
+    bound. The reflection is stationary in kappa along the schedule, so a
+    PCHIP through the rows moves beta only at second order in its error.
     """
     import numpy as np
     from . import profiles as prof

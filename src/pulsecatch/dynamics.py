@@ -41,6 +41,7 @@ from .protocol import CouplingSchedule
 _DEFAULT_TOL = 1e-10
 # Nodes of the energy-balance stencil: first derivatives of 6th order.
 _STENCIL = 7
+_BOUND = 50.0       # the energy-balance contract: residual <= 50 tol
 
 
 def reflection_rate(beta, kappa, r_in):
@@ -115,7 +116,7 @@ def _spacing(tol: float) -> float:
     """Grid spacing per unit of the pulse's time scale T.
 
     A 7-node stencil is off by at most about h^6 |f^(7)| / 7 (its one-sided
-    end), and |f^(7)| of beta^2 is about T^-7 for these pulses, so
+    end), and |f^(7)| of beta^2 is about T^-7 (`_segment_grid`'s T), so
     h = T (7 tol)^(1/6) holds the stencil's error near tol / T.
     """
     return (7.0 * tol) ** (1.0 / 6.0)
@@ -126,29 +127,27 @@ def _segment_grid(profile: prof.InputProfile, edges: Sequence[float],
     """One uniform grid per segment between consecutive edges, each edge a
     sample, for stencils of `_STENCIL` nodes that stay inside a segment.
 
-    A segment's spacing is `_spacing(tol)` times its time scale T: the
-    pulse's (1/r for the exponential, sigma for the Gaussian, the knot
-    spacing for a table), or the segment's own length where that is
-    shorter, but no less than 1, the memory's own time (kappa <= 1). Stage
-    1 of a long exponential pulse lasts about 1.4, and there kappa = 1 sets
-    the pace, not 1/r. Every segment gets at least `_STENCIL` samples, but
-    one shorter than its spacing has nothing to resolve: it gets just its
-    ends, and the residual skips it.
+    A segment's spacing is `_spacing(tol)` times the pulse's time scale T
+    (1/r, sigma, or 1 over a table's largest sample, where its PCHIP peaks;
+    inf if none is positive) or the segment's length where shorter, but no
+    less than 1, the memory's own time (kappa <= 1): stage 1 of a long
+    exponential pulse lasts about 1.4, and there kappa = 1 sets the pace.
+    Every segment gets at least `_STENCIL` samples but a sliver, where seven
+    would read beta^2's rounding (eps) times the stencil's weights (up to
+    `gain` / span) past `_BOUND` tol, as a span under 7.4e-3 at tol = 1e-13
+    does (a break 1e-12 past a knot): just its ends, skipped by the residual.
     """
     a, b = np.asarray(edges[:-1]), np.asarray(edges[1:])
     span = b - a
-    if profile.kind == prof.EXPONENTIAL:
-        scale = np.full(span.shape, 1.0 / profile.r)
-    elif profile.kind == prof.GAUSSIAN:
-        scale = np.full(span.shape, profile.sigma)
+    if profile.kind == prof.TABULATED:
+        peak = float(np.max(profile.rates))
+        scale = 1.0 / peak if peak > 0.0 else math.inf
     else:
-        knots = profile.taus
-        i = np.searchsorted(knots, 0.5 * (a + b))
-        inside = (i > 0) & (i < len(knots))
-        i = np.clip(i, 1, len(knots) - 1)
-        scale = np.where(inside, knots[i] - knots[i - 1], math.inf)
+        scale = profile.sigma if profile.kind == prof.GAUSSIAN else 1.0 / profile.r
     step = _spacing(tol) * np.minimum(scale, np.maximum(span, 1.0))
-    counts = np.where(span < step, 2,
+    x = np.linspace(0.0, 1.0, _STENCIL)
+    gain = np.abs(_fornberg(x[:1], x[None, :])).sum()    # 166.4, one-sided
+    counts = np.where(gain * math.ulp(1.0) > _BOUND * tol * span, 2,
                       np.maximum(np.ceil(span / step) + 1, _STENCIL))
     pieces = [np.linspace(t0, t1, n)[:-1]
               for t0, t1, n in zip(a.tolist(), b.tolist(),
@@ -213,9 +212,9 @@ def simulate_amplitudes(profile: prof.InputProfile, params: prof.MemoryParams,
     `schedule_or_kappa` is either a CouplingSchedule or any callable
     kappa(tau) in [0, 1]. `samples` selects the output grid: None for one
     uniform grid per segment between the trajectory's `edges`, spaced from
-    `tol` (`_segment_grid`), an int for uniform sampling, or an explicit
-    array. A Gaussian's integrator step is capped at one stencil's width of
-    that grid.
+    `tol` and the pulse's time scale (`_segment_grid`), an int for uniform
+    sampling, or an explicit array. A Gaussian's integrator step is capped
+    at one stencil's width of that grid.
     `beta0` (finite and <= 0) seeds the memory, for decay tests against
     closed forms.
     """
@@ -295,10 +294,10 @@ def energy_balance_residual(trajectory: Trajectory) -> float:
     its ends. A stencil never crosses one of the trajectory's `edges`, so a
     kink of the coupling (at tau_c, say) does not enter the result; a
     segment with 3 to 6 samples takes all of them, and one with fewer is
-    skipped. On `simulate_amplitudes`' default grid the stencil's error is
-    about tol / T (see `_spacing`), and the result measures how well the run
-    honors the local energy balance: at most 50x the tolerance at both
-    operating points. Raises DomainError when no segment has 3 samples.
+    skipped; DomainError if no segment has 3. On `simulate_amplitudes`'
+    default grid the stencil's error is about tol / T (`_spacing`), or
+    rounding (2e-12 on a table's 0.02 knot intervals), and the result stays
+    within `_BOUND` tol at both operating points and the benchmark's tables.
     """
     taus = trajectory.taus
     beta_sq = trajectory.beta * trajectory.beta

@@ -311,8 +311,23 @@ def test_trajectory_without_edges_is_one_segment():
         == dyn.energy_balance_residual(tr)
 
 
+def _two_hump() -> prof.InputProfile:
+    """CI's two-hump table: knots every 0.02 on [0, 30], humps at 4 and 19."""
+    taus = np.linspace(0.0, 30.0, 1501)
+    rates = 0.4 * np.exp(-0.5 * (taus - 4.0) ** 2) \
+        + 0.6 * np.exp(-0.5 * ((taus - 19.0) / 1.1) ** 2)
+    return prof.tabulated(taus, rates / np.trapezoid(rates, taus))
+
+
+def _schedule_edges(p: prof.InputProfile, sch) -> tuple[float, ...]:
+    knots = p.taus[(p.taus > 0.0) & (p.taus < sch.horizon)].tolist() \
+        if p.kind == prof.TABULATED else []
+    return tuple(sorted({0.0, *sch.breakpoints(), *knots, sch.horizon}))
+
+
 @pytest.mark.parametrize("make", [lambda: prof.exponential(0.036),
-                                  lambda: prof.gaussian(r=0.1533, n=4)])
+                                  lambda: prof.gaussian(r=0.1533, n=4),
+                                  pytest.param(_two_hump, id="table")])
 def test_default_grid_is_uniform_per_segment(make):
     p = make()
     params = prof.MemoryParams(kappa_i=KI_OP)
@@ -320,7 +335,7 @@ def test_default_grid_is_uniform_per_segment(make):
     sizes = []
     for tol in (1e-10, 1e-11):
         tr = dyn.simulate_amplitudes(p, params, sch, sch.horizon, tol=tol)
-        assert tr.edges == (0.0, *sch.breakpoints(), sch.horizon)
+        assert tr.edges == _schedule_edges(p, sch)
         for a, b in zip(tr.edges[:-1], tr.edges[1:]):
             seg = tr.taus[(tr.taus >= a) & (tr.taus <= b)]
             assert seg[0] == a and seg[-1] == b
@@ -328,22 +343,50 @@ def test_default_grid_is_uniform_per_segment(make):
             np.testing.assert_allclose(np.diff(seg), (b - a) / (len(seg) - 1),
                                        rtol=1e-9)
         sizes.append(len(tr))
-    assert sizes[0] < sizes[1] < 5000
+    if p.kind == prof.TABULATED:
+        # T is 1 over the peak rate, longer than a knot interval: each
+        # interval gets the stencil's 7 samples, whatever the tol
+        rule = (len(tr.edges) - 1) * (dyn._STENCIL - 1) + 1
+        assert sizes[0] == sizes[1] <= rule
+    else:
+        assert sizes[0] < sizes[1] < 5000
 
 
 @pytest.mark.parametrize("tol", [1e-7, 1e-9, 1e-11, 1e-13])
-@pytest.mark.parametrize("make", [lambda: prof.exponential(0.036),
-                                  lambda: prof.gaussian(r=0.1533, n=4)],
-                         ids=["exp", "gauss"])
-def test_default_residual_tracks_tol(make, tol):
-    # grid and Gaussian step cap both follow tol: the residual stays near
-    # tol itself, far inside 50 tol. A fixed sigma/3 cap left a 4.1e-10
-    # floor on the Gaussian whatever the tol.
+@pytest.mark.parametrize("make, bound",
+                         [(lambda: prof.exponential(0.036), 2.0),
+                          (lambda: prof.gaussian(r=0.1533, n=4), 2.0),
+                          (_two_hump, 50.0)],
+                         ids=["exp", "gauss", "table"])
+def test_default_residual_tracks_tol(make, bound, tol):
+    # grid and Gaussian step cap both follow tol: an analytic pulse's
+    # residual stays near tol itself, far inside 50 tol. A fixed sigma/3
+    # cap left a 4.1e-10 floor on the Gaussian whatever the tol. A table's
+    # stencils sit inside 0.02 knot intervals and read beta^2's rounding,
+    # about 2e-12 at every tol, so its bound is the 50 tol contract.
     p = make()
     params = prof.MemoryParams(kappa_i=KI_OP)
     sch = proto.build_schedule(p, params)
     tr = dyn.simulate_amplitudes(p, params, sch, sch.horizon, tol=tol)
-    assert dyn.energy_balance_residual(tr) <= 2 * tol
+    assert dyn.energy_balance_residual(tr) <= bound * tol
+
+
+@pytest.mark.parametrize("make", [lambda: prof.exponential(0.036),
+                                  lambda: prof.gaussian(r=0.1533, n=4),
+                                  _two_hump], ids=["exp", "gauss", "table"])
+def test_default_grid_values_equal_sampled_runs(make):
+    # the solver's steps do not depend on the samples, so every value on the
+    # default grid is the value a run sampled at that time alone reads
+    p = make()
+    params = prof.MemoryParams(kappa_i=KI_OP)
+    sch = proto.build_schedule(p, params)
+    tr = dyn.simulate_amplitudes(p, params, sch, sch.horizon, tol=1e-11)
+    pick = np.r_[np.arange(0, len(tr) - 1, 5), len(tr) - 1]
+    sub = dyn.simulate_amplitudes(p, params, sch, sch.horizon, tol=1e-11,
+                                  samples=tr.taus[pick])
+    for field in ("taus", "beta1", "beta", "kappa", "r_in", "r_out",
+                  "cum_reflection", "cum_intrinsic"):
+        assert np.array_equal(getattr(tr, field)[pick], getattr(sub, field))
 
 
 def _knot_table() -> prof.InputProfile:
@@ -361,6 +404,37 @@ def test_table_knots_are_edges():
     tr = dyn.simulate_amplitudes(p, params, sch, sch.horizon, tol=1e-10)
     assert set(taus.tolist()) <= set(tr.edges)
     assert set(tr.edges) <= set(tr.taus.tolist())
+
+
+def test_sliver_segment_holds_just_its_ends():
+    # a coupling break 1e-12 past a knot: seven samples on that segment
+    # would read rounding far over 50 tol, so it gets its two ends and the
+    # residual skips it
+    p = _two_hump()
+    params = prof.MemoryParams(kappa_i=KI_OP)
+    sch = proto.build_schedule(p, params)
+    knot = float(p.taus[750])
+
+    def kappa(t):
+        return sch.kappa(t)
+
+    kappa.breakpoints = lambda: [*sch.breakpoints(), knot + 1e-12]
+    tr = dyn.simulate_amplitudes(p, params, kappa, sch.horizon, tol=1e-11)
+    assert knot in tr.edges and knot + 1e-12 in tr.edges
+    sliver = tr.taus[(tr.taus >= knot) & (tr.taus <= knot + 1e-12)]
+    assert sliver.tolist() == [knot, knot + 1e-12]
+    assert dyn.energy_balance_residual(tr) <= 50 * tr.tol
+
+
+def test_all_zero_table_has_a_trajectory():
+    # no positive sample: T is inf, and the memory's own time spaces the grid
+    p = prof.tabulated([0.0, 1.0, 2.0, 3.0], [0.0, 0.0, 0.0, 0.0])
+    tr = dyn.simulate_amplitudes(p, prof.MemoryParams(kappa_i=KI_OP),
+                                 lambda s: 0.5, 3.0)
+    assert tr.edges == (0.0, 1.0, 2.0, 3.0)
+    assert len(tr) == 3 * (math.ceil(1.0 / dyn._spacing(tr.tol)) + 1) - 2
+    assert np.all(tr.beta == 0.0) and np.all(tr.r_out == 0.0)
+    assert dyn.energy_balance_residual(tr) == 0.0
 
 
 def test_breaks_repeated_unsorted_and_at_the_ends_are_edges_once():
