@@ -12,17 +12,18 @@ bit for bit. It reads the dense output at the caller's samples as it
 steps, as scipy's `OdeSolution` would read it after the solve, and keeps
 no step history. Its preconditions are not checked: `dynamics` builds
 its arguments and checks what a caller passes in. Its Butcher tableau is
-read from scipy's own `dop853_coefficients.py`, which imports only numpy.
-`quad` imports scipy.integrate on each call. So neither `simulate` nor
-`verify` loads scipy.integrate, which costs about 0.34 s to import on top
-of scipy.special, which neither loads on an analytic pulse: `closedform`
-has its own erf and erfcx. Each module binds these names itself, so
+`_dop853`'s literals, scipy's own numbers bit for bit, which a solve
+imports on its first call.
+`quad` imports scipy.integrate on each call. Only the quadrature oracles
+call it; scipy comes with the test extra, and without it `quad` raises
+ModuleNotFoundError naming that extra. So the runtime needs numpy alone,
+and no command loads scipy: `closedform` has its own erf and erfcx, and
+`profiles` its own PCHIP. Each module binds these names itself, so
 replacing one module's binding (as a tracer or a test does) leaves the
 others alone; the wrappers never rebind a module's name.
 """
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from types import SimpleNamespace
@@ -101,11 +102,17 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12,
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
-
-
 def quad(*args, **kwargs):
-    """`scipy.integrate.quad`, imported on the call."""
-    from scipy.integrate import quad
+    """`scipy.integrate.quad`, imported on the call: only the quadrature
+    oracles call it, and scipy comes with the test extra."""
+    try:
+        from scipy.integrate import quad
+    except ModuleNotFoundError as exc:
+        raise ModuleNotFoundError(
+            "the quadrature oracles (total_excitation on an analytic pulse, "
+            "stage1_amplitude, stage2_population) need scipy, which the "
+            "test extra installs: pip install 'pulsecatch[test]'",
+            name=exc.name) from exc
     return quad(*args, **kwargs)
 
 
@@ -120,26 +127,6 @@ _ERROR_EXPONENT = -1 / (7 + 1)      # the error estimator's order is 7
 _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 _FINISHED = "The solver successfully reached the end of the integration " \
     "interval."
-
-
-@functools.cache
-def _tableau() -> SimpleNamespace:
-    """DOP853's coefficients as `scipy.integrate._ivp.rk.DOP853` slices them,
-    from scipy's `dop853_coefficients.py` loaded as a file: importing it by
-    name would run `scipy/integrate/__init__.py`, the whole import."""
-    import importlib.util
-    import os
-    root = importlib.util.find_spec("scipy").submodule_search_locations[0]
-    spec = importlib.util.spec_from_file_location(
-        "pulsecatch._dop853_coefficients",
-        os.path.join(root, "integrate", "_ivp", "dop853_coefficients.py"))
-    c = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(c)
-    n = c.N_STAGES
-    return SimpleNamespace(n_stages=n, n_extended=c.N_STAGES_EXTENDED,
-                           power=c.INTERPOLATOR_POWER,
-                           A=c.A[:n, :n], B=c.B, C=c.C[:n], E3=c.E3, E5=c.E5,
-                           D=c.D, A_extra=c.A[n + 1:], C_extra=c.C[n + 1:])
 
 
 def _rms(x: np.ndarray):
@@ -217,11 +204,11 @@ def solve_ivp(fun, t_span, y0, samples, *, rtol=1e-3, atol=1e-6,
         nfev += 1
         return np.asarray(fun(t, y), dtype=dtype)
 
-    tab = _tableau()
+    from . import _dop853 as tab
     fy = f(t0, y)
     h_abs = _initial_step(f, t0, y, tf, max_step, fy, rtol, atol)
-    K_ext = np.empty((tab.n_extended, y.size), dtype=dtype)
-    K = K_ext[:tab.n_stages + 1]
+    K_ext = np.empty((tab.N_STAGES_EXTENDED, y.size), dtype=dtype)
+    K = K_ext[:tab.N_STAGES + 1]
     t, i0 = t0, 0
     samples = np.asarray(samples, dtype=float)
     values = np.empty((y.size, len(samples)), dtype=dtype)
@@ -265,11 +252,11 @@ def solve_ivp(fun, t_span, y0, samples, *, rtol=1e-3, atol=1e-6,
             status = 0
         # DOP853._dense_output_impl: its stages run on every step, so nfev
         # is scipy's count with dense output
-        _rk_stages(f, t_old, y_old, h, K_ext, tab.A_extra, tab.C_extra,
-                   tab.n_stages + 1)
+        _rk_stages(f, t_old, y_old, h, K_ext, tab.A_EXTRA, tab.C_EXTRA,
+                   tab.N_STAGES + 1)
         i1 = int(np.searchsorted(samples, t, side="right"))
         if i1 > i0:
-            F = np.empty((tab.power, y.size), dtype=dtype)
+            F = np.empty((tab.INTERPOLATOR_POWER, y.size), dtype=dtype)
             delta_y = y - y_old
             F[0] = delta_y
             F[1] = h * K_ext[0] - delta_y

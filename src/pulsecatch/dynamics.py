@@ -15,7 +15,8 @@ Two independent routes through the same physics:
 
 Both integrate with `_scipy.solve_ivp`, a port of scipy's DOP853 that takes
 scipy's steps bit for bit and reads its dense output at the samples as it
-steps, so neither loads scipy.integrate. Both restart it at each of the
+steps, on the package's own copy of DOP853's tableau (`_dop853`), so
+neither needs scipy. Both restart it at each of the
 run's edges (`_coupling`): the coupling's breaks and a table's knots, where
 the right-hand side is not smooth.
 
@@ -132,10 +133,9 @@ def _segment_grid(profile: prof.InputProfile, edges: Sequence[float],
     inf if none is positive) or the segment's length where shorter, but no
     less than 1, the memory's own time (kappa <= 1): stage 1 of a long
     exponential pulse lasts about 1.4, and there kappa = 1 sets the pace.
-    Every segment gets at least `_STENCIL` samples but a sliver, where seven
-    would read beta^2's rounding (eps) times the stencil's weights (up to
-    `gain` / span) past `_BOUND` tol, as a span under 7.4e-3 at tol = 1e-13
-    does (a break 1e-12 past a knot): just its ends, skipped by the residual.
+    Every segment gets at least `_STENCIL` samples but a sliver, one shorter
+    than `_sliver_span(tol)` (a break 1e-12 past a knot): just its ends,
+    skipped by the residual.
     """
     a, b = np.asarray(edges[:-1]), np.asarray(edges[1:])
     span = b - a
@@ -145,14 +145,21 @@ def _segment_grid(profile: prof.InputProfile, edges: Sequence[float],
     else:
         scale = profile.sigma if profile.kind == prof.GAUSSIAN else 1.0 / profile.r
     step = _spacing(tol) * np.minimum(scale, np.maximum(span, 1.0))
-    x = np.linspace(0.0, 1.0, _STENCIL)
-    gain = np.abs(_fornberg(x[:1], x[None, :])).sum()    # 166.4, one-sided
-    counts = np.where(gain * math.ulp(1.0) > _BOUND * tol * span, 2,
+    counts = np.where(span < _sliver_span(tol), 2,
                       np.maximum(np.ceil(span / step) + 1, _STENCIL))
     pieces = [np.linspace(t0, t1, n)[:-1]
               for t0, t1, n in zip(a.tolist(), b.tolist(),
                                    counts.astype(int).tolist())]
     return np.concatenate(pieces + [np.array([edges[-1]])])
+
+
+def _sliver_span(tol: float) -> float:
+    """The span under which a segment is a sliver at `tol`: seven samples on
+    it would read beta^2's rounding (eps) times the stencil's weights (up to
+    `gain` / span) past `_BOUND` tol. It is 7.4e-3 at tol = 1e-13."""
+    x = np.linspace(0.0, 1.0, _STENCIL)
+    gain = np.abs(_fornberg(x[:1], x[None, :])).sum()    # 166.4, one-sided
+    return gain * math.ulp(1.0) / (_BOUND * tol)
 
 
 def _checked_grid(tol: float, tau_end: float,
@@ -294,7 +301,8 @@ def energy_balance_residual(trajectory: Trajectory) -> float:
     its ends. A stencil never crosses one of the trajectory's `edges`, so a
     kink of the coupling (at tau_c, say) does not enter the result; a
     segment with 3 to 6 samples takes all of them, and one with fewer is
-    skipped; DomainError if no segment has 3. On `simulate_amplitudes`'
+    skipped; DomainError if no segment has 3, which names the least tol
+    that gives one a stencil where all are slivers. On `simulate_amplitudes`'
     default grid the stencil's error is about tol / T (`_spacing`), or
     rounding (2e-12 on a table's 0.02 knot intervals), and the result stays
     within `_BOUND` tol at both operating points and the benchmark's tables.
@@ -313,6 +321,15 @@ def energy_balance_residual(trajectory: Trajectory) -> float:
             stencils.setdefault(k, []).append(
                 (rows, np.clip(rows - k // 2, i0, i1 - k)))
     if not stencils:
+        spans, tol = np.diff(edges), trajectory.tol
+        sliver = _sliver_span(tol)
+        if np.all(spans < sliver):
+            raise DomainError(
+                f"every segment between the trajectory's edges is shorter "
+                f"than {sliver:.3g}, where a stencil reads rounding past "
+                f"{_BOUND:g} tol at tol {tol:.3g}: no residual can be taken. "
+                f"The longest gets a stencil at tol >= "
+                f"{tol * sliver / float(np.max(spans)):.3g}")
         raise DomainError("no segment between the trajectory's edges (its "
                           "coupling breaks and table knots) holds 3 samples")
     worst = []

@@ -454,11 +454,14 @@ def _quad_rate(profile: InputProfile, a: float, b: float) -> float:
 
 
 def total_excitation(profile: InputProfile, tau_end: float) -> float:
-    """Numerically integrate r_in over [0, tau_end] (tau_end may be inf)."""
+    """Numerically integrate r_in over [0, tau_end] (tau_end may be inf).
+
+    On a table this is one Kronrod rule per knot interval and needs numpy
+    alone. On an analytic pulse it is an oracle for `cumulative`, by
+    scipy's adaptive `quad`: it needs the test extra, which installs
+    scipy, and raises ModuleNotFoundError naming it without."""
     if not tau_end >= 0.0:
         raise DomainError("total_excitation requires tau_end >= 0")
-    if tau_end == 0.0:
-        return 0.0
     if math.isinf(tau_end):
         if profile.kind == TABULATED:
             return _quad_rate(profile, 0.0, float(profile.taus[-1]))

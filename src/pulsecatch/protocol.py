@@ -69,7 +69,9 @@ def stage1_amplitude(profile: prof.InputProfile, params: prof.MemoryParams,
     window, the last 80/a before tau (a = (1 + kappa_i)/2), each link cut
     into pieces with a h <= 1/2 and started from the value at the last: one
     quadrature over a window where sqrt(r_in) has a square-root edge can
-    miss it by far more than its tolerance."""
+    miss it by far more than its tolerance. An oracle, by scipy's adaptive
+    `quad`: it needs the test extra, which installs scipy, and raises
+    ModuleNotFoundError naming it without."""
     if not tau >= 0.0:
         raise DomainError("stage1_amplitude requires tau >= 0")
     a = 0.5 * (1.0 + params.kappa_i)
@@ -88,7 +90,9 @@ def stage2_population(profile: prof.InputProfile, params: prof.MemoryParams,
     beta^2(tau) = e^{-k_i(tau-tau_c)} r_in(tau_c)
                 + int_{tau_c}^{tau} e^{-k_i(tau-s)} r_in(s) ds
     evaluated with the decaying weight inside the integral so nothing
-    overflows however large tau gets.
+    overflows however large tau gets. An oracle, by scipy's adaptive
+    `quad`: it needs the test extra, which installs scipy, and raises
+    ModuleNotFoundError naming it without.
     """
     if not tau >= tau_c:
         raise DomainError("stage2_population requires tau >= tau_c")

@@ -237,10 +237,13 @@ def _package_modules(imported: list[str]) -> set[str]:
 
 # The pulsecatch modules a command loads: those it runs, and no others.
 # (`__main__` runs as the script, so `-X importtime` does not list it.)
+# Only a solve loads DOP853's constants (`_dop853`): `simulate` and
+# `verify`, not `schedule` or `sweep`.
 _FRONT_END = {"pulsecatch", "pulsecatch.cli", "pulsecatch.errors"}
 _SCHEDULE = _FRONT_END | {"pulsecatch._scipy", "pulsecatch.profiles",
                           "pulsecatch.protocol"}
 _SWEEP = _SCHEDULE | {"pulsecatch.closedform", "pulsecatch.sweep"}
+_SOLVE = {"pulsecatch.dynamics", "pulsecatch._dop853"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -288,11 +291,12 @@ def test_exp_sweep_loads_no_scipy(tmp_path):
 @pytest.mark.parametrize("profile", ["exp:r=0.036", "gauss:r=0.1533,n=4"])
 def test_simulate_loads_no_scipy(profile, tmp_path):
     """`simulate` on an analytic pulse imports no scipy module: solve_ivp is
-    the port of scipy's DOP853 (`pulsecatch._scipy`)."""
+    the port of scipy's DOP853 (`pulsecatch._scipy`), and its tableau is
+    `pulsecatch._dop853`'s literals."""
     imported, _ = _imported(["simulate", "--profile", profile, "--kappa-i",
                              "1e-4", "--samples", "201"], tmp_path)
     assert [m for m in imported if m.split(".")[0] == "scipy"] == []
-    assert _package_modules(imported) == _SCHEDULE | {"pulsecatch.dynamics"}
+    assert _package_modules(imported) == _SCHEDULE | _SOLVE
 
 
 def test_verify_loads_no_scipy_integrate(tmp_path):
@@ -306,8 +310,8 @@ def test_verify_loads_no_scipy_integrate(tmp_path):
         imported, stdout = _imported(["verify", target], tmp_path)
         assert stdout.count("PASS") == passes
         assert [m for m in imported if m.split(".")[0] == "scipy"] == []
-        assert _package_modules(imported) == _SCHEDULE | {
-            "pulsecatch.closedform", "pulsecatch.dynamics"} | modules
+        assert _package_modules(imported) == _SCHEDULE | _SOLVE | {
+            "pulsecatch.closedform"} | modules
 
 
 def _no_solve(monkeypatch):
@@ -451,6 +455,33 @@ def test_simulate_default_schedule(tmp_path, capsys):
     assert np.all(data[:, 2] <= 0.0)        # beta stays non-positive
     total = data[:, 1] ** 2 + data[:, 2] ** 2 + data[:, 6] + data[:, 7]
     assert np.max(np.abs(total - 1.0)) <= 1e-8
+
+
+def test_simulate_on_a_table_of_slivers_names_the_least_tol(tmp_path,
+                                                            capsys):
+    """CI's two-hump shape tabulated every 0.005: at --tol 1e-13 every knot
+    interval is shorter than the sliver span (7.4e-3), so no residual can be
+    taken. The run exits 1 and writes no file, and the message names the
+    least tol at which a 0.005 interval gets a stencil. At 1e-12 the same
+    table meets its 50 tol bound."""
+    taus = np.linspace(0.0, 30.0, 6001)
+    rates = 0.4 * np.exp(-0.5 * (taus - 4.0) ** 2) \
+        + 0.6 * np.exp(-0.5 * ((taus - 19.0) / 1.1) ** 2)
+    table = tmp_path / "fine.csv"
+    np.savetxt(table, np.c_[taus, rates / np.trapezoid(rates, taus)],
+               delimiter=",", fmt="%.17g")
+    out = tmp_path / "trajectory.csv"
+    argv = ["simulate", "--profile", f"table:{table}", "--kappa-i", "1e-4",
+            "--out", str(out)]
+    assert cli.main(argv + ["--tol", "1e-13"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: every segment between the trajectory's "
+                          "edges is shorter than 0.00739")
+    assert "at tol 1e-13" in err and "tol >= 1.48e-13" in err
+    assert not out.exists()
+    assert cli.main(argv + ["--tol", "1e-12"]) == 0
+    captured = capsys.readouterr().out
+    assert _stdout_value(captured, "energy balance residual") <= 50 * 1e-12
 
 
 @pytest.mark.parametrize("literal", ["exp:r=0.036", "gauss:r=0.1533,n=4"])

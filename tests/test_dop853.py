@@ -1,5 +1,5 @@
 """The package's solve_ivp against scipy's DOP853 with dense output: the
-same last step, final state, dense output at the samples and
+same tableau, last step, final state, dense output at the samples and
 right-hand-side count bit for bit, on every solve the simulators make and
 on random linear systems, and the same failure."""
 from __future__ import annotations
@@ -16,7 +16,9 @@ import pytest
 import scipy.integrate
 from hypothesis import given, settings, strategies as st
 
-from pulsecatch import _scipy, cli, dynamics
+from scipy.integrate._ivp import dop853_coefficients
+
+from pulsecatch import _dop853, _scipy, cli, dynamics
 from pulsecatch import profiles as prof
 from pulsecatch import protocol as proto
 
@@ -31,6 +33,22 @@ def _two_humps() -> prof.InputProfile:
     rates = 0.04 * np.exp(-0.5 * ((taus - 4.0) / 1.1) ** 2) \
         + 0.96 * np.exp(-0.5 * ((taus - 19.0) / 1.0) ** 2)
     return prof.tabulated(taus, rates / np.trapezoid(rates, taus))
+
+
+def test_tableau_equals_scipys():
+    """The committed constants are the slices scipy's DOP853 reads from its
+    coefficient file, in shape, value and sign bit."""
+    c, n = dop853_coefficients, dop853_coefficients.N_STAGES
+    assert (_dop853.N_STAGES, _dop853.N_STAGES_EXTENDED,
+            _dop853.INTERPOLATOR_POWER) == (12, 16, 7) \
+        == (n, c.N_STAGES_EXTENDED, c.INTERPOLATOR_POWER)
+    slices = dict(A=c.A[:n, :n], B=c.B, C=c.C[:n], E3=c.E3, E5=c.E5, D=c.D,
+                  A_EXTRA=c.A[n + 1:], C_EXTRA=c.C[n + 1:])
+    for name, want in slices.items():
+        got = getattr(_dop853, name)
+        assert got.dtype == want.dtype == np.float64, name
+        assert got.shape == want.shape, name
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), name
 
 
 def _scipys(fun, t_span, y0, **kwargs):
@@ -202,19 +220,21 @@ def test_what_is_not_ported_is_a_type_error(kwargs):
 
 
 def test_solve_loads_no_scipy_module():
-    """The tableau is read from scipy's coefficient file, which imports
-    only numpy: a solve leaves no scipy module in `sys.modules`."""
+    """The tableau is the package's own (`_dop853`): a solve runs with scipy
+    unimportable and loads no scipy module. It ended in an AttributeError
+    when the tableau was read from scipy's coefficient file."""
     src = str(Path(_scipy.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import sys, numpy as np\n"
+            "sys.modules['scipy'] = None\n"
             "from pulsecatch._scipy import solve_ivp\n"
             "r = solve_ivp(lambda t, y: -y, (0.0, 2.0), np.array([1.0]),\n"
             "              [1.0], rtol=1e-10, atol=1e-13)\n"
             "assert r.status == 0\n"
             "assert abs(r.values[0, 0] - np.exp(-1.0)) < 1e-9\n"
-            "print(sorted(m for m in sys.modules\n"
-            "             if m.split('.')[0] == 'scipy'))\n")
+            "print(sorted(m for m, v in sys.modules.items()\n"
+            "             if m.split('.')[0] == 'scipy' and v is not None))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env)
     assert proc.returncode == 0, proc.stderr
