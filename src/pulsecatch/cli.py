@@ -318,6 +318,11 @@ def cmd_simulate(args) -> int:
     else:
         schedule = protocol.build_schedule(profile, params)
         coupling, tau_end = schedule, schedule.horizon
+    if args.samples is None:
+        # A default grid of slivers gives no residual: stop before the solves.
+        dynamics._checked_grid(args.tol, tau_end, None)
+        dynamics._require_stencil(
+            dynamics._coupling(profile, coupling, tau_end)[1], args.tol)
 
     traj = dynamics.simulate_amplitudes(profile, params, coupling, tau_end,
                                         tol=args.tol, samples=args.samples)

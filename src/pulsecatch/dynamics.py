@@ -162,6 +162,21 @@ def _sliver_span(tol: float) -> float:
     return gain * math.ulp(1.0) / (_BOUND * tol)
 
 
+def _require_stencil(edges: Sequence[float], tol: float) -> None:
+    """DomainError, naming the least tol that gives the longest segment a
+    stencil, where every segment between `edges` is a sliver at `tol`: then
+    no residual can be taken on `_segment_grid`'s samples."""
+    spans = np.diff(edges)
+    sliver = _sliver_span(tol)
+    if np.all(spans < sliver):
+        raise DomainError(
+            f"every segment between the trajectory's edges is shorter "
+            f"than {sliver:.3g}, where a stencil reads rounding past "
+            f"{_BOUND:g} tol at tol {tol:.3g}: no residual can be taken. "
+            f"The longest gets a stencil at tol >= "
+            f"{tol * sliver / float(np.max(spans)):.3g}")
+
+
 def _checked_grid(tol: float, tau_end: float,
                   samples: int | Sequence[float] | None) -> np.ndarray | None:
     """Check the arguments both simulators share; return the requested output
@@ -321,15 +336,7 @@ def energy_balance_residual(trajectory: Trajectory) -> float:
             stencils.setdefault(k, []).append(
                 (rows, np.clip(rows - k // 2, i0, i1 - k)))
     if not stencils:
-        spans, tol = np.diff(edges), trajectory.tol
-        sliver = _sliver_span(tol)
-        if np.all(spans < sliver):
-            raise DomainError(
-                f"every segment between the trajectory's edges is shorter "
-                f"than {sliver:.3g}, where a stencil reads rounding past "
-                f"{_BOUND:g} tol at tol {tol:.3g}: no residual can be taken. "
-                f"The longest gets a stencil at tol >= "
-                f"{tol * sliver / float(np.max(spans)):.3g}")
+        _require_stencil(edges, trajectory.tol)
         raise DomainError("no segment between the trajectory's edges (its "
                           "coupling breaks and table knots) holds 3 samples")
     worst = []

@@ -404,6 +404,7 @@ _WEIGHTS = np.concatenate((_WGK, _WGK[-2::-1]))
 _EPMACH = sys.float_info.epsilon
 _CHUNK = 40          # intervals per quad call, which caps its break points
 _EPSREL = 1e-12
+_BLOCK = 256         # intervals per Kronrod pass, which bounds its node arrays
 
 
 def _kronrod(f: Callable[[np.ndarray], np.ndarray], edges) -> np.ndarray:
@@ -414,8 +415,18 @@ def _kronrod(f: Callable[[np.ndarray], np.ndarray], edges) -> np.ndarray:
     of such values. Nodes are a + h (1 + x), h the half length: at a centre
     plus an offset (QUADPACK's) they would all shift with the centre's
     rounding and bias the sum. Each interval's 21 terms are summed in node
-    order, so its integral is the same bit for bit alone or in a batch."""
+    order, so its integral is the same bit for bit alone or in a batch.
+
+    f gets at most `_BLOCK` intervals of the first axis per call, so the
+    node arrays keep one size however many knots a table has, and the
+    blocks' integrals are joined along that axis. So a per-interval
+    parameter that f captures may vary only along the trailing interval
+    axes, never along the first."""
     e = np.asarray(edges, dtype=float)
+    if len(e) > _BLOCK + 1:
+        return np.concatenate([_kronrod(f, e[i:i + _BLOCK + 1])
+                               for i in range(0, len(e) - 1, _BLOCK)],
+                              axis=-e.ndim)
     hlgth, ax = 0.5 * (e[1:] - e[:-1]), -e.ndim - 1
     x, w = (v.reshape((-1,) + (1,) * e.ndim) for v in (_NODES, _WEIGHTS))
     fx = np.cumsum(w * f(e[:-1] + hlgth * (1.0 + x)), axis=ax)

@@ -2,8 +2,9 @@
 the stacked dense output equals scipy's route bit for bit.
 
 On a table, `profiles._kronrod` integrates r_in with one 21-point Kronrod
-rule per knot interval, all intervals in one array call, and the losses
-with one rule per stage-1 piece and the stage-2 series' exact integral.
+rule per knot interval, in array calls of up to `_BLOCK` intervals, and
+the losses with one rule per stage-1 piece and the stage-2 series' exact
+integral.
 The r_in quadratures are compared with a 20-point Gauss-Legendre rule on
 every knot interval of the same integrand, the losses with the same rule
 on every knot interval cut at the schedule's pieces, each summed by
@@ -16,6 +17,7 @@ from __future__ import annotations
 import contextlib
 import math
 from bisect import bisect_right
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -176,10 +178,10 @@ def narrow_tables(draw):
     return prof.tabulated(taus, rates / np.trapezoid(rates, taus))
 
 
-def _two_hump(faint: bool) -> prof.InputProfile:
+def _two_hump(faint: bool, knots: int = 1501) -> prof.InputProfile:
     """A tabulated two-hump pulse like the benchmark's: knots every 0.02 on
-    [0, 30]; a faint early hump makes the schedule resume stage 1."""
-    taus = np.linspace(0.0, 30.0, 1501)
+    [0, 30] by default; a faint early hump makes the schedule resume stage 1."""
+    taus = np.linspace(0.0, 30.0, knots)
     a1 = 0.03 if faint else 0.45
     rates = a1 * np.exp(-0.5 * ((taus - 4.1) / 1.05) ** 2) \
         + (1.0 - a1) * np.exp(-0.5 * ((taus - 19.7) / 1.1) ** 2)
@@ -227,23 +229,55 @@ def test_kronrod_is_exact_on_polynomials(degree):
     assert np.all(np.abs(got - want) <= 1e-14 * scale)
 
 
-def test_kronrod_interval_is_the_same_alone_or_in_a_batch():
-    """An interval's integral does not depend on the intervals beside it:
-    alone, in a 1-D batch and in 2-D edges (two intervals a column) it is
-    the same bit for bit, and so is each row of an f that gives rows."""
+@pytest.mark.parametrize("intervals", [1, prof._BLOCK - 1, prof._BLOCK,
+                                       prof._BLOCK + 1, 2 * prof._BLOCK + 1])
+def test_kronrod_interval_is_the_same_alone_or_in_a_batch(intervals):
+    """An interval's integral does not depend on the intervals beside it or
+    on the blocks of `_BLOCK` intervals the rule takes at a time: alone and
+    in a 1-D batch it is the same bit for bit, and so is each row of an f
+    that gives rows (`protocol._losses`' shape) and each column of 2-D edges
+    with a parameter per column (`closedform._gauss_stage1_integral`'s)."""
     rng = np.random.default_rng(35)
-    edges = -5.0 + np.cumsum(np.append(0.0, rng.uniform(0.01, 3.0, 2000)))
-    f = lambda s: np.exp(np.sin(7.0 * s)) * 1e3 + np.cos(s)
-    alone = np.array([prof._kronrod(f, edges[i:i + 2])[0]
-                      for i in range(2000)])
-    assert np.array_equal(prof._kronrod(f, edges), alone)
-    columns = np.stack((edges[:-1:2], edges[1::2], edges[2::2]))
-    assert np.array_equal(prof._kronrod(f, columns).T.ravel(), alone)
+    edges = -5.0 + np.cumsum(np.append(0.0, rng.uniform(0.01, 3.0, intervals)))
+    f = lambda s, c=1.0: np.exp(np.sin(7.0 * s)) * 1e3 + np.cos(c * s)
+
+    def alone(g, e):
+        return [prof._kronrod(g, e[i:i + 2])[0] for i in range(intervals)]
+
+    single = alone(f, edges)
+    assert np.array_equal(prof._kronrod(f, edges), single)
     rows = prof._kronrod(lambda s: np.array([f(s), s * s]), edges)
-    assert np.array_equal(rows[0], alone)
-    squares = [prof._kronrod(lambda s: s * s, edges[i:i + 2])[0]
-               for i in range(2000)]
-    assert np.array_equal(rows[1], squares)
+    assert rows.shape == (2, intervals)
+    assert np.array_equal(rows[0], single)
+    assert np.array_equal(rows[1], alone(lambda s: s * s, edges))
+    c = np.array([0.5, 1.0, 3.0])
+    columns = edges[:, None] + np.array([0.0, 0.25, -1.0])
+    got = prof._kronrod(lambda s: f(s, c), columns)
+    assert got.shape == (intervals, 3)
+    for j in range(3):
+        assert np.array_equal(got[:, j],
+                              alone(lambda s: f(s, c[j]), columns[:, j]))
+
+
+def test_table_integral_memory_does_not_grow_with_its_knots():
+    """`total_excitation` on a 30,001-knot table takes its Kronrod rules in
+    blocks, so its tracemalloc peak stays under 4 MB (one node array over
+    all 30,000 intervals would take 5 MB), and the result is `np.sum` of
+    the rules taken one knot interval at a time, bit for bit. The table's
+    cubic, which it keeps (about 9 MB here), is built before the count."""
+    table = _two_hump(False, 30001)
+    table._interp
+    tracemalloc.start()
+    try:
+        total = prof.total_excitation(table, math.inf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+    x = table.taus
+    single = [prof._kronrod(lambda s: prof.rate_at(table, s), x[i:i + 2])[0]
+              for i in range(len(x) - 1)]
+    assert total == np.sum(single)
 
 
 @settings(max_examples=40, deadline=None)

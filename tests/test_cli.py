@@ -458,11 +458,13 @@ def test_simulate_default_schedule(tmp_path, capsys):
 
 
 def test_simulate_on_a_table_of_slivers_names_the_least_tol(tmp_path,
-                                                            capsys):
+                                                            capsys,
+                                                            monkeypatch):
     """CI's two-hump shape tabulated every 0.005: at --tol 1e-13 every knot
     interval is shorter than the sliver span (7.4e-3), so no residual can be
-    taken. The run exits 1 and writes no file, and the message names the
-    least tol at which a 0.005 interval gets a stencil. At 1e-12 the same
+    taken. The run exits 1 before any solve and writes no file, and the
+    message names the least tol at which a 0.005 interval gets a stencil. A
+    tol outside [1e-13, 1e-6] still gets its own message. At 1e-12 the same
     table meets its 50 tol bound."""
     taus = np.linspace(0.0, 30.0, 6001)
     rates = 0.4 * np.exp(-0.5 * (taus - 4.0) ** 2) \
@@ -473,12 +475,17 @@ def test_simulate_on_a_table_of_slivers_names_the_least_tol(tmp_path,
     out = tmp_path / "trajectory.csv"
     argv = ["simulate", "--profile", f"table:{table}", "--kappa-i", "1e-4",
             "--out", str(out)]
+    solves, solve = [], dynamics.solve_ivp
+    monkeypatch.setattr(dynamics, "solve_ivp",
+                        lambda *a, **k: solves.append(a[1]) or solve(*a, **k))
     assert cli.main(argv + ["--tol", "1e-13"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: every segment between the trajectory's "
                           "edges is shorter than 0.00739")
     assert "at tol 1e-13" in err and "tol >= 1.48e-13" in err
-    assert not out.exists()
+    assert not out.exists() and solves == []
+    assert cli.main(argv + ["--tol", "1e-14"]) == 1
+    assert "tol must lie in [1e-13, 1e-6]" in capsys.readouterr().err
     assert cli.main(argv + ["--tol", "1e-12"]) == 0
     captured = capsys.readouterr().out
     assert _stdout_value(captured, "energy balance residual") <= 50 * 1e-12
