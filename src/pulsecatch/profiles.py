@@ -80,48 +80,50 @@ class InputProfile:
         table = self._interp
         coefs = np.zeros((5, table.coefs.shape[1]))
         coefs[1:] = table.coefs / np.array([[1.0], [2.0], [3.0], [4.0]])
-        x, const, consts = table.x, 0.0, [0.0]
-        for i, (c1, c2, c3, c4) in enumerate(coefs[1:, :-1].T.tolist(), 1):
-            s = x[i] - x[i - 1]
-            s2 = s * s
-            s3 = s2 * s
-            const = 0.0 + const + c1 * s + c2 * s2 + c3 * s3 + c4 * (s3 * s)
+        # c_j s^j on each piece but the last, s its length, s^j as in `at`
+        terms = coefs[1:, :-1] * np.cumprod([np.diff(table.knots[:-1])] * 4, 0)
+        const, consts = 0.0, [0.0]
+        for t1, t2, t3, t4 in zip(*terms.tolist()):
+            const = 0.0 + const + t1 + t2 + t3 + t4
             consts.append(const)
         coefs[0] = consts
-        return _Piecewise(table.knots, coefs)
+        return _Piecewise(table.knots, coefs, table.x)
 
 
 class _Piecewise:
     """A table's cubic, and the one place that knows how it is stored.
 
     `knots` are the breakpoints x_0 < .. < x_n, and row j of `coefs` holds
-    the coefficients of (t - x_i)^j on each piece i, constant term first.
-    `x` and `c` are plain-list copies of them (`c` per piece), so that
-    `at(t)` evaluates a float without array overhead. Floats and arrays
-    (`__call__`) are evaluated as scipy's PPoly evaluates them, bit for bit
-    for t in [x[0], x[-1]]: on the piece scipy's interval search takes
-    (x[i] <= t < x[i+1], the last piece closed), summing the power basis in
-    the order of its `evaluate_poly1`, from the constant term up.
+    the coefficients of (t - x_i)^j on each piece i, constant term first;
+    `x` lists the knots for `at(t)`, which reads a piece's coefficients as
+    floats when it first reaches that piece. Floats and arrays (`__call__`)
+    are evaluated as scipy's PPoly evaluates them, bit for bit for t in
+    [x[0], x[-1]]: on the piece scipy's interval search takes (x[i] <= t <
+    x[i+1], the last piece closed), summing the power basis in the order of
+    its `evaluate_poly1`, from the constant term up.
     """
 
-    __slots__ = ("knots", "coefs", "x", "c", "last")
+    __slots__ = ("knots", "coefs", "x", "last", "_pieces")
 
-    def __init__(self, knots: np.ndarray, coefs: np.ndarray):
+    def __init__(self, knots: np.ndarray, coefs: np.ndarray, x=None):
         self.knots = knots
         self.coefs = coefs
-        self.x = knots.tolist()
-        self.c = coefs.T.tolist()
-        self.last = len(self.c) - 1
+        self.x = knots.tolist() if x is None else x
+        self.last = coefs.shape[1] - 1
+        self._pieces: dict[int, list[float]] = {}
 
     def at(self, t: float) -> float:
         i = bisect_right(self.x, t) - 1
         if i > self.last:
             i = self.last
+        try:
+            c = self._pieces[i]
+        except KeyError:        # read once, when `at` first reaches piece i
+            c = self._pieces[i] = self.coefs[:, i].tolist()
         s = t - self.x[i]
         # The leading 0.0 is scipy's too: 0.0 + (-0.0) gives +0.0.
-        res = 0.0
-        z = 1.0
-        for coef in self.c[i]:
+        res, z = 0.0, 1.0
+        for coef in c:
             res = res + coef * z
             z *= s
         return res

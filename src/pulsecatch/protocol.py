@@ -717,35 +717,26 @@ class _ExactLinear:
     error on (TwoSum).
     """
 
-    def __init__(self, ts: np.ndarray, y: list[float], lo: list[float],
-                 d: list[np.ndarray], g: list[float], o=None, branch=None):
+    def __init__(self, ts: np.ndarray, y, lo, d: list[np.ndarray],
+                 g: list[float], o=None, branch=None):
         self.ts = ts
-        self._knots = ts.tolist()
-        self._last = len(y) - 1
-        self._y, self._y_array = y, np.array(y)     # y at each anchor
-        self._lo, self._lo_array = lo, np.array(lo)
+        self._knots = ts.tolist()       # `at`'s lookup
+        self._last = len(ts) - 2
+        self._y = np.asarray(y, dtype=float)        # y at each anchor
+        self._lo = np.asarray(lo, dtype=float)
         self._d = d                 # rows d_1..d_M, each over the pieces
         self._g = g
         self._o = ts[:-1] if o is None else o       # each piece's anchor
-        self._branch = np.zeros(len(y), bool) if branch is None else branch
-        self._anchors, self._roots = self._o.tolist(), self._branch.tolist()
-        self._any_branch = any(self._roots)
-        self._d_pieces: dict[int, list[float]] = {}
-
-    def _d_piece(self, i: int) -> list[float]:
-        """[d_1, .., d_M] of piece i as floats, for `at`: a piece's rows
-        are read once, when `at` first reaches it."""
-        d = self._d_pieces.get(i)
-        if d is None:
-            d = self._d_pieces[i] = [float(row[i]) for row in self._d]
-        return d
+        self._branch = np.zeros(len(ts) - 1, bool) if branch is None else branch
+        self._any_branch = bool(self._branch.any())
+        self._pieces: dict[int, tuple] = {}         # `at`'s floats
 
     @cached_property
     def _a(self) -> np.ndarray:
         """Rows a_1..a_M over the pieces, a_m = g_m y_i + d_m: on a piece
         but a branch one, y(o + v) = y_i + lo_i + sum_m a_m v^m."""
         a = np.zeros((max(len(self._g), len(self._d)), len(self._y)))
-        a[:len(self._g)] = np.multiply.outer(self._g, self._y_array)
+        a[:len(self._g)] = np.multiply.outer(self._g, self._y)
         a[:len(self._d)] += self._d
         return a
 
@@ -870,8 +861,8 @@ class _ExactLinear:
         """Consecutive propagations as one, each piece bitwise as it was."""
         ts, d, o, branch = _merged([(p.ts[:-1], p._d, p._o, p._branch)
                                     for p in parts], parts[-1].ts[-1])
-        return cls(ts, [v for p in parts for v in p._y],
-                   [v for p in parts for v in p._lo], d, parts[0]._g, o,
+        return cls(ts, np.concatenate([p._y for p in parts]),
+                   np.concatenate([p._lo for p in parts]), d, parts[0]._g, o,
                    branch)
 
     def cut(self, n: int, end: float) -> _ExactLinear:
@@ -883,15 +874,22 @@ class _ExactLinear:
     def at(self, t: float) -> float:
         i = bisect_left(self._knots, t) - 1
         i = 0 if i < 0 else self._last if i > self._last else i
-        v, y = t - self._anchors[i], self._y[i]
-        s = _horner(self._d_piece(i), v)
-        if self._roots[i]:
+        try:
+            piece = self._pieces[i]
+        except KeyError:        # read once, when `at` first reaches piece i
+            piece = self._pieces[i] = (
+                float(self._o[i]), float(self._y[i]), float(self._lo[i]),
+                bool(self._branch[i]), [float(row[i]) for row in self._d])
+        o, y, lo, root, d = piece
+        v = t - o
+        s = _horner(d, v)
+        if root:
             s = s * math.sqrt(abs(v))
-        return y + (self._lo[i] + (_horner(self._g, v) * y + s))
+        return y + (lo + (_horner(self._g, v) * y + s))
 
     def dense(self, t: np.ndarray) -> np.ndarray:
         i = np.clip(np.searchsorted(self.ts, t, side="left") - 1, 0, self._last)
-        v, y = t - self._o[i], self._y_array[i]
+        v, y = t - self._o[i], self._y[i]
         # _horner on the rows of the pieces at i, each gathered as it is
         # reached, so no (M, n) block is built
         s = self._d[-1][i]
@@ -900,7 +898,7 @@ class _ExactLinear:
         s = s * v
         if self._any_branch:
             s = np.where(self._branch[i], s * np.sqrt(np.abs(v)), s)
-        return y + (self._lo_array[i] + (_horner(self._g, v) * y + s))
+        return y + (self._lo[i] + (_horner(self._g, v) * y + s))
 
     def samples(self, alpha: float, beta: float, const: float,
                 first: float) -> np.ndarray:
@@ -916,7 +914,7 @@ class _ExactLinear:
         h, a = np.diff(self.ts), self._a
         n = len(a) + (alpha != 0.0)         # alpha a_M is the top row
         c = np.zeros((n, len(h)))
-        c[0] = alpha * (self._y_array + self._lo_array) + const
+        c[0] = alpha * (self._y + self._lo) + const
         c[:len(a)] += beta * np.arange(1.0, len(a) + 1.0)[:, None] * a
         c[1:] += alpha * a[:n - 1]
         with np.errstate(all="ignore"):
@@ -1071,7 +1069,7 @@ def _losses(schedule: CouplingSchedule, tau_max: float) -> tuple[float, float]:
         if seg.stage == 2:         # no branch piece
             if k != 0.0:
                 w, m = np.diff(edges), np.arange(1.0, len(sol._a) + 1.0)[:, None]
-                y = sol._y_array[:n] + sol._lo_array[:n]
+                y = sol._y[:n] + sol._lo[:n]
                 terms = (sol._a[:, :n] * w ** m / (m + 1.0)).cumsum(axis=0)
                 intrinsic += float(np.sum(w * (y + terms[-1])))
             continue
@@ -1084,7 +1082,7 @@ def _losses(schedule: CouplingSchedule, tau_max: float) -> tuple[float, float]:
 
         parts = prof._kronrod(r_out_beta_sq, edges)
         for i in np.flatnonzero(sol._branch[:n]).tolist():
-            o = sol._anchors[i]
+            o = float(sol._o[i])
             sign = 1.0 if o <= edges[i] else -1.0
             parts[:, i] = prof._kronrod(lambda s: r_out_beta_sq(
                 o + sign * s * s) * (2.0 * s), sorted(

@@ -264,7 +264,7 @@ def test_table_integral_memory_does_not_grow_with_its_knots():
     blocks, so its tracemalloc peak stays under 4 MB (one node array over
     all 30,000 intervals would take 5 MB), and the result is `np.sum` of
     the rules taken one knot interval at a time, bit for bit. The table's
-    cubic, which it keeps (about 9 MB here), is built before the count."""
+    cubic, which it keeps (about 2 MB here), is built before the count."""
     table = _two_hump(False, 30001)
     table._interp
     tracemalloc.start()
@@ -278,6 +278,29 @@ def test_table_integral_memory_does_not_grow_with_its_knots():
     single = [prof._kronrod(lambda s: prof.rate_at(table, s), x[i:i + 2])[0]
               for i in range(len(x) - 1)]
     assert total == np.sum(single)
+
+
+def test_table_cubics_keep_each_float_once():
+    """A 30,001-knot table's cubic and its antiderivative keep their arrays
+    and one knot list, which they share: under 4 MB of tracemalloc together
+    (16.6 MB with a list copy of every knot and coefficient). `at` reads a
+    piece's floats from the arrays when it first reaches the piece, and
+    equals `__call__` bit for bit on 2,000 seeded points, then on the same
+    points again, each on a piece reached before."""
+    table = _two_hump(False, 30001)
+    tracemalloc.start()
+    try:
+        cubics = table._interp, table._interp_cum
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 4e6
+    assert cubics[1].x is cubics[0].x and cubics[1].knots is cubics[0].knots
+    t = np.random.default_rng(46).uniform(0.0, 30.0, 2000)
+    for cubic in cubics:
+        for _ in range(2):
+            got = np.array([cubic.at(s) for s in t.tolist()])
+            assert got.tobytes() == cubic(t).tobytes()
 
 
 @settings(max_examples=40, deadline=None)

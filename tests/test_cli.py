@@ -460,15 +460,15 @@ def test_simulate_default_schedule(tmp_path, capsys):
 def test_simulate_on_a_table_of_slivers_names_the_least_tol(tmp_path,
                                                             capsys,
                                                             monkeypatch):
-    """CI's two-hump shape tabulated every 0.005: at --tol 1e-13 every knot
-    interval is shorter than the sliver span (7.4e-3), so no residual can be
-    taken. The run exits 1 before any solve and writes no file, and the
-    message names the least tol at which a 0.005 interval gets a stencil. A
-    tol outside [1e-13, 1e-6] still gets its own message. At 1e-12 the same
-    table meets its 50 tol bound."""
-    taus = np.linspace(0.0, 30.0, 6001)
-    rates = 0.4 * np.exp(-0.5 * (taus - 4.0) ** 2) \
-        + 0.6 * np.exp(-0.5 * ((taus - 19.0) / 1.1) ** 2)
+    """CI's two humps, closer together, tabulated every 0.005 on [0, 10]:
+    at --tol 1e-13 every knot interval is shorter than the sliver span
+    (7.4e-3), so no residual can be taken. The run exits 1 before any solve
+    and writes no file, and the message names the least tol at which a
+    0.005 interval gets a stencil. A tol outside [1e-13, 1e-6] still gets
+    its own message. At 1e-12 the same table meets its 50 tol bound."""
+    taus = np.linspace(0.0, 10.0, 2001)
+    rates = 0.4 * np.exp(-0.5 * (taus - 3.0) ** 2) \
+        + 0.6 * np.exp(-0.5 * ((taus - 6.5) / 1.1) ** 2)
     table = tmp_path / "fine.csv"
     np.savetxt(table, np.c_[taus, rates / np.trapezoid(rates, taus)],
                delimiter=",", fmt="%.17g")

@@ -116,7 +116,8 @@ def test_chunks_equal_one_build(case, monkeypatch):
         whole, = proto._ExactLinear.stage1(*args)
         monkeypatch.undo()
         assert np.array_equal(sol.ts, whole.ts)
-        assert (sol._y, sol._lo) == (whole._y, whole._lo)
+        assert (sol._y.tobytes(), sol._lo.tobytes()) \
+            == (whole._y.tobytes(), whole._lo.tobytes())
         probes = np.linspace(seg.t0, end, 4097)
         assert _same_bits(sol.dense(probes), whole.dense(probes))
 
