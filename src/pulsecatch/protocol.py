@@ -153,8 +153,8 @@ def _threshold_bracket(profile: prof.InputProfile, kappa_i: float,
     parts = []
     for chunk in _ExactLinear.stage1(profile, kappa_i, t_start, beta_start,
                                      t0, end):
-        ts = chunk.samples(0.5 * (1.0 - kappa_i), -1.0, 0.0, t0)
-        g = np.sqrt(prof.rate_at(profile, ts)) + chunk.dense(ts)
+        ts, y = chunk.samples(0.5 * (1.0 - kappa_i), -1.0, 0.0, t0)
+        g = np.sqrt(prof.rate_at(profile, ts)) + y
         if parts:       # the last chunk's end, as the scan saw it there
             g[0] = g_last
         parts.append(chunk)
@@ -400,7 +400,7 @@ _MAX_SPLIT = 4096        # most pieces `_refined` halves at once
 _MAX_TERMS = 60          # longest series
 _MAX_PIECES = 2 ** 20    # most pieces in one grid (`_check_pieces`)
 _CHUNK = 32              # pieces of the first stage-1 chunk; each next doubles
-_FILL = np.arange(1.0, 64.0) / 64.0     # a crowded piece's interior samples
+_FILL = np.arange(64.0) / 64.0  # a crowded piece's start and 63 inner samples
 
 
 def _horner(coefs, v):
@@ -866,10 +866,12 @@ class _ExactLinear:
                    branch)
 
     def cut(self, n: int, end: float) -> _ExactLinear:
-        """The first n pieces, the last of them ending at end."""
-        return _ExactLinear(np.append(self.ts[:n], end), self._y[:n],
-                            self._lo[:n], [row[:n] for row in self._d],
-                            self._g, self._o[:n], self._branch[:n])
+        """The first n pieces, the last of them ending at end: copies, so
+        that no view keeps the whole propagation alive."""
+        y, lo, o, branch, *d = (x[:n].copy() for x in (
+            self._y, self._lo, self._o, self._branch, *self._d))
+        return _ExactLinear(np.append(self.ts[:n], end), y, lo, d, self._g, o,
+                            branch)
 
     def at(self, t: float) -> float:
         i = bisect_left(self._knots, t) - 1
@@ -901,16 +903,20 @@ class _ExactLinear:
         return y + (self._lo[i] + (_horner(self._g, v) * y + s))
 
     def samples(self, alpha: float, beta: float, const: float,
-                first: float) -> np.ndarray:
-        """Sorted samples at or past first, every piece start and end among
-        them, that bracket every root of f = alpha y + beta y' + const: on a
-        piece f(o + v) = sum_j c_j v^j, c_0 = alpha (y_i + lo_i) + beta a_1
-        + const, c_j = alpha a_j + beta (j + 1) a_{j+1}.
+                first: float) -> tuple[np.ndarray, np.ndarray]:
+        """(ts, y): sorted samples at or past first, every piece start and
+        end among them, that bracket every root of f = alpha y + beta y' +
+        const, and y there, `dense`'s bit for bit. On a piece f(o + v) =
+        sum_j c_j v^j, c_0 = alpha (y_i + lo_i) + beta a_1 + const, c_j =
+        alpha a_j + beta (j + 1) a_{j+1}.
         The Bernstein coefficients of f(o + h u) on [0, 1] change sign at
         least as often as f has roots (Collins and Akritas, Proc. ACM
         SYMSAC 1976). If they change sign at most once, none within 1e-13
         sum_j |c_j| h^j of 0, the piece ends bracket its one root; any
-        other piece, or a branch one, gets 63 interior samples too."""
+        other piece, or a branch one, is crowded: it gets 63 interior
+        samples too. y is the recurrence's y_i at an inner piece end,
+        `at`'s at the first and last, and `dense`'s from a crowded piece's
+        start on, which covers each anchor moved off its piece's start."""
         h, a = np.diff(self.ts), self._a
         n = len(a) + (alpha != 0.0)         # alpha a_M is the top row
         c = np.zeros((n, len(h)))
@@ -925,9 +931,15 @@ class _ExactLinear:
                 | (np.abs(b) <= 1e-13 * np.abs(f).sum(axis=0)).any(axis=0) \
                 | ~np.isfinite(b).all(axis=0) | self._branch
         i = np.flatnonzero(crowded)
-        ts = prof._unique(np.concatenate(
-            (self.ts, (self.ts[i, None] + h[i, None] * _FILL).ravel())))
-        return ts[ts >= first]
+        fill = (self.ts[i, None] + h[i, None] * _FILL).ravel()
+        ts = np.concatenate((fill, self.ts))
+        y = np.concatenate((self.dense(fill) if len(i) else fill,
+                            [self.at(float(self.ts[0]))], self._y[1:],
+                            [self.at(float(self.ts[-1]))]))
+        order = np.argsort(ts, kind="stable")   # a fill sample first
+        ts, y = ts[order], y[order]
+        keep = np.append(True, ts[1:] != ts[:-1]) & (ts >= first)
+        return ts[keep], y[keep]
 
 
 class _Tail(_ExactLinear):
@@ -968,8 +980,9 @@ def _integrate_stage2(profile, kappa_i, tau_c, end):
 
     sol = _ExactLinear.stage2(profile, kappa_i, tau_c,
                               prof.rate_at(profile, tau_c), end)[0]
-    ts = sol.samples(1.0 + 0.5 * _KAPPA_SLACK - kappa_i, -1.0, 1e-13, tau_c)
-    g = violation(ts, sol.dense(ts))
+    ts, y = sol.samples(1.0 + 0.5 * _KAPPA_SLACK - kappa_i, -1.0, 1e-13,
+                        tau_c)
+    g = violation(ts, y)
     down = np.flatnonzero((g[:-1] >= 0.0) & (g[1:] <= 0.0))
     if not len(down):
         return sol, None
@@ -1095,16 +1108,18 @@ def _losses(schedule: CouplingSchedule, tau_max: float) -> tuple[float, float]:
     return reflection, k * intrinsic
 
 
-def _slope(schedule: CouplingSchedule, ts: np.ndarray) -> np.ndarray:
+def _slope(schedule: CouplingSchedule, ts: np.ndarray, stages=None,
+           b=None) -> np.ndarray:
     """Population slope d(beta^2)/dtau = r_in - r_out - kappa_i beta^2 at
-    each sample.
+    each sample, of the given stages and dense values b, else `_sampled`'s.
 
     In stage-2 regions r_out = 0 by construction; in stage-1 regions it is
     (beta + sqrt(r_in))^2. Evaluated without dividing by the population,
     which underflows in the far tail.
     """
     k = schedule.params.kappa_i
-    stages, b, _ = schedule._sampled(ts)
+    if stages is None:
+        stages, b, _ = schedule._sampled(ts)
     rate = prof.rate_at(schedule.profile, ts)
     w = b + np.sqrt(rate)
     return np.where(stages == 1, rate - k * b * b - w * w,
@@ -1118,14 +1133,22 @@ def _bernstein(n: int) -> np.ndarray:
                       for j in range(n)] for i in range(n)])
 
 
-def _peak_samples(schedule: CouplingSchedule, first: float) -> np.ndarray:
-    """Sorted samples from first to the horizon, each piece start and
-    segment end among them, that bracket every root of the slope: on each
-    segment, `_ExactLinear.samples` of y' (y = beta^2, stage 2) or -y'
-    (y = beta < 0, stage 1), whose sign the slope has."""
-    return prof._unique(np.concatenate([[first]] + [
-        seg.sol.samples(0.0, 1.0 if seg.stage == 2 else -1.0, 0.0, first)
-        for seg in schedule.segments if seg.t1 > first]))
+def _peak_samples(schedule: CouplingSchedule, first: float):
+    """(ts, stage, dense value): sorted samples from first to the horizon,
+    each piece start and segment end among them, that bracket every root of
+    the slope: first, and on each segment `_ExactLinear.samples` of y'
+    (y = beta^2, stage 2) or -y' (y = beta < 0, stage 1), whose sign the
+    slope has, with their values: those past first that `_sampled` gives
+    the segment, short of its end (the next one's start) but on the last."""
+    seg = schedule._segment_at(first)
+    parts = [([first], [seg.stage], [seg.at(first)])]
+    for seg, end in zip(schedule.segments, schedule._inner_ends + [math.inf]):
+        if seg.t1 > first:
+            t, y = seg.sol.samples(0.0, 1.0 if seg.stage == 2 else -1.0, 0.0,
+                                   first)
+            held = (t > first) & (t < end)
+            parts.append((t[held], np.full(held.sum(), seg.stage), y[held]))
+    return tuple(np.concatenate(part) for part in zip(*parts))
 
 
 def _local_maxima(schedule: CouplingSchedule) -> list[tuple[float, float]]:
@@ -1162,9 +1185,9 @@ def _local_maxima(schedule: CouplingSchedule) -> list[tuple[float, float]]:
                           a, b, xtol=1e-300, rtol=4 * _EPS, maxiter=200)
         return float(root), pop(float(root))
 
-    ts = _peak_samples(schedule, schedule.tau_c + 1e-6 * max(
+    ts, stages, b = _peak_samples(schedule, schedule.tau_c + 1e-6 * max(
         schedule.tau_c, min(schedule.horizon - schedule.tau_c, 1.0)))
-    slope = _slope(schedule, ts)
+    slope = _slope(schedule, ts, stages, b)
     peaks = [polish(ts, i) for i in _down(slope)[:64].tolist()]
     if k != 0.0 and (slope[-1] > 0.0 or not peaks):
         end = schedule.horizon
@@ -1172,7 +1195,7 @@ def _local_maxima(schedule: CouplingSchedule) -> list[tuple[float, float]]:
         if prof.rate_at(profile, past) - k * pop(past) <= 0.0:
             peaks.append((end, pop(end)))
         else:
-            ts = schedule._tail.sol.samples(0.0, 1.0, 0.0, end)
+            ts = schedule._tail.sol.samples(0.0, 1.0, 0.0, end)[0]
             peaks.append(polish(ts, int(_down(_slope(schedule, ts))[0])))
     return peaks
 

@@ -154,7 +154,9 @@ def _whole_window_threshold(profile, kappa_i, t_start, beta_start, end):
             lambda t: math.sqrt(prof.rate_at(profile, t)) + whole.at(t),
             lo, hi, xtol=1e-300, rtol=4 * _EPS, maxiter=200)
 
-    lo, hi, tau_c = scan(whole.samples(0.5 * (1.0 - kappa_i), -1.0, 0.0, t0))
+    ts, y = whole.samples(0.5 * (1.0 - kappa_i), -1.0, 0.0, t0)
+    assert y.tobytes() == whole.dense(ts).tobytes()
+    lo, hi, tau_c = scan(ts)
     return t0, lo, hi, tau_c, whole, scan(np.linspace(t0, end, 8193))[2]
 
 
@@ -706,6 +708,134 @@ def test_table_polish_integrates_from_the_anchor(case, monkeypatch):
     assert len(proto._local_maxima(sch)) >= 1
     assert calls == [] and len(spans) >= 2
     assert 0.0 <= min(spans) and max(spans) <= np.diff(profile.taus).max()
+
+
+def _ci_zero_run_table() -> prof.InputProfile:
+    """CI's zero-run table: two humps on 1,001 knots over [0, 20], 0 at the
+    first and last samples and on (9.5, 10.5). Its stage 1 has branch
+    pieces at the zero first sample, one of them anchored off its start."""
+    t = np.linspace(0.0, 20.0, 1001)
+    r = np.exp(-0.5 * ((t - 5.0) / 0.8) ** 2) \
+        + np.exp(-0.5 * ((t - 15.0) / 0.8) ** 2)
+    r[0] = r[-1] = 0.0
+    r[(t > 9.5) & (t < 10.5)] = 0.0
+    return prof.tabulated(t, r / np.trapezoid(r, t))
+
+
+def _scanned():
+    """(name, propagation, the scan's alpha, beta, const): every stage-1
+    chunk and the stage-2 propagation of both operating points; the stage
+    1 of a table with crowded pieces and of one with branch pieces, joined
+    and cut; and the tail at kappa_i = 1e-26."""
+    for case in ("exp_point", "gauss"):
+        sch = _schedule(case)
+        profile, k = sch.profile, sch.params.kappa_i
+        for i, chunk in enumerate(proto._ExactLinear.stage1(
+                profile, k, 0.0, 0.0, 0.0, sch.horizon)):
+            yield f"{case} chunk {i}", chunk, (0.5 * (1.0 - k), -1.0, 0.0)
+        yield f"{case} stage 2", proto._ExactLinear.stage2(
+            profile, k, sch.tau_c, prof.rate_at(profile, sch.tau_c),
+            sch.horizon)[0], (1.0 + 0.5 * proto._KAPPA_SLACK - k, -1.0, 1e-13)
+    for name, table in (("delayed", _delayed_table()),
+                        ("zero_run", _ci_zero_run_table())):
+        whole = proto._ExactLinear.join(list(proto._ExactLinear.stage1(
+            table, 1e-4, 0.0, 0.0, 0.0, float(table.taus[-1]))))
+        form = (0.5 * (1.0 - 1e-4), -1.0, 0.0)
+        yield f"{name} join", whole, form
+        for n in (1, 3, len(whole.ts) // 2):
+            end = 0.5 * (whole.ts[n - 1] + whole.ts[n])
+            yield f"{name} cut {n}", whole.cut(n, end), form
+        sch = proto.build_schedule(table, _params())
+        yield f"{name} stage-1 segment", sch.segments[0].sol, form
+    sch = proto.build_schedule(prof.exponential(0.2), _params(1e-26))
+    yield "tail", sch._tail.sol, (0.0, 1.0, 0.0)
+
+
+def test_samples_values_are_dense_bit_for_bit():
+    """`samples` returns the propagation at its samples, `dense`'s bit for
+    bit: the recurrence's value at each inner piece end, `at`'s at the first
+    and last, and `dense`'s from a crowded piece's start on, on joined and
+    cut propagations, crowded and branch pieces, a moved anchor and the
+    tail too, from the first piece start and from inside the stretch."""
+    seen = {"crowded": 0, "branch": 0, "moved": 0}
+    for name, sol, form in _scanned():
+        for first in (sol.ts[0], sol.ts[len(sol.ts) // 2] - 1e-3):
+            ts, y = sol.samples(*form, first)
+            assert ts[0] >= first and np.all(np.diff(ts) > 0.0), name
+            assert y.tobytes() == sol.dense(ts).tobytes(), name
+        seen["crowded"] += len(ts) > np.count_nonzero(sol.ts >= first)
+        seen["branch"] += bool(sol._branch.any())
+        seen["moved"] += bool(np.any(sol._o != sol.ts[:-1]))
+    assert min(seen.values()) >= 1, seen
+
+
+@pytest.mark.parametrize("case", ["exp", "exp_point", "gauss", "resumed",
+                                  "gauss_resumed"])
+def test_peak_scan_reads_the_schedules_values(case):
+    """The peak scan's samples run from its start to the horizon, every
+    segment end among them, and each takes the stage and dense value
+    `_sampled` gives it: the slope is `_slope`'s bit for bit."""
+    sch = _resumed_analytic() if case == "gauss_resumed" else _schedule(case)
+    first = sch.tau_c + 1e-6 * max(sch.tau_c, min(sch.horizon - sch.tau_c,
+                                                  1.0))
+    ts, stages, b = proto._peak_samples(sch, first)
+    assert ts[0] == first and ts[-1] == sch.horizon
+    assert np.all(np.diff(ts) > 0.0)
+    assert set(sch.breakpoints()[1:]) <= set(ts.tolist())
+    want_stages, want_b, _ = sch._sampled(ts)
+    assert np.array_equal(stages, want_stages)
+    assert b.tobytes() == want_b.tobytes()
+    assert proto._slope(sch, ts, stages, b).tobytes() \
+        == proto._slope(sch, ts).tobytes()
+
+
+@pytest.mark.parametrize("case", ["exp_point", "gauss", "twin", "faint",
+                                  "resumed", "delayed"])
+def test_scans_call_dense_only_on_crowded_pieces(case, monkeypatch):
+    """Work-count guard: the threshold, violation and peak scans read the
+    propagation's own values at the piece ends and call `dense` only on a
+    crowded piece's 64 samples from its start: never on the operating
+    points, the benchmark's tables or the double hump, which have no
+    crowded piece, and on 64 samples per crowded piece on the delayed
+    table."""
+    profile, params = {
+        "exp_point": (prof.exponential(0.036), _params()),
+        "gauss": (prof.gaussian(r=0.1533, n=4), _params()),
+        "delayed": (_delayed_table(), _params()),
+    }.get(case) or _table_case(case)
+    calls, dense = [], proto._ExactLinear.dense
+    monkeypatch.setattr(proto._ExactLinear, "dense", lambda sol, t: (
+        calls.append(len(t)), dense(sol, t))[1])
+    proto._local_maxima(proto.build_schedule(profile, params))
+    if case == "delayed":
+        assert calls and all(n % 64 == 0 for n in calls)
+    else:
+        assert calls == []
+
+
+def test_cut_owns_its_arrays():
+    """A cut propagation copies its pieces: its arrays and series rows own
+    their data, so none keeps the whole propagation alive, and it gives
+    the values a cut of views of the whole gives, bit for bit."""
+    for case in ("exp_point", "resumed"):
+        for seg in _schedule(case).segments[:-1]:
+            sol = seg.sol
+            assert all(x.base is None for x in (sol.ts, sol._y, sol._lo,
+                                                sol._o, sol._branch, *sol._d))
+    table = _ci_zero_run_table()
+    whole = proto._ExactLinear.join(list(proto._ExactLinear.stage1(
+        table, 1e-4, 0.0, 0.0, 0.0, float(table.taus[-1]))))
+    n = len(whole.ts) // 2
+    end = 0.5 * (whole.ts[n - 1] + whole.ts[n])
+    views = proto._ExactLinear(
+        np.append(whole.ts[:n], end), whole._y[:n], whole._lo[:n],
+        [row[:n] for row in whole._d], whole._g, whole._o[:n],
+        whole._branch[:n])
+    cut = whole.cut(n, end)
+    probes = np.concatenate([views.ts, np.linspace(0.0, end, 1001)])
+    assert cut.dense(probes).tobytes() == views.dense(probes).tobytes()
+    assert [cut.at(t) for t in probes.tolist()] \
+        == [views.at(t) for t in probes.tolist()]
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 27, 60])
