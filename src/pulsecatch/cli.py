@@ -26,6 +26,8 @@ import math
 import sys
 
 from .errors import (
+    MAX_CELLS,
+    MAX_COUNT,
     DomainError,
     InfeasibleSchedule,
     NoPeak,
@@ -101,8 +103,9 @@ def _parse_grid(text: str) -> tuple[float, ...]:
             lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError as exc:
             raise DomainError(f"bad number in grid literal {text!r}") from exc
-        if n < 1 or not (hi > lo):
-            raise DomainError(f"grid literal needs hi > lo and n >= 1: {text!r}")
+        if not 1 <= n <= MAX_COUNT or not hi > lo:
+            raise DomainError(f"grid literal needs hi > lo and n >= 1 "
+                              f"(n <= {MAX_COUNT:,}): {text!r}")
         if parts[3] == "log":
             if lo <= 0.0:
                 raise DomainError("log grids need lo > 0")
@@ -262,8 +265,9 @@ def cmd_schedule(args) -> int:
     from . import profiles as prof
     from . import protocol
     from .profiles import _atomic_write, _csv_text, _fmt
-    if args.samples < 0:
-        raise DomainError(f"--samples must be >= 0, got {args.samples}")
+    if not 0 <= args.samples <= MAX_COUNT:
+        raise DomainError(f"--samples must be >= 0 and <= {MAX_COUNT:,}, "
+                          f"got {args.samples}")
     profile = prof.parse_profile(args.profile)
     _require_valid(profile)
     params = _memory_params(args.kappa_i)
@@ -318,11 +322,6 @@ def cmd_simulate(args) -> int:
     else:
         schedule = protocol.build_schedule(profile, params)
         coupling, tau_end = schedule, schedule.horizon
-    if args.samples is None:
-        # A default grid of slivers gives no residual: stop before the solves.
-        dynamics._checked_grid(args.tol, tau_end, None)
-        dynamics._require_stencil(
-            dynamics._coupling(profile, coupling, tau_end)[1], args.tol)
 
     traj = dynamics.simulate_amplitudes(profile, params, coupling, tau_end,
                                         tol=args.tol, samples=args.samples)
@@ -495,7 +494,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sched.add_argument("--samples", type=int, default=4001,
                          help="caps the schedule CSV's body spacing at "
                               "horizon/(samples - 1); below 2 the pulse's "
-                              "time scale alone sets it (default 4001)")
+                              "time scale alone sets it (default 4001, "
+                              f"at most {MAX_COUNT:,})")
     p_sched.add_argument("--out", default="schedule",
                          help="output prefix: writes <out>.csv and <out>.json")
     p_sched.set_defaults(func=cmd_schedule)
@@ -507,22 +507,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--tol", type=float, default=1e-11,
                        help="integration tolerance in [1e-13, 1e-6]")
     p_sim.add_argument("--samples", type=int, default=None,
-                       help="uniform output samples, at least 3 (default: "
-                            "a uniform grid per segment between tau_c, the "
-                            "coupling's breaks and a table's knots, spaced "
-                            "from --tol)")
+                       help=f"uniform output samples, 3 to {MAX_COUNT:,} "
+                            "(default: a uniform grid per segment between "
+                            "tau_c, the coupling's breaks and a table's "
+                            "knots, spaced from --tol)")
     p_sim.add_argument("--kappa", default=None,
                        help="coupling override: const:<v> or file:<path>")
     p_sim.add_argument("--out", default="trajectory.csv")
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_sweep = sub.add_parser("sweep", help="fidelity surface over (kappa_i, r)")
+    p_sweep = sub.add_parser("sweep", help="fidelity surface over (kappa_i, "
+                             f"r), at most {MAX_CELLS:,} cells")
     p_sweep.add_argument("--profile", required=True, dest="family",
                          help="profile family: exp or gauss")
     p_sweep.add_argument("--grid-ki", default=None, dest="grid_ki",
-                         help="kappa_i grid: v1,v2,... or lo:hi:n:log")
+                         help="kappa_i grid: v1,v2,... or lo:hi:n:log "
+                              f"(n <= {MAX_COUNT:,})")
     p_sweep.add_argument("--grid-r", default=None, dest="grid_r",
-                         help="r grid: v1,v2,... or lo:hi:n:lin")
+                         help="r grid: v1,v2,... or lo:hi:n:lin "
+                              f"(n <= {MAX_COUNT:,})")
     p_sweep.add_argument("--out", default="surface.csv")
     p_sweep.set_defaults(func=cmd_sweep)
 

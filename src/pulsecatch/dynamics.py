@@ -36,7 +36,7 @@ import numpy as np
 
 from . import profiles as prof
 from ._scipy import solve_ivp
-from .errors import DomainError, StepFailure
+from .errors import MAX_COUNT, DomainError, StepFailure
 from .protocol import CouplingSchedule
 
 _DEFAULT_TOL = 1e-10
@@ -188,8 +188,8 @@ def _checked_grid(tol: float, tau_end: float,
     if samples is None:
         return None
     if isinstance(samples, int):
-        if samples < 2:
-            raise DomainError("samples must be at least 2")
+        if not 2 <= samples <= MAX_COUNT:
+            raise DomainError(f"samples must lie in [2, {MAX_COUNT:,}]")
         return np.linspace(0.0, tau_end, samples)
     ts = np.asarray(samples, dtype=float)
     if ts.ndim != 1 or len(ts) < 2 or not ts[0] >= 0.0 \
@@ -234,9 +234,9 @@ def simulate_amplitudes(profile: prof.InputProfile, params: prof.MemoryParams,
     `schedule_or_kappa` is either a CouplingSchedule or any callable
     kappa(tau) in [0, 1]. `samples` selects the output grid: None for one
     uniform grid per segment between the trajectory's `edges`, spaced from
-    `tol` and the pulse's time scale (`_segment_grid`), an int for uniform
-    sampling, or an explicit array. A Gaussian's integrator step is capped
-    at one stencil's width of that grid.
+    `tol` and the pulse's time scale (`_segment_grid`; DomainError if all
+    are slivers), an int for uniform sampling, or an explicit array. A
+    Gaussian's integrator step is capped at one stencil's width of it.
     `beta0` (finite and <= 0) seeds the memory, for decay tests against
     closed forms.
     """
@@ -248,6 +248,7 @@ def simulate_amplitudes(profile: prof.InputProfile, params: prof.MemoryParams,
     kappa_fn, edges = _coupling(profile, schedule_or_kappa, tau_end)
     k_i = params.kappa_i
     if ts is None:
+        _require_stencil(edges, tol)
         ts = _segment_grid(profile, edges, tol)
 
     # Steps spanning a large fraction of a Gaussian pulse make the

@@ -1,5 +1,8 @@
-"""Exception and warning types shared across the package, and the bracket
-test that keeps the root finder from raising an untyped error."""
+"""Exception and warning types shared across the package, the bracket
+test that keeps brentq from raising an untyped error, and the count caps."""
+
+MAX_COUNT = 2 ** 20     # samples, CSV rows or grid-literal points asked for
+MAX_CELLS = 2 ** 16     # cells of one fidelity surface: ~5 KB each (Gauss)
 
 
 class PulsecatchError(Exception):

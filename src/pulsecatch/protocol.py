@@ -26,7 +26,6 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -204,21 +203,11 @@ class _Segment:
     stage: int              # 1: kappa = 1 builds the seed; 2: zero reflection
     t0: float
     t1: float
-    # beta (stage 1) or beta^2 (stage 2), propagated exactly: `at` (floats)
-    # and `dense` (arrays) agree bit for bit
-    sol: _ExactLinear
-
-    @cached_property
-    def at(self) -> Callable[[float], float]:
-        return self.sol.at
-
-    @cached_property
-    def dense(self) -> Callable[[np.ndarray], np.ndarray]:
-        return self.sol.dense
+    sol: _ExactLinear       # the exact beta (stage 1) or beta^2 (stage 2)
 
     def beta_sq(self, t: float) -> float:
         """Stored population at a float t inside the segment."""
-        val = self.at(t)
+        val = self.sol.at(t)
         return val * val if self.stage == 1 else max(val, 0.0)
 
 
@@ -266,7 +255,7 @@ class CouplingSchedule:
         while profile.kind != prof.TABULATED \
                 and prof.rate_at(profile, end) != 0.0:
             end, width = end + width, 2.0 * width
-        tail, ys = _Tail.stage2(profile, k, h, self.segments[-1].at(h), end)
+        tail, ys = _Tail.stage2(profile, k, h, self.segments[-1].sol.at(h), end)
         tail._k, tail._end, tail._y_end = k, end, ys[-1]
         return _Segment(2, h, end, tail)
 
@@ -293,7 +282,7 @@ class CouplingSchedule:
         for i in np.flatnonzero(np.bincount(index.ravel())).tolist():
             seg = self._tail if i == len(self.segments) else self.segments[i]
             at = index == i
-            stage[at], vals[at] = seg.stage, seg.dense(taus[at])
+            stage[at], vals[at] = seg.stage, seg.sol.dense(taus[at])
         return stage, vals, np.where(stage == 1, vals * vals,
                                      np.where(vals < 0.0, 0.0, vals))
 
@@ -350,7 +339,7 @@ class CouplingSchedule:
         rate = prof.rate_at(self.profile, tau)
         if rate == 0.0:
             return 0.0
-        pop = seg.beta_sq(tau)
+        pop = seg.sol.at(tau)       # stage 2's beta^2, unclipped
         if pop <= 0.0:
             if nan_if_singular:
                 return math.nan
@@ -731,7 +720,6 @@ class _ExactLinear:
         self._any_branch = bool(self._branch.any())
         self._pieces: dict[int, tuple] = {}         # `at`'s floats
 
-    @cached_property
     def _a(self) -> np.ndarray:
         """Rows a_1..a_M over the pieces, a_m = g_m y_i + d_m: on a piece
         but a branch one, y(o + v) = y_i + lo_i + sum_m a_m v^m."""
@@ -917,7 +905,7 @@ class _ExactLinear:
         samples too. y is the recurrence's y_i at an inner piece end,
         `at`'s at the first and last, and `dense`'s from a crowded piece's
         start on, which covers each anchor moved off its piece's start."""
-        h, a = np.diff(self.ts), self._a
+        h, a = np.diff(self.ts), self._a()
         n = len(a) + (alpha != 0.0)         # alpha a_M is the top row
         c = np.zeros((n, len(h)))
         c[0] = alpha * (self._y + self._lo) + const
@@ -971,8 +959,8 @@ def _integrate_stage2(profile, kappa_i, tau_c, end):
     must not be mistaken for a violation. Stage 2 is propagated exactly
     (`_ExactLinear.stage2`); there r_in = y' + kappa_i y (y = beta^2), so
     the violation is (1 + slack/2 - kappa_i) y - y' + 1e-13, and `samples`
-    of it bracket each root, inside a piece too. As in `solve_ivp`'s event
-    search, it lies between the first samples with g >= 0 >= g_new;
+    of it bracket each root, inside a piece too. The first lies between
+    the first samples with g > 0 >= g_next (`_down`; g > 0 at tau_c),
     `brentq` finds it there on the exact form, and the solution ends there.
     """
     def violation(t, y):
@@ -982,8 +970,7 @@ def _integrate_stage2(profile, kappa_i, tau_c, end):
                               prof.rate_at(profile, tau_c), end)[0]
     ts, y = sol.samples(1.0 + 0.5 * _KAPPA_SLACK - kappa_i, -1.0, 1e-13,
                         tau_c)
-    g = violation(ts, y)
-    down = np.flatnonzero((g[:-1] >= 0.0) & (g[1:] <= 0.0))
+    down = _down(violation(ts, y))
     if not len(down):
         return sol, None
     i = int(down[0])
@@ -1014,7 +1001,7 @@ def build_schedule(profile: prof.InputProfile,
         # At the violation kappa = r_in/beta^2 = 1, so beta^2 = r_in there and
         # stage 1 continues with the same amplitude.
         t_start = t_violation
-        beta_start = -math.sqrt(segments[-1].at(t_violation))
+        beta_start = -math.sqrt(segments[-1].sol.at(t_violation))
     else:
         raise InfeasibleSchedule(
             f"no feasible schedule within {_MAX_SEGMENTS} segments"
@@ -1081,13 +1068,14 @@ def _losses(schedule: CouplingSchedule, tau_max: float) -> tuple[float, float]:
         edges = sol._knots[:n] + [hi]
         if seg.stage == 2:         # no branch piece
             if k != 0.0:
-                w, m = np.diff(edges), np.arange(1.0, len(sol._a) + 1.0)[:, None]
+                a = sol._a()[:, :n]
+                w, m = np.diff(edges), np.arange(1.0, len(a) + 1.0)[:, None]
                 y = sol._y[:n] + sol._lo[:n]
-                terms = (sol._a[:, :n] * w ** m / (m + 1.0)).cumsum(axis=0)
+                terms = (a * w ** m / (m + 1.0)).cumsum(axis=0)
                 intrinsic += float(np.sum(w * (y + terms[-1])))
             continue
 
-        def r_out_beta_sq(s, _beta=seg.dense):
+        def r_out_beta_sq(s, _beta=sol.dense):
             # Nodes lie inside (t0, hi), so b * b is schedule.beta_sq.
             b = _beta(s)
             w = b + np.sqrt(prof.rate_at(profile, s))
@@ -1108,18 +1096,17 @@ def _losses(schedule: CouplingSchedule, tau_max: float) -> tuple[float, float]:
     return reflection, k * intrinsic
 
 
-def _slope(schedule: CouplingSchedule, ts: np.ndarray, stages=None,
-           b=None) -> np.ndarray:
+def _slope(schedule: CouplingSchedule, ts: np.ndarray, stages,
+           b: np.ndarray) -> np.ndarray:
     """Population slope d(beta^2)/dtau = r_in - r_out - kappa_i beta^2 at
-    each sample, of the given stages and dense values b, else `_sampled`'s.
+    each sample, of the given stages (an array, or one for all) and dense
+    values b.
 
     In stage-2 regions r_out = 0 by construction; in stage-1 regions it is
     (beta + sqrt(r_in))^2. Evaluated without dividing by the population,
     which underflows in the far tail.
     """
     k = schedule.params.kappa_i
-    if stages is None:
-        stages, b, _ = schedule._sampled(ts)
     rate = prof.rate_at(schedule.profile, ts)
     w = b + np.sqrt(rate)
     return np.where(stages == 1, rate - k * b * b - w * w,
@@ -1141,7 +1128,7 @@ def _peak_samples(schedule: CouplingSchedule, first: float):
     slope has, with their values: those past first that `_sampled` gives
     the segment, short of its end (the next one's start) but on the last."""
     seg = schedule._segment_at(first)
-    parts = [([first], [seg.stage], [seg.at(first)])]
+    parts = [([first], [seg.stage], [seg.sol.at(first)])]
     for seg, end in zip(schedule.segments, schedule._inner_ends + [math.inf]):
         if seg.t1 > first:
             t, y = seg.sol.samples(0.0, 1.0 if seg.stage == 2 else -1.0, 0.0,
@@ -1162,9 +1149,9 @@ def _local_maxima(schedule: CouplingSchedule) -> list[tuple[float, float]]:
     maxima (population dips in resumed stage-1 windows), so all crossings
     are collected. With kappa_i > 0, where beta^2 still rises at the horizon or
     no crossing came before it, so are the tail's (`CouplingSchedule._tail`,
-    sampled the same way). Its slope is > 0 just past the horizon, else the
-    peak is the horizon itself (a table, whose input stops there), and
-    -kappa_i beta^2 <= 0 at its end, where r_in is 0.0.
+    read off its own samples and values). Its slope is > 0 just past the
+    horizon, else the peak is the horizon itself (a table, whose input stops
+    there), and -kappa_i beta^2 <= 0 at its end, where r_in is 0.0.
 
     In a stage-2 stretch, the tail's too, the root of r_in - kappa_i beta^2
     is polished on the segment's exact form to a few ulps, as tau_c is, and
@@ -1174,15 +1161,16 @@ def _local_maxima(schedule: CouplingSchedule) -> list[tuple[float, float]]:
     profile, k = schedule.profile, schedule.params.kappa_i
     pop = lambda t: schedule._segment_at(t).beta_sq(t)
 
+    def slope_at(t: float) -> float:
+        one = np.array([t])
+        return float(_slope(schedule, one, *schedule._sampled(one)[:2])[0])
+
     def polish(ts: np.ndarray, i: int) -> tuple[float, float]:
         a, b = float(ts[i]), float(ts[i + 1])
         seg = schedule._segment_at(0.5 * (a + b))
-        h = lambda t: prof.rate_at(profile, t) - k * seg.at(t)
-        if seg.stage == 2 and h(a) > 0.0 >= h(b):
-            root = brentq(h, a, b, xtol=1e-300, rtol=4 * _EPS, maxiter=200)
-        else:
-            root = brentq(lambda t: float(_slope(schedule, np.array([t]))[0]),
-                          a, b, xtol=1e-300, rtol=4 * _EPS, maxiter=200)
+        h = lambda t: prof.rate_at(profile, t) - k * seg.sol.at(t)
+        f = h if seg.stage == 2 and h(a) > 0.0 >= h(b) else slope_at
+        root = brentq(f, a, b, xtol=1e-300, rtol=4 * _EPS, maxiter=200)
         return float(root), pop(float(root))
 
     ts, stages, b = _peak_samples(schedule, schedule.tau_c + 1e-6 * max(
@@ -1195,8 +1183,8 @@ def _local_maxima(schedule: CouplingSchedule) -> list[tuple[float, float]]:
         if prof.rate_at(profile, past) - k * pop(past) <= 0.0:
             peaks.append((end, pop(end)))
         else:
-            ts = schedule._tail.sol.samples(0.0, 1.0, 0.0, end)[0]
-            peaks.append(polish(ts, int(_down(_slope(schedule, ts))[0])))
+            ts, y = schedule._tail.sol.samples(0.0, 1.0, 0.0, end)
+            peaks.append(polish(ts, int(_down(_slope(schedule, ts, 2, y))[0])))
     return peaks
 
 

@@ -20,7 +20,8 @@ import numpy as np
 from . import closedform as cf
 from . import profiles as prof
 from . import protocol
-from .errors import BoundaryMaximumWarning, DomainError, PulsecatchError
+from .errors import (MAX_CELLS, BoundaryMaximumWarning, DomainError,
+                     PulsecatchError)
 from .profiles import KAPPA_I_RANGE, R_RANGE, _atomic_write, _csv_text
 
 DEFAULT_KAPPA_I_GRID = tuple(np.geomspace(1e-5, 1e-2, 25))
@@ -135,7 +136,8 @@ def fidelity_surface(family, grid: tuple[Sequence[float], Sequence[float]]
 
     `family` is "exp", "gauss", or a callable mapping r to an InputProfile
     (the generic solver handles the latter). `grid` is (kappa_i values,
-    r values), both ascending; None uses the default desk-scale grids.
+    r values), both ascending, at most `MAX_CELLS` (65,536) cells; None
+    uses the default desk-scale grids.
     Values beyond the standard ranges are allowed but warned about.
     """
     fam = _resolve_family(family)
@@ -145,6 +147,8 @@ def fidelity_surface(family, grid: tuple[Sequence[float], Sequence[float]]
     rs = tuple(float(r) for r in rs)
     if not kis or not rs:
         raise DomainError("grid axes must be non-empty")
+    if len(kis) * len(rs) > MAX_CELLS:
+        raise DomainError(f"a surface takes at most {MAX_CELLS:,} cells")
     if not all(map(math.isfinite, kis + rs)):
         raise DomainError("grid values must be finite")
     if any(k <= 0.0 for k in kis):

@@ -19,8 +19,8 @@ import pytest
 from pulsecatch import cli, closedform, dynamics
 from pulsecatch import profiles as prof
 from pulsecatch import protocol
-from pulsecatch.errors import (DomainError, NoPeak, NoThreshold,
-                               SingularCoupling, StepFailure)
+from pulsecatch.errors import (MAX_CELLS, MAX_COUNT, DomainError, NoPeak,
+                               NoThreshold, SingularCoupling, StepFailure)
 from test_protocol import _double_hump, _drained
 
 EXP_OP = ["--profile", "exp:r=0.036", "--kappa-i", "1e-4"]
@@ -362,6 +362,45 @@ def test_schedule_negative_samples_is_input_error(samples, tmp_path, capsys,
     assert "--samples must be >= 0" in capsys.readouterr().err
     assert not out.with_suffix(".csv").exists()
     assert not out.with_suffix(".json").exists()
+
+
+@pytest.mark.parametrize("command", ["schedule", "simulate", "sweep",
+                                     "sweep_cells"])
+def test_oversized_counts_are_input_errors(command, tmp_path, capsys,
+                                           monkeypatch):
+    """A count one past its cap is refused with exit 1, an `error:` line and
+    no file, before any solve: `schedule --samples`, `simulate --samples`
+    and a grid literal's n take at most 2^20, and a sweep at most 2^16
+    cells. Each allocated hundreds of GiB at 1e11 (a traceback)."""
+    assert (MAX_COUNT, MAX_CELLS) == (2 ** 20, 2 ** 16)
+    out = tmp_path / "out"
+    solves = []
+    monkeypatch.setattr(dynamics, "solve_ivp",
+                        lambda *a, **k: solves.append(a[1]))
+    argv = {
+        "schedule": ["schedule", *EXP_OP, "--samples", str(MAX_COUNT + 1)],
+        "simulate": ["simulate", *EXP_OP, "--samples", str(MAX_COUNT + 1)],
+        "sweep": ["sweep", "--profile", "gauss", "--grid-ki",
+                  f"1e-5:1e-2:{MAX_COUNT + 1}:log", "--grid-r", "0.1,0.2"],
+        "sweep_cells": ["sweep", "--profile", "gauss", "--grid-ki",
+                        "1e-5:1e-2:257:log", "--grid-r", "0.05:1:256:lin"],
+    }[command]
+    if command == "schedule":
+        _no_solve(monkeypatch)
+    assert cli.main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert (f"{MAX_CELLS:,} cells" if command == "sweep_cells"
+            else f"{MAX_COUNT:,}") in err
+    assert list(tmp_path.iterdir()) == [] and solves == []
+
+
+def test_help_states_the_count_caps(capsys):
+    for command in ("schedule", "simulate", "sweep"):
+        assert cli.main([command, "--help"]) == 0
+        assert f"{MAX_COUNT:,}" in capsys.readouterr().out
+    assert cli.main(["--help"]) == 0
+    assert f"{MAX_CELLS:,}" in capsys.readouterr().out
 
 
 def test_schedule_lossless_infinite_peak_is_json_safe(tmp_path):

@@ -426,6 +426,27 @@ def test_sliver_segment_holds_just_its_ends():
     assert dyn.energy_balance_residual(tr) <= 50 * tr.tol
 
 
+def test_default_grid_of_slivers_is_refused_before_any_solve(monkeypatch):
+    """`test_cli`'s table of slivers, two humps every 0.005 on [0, 10]: at
+    tol 1e-13 every knot interval is shorter than the sliver span (7.4e-3),
+    so no residual could be taken on the default grid. `simulate_amplitudes`
+    raises the DomainError that names the least tol before any solve."""
+    taus = np.linspace(0.0, 10.0, 2001)
+    rates = 0.4 * np.exp(-0.5 * (taus - 3.0) ** 2) \
+        + 0.6 * np.exp(-0.5 * ((taus - 6.5) / 1.1) ** 2)
+    p = prof.tabulated(taus, rates / np.trapezoid(rates, taus))
+    params = prof.MemoryParams(kappa_i=KI_OP)
+    sch = proto.build_schedule(p, params)
+    solves, solve = [], dyn.solve_ivp
+    monkeypatch.setattr(dyn, "solve_ivp",
+                        lambda *a, **k: solves.append(a[1]) or solve(*a, **k))
+    with pytest.raises(DomainError, match="shorter than 0.00739") as err:
+        dyn.simulate_amplitudes(p, params, sch, sch.horizon, tol=1e-13)
+    assert "at tol 1e-13" in str(err.value)
+    assert "tol >= 1.48e-13" in str(err.value)
+    assert solves == []
+
+
 def test_all_zero_table_has_a_trajectory():
     # no positive sample: T is inf, and the memory's own time spaces the grid
     p = prof.tabulated([0.0, 1.0, 2.0, 3.0], [0.0, 0.0, 0.0, 0.0])

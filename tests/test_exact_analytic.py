@@ -48,9 +48,9 @@ def test_segments_match_quadrature(case):
     sch = _case(case)
     for seg in sch.segments:
         grid = np.linspace(seg.t0, seg.t1, 257)
-        got = seg.dense(grid)
+        got = seg.sol.dense(grid)
         if seg.stage == 1:
-            want = _chained_quad(sch, seg.t0, seg.at(seg.t0), grid.tolist())
+            want = _chained_quad(sch, seg.t0, seg.sol.at(seg.t0), grid.tolist())
         else:
             want = np.array([proto.stage2_population(sch.profile, sch.params,
                                                      seg.t0, t)
@@ -108,7 +108,7 @@ def test_chunks_equal_one_build(case, monkeypatch):
     sch = _case(case)
     k, end = sch.params.kappa_i, sch.horizon
     for seg in (seg for seg in sch.segments if seg.stage == 1):
-        args = (sch.profile, k, seg.t0, seg.at(seg.t0), seg.t0, end)
+        args = (sch.profile, k, seg.t0, seg.sol.at(seg.t0), seg.t0, end)
         chunks = list(proto._ExactLinear.stage1(*args))
         assert len(chunks) > 1
         sol = proto._ExactLinear.join(chunks)
@@ -196,7 +196,7 @@ def test_loss_budget_closes_to_rounding(case):
         sch = _schedule(case)
     first = sch.segments[0]
     rate = prof.rate_at(sch.profile, sch.tau_c)
-    assert abs(first.at(sch.tau_c) ** 2 - rate) <= 8 * np.spacing(rate)
+    assert abs(first.sol.at(sch.tau_c) ** 2 - rate) <= 8 * np.spacing(rate)
     rep = proto.peak_time_and_fidelity(sch.profile, sch.params, sch)
     total = (rep.fidelity + rep.loss_stage1_reflection + rep.loss_intrinsic
              + rep.loss_unabsorbed)

@@ -184,11 +184,11 @@ def test_schedule_stage1_matches_quadrature(table):
         assert isinstance(seg.sol, proto._ExactLinear)
         ts = seg.sol.ts.tolist()
         for t, want in zip(ts, _chained_quad(table, params.kappa_i, ts,
-                                             seg.at(seg.t0))):
-            assert abs(seg.at(t) - want) <= _gap_bound(want), t
+                                             seg.sol.at(seg.t0))):
+            assert abs(seg.sol.at(t) - want) <= _gap_bound(want), t
         probes = _probes(seg.sol)
-        assert [seg.at(t) for t in probes.tolist()] \
-            == seg.dense(probes).tolist()
+        assert [seg.sol.at(t) for t in probes.tolist()] \
+            == seg.sol.dense(probes).tolist()
 
 
 @pytest.mark.parametrize("kappa_i", [0.0, 1e-4, 0.5])
@@ -430,8 +430,8 @@ def test_knot_gap_is_no_larger_than_dop853s(faint):
     for seg in sch.segments:
         if seg.stage != 1:
             continue
-        beta0 = seg.at(seg.t0)
-        gap = max(abs(seg.at(t) - proto._stage1_beta_quad(
+        beta0 = seg.sol.at(seg.t0)
+        gap = max(abs(seg.sol.at(t) - proto._stage1_beta_quad(
             profile, params.kappa_i, seg.t0, beta0, t))
             for t in seg.sol.ts.tolist())
         assert gap <= 5e-16

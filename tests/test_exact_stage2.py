@@ -127,11 +127,11 @@ def test_schedule_segments_agree(case):
         assert isinstance(seg.sol, proto._ExactLinear)
         assert (seg.sol.ts[0], seg.sol.ts[-1]) == (seg.t0, seg.t1)
         probes = np.concatenate([_probes(seg.sol), [seg.t0, seg.t1]])
-        assert [seg.at(t) for t in probes.tolist()] \
-            == seg.dense(probes).tolist()
+        assert [seg.sol.at(t) for t in probes.tolist()] \
+            == seg.sol.dense(probes).tolist()
         for t in seg.sol.ts[::10].tolist() + [seg.t1]:
             want = proto.stage2_population(profile, params, seg.t0, t)
-            assert abs(seg.at(t) - want) <= 5e-16, t
+            assert abs(seg.sol.at(t) - want) <= 5e-16, t
 
 
 def _knot_aligned_steps(fun, t0, y0, end, breaks):
@@ -299,7 +299,7 @@ def test_stage2_piece_loss_is_the_same_alone_or_in_a_batch(profile):
     sch = proto.build_schedule(profile, _params(1e-3))
     sol = next(seg.sol for seg in sch.segments if seg.stage == 2)
     n = len(sol.ts) - 1
-    assert len(sol._a) > 20
+    assert len(sol._a()) > 20
 
     def bare(i: int, j: int, d: list[np.ndarray]) -> proto._ExactLinear:
         return proto._ExactLinear(sol.ts[i:j + 1], [0.0] * (j - i),

@@ -175,7 +175,7 @@ def test_threshold_scan_equals_whole_window_scan(case):
         sch = _schedule("resumed")
         profile = sch.profile
         t_start = sch.segments[2].t0
-        beta_start = -math.sqrt(sch.segments[1].at(t_start))
+        beta_start = -math.sqrt(sch.segments[1].sol.at(t_start))
     else:
         profile = _schedule(case).profile
     end = prof.horizon(profile)
@@ -331,7 +331,7 @@ def _solve_ivp_segment(profile, kappa_i, seg, end):
         a = 0.5 * (1.0 + kappa_i)
         return solve_ivp(
             lambda t, y: [-math.sqrt(prof.rate_at(profile, t)) - a * y[0]],
-            (seg.t0, end), [seg.at(seg.t0)], **opts)
+            (seg.t0, end), [seg.sol.at(seg.t0)], **opts)
 
     def violation(t, y):
         return (1.0 + 0.5 * 1e-9) * y[0] - prof.rate_at(profile, t) + 1e-13
@@ -365,7 +365,7 @@ def test_stepping_without_breaks_equals_solve_ivp(case):
         t = ref.t[ref.t <= seg.t1]
         assert len(t) > 5
         want = ref.y[0, :len(t)]
-        assert np.all(np.abs(seg.dense(t) - want)
+        assert np.all(np.abs(seg.sol.dense(t) - want)
                       <= bound * np.maximum(1.0, np.abs(want))), i
         if seg.stage == 2 and i < len(sch.segments) - 1:
             assert ref.status == 1
@@ -388,7 +388,7 @@ def test_analytic_stage1_is_the_scan_cut_at_tau_c(case):
     stage1 = [seg for seg in sch.segments if seg.stage == 1]
     assert len(stage1) == (2 if case == "gauss_resumed" else 1)
     for seg in stage1:
-        sol, beta0 = seg.sol, seg.at(seg.t0)
+        sol, beta0 = seg.sol, seg.sol.at(seg.t0)
         assert isinstance(sol, proto._ExactLinear)
         assert (sol.ts[0], sol.ts[-1]) == (seg.t0, seg.t1)
         scan = proto._threshold_bracket(profile, k, seg.t0, beta0,
@@ -444,8 +444,8 @@ def test_table_steps_are_rarely_rejected(monkeypatch):
         assert len(ts) > 50
         for a, b in zip(ts, ts[1:]):
             want = proto._stage1_beta_quad(profile, params.kappa_i, a,
-                                           seg.at(a), b)
-            assert abs(seg.at(b) - want) <= _EPS * max(1.0, abs(want)), b
+                                           seg.sol.at(a), b)
+            assert abs(seg.sol.at(b) - want) <= _EPS * max(1.0, abs(want)), b
 
 
 def _segment_end_gaps(sch: proto.CouplingSchedule):
@@ -455,11 +455,11 @@ def _segment_end_gaps(sch: proto.CouplingSchedule):
     for seg in sch.segments:
         if seg.stage == 1:
             quad_value = proto._stage1_beta_quad(
-                sch.profile, sch.params.kappa_i, seg.t0, seg.at(seg.t0), seg.t1)
+                sch.profile, sch.params.kappa_i, seg.t0, seg.sol.at(seg.t0), seg.t1)
         else:
             quad_value = proto.stage2_population(sch.profile, sch.params,
                                                  seg.t0, seg.t1)
-        yield seg.stage, seg.at(seg.t1), quad_value
+        yield seg.stage, seg.sol.at(seg.t1), quad_value
 
 
 def _budget_total(sch: proto.CouplingSchedule) -> float:
@@ -541,7 +541,7 @@ def _maxima_brackets(sch: proto.CouplingSchedule):
     not depend on the bracket."""
     lo, hi = sch.tau_c, sch.horizon
     ts = lo + np.geomspace(1e-6 * max(lo, 1.0), hi - lo, 4097)
-    vals = proto._slope(sch, ts)
+    vals = proto._slope(sch, ts, *sch._sampled(ts)[:2])
     for i in np.flatnonzero((vals[:-1] > 0.0) & (vals[1:] <= 0.0)).tolist():
         a, b = float(ts[i]), float(ts[i + 1])
         yield a, b, sch._segment_at(0.5 * (a + b))
@@ -661,7 +661,7 @@ def test_anchored_polish_matches_full_window_on_tables(case):
     for seg in sch.segments:
         if seg.stage != 1:
             continue
-        beta0 = seg.at(seg.t0)
+        beta0 = seg.sol.at(seg.t0)
         lo, hi, sol = proto._threshold_bracket(profile, k, seg.t0, beta0,
                                                sch.horizon)
         assert lo <= seg.t1 <= hi
@@ -671,7 +671,7 @@ def test_anchored_polish_matches_full_window_on_tables(case):
             proto._stage1_beta_quad, profile, k, seg.t0, beta0)))
     for a, b, seg in _maxima_brackets(sch):
         assert seg.stage == 2
-        checked.append((a, b, seg.at, functools.partial(
+        checked.append((a, b, seg.sol.at, functools.partial(
             proto.stage2_population, profile, params, seg.t0)))
     assert len(checked) >= 2
     for lo, hi, exact, full_window in checked:
@@ -704,7 +704,7 @@ def test_table_polish_integrates_from_the_anchor(case, monkeypatch):
     for seg in sch.segments:
         if seg.stage == 1:
             proto._first_threshold(profile, params.kappa_i, seg.t0,
-                                   seg.at(seg.t0), sch.horizon)
+                                   seg.sol.at(seg.t0), sch.horizon)
     assert len(proto._local_maxima(sch)) >= 1
     assert calls == [] and len(spans) >= 2
     assert 0.0 <= min(spans) and max(spans) <= np.diff(profile.taus).max()
@@ -786,31 +786,41 @@ def test_peak_scan_reads_the_schedules_values(case):
     assert np.array_equal(stages, want_stages)
     assert b.tobytes() == want_b.tobytes()
     assert proto._slope(sch, ts, stages, b).tobytes() \
-        == proto._slope(sch, ts).tobytes()
+        == proto._slope(sch, ts, *sch._sampled(ts)[:2]).tobytes()
 
 
 @pytest.mark.parametrize("case", ["exp_point", "gauss", "twin", "faint",
-                                  "resumed", "delayed"])
+                                  "resumed", "delayed", "exp_tail",
+                                  "gauss_tail"])
 def test_scans_call_dense_only_on_crowded_pieces(case, monkeypatch):
     """Work-count guard: the threshold, violation and peak scans read the
     propagation's own values at the piece ends and call `dense` only on a
     crowded piece's 64 samples from its start: never on the operating
     points, the benchmark's tables or the double hump, which have no
     crowded piece, and on 64 samples per crowded piece on the delayed
-    table."""
+    table. At kappa_i = 1e-26 the peak lies past the horizon, and the
+    tail's scan reads its own values too: no call, and the same peaks bit
+    for bit."""
     profile, params = {
         "exp_point": (prof.exponential(0.036), _params()),
         "gauss": (prof.gaussian(r=0.1533, n=4), _params()),
         "delayed": (_delayed_table(), _params()),
+        "exp_tail": (prof.exponential(0.2), _params(1e-26)),
+        "gauss_tail": (prof.gaussian(r=0.1533, n=4), _params(1e-26)),
     }.get(case) or _table_case(case)
     calls, dense = [], proto._ExactLinear.dense
     monkeypatch.setattr(proto._ExactLinear, "dense", lambda sol, t: (
         calls.append(len(t)), dense(sol, t))[1])
-    proto._local_maxima(proto.build_schedule(profile, params))
+    peaks = proto._local_maxima(proto.build_schedule(profile, params))
     if case == "delayed":
         assert calls and all(n % 64 == 0 for n in calls)
     else:
         assert calls == []
+    want = {"exp_tail": [(291.65432880250063, 0.9295160030897801)],
+            "gauss_tail": [(38.43584032927007, 0.9998085642683066)]}
+    if case in want:
+        assert [(t.hex(), f.hex()) for t, f in peaks] \
+            == [(t.hex(), f.hex()) for t, f in want[case]]
 
 
 def test_cut_owns_its_arrays():
@@ -1076,7 +1086,7 @@ def test_population_is_continuous_at_the_horizon(case):
     assert sch.beta_sq(np.array([h, far])).tolist() == [at, pop]
     if case in ("resumed", "heavy_loss"):
         assert pop == proto._stage2_pop(profile, k, h,
-                                        sch.segments[-1].at(h), far)
+                                        sch.segments[-1].sol.at(h), far)
     elif profile.kind == prof.EXPONENTIAL:
         assert pop == pytest.approx(cf.exp_population(profile.r, k, far),
                                     rel=1e-14)
@@ -1221,15 +1231,15 @@ def test_float_dense_output_is_bitwise_scipy(case):
                                  np.nextafter(knots, np.inf),
                                  0.5 * (ts[1:] + ts[:-1])])
         ref = odesolution(seg.sol)
-        got = seg.dense(probes).tolist()
+        got = seg.sol.dense(probes).tolist()
         for t, v in zip(probes.tolist(), got):
-            assert _same_float(seg.at(t), float(ref(t)[0])), (seg.stage, t)
-            assert _same_float(seg.at(t), v), (seg.stage, t)
+            assert _same_float(seg.sol.at(t), float(ref(t)[0])), (seg.stage, t)
+            assert _same_float(seg.sol.at(t), v), (seg.stage, t)
         if seg.stage == 1:
             for t in ts[::10].tolist() + [seg.t1]:
                 want = proto._stage1_beta_quad(sch.profile, sch.params.kappa_i,
-                                               seg.t0, seg.at(seg.t0), t)
-                assert abs(seg.at(t) - want) <= _EPS * max(1.0, abs(want)), t
+                                               seg.t0, seg.sol.at(seg.t0), t)
+                assert abs(seg.sol.at(t) - want) <= _EPS * max(1.0, abs(want)), t
 
 
 def test_table_ending_at_zero():

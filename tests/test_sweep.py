@@ -286,6 +286,15 @@ def test_surface_rejects_non_finite_grid_values(family, bad_grid):
         sweep.fidelity_surface(family, grid=bad_grid)
 
 
+def test_surface_takes_at_most_max_cells():
+    """A 257 x 256 Gaussian grid is one row past the cap, 2^16 cells (about
+    320 MB of tracemalloc at 4.9 KB a cell): a DomainError before any
+    cell."""
+    grid = (np.geomspace(1e-5, 1e-2, 257), np.linspace(0.05, 1.0, 256))
+    with pytest.raises(DomainError, match="at most 65,536 cells"):
+        sweep.fidelity_surface("gauss", grid=grid)
+
+
 def test_surface_warns_beyond_standard_ranges():
     with pytest.warns(UserWarning, match="beyond the standard ranges"):
         sweep.fidelity_surface("exp", grid=((2e-2,), (0.1,)))
