@@ -278,17 +278,7 @@ def cmd_schedule(args) -> int:
                   _csv_text("tau,kappa,r_in,beta1_sq,beta_sq,r_out",
                             _schedule_rows(schedule, args.samples)))
 
-    payload = {
-        "profile": args.profile,
-        "kappa_i": args.kappa_i,
-        "tau_c": report.tau_c,
-        "tau_max": report.tau_max,
-        "fidelity": report.fidelity,
-        "loss_stage1_reflection": report.loss_stage1_reflection,
-        "loss_intrinsic": report.loss_intrinsic,
-        "loss_unabsorbed": report.loss_unabsorbed,
-        "flags": list(report.flags),
-    }
+    payload = {"profile": args.profile, "kappa_i": args.kappa_i, **vars(report)}
     _atomic_write(args.out + ".json", _json_text(payload) + "\n")
 
     print(f"tau_c = {_fmt(report.tau_c)}")

@@ -187,7 +187,7 @@ def _checked_grid(tol: float, tau_end: float,
         raise DomainError("tau_end must be positive and finite")
     if samples is None:
         return None
-    if isinstance(samples, int):
+    if isinstance(samples, (int, np.integer)):   # a bool fails the range
         if not 2 <= samples <= MAX_COUNT:
             raise DomainError(f"samples must lie in [2, {MAX_COUNT:,}]")
         return np.linspace(0.0, tau_end, samples)

@@ -16,8 +16,9 @@ import sys
 import tempfile
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -273,38 +274,26 @@ class MemoryParams:
 def rate_at(profile: InputProfile, tau):
     """Evaluate r_in(tau); tau may be a scalar or an array, all entries >= 0.
 
-    Arrays map math.exp (np.exp differs in the last bit on a few percent of
-    inputs), so each value is the float call's bit for bit."""
-    if isinstance(tau, float) or isinstance(tau, int):
-        # Scalar fast path: integrators and quadratures call this millions of
-        # times, so the analytic families skip the array machinery entirely.
-        if not tau >= 0.0:
-            raise DomainError("rate_at requires tau >= 0")
-        if profile.kind == EXPONENTIAL:
-            return profile.r * math.exp(-profile.r * tau)
-        if profile.kind == GAUSSIAN:
-            z = (tau - profile.tau0) / profile.sigma
-            return profile.r * math.exp(-0.5 * z * z)
-        table = profile._interp
+    Each analytic family's formula is written once: `_checked` pairs a
+    float with `math` and an array with `_MAPPED`, which maps math.exp over
+    its floats (np.exp differs in the last bit on a few percent of inputs),
+    so each array value is the float call's bit for bit. A table's float
+    and array evaluations are `_Piecewise.at` and `__call__`."""
+    tau, m = _checked(tau, "rate_at")
+    if profile.kind == EXPONENTIAL:
+        return profile.r * m.exp(-profile.r * tau)
+    if profile.kind == GAUSSIAN:
+        z = (tau - profile.tau0) / profile.sigma
+        return profile.r * m.exp(-0.5 * z * z)
+    table = profile._interp
+    if m is math:
         if tau < table.x[0] or tau > table.x[-1]:
             return 0.0
         val = table.at(tau)
         return 0.0 if val < 0.0 else val
-    arr = np.asarray(tau, dtype=float)
-    if not np.all(arr >= 0.0):
-        raise DomainError("rate_at requires tau >= 0")
-    if profile.kind == EXPONENTIAL:
-        out = profile.r * _map(math.exp, -profile.r * arr)
-    elif profile.kind == GAUSSIAN:
-        z = (arr - profile.tau0) / profile.sigma
-        out = profile.r * _map(math.exp, -0.5 * z * z)
-    else:
-        out = profile._interp(np.clip(arr, profile.taus[0], profile.taus[-1]))
-        out = np.where((arr < profile.taus[0]) | (arr > profile.taus[-1])
-                       | (out < 0.0), 0.0, out)
-    if np.ndim(tau) == 0:
-        return float(out)
-    return out
+    out = table(np.clip(tau, profile.taus[0], profile.taus[-1]))
+    return np.where((tau < profile.taus[0]) | (tau > profile.taus[-1])
+                    | (out < 0.0), 0.0, out)
 
 
 def cumulative(profile: InputProfile, tau):
@@ -312,42 +301,42 @@ def cumulative(profile: InputProfile, tau):
 
     This is the closed-form companion to `total_excitation`, which integrates
     numerically; the two are cross-checked in the test suite rather than
-    defined in terms of each other. Arrays map math.expm1 and math.erf, as
-    `rate_at` maps math.exp.
+    defined in terms of each other. Floats and arrays share each formula,
+    math.expm1 and math.erf, as in `rate_at`.
     """
-    if isinstance(tau, float) or isinstance(tau, int):
-        if not tau >= 0.0:
-            raise DomainError("cumulative requires tau >= 0")
-        if profile.kind == EXPONENTIAL:
-            return -math.expm1(-profile.r * tau)
-        if profile.kind == GAUSSIAN:
-            root2 = math.sqrt(2.0)
-            lo = math.erf(profile.tau0 / (profile.sigma * root2))
-            return 0.5 * (math.erf((tau - profile.tau0) / (profile.sigma * root2)) + lo)
-        table = profile._interp_cum
-        return table.at(min(max(tau, table.x[0]), table.x[-1]))
-    arr = np.asarray(tau, dtype=float)
-    if not np.all(arr >= 0.0):
-        raise DomainError("cumulative requires tau >= 0")
+    tau, m = _checked(tau, "cumulative")
     if profile.kind == EXPONENTIAL:
-        out = -_map(math.expm1, -profile.r * arr)
-    elif profile.kind == GAUSSIAN:
+        return -m.expm1(-profile.r * tau)
+    if profile.kind == GAUSSIAN:
         root2 = math.sqrt(2.0)
         lo = math.erf(profile.tau0 / (profile.sigma * root2))
-        out = 0.5 * (_map(math.erf, (arr - profile.tau0)
-                          / (profile.sigma * root2)) + lo)
-    else:
-        out = profile._interp_cum(np.clip(arr, profile.taus[0],
-                                          profile.taus[-1]))
-    if np.ndim(tau) == 0:
-        return float(out)
-    return out
+        return 0.5 * (m.erf((tau - profile.tau0) / (profile.sigma * root2)) + lo)
+    table = profile._interp_cum
+    if m is math:
+        return table.at(min(max(tau, table.x[0]), table.x[-1]))
+    return table(np.clip(tau, profile.taus[0], profile.taus[-1]))
 
 
 def _map(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
     """fn at each float of an array, in its shape."""
     return np.fromiter(map(fn, x.ravel().tolist()), float,
                        x.size).reshape(x.shape)
+
+
+# math's exp, expm1 and erf, each mapped over an array's floats
+_MAPPED = SimpleNamespace(exp=partial(_map, math.exp),
+                          expm1=partial(_map, math.expm1),
+                          erf=partial(_map, math.erf))
+
+
+def _checked(tau, name: str):
+    """tau as a float, with the math module, or if it has dimensions as a
+    float array, with `_MAPPED`; a DomainError unless all of it is >= 0."""
+    scalar = isinstance(tau, (float, int)) or np.ndim(tau) == 0
+    tau, m = (float(tau), math) if scalar else (np.asarray(tau, float), _MAPPED)
+    if not (tau >= 0.0 if scalar else np.all(tau >= 0.0)):
+        raise DomainError(f"{name} requires tau >= 0")
+    return tau, m
 
 
 def _unique(values) -> np.ndarray:

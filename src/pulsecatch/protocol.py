@@ -222,10 +222,12 @@ def _amplitude(taus, stages: np.ndarray, vals: np.ndarray,
 class CouplingSchedule:
     """Piecewise coupling schedule: kappa = 1 before tau_c, r_in/beta^2 after.
 
-    `segments` covers [0, horizon]; past the horizon beta^2 is `_tail`'s,
-    the stage-2 population propagated exactly on from the last segment's
-    value there. Schedules with more than one stage-1 segment arise from the
-    feasibility guard and carry the "feasibility_resumed" flag.
+    `segments` covers [0, horizon], each starting where the one before it
+    ends, so `_inner_ends` are the boundaries; past the horizon beta^2 is
+    `_tail`'s, the stage-2 population propagated exactly on from the last
+    segment's value there. Schedules with more than one stage-1 segment
+    arise from the feasibility guard and carry the "feasibility_resumed"
+    flag.
 
     The evaluation methods take a float or an array (`_answer`). An array
     costs one dense-output call per segment it touches. A float is a
@@ -379,7 +381,7 @@ class CouplingSchedule:
 
     def breakpoints(self) -> list[float]:
         """Segment boundary times (kappa is non-smooth there)."""
-        return [seg.t0 for seg in self.segments[1:]]
+        return list(self._inner_ends)
 
 
 _TAIL = 2.0 ** -60       # series terms below this share of the leading one are cut

@@ -334,6 +334,9 @@ def test_schedule_outputs(tmp_path, capsys):
     assert _stdout_value(captured, "fidelity") == pytest.approx(0.9702923273, abs=1e-7)
 
     payload = json.loads(out.with_suffix(".json").read_text())
+    assert list(payload) == ["profile", "kappa_i", "tau_c", "tau_max",
+                             "fidelity", "loss_stage1_reflection",
+                             "loss_intrinsic", "loss_unabsorbed", "flags"]
     assert payload["profile"] == "exp:r=0.036"
     assert payload["kappa_i"] == pytest.approx(1e-4)
     assert payload["tau_max"] == pytest.approx(164.34060877877471, abs=1e-4)

@@ -200,6 +200,22 @@ def test_simulators_share_argument_checks(simulate):
             simulate(p, params, sch, 10.0, samples=bad)
 
 
+def test_numpy_integer_samples_are_a_count():
+    """A numpy integer is a count, as an int is, not an explicit grid; a
+    bool is out of the count's range."""
+    p, params, sch = _exp_setup()
+    want = dyn.simulate_amplitudes(p, params, sch, 40.0, samples=201)
+    got = dyn.simulate_amplitudes(p, params, sch, 40.0, samples=np.int64(201))
+    for field in dataclasses.fields(want):
+        assert np.asarray(getattr(got, field.name)).tobytes() \
+            == np.asarray(getattr(want, field.name)).tobytes(), field.name
+    rho = dyn.simulate_master_equation(p, params, sch, 40.0,
+                                       samples=np.int64(11))
+    assert rho.shape == (11, 3, 3)
+    with pytest.raises(DomainError, match="samples must lie in"):
+        dyn.simulate_amplitudes(p, params, sch, 10.0, samples=True)
+
+
 def test_residual_needs_three_samples():
     p, params, sch = _exp_setup()
     tr = dyn.simulate_amplitudes(p, params, sch, 10.0, samples=[0.0, 10.0])

@@ -121,14 +121,13 @@ class TestEvaluation:
         assert prof.rate_at(p, p.tau0 + 2.0) == pytest.approx(p.r * math.exp(-0.5), rel=1e-14)
 
     def test_scalar_and_array_paths_agree(self):
+        """A float's value is its array value bit for bit, on each family."""
         taus = np.linspace(0.0, 30.0, 57)
         for p in (prof.exponential(0.17), prof.gaussian(sigma=1.4, n=4),
                   prof.tabulated(*_bump_table())):
-            arr_rate = prof.rate_at(p, taus)
-            arr_cum = prof.cumulative(p, taus)
-            for i, t in enumerate(taus):
-                assert prof.rate_at(p, float(t)) == pytest.approx(arr_rate[i], abs=1e-15)
-                assert prof.cumulative(p, float(t)) == pytest.approx(arr_cum[i], abs=1e-13)
+            for f in (prof.rate_at, prof.cumulative):
+                floats = np.array([f(p, float(t)) for t in taus])
+                assert floats.tobytes() == f(p, taus).tobytes()
 
     def test_negative_time_rejected(self):
         p = prof.exponential(0.5)
@@ -236,6 +235,8 @@ class TestParsing:
             "exp:r=fast",                # bad number
             "exp:r=0.1,n=4",             # stray key
             "exp:",                      # missing key
+            "exp:r0.1",                  # item without '='
+            "gauss:r=0.1,n4",            # second item without '='
             "gauss:r=0.1,sigma=2",       # over-determined
             "gauss:mu=3",                # unknown key
             "lorentz:r=0.1",             # unknown family
@@ -276,8 +277,7 @@ def test_gaussian_scalar_array_consistency(sigma, n):
     ts = np.linspace(0.0, prof.horizon(p), 33)
     arr = prof.rate_at(p, ts)
     scalars = np.array([prof.rate_at(p, float(t)) for t in ts])
-    # math.exp and np.exp may round the last bit differently
-    np.testing.assert_allclose(arr, scalars, rtol=5e-16, atol=0.0)
+    assert arr.tobytes() == scalars.tobytes()
 
 
 @settings(deadline=None)
