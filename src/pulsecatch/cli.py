@@ -178,22 +178,20 @@ def _parse_kappa_override(text: str):
     raise DomainError(f"--kappa takes const:<value> or file:<path>, got {text!r}")
 
 
-def _memory_params(kappa_i: float) -> prof.MemoryParams:
-    """MemoryParams for --kappa-i, with a warning on stderr above the range
-    the closed-form oracles are validated on (0 is the lossless limit)."""
+def _inputs(args) -> tuple[prof.InputProfile, prof.MemoryParams]:
+    """The validated --profile and MemoryParams for --kappa-i, with a
+    warning on stderr above the range the closed-form oracles are
+    validated on (0 is the lossless limit)."""
     from . import profiles as prof
-    params = prof.MemoryParams(kappa_i=kappa_i)
-    if kappa_i > prof.KAPPA_I_RANGE[1]:
-        print(f"warning: --kappa-i {kappa_i!r} lies above the validated "
-              f"range kappa_i <= {prof.KAPPA_I_RANGE[1]!r}", file=sys.stderr)
-    return params
-
-
-def _require_valid(profile: prof.InputProfile) -> None:
-    from . import profiles as prof
+    profile = prof.parse_profile(args.profile)
     report = prof.validate(profile)
     if not report.ok:
         raise DomainError("invalid profile: " + "; ".join(report.failures))
+    params = prof.MemoryParams(kappa_i=args.kappa_i)
+    if args.kappa_i > prof.KAPPA_I_RANGE[1]:
+        print(f"warning: --kappa-i {args.kappa_i!r} lies above the validated "
+              f"range kappa_i <= {prof.KAPPA_I_RANGE[1]!r}", file=sys.stderr)
+    return profile, params
 
 
 # ---------------------------------------------------------------------------
@@ -268,9 +266,7 @@ def cmd_schedule(args) -> int:
     if not 0 <= args.samples <= MAX_COUNT:
         raise DomainError(f"--samples must be >= 0 and <= {MAX_COUNT:,}, "
                           f"got {args.samples}")
-    profile = prof.parse_profile(args.profile)
-    _require_valid(profile)
-    params = _memory_params(args.kappa_i)
+    profile, params = _inputs(args)
     schedule = protocol.build_schedule(profile, params)
     report = protocol.peak_time_and_fidelity(profile, params, schedule)
 
@@ -301,9 +297,7 @@ def cmd_simulate(args) -> int:
     if args.samples is not None and args.samples < 3:
         # the energy balance differences at least 3 samples
         raise DomainError(f"--samples must be >= 3, got {args.samples}")
-    profile = prof.parse_profile(args.profile)
-    _require_valid(profile)
-    params = _memory_params(args.kappa_i)
+    profile, params = _inputs(args)
 
     schedule = None
     if args.kappa is not None:

@@ -220,17 +220,13 @@ def exp_coupling(r: float, kappa_i: float, tau: float) -> float:
     tau = tau_c. Where kappa_i > r and that overflows, both are multiplied
     by e^{(r-kappa_i) delta}: the coupling tends to kappa_i - r.
     """
-    _check_exp_domain(r, kappa_i)
     tau_c = exp_tau_c(r, kappa_i)
     if not tau >= tau_c - 1e-12:
         raise DomainError("exp_coupling is the stage-2 law; needs tau >= tau_c")
     delta = max(tau - tau_c, 0.0)
     x = r - kappa_i
     try:
-        denom = 1.0 + _phi(x, delta)
-        if denom <= 0.0:
-            raise SingularCoupling(f"population not positive at tau = {tau}")
-        return math.exp(-x * delta) / denom
+        return math.exp(-x * delta) / (1.0 + _phi(x, delta))
     except OverflowError:
         return 1.0 / (math.exp(x * delta) + math.expm1(x * delta) / x)
 
@@ -242,7 +238,6 @@ def exp_report(r: float, kappa_i: float) -> tuple[float, float]:
     kappa_i < r; beyond that the population peak is not given by this closed
     form and callers must use the generic solver (the regime is flagged there).
     """
-    _check_exp_domain(r, kappa_i)
     cst = exp_constants(r, kappa_i)
     if kappa_i == 0.0:
         return math.inf, cst.a1

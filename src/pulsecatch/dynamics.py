@@ -93,14 +93,17 @@ class Trajectory:
         return len(self.taus)
 
 
-def _coupling(profile: prof.InputProfile, schedule_or_kappa, tau_end: float
+def _coupling(profile: prof.InputProfile, params: prof.MemoryParams,
+              schedule_or_kappa, tau_end: float
               ) -> tuple[Callable[[float], float], tuple[float, ...]]:
     """The coupling argument as (kappa(tau), edges). The edges are 0, the
     coupling's breaks, a table's knots and tau_end, each once and in order:
     the points where the right-hand side is not smooth. The coupling has a
     kink at a break (beta^2 has one in its second derivative), and PCHIP's
-    r_in one in its second derivative at a knot."""
+    r_in one in its second derivative at a knot. A schedule must have been
+    built for `profile` and `params` (DomainError otherwise)."""
     if isinstance(schedule_or_kappa, CouplingSchedule):
+        schedule_or_kappa._require_inputs(profile, params)
         kappa_fn, breaks = schedule_or_kappa.kappa, schedule_or_kappa.breakpoints()
     elif callable(schedule_or_kappa):
         breaks = getattr(schedule_or_kappa, "breakpoints", None)
@@ -245,7 +248,7 @@ def simulate_amplitudes(profile: prof.InputProfile, params: prof.MemoryParams,
         raise DomainError("beta0 must be finite; the memory amplitude "
                           "convention is beta <= 0")
 
-    kappa_fn, edges = _coupling(profile, schedule_or_kappa, tau_end)
+    kappa_fn, edges = _coupling(profile, params, schedule_or_kappa, tau_end)
     k_i = params.kappa_i
     if ts is None:
         _require_stencil(edges, tol)
@@ -406,7 +409,7 @@ def simulate_master_equation(profile: prof.InputProfile,
     state stays Hermitian and positive.
     """
     ts = _checked_grid(tol, tau_end, 801 if samples is None else samples)
-    kappa_fn, edges = _coupling(profile, schedule_or_kappa, tau_end)
+    kappa_fn, edges = _coupling(profile, params, schedule_or_kappa, tau_end)
     k_i = params.kappa_i
 
     def rhs(t, y):

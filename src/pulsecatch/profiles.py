@@ -444,35 +444,24 @@ def _quad_chunked(f: Callable[[float], float], a: float, b: float,
     return total
 
 
-def _quad_rate(profile: InputProfile, a: float, b: float) -> float:
-    """Integral of rate_at over [a, b]: on a table one Kronrod rule per knot
-    interval, exact to rounding on its cubics, else adaptive quadrature to
-    ~1e-13 absolute error."""
-    breaks = _interior_breaks(profile, a, b)
-    if profile.kind == TABULATED and b > a:
-        return float(_kronrod(lambda s: rate_at(profile, s),
-                              [a] + breaks + [b]).sum())
-    return _quad_chunked(lambda s: rate_at(profile, s), a, b, breaks, 1e-13)
-
-
 def total_excitation(profile: InputProfile, tau_end: float) -> float:
     """Numerically integrate r_in over [0, tau_end] (tau_end may be inf).
 
-    On a table this is one Kronrod rule per knot interval and needs numpy
-    alone. On an analytic pulse it is an oracle for `cumulative`, by
-    scipy's adaptive `quad`: it needs the test extra, which installs
-    scipy, and raises ModuleNotFoundError naming it without."""
+    On a table this is one Kronrod rule per knot interval, exact to rounding
+    on its cubics, and needs numpy alone. On an analytic pulse it is an
+    oracle for `cumulative`, by scipy's adaptive `quad` to ~1e-13 absolute
+    error (chunked, and past the horizon a tail): it needs the test extra,
+    which installs scipy, and raises ModuleNotFoundError naming it without."""
     if not tau_end >= 0.0:
         raise DomainError("total_excitation requires tau_end >= 0")
-    if math.isinf(tau_end):
-        if profile.kind == TABULATED:
-            return _quad_rate(profile, 0.0, float(profile.taus[-1]))
-        cut = horizon(profile)
-        head = _quad_rate(profile, 0.0, cut)
-        tail, _ = quad(lambda s: rate_at(profile, s), cut, np.inf,
-                       limit=200, epsabs=1e-13, epsrel=1e-12)
-        return head + tail
-    return _quad_rate(profile, 0.0, float(tau_end))
+    end = horizon(profile) if math.isinf(tau_end) else float(tau_end)
+    f, breaks = partial(rate_at, profile), _interior_breaks(profile, 0.0, end)
+    if profile.kind == TABULATED:
+        return float(_kronrod(f, [0.0, *breaks, end]).sum())
+    head = _quad_chunked(f, 0.0, end, breaks, 1e-13)
+    if not math.isinf(tau_end):
+        return head
+    return head + quad(f, end, np.inf, limit=200, epsabs=1e-13, epsrel=1e-12)[0]
 
 
 @dataclass(frozen=True)
@@ -523,7 +512,11 @@ def parse_profile(text: str) -> InputProfile:
         raise DomainError(f"malformed profile literal {text!r}")
     head = head.strip().lower()
     if head == "table":
-        return _load_table(rest.strip())
+        pairs = _read_pairs(rest.strip(), "profile table")
+        if len(pairs) < 2:
+            raise DomainError(f"profile table {rest.strip()} needs at least "
+                              "two samples")
+        return tabulated(*zip(*pairs))
     kv: dict[str, float] = {}
     if rest.strip():
         for item in rest.split(","):
@@ -610,11 +603,3 @@ def _atomic_write(path, text: str) -> None:
         if isinstance(exc, OSError) and exc.filename is not None:
             raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from exc
         raise
-
-
-def _load_table(path_text: str) -> InputProfile:
-    pairs = _read_pairs(path_text, "profile table")
-    if len(pairs) < 2:
-        raise DomainError(f"profile table {path_text} needs at least two samples")
-    taus, rates = zip(*pairs)
-    return tabulated(taus, rates)

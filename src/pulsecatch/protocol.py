@@ -383,6 +383,21 @@ class CouplingSchedule:
         """Segment boundary times (kappa is non-smooth there)."""
         return list(self._inner_ends)
 
+    def _require_inputs(self, profile: prof.InputProfile,
+                        params: prof.MemoryParams) -> None:
+        """DomainError unless `profile` and `params` are the ones the schedule
+        was built with (or a profile equal to its own in kind, r, sigma, n
+        and every sample): its methods read its own, its callers theirs."""
+        own = self.profile
+        if params != self.params or profile is not own and not (
+                (profile.kind, profile.r, profile.sigma, profile.n)
+                == (own.kind, own.r, own.sigma, own.n)
+                and (profile.kind != prof.TABULATED
+                     or np.array_equal(profile.taus, own.taus)
+                     and np.array_equal(profile.rates, own.rates))):
+            raise DomainError("the schedule was built for another profile or "
+                              "other memory parameters than those given")
+
 
 _TAIL = 2.0 ** -60       # series terms below this share of the leading one are cut
 _SPREAD = 0.5            # largest sum_j |c_j| h^j / c_0 of a table's root piece
@@ -1198,8 +1213,10 @@ def peak_time_and_fidelity(profile: prof.InputProfile, params: prof.MemoryParams
     leaks back out while the schedule waits at kappa = 1 for the next hump),
     so all slope crossings are compared and the global maximum wins. Without
     intrinsic loss the tau -> inf limit is a candidate too, since the
-    population never decreases after the last threshold.
+    population never decreases after the last threshold. The schedule must
+    have been built for `profile` and `params` (DomainError otherwise).
     """
+    schedule._require_inputs(profile, params)
     k = params.kappa_i
     integral = (prof.cumulative if profile.kind != prof.TABULATED
                 else prof.total_excitation)

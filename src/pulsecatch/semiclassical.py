@@ -96,17 +96,16 @@ def output_amplitude(field: ClassicalField, tau: float) -> float:
 
 
 def compare_with_full_quantum(profile: prof.InputProfile, *,
-                              n_samples: int = 201,
                               kappa_scale: float = 1.0) -> float:
     """Max relative deviation between quantum and semiclassical couplings.
 
     Builds the lossless (kappa_i = 0) quantum schedule, seeds the classical
     field at the threshold with A0^2 = beta^2(tau_c) = r_in(tau_c), and
-    compares the two coupling laws pointwise over [tau_c, horizon]. The two
-    are algebraically identical for real inputs without intrinsic loss, so
-    the return value measures only the numerical routes (~1e-12 for the
-    analytic families, interpolation-limited for tabulated data).
-    `kappa_scale` multiplies the quantum coupling; any value but 1 is a
+    compares the two coupling laws at 201 evenly spaced times on [tau_c,
+    horizon]. They are algebraically identical for real inputs without
+    intrinsic loss, so the return value measures only the numerical routes
+    (~1e-12 for the analytic families, interpolation-limited for tabulated
+    data). `kappa_scale` multiplies the quantum coupling; any value but 1 is a
     deliberate fault the comparison must detect. Samples where the quantum
     coupling is 0 have no relative deviation; when every sample is such
     (`kappa_scale = 0`), nothing was compared and the result is inf.
@@ -117,7 +116,7 @@ def compare_with_full_quantum(profile: prof.InputProfile, *,
     seed_sq = prof.rate_at(profile, tau_c)
     field = field_from_profile(profile, tau_c, math.sqrt(seed_sq))
 
-    taus = np.linspace(tau_c, prof.horizon(profile), n_samples)
+    taus = np.linspace(tau_c, prof.horizon(profile), 201)
     k_quantum = kappa_scale * schedule.stage2_kappa(taus)
     return max((abs(k_q - semiclassical_coupling(field, tau)) / k_q
                 for tau, k_q in zip(taus.tolist(), k_quantum.tolist())

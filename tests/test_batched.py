@@ -194,7 +194,9 @@ def _quadratures(table: prof.InputProfile, a: float, b: float):
     take it only on a window too short for quad."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        values = [prof._quad_rate(table, a, b),
+        edges = [a, *prof._interior_breaks(table, a, b), b]
+        values = [float(prof._kronrod(lambda s: prof.rate_at(table, s),
+                                      edges).sum()),
                   prof.total_excitation(table, b),
                   proto._stage1_beta_quad(table, KAPPA_I, a, -0.3, b),
                   proto._stage1_beta_quad(table, 0.5, a, 0.0, b),

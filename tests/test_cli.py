@@ -6,6 +6,7 @@ the modules each command loads.
 """
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import re
@@ -19,9 +20,10 @@ import pytest
 from pulsecatch import cli, closedform, dynamics
 from pulsecatch import profiles as prof
 from pulsecatch import protocol
-from pulsecatch.errors import (MAX_CELLS, MAX_COUNT, DomainError, NoPeak,
-                               NoThreshold, SingularCoupling, StepFailure)
-from test_protocol import _double_hump, _drained
+from pulsecatch.errors import (MAX_CELLS, MAX_COUNT, DomainError,
+                               InfeasibleSchedule, NoPeak, NoThreshold,
+                               SingularCoupling, StepFailure)
+from test_protocol import _delayed_table, _double_hump, _drained
 
 EXP_OP = ["--profile", "exp:r=0.036", "--kappa-i", "1e-4"]
 
@@ -80,6 +82,56 @@ def test_no_threshold_maps_to_infeasible_exit(tmp_path, monkeypatch, capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
+def _humps(count: int) -> np.ndarray:
+    """(tau, r_in) rows of `count` narrow humps 5 apart, each 4 times the
+    one before: each outruns what the memory holds from those before, so
+    stage 1 resumes at every hump after the first (two more segments)."""
+    taus = np.linspace(0.0, 5.0 * (count + 1), 250 * (count + 1) + 1)
+    rates = sum(4.0 ** j * np.exp(-2.0 * (taus - 5.0 * (j + 1)) ** 2)
+                for j in range(count))
+    return np.c_[taus, rates / np.trapezoid(rates, taus)]
+
+
+def test_segment_cap_maps_to_infeasible_exit(tmp_path, capsys):
+    """Sixteen humps take the 32 segments `protocol._MAX_SEGMENTS` allows; a
+    seventeenth is an InfeasibleSchedule, exit 2 with no file written."""
+    params = prof.MemoryParams(kappa_i=1e-4)
+    assert len(protocol.build_schedule(prof.tabulated(*_humps(16).T),
+                                       params).segments) == 32
+    rows = _humps(17)
+    with pytest.raises(InfeasibleSchedule,
+                       match="^no feasible schedule within 32 segments$"):
+        protocol.build_schedule(prof.tabulated(*rows.T), params)
+    table = tmp_path / "humps.csv"
+    np.savetxt(table, rows, delimiter=",", fmt="%.17g")
+    assert cli.main(["schedule", "--profile", f"table:{table}", "--kappa-i",
+                     "1e-4", "--out", str(tmp_path / "s")]) == 2
+    assert capsys.readouterr().err \
+        == "infeasible: no feasible schedule within 32 segments\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["humps.csv"]
+
+
+def test_split_cap_maps_to_infeasible_exit(tmp_path, capsys, monkeypatch):
+    """`protocol._refined` halves at most 4 pieces at once on the delayed
+    table's switch-on knot: with its cap at 3 stage 1 raises NoThreshold,
+    exit 2 with no file written."""
+    table, params = _delayed_table(), prof.MemoryParams(kappa_i=1e-4)
+    monkeypatch.setattr(protocol, "_MAX_SPLIT", 4)
+    protocol.build_schedule(table, params)
+    monkeypatch.setattr(protocol, "_MAX_SPLIT", 3)
+    with pytest.raises(NoThreshold,
+                       match="^stage-1 series failed near tau = 4.98$"):
+        protocol.build_schedule(table, params)
+    path = tmp_path / "delayed.csv"
+    np.savetxt(path, np.c_[table.taus, table.rates], delimiter=",",
+               fmt="%.17g")
+    assert cli.main(["schedule", "--profile", f"table:{path}", "--kappa-i",
+                     "1e-4", "--out", str(tmp_path / "s")]) == 2
+    assert capsys.readouterr().err \
+        == "infeasible: stage-1 series failed near tau = 4.98\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["delayed.csv"]
+
+
 def test_step_failure_maps_to_step_exit(tmp_path, monkeypatch, capsys):
     def raise_stepfailure(*args, **kwargs):
         raise StepFailure("synthetic", tau=1.0)
@@ -135,7 +187,8 @@ def test_kappa_i_above_validated_range_warns(command, tmp_path, capsys):
     assert capsys.readouterr().err == ("warning: --kappa-i 0.05 lies above "
                                        "the validated range kappa_i <= 0.01\n")
     for kappa_i in (0.0, 1e-4, 1e-2):    # 0 is the default, the lossless limit
-        assert cli._memory_params(kappa_i).kappa_i == kappa_i
+        args = argparse.Namespace(profile="exp:r=0.3", kappa_i=kappa_i)
+        assert cli._inputs(args)[1].kappa_i == kappa_i
         assert capsys.readouterr().err == ""
 
 
@@ -207,6 +260,15 @@ def test_module_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "pulsecatch" in proc.stdout
+
+
+def test_cli_module_entry_point():
+    # `python -m pulsecatch.cli` runs the same `main` as `python -m pulsecatch`
+    proc = subprocess.run([sys.executable, "-m", "pulsecatch.cli", "--help"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.startswith("usage: pulsecatch [-h] "
+                                  "{schedule,simulate,sweep,verify} ...\n")
 
 
 def _run(options: list[str], argv: list[str], cwd: Path):
@@ -904,6 +966,36 @@ def test_verify_fault_injection_detected(tmp_path, capsys):
     # a 1% coupling error shows up as ~1% relative deviation
     dev = payload["checks"][0]["value"]
     assert 5e-3 < dev < 2e-2
+
+
+def test_verify_master_equation_detects_a_doubled_coupling(tmp_path, capsys):
+    """Both solvers run under twice the schedule's coupling: they still agree
+    with each other, but stage 2 reflects part of the pulse and the peak
+    misses the closed form's fidelity, so those checks fail for both
+    families."""
+    out = tmp_path / "verify.json"
+    assert cli.main(["verify", "master-equation", "--inject-kappa-scale", "2",
+                     "--out", str(out)]) == 4
+    payload = json.loads(out.read_text())
+    assert payload["pass"] is False and payload["kappa_scale"] == 2.0
+    verdicts = {c["name"]: c["pass"] for c in payload["checks"]}
+    assert verdicts == {
+        f"master-equation/{family}/{check}": check in (
+            "reduction", "trace", "ground-state-bookkeeping")
+        for family in ("exp", "gauss")
+        for check in ("reduction", "trace", "ground-state-bookkeeping",
+                      "stage2-reflection", "fidelity-vs-closed-form")}
+    values = {c["name"]: c["value"] for c in payload["checks"]}
+    for family, (reflection, fidelity) in {"exp": (7.5e-3, 0.106),
+                                           "gauss": (1.7e-2, 0.111)}.items():
+        name = f"master-equation/{family}/"
+        assert values[name + "stage2-reflection"] \
+            == pytest.approx(reflection, rel=0.02)
+        assert values[name + "fidelity-vs-closed-form"] \
+            == pytest.approx(fidelity, rel=0.02)
+    captured = capsys.readouterr().out
+    assert captured.count("FAIL master-equation/") == 4
+    assert captured.count("PASS master-equation/") == 6
 
 
 def test_verify_zero_kappa_scale_fails(tmp_path, capsys):

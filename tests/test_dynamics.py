@@ -622,6 +622,35 @@ def test_nan_time_is_a_domain_error(call):
         call(*_exp_setup())
 
 
+@pytest.mark.parametrize("simulate", [dyn.simulate_amplitudes,
+                                      dyn.simulate_master_equation],
+                         ids=["amplitudes", "master_equation"])
+@pytest.mark.parametrize("foreign", ["params", "profile"])
+def test_schedule_with_foreign_inputs_is_refused(simulate, foreign):
+    """The schedule's kappa reads its own profile and params, the
+    integrators the given ones: the two must be the same inputs."""
+    p, params, sch = _exp_setup()
+    if foreign == "params":
+        params = prof.MemoryParams(kappa_i=0.0)
+    else:
+        p = prof.exponential(0.5)
+    with pytest.raises(DomainError, match="built for another profile"):
+        simulate(p, params, sch, 20.0, samples=11)
+
+
+@pytest.mark.parametrize("simulate", [dyn.simulate_amplitudes,
+                                      dyn.simulate_master_equation],
+                         ids=["amplitudes", "master_equation"])
+def test_schedule_with_equal_rebuilt_inputs_is_taken(simulate):
+    # an equal profile and equal params rebuilt: the same run bit for bit
+    p, params, sch = _exp_setup()
+    runs = [simulate(p, params, sch, 20.0, samples=11),
+            simulate(prof.exponential(0.036), prof.MemoryParams(kappa_i=KI_OP),
+                     sch, 20.0, samples=11)]
+    own, rebuilt = (getattr(run, "beta", run).tobytes() for run in runs)
+    assert own == rebuilt
+
+
 def test_trajectory_is_immutable():
     p, params, sch = _exp_setup()
     tr = dyn.simulate_amplitudes(p, params, sch, 5.0, samples=11)

@@ -1536,3 +1536,48 @@ def test_stage2_population_requires_tau_past_threshold():
     p = prof.exponential(0.2)
     with pytest.raises(DomainError):
         proto.stage2_population(p, _params(), 2.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# a schedule and the inputs it was built for
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("profile, params", [
+    (prof.exponential(0.036), _params(0.0)),
+    (prof.exponential(0.5), _params()),
+    (prof.gaussian(r=0.036), _params()),
+], ids=["lossless", "other_rate", "gauss"])
+def test_report_refuses_inputs_the_schedule_was_not_built_for(profile, params):
+    """The losses and the peaks read the schedule's own profile and params,
+    the rest of the report the given ones: unchecked, other inputs give a
+    budget of F = loss_intrinsic = 0.98633 (lossless) or loss_unabsorbed
+    = 0 (r = 0.5)."""
+    sch = proto.build_schedule(prof.exponential(0.036), _params())
+    with pytest.raises(DomainError, match="built for another profile"):
+        proto.peak_time_and_fidelity(profile, params, sch)
+
+
+def test_report_takes_equal_rebuilt_inputs():
+    """A profile equal to the schedule's own (kind, r, sigma, n and every
+    table sample) and equal params give the same report."""
+    own = prof.exponential(0.036)
+    sch = proto.build_schedule(own, _params())
+    report = proto.peak_time_and_fidelity(own, _params(), sch)
+    assert proto.peak_time_and_fidelity(prof.exponential(0.036),
+                                        prof.MemoryParams(kappa_i=1e-4),
+                                        sch) == report
+    table = _double_hump()
+    sch = proto.build_schedule(table, _params())
+    report = proto.peak_time_and_fidelity(table, _params(), sch)
+    rebuilt = prof.tabulated(table.taus.copy(), table.rates.copy())
+    assert proto.peak_time_and_fidelity(rebuilt, _params(), sch) == report
+
+
+def test_report_refuses_a_table_with_one_sample_moved():
+    table = _double_hump()
+    sch = proto.build_schedule(table, _params())
+    moved = table.rates.copy()
+    moved[1000] = np.nextafter(moved[1000], 1.0)
+    with pytest.raises(DomainError, match="built for another profile"):
+        proto.peak_time_and_fidelity(prof.tabulated(table.taus, moved),
+                                     _params(), sch)

@@ -102,15 +102,14 @@ def test_comparison_of_no_sample_is_inf():
     # kappa_scale = 0 zeroes every quantum coupling, so no sample has a
     # relative deviation: the comparison must fail, not return 0
     assert sc.compare_with_full_quantum(prof.exponential(0.2),
-                                        n_samples=11, kappa_scale=0.0) \
-        == math.inf
+                                        kappa_scale=0.0) == math.inf
 
 
 def test_quantum_agreement_tabulated():
     r = 0.2
     taus = np.linspace(0.0, prof.horizon(prof.exponential(r)), 6001)
     table = prof.tabulated(taus, r * np.exp(-r * taus))
-    assert sc.compare_with_full_quantum(table, n_samples=101) <= 1e-6
+    assert sc.compare_with_full_quantum(table) <= 1e-6
 
 
 @settings(max_examples=30, deadline=None)

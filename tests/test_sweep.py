@@ -15,8 +15,8 @@ from pulsecatch import closedform as cf
 from pulsecatch import profiles as prof
 from pulsecatch import protocol
 from pulsecatch import sweep
-from pulsecatch.errors import (BoundaryMaximumWarning, DomainError, NoThreshold,
-                               PulsecatchError)
+from pulsecatch.errors import (BoundaryMaximumWarning, DomainError, NoPeak,
+                               NoThreshold, PulsecatchError)
 
 
 def _budget_defect(rep: protocol.TransferReport) -> float:
@@ -140,6 +140,23 @@ def test_surface_records_failures_as_nan():
     failure = grid.results[0][2]
     assert isinstance(failure, sweep.CellFailure)
     assert "no profile past 0.5" in failure.error
+
+
+def test_gauss_rate_that_never_falls_below_the_loss_is_no_peak():
+    """At sigma = 1e-8 and kappa_i = 5e-324 the loss rate kappa_i beta^2
+    stays below r_in through every doubling of the Gaussian peak search:
+    the closed form raises NoPeak, and a sweep cell records it."""
+    with pytest.raises(NoPeak, match="^input rate never falls below the "
+                       "intrinsic-loss rate$"):
+        cf.gauss_report(1e-8, 3.0, 5e-324)
+    with pytest.warns(UserWarning, match="beyond the standard ranges"):
+        grid = sweep.fidelity_surface(
+            "gauss", grid=([5e-324], [1.0 / (1e-8 * cf.SQRT_2PI)]))
+    failure = grid.results[0][0]
+    assert isinstance(failure, sweep.CellFailure)
+    assert failure.error == ("NoPeak: input rate never falls below the "
+                             "intrinsic-loss rate")
+    assert np.isnan(grid.fidelity_matrix()).all()
 
 
 def test_surface_records_typed_errors_only():
